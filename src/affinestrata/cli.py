@@ -2,8 +2,9 @@
 
 All results are single JSON documents on stdout; diagnostics go to stderr as
 JSON.  Exit codes: 0 success (or equivalent / all checks passed), 1 domain
-negatives (not equivalent, undecided, failed checks, classification errors),
-2 usage or parse errors.  Rationals are rendered as strings everywhere.
+negatives (not equivalent, undecided, failed checks, classification errors)
+and internal faults, 2 usage or parse errors.  Rationals are rendered as
+strings everywhere.
 """
 
 from __future__ import annotations
@@ -246,6 +247,11 @@ def run_cli(argv=None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         _diagnostic("domain", str(exc))
+        return 1
+    except (AssertionError, OverflowError) as exc:
+        # a failed exact self-check or an exceeded search bound: a fault of
+        # the engine, reported without a traceback
+        _diagnostic("internal", f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -179,6 +179,29 @@ def trace_form(m: TypeAModel) -> tuple[Fraction, Fraction]:
     return (a + d, c + f)
 
 
+def gamma_pair(m: TypeAModel, x, y):
+    """The coefficient bilinear map G(x, y) evaluated on rational vectors."""
+    a, b, c, d, e, f = m.coeffs
+    head = x[0] * y[0]
+    cross = x[0] * y[1] + x[1] * y[0]
+    tail = x[1] * y[1]
+    return (a * head + c * cross + e * tail, b * head + d * cross + f * tail)
+
+
+def ricci_trace_vector(m: TypeAModel, r: Ricci2) -> tuple[Fraction, Fraction]:
+    """v = rho^{-1} omega for a nondegenerate Ricci tensor ``r`` of ``m``, with
+    omega the trace form.
+
+    A vector covariant: v(pullback(m, T)) = T v(m), because rho^{-1}
+    transforms as T rho^{-1} T^T and omega as omega T^{-1}.  The other
+    contraction G^k_ij (rho^{-1})^ij is the same vector for every model.
+    """
+    (r11, r12), (_, r22) = r.rows
+    det = r11 * r22 - r12 * r12
+    w1, w2 = trace_form(m)
+    return ((r22 * w1 - r12 * w2) / det, (r11 * w2 - r12 * w1) / det)
+
+
 def binary_cubic(m: TypeAModel) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Coefficients of det(x, G(x, x)), a binary cubic invariant of the orbit.
 

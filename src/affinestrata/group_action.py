@@ -26,7 +26,13 @@ from .exact import (
     primitive_covector,
     sqrt_rational,
 )
-from .curvature import rank_signature, ricci_type_a, stratum_flags
+from .curvature import (
+    gamma_pair,
+    rank_signature,
+    ricci_trace_vector,
+    ricci_type_a,
+    stratum_flags,
+)
 from .models import Model, TypeAModel, TypeBModel
 from . import polys
 
@@ -438,8 +444,10 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     """The subgroup of linear maps fixing ``m`` under pullback.
 
     Supported inputs: the zero model, flat models (through the canonical
-    orbit match), and rank-one models already in reduced form b = d = 0.
-    Anything else raises :class:`UndecidedError`.
+    orbit match), rank-one models already in reduced form b = d = 0, and
+    rank-two models whose covariants v = rho^{-1} omega and G(v, v) are
+    independent: every isotropy element fixes that frame, so the group is
+    trivial.  Anything else raises :class:`UndecidedError`.
     """
     if m.is_zero():
         return IsotropyGroup((), (_gl2_family(),))
@@ -459,7 +467,12 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
         raise UndecidedError(
             "isotropy is only solved for rank-one models in reduced form b = d = 0"
         )
-    raise UndecidedError("isotropy is not solved for rank-two models")
+    if _covariant_frame(m) is not None:
+        return _spot_check(IsotropyGroup((_IDENTITY,), ()), m)
+    raise UndecidedError(
+        "isotropy is not solved for rank-two models with v = rho^-1 omega zero or "
+        "parallel to G(v, v)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +538,10 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
 
     Pipeline: invariant screening, then a stratified solve (flat models via
     canonical-orbit matching, rank-one via the rational frame reduction and
-    the triangular residual system, rank-two via the symmetry group of the
-    Ricci form).  Every witness is re-verified by exact pullback.
+    the triangular residual system, rank-two via the covariant frame
+    (v, G(v, v)) with v = rho^{-1} omega, which forces the only possible
+    witness; when both frames are degenerate, a sweep of the Ricci-symmetry
+    group).  Every witness is verified by exact pullback.
     """
     obstruction = _screen_a(m1, m2)
     if obstruction is not None:
@@ -570,6 +585,42 @@ def _solve_flat_pair(m1, m2) -> EquivalenceWitnesses:
 
 
 # -- rank two -----------------------------------------------------------------
+
+
+def _covariant_frame(m: TypeAModel) -> Mat2 | None:
+    """The matrix with columns v = rho^{-1} omega and G(v, v) for a rank-two
+    model, or None when they are dependent.  Both are vector covariants, so
+    F(pullback(m, T)) = T F(m)."""
+    v = ricci_trace_vector(m, ricci_type_a(m))
+    frame = mat2_from_cols(v, gamma_pair(m, v, v))
+    return frame if frame.det() != 0 else None
+
+
+def _solve_rank2_pair(m1, m2) -> EquivalenceWitnesses:
+    """Any real T with pullback(m1, T) = m2 carries the covariant frame F1 of
+    m1 onto F2, so a nondegenerate frame forces T = F2 F1^{-1} and one exact
+    pullback decides the pair over the reals.  Degeneracy is an orbit
+    invariant; only when both frames are degenerate does the sweep run.
+    """
+    f1, f2 = _covariant_frame(m1), _covariant_frame(m2)
+    if f1 is None and f2 is None:
+        return _solve_rank2_sweep(m1, m2)
+    if f1 is None or f2 is None:
+        return EquivalenceWitnesses(
+            "not_equivalent",
+            obstruction="v = rho^-1 omega and G(v, v) are independent for one model only",
+        )
+    t = LinearMap2(f2 @ f1.inverse())
+    if pullback_type_a(m1, t) != m2:
+        return EquivalenceWitnesses(
+            "not_equivalent",
+            obstruction="the map carrying the frame (v, G(v, v)) of one model onto "
+            "the other does not intertwine them",
+        )
+    return EquivalenceWitnesses("equivalent", (t,))
+
+
+# The sweep below is the fallback for pairs whose frames are both degenerate.
 
 
 def _diagonalizations(rho_rows):
@@ -717,7 +768,9 @@ def _rank2_residual_polys(m1, m2, s0: Mat2, a_mat: Mat2, reflect: Mat2 | None, n
     return residuals
 
 
-def _solve_rank2_pair(m1, m2) -> EquivalenceWitnesses:
+def _solve_rank2_sweep(m1, m2) -> EquivalenceWitnesses:
+    """Fallback for degenerate covariant frames: a rational Ricci congruence
+    from a bounded search, then a sweep of the Ricci-symmetry group."""
     rho1 = ricci_type_a(m1).rows
     rho2 = ricci_type_a(m2).rows
     det1 = rho1[0][0] * rho1[1][1] - rho1[0][1] * rho1[1][0]

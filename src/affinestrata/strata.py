@@ -37,6 +37,7 @@ from .exact import (
 from .curvature import (
     binary_cubic,
     coefficient_rank,
+    gamma_pair,
     rank1_scale,
     rank_signature,
     ricci_type_a,
@@ -479,15 +480,6 @@ def classify_alt_b(m: TypeBModel) -> AltBClass:
 # recovery of the witness.
 
 
-def _gamma_pair(m: TypeAModel, x, y):
-    """The coefficient bilinear map G(x, y) evaluated on rational vectors."""
-    a, b, c, d, e, f = m.coeffs
-    head = x[0] * y[0]
-    cross = x[0] * y[1] + x[1] * y[0]
-    tail = x[1] * y[1]
-    return (a * head + c * cross + e * tail, b * head + d * cross + f * tail)
-
-
 _E1 = (ONE, ZERO)
 _E2 = (ZERO, ONE)
 _E12 = (ONE, ONE)
@@ -511,7 +503,7 @@ def _match_m1(m: TypeAModel):
         return None
     u = _E1 if ell[0] != 0 else _E2
     lu = ell[0] * u[0] + ell[1] * u[1]
-    guu = _gamma_pair(m, u, u)
+    guu = gamma_pair(m, u, u)
     w = ((2 * lu * u[0] - guu[0]) / (lu * lu), (2 * lu * u[1] - guu[1]) / (lu * lu))
     if ell[0] * w[0] + ell[1] * w[1] != 1:
         return None
@@ -529,7 +521,7 @@ def _match_m2(m: TypeAModel):
 
     rows, rhs = [], []
     for u, v in ((_E1, _E1), (_E1, _E2), (_E2, _E2)):
-        g = _gamma_pair(m, u, v)
+        g = gamma_pair(m, u, v)
         rows.append(
             [
                 2 * g[0] - u[0] * omega(v) - omega(u) * v[0],
@@ -551,7 +543,7 @@ def _match_m2(m: TypeAModel):
             if ku == 0:
                 continue
             pu = particular[0] * u[0] + particular[1] * u[1]
-            g = _gamma_pair(m, u, u)
+            g = gamma_pair(m, u, u)
             # sigma(G(u,u)) + sigma(u)^2 = 0 pins the free parameter
             a_coef = ku * ku
             b_coef = 2 * pu * ku + (k[0] * g[0] + k[1] * g[1])
@@ -583,7 +575,7 @@ def _match_m5(m: TypeAModel):
 
     rows = []
     for u, v in ((_E1, _E1), (_E1, _E2), (_E2, _E2)):
-        g = _gamma_pair(m, u, v)
+        g = gamma_pair(m, u, v)
         rows.append(
             [
                 g[0] - sig1(u) * v[0] - sig1(v) * u[0],
@@ -601,7 +593,7 @@ def _match_m5(m: TypeAModel):
         ku = k[0] * u[0] + k[1] * u[1]
         if ku == 0:
             continue
-        g = _gamma_pair(m, u, u)
+        g = gamma_pair(m, u, u)
         t2 = (sig1(u) * sig1(u) - sig1(g)) / (ku * ku)
         root = sqrt_rational(t2)
         if root is None:

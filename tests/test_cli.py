@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 
+import pytest
+
+from affinestrata import cli
 from affinestrata.cli import run_cli
 
 
@@ -64,10 +67,36 @@ def test_isotropy_command():
     doc = json.loads(out)
     assert doc["dimension"] == 2
     assert doc["families"][0]["template"] == "[[a^2, b], [0, a]]"
-    # rank-two input is honestly undecided
+    # rank two with v = rho^-1 omega = 0 is honestly undecided
     code, out, _ = run(["isotropy", '{"type":"A","coeffs":["0","1","0","0","1","0"]}'])
     assert code == 1
     assert json.loads(out)["status"] == "undecided"
+    # rank two with a nondegenerate covariant frame has trivial isotropy
+    code, out, _ = run(["isotropy", '{"type":"A","coeffs":["1","2","0","1","1","3"]}'])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["dimension"], doc["families"]) == ("solved", 0, [])
+    assert doc["elements"] == [[["1", "0"], ["0", "1"]]]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        AssertionError("equivalence witness failed exact verification"),
+        OverflowError("rational root scan bound exceeded"),
+    ],
+)
+def test_internal_fault_is_a_json_diagnostic(monkeypatch, fault):
+    def solver(*_models):
+        raise fault
+
+    monkeypatch.setattr(cli, "solve_equivalence_a", solver)
+    code, out, err = run(["equiv", M5_1_POS, M5_1_NEG])
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert str(fault) in doc["detail"]
 
 
 def test_param_command():

@@ -8,7 +8,9 @@ from affinestrata.curvature import (
     Ricci2,
     binary_cubic,
     coefficient_rank,
+    gamma_pair,
     rank_signature,
+    ricci_trace_vector,
     ricci_type_a,
     ricci_type_b,
     split_ricci,
@@ -16,7 +18,8 @@ from affinestrata.curvature import (
     trace_form,
 )
 from affinestrata.models import canonical_model, type_a, type_b
-from affinestrata.sampling import rand_model_b
+from affinestrata.group_action import pullback_type_a
+from affinestrata.sampling import rand_linear_map, rand_model_a, rand_model_b
 
 
 def test_ricci_type_a_examples():
@@ -100,3 +103,26 @@ def test_orbit_invariants_of_flat_catalog():
     assert trace_form(canonical_model("M1_0")) == (2, 0)
     assert trace_form(canonical_model("M4_0")) == (0, 0)
     assert binary_cubic(canonical_model("M4_0")) == (0, 0, 0, -1)
+
+
+def test_ricci_trace_vector_is_covariant():
+    """v = rho^{-1} omega and G(v, v) move with the map, and the other
+    contraction G^k_ij (rho^{-1})^ij adds nothing: it equals v."""
+    rng = random.Random(19)
+    done = 0
+    while done < 100:
+        m = rand_model_a(rng, 6)
+        r = ricci_type_a(m)
+        if rank_signature(r).rank != 2:
+            continue
+        done += 1
+        t = rand_linear_map(rng, 6)
+        m2 = pullback_type_a(m, t)
+        v = ricci_trace_vector(m, r)
+        assert ricci_trace_vector(m2, ricci_type_a(m2)) == t.matrix.apply(v)
+        assert gamma_pair(m2, t.matrix.apply(v), t.matrix.apply(v)) == t.matrix.apply(gamma_pair(m, v, v))
+        (r11, r12), (_, r22) = r.rows
+        det = r11 * r22 - r12 * r12
+        h = (r22 / det, -r12 / det, r11 / det)
+        a, b, c, d, e, f = m.coeffs
+        assert (a * h[0] + 2 * c * h[1] + e * h[2], b * h[0] + 2 * d * h[1] + f * h[2]) == v

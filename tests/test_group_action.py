@@ -9,6 +9,9 @@ from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
     UndecidedError,
+    _covariant_frame,
+    _solve_rank2_pair,
+    _solve_rank2_sweep,
     isotropy_type_a,
     orbit_dimension_a,
     pullback_type_a,
@@ -301,21 +304,108 @@ def test_equivalence_rank2_congruence_regression():
         assert pullback_type_a(m1, w) == m2
 
 
-def test_equivalence_rank2_generate_recover():
-    rng = random.Random(53)
-    done = 0
-    while done < 15:
-        m1 = sampling.rand_model_a(rng, 3)
+def rank2_pairs(rng, height, count):
+    """``count`` pairs (m, pullback(m, T)) with m of rank two, both at ``height``."""
+    pairs = []
+    while len(pairs) < count:
+        m1 = sampling.rand_model_a(rng, height)
         if rank_signature(ricci_type_a(m1)).rank != 2:
             continue
-        t = sampling.rand_linear_map(rng, 3)
-        m2 = pullback_type_a(m1, t)
+        pairs.append((m1, pullback_type_a(m1, sampling.rand_linear_map(rng, height))))
+    return pairs
+
+
+def test_equivalence_rank2_generate_recover():
+    degenerate = 0
+    for m1, m2 in rank2_pairs(random.Random(53), 3, 15):
         res = solve_equivalence_a(m1, m2)
-        assert res.status in ("equivalent", "undecided")
-        if res.is_equivalent:
-            done += 1
+        assert res.is_equivalent, (m1, m2, res.status)
+        assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
+        if _covariant_frame(m1) is None:
+            degenerate += 1  # decided by the sweep
         else:
-            done += 1  # undecided is honest, but must never be not_equivalent
+            assert len(res.maps) == 1
+    assert degenerate == 1
+
+
+def test_equivalence_rank2_height_sweep():
+    undecided = 0
+    rng = random.Random(67)
+    for height in (3, 6, 30, 500):
+        for m1, m2 in rank2_pairs(rng, height, 20):
+            res = solve_equivalence_a(m1, m2)
+            if _covariant_frame(m1) is None:
+                # degenerate frames go through the Ricci-symmetry sweep
+                assert res.status in ("equivalent", "undecided"), (m1, m2, res.status)
+                undecided += res.status == "undecided"
+                continue
+            assert res.is_equivalent, (height, m1, m2, res.status)
+            assert [pullback_type_a(m1, w) for w in res.maps] == [m2]
+    assert undecided == 0
+
+
+def test_equivalence_rank2_symmetry():
+    rng = random.Random(73)
+    pairs = rank2_pairs(rng, 6, 10)
+    pairs += [(m1, m3) for (m1, _), (m3, _) in zip(pairs, rank2_pairs(rng, 6, 10))]
+    for m1, m2 in pairs:
+        r12 = solve_equivalence_a(m1, m2)
+        r21 = solve_equivalence_a(m2, m1)
+        assert r12.status == r21.status != "undecided"
+        assert [w.matrix.inverse() for w in r12.maps] == [w.matrix for w in r21.maps]
+
+
+def test_equivalence_rank2_frame_matches_sweep():
+    """The frame and the retained sweep agree wherever the sweep decides; the
+    sweep may list one witness twice, so witnesses are compared as sets."""
+    rng = random.Random(71)
+    pairs = rank2_pairs(rng, 3, 4)
+    # distinct models with the same Ricci form, which the sweep separates
+    by_ricci = {}
+    while len(pairs) < 7:
+        m = sampling.rand_model_a(rng, 2)
+        r = ricci_type_a(m)
+        if rank_signature(r).rank != 2:
+            continue
+        other = by_ricci.setdefault(r.rows, m)
+        if other != m:
+            pairs.append((other, m))
+            del by_ricci[r.rows]
+    decided = 0
+    for m1, m2 in pairs:
+        assert _covariant_frame(m1) is not None
+        frame = _solve_rank2_pair(m1, m2)
+        sweep = _solve_rank2_sweep(m1, m2)
+        if sweep.status == "undecided":
+            continue
+        decided += 1
+        assert frame.status == sweep.status, (m1, m2)
+        assert {w.matrix for w in frame.maps} == {w.matrix for w in sweep.maps}
+    assert decided == len(pairs)
+
+
+def test_equivalence_rank2_degenerate_frames():
+    base = type_a(0, 1, -2, 0, 0, 0)  # v on the x2 axis, G(x2, x2) = 0
+    t = LinearMap2(Mat2(((F(1), F(-2)), (F(3), F(1, 2)))))
+    m2 = pullback_type_a(base, t)
+    assert _covariant_frame(base) is None and _covariant_frame(m2) is None
+    res = solve_equivalence_a(base, m2)
+    assert res.is_equivalent
+    assert t in res.maps
+    assert all(pullback_type_a(base, w) == m2 for w in res.maps)
+    # same screening invariants, but only one frame is degenerate
+    other = type_a(1, 1, -2, 0, 0, 0)
+    assert _covariant_frame(other) is not None
+    for m1, m2 in ((base, other), (other, base)):
+        assert solve_equivalence_a(m1, m2).status == "not_equivalent"
+
+
+def test_isotropy_rank2_frame_is_trivial():
+    rng = random.Random(79)
+    for m, _ in rank2_pairs(rng, 6, 10):
+        group = isotropy_type_a(m)
+        assert group.dimension == 0
+        assert [el.matrix for el in group.finite_elements] == [Mat2.identity()]
 
 
 def test_equivalence_b_examples():
