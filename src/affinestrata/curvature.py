@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, rational_str
+from .exact import ZERO, clear_denominators, rational_str
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -96,21 +96,32 @@ class StratumFlags:
 
 
 def ricci_type_a(m: TypeAModel) -> Ricci2:
-    """Ricci tensor of a constant-coefficient model; always symmetric."""
-    a, b, c, d, e, f = m.coeffs
-    r11 = (a - d) * d + b * (f - c)
-    r12 = c * d - b * e
-    r22 = c * (f - c) + (a - d) * e
+    """Ricci tensor of a constant-coefficient model; always symmetric.
+
+    The entries are quadratic in the coefficients, so they are integer
+    polynomials in the cleared numerators over the square of the common
+    denominator, normalized once each.
+    """
+    (a, b, c, d, e, f), den = clear_denominators(m.coeffs)
+    den *= den
+    r11 = Fraction((a - d) * d + b * (f - c), den)
+    r12 = Fraction(c * d - b * e, den)
+    r22 = Fraction(c * (f - c) + (a - d) * e, den)
     return Ricci2(((r11, r12), (r12, r22)), cleared=False)
 
 
 def ricci_type_b(m: TypeBModel) -> Ricci2:
-    """Cleared Ricci tensor (x^1)^2 * rho of a 1/x^1-profile model."""
-    a, b, c, d, e, f = m.coeffs
-    r11 = (a - d + 1) * d + b * (f - c)
-    r12 = c * d - b * e + f
-    r21 = c * (d - 1) - b * e
-    r22 = -c * c + f * c + (a - d - 1) * e
+    """Cleared Ricci tensor (x^1)^2 * rho of a 1/x^1-profile model.
+
+    Computed like :func:`ricci_type_a`; the terms linear in the coefficients
+    carry one factor of the common denominator ``q``.
+    """
+    (a, b, c, d, e, f), q = clear_denominators(m.coeffs)
+    den = q * q
+    r11 = Fraction((a - d + q) * d + b * (f - c), den)
+    r12 = Fraction(c * d - b * e + q * f, den)
+    r21 = Fraction(c * (d - q) - b * e, den)
+    r22 = Fraction(-c * c + f * c + (a - d - q) * e, den)
     return Ricci2(((r11, r12), (r21, r22)), cleared=True)
 
 
@@ -179,13 +190,19 @@ def trace_form(m: TypeAModel) -> tuple[Fraction, Fraction]:
     return (a + d, c + f)
 
 
-def gamma_pair(m: TypeAModel, x, y):
-    """The coefficient bilinear map G(x, y) evaluated on rational vectors."""
-    a, b, c, d, e, f = m.coeffs
+def gamma_coeffs(coeffs, x, y):
+    """The coefficient bilinear map G(x, y) of a coefficient tuple, over any
+    scalar ring: G(x, y)^k = G^k_ij x^i y^j."""
+    a, b, c, d, e, f = coeffs
     head = x[0] * y[0]
     cross = x[0] * y[1] + x[1] * y[0]
     tail = x[1] * y[1]
     return (a * head + c * cross + e * tail, b * head + d * cross + f * tail)
+
+
+def gamma_pair(m: TypeAModel, x, y):
+    """The coefficient bilinear map G(x, y) evaluated on rational vectors."""
+    return gamma_coeffs(m.coeffs, x, y)
 
 
 def ricci_trace_vector(m: TypeAModel, r: Ricci2) -> tuple[Fraction, Fraction]:

@@ -67,13 +67,23 @@ def primitive_covector(pair) -> tuple[int, int]:
     x, y = Fraction(pair[0]), Fraction(pair[1])
     if x == 0 and y == 0:
         raise ValueError("zero pair has no primitive representative")
-    scale = Fraction(math.lcm(x.denominator, y.denominator))
-    ix, iy = int(x * scale), int(y * scale)
+    (ix, iy), _ = clear_denominators((x, y))
     g = math.gcd(ix, iy)
     ix, iy = ix // g, iy // g
     if ix < 0 or (ix == 0 and iy < 0):
         ix, iy = -ix, -iy
     return ix, iy
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integers n_i and the least common denominator d with values[i] = n_i / d.
+
+    Accepts ints and Fractions; the exact kernels work on the n_i and
+    normalize once at the end.
+    """
+    pairs = [x.as_integer_ratio() for x in values]
+    d = math.lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +215,60 @@ def circle_from_slope(t: Fraction) -> CirclePoint:
 
 
 class QuadExt:
-    """An element u + v*sqrt(k) of a real quadratic extension."""
+    """An element u + v*sqrt(k) of a real quadratic extension.
 
-    __slots__ = ("u", "v", "k")
+    Held on integers as (p + q*sqrt(K)) / d with K = k.numerator *
+    k.denominator, so that sqrt(K) = k.denominator * sqrt(k), d > 0 and
+    gcd(p, q, d) = 1: each operation is a few integer products and one gcd,
+    and equal elements have equal (p, q, d).
+    """
+
+    __slots__ = ("p", "q", "d", "k", "_big_k")
 
     def __init__(self, u, v, k):
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        self.k = k
+        pu, du = Fraction(u).as_integer_ratio()
+        pv, dv = Fraction(v).as_integer_ratio()
+        n, m = k.as_integer_ratio()
+        lcm = math.lcm(du, dv)
+        self.k, self._big_k = k, n * m
+        self._set(pu * (lcm // du) * m, pv * (lcm // dv), lcm * m)
+
+    def _set(self, p, q, d) -> None:
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = math.gcd(p, q, d)
+        if g > 1:
+            p, q, d = p // g, q // g, d // g
+        self.p, self.q, self.d = p, q, d
+
+    def _new(self, p, q, d) -> "QuadExt":
+        out = object.__new__(QuadExt)
+        out.k, out._big_k = self.k, self._big_k
+        out._set(p, q, d)
+        return out
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.q * self.k.as_integer_ratio()[1], self.d)
 
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             return other
-        return QuadExt(other, 0, self.k)
+        n, d = Fraction(other).as_integer_ratio()
+        return self._new(n, 0, d)
 
     def __add__(self, other):
         o = self._lift(other)
-        return QuadExt(self.u + o.u, self.v + o.v, self.k)
+        return self._new(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.u, -self.v, self.k)
+        return self._new(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -236,31 +278,31 @@ class QuadExt:
 
     def __mul__(self, other):
         o = self._lift(other)
-        return QuadExt(
-            self.u * o.u + self.k * self.v * o.v,
-            self.u * o.v + self.v * o.u,
-            self.k,
+        return self._new(
+            self.p * o.p + self._big_k * self.q * o.q,
+            self.p * o.q + self.q * o.p,
+            self.d * o.d,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._lift(other)
-        norm = o.u * o.u - self.k * o.v * o.v  # nonzero when k is not a square
+        norm = o.p * o.p - self._big_k * o.q * o.q  # nonzero when k is not a square
         if norm == 0:
             raise ZeroDivisionError("division by zero in the quadratic extension")
-        return QuadExt(
-            (self.u * o.u - self.k * self.v * o.v) / norm,
-            (self.v * o.u - self.u * o.v) / norm,
-            self.k,
+        return self._new(
+            (self.p * o.p - self._big_k * self.q * o.q) * o.d,
+            (self.q * o.p - self.p * o.q) * o.d,
+            self.d * norm,
         )
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __eq__(self, other):
-        o = self._lift(other) if not isinstance(other, QuadExt) else other
-        return self.u == o.u and self.v == o.v
+        o = self._lift(other)
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __repr__(self):
         return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
@@ -369,23 +411,28 @@ def jacobian(
 
 
 def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    m = [list(r) for r in rows]
+    """Rank of an exact rational matrix by fraction-free elimination.
+
+    Each row is cleared of denominators once; eliminating a row keeps it
+    integral and primitive, so no ``Fraction`` is built.
+    """
+    m = [clear_denominators(r)[0] for r in rows]
     if not m:
         return 0
-    ncols = len(m[0])
     rank = 0
-    for col in range(ncols):
+    for col in range(len(m[0])):
         pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col]
+            if factor != 0:
+                row = [p * x - factor * y for x, y in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == len(m):
             break
@@ -398,10 +445,15 @@ def solve_linear(
     """Solve A x = b exactly.
 
     Returns (particular solution, kernel basis) or None when inconsistent.
+    Both are read off the reduced row echelon form, which is unique, so it is
+    computed fraction-free like :func:`mat_rank`: each augmented row is
+    cleared of denominators once and stays integral and primitive through
+    Gauss-Jordan elimination, and an entry is divided by its row's pivot only
+    when it is read off.
     """
     n_eq = len(rows)
     n_var = len(rows[0]) if n_eq else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [clear_denominators([*r, b])[0] for r, b in zip(rows, rhs)]
     pivots = []
     rank = 0
     for col in range(n_var):
@@ -409,12 +461,14 @@ def solve_linear(
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
+        top = aug[rank]
+        p = top[col]
         for r in range(n_eq):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
+            factor = aug[r][col]
+            if r != rank and factor != 0:
+                row = [p * x - factor * y for x, y in zip(aug[r], top)]
+                g = math.gcd(*row)
+                aug[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         rank += 1
     for r in range(rank, n_eq):
@@ -422,13 +476,13 @@ def solve_linear(
             return None
     particular = [ZERO] * n_var
     for r, col in enumerate(pivots):
-        particular[col] = aug[r][n_var]
+        particular[col] = Fraction(aug[r][n_var], aug[r][col])
     free_cols = [c for c in range(n_var) if c not in pivots]
     kernel = []
     for free in free_cols:
         vec = [ZERO] * n_var
         vec[free] = ONE
         for r, col in enumerate(pivots):
-            vec[col] = -aug[r][free]
+            vec[col] = Fraction(-aug[r][free], aug[r][col])
         kernel.append(vec)
     return particular, kernel

@@ -7,6 +7,13 @@ by the shears (x1, x2) -> (x1, a x2 + b x1), which preserve the 1/x1 profile.
 Both actions share one coefficient transformation law: for y = T x the
 coefficients in y-coordinates are G'^m_ab = T^m_k G^k_ij S^i_a S^j_b with
 S = T^{-1}.
+
+The law is evaluated on integers whenever T and the coefficients are
+rational: denominators are cleared once, S is the integer adjugate, and each
+output coefficient is normalized once at the end.  Other scalar rings (the
+quadratic extensions of the Type B solver) use the generic ring evaluation.
+The orbit dimension is the rank of the infinitesimal action at the identity,
+written out in closed form rather than differentiated through the law.
 """
 
 from __future__ import annotations
@@ -18,15 +25,16 @@ from typing import Callable, Sequence
 from .exact import (
     ONE,
     ZERO,
-    JetScalar,
     Mat2,
     QuadExt,
+    clear_denominators,
     mat2_from_cols,
     mat_rank,
     primitive_covector,
     sqrt_rational,
 )
 from .curvature import (
+    gamma_coeffs,
     gamma_pair,
     rank_signature,
     ricci_trace_vector,
@@ -96,29 +104,52 @@ class ShearMap:
 
 
 def transform_coeffs(coeffs: Sequence, t_rows) -> tuple:
-    """Connection coefficients in y = T x coordinates; generic over the
-    scalar ring so the same code path drives exact jets."""
+    """Connection coefficients in y = T x coordinates.
+
+    When every input is an int or a Fraction the law is evaluated on
+    integers (:func:`_transform_rational`); any other scalar ring, such as
+    the :class:`QuadExt` scales of the Type B solver, takes the generic path
+    (:func:`_transform_ring`).  A singular T raises ZeroDivisionError.
+    """
     (t11, t12), (t21, t22) = t_rows
+    for x in (t11, t12, t21, t22, *coeffs):
+        if not isinstance(x, (int, Fraction)):
+            return _transform_ring(coeffs, t11, t12, t21, t22)
+    return _transform_rational(coeffs, t11, t12, t21, t22)
+
+
+def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
+    """With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
+    so G' = D P g(adj P, adj P) / (L det(P)^2), and each output is normalized
+    once."""
+    (p11, p12, p21, p22), dt = clear_denominators((t11, t12, t21, t22))
+    det = p11 * p22 - p12 * p21
+    if det == 0:
+        raise ZeroDivisionError("matrix is singular")
+    g, dg = clear_denominators(coeffs)
+    den = dg * det * det
+    u, v = (p22, -p21), (-p12, p11)  # the columns of adj(P)
+    out = []
+    for x, y in (gamma_coeffs(g, u, u), gamma_coeffs(g, u, v), gamma_coeffs(g, v, v)):
+        out.append(Fraction(dt * (p11 * x + p12 * y), den))
+        out.append(Fraction(dt * (p21 * x + p22 * y), den))
+    return tuple(out)
+
+
+def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
+    """The law over any field of scalars, one ring operation at a time."""
     det = t11 * t22 - t12 * t21
     s11, s12 = t22 / det, -t12 / det
     s21, s22 = -t21 / det, t11 / det
-    a, b, c, d, e, f = coeffs
-
-    def gamma(x1, x2, y1, y2):
-        head = x1 * y1
-        cross = x1 * y2 + x2 * y1
-        tail = x2 * y2
-        return (a * head + c * cross + e * tail, b * head + d * cross + f * tail)
-
-    g11 = gamma(s11, s21, s11, s21)
-    g12 = gamma(s11, s21, s12, s22)
-    g22 = gamma(s12, s22, s12, s22)
-
-    def push(g):
-        return (t11 * g[0] + t12 * g[1], t21 * g[0] + t22 * g[1])
-
-    p11, p12, p22 = push(g11), push(g12), push(g22)
-    return (p11[0], p11[1], p12[0], p12[1], p22[0], p22[1])
+    out = []
+    for x, y in (
+        gamma_coeffs(coeffs, (s11, s21), (s11, s21)),
+        gamma_coeffs(coeffs, (s11, s21), (s12, s22)),
+        gamma_coeffs(coeffs, (s12, s22), (s12, s22)),
+    ):
+        out.append(t11 * x + t12 * y)
+        out.append(t21 * x + t22 * y)
+    return tuple(out)
 
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
@@ -137,17 +168,31 @@ def pullback(m: Model, transform):
     return pullback_type_b(m, transform)
 
 
+#: (k, i, j) of G^k_ij for each coefficient slot a, b, c, d, e, f
+_SLOTS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+
 def orbit_dimension_a(m: TypeAModel) -> int:
     """Rank of the derivative at the identity of T -> pullback(m, T).
 
     This is the dimension of the orbit through ``m``; for canonical models it
-    equals 4 minus the isotropy dimension.
+    equals 4 minus the isotropy dimension.  Along T = 1 + tX the coefficients
+    move by the infinitesimal action X G - G(X., .) - G(., X.); for each
+    X = E_pq that is one row of a 4 x 6 matrix, built from the cleared
+    numerators since a common scale does not change the rank.
     """
-    offsets = [JetScalar.variable(ZERO, k, 4) for k in range(4)]
-    one = JetScalar.constant(ONE, 4)
-    rows = ((one + offsets[0], offsets[1]), (offsets[2], one + offsets[3]))
-    out = transform_coeffs(m.coeffs, rows)
-    return mat_rank([list(o.partials) for o in out])
+    (a, b, c, d, e, f), _ = clear_denominators(m.coeffs)
+    g = (((a, c), (c, e)), ((b, d), (d, f)))  # g[k][i][j] = L G^k_ij
+    rows = []
+    for p in (0, 1):
+        for q in (0, 1):
+            rows.append([
+                (g[q][i][j] if k == p else 0)
+                - (g[k][p][j] if i == q else 0)
+                - (g[k][i][p] if j == q else 0)
+                for k, i, j in _SLOTS
+            ])
+    return mat_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +887,9 @@ def _solve_rank2_sweep(m1, m2) -> EquivalenceWitnesses:
                     continue
                 t = s.inverse()
                 if transform_coeffs(m1.coeffs, t.rows) == m2.coeffs:
-                    witnesses.append(LinearMap2(t))
+                    w = LinearMap2(t)
+                    if w not in witnesses:  # the Cayley components overlap
+                        witnesses.append(w)
     if witnesses:
         return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
     if saw_irrational or saw_overflow:

@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -25,9 +26,9 @@ from .exact import (
     ZERO,
     CirclePoint,
     Mat2,
+    clear_denominators,
     jacobian,
     mat2_from_cols,
-    mat2_from_rows,
     mat_rank,
     primitive_covector,
     rational,
@@ -37,22 +38,21 @@ from .exact import (
 from .curvature import (
     binary_cubic,
     coefficient_rank,
-    gamma_pair,
     rank1_scale,
     rank_signature,
     ricci_type_a,
     ricci_type_b,
     split_ricci,
-    trace_form,
 )
 from .group_action import (
     LinearMap2,
     _solve_reduced_pair,
     pullback_type_a,
     rank1_frame,
+    transform_coeffs,
 )
 from .models import CatalogError, TypeAModel, TypeBModel, canonical_model
-from .polys import binary_cubic_pattern, quadratic_rational_roots
+from .polys import binary_cubic_pattern
 
 
 class NotFlatError(ValueError):
@@ -480,83 +480,104 @@ def classify_alt_b(m: TypeBModel) -> AltBClass:
 # recovery of the witness.
 
 
-_E1 = (ONE, ZERO)
-_E2 = (ZERO, ONE)
-_E12 = (ONE, ONE)
+def _probe_gammas(g):
+    """G(u, u) at the probe vectors u = e1, e2, e1 + e2, read off a
+    coefficient tuple."""
+    a, b, c, d, e, f = g
+    return ((a, b), (e, f), (a + 2 * c + e, b + 2 * d + f))
+
+
+def _flat_rows(g, o1, o2):
+    """2 G(e_i, e_j) - e_i omega_j - omega_i e_j for the basis pairs
+    (e1, e1), (e1, e2), (e2, e2), one row each, from the coefficient tuple
+    ``g`` and its trace form ``(o1, o2)``."""
+    a, b, c, d, e, f = g
+    return [[2 * (a - o1), 2 * b], [2 * c - o2, 2 * d - o1], [2 * e, 2 * (f - o2)]]
 
 
 def _verify_orbit(orbit_id: str, t: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
     if t.det() == 0:
         return None
-    witness = LinearMap2(t)
-    if pullback_type_a(canonical_model(orbit_id), witness) == m:
-        return (orbit_id, witness)
+    if transform_coeffs(canonical_model(orbit_id).coeffs, t.rows) == m.coeffs:
+        return (orbit_id, LinearMap2(t))
     return None
+
+
+def _verify_frame(orbit_id: str, s: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
+    """:func:`_verify_orbit` for the witness T = S^-1, checked as
+    pullback(m, S) = canonical, so S is inverted only when it is a witness."""
+    if s.det() == 0:
+        return None
+    if transform_coeffs(m.coeffs, s.rows) == canonical_model(orbit_id).coeffs:
+        return (orbit_id, LinearMap2(s.inverse()))
+    return None
+
+
+# The matchers below work on the cleared numerators: G = g / L and the trace
+# form omega = o / L with integer g, o, so every equation is built on integers
+# and a Fraction appears only where a witness entry or a root is read off.
 
 
 def _match_m1(m: TypeAModel):
     # orbit structure: G(u, v) = l(u) v + l(v) u - l(u) l(v) w with l(w) = 1;
-    # the trace covector recovers 2l
-    om = trace_form(m)
-    ell = (om[0] / 2, om[1] / 2)
-    if ell == (ZERO, ZERO):
+    # the trace covector recovers 2l = o / L.  Probing with u = e1 (or e2
+    # when l(e1) = 0) gives w = 4 L (o(u) u - g(u, u)) / o(u)^2.
+    g, L = clear_denominators(m.coeffs)
+    a, b, _, _, e, f = g
+    o1, o2 = g[0] + g[3], g[2] + g[5]
+    if o1 == 0 and o2 == 0:
         return None
-    u = _E1 if ell[0] != 0 else _E2
-    lu = ell[0] * u[0] + ell[1] * u[1]
-    guu = gamma_pair(m, u, u)
-    w = ((2 * lu * u[0] - guu[0]) / (lu * lu), (2 * lu * u[1] - guu[1]) / (lu * lu))
-    if ell[0] * w[0] + ell[1] * w[1] != 1:
+    if o1 != 0:
+        ou, w1, w2 = o1, 4 * L * (o1 - a), -4 * L * b
+    else:
+        ou, w1, w2 = o2, -4 * L * e, 4 * L * (o2 - f)
+    den = ou * ou
+    if o1 * w1 + o2 * w2 != 2 * L * den:  # l(w) = 1
         return None
-    t = mat2_from_cols(w, (-ell[1], ell[0]))
+    t = Mat2(((Fraction(w1, den), Fraction(-o2, 2 * L)), (Fraction(w2, den), Fraction(o1, 2 * L))))
     return _verify_orbit("M1_0", t, m)
 
 
 def _match_m2(m: TypeAModel):
     # rows of S = (sigma, sigma + omega) with sigma(G(u,v)) = -sigma(u)sigma(v);
-    # eliminating the square leaves a linear system for sigma
-    om = trace_form(m)
-
-    def omega(x):
-        return om[0] * x[0] + om[1] * x[1]
-
-    rows, rhs = [], []
-    for u, v in ((_E1, _E1), (_E1, _E2), (_E2, _E2)):
-        g = gamma_pair(m, u, v)
-        rows.append(
-            [
-                2 * g[0] - u[0] * omega(v) - omega(u) * v[0],
-                2 * g[1] - u[1] * omega(v) - omega(u) * v[1],
-            ]
-        )
-        rhs.append(omega(u) * omega(v) - omega(g))
-    solved = solve_linear(rows, rhs)
+    # eliminating the square leaves a linear system for sigma, one equation
+    # per basis pair (e_i, e_j); for sigma = y / L it has integer rows
+    g, L = clear_denominators(m.coeffs)
+    a, b, c, d, e, f = g
+    o1, o2 = a + d, c + f
+    rhs = [o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f)]
+    solved = solve_linear(_flat_rows(g, o1, o2), rhs)
     if solved is None:
         return None
-    particular, kernel = solved
-    candidates = []
+    y, kernel = solved
+    (y1, y2), dy = clear_denominators(y)
+    candidates = []  # (n, q): sigma = n / (L q)
     if not kernel:
-        candidates.append(tuple(particular))
+        candidates.append(((y1, y2), dy))
     elif len(kernel) == 1:
-        k = kernel[0]
-        for u in (_E1, _E2, _E12):
-            ku = k[0] * u[0] + k[1] * u[1]
+        # y = (Y + w K) / dy along the kernel line K / dk; w = (dk / dy) z
+        # keeps the orientation of the original parameter z, so the roots
+        # come in the same order
+        (k1, k2), _ = clear_denominators(kernel[0])
+        y3, k3 = y1 + y2, k1 + k2
+        for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), _probe_gammas(g)):
             if ku == 0:
                 continue
-            pu = particular[0] * u[0] + particular[1] * u[1]
-            g = gamma_pair(m, u, u)
             # sigma(G(u,u)) + sigma(u)^2 = 0 pins the free parameter
-            a_coef = ku * ku
-            b_coef = 2 * pu * ku + (k[0] * g[0] + k[1] * g[1])
-            c_coef = (particular[0] * g[0] + particular[1] * g[1]) + pu * pu
-            roots, _ = quadratic_rational_roots(a_coef, b_coef, c_coef)
-            for root in roots:
-                candidates.append((particular[0] + root * k[0], particular[1] + root * k[1]))
+            qa = ku * ku
+            qb = 2 * yu * ku + dy * (k1 * gu[0] + k2 * gu[1])
+            qc = dy * (y1 * gu[0] + y2 * gu[1]) + yu * yu
+            disc = qb * qb - 4 * qa * qc
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root == disc:
+                wd = 2 * qa
+                for wn in ((-qb + root, -qb - root) if root else (-qb,)):
+                    candidates.append(((wd * y1 + wn * k1, wd * y2 + wn * k2), dy * wd))
             break
-    for sigma in candidates:
-        s = mat2_from_rows(sigma, (sigma[0] + om[0], sigma[1] + om[1]))
-        if s.det() == 0:
-            continue
-        found = _verify_orbit("M2_0", s.inverse(), m)
+    for (n1, n2), q in candidates:
+        den = L * q
+        s = Mat2(((Fraction(n1, den), Fraction(n2, den)), (Fraction(n1 + o1 * q, den), Fraction(n2 + o2 * q, den))))
+        found = _verify_frame("M2_0", s, m)
         if found:
             return found
     return None
@@ -564,47 +585,33 @@ def _match_m2(m: TypeAModel):
 
 def _match_m5(m: TypeAModel):
     # complex-multiplication structure: sigma1 = omega/2, sigma2 solves a
-    # homogeneous linear system, with the scale pinned by one quadratic
-    om = trace_form(m)
-    s1 = (om[0] / 2, om[1] / 2)
-    if s1 == (ZERO, ZERO):
+    # homogeneous linear system, with the scale pinned by one quadratic; the
+    # system is 1 / (2L) times the integer rows of the M2 matcher
+    g, L = clear_denominators(m.coeffs)
+    o1, o2 = g[0] + g[3], g[2] + g[5]
+    if o1 == 0 and o2 == 0:
         return None
-
-    def sig1(x):
-        return s1[0] * x[0] + s1[1] * x[1]
-
-    rows = []
-    for u, v in ((_E1, _E1), (_E1, _E2), (_E2, _E2)):
-        g = gamma_pair(m, u, v)
-        rows.append(
-            [
-                g[0] - sig1(u) * v[0] - sig1(v) * u[0],
-                g[1] - sig1(u) * v[1] - sig1(v) * u[1],
-            ]
-        )
-    solved = solve_linear(rows, [ZERO, ZERO, ZERO])
+    solved = solve_linear(_flat_rows(g, o1, o2), [0, 0, 0])
     if solved is None:
         return None
     _, kernel = solved
     if len(kernel) != 1:
         return None
-    k = kernel[0]
-    for u in (_E1, _E2, _E12):
-        ku = k[0] * u[0] + k[1] * u[1]
+    (k1, k2), _ = clear_denominators(kernel[0])
+    for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), _probe_gammas(g)):
         if ku == 0:
             continue
-        g = gamma_pair(m, u, u)
-        t2 = (sig1(u) * sig1(u) - sig1(g)) / (ku * ku)
-        root = sqrt_rational(t2)
-        if root is None:
+        # sigma2 = scale * kernel, scale^2 = (sigma1(u)^2 - sigma1(G(u, u))) / kernel(u)^2;
+        # on the cleared kernel K / dk that is (o(u)^2 - 2 o(g(u, u))) (dk / (2 L ku))^2
+        square = ou * ou - 2 * (o1 * gu[0] + o2 * gu[1])
+        root = math.isqrt(square) if square > 0 else 0
+        if root * root != square or root == 0:
             return None
-        for scale in (root, -root):
-            if scale == 0:
-                break
-            s = mat2_from_rows(s1, (scale * k[0], scale * k[1]))
-            if s.det() == 0:
-                continue
-            found = _verify_orbit("M5_0", s.inverse(), m)
+        den = 2 * L * abs(ku)
+        top = (Fraction(o1 * abs(ku), den), Fraction(o2 * abs(ku), den))
+        for r in (root, -root):
+            s = Mat2((top, (Fraction(r * k1, den), Fraction(r * k2, den))))
+            found = _verify_frame("M5_0", s, m)
             if found:
                 return found
         return None
@@ -613,52 +620,52 @@ def _match_m5(m: TypeAModel):
 
 def _match_tensor_line(m: TypeAModel):
     # coefficient matrix of rank one: G = q (x) z with q = kappa l (x) l;
-    # the pairing l(z) separates the two orbits
-    pairs = [(m.a, m.b), (m.c, m.d), (m.e, m.f)]
-    base = next(p for p in pairs if p != (ZERO, ZERO))
-    z_hat = primitive_covector(base)
-
-    def component(pair):
-        if pair == (ZERO, ZERO):
-            return ZERO
-        idx = 0 if z_hat[0] != 0 else 1
-        val = pair[idx] / z_hat[idx]
-        if (pair[0], pair[1]) != (val * z_hat[0], val * z_hat[1]):
+    # the pairing l(z) separates the two orbits.  On the cleared numerators
+    # G = g / L every pair (g^1_ij, g^2_ij) is an integer multiple Q_ij of
+    # the primitive z_hat, so q = Q / L.
+    g, L = clear_denominators(m.coeffs)
+    pairs = [(g[0], g[1]), (g[2], g[3]), (g[4], g[5])]
+    base = next(p for p in pairs if p != (0, 0))
+    z0, z1 = primitive_covector(base)
+    idx = 0 if z0 != 0 else 1
+    q = []
+    for p in pairs:
+        if p[0] * z1 != p[1] * z0:
             return None
-        return val
-
-    q = [component(p) for p in pairs]
-    if any(x is None for x in q):
-        return None
+        q.append(p[idx] // (z0, z1)[idx])
     q11, q12, q22 = q
     if q11 * q22 != q12 * q12:
         return None
+    # kappa = kn / kd
     if q11 != 0:
-        l_hat = primitive_covector((q11, q12))
-        kappa = q11 / (l_hat[0] * l_hat[0])
+        l0, l1 = primitive_covector((q11, q12))
+        kn, kd = q11, L * l0 * l0
     elif q22 != 0:
-        l_hat = primitive_covector((q12, q22))
-        kappa = q22 / (l_hat[1] * l_hat[1])
+        l0, l1 = primitive_covector((q12, q22))
+        kn, kd = q22, L * l1 * l1
     else:
         return None
-    pairing = Fraction(l_hat[0] * z_hat[0] + l_hat[1] * z_hat[1])
+    pairing = l0 * z0 + l1 * z1
     if pairing != 0:
-        scale = kappa * pairing
-        ell = (scale * l_hat[0], scale * l_hat[1])
-        tz = 1 / (scale * pairing)
-        z = (tz * z_hat[0], tz * z_hat[1])
-        t = mat2_from_cols((-ell[1], ell[0]), z)
+        # ell = kappa l(z) l_hat and z = z_hat / (kappa l(z)^2)
+        zd = kn * pairing * pairing
+        t = Mat2((
+            (Fraction(-kn * pairing * l1, kd), Fraction(kd * z0, zd)),
+            (Fraction(kn * pairing * l0, kd), Fraction(kd * z1, zd)),
+        ))
         return _verify_orbit("M3_0", t, m)
-    # pairing zero: the triple-root orbit; z_hat^perp and l_hat span one line
-    perp = (-z_hat[1], z_hat[0])
-    c0 = Fraction(perp[0], l_hat[0]) if l_hat[0] != 0 else Fraction(perp[1], l_hat[1])
-    if (c0 * l_hat[0], c0 * l_hat[1]) != perp:
+    # pairing zero: the triple-root orbit; z_hat^perp = c0 l_hat spans one
+    # line with l_hat; z = kappa z_hat and y = det * z^perp / |z|^2 with
+    # det = kappa c0
+    perp = (-z1, z0)
+    cn, cd = (perp[0], l0) if l0 != 0 else (perp[1], l1)
+    if cn * l0 != perp[0] * cd or cn * l1 != perp[1] * cd:
         return None
-    z = (kappa * z_hat[0], kappa * z_hat[1])
-    target_det = kappa * c0
-    norm2 = z[0] * z[0] + z[1] * z[1]
-    y = (-z[1] * target_det / norm2, z[0] * target_det / norm2)
-    t = mat2_from_cols(z, y)
+    yd = cd * (z0 * z0 + z1 * z1)
+    t = Mat2((
+        (Fraction(kn * z0, kd), Fraction(-z1 * cn, yd)),
+        (Fraction(kn * z1, kd), Fraction(z0 * cn, yd)),
+    ))
     return _verify_orbit("M4_0", t, m)
 
 
@@ -668,6 +675,27 @@ _PATTERN_ORBIT_HINT = {
     "double_simple": "M1_0",
     "triple": "M4_0",
 }
+
+
+def _rank2_matchers(m: TypeAModel):
+    """The three matchers for a flat model of coefficient rank two, the one
+    for its orbit first.
+
+    The binary cubic det(x, G(x, x)) has three distinct real root directions
+    on M2_0, one on M5_0 and a repeated one on M1_0, and the sign of its
+    discriminant is an orbit invariant.  At most one matcher can succeed, so
+    the order changes no answer, only how many matchers a model pays for.
+    """
+    (k3, k2, k1, k0), _ = clear_denominators(binary_cubic(m))
+    disc = (
+        k2 * k2 * k1 * k1 - 4 * k3 * k1 ** 3 - 4 * k2 ** 3 * k0
+        - 27 * k3 * k3 * k0 * k0 + 18 * k3 * k2 * k1 * k0
+    )
+    if disc > 0:
+        return (_match_m2, _match_m1, _match_m5)
+    if disc < 0:
+        return (_match_m5, _match_m1, _match_m2)
+    return (_match_m1, _match_m2, _match_m5)
 
 
 def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
@@ -689,7 +717,7 @@ def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
         if found:
             return found
     else:
-        for solver in (_match_m1, _match_m2, _match_m5):
+        for solver in _rank2_matchers(m):
             found = solver(m)
             if found:
                 return found

@@ -1,0 +1,281 @@
+"""The exact kernel: the integer pullback against the generic ring path, the
+integer Ricci tensors against their plain polynomial formulas, the
+closed-form orbit dimension against the rank of the jet derivative, the
+fraction-free linear algebra against Gauss-Jordan over Fractions, and the
+integer quadratic extension against its (u, v) pair rules."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from affinestrata import sampling
+from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.exact import ONE, ZERO, JetScalar, QuadExt, mat_rank, solve_linear
+from affinestrata.group_action import (
+    _transform_rational,
+    _transform_ring,
+    orbit_dimension_a,
+    pullback_type_a,
+    transform_coeffs,
+)
+from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model
+from affinestrata.strata import _rank2_matchers
+
+
+def scalars(height):
+    """Rationals n/d with |n|, d <= height, mixed with zeros, integer-valued
+    Fractions and plain ints."""
+    return st.one_of(
+        st.just(F(0)),
+        st.integers(-height, height),
+        st.integers(-height, height).map(F),
+        st.builds(F, st.integers(-height, height), st.integers(1, height)),
+    )
+
+
+def sextuples(height):
+    return st.lists(scalars(height), min_size=6, max_size=6)
+
+
+def quadruples(height):
+    return st.lists(scalars(height), min_size=4, max_size=4)
+
+
+def as_fractions(values):
+    return [F(x) for x in values]
+
+
+@pytest.mark.parametrize("height", [12, 10**6])
+def test_integer_pullback_equals_ring_pullback(height):
+    @settings(max_examples=200, deadline=None)
+    @given(sextuples(height), quadruples(height))
+    def check(coeffs, t):
+        assume(t[0] * t[3] - t[1] * t[2] != 0)
+        got = transform_coeffs(coeffs, ((t[0], t[1]), (t[2], t[3])))
+        assert got == _transform_rational(coeffs, *t)
+        assert got == _transform_ring(as_fractions(coeffs), *as_fractions(t))
+        assert all(type(x) is F for x in got)
+
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sextuples(12), st.lists(scalars(12), min_size=2, max_size=2), scalars(12), st.booleans())
+def test_singular_map_raises(coeffs, row, k, by_columns):
+    """T with dependent rows (or a zero row), on every path."""
+    if by_columns:
+        t = ((row[0], k * row[0]), (row[1], k * row[1]))
+    else:
+        t = ((row[0], row[1]), (k * row[0], k * row[1]))
+    with pytest.raises(ZeroDivisionError):
+        transform_coeffs(coeffs, t)
+    with pytest.raises(ZeroDivisionError):
+        _transform_ring(as_fractions(coeffs), *as_fractions(t[0] + t[1]))
+    quad = tuple(tuple(QuadExt(x, 0, 2) for x in row) for row in t)
+    with pytest.raises(ZeroDivisionError):
+        transform_coeffs(as_fractions(coeffs), quad)
+
+
+def test_ring_path_serves_quadratic_scales():
+    """Irrational scales go through the generic path and stay exact."""
+    r = F(2)
+    alpha = QuadExt(0, 1, r)  # sqrt(2)
+    t = ((QuadExt(1, 0, r), QuadExt(0, 0, r)), (QuadExt(F(1, 3), 0, r), alpha))
+    coeffs = (F(1), F(0), F(0), F(3), F(2), F(0))
+    out = transform_coeffs(coeffs, t)
+    assert all(isinstance(x, QuadExt) for x in out)
+    back = (
+        (QuadExt(1, 0, r), QuadExt(0, 0, r)),
+        (-t[1][0] / alpha, 1 / alpha),
+    )
+    assert transform_coeffs(out, back) == tuple(QuadExt(x, 0, r) for x in coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sextuples(12), sextuples(10**6)))
+def test_integer_ricci_equals_polynomial_formulas(coeffs):
+    a, b, c, d, e, f = as_fractions(coeffs)
+    ra = ricci_type_a(TypeAModel(*coeffs)).rows
+    assert ra == (
+        ((a - d) * d + b * (f - c), c * d - b * e),
+        (c * d - b * e, c * (f - c) + (a - d) * e),
+    )
+    rb = ricci_type_b(TypeBModel(*coeffs)).rows
+    assert rb == (
+        ((a - d + 1) * d + b * (f - c), c * d - b * e + f),
+        (c * (d - 1) - b * e, -c * c + f * c + (a - d - 1) * e),
+    )
+    assert all(type(x) is F for row in ra + rb for x in row)
+
+
+def jet_orbit_dimension(m) -> int:
+    """Reference: the rank of the derivative at the identity of
+    T -> pullback(m, T), propagated as jets through the generic pullback."""
+    offsets = [JetScalar.variable(ZERO, k, 4) for k in range(4)]
+    one = JetScalar.constant(ONE, 4)
+    rows = ((one + offsets[0], offsets[1]), (offsets[2], one + offsets[3]))
+    out = transform_coeffs(m.coeffs, rows)
+    return mat_rank([list(o.partials) for o in out])
+
+
+def type_a_catalog():
+    params = (F(2), F(-3), F(1, 2), F(7, 5))
+    models = []
+    for entry in CATALOG.values():
+        if entry.model_type != "A":
+            continue
+        if entry.arity == 0:
+            models.append(canonical_model(entry.entry_id))
+        else:
+            models.extend(canonical_model(entry.entry_id, [p]) for p in params)
+    return models
+
+
+def test_orbit_dimension_equals_jet_rank():
+    rng = random.Random(83)
+    models = type_a_catalog()
+    models += [
+        pullback_type_a(m, sampling.rand_linear_map(rng, h))
+        for m in type_a_catalog() for h in (3, 12, 10**6)
+    ]
+    rank2 = 0
+    while rank2 < 60:
+        m = sampling.rand_model_a(rng, rng.choice((3, 12, 10**6)))
+        if rank_signature(ricci_type_a(m)).rank == 2:
+            models.append(m)
+            rank2 += 1
+    seen = set()
+    for m in models:
+        dim = orbit_dimension_a(m)
+        assert dim == jet_orbit_dimension(m), m
+        seen.add(dim)
+    assert seen == {0, 2, 3, 4}
+
+
+def fraction_rank(rows) -> int:
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    m = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def matrices(n_rows, n_cols, height):
+    return st.lists(
+        st.lists(scalars(height), min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 6), st.data())
+def test_fraction_free_rank_equals_fraction_rank(n_rows, n_cols, inner, data):
+    """Products of an n x k and a k x m matrix, so deficient ranks occur."""
+    left = data.draw(matrices(n_rows, inner, 10**6))
+    right = data.draw(matrices(inner, n_cols, 12))
+    rows = [
+        [sum((F(row[k]) * right[k][j] for k in range(inner)), F(0)) for j in range(n_cols)]
+        for row in left
+    ]
+    assert mat_rank(rows) == fraction_rank(rows)
+
+
+def fraction_solve(rows, rhs):
+    """Reference: Gauss-Jordan over Fractions, pivot rows scaled to 1."""
+    n_var = len(rows[0])
+    aug = [[F(x) for x in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n_var):
+        pivot = next((r for r in range(len(pivots), len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rank = len(pivots)
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        aug[rank] = [x / aug[rank][col] for x in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != 0:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[rank])]
+        pivots.append(col)
+    if any(row[n_var] != 0 for row in aug[len(pivots):]):
+        return None
+    particular = [F(0)] * n_var
+    for r, col in enumerate(pivots):
+        particular[col] = aug[r][n_var]
+    kernel = []
+    for free in (c for c in range(n_var) if c not in pivots):
+        vec = [F(0)] * n_var
+        vec[free] = F(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -aug[r][free]
+        kernel.append(vec)
+    return particular, kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_fraction_free_solve_equals_fraction_solve(n_rows, n_cols, inner, consistent, data):
+    """Deficient products as in the rank test; the right-hand side is either
+    in the column space or drawn freely."""
+    left = data.draw(matrices(n_rows, inner, 10**6))
+    right = data.draw(matrices(inner, n_cols, 12))
+    rows = [
+        [sum((F(row[k]) * right[k][j] for k in range(inner)), F(0)) for j in range(n_cols)]
+        for row in left
+    ]
+    if consistent:
+        x = data.draw(st.lists(scalars(12), min_size=n_cols, max_size=n_cols))
+        rhs = [sum((row[j] * x[j] for j in range(n_cols)), F(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(scalars(12), min_size=n_rows, max_size=n_rows))
+    got = solve_linear(rows, rhs)
+    assert got == fraction_solve(rows, rhs)
+    if got is not None:
+        assert all(type(x) is F for x in got[0] + [y for v in got[1] for y in v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadruples(12), scalars(12), st.sampled_from([2, F(3, 5), F(7, 12), F(-3, 2), 5]))
+def test_quadratic_extension_matches_pair_arithmetic(xs, c, k):
+    """u + v sqrt(k) against the plain rules on (u, v) pairs."""
+    u1, v1, u2, v2 = as_fractions(xs)
+    x, y = QuadExt(u1, v1, k), QuadExt(u2, v2, k)
+
+    def pair(q):
+        return (q.u, q.v)
+
+    assert pair(x + y) == (u1 + u2, v1 + v2)
+    assert pair(x - y) == (u1 - u2, v1 - v2)
+    assert pair(c - x) == (c - u1, -v1)
+    assert pair(x * y) == (u1 * u2 + k * v1 * v2, u1 * v2 + v1 * u2)
+    assert pair(c * x) == (c * u1, c * v1)
+    norm = u2 * u2 - k * v2 * v2
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert pair(x / y) == ((u1 * u2 - k * v1 * v2) / norm, (v1 * u2 - u1 * v2) / norm)
+    assert (x == y) == ((u1, v1) == (u2, v2))
+    assert (QuadExt(c, 0, k) == c) and repr(x) == f"QuadExt({u1} + {v1}*sqrt({k}))"
+
+
+def test_rank_two_flat_matchers_try_the_orbit_first():
+    """The discriminant of the binary cubic points to the orbit's matcher,
+    which alone recovers the witness of a rational pullback."""
+    rng = random.Random(29)
+    for orbit in ("M1_0", "M2_0", "M5_0"):
+        for h in (3, 12, 10**6):
+            m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, h))
+            first = _rank2_matchers(m)[0]
+            found = first(m)
+            assert found is not None and found[0] == orbit
+            assert pullback_type_a(canonical_model(orbit), found[1]) == m
