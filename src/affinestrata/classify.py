@@ -2,10 +2,11 @@
 
 ``classify_model`` aggregates the curvature, stratum, chart, and orbit data
 for one model into a single report whose every claim can be re-checked by
-re-running the cited operations.  ``verify_theorems`` runs the seeded
-property suite; it is deterministic in (seed, samples) and each check draws
-from its own named stream, so checks can run in any order or concurrently
-without changing the report.
+re-running the cited operations.  Each model's curvature (Ricci tensor,
+split, signature, flags) and rank-one frame are computed once per report.
+``verify_theorems`` runs the seeded property suite; it is deterministic in
+(seed, samples) and each check draws from its own named stream, so checks
+can run in any order or concurrently without changing the report.
 """
 
 from __future__ import annotations
@@ -15,21 +16,20 @@ from fractions import Fraction
 
 from .exact import ONE, ZERO, Mat2, rational_str
 from .curvature import (
-    rank_signature,
-    ricci,
+    Curvature,
+    curvature_of,
     ricci_type_a,
     ricci_type_b,
     split_ricci,
-    stratum_flags,
 )
 from .group_action import (
     LinearMap2,
     UndecidedError,
+    _rank1_frame,
     isotropy_type_a,
     orbit_dimension_a,
     pullback_type_a,
     pullback_type_b,
-    rank1_frame,
     solve_equivalence_a,
 )
 from .models import (
@@ -44,6 +44,11 @@ from .strata import (
     NonRationalCirclePointError,
     NotRank1Error,
     UnmatchedOrbitError,
+    _classify_alt_b,
+    _classify_flat_b,
+    _flat_a_coords,
+    _match_flat_a_orbit,
+    _match_rank1_reduced,
     alt_b_param,
     classify_alt_b,
     classify_flat_b,
@@ -88,10 +93,8 @@ class ClassificationReport:
         }
 
 
-def _ricci_payload(m: Model) -> tuple[dict, dict]:
-    r = ricci(m)
-    split = split_ricci(r)
-    sig = rank_signature(split.sym)
+def _ricci_payload(cv: Curvature) -> tuple[dict, dict]:
+    r, split, sig = cv.ricci, cv.split, cv.sig
     payload = {
         "cleared": r.cleared,
         "matrix": r.to_strings(),
@@ -104,8 +107,9 @@ def _ricci_payload(m: Model) -> tuple[dict, dict]:
 def classify_model(m: Model) -> ClassificationReport:
     """Full stratum report for one model; sub-operation failures are embedded
     as structured error fields, never fabricated results."""
-    flags = stratum_flags(m)
-    ricci_data, rank_data = _ricci_payload(m)
+    cv = curvature_of(m)
+    flags = cv.flags
+    ricci_data, rank_data = _ricci_payload(cv)
     errors: dict = {}
     orbit = None
     admits = None
@@ -116,16 +120,16 @@ def classify_model(m: Model) -> ClassificationReport:
         elif flags.is_flat:
             stratum = {"kind": "flat_chart"}
             try:
-                stratum.update(flat_a_coords(m).to_dict())
+                stratum.update(_flat_a_coords(m).to_dict())
             except NonRationalCirclePointError as exc:
                 errors["flat_chart"] = str(exc)
             try:
-                orbit_id, witness = match_flat_a_orbit(m)
+                orbit_id, witness = _match_flat_a_orbit(m)
                 orbit = {"id": orbit_id, "params": [], "witness": witness.to_json()}
             except UnmatchedOrbitError as exc:
                 errors["orbit"] = str(exc)
-        elif rank_data["rank"] == 1:
-            frame, reduced = rank1_frame(m)
+        elif cv.sig.rank == 1:
+            frame, reduced = _rank1_frame(m, cv.ricci)
             chart = rank1_chart_inverse(reduced)
             stratum = {
                 "kind": "rank1",
@@ -134,7 +138,7 @@ def classify_model(m: Model) -> ClassificationReport:
                 "chart": chart.to_dict(),
             }
             try:
-                family, params, witness = match_rank1_family(m)
+                family, params, witness = _match_rank1_reduced(m, frame, reduced)
                 orbit = {
                     "id": family,
                     "params": [rational_str(p) for p in params],
@@ -148,10 +152,10 @@ def classify_model(m: Model) -> ClassificationReport:
     else:
         if flags.is_flat:
             stratum = {"kind": "flat_families"}
-            stratum.update(classify_flat_b(m).to_dict())
+            stratum.update(_classify_flat_b(m).to_dict())
         elif flags.is_alt_only:
             stratum = {"kind": "alternating_families"}
-            stratum.update(classify_alt_b(m).to_dict())
+            stratum.update(_classify_alt_b(m).to_dict())
         else:
             stratum = {
                 "kind": "unstratified",
@@ -177,11 +181,11 @@ def admits_type_b(m: TypeAModel) -> bool:
     family does not admit one.  Raises UndecidedError when family matching
     fails, and NotRank1Error off the rank-one stratum.
     """
-    sig = rank_signature(ricci_type_a(m))
-    if sig.rank != 1:
+    cv = curvature_of(m)
+    if cv.sig.rank != 1:
         raise NotRank1Error("admits_type_b requires a rank-one Ricci tensor")
     try:
-        family, _, _ = match_rank1_family(m)
+        family, _, _ = _match_rank1_reduced(m, *_rank1_frame(m, cv.ricci))
     except UnmatchedOrbitError as exc:
         raise UndecidedError(f"family matching failed: {exc}") from exc
     return family != "M5_1"

@@ -29,7 +29,7 @@ from .group_action import (
     solve_equivalence_a,
     solve_equivalence_b,
 )
-from .classify import classify_model, verify_theorems
+from .classify import CHECKS, classify_model, verify_theorems
 from .strata import (
     COEFF_FAMILIES,
     alt_b_param,
@@ -183,6 +183,11 @@ def _cmd_catalog(_args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = args.check if args.check else None
+    if args.samples < 1:
+        raise _UsageError("--samples must be at least 1")
+    unknown = [c for c in checks or () if c not in CHECKS]
+    if unknown:
+        raise _UsageError(f"unknown check ids: {unknown}; known: {', '.join(CHECKS)}")
     report = verify_theorems(seed=args.seed, samples=args.samples, checks=checks)
     _emit(report.to_dict())
     return 0 if report.all_passed else 1

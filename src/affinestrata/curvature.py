@@ -161,22 +161,40 @@ def rank_signature(sym) -> RankSig:
     return RankSig(2, RANK2_POS if s11 > 0 else RANK2_NEG)
 
 
-def stratum_flags(m: Model) -> StratumFlags:
-    """Mutually consistent stratum flags; exactly one primary stratum."""
+@dataclass(frozen=True)
+class Curvature:
+    """Everything the strata read off one model's Ricci tensor: the tensor,
+    its split, the rank and signature of the symmetric part, and the flags."""
+
+    ricci: Ricci2
+    split: RicciSplit
+    sig: RankSig
+    flags: StratumFlags
+
+
+def curvature_of(m: Model) -> Curvature:
+    """The Ricci tensor of ``m`` with its split, signature and stratum flags,
+    each computed once."""
     r = ricci(m)
     split = split_ricci(r)
     sig = rank_signature(split.sym)
-    cone = m.is_zero()
     flat = r.is_zero()
     alt_only = split.sym_is_zero() and split.alt != 0
-    return StratumFlags(
-        is_cone_point=cone,
+    rank1 = (not flat) and (not alt_only) and sig.rank == 1
+    flags = StratumFlags(
+        is_cone_point=m.is_zero(),
         is_flat=flat,
-        is_rank1_pos=(not flat) and (not alt_only) and sig.rank == 1 and sig.label == RANK1_POS,
-        is_rank1_neg=(not flat) and (not alt_only) and sig.rank == 1 and sig.label == RANK1_NEG,
+        is_rank1_pos=rank1 and sig.label == RANK1_POS,
+        is_rank1_neg=rank1 and sig.label == RANK1_NEG,
         is_alt_only=alt_only,
         is_rank2=(not flat) and sig.rank == 2,
     )
+    return Curvature(r, split, sig, flags)
+
+
+def stratum_flags(m: Model) -> StratumFlags:
+    """Mutually consistent stratum flags; exactly one primary stratum."""
+    return curvature_of(m).flags
 
 
 def rank1_scale(r: Ricci2) -> Fraction:

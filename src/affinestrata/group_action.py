@@ -34,6 +34,9 @@ from .exact import (
     sqrt_rational,
 )
 from .curvature import (
+    Curvature,
+    Ricci2,
+    curvature_of,
     gamma_coeffs,
     gamma_pair,
     rank_signature,
@@ -209,9 +212,13 @@ def rank1_frame(m: TypeAModel) -> tuple[LinearMap2, TypeAModel]:
     """Rational change of frame making the Ricci tensor a multiple of
     dx2 (x) dx2; returns (T, pullback of m under T) with reduced b = d = 0."""
     r = ricci_type_a(m)
-    sig = rank_signature(r)
-    if sig.rank != 1:
+    if rank_signature(r).rank != 1:
         raise ValueError("rank1_frame expects a model with rank-one Ricci tensor")
+    return _rank1_frame(m, r)
+
+
+def _rank1_frame(m: TypeAModel, r: Ricci2) -> tuple[LinearMap2, TypeAModel]:
+    """:func:`rank1_frame` of a model whose Ricci tensor ``r`` has rank one."""
     if m.b == 0 and m.d == 0:
         return LinearMap2.identity(), m
     row = r.rows[0] if r.rows[0] != (ZERO, ZERO) else r.rows[1]
@@ -496,23 +503,22 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     """
     if m.is_zero():
         return IsotropyGroup((), (_gl2_family(),))
-    r = ricci_type_a(m)
-    if r.is_zero():
-        from .strata import match_flat_a_orbit
+    cv = curvature_of(m)
+    if cv.flags.is_flat:
+        from .strata import _match_flat_a_orbit
 
-        orbit_id, witness = match_flat_a_orbit(m)
+        orbit_id, witness = _match_flat_a_orbit(m)
         base = _flat_catalog_isotropy(orbit_id)
         if witness.matrix == Mat2.identity():
             return _spot_check(base, m)
         return _spot_check(_conjugate_group(base, witness), m)
-    sig = rank_signature(r)
-    if sig.rank == 1 and m.b == 0 and m.d == 0:
+    if cv.sig.rank == 1 and m.b == 0 and m.d == 0:
         return _spot_check(_isotropy_reduced(m), m)
-    if sig.rank == 1:
+    if cv.sig.rank == 1:
         raise UndecidedError(
             "isotropy is only solved for rank-one models in reduced form b = d = 0"
         )
-    if _covariant_frame(m) is not None:
+    if _covariant_frame(m, cv.ricci) is not None:
         return _spot_check(IsotropyGroup((_IDENTITY,), ()), m)
     raise UndecidedError(
         "isotropy is not solved for rank-two models with v = rho^-1 omega zero or "
@@ -564,12 +570,11 @@ def _verified_a(m1, m2, mats) -> list[LinearMap2]:
     return out
 
 
-def _screen_a(m1: TypeAModel, m2: TypeAModel) -> str | None:
-    fl1, fl2 = stratum_flags(m1), stratum_flags(m2)
+def _screen_a(m1: TypeAModel, m2: TypeAModel, c1: Curvature, c2: Curvature) -> str | None:
+    fl1, fl2 = c1.flags, c2.flags
     if fl1.primary != fl2.primary:
         return f"stratum flags differ: {fl1.primary} vs {fl2.primary}"
-    s1 = rank_signature(ricci_type_a(m1))
-    s2 = rank_signature(ricci_type_a(m2))
+    s1, s2 = c1.sig, c2.sig
     if (s1.rank, s1.label) != (s2.rank, s2.label):
         return f"Ricci rank/signature differ: {s1.label} vs {s2.label}"
     d1, d2 = orbit_dimension_a(m1), orbit_dimension_a(m2)
@@ -586,20 +591,20 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
     the triangular residual system, rank-two via the covariant frame
     (v, G(v, v)) with v = rho^{-1} omega, which forces the only possible
     witness; when both frames are degenerate, a sweep of the Ricci-symmetry
-    group).  Every witness is verified by exact pullback.
+    group).  Every witness is verified by exact pullback.  The curvature of
+    each model is computed once and handed to every stage.
     """
-    obstruction = _screen_a(m1, m2)
+    c1, c2 = curvature_of(m1), curvature_of(m2)
+    obstruction = _screen_a(m1, m2, c1, c2)
     if obstruction is not None:
         return EquivalenceWitnesses("not_equivalent", obstruction=obstruction)
     if m1.is_zero() and m2.is_zero():
         return EquivalenceWitnesses("equivalent", (LinearMap2.identity(),))
-    r1 = ricci_type_a(m1)
-    if r1.is_zero():
+    if c1.flags.is_flat:
         return _solve_flat_pair(m1, m2)
-    sig = rank_signature(r1)
-    if sig.rank == 1:
-        frame1, red1 = rank1_frame(m1)
-        frame2, red2 = rank1_frame(m2)
+    if c1.sig.rank == 1:
+        frame1, red1 = _rank1_frame(m1, c1.ricci)
+        frame2, red2 = _rank1_frame(m2, c2.ricci)
         status, mats, note = _solve_reduced_pair(red1, red2)
         if status == "equivalent":
             f2_inv = frame2.matrix.inverse()
@@ -610,15 +615,15 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
         if status == "not_equivalent":
             return EquivalenceWitnesses("not_equivalent", obstruction=note)
         return EquivalenceWitnesses("undecided", reason=note)
-    return _solve_rank2_pair(m1, m2)
+    return _solve_rank2_pair(m1, m2, c1.ricci, c2.ricci)
 
 
 def _solve_flat_pair(m1, m2) -> EquivalenceWitnesses:
-    from .strata import UnmatchedOrbitError, match_flat_a_orbit
+    from .strata import UnmatchedOrbitError, _match_flat_a_orbit
 
     try:
-        id1, w1 = match_flat_a_orbit(m1)
-        id2, w2 = match_flat_a_orbit(m2)
+        id1, w1 = _match_flat_a_orbit(m1)
+        id2, w2 = _match_flat_a_orbit(m2)
     except UnmatchedOrbitError as exc:
         return EquivalenceWitnesses("undecided", reason=f"flat orbit matcher failed: {exc}")
     if id1 != id2:
@@ -632,24 +637,25 @@ def _solve_flat_pair(m1, m2) -> EquivalenceWitnesses:
 # -- rank two -----------------------------------------------------------------
 
 
-def _covariant_frame(m: TypeAModel) -> Mat2 | None:
+def _covariant_frame(m: TypeAModel, r: Ricci2) -> Mat2 | None:
     """The matrix with columns v = rho^{-1} omega and G(v, v) for a rank-two
-    model, or None when they are dependent.  Both are vector covariants, so
-    F(pullback(m, T)) = T F(m)."""
-    v = ricci_trace_vector(m, ricci_type_a(m))
+    model with Ricci tensor ``r``, or None when they are dependent.  Both are
+    vector covariants, so F(pullback(m, T)) = T F(m)."""
+    v = ricci_trace_vector(m, r)
     frame = mat2_from_cols(v, gamma_pair(m, v, v))
     return frame if frame.det() != 0 else None
 
 
-def _solve_rank2_pair(m1, m2) -> EquivalenceWitnesses:
+def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     """Any real T with pullback(m1, T) = m2 carries the covariant frame F1 of
     m1 onto F2, so a nondegenerate frame forces T = F2 F1^{-1} and one exact
     pullback decides the pair over the reals.  Degeneracy is an orbit
     invariant; only when both frames are degenerate does the sweep run.
+    ``r1`` and ``r2`` are the Ricci tensors of the two models.
     """
-    f1, f2 = _covariant_frame(m1), _covariant_frame(m2)
+    f1, f2 = _covariant_frame(m1, r1), _covariant_frame(m2, r2)
     if f1 is None and f2 is None:
-        return _solve_rank2_sweep(m1, m2)
+        return _solve_rank2_sweep(m1, m2, r1, r2)
     if f1 is None or f2 is None:
         return EquivalenceWitnesses(
             "not_equivalent",
@@ -813,11 +819,10 @@ def _rank2_residual_polys(m1, m2, s0: Mat2, a_mat: Mat2, reflect: Mat2 | None, n
     return residuals
 
 
-def _solve_rank2_sweep(m1, m2) -> EquivalenceWitnesses:
+def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     """Fallback for degenerate covariant frames: a rational Ricci congruence
     from a bounded search, then a sweep of the Ricci-symmetry group."""
-    rho1 = ricci_type_a(m1).rows
-    rho2 = ricci_type_a(m2).rows
+    rho1, rho2 = r1.rows, r2.rows
     det1 = rho1[0][0] * rho1[1][1] - rho1[0][1] * rho1[1][0]
     det2 = rho2[0][0] * rho2[1][1] - rho2[0][1] * rho2[1][0]
     ratio = det2 / det1
@@ -908,18 +913,10 @@ def _solve_rank2_sweep(m1, m2) -> EquivalenceWitnesses:
 # -- Type B -------------------------------------------------------------------
 
 
-def _verified_b(m1, m2, shears) -> list[ShearMap]:
-    out = []
-    for phi in shears:
-        if pullback_type_b(m1, phi) != m2:
-            raise AssertionError("equivalence witness failed exact verification")
-        out.append(phi)
-    return out
-
-
 def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
     """Decide shear equivalence of two Type B models by exact elimination of
-    the two unknowns (a, b) from the six coefficient equations."""
+    the two unknowns (a, b) from the six coefficient equations.  Each
+    candidate shear is kept only when its exact pullback carries m1 to m2."""
     fl1, fl2 = stratum_flags(m1), stratum_flags(m2)
     if fl1.primary != fl2.primary:
         return EquivalenceWitnesses(
@@ -1001,7 +998,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
         if pullback_type_b(m1, phi) == m2:
             shears.append(phi)
     if shears:
-        return EquivalenceWitnesses("equivalent", tuple(_verified_b(m1, m2, shears)))
+        return EquivalenceWitnesses("equivalent", tuple(shears))
     return EquivalenceWitnesses(
         "not_equivalent", obstruction="the shear elimination has no solution"
     )

@@ -138,6 +138,11 @@ def flat_a_coords(m: TypeAModel) -> FlatAChart:
         raise ConePointError("the cone point carries no chart coordinates")
     if not ricci_type_a(m).is_zero():
         raise NotFlatError("flat_a_coords requires a flat model")
+    return _flat_a_coords(m)
+
+
+def _flat_a_coords(m: TypeAModel) -> FlatAChart:
+    """:func:`flat_a_coords` of a nonzero flat model."""
     # invert the linear chart a=2q, b=p+t, c=w, d=q+s, e=v, f=p-t
     q = m.a / 2
     w = m.c
@@ -200,9 +205,10 @@ class Rank1Chart:
 
     @property
     def sign(self) -> str:
-        if self.scale > 0:
+        scale = self.scale
+        if scale > 0:
             return "+"
-        return "-" if self.scale < 0 else "0"
+        return "-" if scale < 0 else "0"
 
     def to_dict(self) -> dict:
         return {
@@ -417,6 +423,11 @@ def classify_flat_b(m: TypeBModel) -> FlatBClass:
     """
     if not ricci_type_b(m).is_zero():
         raise NotFlatError("classify_flat_b requires a flat model")
+    return _classify_flat_b(m)
+
+
+def _classify_flat_b(m: TypeBModel) -> FlatBClass:
+    """:func:`classify_flat_b` of a flat model."""
     a, b, c, d, e, f = m.coeffs
     members: list[FamilyMembership] = []
     labels: list[str] = []
@@ -454,6 +465,11 @@ def classify_alt_b(m: TypeBModel) -> AltBClass:
     split = split_ricci(ricci_type_b(m))
     if not split.sym_is_zero() or split.alt == 0:
         raise NotInStratumError("classify_alt_b requires sym = 0 and alt != 0")
+    return _classify_alt_b(m)
+
+
+def _classify_alt_b(m: TypeBModel) -> AltBClass:
+    """:func:`classify_alt_b` of a model with sym = 0 and alt != 0."""
     a, b, c, d, e, f = m.coeffs
     members: list[FamilyMembership] = []
     if d == 0 and e == 0 and c == f:
@@ -710,6 +726,11 @@ def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
     """
     if not ricci_type_a(m).is_zero():
         raise NotFlatError("orbit matching requires a flat model")
+    return _match_flat_a_orbit(m)
+
+
+def _match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
+    """:func:`match_flat_a_orbit` of a flat model."""
     if m.is_zero():
         return ("M0_0", LinearMap2.identity())
     if coefficient_rank(m) == 1:
@@ -744,6 +765,14 @@ def match_rank1_family(m: TypeAModel) -> tuple[str, tuple[Fraction, ...], Linear
     family id itself is an exact orbit invariant.
     """
     frame, n = rank1_frame(m)  # raises for non-rank-one input
+    return _match_rank1_reduced(m, frame, n)
+
+
+def _match_rank1_reduced(
+    m: TypeAModel, frame: LinearMap2, n: TypeAModel
+) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
+    """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
+    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns)."""
     a, _, c, _, e, f = n.coeffs
     lam = -c * c + a * e + c * f
     if a != 0:

@@ -141,6 +141,16 @@ def test_verify_check_filter():
     assert [c["id"] for c in doc["checks"]] == ["action_laws"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--check", "bogus"], ["--check", "action_laws", "--check", "bogus"], ["--samples", "0"]],
+)
+def test_verify_bad_arguments_are_usage_errors(args):
+    code, out, err = run(["verify", "--seed", "1", *args])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_stdin_input(monkeypatch):
     import sys
 

@@ -321,7 +321,7 @@ def test_equivalence_rank2_generate_recover():
         res = solve_equivalence_a(m1, m2)
         assert res.is_equivalent, (m1, m2, res.status)
         assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
-        if _covariant_frame(m1) is None:
+        if _covariant_frame(m1, ricci_type_a(m1)) is None:
             degenerate += 1  # decided by the sweep
         else:
             assert len(res.maps) == 1
@@ -334,7 +334,7 @@ def test_equivalence_rank2_height_sweep():
     for height in (3, 6, 30, 500):
         for m1, m2 in rank2_pairs(rng, height, 20):
             res = solve_equivalence_a(m1, m2)
-            if _covariant_frame(m1) is None:
+            if _covariant_frame(m1, ricci_type_a(m1)) is None:
                 # degenerate frames go through the Ricci-symmetry sweep
                 assert res.status in ("equivalent", "undecided"), (m1, m2, res.status)
                 undecided += res.status == "undecided"
@@ -374,9 +374,10 @@ def test_equivalence_rank2_frame_matches_sweep():
             del by_ricci[r.rows]
     decided = 0
     for m1, m2 in pairs:
-        assert _covariant_frame(m1) is not None
-        frame = _solve_rank2_pair(m1, m2)
-        sweep = _solve_rank2_sweep(m1, m2)
+        assert _covariant_frame(m1, ricci_type_a(m1)) is not None
+        r1, r2 = ricci_type_a(m1), ricci_type_a(m2)
+        frame = _solve_rank2_pair(m1, m2, r1, r2)
+        sweep = _solve_rank2_sweep(m1, m2, r1, r2)
         if sweep.status == "undecided":
             continue
         decided += 1
@@ -389,7 +390,7 @@ def test_equivalence_rank2_degenerate_frames():
     base = type_a(0, 1, -2, 0, 0, 0)  # v on the x2 axis, G(x2, x2) = 0
     t = LinearMap2(Mat2(((F(1), F(-2)), (F(3), F(1, 2)))))
     m2 = pullback_type_a(base, t)
-    assert _covariant_frame(base) is None and _covariant_frame(m2) is None
+    assert _covariant_frame(base, ricci_type_a(base)) is None and _covariant_frame(m2, ricci_type_a(m2)) is None
     res = solve_equivalence_a(base, m2)
     assert res.is_equivalent
     assert t in res.maps
@@ -398,7 +399,7 @@ def test_equivalence_rank2_degenerate_frames():
     assert len(set(res.maps)) == len(res.maps) == 2
     # same screening invariants, but only one frame is degenerate
     other = type_a(1, 1, -2, 0, 0, 0)
-    assert _covariant_frame(other) is not None
+    assert _covariant_frame(other, ricci_type_a(other)) is not None
     for m1, m2 in ((base, other), (other, base)):
         assert solve_equivalence_a(m1, m2).status == "not_equivalent"
 
