@@ -26,6 +26,7 @@ from .group_action import (
     LinearMap2,
     UndecidedError,
     _rank1_frame,
+    carries,
     isotropy_type_a,
     orbit_dimension_a,
     pullback_type_a,
@@ -440,7 +441,7 @@ def _check_one_isotropy(rng, entry_id, param, m, inst_samples) -> int:
                 continue
             if el.matrix != expected:
                 _fail(f"{entry_id}({param}): family member differs from the stored table at {params}")
-            if pullback_type_a(m, el) != m:
+            if not carries(m.coeffs, el.matrix.rows, m.coeffs):
                 _fail(f"{entry_id}({param}): family member at {params} does not fix the model")
             used += 1
     if orbit_dimension_a(m) != 4 - group.dimension:
@@ -562,7 +563,7 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             got_id, witness = match_flat_a_orbit(m)
             if got_id != orbit_id:
                 _fail(f"{orbit_id} sample {i}: matched {got_id}")
-            if pullback_type_a(canonical_model(got_id), witness) != m:
+            if not carries(canonical_model(got_id).coeffs, witness.matrix.rows, m.coeffs):
                 _fail(f"{orbit_id} sample {i}: witness failed")
             used += 1
     rank1_targets = ["M1_1", "M2_1", "M3_1", "M4_1", "M5_1"]
@@ -584,7 +585,7 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             family, rec_params, witness = match_rank1_family(m)
             if family != entry_id:
                 _fail(f"{entry_id}{params} sample {i}: matched {family}")
-            if pullback_type_a(canonical_model(family, rec_params), witness) != m:
+            if not carries(canonical_model(family, rec_params).coeffs, witness.matrix.rows, m.coeffs):
                 _fail(f"{entry_id} sample {i}: witness failed")
             used += 1
     return used

@@ -130,8 +130,11 @@ def ricci(m: Model) -> Ricci2:
 
 
 def split_ricci(r: Ricci2) -> RicciSplit:
-    """sym = (r + r^T)/2; alt = the (1,2) entry of the alternating part."""
+    """sym = (r + r^T)/2; alt = the (1,2) entry of the alternating part.  A
+    symmetric tensor (every Type A one) is its own symmetric part."""
     (r11, r12), (r21, r22) = r.rows
+    if r12 == r21:
+        return RicciSplit(r.rows, ZERO)
     off = (r12 + r21) / 2
     return RicciSplit(((r11, off), (off, r22)), (r12 - r21) / 2)
 
@@ -150,7 +153,10 @@ def rank_signature(sym) -> RankSig:
         raise NotSymmetricError("rank_signature expects a symmetric matrix")
     if s11 == 0 and s12 == 0 and s22 == 0:
         return RankSig(0, RANK_ZERO)
-    det = s11 * s22 - s12 * s12
+    # the sign of det = s11 s22 - s12^2, cross-multiplied over the (positive)
+    # denominators
+    n12, q12 = s12.numerator, s12.denominator
+    det = s11.numerator * s22.numerator * q12 * q12 - n12 * n12 * s11.denominator * s22.denominator
     if det == 0:
         diag = s11 if s11 != 0 else s22
         if diag == 0:

@@ -14,6 +14,7 @@ certificates exact as well.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,16 +29,30 @@ class ArityMismatch(ValueError):
     """A polynomial map was evaluated at a point of the wrong dimension."""
 
 
+#: the rational literal grammar: ``n`` or ``n/d`` in ASCII digits, optionally
+#: signed, with surrounding whitespace
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational(value) -> Fraction:
-    """Coerce an int, Fraction or string like ``"3/5"`` to an exact rational."""
+    """Coerce an int, Fraction or string like ``"3/5"`` to an exact rational.
+
+    Strings must match ``[+-]?[0-9]+(/[0-9]+)?`` after stripping surrounding
+    whitespace; decimals, exponents and anything else raise ValueError, so a
+    short literal cannot stand for a huge integer.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _LITERAL.fullmatch(value.strip())
+        if match is None:
+            raise ValueError(f"not a rational literal: {value!r}")
+        num, den = match.groups()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(num), 1 if den is None else int(den))
+        except (ValueError, ZeroDivisionError) as exc:  # d = 0, or past int()'s digit limit
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
@@ -124,6 +139,8 @@ class Mat2:
         det = a * d - b * c
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
+        if isinstance(det, int):  # int entries: divide exactly
+            det = Fraction(det)
         return Mat2(((d / det, -b / det), (-c / det, a / det)))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":

@@ -12,12 +12,18 @@ The law is evaluated on integers whenever T and the coefficients are
 rational: denominators are cleared once, S is the integer adjugate, and each
 output coefficient is normalized once at the end.  Other scalar rings (the
 quadratic extensions of the Type B solver) use the generic ring evaluation.
-The orbit dimension is the rank of the infinitesimal action at the identity,
-written out in closed form rather than differentiated through the law.
+Every witness check (:func:`carries`) takes the same integer numerators and
+cross-multiplies them against the target's, so no model is built only to be
+compared.  The rank-one frame is written in closed form, its inverse is read
+off its adjugate, and the reduced rank-one case analysis runs on the cleared
+numerators of the reduced models.  The orbit dimension is the rank of the
+infinitesimal action at the identity, written out in closed form rather than
+differentiated through the law.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -121,22 +127,42 @@ def transform_coeffs(coeffs: Sequence, t_rows) -> tuple:
     return _transform_rational(coeffs, t11, t12, t21, t22)
 
 
-def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
-    """With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
-    so G' = D P g(adj P, adj P) / (L det(P)^2), and each output is normalized
-    once."""
+def carries(coeffs: Sequence, t_rows, target: Sequence) -> bool:
+    """Whether ``transform_coeffs(coeffs, t_rows) == tuple(target)``, for
+    rational inputs, decided by cross-multiplying the integer numerators of
+    the law against the target's, with no Fraction built.  A singular T
+    raises ZeroDivisionError."""
+    (t11, t12), (t21, t22) = t_rows
+    nums, scale, den = _law_numerators(coeffs, t11, t12, t21, t22)
+    for n, x in zip(nums, target):
+        if scale * n * x.denominator != x.numerator * den:
+            return False
+    return True
+
+
+def _law_numerators(coeffs, t11, t12, t21, t22) -> tuple[list[int], int, int]:
+    """Integers N_k, D and Q with G'_k = D N_k / Q for rational T and G.
+
+    With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
+    so G' = D P g(adj P, adj P) / (L det(P)^2)."""
     (p11, p12, p21, p22), dt = clear_denominators((t11, t12, t21, t22))
     det = p11 * p22 - p12 * p21
     if det == 0:
         raise ZeroDivisionError("matrix is singular")
     g, dg = clear_denominators(coeffs)
-    den = dg * det * det
     u, v = (p22, -p21), (-p12, p11)  # the columns of adj(P)
-    out = []
+    nums = []
     for x, y in (gamma_coeffs(g, u, u), gamma_coeffs(g, u, v), gamma_coeffs(g, v, v)):
-        out.append(Fraction(dt * (p11 * x + p12 * y), den))
-        out.append(Fraction(dt * (p21 * x + p22 * y), den))
-    return tuple(out)
+        nums.append(p11 * x + p12 * y)
+        nums.append(p21 * x + p22 * y)
+    return nums, dt, dg * det * det
+
+
+def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
+    """The law on cleared numerators (:func:`_law_numerators`), each output
+    normalized once."""
+    nums, scale, den = _law_numerators(coeffs, t11, t12, t21, t22)
+    return tuple(Fraction(scale * n, den) for n in nums)
 
 
 def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
@@ -203,9 +229,11 @@ def orbit_dimension_a(m: TypeAModel) -> int:
 #
 # A rank-one symmetric Ricci matrix is lambda * w w^T for a rational covector
 # w.  Any invertible S whose first column spans ker(w) and whose second
-# column pairs to 1 against w carries the Ricci matrix to lambda * diag(0, 1),
+# column u pairs to 1 against w carries the Ricci matrix to lambda * diag(0, 1),
 # so the transformed model has b = d = 0.  Unlike a rotation this frame is
-# always rational.
+# always rational.  With S = (ker w | u), ker w = (-w1, w0), det S = -1, so
+# the frame T = S^-1 = [[-u1, u0], [w0, w1]] needs no division, and S is
+# read back off T as det(T) adj(T).
 
 
 def rank1_frame(m: TypeAModel) -> tuple[LinearMap2, TypeAModel]:
@@ -222,17 +250,47 @@ def _rank1_frame(m: TypeAModel, r: Ricci2) -> tuple[LinearMap2, TypeAModel]:
     if m.b == 0 and m.d == 0:
         return LinearMap2.identity(), m
     row = r.rows[0] if r.rows[0] != (ZERO, ZERO) else r.rows[1]
-    w = primitive_covector(row)
-    if w[0] != 0:
-        u = (Fraction(1, w[0]), ZERO)
+    w0, w1 = primitive_covector(row)
+    if w0 != 0:
+        u0, u1 = Fraction(1, w0), ZERO
     else:
-        u = (ZERO, Fraction(1, w[1]))
-    s = mat2_from_cols((Fraction(-w[1]), Fraction(w[0])), u)
-    t = LinearMap2(s.inverse())
+        u0, u1 = ZERO, Fraction(1, w1)
+    t = LinearMap2(Mat2(((-u1, u0), (Fraction(w0), Fraction(w1)))))
     reduced = pullback_type_a(m, t)
     if reduced.b != 0 or reduced.d != 0:
         raise AssertionError("frame reduction failed to clear b, d")
     return t, reduced
+
+
+def _frame_inverse(frame: LinearMap2) -> Mat2:
+    """S = T^-1 = det(T) adj(T) for a rank-one frame T, whose determinant is
+    -1 (or 1 for the identity frame)."""
+    (t11, t12), (t21, t22) = frame.matrix.rows
+    if t12 == 0 and t21 == 0 and t11 == 1 and t22 == 1:
+        return frame.matrix
+    return Mat2(((-t22, t12), (t21, -t11)))
+
+
+def _product(*mats: Mat2) -> Mat2:
+    """The product of rational 2 x 2 matrices on cleared numerators, each
+    entry normalized once."""
+    (x11, x12, x21, x22), den = clear_denominators(mats[0].rows[0] + mats[0].rows[1])
+    for mat in mats[1:]:
+        (y11, y12, y21, y22), dy = clear_denominators(mat.rows[0] + mat.rows[1])
+        x11, x12, x21, x22 = (
+            x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+            x21 * y11 + x22 * y21, x21 * y12 + x22 * y22,
+        )
+        den *= dy
+    return Mat2(((Fraction(x11, den), Fraction(x12, den)), (Fraction(x21, den), Fraction(x22, den))))
+
+
+def _reduced_numerators(n: TypeAModel) -> tuple[int, int, int, int, int, int]:
+    """(A, C, E, F, L, R) for a reduced model n = (A, 0, C, 0, E, F) / L: the
+    cleared numerators, their denominator, and R = L^2 lambda, the numerator
+    of the Ricci scale lambda = -c^2 + a e + c f."""
+    (a, _, c, _, e, f), den = clear_denominators(n.coeffs)
+    return a, c, e, f, den, a * e + c * (f - c)
 
 
 def _solve_reduced_pair(n1: TypeAModel, n2: TypeAModel):
@@ -240,58 +298,71 @@ def _solve_reduced_pair(n1: TypeAModel, n2: TypeAModel):
     models.  Any such T is upper triangular because it must preserve the
     dx2 (x) dx2 line, which collapses the problem to rational case analysis.
 
+    The analysis runs on the cleared numerators n_i = (A_i, 0, C_i, 0, E_i,
+    F_i) / L_i; the Ricci scales are R_i / L_i^2, so every sign, vanishing
+    and ratio test is an integer cross-multiplication, and a Fraction is
+    built only for the entries alpha, beta, delta of T = [[alpha, beta],
+    [0, delta]].
+
     Returns (status, matrices, note).
     """
-    a1, _, c1, _, e1, f1 = n1.coeffs
-    a2, _, c2, _, e2, f2 = n2.coeffs
-    lam1 = -c1 * c1 + a1 * e1 + c1 * f1
-    lam2 = -c2 * c2 + a2 * e2 + c2 * f2
-    if lam1 * lam2 < 0:
+    a1, c1, e1, f1, l1, r1 = _reduced_numerators(n1)
+    a2, c2, e2, f2, l2, r2 = _reduced_numerators(n2)
+    if r1 * r2 < 0:
         return ("not_equivalent", [], "Ricci signs differ")
     sols: list[tuple[Fraction, Fraction, Fraction]] = []
     if (a1 == 0) != (a2 == 0):
         return ("not_equivalent", [], "vanishing of G_11^1 differs between reduced frames")
     if a1 != 0:
-        alpha = a1 / a2
+        alpha = Fraction(a1 * l2, a2 * l1)
         if (f1 == 0) != (f2 == 0):
             return ("not_equivalent", [], "vanishing of G_22^2 differs between reduced frames")
         if f1 != 0:
-            delta = f1 / f2
-            if delta * delta * lam2 != lam1:
+            # delta = f1 / f2 must have delta^2 lambda2 = lambda1: F1^2 R2 = F2^2 R1
+            if f1 * f1 * r2 != f2 * f2 * r1:
                 return ("not_equivalent", [], "Ricci scale incompatible with the G_22^2 ratio")
-            sols.append((alpha, alpha * (c1 - delta * c2) / a1, delta))
+            # delta = f1 / f2 and beta = alpha (c1 - delta c2) / a1
+            beta = Fraction(l2 * (c1 * f2 - f1 * c2), a2 * f2 * l1)
+            sols.append((alpha, beta, Fraction(f1 * l2, f2 * l1)))
         else:
-            ratio = lam1 / lam2
-            root = sqrt_rational(ratio)
-            if root is None:
+            # delta^2 = lambda1 / lambda2 = (R1 / R2) (L2 / L1)^2, rational
+            # exactly when R1 R2 is a square s^2: delta = +-s L2 / (|R2| L1)
+            square = r1 * r2
+            s = math.isqrt(square)
+            if s * s != square:
+                ratio = Fraction(r1 * l2 * l2, r2 * l1 * l1)
                 return (
                     "undecided",
                     [],
                     f"equivalent over the reals, but the frame scale is the irrational sqrt({ratio})",
                 )
-            for delta in (root, -root):
-                sols.append((alpha, alpha * (c1 - delta * c2) / a1, delta))
+            q = abs(r2)
+            for root in (s, -s):
+                beta = Fraction(l2 * (c1 * q - root * c2), a2 * q * l1)
+                sols.append((alpha, beta, Fraction(root * l2, q * l1)))
     else:
         # on this stratum a = 0 forces c != 0
-        delta = c1 / c2
-        if f1 != delta * f2:
+        delta = Fraction(c1 * l2, c2 * l1)
+        if f1 * c2 != c1 * f2:  # f1 != delta f2
             return ("not_equivalent", [], "the invariant ratio f/c differs")
-        rhs = delta * delta * e2
+        # rhs = delta^2 e2 = C1^2 E2 L2 / (C2^2 L1^2) and coef = f1 - 2 c1 =
+        # (F1 - 2 C1) / L1; the names below hold their numerators
+        rhs = c1 * c1 * e2 * l2
         coef = f1 - 2 * c1
         if e1 != 0:
             if coef != 0:
-                alpha, beta = rhs / e1, ZERO
-                if alpha == 0:
-                    beta = ONE
-                    alpha = (rhs - coef) / e1
-                sols.append((alpha, beta, delta))
+                if rhs != 0:
+                    sols.append((Fraction(rhs, c2 * c2 * l1 * e1), ZERO, delta))
+                else:
+                    # alpha = (rhs - coef) / e1 at beta = 1
+                    sols.append((Fraction(-coef, e1), ONE, delta))
             else:
                 if e2 == 0:
                     return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
-                sols.append((rhs / e1, ZERO, delta))
+                sols.append((Fraction(rhs, c2 * c2 * l1 * e1), ZERO, delta))
         else:
             if coef != 0:
-                sols.append((ONE, rhs / coef, delta))
+                sols.append((ONE, Fraction(rhs, c2 * c2 * l1 * coef), delta))
             else:
                 if e2 != 0:
                     return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
@@ -365,7 +436,7 @@ _SPOT_PARAMS = [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5), Fraction
 def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
     """Cheap construction-time verification that the group fixes the model."""
     for el in group.finite_elements:
-        if pullback_type_a(m, el) != m:
+        if not carries(m.coeffs, el.matrix.rows, m.coeffs):
             raise AssertionError("isotropy element does not fix the model")
     for fam in group.families:
         for k in range(3):
@@ -374,7 +445,7 @@ def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
                 el = fam.instantiate(params)
             except (ValueError, ZeroDivisionError):
                 continue
-            if pullback_type_a(m, el) != m:
+            if not carries(m.coeffs, el.matrix.rows, m.coeffs):
                 raise AssertionError("isotropy family member does not fix the model")
     return group
 
@@ -564,7 +635,7 @@ def _verified_a(m1, m2, mats) -> list[LinearMap2]:
     out = []
     for mat in mats:
         t = LinearMap2(mat) if isinstance(mat, Mat2) else mat
-        if pullback_type_a(m1, t) != m2:
+        if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
             raise AssertionError("equivalence witness failed exact verification")
         out.append(t)
     return out
@@ -607,8 +678,8 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
         frame2, red2 = _rank1_frame(m2, c2.ricci)
         status, mats, note = _solve_reduced_pair(red1, red2)
         if status == "equivalent":
-            f2_inv = frame2.matrix.inverse()
-            witnesses = [f2_inv @ mat @ frame1.matrix for mat in mats]
+            s2 = _frame_inverse(frame2)
+            witnesses = [_product(s2, mat, frame1.matrix) for mat in mats]
             return EquivalenceWitnesses(
                 "equivalent", tuple(_verified_a(m1, m2, witnesses))
             )
@@ -662,7 +733,7 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
             obstruction="v = rho^-1 omega and G(v, v) are independent for one model only",
         )
     t = LinearMap2(f2 @ f1.inverse())
-    if pullback_type_a(m1, t) != m2:
+    if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
         return EquivalenceWitnesses(
             "not_equivalent",
             obstruction="the map carrying the frame (v, G(v, v)) of one model onto "
@@ -891,7 +962,7 @@ def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
                 if s is None:
                     continue
                 t = s.inverse()
-                if transform_coeffs(m1.coeffs, t.rows) == m2.coeffs:
+                if carries(m1.coeffs, t.rows, m2.coeffs):
                     w = LinearMap2(t)
                     if w not in witnesses:  # the Cayley components overlap
                         witnesses.append(w)
@@ -995,7 +1066,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
         if alpha == 0:
             continue
         phi = ShearMap(alpha, beta)
-        if pullback_type_b(m1, phi) == m2:
+        if carries(m1.coeffs, phi.matrix.rows, m2.coeffs):
             shears.append(phi)
     if shears:
         return EquivalenceWitnesses("equivalent", tuple(shears))

@@ -26,6 +26,19 @@ class CatalogError(ValueError):
     """Unknown catalog id, wrong arity, or violated parameter constraint."""
 
 
+def _exact_coeffs(m) -> None:
+    """Store ints (and rational strings) as Fractions, so that the solvers
+    never divide ints into floats; floats raise TypeError as in
+    :func:`rational`.  A model of Fractions is left as it is."""
+    if (
+        type(m.a) is Fraction and type(m.b) is Fraction and type(m.c) is Fraction
+        and type(m.d) is Fraction and type(m.e) is Fraction and type(m.f) is Fraction
+    ):
+        return
+    for name in ("a", "b", "c", "d", "e", "f"):
+        object.__setattr__(m, name, rational(getattr(m, name)))
+
+
 @dataclass(frozen=True)
 class TypeAModel:
     a: Fraction
@@ -36,6 +49,9 @@ class TypeAModel:
     f: Fraction
 
     kind = "A"
+
+    def __post_init__(self):
+        _exact_coeffs(self)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -58,6 +74,9 @@ class TypeBModel:
     f: Fraction
 
     kind = "B"
+
+    def __post_init__(self):
+        _exact_coeffs(self)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

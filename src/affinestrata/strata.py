@@ -46,10 +46,13 @@ from .curvature import (
 )
 from .group_action import (
     LinearMap2,
+    _frame_inverse,
+    _product,
+    _reduced_numerators,
     _solve_reduced_pair,
+    carries,
     pullback_type_a,
     rank1_frame,
-    transform_coeffs,
 )
 from .models import CatalogError, TypeAModel, TypeBModel, canonical_model
 from .polys import binary_cubic_pattern
@@ -514,7 +517,7 @@ def _flat_rows(g, o1, o2):
 def _verify_orbit(orbit_id: str, t: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
     if t.det() == 0:
         return None
-    if transform_coeffs(canonical_model(orbit_id).coeffs, t.rows) == m.coeffs:
+    if carries(canonical_model(orbit_id).coeffs, t.rows, m.coeffs):
         return (orbit_id, LinearMap2(t))
     return None
 
@@ -524,7 +527,7 @@ def _verify_frame(orbit_id: str, s: Mat2, m: TypeAModel) -> tuple[str, LinearMap
     pullback(m, S) = canonical, so S is inverted only when it is a witness."""
     if s.det() == 0:
         return None
-    if transform_coeffs(m.coeffs, s.rows) == canonical_model(orbit_id).coeffs:
+    if carries(m.coeffs, s.rows, canonical_model(orbit_id).coeffs):
         return (orbit_id, LinearMap2(s.inverse()))
     return None
 
@@ -772,39 +775,49 @@ def _match_rank1_reduced(
     m: TypeAModel, frame: LinearMap2, n: TypeAModel
 ) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
     """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
-    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns)."""
-    a, _, c, _, e, f = n.coeffs
-    lam = -c * c + a * e + c * f
+    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns).
+
+    The family is read off the cleared numerators n = (A, 0, C, 0, E, F) / L
+    with Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does
+    not depend on L, so every test is on integers and only the family
+    parameter is a Fraction.
+    """
+    a, c, e, f, _, r = _reduced_numerators(n)
     if a != 0:
-        j = f * f / lam
-        if lam > 0 and j == 4:
+        if r > 0 and f * f == 4 * r:  # j = 4
             family, params = "M1_1", ()
-        elif lam > 0 and j < 4:
-            p = sqrt_rational(j / (4 - j))
-            if p is None:
-                raise UnmatchedOrbitError("the family parameter would be irrational")
+        elif r > 0 and f * f < 4 * r:  # j < 4
+            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2)
+            p = _root_ratio(f, 4 * r - f * f)
             family, params = "M5_1", (p,)
         else:
-            mu = 1 / (j - 4)
-            root = sqrt_rational(1 + 4 * mu)
-            if root is None:
-                raise UnmatchedOrbitError("the family parameter would be irrational")
+            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R)
+            root = _root_ratio(f, f * f - 4 * r)
             family, params = "M2_1", ((root - 1) / 2,)
     else:
-        k = f / c
-        if k != 2:
-            family, params = "M3_1", (1 / (k - 2),)
+        if f != 2 * c:  # k = f / c != 2
+            family, params = "M3_1", (Fraction(c, f - 2 * c),)
         else:
             family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
     target = canonical_model(family, params)
     status, mats, note = _solve_reduced_pair(target, n)
     if status != "equivalent":
         raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
-    witness_mat = frame.matrix.inverse() @ mats[0]
-    witness = LinearMap2(witness_mat)
-    if pullback_type_a(target, witness) != m:
+    witness = LinearMap2(_product(_frame_inverse(frame), mats[0]))
+    if not carries(target.coeffs, witness.matrix.rows, m.coeffs):
         raise AssertionError("rank-one family witness failed verification")
     return family, tuple(params), witness
+
+
+def _root_ratio(f: int, den: int) -> Fraction:
+    """sqrt(f^2 / den) for an integer den > 0; raises UnmatchedOrbitError
+    when it is irrational."""
+    if f == 0:
+        return ZERO
+    s = math.isqrt(den)
+    if s * s != den:
+        raise UnmatchedOrbitError("the family parameter would be irrational")
+    return Fraction(abs(f), s)
 
 
 # ---------------------------------------------------------------------------

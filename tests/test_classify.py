@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from affinestrata.classify import admits_type_b, classify_model, verify_theorems
-from affinestrata.group_action import pullback_type_a
+from affinestrata.group_action import UndecidedError, pullback_type_a
 from affinestrata.models import canonical_model, parse_model, serialize_model, type_a, type_b
 from affinestrata.strata import NotRank1Error
 from affinestrata import sampling
@@ -73,6 +73,19 @@ def test_admits_type_b():
     assert admits_type_b(canonical_model("M5_1", [1])) is False
     with pytest.raises(NotRank1Error):
         admits_type_b(canonical_model("M1_0"))
+
+
+def test_classify_rank1_reports_the_rejected_candidate():
+    """The read-out names M5_1(0), whose frame scale sqrt(2/3) is irrational;
+    the report carries the reason and no orbit."""
+    report = classify_model(type_a("3/2", 0, 0, 0, 1, 0))
+    assert report.stratum["kind"] == "rank1" and report.orbit is None
+    assert report.errors == {
+        "orbit": "candidate family M5_1 rejected: equivalent over the reals, but the "
+        "frame scale is the irrational sqrt(2/3)"
+    }
+    with pytest.raises(UndecidedError):
+        admits_type_b(type_a("3/2", 0, 0, 0, 1, 0))
 
 
 def test_admits_type_b_after_pullback():

@@ -115,6 +115,19 @@ def test_param_command():
     assert code == 2
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "1e1000000", "1.5", "2E3", "1_0", "1/0"])
+def test_literals_outside_the_grammar_are_usage_errors(literal):
+    """Only n and n/d are rational literals: exponents and decimals end as
+    usage errors (exit 2) before any arithmetic, with no traceback."""
+    model = json.dumps({"type": "A", "coeffs": [literal, "0", "0", "0", "0", "0"]})
+    for args in (["classify", model], ["ricci", model], ["param", "M4_1", literal]):
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        doc = json.loads(err)
+        assert doc["error"] == "usage" and "not a rational literal" in doc["detail"]
+        assert "int_max_str_digits" not in doc["detail"]
+
+
 def test_catalog_command():
     code, out, _ = run(["catalog"])
     assert code == 0

@@ -1,5 +1,6 @@
 """The seeded corpus: golden digests of classification and equivalence
-answers, and a check that each operation computes a model's curvature once.
+answers, and checks that each operation computes a model's curvature once
+and builds a pullback only where it needs the transformed model.
 
 The corpus is drawn here, with its own generator, so it does not move when
 the library's sampling helpers change: catalog pullbacks of every flat orbit
@@ -25,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from affinestrata.classify import classify_model
+from affinestrata.curvature import curvature_of
 from affinestrata.exact import Mat2
 from affinestrata.group_action import (
     LinearMap2,
@@ -186,6 +188,7 @@ COUNTED = (
     "curvature.rank_signature",
     "group_action.rank1_frame",
     "group_action._rank1_frame",
+    "group_action.transform_coeffs",
 )
 
 
@@ -219,6 +222,10 @@ def test_classify_model_computes_curvature_once(counts):
         rank1 = report.stratum["kind"] == "rank1"
         assert counts["group_action._rank1_frame"] == rank1, (m, counts)
         assert counts["group_action.rank1_frame"] == 0, (m, counts)
+        # one pullback reduces an unreduced rank-one model; every witness is
+        # checked without building a model
+        unreduced = rank1 and (m.b != 0 or m.d != 0)
+        assert counts["group_action.transform_coeffs"] == unreduced, (m, counts)
         strata[report.stratum["kind"]] += 1
     assert set(strata) == {
         "cone_point", "flat_chart", "rank1", "rank2",
@@ -232,13 +239,41 @@ def test_solve_equivalence_a_computes_curvature_once(counts):
     swept = pullback_type_a(base, LinearMap2(t))
     pairs = [(m1, m2) for kind, m1, m2 in equiv_corpus() if kind == "A"]
     statuses = Counter()
+    rank1_pulls = Counter()
     for m1, m2 in pairs + [(base, swept)]:
         counts.clear()
         statuses[solve_equivalence_a(m1, m2).status] += 1
         assert counts["curvature.ricci_type_a"] == 2, (m1, m2, counts)
         assert counts["curvature.rank_signature"] == 2, (m1, m2, counts)
         assert counts["group_action._rank1_frame"] in (0, 2), (m1, m2, counts)
+        if counts["group_action._rank1_frame"] == 2:
+            # one pullback per unreduced frame, none for the witness check
+            unreduced = sum(m.b != 0 or m.d != 0 for m in (m1, m2))
+            assert counts["group_action.transform_coeffs"] == unreduced, (m1, m2, counts)
+            rank1_pulls[unreduced] += 1
+        elif curvature_of(m1).flags.is_flat:
+            assert counts["group_action.transform_coeffs"] == 0, (m1, m2, counts)
     assert set(statuses) == {"equivalent", "not_equivalent", "undecided"}
+    assert rank1_pulls[2] > 0
+
+
+def test_pullbacks_per_operation(counts):
+    """classify_model reduces an unreduced rank-one model with one pullback
+    and builds none for a flat one; a rank-one equivalence pair builds one
+    per frame."""
+    def map_of(*entries):
+        return LinearMap2(Mat2.of(*(Fraction(x) for x in entries)))
+
+    rank1 = pullback_type_a(canonical_model("M2_1", (3,)), map_of(1, 2, -1, 3))
+    flat = pullback_type_a(canonical_model("M2_0"), map_of(2, 1, 1, 1))
+    for m, pulls in ((rank1, 1), (flat, 0)):
+        counts.clear()
+        assert classify_model(m).orbit is not None
+        assert counts["group_action.transform_coeffs"] == pulls
+    other = pullback_type_a(rank1, map_of(0, 1, 1, 5))
+    counts.clear()
+    assert solve_equivalence_a(rank1, other).is_equivalent
+    assert counts["group_action.transform_coeffs"] == 2
 
 
 @pytest.mark.parametrize(

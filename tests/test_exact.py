@@ -85,6 +85,15 @@ def test_mat2_basics():
     singular = Mat2.of(F(1), F(2), F(2), F(4))
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Mat2.of(1, 2, 2, 4).inverse()
+
+
+def test_mat2_inverse_of_int_entries_is_exact():
+    inv = Mat2.of(2, 0, 0, 1).inverse()
+    assert inv == Mat2.of(F(1, 2), F(0), F(0), F(1))
+    assert all(type(x) is F for row in inv.rows for x in row)
+    assert Mat2.of(1, 2, 3, 4).inverse() == Mat2.of(F(1), F(2), F(3), F(4)).inverse()
 
 
 def test_jet_arithmetic():

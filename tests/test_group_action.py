@@ -10,6 +10,7 @@ from affinestrata.group_action import (
     ShearMap,
     UndecidedError,
     _covariant_frame,
+    _solve_reduced_pair,
     _solve_rank2_pair,
     _solve_rank2_sweep,
     isotropy_type_a,
@@ -156,6 +157,45 @@ def test_rank1_frame():
         assert rank_signature(ricci_type_a(reduced)).rank == 1
     with pytest.raises(ValueError):
         rank1_frame(canonical_model("M1_0"))
+
+
+# Every branch of the reduced rank-one case analysis, on hand-built reduced
+# pairs (a, 0, c, 0, e, f); the answers were recorded from the Fraction form
+# of the solver.  The last pair is not a valid one (the first model is flat),
+# which is the only way to reach the last note.
+REDUCED_PAIR_CASES = [
+    ((-1, 0, 1, 0, 0, 2), (-1, 0, "-1/2", 0, 0, 0), "not_equivalent", [], "Ricci signs differ"),
+    ((-1, 0, 1, 0, 0, 2), (0, 0, 1, 0, 0, 3), "not_equivalent", [],
+     "vanishing of G_11^1 differs between reduced frames"),
+    ((1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 2, 2), "not_equivalent", [],
+     "vanishing of G_22^2 differs between reduced frames"),
+    ((1, 0, 0, 0, 2, 2), (-1, 0, 1, 0, 0, 2), "not_equivalent", [],
+     "Ricci scale incompatible with the G_22^2 ratio"),
+    ((1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 2, 0), "undecided", [],
+     "equivalent over the reals, but the frame scale is the irrational sqrt(1/2)"),
+    ((0, 0, 1, 0, 0, 3), (0, 0, 1, 0, 0, 2), "not_equivalent", [], "the invariant ratio f/c differs"),
+    # a = 0, e1 != 0, f1 != 2 c1: alpha = delta^2 e2 / e1, or beta = 1 when that is 0
+    ((0, 0, 1, 0, 1, 3), (0, 0, 1, 0, 2, 3), "equivalent", [[["2", "0"], ["0", "1"]]], None),
+    ((0, 0, 1, 0, 1, 3), (0, 0, 1, 0, 0, 3), "equivalent", [[["-1", "1"], ["0", "1"]]], None),
+    ((0, 0, "1/2", 0, "1/3", "5/2"), (0, 0, "2/3", 0, "1/7", "10/3"), "equivalent",
+     [[["27/112", "0"], ["0", "3/4"]]], None),
+    # the f = 2c subfamily
+    ((0, 0, 1, 0, 1, 2), (0, 0, 1, 0, 0, 2), "not_equivalent", [],
+     "vanishing of G_22^1 differs on the f = 2c subfamily"),
+    ((0, 0, 1, 0, 0, 2), (0, 0, 1, 0, 1, 2), "not_equivalent", [],
+     "vanishing of G_22^1 differs on the f = 2c subfamily"),
+    ((0, 0, 1, 0, 0, 3), (0, 0, 1, 0, 1, 3), "equivalent", [[["1", "1"], ["0", "1"]]], None),
+    ((0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 1, 2), "not_equivalent", [],
+     "triangular system has no invertible solution"),
+]
+
+
+@pytest.mark.parametrize("n1, n2, status, mats, note", REDUCED_PAIR_CASES)
+def test_reduced_pair_branches(n1, n2, status, mats, note):
+    got_status, got_mats, got_note = _solve_reduced_pair(type_a(*n1), type_a(*n2))
+    assert (got_status, [m.to_strings() for m in got_mats], got_note) == (status, mats, note)
+    for mat in got_mats:
+        assert pullback_type_a(type_a(*n1), LinearMap2(mat)) == type_a(*n2)
 
 
 def test_isotropy_rank1_cases():

@@ -1,8 +1,10 @@
 """The exact kernel: the integer pullback against the generic ring path, the
-integer Ricci tensors against their plain polynomial formulas, the
-closed-form orbit dimension against the rank of the jet derivative, the
-fraction-free linear algebra against Gauss-Jordan over Fractions, and the
-integer quadratic extension against its (u, v) pair rules."""
+cross-multiplied witness check against a built pullback, the integer Ricci
+tensors against their plain polynomial formulas, the closed-form orbit
+dimension against the rank of the jet derivative, the fraction-free linear
+algebra against Gauss-Jordan over Fractions, the integer quadratic extension
+against its (u, v) pair rules, and the rank-one frame, the integer reduced
+solver and the signature against their Fraction forms."""
 
 import random
 from fractions import Fraction as F
@@ -11,11 +13,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata import sampling
-from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b
-from affinestrata.exact import ONE, ZERO, JetScalar, QuadExt, mat_rank, solve_linear
+from affinestrata.curvature import RankSig, rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.exact import ONE, ZERO, JetScalar, Mat2, QuadExt, mat_rank, solve_linear, sqrt_rational
 from affinestrata.group_action import (
+    LinearMap2,
+    _frame_inverse,
+    _rank1_frame,
+    _solve_reduced_pair,
     _transform_rational,
     _transform_ring,
+    carries,
     orbit_dimension_a,
     pullback_type_a,
     transform_coeffs,
@@ -61,6 +68,27 @@ def test_integer_pullback_equals_ring_pullback(height):
     check()
 
 
+@pytest.mark.parametrize("height", [12, 10**6])
+def test_carries_equals_built_pullback(height):
+    """The cross-multiplied check against comparing a built pullback, on the
+    true image and on the image changed in one entry (by a small step, or
+    to an arbitrary value)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sextuples(height), quadruples(height), st.integers(0, 5), scalars(height), st.booleans())
+    def check(coeffs, t, slot, value, nudge):
+        assume(t[0] * t[3] - t[1] * t[2] != 0)
+        rows = ((t[0], t[1]), (t[2], t[3]))
+        image = transform_coeffs(coeffs, rows)
+        assert carries(coeffs, rows, image)
+        assert carries(coeffs, rows, list(image))
+        changed = list(image)
+        changed[slot] = image[slot] + F(1, height) if nudge else value
+        assert carries(coeffs, rows, changed) == (image == tuple(changed))
+
+    check()
+
+
 @settings(max_examples=100, deadline=None)
 @given(sextuples(12), st.lists(scalars(12), min_size=2, max_size=2), scalars(12), st.booleans())
 def test_singular_map_raises(coeffs, row, k, by_columns):
@@ -71,6 +99,8 @@ def test_singular_map_raises(coeffs, row, k, by_columns):
         t = ((row[0], row[1]), (k * row[0], k * row[1]))
     with pytest.raises(ZeroDivisionError):
         transform_coeffs(coeffs, t)
+    with pytest.raises(ZeroDivisionError):
+        carries(coeffs, t, coeffs)
     with pytest.raises(ZeroDivisionError):
         _transform_ring(as_fractions(coeffs), *as_fractions(t[0] + t[1]))
     quad = tuple(tuple(QuadExt(x, 0, 2) for x in row) for row in t)
@@ -279,3 +309,177 @@ def test_rank_two_flat_matchers_try_the_orbit_first():
             found = first(m)
             assert found is not None and found[0] == orbit
             assert pullback_type_a(canonical_model(orbit), found[1]) == m
+
+
+# ---------------------------------------------------------------------------
+# The rank-one layer
+
+
+def rank1_models(rng):
+    """Rank-one catalog models pulled back by random maps at every height,
+    plus the catalog models themselves (already reduced)."""
+    models = []
+    for entry_id, params in (("M1_1", ()), ("M2_1", (F(3),)), ("M3_1", (F(-1, 2),)),
+                             ("M4_1", (F(0),)), ("M4_1", (F(2),)), ("M5_1", (F(1, 3),))):
+        base = canonical_model(entry_id, params)
+        models.append(base)
+        for h in (3, 12, 10**6):
+            models.append(pullback_type_a(base, sampling.rand_linear_map(rng, h)))
+    return models
+
+
+def test_closed_form_frame_inverts_without_division():
+    """T = [[-u1, u0], [w0, w1]] has det -1 and S = -adj(T) is its inverse;
+    the identity frame is its own inverse."""
+    identity = Mat2.identity()
+    seen_reduced = seen_unreduced = False
+    for m in rank1_models(random.Random(61)):
+        frame, reduced = _rank1_frame(m, ricci_type_a(m))
+        s = _frame_inverse(frame)
+        assert frame.matrix @ s == identity and s @ frame.matrix == identity
+        if m.b == 0 and m.d == 0:
+            assert frame.matrix == identity
+            seen_reduced = True
+        else:
+            assert frame.matrix.det() == -1
+            assert (reduced.b, reduced.d) == (0, 0)
+            seen_unreduced = True
+    assert seen_reduced and seen_unreduced
+
+
+def fraction_solve_reduced_pair(n1, n2):
+    """Reference: the reduced-pair case analysis written on Fractions, one
+    rational operation at a time."""
+    a1, _, c1, _, e1, f1 = n1.coeffs
+    a2, _, c2, _, e2, f2 = n2.coeffs
+    lam1 = -c1 * c1 + a1 * e1 + c1 * f1
+    lam2 = -c2 * c2 + a2 * e2 + c2 * f2
+    if lam1 * lam2 < 0:
+        return ("not_equivalent", [], "Ricci signs differ")
+    sols = []
+    if (a1 == 0) != (a2 == 0):
+        return ("not_equivalent", [], "vanishing of G_11^1 differs between reduced frames")
+    if a1 != 0:
+        alpha = a1 / a2
+        if (f1 == 0) != (f2 == 0):
+            return ("not_equivalent", [], "vanishing of G_22^2 differs between reduced frames")
+        if f1 != 0:
+            delta = f1 / f2
+            if delta * delta * lam2 != lam1:
+                return ("not_equivalent", [], "Ricci scale incompatible with the G_22^2 ratio")
+            sols.append((alpha, alpha * (c1 - delta * c2) / a1, delta))
+        else:
+            ratio = lam1 / lam2
+            root = sqrt_rational(ratio)
+            if root is None:
+                return (
+                    "undecided",
+                    [],
+                    f"equivalent over the reals, but the frame scale is the irrational sqrt({ratio})",
+                )
+            for delta in (root, -root):
+                sols.append((alpha, alpha * (c1 - delta * c2) / a1, delta))
+    else:
+        delta = c1 / c2
+        if f1 != delta * f2:
+            return ("not_equivalent", [], "the invariant ratio f/c differs")
+        rhs = delta * delta * e2
+        coef = f1 - 2 * c1
+        if e1 != 0:
+            if coef != 0:
+                alpha, beta = rhs / e1, ZERO
+                if alpha == 0:
+                    beta = ONE
+                    alpha = (rhs - coef) / e1
+                sols.append((alpha, beta, delta))
+            else:
+                if e2 == 0:
+                    return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
+                sols.append((rhs / e1, ZERO, delta))
+        else:
+            if coef != 0:
+                sols.append((ONE, rhs / coef, delta))
+            else:
+                if e2 != 0:
+                    return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
+                sols.append((ONE, ZERO, delta))
+    mats = [Mat2(((alpha, beta), (ZERO, delta))) for alpha, beta, delta in sols if alpha != 0 and delta != 0]
+    if not mats:
+        return ("not_equivalent", [], "triangular system has no invertible solution")
+    return ("equivalent", mats, None)
+
+
+def reduced_scale(n):
+    a, _, c, _, e, f = n.coeffs
+    return -c * c + a * e + c * f
+
+
+def reduced_models(height):
+    """Reduced models (a, 0, c, 0, e, f); a and f are zero often enough to
+    reach every branch."""
+    entry = st.one_of(st.just(F(0)), scalars(height))
+    return st.builds(
+        lambda a, c, e, f: TypeAModel(a, 0, c, 0, e, f), entry, scalars(height), scalars(height), entry
+    )
+
+
+@pytest.mark.parametrize("height", [12, 10**6])
+def test_integer_reduced_solver_equals_fraction_solver(height):
+    """On valid reduced pairs (both Ricci scales nonzero): drawn
+    independently, built equivalent by an upper-triangular map, sharing the
+    first model's zero pattern, or both on the f = 2c subfamily."""
+
+    modes = st.sampled_from(("free", "triangular", "pattern", "f=2c"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(reduced_models(height), reduced_models(height), quadruples(height), modes)
+    def check(n1, other, t, mode):
+        if mode == "triangular":
+            assume(t[0] != 0 and t[3] != 0)
+            n2 = pullback_type_a(n1, LinearMap2(Mat2(((t[0], t[1]), (ZERO, t[3])))))
+        elif mode == "pattern":
+            a, _, c, _, e, f = other.coeffs
+            n2 = TypeAModel(a if n1.a != 0 else 0, 0, c, 0, e, f if n1.f != 0 else 0)
+        elif mode == "f=2c":
+            n1 = TypeAModel(0, 0, n1.c, 0, n1.e, 2 * n1.c)
+            n2 = TypeAModel(0, 0, other.c, 0, other.e, 2 * other.c)
+        else:
+            n2 = other
+        lam1, lam2 = reduced_scale(n1), reduced_scale(n2)
+        assume(lam1 != 0 and lam2 != 0)
+        got = _solve_reduced_pair(n1, n2)
+        assert got == fraction_solve_reduced_pair(n1, n2)
+        assert all(type(x) is F for mat in got[1] for row in mat.rows for x in row)
+        for mat in got[1]:
+            assert carries(n1.coeffs, mat.rows, n2.coeffs)
+        if mode == "triangular":
+            assert got[0] != "not_equivalent"
+
+    check()
+
+
+def fraction_signature(s11, s12, s22):
+    """Reference: the determinant in Fractions."""
+    s11, s12, s22 = F(s11), F(s12), F(s22)
+    if s11 == 0 and s12 == 0 and s22 == 0:
+        return RankSig(0, "zero")
+    det = s11 * s22 - s12 * s12
+    if det == 0:
+        diag = s11 if s11 != 0 else s22
+        return RankSig(1, "positive_semidefinite" if diag > 0 else "negative_semidefinite")
+    if det < 0:
+        return RankSig(2, "indefinite")
+    return RankSig(2, "positive_definite" if s11 > 0 else "negative_definite")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([12, 10**6]), st.data())
+def test_signature_equals_fraction_signature(height, data):
+    """Random symmetric matrices, and rank-one ones k (x, y)^T (x, y), whose
+    determinant vanishes only after the cross-multiplication."""
+    x, y, k = (data.draw(scalars(height)) for _ in range(3))
+    if data.draw(st.booleans()):
+        s11, s12, s22 = k * x * x, k * x * y, k * y * y
+    else:
+        s11, s12, s22 = (data.draw(scalars(height)) for _ in range(3))
+    assert rank_signature(((s11, s12), (s12, s22))) == fraction_signature(s11, s12, s22)

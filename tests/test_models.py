@@ -3,10 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from affinestrata.classify import classify_model
+from affinestrata.exact import rational
+from affinestrata.group_action import solve_equivalence_a, solve_equivalence_b
 from affinestrata.models import (
     CATALOG,
     CatalogError,
     ModelParseError,
+    TypeAModel,
+    TypeBModel,
     canonical_model,
     model_to_json,
     negate_model,
@@ -126,3 +131,55 @@ def test_catalog_listing_is_complete():
     for entry in CATALOG.values():
         desc = entry.describe()
         assert desc["arity"] == len(desc["params"])
+
+
+def test_models_from_plain_ints_hold_fractions():
+    m = TypeAModel(1, 0, 0, 0, 1, 0)
+    assert all(type(x) is F for x in m.coeffs)
+    assert m == type_a(1, 0, 0, 0, 1, 0)
+    assert all(type(x) is F for x in TypeBModel(0, F(1, 2), 3, 0, 0, -1).coeffs)
+    exact = type_a(F(1, 2), 0, 0, 0, 0, 0)
+    assert TypeAModel(*exact.coeffs).a is exact.a  # Fractions are kept as they are
+    with pytest.raises(TypeError):
+        TypeAModel(1.5, 0, 0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        TypeBModel(0, 0, 0, 0, 0, 0.0)
+
+
+def test_solvers_accept_models_from_plain_ints():
+    """The same JSON as for models built with type_a / type_b; these used to
+    divide ints into floats."""
+    a1, a2 = (1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 2, 0)
+    got = solve_equivalence_a(TypeAModel(*a1), TypeAModel(*a2)).to_dict()
+    assert got == solve_equivalence_a(type_a(*a1), type_a(*a2)).to_dict()
+    assert got["status"] == "undecided"
+    for coeffs in (a1, (-1, 0, 1, 0, 0, 2), (1, 2, 0, 1, 1, 3), (1, 0, 0, 1, 0, 0)):
+        got = json.dumps(classify_model(TypeAModel(*coeffs)).to_dict())
+        assert got == json.dumps(classify_model(type_a(*coeffs)).to_dict())
+    b1, b2 = (0, 0, 1, 0, 1, 0), (0, 0, 1, 0, 4, 0)
+    got = solve_equivalence_b(TypeBModel(*b1), TypeBModel(*b2)).to_dict()
+    assert got == solve_equivalence_b(type_b(*b1), type_b(*b2)).to_dict()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", F(3)), ("-3/5", F(-3, 5)), ("+4/6", F(2, 3)), (" 7/2\n", F(7, 2)), ("007", F(7)), ("0/5", F(0))],
+)
+def test_rational_literal_grammar_accepts(text, value):
+    assert rational(text) == value and type(rational(text)) is F
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5", "1e1000000", "1E-2", "1.5", ".5", "1_000", "0x10", "1/0", "1/-2", "- 1", "+-1", "1/2/3",
+     "", " ", "inf", "nan", "\u0661", "\uff11/2", "1 /2", pytest.param("9" * 5000, id="5000_digits")],
+)
+def test_rational_literal_grammar_rejects(text):
+    """Exponents such as the 11-byte "1e1000000", which used to build a
+    10^1000000 integer, are rejected before any arithmetic; a digit string
+    past int()'s limit is a literal error too."""
+    with pytest.raises(ValueError, match="not a rational literal"):
+        rational(text)
+    doc = json.dumps({"type": "A", "coeffs": [text, "0", "0", "0", "0", "0"]})
+    with pytest.raises(ModelParseError):
+        parse_model(doc)

@@ -415,6 +415,32 @@ def test_match_flat_a_orbit_unmatched_reports_real_orbit():
     assert "real orbit of M2_0" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 0, 0, 0, 2, 1),  # positive scale, j < 4: p^2 = 1/7
+        (2, 0, 0, 0, 3, 1),  # positive scale, j < 4: p^2 = 1/23
+        (1, 0, 0, 0, -1, 1),  # negative scale: the root of 1 + 4 mu is sqrt(1/5)
+    ],
+)
+def test_match_rank1_family_irrational_parameter(coeffs):
+    m = type_a(*coeffs)
+    t = LinearMap2(Mat2(((F(1), F(2)), (F(-1), F(3)))))
+    for model in (m, pullback_type_a(m, t)):
+        with pytest.raises(UnmatchedOrbitError, match="^the family parameter would be irrational$"):
+            match_rank1_family(model)
+
+
+def test_match_rank1_family_candidate_rejected():
+    # the read-out picks M5_1(0), but the frame scale to it is sqrt(2/3)
+    with pytest.raises(UnmatchedOrbitError) as err:
+        match_rank1_family(type_a(F(3, 2), 0, 0, 0, 1, 0))
+    assert str(err.value) == (
+        "candidate family M5_1 rejected: equivalent over the reals, but the frame "
+        "scale is the irrational sqrt(2/3)"
+    )
+
+
 def test_match_rank1_family_mirror_parameter():
     # the second family identifies c1 with -1 - c1; the canonical pick is the
     # larger root
