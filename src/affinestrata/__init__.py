@@ -43,7 +43,10 @@ from .group_action import (
     LinearMap2,
     ShearMap,
     UndecidedError,
+    UnmatchedOrbitError,
     isotropy_type_a,
+    match_flat_a_orbit,
+    match_rank1_family,
     orbit_dimension_a,
     pullback_type_a,
     pullback_type_b,
@@ -51,26 +54,23 @@ from .group_action import (
     solve_equivalence_b,
 )
 from .strata import (
-    AltBClass,
     ConePointError,
     FlatAChart,
-    FlatBClass,
     NonRationalCirclePointError,
     NonRationalRotationError,
     NotFlatError,
     NotInStratumError,
     NotRank1Error,
     Rank1Chart,
-    UnmatchedOrbitError,
+    TypeBMembership,
     alt_b_param,
     classify_alt_b,
     classify_flat_b,
     flat_a_coords,
     flat_a_param,
     flat_b_param,
-    match_flat_a_orbit,
-    match_rank1_family,
-    rank1_chart,
+    rank1_chart_forward,
+    rank1_chart_inverse,
     rank1_reduce,
     tangent_sum_rank,
 )

@@ -25,9 +25,14 @@ from .curvature import (
 from .group_action import (
     LinearMap2,
     UndecidedError,
+    UnmatchedOrbitError,
+    _match_flat_a_orbit,
+    _match_rank1_reduced,
     _rank1_frame,
     carries,
     isotropy_type_a,
+    match_flat_a_orbit,
+    match_rank1_family,
     orbit_dimension_a,
     pullback_type_a,
     pullback_type_b,
@@ -44,20 +49,15 @@ from .models import (
 from .strata import (
     NonRationalCirclePointError,
     NotRank1Error,
-    UnmatchedOrbitError,
     _classify_alt_b,
     _classify_flat_b,
     _flat_a_coords,
-    _match_flat_a_orbit,
-    _match_rank1_reduced,
     alt_b_param,
     classify_alt_b,
     classify_flat_b,
     flat_a_coords,
     flat_a_param,
     flat_b_param,
-    match_flat_a_orbit,
-    match_rank1_family,
     rank1_chart_forward,
     rank1_chart_inverse,
     rank1_reduce,

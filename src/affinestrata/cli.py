@@ -13,15 +13,8 @@ import argparse
 import json
 import sys
 
-from .exact import circle_from_slope, rational, rational_str
-from .models import (
-    CATALOG,
-    CatalogError,
-    ModelParseError,
-    canonical_model,
-    parse_model,
-    serialize_model,
-)
+from .exact import rational, rational_str
+from .models import CATALOG, CatalogError, ModelParseError, parse_model, serialize_model
 from .curvature import ricci, split_ricci
 from .group_action import (
     UndecidedError,
@@ -30,13 +23,7 @@ from .group_action import (
     solve_equivalence_b,
 )
 from .classify import CHECKS, classify_model, verify_theorems
-from .strata import (
-    COEFF_FAMILIES,
-    alt_b_param,
-    flat_a_param,
-    flat_b_param,
-    rank1_chart_forward,
-)
+from .strata import COEFF_FAMILIES
 
 
 class _UsageError(Exception):
@@ -121,61 +108,22 @@ def _cmd_isotropy(args) -> int:
 
 
 def _cmd_param(args) -> int:
-    name = args.family
     try:
         params = [rational(p) for p in args.params]
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if name in CATALOG:
-        model = canonical_model(name, params)
-    elif name == "flat_a":
-        if len(params) != 4:
-            raise _UsageError("flat_a takes four rationals: slope r s t")
-        theta = circle_from_slope(params[0])
-        model = flat_a_param(theta, params[1], params[2], params[3])
-    elif name in ("U1", "U2", "U3", "U1_closure"):
-        model = flat_b_param(name, params)
-    elif name in ("V1", "V2"):
-        model = alt_b_param(name, params)
-    elif name == "rank1_chart":
-        if len(params) != 4:
-            raise _UsageError("rank1_chart takes four rationals: p q u v")
-        model = rank1_chart_forward(*params)
-    else:
-        raise _UsageError(f"unknown family or catalog id {name!r}")
-    _emit(serialize_model(model))
+    entry = CATALOG.get(args.family) or COEFF_FAMILIES.get(args.family)
+    if entry is None:
+        raise _UsageError(f"unknown family or catalog id {args.family!r}")
+    _emit(serialize_model(entry.model(params)))
     return 0
 
 
-_FAMILY_PARAM_NAMES = {
-    "U1": ["r", "s"],
-    "U2": ["u", "v"],
-    "U3": ["u", "v"],
-    "U1_closure": ["t", "w"],
-    "V1": ["r", "s", "t"],
-    "V2": ["u", "v", "w"],
-    "rank1_chart": ["p", "q", "u", "v"],
-}
-
-
 def _cmd_catalog(_args) -> int:
-    families = [
-        {"id": "flat_a", "type": "A", "arity": 4, "params": ["slope", "r", "s", "t"], "constraints": "(r, s, t) != 0"},
-    ]
-    for name, (arity, _fn) in COEFF_FAMILIES.items():
-        families.append(
-            {
-                "id": name,
-                "type": "A" if name == "rank1_chart" else "B",
-                "arity": arity,
-                "params": _FAMILY_PARAM_NAMES[name],
-                "constraints": "leading parameter != 0" if name in ("V1", "V2") else "",
-            }
-        )
     _emit(
         {
             "catalog": [entry.describe() for entry in CATALOG.values()],
-            "parametrizations": families,
+            "parametrizations": [entry.describe() for entry in COEFF_FAMILIES.values()],
         }
     )
     return 0

@@ -171,10 +171,6 @@ def mat2_from_cols(col0, col1) -> Mat2:
     return Mat2(((col0[0], col1[0]), (col0[1], col1[1])))
 
 
-def mat2_from_rows(row0, row1) -> Mat2:
-    return Mat2(((row0[0], row0[1]), (row1[0], row1[1])))
-
-
 # ---------------------------------------------------------------------------
 # Rational circle points
 
@@ -208,8 +204,6 @@ class CirclePoint:
         """The rotation (x1, x2) -> (c*x1 + s*x2, -s*x1 + c*x2)."""
         return Mat2(((self.c, self.s), (-self.s, self.c)))
 
-
-CIRCLE_ONE = CirclePoint(ONE, ZERO)
 
 #: The point (-1, 0); not reachable through :func:`circle_from_slope`.
 CIRCLE_ANTIPODE = CirclePoint(-ONE, ZERO)

@@ -1,5 +1,6 @@
 """Coordinate-change actions on the two model families and the solvers built
-on them: infinitesimal orbit dimension, isotropy groups, and linear
+on them: infinitesimal orbit dimension, the rank-one frame, matching to the
+canonical flat orbits and rank-one families, isotropy groups, and linear
 equivalence with exact witnesses.
 
 Type A models are acted on by all invertible linear maps; Type B models only
@@ -18,7 +19,9 @@ compared.  The rank-one frame is written in closed form, its inverse is read
 off its adjugate, and the reduced rank-one case analysis runs on the cleared
 numerators of the reduced models.  The orbit dimension is the rank of the
 infinitesimal action at the identity, written out in closed form rather than
-differentiated through the law.
+differentiated through the law.  The orbit matchers check each candidate
+witness against catalog coefficients read once from the family registry in
+:mod:`affinestrata.models`.
 """
 
 from __future__ import annotations
@@ -37,11 +40,14 @@ from .exact import (
     mat2_from_cols,
     mat_rank,
     primitive_covector,
+    solve_linear,
     sqrt_rational,
 )
 from .curvature import (
     Curvature,
     Ricci2,
+    binary_cubic,
+    coefficient_rank,
     curvature_of,
     gamma_coeffs,
     gamma_pair,
@@ -50,12 +56,20 @@ from .curvature import (
     ricci_type_a,
     stratum_flags,
 )
-from .models import Model, TypeAModel, TypeBModel
+from .models import CATALOG, TypeAModel, TypeBModel
 from . import polys
 
 
 class UndecidedError(Exception):
     """An operation declined to answer; carries the honest reason."""
+
+
+class NotFlatError(ValueError):
+    """The operation requires a flat model."""
+
+
+class UnmatchedOrbitError(ValueError):
+    """No canonical-orbit matcher produced a verified witness."""
 
 
 @dataclass(frozen=True)
@@ -189,12 +203,6 @@ def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
 def pullback_type_b(m: TypeBModel, phi: ShearMap) -> TypeBModel:
     """Shear reparametrization; preserves the 1/x1 coefficient profile."""
     return TypeBModel(*transform_coeffs(m.coeffs, phi.matrix.rows))
-
-
-def pullback(m: Model, transform):
-    if m.kind == "A":
-        return pullback_type_a(m, transform)
-    return pullback_type_b(m, transform)
 
 
 #: (k, i, j) of G^k_ij for each coefficient slot a, b, c, d, e, f
@@ -375,6 +383,344 @@ def _solve_reduced_pair(n1: TypeAModel, n2: TypeAModel):
     if not mats:
         return ("not_equivalent", [], "triangular system has no invertible solution")
     return ("equivalent", mats, None)
+
+
+# ---------------------------------------------------------------------------
+# Flat Type A orbit matching
+#
+# Soundness is absolute: a claimed witness is always re-verified by exact
+# pullback of the canonical model.  Screening uses cheap orbit invariants
+# (the rank of the coefficient matrix, the trace covector, and the binary
+# cubic's root pattern where needed); each orbit then has a structured
+# recovery of the witness.
+
+
+def _probe_gammas(g):
+    """G(u, u) at the probe vectors u = e1, e2, e1 + e2, read off a
+    coefficient tuple."""
+    a, b, c, d, e, f = g
+    return ((a, b), (e, f), (a + 2 * c + e, b + 2 * d + f))
+
+
+def _flat_rows(g, o1, o2):
+    """2 G(e_i, e_j) - e_i omega_j - omega_i e_j for the basis pairs
+    (e1, e1), (e1, e2), (e2, e2), one row each, from the coefficient tuple
+    ``g`` and its trace form ``(o1, o2)``."""
+    a, b, c, d, e, f = g
+    return [[2 * (a - o1), 2 * b], [2 * c - o2, 2 * d - o1], [2 * e, 2 * (f - o2)]]
+
+
+#: the coefficients of the canonical flat models, computed once
+_FLAT_ORBITS = {
+    orbit_id: CATALOG[orbit_id].model().coeffs for orbit_id in ("M1_0", "M2_0", "M3_0", "M4_0", "M5_0")
+}
+
+
+def _verify_orbit(orbit_id: str, t: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
+    if t.det() == 0:
+        return None
+    if carries(_FLAT_ORBITS[orbit_id], t.rows, m.coeffs):
+        return (orbit_id, LinearMap2(t))
+    return None
+
+
+def _verify_frame(orbit_id: str, s: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
+    """:func:`_verify_orbit` for the witness T = S^-1, checked as
+    pullback(m, S) = canonical, so S is inverted only when it is a witness."""
+    if s.det() == 0:
+        return None
+    if carries(m.coeffs, s.rows, _FLAT_ORBITS[orbit_id]):
+        return (orbit_id, LinearMap2(s.inverse()))
+    return None
+
+
+# The matchers below work on the cleared numerators: G = g / L and the trace
+# form omega = o / L with integer g, o, so every equation is built on integers
+# and a Fraction appears only where a witness entry or a root is read off.
+
+
+def _match_m1(m: TypeAModel):
+    # orbit structure: G(u, v) = l(u) v + l(v) u - l(u) l(v) w with l(w) = 1;
+    # the trace covector recovers 2l = o / L.  Probing with u = e1 (or e2
+    # when l(e1) = 0) gives w = 4 L (o(u) u - g(u, u)) / o(u)^2.
+    g, L = clear_denominators(m.coeffs)
+    a, b, _, _, e, f = g
+    o1, o2 = g[0] + g[3], g[2] + g[5]
+    if o1 == 0 and o2 == 0:
+        return None
+    if o1 != 0:
+        ou, w1, w2 = o1, 4 * L * (o1 - a), -4 * L * b
+    else:
+        ou, w1, w2 = o2, -4 * L * e, 4 * L * (o2 - f)
+    den = ou * ou
+    if o1 * w1 + o2 * w2 != 2 * L * den:  # l(w) = 1
+        return None
+    t = Mat2(((Fraction(w1, den), Fraction(-o2, 2 * L)), (Fraction(w2, den), Fraction(o1, 2 * L))))
+    return _verify_orbit("M1_0", t, m)
+
+
+def _match_m2(m: TypeAModel):
+    # rows of S = (sigma, sigma + omega) with sigma(G(u,v)) = -sigma(u)sigma(v);
+    # eliminating the square leaves a linear system for sigma, one equation
+    # per basis pair (e_i, e_j); for sigma = y / L it has integer rows
+    g, L = clear_denominators(m.coeffs)
+    a, b, c, d, e, f = g
+    o1, o2 = a + d, c + f
+    rhs = [o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f)]
+    solved = solve_linear(_flat_rows(g, o1, o2), rhs)
+    if solved is None:
+        return None
+    y, kernel = solved
+    (y1, y2), dy = clear_denominators(y)
+    candidates = []  # (n, q): sigma = n / (L q)
+    if not kernel:
+        candidates.append(((y1, y2), dy))
+    elif len(kernel) == 1:
+        # y = (Y + w K) / dy along the kernel line K / dk; w = (dk / dy) z
+        # keeps the orientation of the original parameter z, so the roots
+        # come in the same order
+        (k1, k2), _ = clear_denominators(kernel[0])
+        y3, k3 = y1 + y2, k1 + k2
+        for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), _probe_gammas(g)):
+            if ku == 0:
+                continue
+            # sigma(G(u,u)) + sigma(u)^2 = 0 pins the free parameter
+            qa = ku * ku
+            qb = 2 * yu * ku + dy * (k1 * gu[0] + k2 * gu[1])
+            qc = dy * (y1 * gu[0] + y2 * gu[1]) + yu * yu
+            disc = qb * qb - 4 * qa * qc
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root == disc:
+                wd = 2 * qa
+                for wn in ((-qb + root, -qb - root) if root else (-qb,)):
+                    candidates.append(((wd * y1 + wn * k1, wd * y2 + wn * k2), dy * wd))
+            break
+    for (n1, n2), q in candidates:
+        den = L * q
+        s = Mat2(((Fraction(n1, den), Fraction(n2, den)), (Fraction(n1 + o1 * q, den), Fraction(n2 + o2 * q, den))))
+        found = _verify_frame("M2_0", s, m)
+        if found:
+            return found
+    return None
+
+
+def _match_m5(m: TypeAModel):
+    # complex-multiplication structure: sigma1 = omega/2, sigma2 solves a
+    # homogeneous linear system, with the scale pinned by one quadratic; the
+    # system is 1 / (2L) times the integer rows of the M2 matcher
+    g, L = clear_denominators(m.coeffs)
+    o1, o2 = g[0] + g[3], g[2] + g[5]
+    if o1 == 0 and o2 == 0:
+        return None
+    solved = solve_linear(_flat_rows(g, o1, o2), [0, 0, 0])
+    if solved is None:
+        return None
+    _, kernel = solved
+    if len(kernel) != 1:
+        return None
+    (k1, k2), _ = clear_denominators(kernel[0])
+    for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), _probe_gammas(g)):
+        if ku == 0:
+            continue
+        # sigma2 = scale * kernel, scale^2 = (sigma1(u)^2 - sigma1(G(u, u))) / kernel(u)^2;
+        # on the cleared kernel K / dk that is (o(u)^2 - 2 o(g(u, u))) (dk / (2 L ku))^2
+        square = ou * ou - 2 * (o1 * gu[0] + o2 * gu[1])
+        root = math.isqrt(square) if square > 0 else 0
+        if root * root != square or root == 0:
+            return None
+        den = 2 * L * abs(ku)
+        top = (Fraction(o1 * abs(ku), den), Fraction(o2 * abs(ku), den))
+        for r in (root, -root):
+            s = Mat2((top, (Fraction(r * k1, den), Fraction(r * k2, den))))
+            found = _verify_frame("M5_0", s, m)
+            if found:
+                return found
+        return None
+    return None
+
+
+def _match_tensor_line(m: TypeAModel):
+    # coefficient matrix of rank one: G = q (x) z with q = kappa l (x) l;
+    # the pairing l(z) separates the two orbits.  On the cleared numerators
+    # G = g / L every pair (g^1_ij, g^2_ij) is an integer multiple Q_ij of
+    # the primitive z_hat, so q = Q / L.
+    g, L = clear_denominators(m.coeffs)
+    pairs = [(g[0], g[1]), (g[2], g[3]), (g[4], g[5])]
+    base = next(p for p in pairs if p != (0, 0))
+    z0, z1 = primitive_covector(base)
+    idx = 0 if z0 != 0 else 1
+    q = []
+    for p in pairs:
+        if p[0] * z1 != p[1] * z0:
+            return None
+        q.append(p[idx] // (z0, z1)[idx])
+    q11, q12, q22 = q
+    if q11 * q22 != q12 * q12:
+        return None
+    # kappa = kn / kd
+    if q11 != 0:
+        l0, l1 = primitive_covector((q11, q12))
+        kn, kd = q11, L * l0 * l0
+    elif q22 != 0:
+        l0, l1 = primitive_covector((q12, q22))
+        kn, kd = q22, L * l1 * l1
+    else:
+        return None
+    pairing = l0 * z0 + l1 * z1
+    if pairing != 0:
+        # ell = kappa l(z) l_hat and z = z_hat / (kappa l(z)^2)
+        zd = kn * pairing * pairing
+        t = Mat2((
+            (Fraction(-kn * pairing * l1, kd), Fraction(kd * z0, zd)),
+            (Fraction(kn * pairing * l0, kd), Fraction(kd * z1, zd)),
+        ))
+        return _verify_orbit("M3_0", t, m)
+    # pairing zero: the triple-root orbit; z_hat^perp = c0 l_hat spans one
+    # line with l_hat; z = kappa z_hat and y = det * z^perp / |z|^2 with
+    # det = kappa c0
+    perp = (-z1, z0)
+    cn, cd = (perp[0], l0) if l0 != 0 else (perp[1], l1)
+    if cn * l0 != perp[0] * cd or cn * l1 != perp[1] * cd:
+        return None
+    yd = cd * (z0 * z0 + z1 * z1)
+    t = Mat2((
+        (Fraction(kn * z0, kd), Fraction(-z1 * cn, yd)),
+        (Fraction(kn * z1, kd), Fraction(z0 * cn, yd)),
+    ))
+    return _verify_orbit("M4_0", t, m)
+
+
+_PATTERN_ORBIT_HINT = {
+    "three_simple": "M2_0",
+    "one_real": "M5_0",
+    "double_simple": "M1_0",
+    "triple": "M4_0",
+}
+
+
+def _rank2_matchers(m: TypeAModel):
+    """The three matchers for a flat model of coefficient rank two, the one
+    for its orbit first.
+
+    The binary cubic det(x, G(x, x)) has three distinct real root directions
+    on M2_0, one on M5_0 and a repeated one on M1_0, and the sign of its
+    discriminant is an orbit invariant.  At most one matcher can succeed, so
+    the order changes no answer, only how many matchers a model pays for.
+    """
+    (k3, k2, k1, k0), _ = clear_denominators(binary_cubic(m))
+    disc = (
+        k2 * k2 * k1 * k1 - 4 * k3 * k1 ** 3 - 4 * k2 ** 3 * k0
+        - 27 * k3 * k3 * k0 * k0 + 18 * k3 * k2 * k1 * k0
+    )
+    if disc > 0:
+        return (_match_m2, _match_m1, _match_m5)
+    if disc < 0:
+        return (_match_m5, _match_m1, _match_m2)
+    return (_match_m1, _match_m2, _match_m5)
+
+
+def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
+    """Canonical flat orbit id plus an exactly verified witness T with
+    pullback(canonical, T) = m.
+
+    Matching is sound (every witness re-verified) and complete on models
+    generated from the canonical forms by rational maps.  A rational flat
+    model can sit in a canonical orbit without any rational witness (its
+    invariant root directions may be irrational); such models raise
+    UnmatchedOrbitError carrying the real-orbit screening verdict.
+    """
+    if not ricci_type_a(m).is_zero():
+        raise NotFlatError("orbit matching requires a flat model")
+    return _match_flat_a_orbit(m)
+
+
+def _match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
+    """:func:`match_flat_a_orbit` of a flat model."""
+    if m.is_zero():
+        return ("M0_0", LinearMap2.identity())
+    if coefficient_rank(m) == 1:
+        found = _match_tensor_line(m)
+        if found:
+            return found
+    else:
+        for solver in _rank2_matchers(m):
+            found = solver(m)
+            if found:
+                return found
+    pattern = polys.binary_cubic_pattern(binary_cubic(m))
+    hint = _PATTERN_ORBIT_HINT.get(pattern)
+    detail = (
+        f"screening (cubic root pattern {pattern!r}) places it in the real orbit "
+        f"of {hint}, but no rational witness exists"
+        if hint
+        else f"cubic root pattern is {pattern!r}"
+    )
+    raise UnmatchedOrbitError(f"no rational witness to a canonical flat model; {detail}")
+
+
+# ---------------------------------------------------------------------------
+# Rank-one family matching
+
+
+def match_rank1_family(m: TypeAModel) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
+    """Canonical rank-one family, recovered parameters, and a verified witness.
+
+    Cross-parameter identifications inside the families are resolved to a
+    canonical representative (see the triangular-solver invariants); the
+    family id itself is an exact orbit invariant.
+    """
+    frame, n = rank1_frame(m)  # raises for non-rank-one input
+    return _match_rank1_reduced(m, frame, n)
+
+
+def _match_rank1_reduced(
+    m: TypeAModel, frame: LinearMap2, n: TypeAModel
+) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
+    """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
+    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns).
+
+    The family is read off the cleared numerators n = (A, 0, C, 0, E, F) / L
+    with Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does
+    not depend on L, so every test is on integers and only the family
+    parameter is a Fraction.
+    """
+    a, c, e, f, _, r = _reduced_numerators(n)
+    if a != 0:
+        if r > 0 and f * f == 4 * r:  # j = 4
+            family, params = "M1_1", ()
+        elif r > 0 and f * f < 4 * r:  # j < 4
+            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2)
+            p = _root_ratio(f, 4 * r - f * f)
+            family, params = "M5_1", (p,)
+        else:
+            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R)
+            root = _root_ratio(f, f * f - 4 * r)
+            family, params = "M2_1", ((root - 1) / 2,)
+    else:
+        if f != 2 * c:  # k = f / c != 2
+            family, params = "M3_1", (Fraction(c, f - 2 * c),)
+        else:
+            family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
+    target = TypeAModel(*CATALOG[family].build(params))
+    status, mats, note = _solve_reduced_pair(target, n)
+    if status != "equivalent":
+        raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
+    witness = LinearMap2(_product(_frame_inverse(frame), mats[0]))
+    if not carries(target.coeffs, witness.matrix.rows, m.coeffs):
+        raise AssertionError("rank-one family witness failed verification")
+    return family, tuple(params), witness
+
+
+def _root_ratio(f: int, den: int) -> Fraction:
+    """sqrt(f^2 / den) for an integer den > 0; raises UnmatchedOrbitError
+    when it is irrational."""
+    if f == 0:
+        return ZERO
+    s = math.isqrt(den)
+    if s * s != den:
+        raise UnmatchedOrbitError("the family parameter would be irrational")
+    return Fraction(abs(f), s)
+
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +922,6 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
         return IsotropyGroup((), (_gl2_family(),))
     cv = curvature_of(m)
     if cv.flags.is_flat:
-        from .strata import _match_flat_a_orbit
-
         orbit_id, witness = _match_flat_a_orbit(m)
         base = _flat_catalog_isotropy(orbit_id)
         if witness.matrix == Mat2.identity():
@@ -690,8 +1034,6 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
 
 
 def _solve_flat_pair(m1, m2) -> EquivalenceWitnesses:
-    from .strata import UnmatchedOrbitError, _match_flat_a_orbit
-
     try:
         id1, w1 = _match_flat_a_orbit(m1)
         id2, w2 = _match_flat_a_orbit(m2)
@@ -969,11 +1311,12 @@ def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     if witnesses:
         return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
     if saw_irrational or saw_overflow:
+        # a component whose scan overflowed may still hold a rational witness
         return EquivalenceWitnesses(
             "undecided",
-            reason="a real witness parameter exists but is irrational"
-            if saw_irrational
-            else "residual root scan exceeded its bound",
+            reason="residual root scan exceeded its bound"
+            if saw_overflow
+            else "a real witness parameter exists but is irrational",
         )
     return EquivalenceWitnesses(
         "not_equivalent",

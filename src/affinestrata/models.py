@@ -1,5 +1,5 @@
-"""Model types for the two coefficient families, the canonical catalogs,
-and JSON serialization.
+"""Model types for the two coefficient families, the canonical catalog,
+the family record type behind every registry, and JSON serialization.
 
 A Type A model has constant connection coefficients; a Type B model has
 coefficients scaled by 1/x^1 on the half-plane x^1 > 0.  Both are recorded
@@ -26,21 +26,14 @@ class CatalogError(ValueError):
     """Unknown catalog id, wrong arity, or violated parameter constraint."""
 
 
-def _exact_coeffs(m) -> None:
-    """Store ints (and rational strings) as Fractions, so that the solvers
-    never divide ints into floats; floats raise TypeError as in
-    :func:`rational`.  A model of Fractions is left as it is."""
-    if (
-        type(m.a) is Fraction and type(m.b) is Fraction and type(m.c) is Fraction
-        and type(m.d) is Fraction and type(m.e) is Fraction and type(m.f) is Fraction
-    ):
-        return
-    for name in ("a", "b", "c", "d", "e", "f"):
-        object.__setattr__(m, name, rational(getattr(m, name)))
-
-
 @dataclass(frozen=True)
-class TypeAModel:
+class _Coefficients:
+    """The body both model types share.  Ints (and rational strings) are
+    stored as Fractions, so that the solvers never divide ints into floats;
+    floats raise TypeError as in :func:`rational`.  Each subclass sets its
+    ``kind`` and the ``letter`` of its repr; dataclass equality compares the
+    class too, so a Type A and a Type B model never compare equal."""
+
     a: Fraction
     b: Fraction
     c: Fraction
@@ -48,48 +41,39 @@ class TypeAModel:
     e: Fraction
     f: Fraction
 
+    def __post_init__(self):
+        if (
+            type(self.a) is Fraction and type(self.b) is Fraction and type(self.c) is Fraction
+            and type(self.d) is Fraction and type(self.e) is Fraction and type(self.f) is Fraction
+        ):
+            return
+        for name in ("a", "b", "c", "d", "e", "f"):
+            object.__setattr__(self, name, rational(getattr(self, name)))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return (self.a, self.b, self.c, self.d, self.e, self.f)
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.coeffs)
+
+    def __repr__(self):
+        return "%s(%s)" % (self.letter, ", ".join(rational_str(x) for x in self.coeffs))
+
+
+class TypeAModel(_Coefficients):
     kind = "A"
-
-    def __post_init__(self):
-        _exact_coeffs(self)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def __repr__(self):
-        return "M(%s)" % ", ".join(rational_str(x) for x in self.coeffs)
+    letter = "M"
 
 
-@dataclass(frozen=True)
-class TypeBModel:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-
+class TypeBModel(_Coefficients):
     kind = "B"
-
-    def __post_init__(self):
-        _exact_coeffs(self)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def __repr__(self):
-        return "N(%s)" % ", ".join(rational_str(x) for x in self.coeffs)
+    letter = "N"
 
 
 Model = Union[TypeAModel, TypeBModel]
+
+_MODEL_TYPES = {"A": TypeAModel, "B": TypeBModel}
 
 
 def type_a(*coeffs) -> TypeAModel:
@@ -132,6 +116,8 @@ def parse_model(text) -> Model:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelParseError(f"malformed JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past int()'s digit limit
+            raise ModelParseError("a JSON integer coefficient is too long to be a rational literal") from exc
     else:
         doc = text
     if not isinstance(doc, dict):
@@ -152,25 +138,33 @@ def parse_model(text) -> Model:
             values.append(rational(item))
         except ValueError as exc:
             raise ModelParseError(str(exc)) from exc
-    cls = TypeAModel if kind == "A" else TypeBModel
-    return cls(*values)
+    return _MODEL_TYPES[kind](*values)
 
 
 # ---------------------------------------------------------------------------
-# Canonical-model catalog
+# Family records and the canonical-model catalog
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One canonical family: stable id, arity, constructor and constraints."""
+    """One family of models: stable id, model type, parameters, coefficient
+    map and constraints.  The catalog and the stratum parametrizations are
+    both tables of these records.
+
+    ``build`` maps a parameter sequence to the six coefficients with ring
+    operations only, so it evaluates on exact rationals and on jets alike.
+    ``check`` returns a violation message or None.  ``aliases`` are further
+    names the library (not the command line) accepts for the family.
+    """
 
     entry_id: str
     model_type: str
     arity: int
     param_names: tuple[str, ...]
     constraints: str
-    build: Callable[..., Model]
-    check: Callable[..., str | None]  # returns a violation message or None
+    build: Callable[[Sequence], tuple]
+    check: Callable[..., str | None]
+    aliases: tuple[str, ...] = ()
 
     def describe(self) -> dict:
         return {
@@ -180,6 +174,19 @@ class CatalogEntry:
             "params": list(self.param_names),
             "constraints": self.constraints,
         }
+
+    def model(self, params: Sequence = ()) -> Model:
+        """The exact model at ``params``; raises CatalogError on a wrong
+        arity or a violated constraint."""
+        values = [rational(p) for p in params]
+        if len(values) != self.arity:
+            raise CatalogError(
+                f"{self.entry_id} takes {self.arity} parameter(s), got {len(values)}"
+            )
+        violation = self.check(*values)
+        if violation is not None:
+            raise CatalogError(f"{self.entry_id}: {violation}")
+        return _MODEL_TYPES[self.model_type](*self.build(values))
 
 
 def _no_constraint(*_params):
@@ -204,56 +211,61 @@ def _positive(c):
     return None
 
 
-def _entry(entry_id, model_type, params, constraints, build, check=_no_constraint):
-    return CatalogEntry(entry_id, model_type, len(params), tuple(params), constraints, build, check)
+def catalog_entry(
+    entry_id, model_type, params, constraints, build, check=_no_constraint, aliases=()
+) -> CatalogEntry:
+    """A :class:`CatalogEntry` with its arity read off ``params``."""
+    return CatalogEntry(
+        entry_id, model_type, len(params), tuple(params), constraints, build, check, tuple(aliases)
+    )
 
 
 CATALOG: dict[str, CatalogEntry] = {
     e.entry_id: e
     for e in [
         # flat Type A orbit representatives
-        _entry("M0_0", "A", (), "", lambda: type_a(0, 0, 0, 0, 0, 0)),
-        _entry("M1_0", "A", (), "", lambda: type_a(1, 0, 0, 1, 0, 0)),
-        _entry("M2_0", "A", (), "", lambda: type_a(-1, 0, 0, 0, 0, 1)),
-        _entry("M3_0", "A", (), "", lambda: type_a(0, 0, 0, 0, 0, 1)),
-        _entry("M4_0", "A", (), "", lambda: type_a(0, 0, 0, 0, 1, 0)),
-        _entry("M5_0", "A", (), "", lambda: type_a(1, 0, 0, 1, -1, 0)),
+        catalog_entry("M0_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
+        catalog_entry("M1_0", "A", (), "", lambda p: (1, 0, 0, 1, 0, 0)),
+        catalog_entry("M2_0", "A", (), "", lambda p: (-1, 0, 0, 0, 0, 1)),
+        catalog_entry("M3_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 1)),
+        catalog_entry("M4_0", "A", (), "", lambda p: (0, 0, 0, 0, 1, 0)),
+        catalog_entry("M5_0", "A", (), "", lambda p: (1, 0, 0, 1, -1, 0)),
         # Type A families with rank-one Ricci tensor
-        _entry("M1_1", "A", (), "", lambda: type_a(-1, 0, 1, 0, 0, 2)),
-        _entry(
+        catalog_entry("M1_1", "A", (), "", lambda p: (-1, 0, 1, 0, 0, 2)),
+        catalog_entry(
             "M2_1", "A", ("c1",), "c1 not in {0, -1}",
-            lambda c1: type_a(-1, 0, c1, 0, 0, 1 + 2 * c1), _c1_not_0_m1,
+            lambda p: (-1, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
         ),
-        _entry(
+        catalog_entry(
             "M3_1", "A", ("c1",), "c1 not in {0, -1}",
-            lambda c1: type_a(0, 0, c1, 0, 0, 1 + 2 * c1), _c1_not_0_m1,
+            lambda p: (0, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
         ),
-        _entry("M4_1", "A", ("c",), "", lambda c: type_a(0, 0, 1, 0, c, 2)),
-        _entry("M5_1", "A", ("c",), "", lambda c: type_a(1, 0, 0, 0, 1 + c * c, 2 * c)),
+        catalog_entry("M4_1", "A", ("c",), "", lambda p: (0, 0, 1, 0, p[0], 2)),
+        catalog_entry("M5_1", "A", ("c",), "", lambda p: (1, 0, 0, 0, 1 + p[0] * p[0], 2 * p[0])),
         # flat Type B orbit representatives
-        _entry("N0_0", "B", (), "", lambda: type_b(0, 0, 0, 0, 0, 0)),
-        _entry("N1_0+", "B", (), "", lambda: type_b(1, 0, 0, 0, 1, 0)),
-        _entry("N1_0-", "B", (), "", lambda: type_b(1, 0, 0, 0, -1, 0)),
-        _entry(
+        catalog_entry("N0_0", "B", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
+        catalog_entry("N1_0+", "B", (), "", lambda p: (1, 0, 0, 0, 1, 0)),
+        catalog_entry("N1_0-", "B", (), "", lambda p: (1, 0, 0, 0, -1, 0)),
+        catalog_entry(
             "N2_0", "B", ("c1",), "c1 != 0",
-            lambda c1: type_b(c1 - 1, 0, 0, c1, 0, 0), _nonzero,
+            lambda p: (p[0] - 1, 0, 0, p[0], 0, 0), _nonzero,
         ),
-        _entry("N3_0", "B", (), "", lambda: type_b(-2, 1, 0, -1, 0, 0)),
-        _entry("N4_0", "B", (), "", lambda: type_b(0, 1, 0, 0, 0, 0)),
-        _entry("N5_0", "B", (), "", lambda: type_b(-1, 0, 0, 0, 0, 0)),
-        _entry(
+        catalog_entry("N3_0", "B", (), "", lambda p: (-2, 1, 0, -1, 0, 0)),
+        catalog_entry("N4_0", "B", (), "", lambda p: (0, 1, 0, 0, 0, 0)),
+        catalog_entry("N5_0", "B", (), "", lambda p: (-1, 0, 0, 0, 0, 0)),
+        catalog_entry(
             "N6_0", "B", ("c2",), "c2 not in {0, -1}",
-            lambda c2: type_b(c2, 0, 0, 0, 0, 0), _c1_not_0_m1,
+            lambda p: (p[0], 0, 0, 0, 0, 0), _c1_not_0_m1,
         ),
         # Type B representatives with alternating Ricci tensor
-        _entry("N1_alt", "B", ("c",), "", lambda c: type_b(0, c, 1, 0, 0, 1)),
-        _entry(
+        catalog_entry("N1_alt", "B", ("c",), "", lambda p: (0, p[0], 1, 0, 0, 1)),
+        catalog_entry(
             "N2_alt+", "B", ("c",), "c > 0",
-            lambda c: type_b(1 - c * c, c, 0, -c * c, 1, 2 * c), _positive,
+            lambda p: (1 - p[0] * p[0], p[0], 0, -p[0] * p[0], 1, 2 * p[0]), _positive,
         ),
-        _entry(
+        catalog_entry(
             "N2_alt-", "B", ("c",), "c > 0",
-            lambda c: type_b(1 + c * c, c, 0, c * c, -1, -2 * c), _positive,
+            lambda p: (1 + p[0] * p[0], p[0], 0, p[0] * p[0], -1, -2 * p[0]), _positive,
         ),
     ]
 }
@@ -264,12 +276,4 @@ def canonical_model(entry_id: str, params: Sequence = ()) -> Model:
     entry = CATALOG.get(entry_id)
     if entry is None:
         raise CatalogError(f"unknown catalog id {entry_id!r}")
-    values = [rational(p) for p in params]
-    if len(values) != entry.arity:
-        raise CatalogError(
-            f"{entry_id} takes {entry.arity} parameter(s), got {len(values)}"
-        )
-    violation = entry.check(*values)
-    if violation is not None:
-        raise CatalogError(f"{entry_id}: {violation}")
-    return entry.build(*values)
+    return entry.model(params)

@@ -1,8 +1,12 @@
-"""Stratum parametrizations, their exact inversions, coordinate charts,
-canonical-orbit matchers, and transversality certificates.
+"""Stratum parametrizations and their registry, exact inversions, coordinate
+charts, Type B family membership, and transversality certificates.
 
 Conventions:
 
+- Every parametrized family is a :class:`~affinestrata.models.CatalogEntry`
+  in :data:`COEFF_FAMILIES`; its coefficient map is generic over the scalar
+  ring, so the same definition feeds exact evaluation and jet
+  differentiation.
 - The flat Type A stratum is charted by (theta, r, s, t) with theta a
   rational circle point and (r, s, t) != 0; the chart is two-to-one along
   the half-turn (theta, r) ~ (-theta, -r), and coordinates returned by
@@ -12,54 +16,34 @@ Conventions:
   reported for every containing family, with intersection curves labeled.
 - Alternating Type B models fall into two parametrized 3-folds, again with
   all memberships reported.
+
+Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
+reduction and the solvers it shares; ``match_flat_a_orbit``,
+``match_rank1_family`` and their exceptions are also bound here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exact import (
     ONE,
     ZERO,
     CirclePoint,
-    Mat2,
-    clear_denominators,
     jacobian,
-    mat2_from_cols,
     mat_rank,
     primitive_covector,
     rational,
-    solve_linear,
     sqrt_rational,
 )
-from .curvature import (
-    binary_cubic,
-    coefficient_rank,
-    rank1_scale,
-    rank_signature,
-    ricci_type_a,
-    ricci_type_b,
-    split_ricci,
-)
-from .group_action import (
-    LinearMap2,
-    _frame_inverse,
-    _product,
-    _reduced_numerators,
-    _solve_reduced_pair,
-    carries,
-    pullback_type_a,
-    rank1_frame,
-)
-from .models import CatalogError, TypeAModel, TypeBModel, canonical_model
-from .polys import binary_cubic_pattern
+from .curvature import rank1_scale, rank_signature, ricci_type_a, ricci_type_b, split_ricci
+from .group_action import LinearMap2, NotFlatError, pullback_type_a
 
-
-class NotFlatError(ValueError):
-    """The operation requires a flat model."""
+# bound here as well for callers that reach the matchers through this module
+from .group_action import UnmatchedOrbitError, match_flat_a_orbit, match_rank1_family  # noqa: F401
+from .models import CatalogError, TypeAModel, TypeBModel, catalog_entry
 
 
 class ConePointError(ValueError):
@@ -82,10 +66,6 @@ class NonRationalRotationError(ValueError):
 
 class NotInStratumError(ValueError):
     """The model does not lie in the requested stratum."""
-
-
-class UnmatchedOrbitError(ValueError):
-    """No canonical-orbit matcher produced a verified witness."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +97,21 @@ def flat_a_param(theta: CirclePoint, r, s, t) -> TypeAModel:
     parameter triple is rejected because the chart is singular at the cone
     point.
     """
-    r, s, t = rational(r), rational(s), rational(t)
+    return TypeAModel(*_flat_a_coeffs(theta.c, theta.s, rational(r), rational(s), rational(t)))
+
+
+def _flat_a_coeffs(c, sn, r, s, t) -> tuple:
+    """The coefficients of :func:`flat_a_param` at theta = (c, sn), over any
+    scalar ring."""
     if r == 0 and s == 0 and t == 0:
         raise ConePointError("the chart is singular at (r, s, t) = 0")
-    c, sn = theta.c, theta.s
     cos2 = c * c - sn * sn
     sin2 = 2 * c * sn
     p = r * sn * sn * sn + s * sin2 - t * cos2
     q = r * c * sn * sn + s * cos2 + t * sin2
     v = r * c
     w = r * sn
-    return TypeAModel(2 * q, p + t, w, q + s, v, p - t)
+    return (2 * q, p + t, w, q + s, v, p - t)
 
 
 def flat_a_coords(m: TypeAModel) -> FlatAChart:
@@ -224,23 +208,13 @@ class Rank1Chart:
 
 
 def rank1_chart_forward(p, q, u, v) -> TypeAModel:
-    p, q, u, v = (rational(x) for x in (p, q, u, v))
-    return TypeAModel(q + v, ZERO, u + p, ZERO, q - v, 2 * p)
+    return COEFF_FAMILIES["rank1_chart"].model((p, q, u, v))
 
 
 def rank1_chart_inverse(m: TypeAModel) -> Rank1Chart:
     if m.b != 0 or m.d != 0:
         raise ValueError("the chart inverse requires b = d = 0")
     return Rank1Chart(m.f / 2, (m.a + m.e) / 2, m.c - m.f / 2, (m.a - m.e) / 2)
-
-
-def rank1_chart(direction: str, data):
-    """Dispatching form: 'forward' takes (p, q, u, v); 'inverse' takes a model."""
-    if direction == "forward":
-        return rank1_chart_forward(*data)
-    if direction == "inverse":
-        return rank1_chart_inverse(data)
-    raise ValueError(f"unknown chart direction {direction!r}")
 
 
 @dataclass(frozen=True)
@@ -281,10 +255,18 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
 
 
 # ---------------------------------------------------------------------------
-# Type B parametrized families
+# The parametrization registry
 
 # Coefficient maps are generic over the scalar ring so the same definitions
 # feed both exact evaluation and jet differentiation.
+
+
+def _flat_a(params):
+    """The flat chart with theta the circle point of a slope; it raises
+    ConePointError (a domain error, not a constraint) at (r, s, t) = 0."""
+    slope, r, s, t = params
+    den = 1 + slope * slope
+    return _flat_a_coeffs((1 - slope * slope) / den, 2 * slope / den, r, s, t)
 
 
 def _u1(params):
@@ -330,25 +312,46 @@ def _v2(params):
     return (1 - 2 * u * w + vw * w, w * (1 - u * w + vw * w), u - vw, -vw * w, v, u + vw)
 
 
-def _rank1_chart_map(params):
+def _rank1_chart(params):
     p, q, u, v = params
     zero = p - p
     return (q + v, zero, u + p, zero, q - v, 2 * p)
 
 
-COEFF_FAMILIES: dict[str, tuple[int, Callable]] = {
-    "U1": (2, _u1),
-    "U2": (2, _u2),
-    "U3": (2, _u3),
-    "U1_closure": (2, _u1_closure),
-    "V1": (3, _v1),
-    "V2": (3, _v2),
-    "rank1_chart": (4, _rank1_chart_map),
+def _leading_nonzero(lead, *_rest):
+    if lead == 0:
+        return "zero leading parameter lands in the flat stratum"
+    return None
+
+
+COEFF_FAMILIES = {
+    e.entry_id: e
+    for e in [
+        catalog_entry("flat_a", "A", ("slope", "r", "s", "t"), "(r, s, t) != 0", _flat_a),
+        catalog_entry("U1", "B", ("r", "s"), "", _u1, aliases=("1",)),
+        catalog_entry("U2", "B", ("u", "v"), "", _u2, aliases=("2",)),
+        catalog_entry("U3", "B", ("u", "v"), "", _u3, aliases=("3",)),
+        catalog_entry("U1_closure", "B", ("t", "w"), "", _u1_closure, aliases=("closure",)),
+        catalog_entry(
+            "V1", "B", ("r", "s", "t"), "leading parameter != 0", _v1, _leading_nonzero, ("1",)
+        ),
+        catalog_entry(
+            "V2", "B", ("u", "v", "w"), "leading parameter != 0", _v2, _leading_nonzero, ("2",)
+        ),
+        catalog_entry("rank1_chart", "A", ("p", "q", "u", "v"), "", _rank1_chart),
+    ]
 }
 
-_FLAT_B_ALIASES = {"1": "U1", "2": "U2", "3": "U3", "closure": "U1_closure",
-                   "U1": "U1", "U2": "U2", "U3": "U3", "U1_closure": "U1_closure"}
-_ALT_B_ALIASES = {"1": "V1", "2": "V2", "V1": "V1", "V2": "V2"}
+
+def _family_model(family_ids, label: str, family, params: Sequence) -> TypeBModel:
+    """The model of the family among ``family_ids`` that ``family`` names by
+    id or alias."""
+    key = str(family)
+    for entry_id in family_ids:
+        entry = COEFF_FAMILIES[entry_id]
+        if key == entry_id or key in entry.aliases:
+            return entry.model(params)
+    raise CatalogError(f"unknown {label} family {family!r}")
 
 
 def flat_b_param(family, params: Sequence) -> TypeBModel:
@@ -357,29 +360,13 @@ def flat_b_param(family, params: Sequence) -> TypeBModel:
     Family 1 admits r = 0 for the extended surface; the closure chart admits
     any (t, w).
     """
-    key = _FLAT_B_ALIASES.get(str(family))
-    if key is None:
-        raise CatalogError(f"unknown flat family {family!r}")
-    arity, fn = COEFF_FAMILIES[key]
-    values = [rational(p) for p in params]
-    if len(values) != arity:
-        raise CatalogError(f"family {key} takes {arity} parameters")
-    return TypeBModel(*fn(values))
+    return _family_model(("U1", "U2", "U3", "U1_closure"), "flat", family, params)
 
 
 def alt_b_param(family, params: Sequence) -> TypeBModel:
     """One of the two alternating-Ricci 3-folds; the leading parameter is the
     alternating Ricci entry and must be nonzero."""
-    key = _ALT_B_ALIASES.get(str(family))
-    if key is None:
-        raise CatalogError(f"unknown alternating family {family!r}")
-    arity, fn = COEFF_FAMILIES[key]
-    values = [rational(p) for p in params]
-    if len(values) != arity:
-        raise CatalogError(f"family {key} takes {arity} parameters")
-    if values[0] == 0:
-        raise CatalogError("zero leading parameter lands in the flat stratum")
-    return TypeBModel(*fn(values))
+    return _family_model(("V1", "V2"), "alternating", family, params)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +383,10 @@ class FamilyMembership:
 
 
 @dataclass(frozen=True)
-class FlatBClass:
+class TypeBMembership:
+    """Every flat or alternating family containing a Type B model, with the
+    intersection curves or surfaces it lies on."""
+
     members: tuple[FamilyMembership, ...]
     intersections: tuple[str, ...]
 
@@ -407,19 +397,7 @@ class FlatBClass:
         }
 
 
-@dataclass(frozen=True)
-class AltBClass:
-    members: tuple[FamilyMembership, ...]
-    intersections: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "members": [m.to_dict() for m in self.members],
-            "intersections": list(self.intersections),
-        }
-
-
-def classify_flat_b(m: TypeBModel) -> FlatBClass:
+def classify_flat_b(m: TypeBModel) -> TypeBMembership:
     """All flat families containing a flat Type B model, with intersection
     curves flagged.  Raises NotFlatError off the stratum; a flat model that
     matches no family is a broken invariant and raises NotInStratumError.
@@ -429,7 +407,7 @@ def classify_flat_b(m: TypeBModel) -> FlatBClass:
     return _classify_flat_b(m)
 
 
-def _classify_flat_b(m: TypeBModel) -> FlatBClass:
+def _classify_flat_b(m: TypeBModel) -> TypeBMembership:
     """:func:`classify_flat_b` of a flat model."""
     a, b, c, d, e, f = m.coeffs
     members: list[FamilyMembership] = []
@@ -438,7 +416,7 @@ def _classify_flat_b(m: TypeBModel) -> FlatBClass:
         r, s = e, c / e
         if tuple(_u1([r, s])) != m.coeffs:
             raise NotInStratumError("flat model with e != 0 escapes the first family")
-        return FlatBClass((FamilyMembership("B1", (r, s)),), ())
+        return TypeBMembership((FamilyMembership("B1", (r, s)),), ())
     # e = 0 and flatness force c = f = 0 and d (1 + a - d) = 0
     if c != 0 or f != 0 or d * (1 + a - d) != 0:
         raise NotInStratumError("flat model escapes the coordinate families")
@@ -455,10 +433,10 @@ def _classify_flat_b(m: TypeBModel) -> FlatBClass:
         labels.append("B1~&B3")
     if not members:
         raise NotInStratumError("flat model escapes all three families")
-    return FlatBClass(tuple(members), tuple(labels))
+    return TypeBMembership(tuple(members), tuple(labels))
 
 
-def classify_alt_b(m: TypeBModel) -> AltBClass:
+def classify_alt_b(m: TypeBModel) -> TypeBMembership:
     """All alternating families containing the model, with exact parameters.
 
     Membership in the second family uses the recovery u = (c + f)/2, v = e,
@@ -471,7 +449,7 @@ def classify_alt_b(m: TypeBModel) -> AltBClass:
     return _classify_alt_b(m)
 
 
-def _classify_alt_b(m: TypeBModel) -> AltBClass:
+def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
     """:func:`classify_alt_b` of a model with sym = 0 and alt != 0."""
     a, b, c, d, e, f = m.coeffs
     members: list[FamilyMembership] = []
@@ -486,338 +464,7 @@ def _classify_alt_b(m: TypeBModel) -> AltBClass:
     labels = ("D1&D2",) if len(members) == 2 else ()
     if not members:
         raise NotInStratumError("alternating model escapes both families")
-    return AltBClass(tuple(members), labels)
-
-
-# ---------------------------------------------------------------------------
-# Flat Type A orbit matching
-#
-# Soundness is absolute: a claimed witness is always re-verified by exact
-# pullback of the canonical model.  Screening uses cheap orbit invariants
-# (the rank of the coefficient matrix, the trace covector, and the binary
-# cubic's root pattern where needed); each orbit then has a structured
-# recovery of the witness.
-
-
-def _probe_gammas(g):
-    """G(u, u) at the probe vectors u = e1, e2, e1 + e2, read off a
-    coefficient tuple."""
-    a, b, c, d, e, f = g
-    return ((a, b), (e, f), (a + 2 * c + e, b + 2 * d + f))
-
-
-def _flat_rows(g, o1, o2):
-    """2 G(e_i, e_j) - e_i omega_j - omega_i e_j for the basis pairs
-    (e1, e1), (e1, e2), (e2, e2), one row each, from the coefficient tuple
-    ``g`` and its trace form ``(o1, o2)``."""
-    a, b, c, d, e, f = g
-    return [[2 * (a - o1), 2 * b], [2 * c - o2, 2 * d - o1], [2 * e, 2 * (f - o2)]]
-
-
-def _verify_orbit(orbit_id: str, t: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
-    if t.det() == 0:
-        return None
-    if carries(canonical_model(orbit_id).coeffs, t.rows, m.coeffs):
-        return (orbit_id, LinearMap2(t))
-    return None
-
-
-def _verify_frame(orbit_id: str, s: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
-    """:func:`_verify_orbit` for the witness T = S^-1, checked as
-    pullback(m, S) = canonical, so S is inverted only when it is a witness."""
-    if s.det() == 0:
-        return None
-    if carries(m.coeffs, s.rows, canonical_model(orbit_id).coeffs):
-        return (orbit_id, LinearMap2(s.inverse()))
-    return None
-
-
-# The matchers below work on the cleared numerators: G = g / L and the trace
-# form omega = o / L with integer g, o, so every equation is built on integers
-# and a Fraction appears only where a witness entry or a root is read off.
-
-
-def _match_m1(m: TypeAModel):
-    # orbit structure: G(u, v) = l(u) v + l(v) u - l(u) l(v) w with l(w) = 1;
-    # the trace covector recovers 2l = o / L.  Probing with u = e1 (or e2
-    # when l(e1) = 0) gives w = 4 L (o(u) u - g(u, u)) / o(u)^2.
-    g, L = clear_denominators(m.coeffs)
-    a, b, _, _, e, f = g
-    o1, o2 = g[0] + g[3], g[2] + g[5]
-    if o1 == 0 and o2 == 0:
-        return None
-    if o1 != 0:
-        ou, w1, w2 = o1, 4 * L * (o1 - a), -4 * L * b
-    else:
-        ou, w1, w2 = o2, -4 * L * e, 4 * L * (o2 - f)
-    den = ou * ou
-    if o1 * w1 + o2 * w2 != 2 * L * den:  # l(w) = 1
-        return None
-    t = Mat2(((Fraction(w1, den), Fraction(-o2, 2 * L)), (Fraction(w2, den), Fraction(o1, 2 * L))))
-    return _verify_orbit("M1_0", t, m)
-
-
-def _match_m2(m: TypeAModel):
-    # rows of S = (sigma, sigma + omega) with sigma(G(u,v)) = -sigma(u)sigma(v);
-    # eliminating the square leaves a linear system for sigma, one equation
-    # per basis pair (e_i, e_j); for sigma = y / L it has integer rows
-    g, L = clear_denominators(m.coeffs)
-    a, b, c, d, e, f = g
-    o1, o2 = a + d, c + f
-    rhs = [o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f)]
-    solved = solve_linear(_flat_rows(g, o1, o2), rhs)
-    if solved is None:
-        return None
-    y, kernel = solved
-    (y1, y2), dy = clear_denominators(y)
-    candidates = []  # (n, q): sigma = n / (L q)
-    if not kernel:
-        candidates.append(((y1, y2), dy))
-    elif len(kernel) == 1:
-        # y = (Y + w K) / dy along the kernel line K / dk; w = (dk / dy) z
-        # keeps the orientation of the original parameter z, so the roots
-        # come in the same order
-        (k1, k2), _ = clear_denominators(kernel[0])
-        y3, k3 = y1 + y2, k1 + k2
-        for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), _probe_gammas(g)):
-            if ku == 0:
-                continue
-            # sigma(G(u,u)) + sigma(u)^2 = 0 pins the free parameter
-            qa = ku * ku
-            qb = 2 * yu * ku + dy * (k1 * gu[0] + k2 * gu[1])
-            qc = dy * (y1 * gu[0] + y2 * gu[1]) + yu * yu
-            disc = qb * qb - 4 * qa * qc
-            root = math.isqrt(disc) if disc >= 0 else -1
-            if root * root == disc:
-                wd = 2 * qa
-                for wn in ((-qb + root, -qb - root) if root else (-qb,)):
-                    candidates.append(((wd * y1 + wn * k1, wd * y2 + wn * k2), dy * wd))
-            break
-    for (n1, n2), q in candidates:
-        den = L * q
-        s = Mat2(((Fraction(n1, den), Fraction(n2, den)), (Fraction(n1 + o1 * q, den), Fraction(n2 + o2 * q, den))))
-        found = _verify_frame("M2_0", s, m)
-        if found:
-            return found
-    return None
-
-
-def _match_m5(m: TypeAModel):
-    # complex-multiplication structure: sigma1 = omega/2, sigma2 solves a
-    # homogeneous linear system, with the scale pinned by one quadratic; the
-    # system is 1 / (2L) times the integer rows of the M2 matcher
-    g, L = clear_denominators(m.coeffs)
-    o1, o2 = g[0] + g[3], g[2] + g[5]
-    if o1 == 0 and o2 == 0:
-        return None
-    solved = solve_linear(_flat_rows(g, o1, o2), [0, 0, 0])
-    if solved is None:
-        return None
-    _, kernel = solved
-    if len(kernel) != 1:
-        return None
-    (k1, k2), _ = clear_denominators(kernel[0])
-    for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), _probe_gammas(g)):
-        if ku == 0:
-            continue
-        # sigma2 = scale * kernel, scale^2 = (sigma1(u)^2 - sigma1(G(u, u))) / kernel(u)^2;
-        # on the cleared kernel K / dk that is (o(u)^2 - 2 o(g(u, u))) (dk / (2 L ku))^2
-        square = ou * ou - 2 * (o1 * gu[0] + o2 * gu[1])
-        root = math.isqrt(square) if square > 0 else 0
-        if root * root != square or root == 0:
-            return None
-        den = 2 * L * abs(ku)
-        top = (Fraction(o1 * abs(ku), den), Fraction(o2 * abs(ku), den))
-        for r in (root, -root):
-            s = Mat2((top, (Fraction(r * k1, den), Fraction(r * k2, den))))
-            found = _verify_frame("M5_0", s, m)
-            if found:
-                return found
-        return None
-    return None
-
-
-def _match_tensor_line(m: TypeAModel):
-    # coefficient matrix of rank one: G = q (x) z with q = kappa l (x) l;
-    # the pairing l(z) separates the two orbits.  On the cleared numerators
-    # G = g / L every pair (g^1_ij, g^2_ij) is an integer multiple Q_ij of
-    # the primitive z_hat, so q = Q / L.
-    g, L = clear_denominators(m.coeffs)
-    pairs = [(g[0], g[1]), (g[2], g[3]), (g[4], g[5])]
-    base = next(p for p in pairs if p != (0, 0))
-    z0, z1 = primitive_covector(base)
-    idx = 0 if z0 != 0 else 1
-    q = []
-    for p in pairs:
-        if p[0] * z1 != p[1] * z0:
-            return None
-        q.append(p[idx] // (z0, z1)[idx])
-    q11, q12, q22 = q
-    if q11 * q22 != q12 * q12:
-        return None
-    # kappa = kn / kd
-    if q11 != 0:
-        l0, l1 = primitive_covector((q11, q12))
-        kn, kd = q11, L * l0 * l0
-    elif q22 != 0:
-        l0, l1 = primitive_covector((q12, q22))
-        kn, kd = q22, L * l1 * l1
-    else:
-        return None
-    pairing = l0 * z0 + l1 * z1
-    if pairing != 0:
-        # ell = kappa l(z) l_hat and z = z_hat / (kappa l(z)^2)
-        zd = kn * pairing * pairing
-        t = Mat2((
-            (Fraction(-kn * pairing * l1, kd), Fraction(kd * z0, zd)),
-            (Fraction(kn * pairing * l0, kd), Fraction(kd * z1, zd)),
-        ))
-        return _verify_orbit("M3_0", t, m)
-    # pairing zero: the triple-root orbit; z_hat^perp = c0 l_hat spans one
-    # line with l_hat; z = kappa z_hat and y = det * z^perp / |z|^2 with
-    # det = kappa c0
-    perp = (-z1, z0)
-    cn, cd = (perp[0], l0) if l0 != 0 else (perp[1], l1)
-    if cn * l0 != perp[0] * cd or cn * l1 != perp[1] * cd:
-        return None
-    yd = cd * (z0 * z0 + z1 * z1)
-    t = Mat2((
-        (Fraction(kn * z0, kd), Fraction(-z1 * cn, yd)),
-        (Fraction(kn * z1, kd), Fraction(z0 * cn, yd)),
-    ))
-    return _verify_orbit("M4_0", t, m)
-
-
-_PATTERN_ORBIT_HINT = {
-    "three_simple": "M2_0",
-    "one_real": "M5_0",
-    "double_simple": "M1_0",
-    "triple": "M4_0",
-}
-
-
-def _rank2_matchers(m: TypeAModel):
-    """The three matchers for a flat model of coefficient rank two, the one
-    for its orbit first.
-
-    The binary cubic det(x, G(x, x)) has three distinct real root directions
-    on M2_0, one on M5_0 and a repeated one on M1_0, and the sign of its
-    discriminant is an orbit invariant.  At most one matcher can succeed, so
-    the order changes no answer, only how many matchers a model pays for.
-    """
-    (k3, k2, k1, k0), _ = clear_denominators(binary_cubic(m))
-    disc = (
-        k2 * k2 * k1 * k1 - 4 * k3 * k1 ** 3 - 4 * k2 ** 3 * k0
-        - 27 * k3 * k3 * k0 * k0 + 18 * k3 * k2 * k1 * k0
-    )
-    if disc > 0:
-        return (_match_m2, _match_m1, _match_m5)
-    if disc < 0:
-        return (_match_m5, _match_m1, _match_m2)
-    return (_match_m1, _match_m2, _match_m5)
-
-
-def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
-    """Canonical flat orbit id plus an exactly verified witness T with
-    pullback(canonical, T) = m.
-
-    Matching is sound (every witness re-verified) and complete on models
-    generated from the canonical forms by rational maps.  A rational flat
-    model can sit in a canonical orbit without any rational witness (its
-    invariant root directions may be irrational); such models raise
-    UnmatchedOrbitError carrying the real-orbit screening verdict.
-    """
-    if not ricci_type_a(m).is_zero():
-        raise NotFlatError("orbit matching requires a flat model")
-    return _match_flat_a_orbit(m)
-
-
-def _match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
-    """:func:`match_flat_a_orbit` of a flat model."""
-    if m.is_zero():
-        return ("M0_0", LinearMap2.identity())
-    if coefficient_rank(m) == 1:
-        found = _match_tensor_line(m)
-        if found:
-            return found
-    else:
-        for solver in _rank2_matchers(m):
-            found = solver(m)
-            if found:
-                return found
-    pattern = binary_cubic_pattern(binary_cubic(m))
-    hint = _PATTERN_ORBIT_HINT.get(pattern)
-    detail = (
-        f"screening (cubic root pattern {pattern!r}) places it in the real orbit "
-        f"of {hint}, but no rational witness exists"
-        if hint
-        else f"cubic root pattern is {pattern!r}"
-    )
-    raise UnmatchedOrbitError(f"no rational witness to a canonical flat model; {detail}")
-
-
-# ---------------------------------------------------------------------------
-# Rank-one family matching
-
-
-def match_rank1_family(m: TypeAModel) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
-    """Canonical rank-one family, recovered parameters, and a verified witness.
-
-    Cross-parameter identifications inside the families are resolved to a
-    canonical representative (see the triangular-solver invariants); the
-    family id itself is an exact orbit invariant.
-    """
-    frame, n = rank1_frame(m)  # raises for non-rank-one input
-    return _match_rank1_reduced(m, frame, n)
-
-
-def _match_rank1_reduced(
-    m: TypeAModel, frame: LinearMap2, n: TypeAModel
-) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
-    """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
-    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns).
-
-    The family is read off the cleared numerators n = (A, 0, C, 0, E, F) / L
-    with Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does
-    not depend on L, so every test is on integers and only the family
-    parameter is a Fraction.
-    """
-    a, c, e, f, _, r = _reduced_numerators(n)
-    if a != 0:
-        if r > 0 and f * f == 4 * r:  # j = 4
-            family, params = "M1_1", ()
-        elif r > 0 and f * f < 4 * r:  # j < 4
-            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2)
-            p = _root_ratio(f, 4 * r - f * f)
-            family, params = "M5_1", (p,)
-        else:
-            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R)
-            root = _root_ratio(f, f * f - 4 * r)
-            family, params = "M2_1", ((root - 1) / 2,)
-    else:
-        if f != 2 * c:  # k = f / c != 2
-            family, params = "M3_1", (Fraction(c, f - 2 * c),)
-        else:
-            family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
-    target = canonical_model(family, params)
-    status, mats, note = _solve_reduced_pair(target, n)
-    if status != "equivalent":
-        raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
-    witness = LinearMap2(_product(_frame_inverse(frame), mats[0]))
-    if not carries(target.coeffs, witness.matrix.rows, m.coeffs):
-        raise AssertionError("rank-one family witness failed verification")
-    return family, tuple(params), witness
-
-
-def _root_ratio(f: int, den: int) -> Fraction:
-    """sqrt(f^2 / den) for an integer den > 0; raises UnmatchedOrbitError
-    when it is irrational."""
-    if f == 0:
-        return ZERO
-    s = math.isqrt(den)
-    if s * s != den:
-        raise UnmatchedOrbitError("the family parameter would be irrational")
-    return Fraction(abs(f), s)
+    return TypeBMembership(tuple(members), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +482,14 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
     images = []
     jacobians = []
     for family, params in family_points:
-        key = str(family)
-        if key not in COEFF_FAMILIES:
+        entry = COEFF_FAMILIES.get(str(family))
+        if entry is None:
             raise CatalogError(f"unknown parametrized family {family!r}")
-        arity, fn = COEFF_FAMILIES[key]
         values = [rational(p) for p in params]
-        if len(values) != arity:
-            raise CatalogError(f"family {key} takes {arity} parameters")
-        images.append(tuple(fn(values)))
-        jacobians.append(jacobian(fn, values, arity=arity))
+        if len(values) != entry.arity:
+            raise CatalogError(f"family {entry.entry_id} takes {entry.arity} parameters")
+        images.append(tuple(entry.build(values)))
+        jacobians.append(jacobian(entry.build, values, arity=entry.arity))
     if any(img != images[0] for img in images[1:]):
         raise ValueError("the chart points map to different models")
     rows = []

@@ -6,6 +6,8 @@ import pytest
 
 from affinestrata import cli
 from affinestrata.cli import run_cli
+from affinestrata.models import CATALOG
+from affinestrata.strata import COEFF_FAMILIES
 
 
 def run(args):
@@ -126,6 +128,38 @@ def test_literals_outside_the_grammar_are_usage_errors(literal):
         doc = json.loads(err)
         assert doc["error"] == "usage" and "not a rational literal" in doc["detail"]
         assert "int_max_str_digits" not in doc["detail"]
+
+
+def test_long_json_integer_is_a_usage_error():
+    """A coefficient past int()'s digit limit is a usage error whether it is
+    written as a JSON integer or as a string, with no interpreter hint."""
+    digits = "9" * 5000
+    for coeff in (digits, json.dumps(digits)):
+        model = '{"type":"A","coeffs":[%s,0,0,0,0,0]}' % coeff
+        code, out, err = run(["classify", model])
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert "int_max_str_digits" not in doc["detail"]
+
+
+def test_param_and_catalog_read_the_registry():
+    """Every catalog and parametrization id builds a model of its entry's
+    type, `catalog` lists each id once, and the library-only aliases stay
+    unknown to the command line."""
+    for entry in [*CATALOG.values(), *COEFF_FAMILIES.values()]:
+        code, out, err = run(["param", entry.entry_id, *["2"] * entry.arity])
+        assert code == 0, (entry.entry_id, err)
+        assert json.loads(out)["type"] == entry.model_type
+    code, out, _ = run(["catalog"])
+    doc = json.loads(out)
+    listed = [e["id"] for e in doc["catalog"] + doc["parametrizations"]]
+    assert sorted(listed) == sorted([*CATALOG, *COEFF_FAMILIES])
+    assert len(set(listed)) == len(listed)
+    for args in (["param", "1", "2", "3"], ["param", "closure", "0", "1"]):
+        code, out, err = run(args)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
 
 
 def test_catalog_command():

@@ -189,6 +189,7 @@ COUNTED = (
     "group_action.rank1_frame",
     "group_action._rank1_frame",
     "group_action.transform_coeffs",
+    "models.canonical_model",
 )
 
 
@@ -255,6 +256,19 @@ def test_solve_equivalence_a_computes_curvature_once(counts):
             assert counts["group_action.transform_coeffs"] == 0, (m1, m2, counts)
     assert set(statuses) == {"equivalent", "not_equivalent", "undecided"}
     assert rank1_pulls[2] > 0
+
+
+def test_matchers_build_no_catalog_model(counts):
+    """The orbit matchers check witnesses against catalog coefficients read
+    once from the registry, not against a catalog model built per call."""
+    models = classify_corpus()
+    pairs = [(m1, m2) for kind, m1, m2 in equiv_corpus() if kind == "A"]
+    counts.clear()
+    for m in models:
+        classify_model(m)
+    for m1, m2 in pairs:
+        solve_equivalence_a(m1, m2)
+    assert counts["models.canonical_model"] == 0
 
 
 def test_pullbacks_per_operation(counts):

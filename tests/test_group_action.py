@@ -444,6 +444,16 @@ def test_equivalence_rank2_degenerate_frames():
         assert solve_equivalence_a(m1, m2).status == "not_equivalent"
 
 
+def test_equivalence_rank2_sweep_overflow_is_reported():
+    """On this pair (omega = 0, so both frames are degenerate) the identity
+    component's residual root scan overflows, and that component holds the
+    rational witness T: the sweep must blame the bound, not irrationality."""
+    m1 = type_a(F(3, 2), F(-2, 3), 1, F(-3, 2), -1, -1)
+    t = LinearMap2(Mat2(((F(1, 6), F(-2)), (F(-1, 2), F(-1, 8)))))
+    res = solve_equivalence_a(m1, pullback_type_a(m1, t))
+    assert (res.status, res.reason) == ("undecided", "residual root scan exceeded its bound")
+
+
 def test_isotropy_rank2_frame_is_trivial():
     rng = random.Random(79)
     for m, _ in rank2_pairs(rng, 6, 10):

@@ -19,6 +19,7 @@ from affinestrata.group_action import (
     LinearMap2,
     _frame_inverse,
     _rank1_frame,
+    _rank2_matchers,
     _solve_reduced_pair,
     _transform_rational,
     _transform_ring,
@@ -28,7 +29,6 @@ from affinestrata.group_action import (
     transform_coeffs,
 )
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model
-from affinestrata.strata import _rank2_matchers
 
 
 def scalars(height):

@@ -1,0 +1,68 @@
+"""The module layout of the package: every import sits at module level, and
+the modules import one another without a cycle, so no module needs a lazy
+import to load."""
+
+import ast
+from pathlib import Path
+
+import affinestrata
+
+PACKAGE = Path(affinestrata.__file__).resolve().parent
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(tree, known):
+    """Names of the package modules that ``tree`` imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "affinestrata":
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "affinestrata" and len(parts) > 1:
+                    out.add(parts[1])
+    return out & known
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found.append(f"{name}.py:{node.lineno} in {fn.name}")
+    assert found == []
+
+
+def test_module_imports_are_acyclic():
+    trees = _trees()
+    known = set(trees) - {"__init__"}
+    graph = {name: _imported_modules(tree, known) for name, tree in trees.items() if name in known}
+    assert graph["strata"] and graph["group_action"]  # the walk sees relative imports
+    state = {}  # name -> "open" while on the stack, "done" after
+
+    def visit(name, path):
+        if state.get(name) == "open":
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if state.get(name) == "done":
+            return
+        state[name] = "open"
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        visit(name, [])
