@@ -202,8 +202,8 @@ def run_cli(argv=None) -> int:
         _diagnostic("domain", str(exc))
         return 1
     except (AssertionError, OverflowError) as exc:
-        # a failed exact self-check or an exceeded search bound: a fault of
-        # the engine, reported without a traceback
+        # a failed exact self-check, or an overflow no solver is meant to
+        # raise: a fault of the engine, reported without a traceback
         _diagnostic("internal", f"{type(exc).__name__}: {exc}")
         return 1
 

@@ -36,9 +36,6 @@ class Ricci2:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def is_symmetric(self) -> bool:
-        return self.rows[0][1] == self.rows[1][0]
-
     def to_strings(self):
         return [[rational_str(x) for x in row] for row in self.rows]
 

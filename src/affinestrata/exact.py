@@ -127,9 +127,6 @@ class Mat2:
         (a, b), (c, d) = self.rows
         return a * d - b * c
 
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1]
-
     def transpose(self) -> "Mat2":
         (a, b), (c, d) = self.rows
         return Mat2(((a, c), (b, d)))
@@ -159,9 +156,6 @@ class Mat2:
 
     def col(self, j):
         return (self.rows[0][j], self.rows[1][j])
-
-    def row(self, i):
-        return self.rows[i]
 
     def to_strings(self) -> list[list[str]]:
         return [[rational_str(x) for x in row] for row in self.rows]

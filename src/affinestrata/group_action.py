@@ -19,9 +19,12 @@ compared.  The rank-one frame is written in closed form, its inverse is read
 off its adjugate, and the reduced rank-one case analysis runs on the cleared
 numerators of the reduced models.  The orbit dimension is the rank of the
 infinitesimal action at the identity, written out in closed form rather than
-differentiated through the law.  The orbit matchers check each candidate
-witness against catalog coefficients read once from the family registry in
-:mod:`affinestrata.models`.
+differentiated through the law.  A flat model runs one orbit matcher, the
+one its coefficient rank and the root pattern of its binary cubic name, and
+the matcher checks each candidate witness against catalog coefficients read
+once from the family registry in :mod:`affinestrata.models`.  The rank-two
+sweep finds the rational roots of its residual polynomials exactly, with no
+search bound (:func:`affinestrata.polys.rational_roots`).
 """
 
 from __future__ import annotations
@@ -154,21 +157,30 @@ def carries(coeffs: Sequence, t_rows, target: Sequence) -> bool:
     return True
 
 
-def _law_numerators(coeffs, t11, t12, t21, t22) -> tuple[list[int], int, int]:
-    """Integers N_k, D and Q with G'_k = D N_k / Q for rational T and G.
+def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
+    """P g(adj P ., adj P .) and det P, over any scalar ring.
 
-    With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
-    so G' = D P g(adj P, adj P) / (L det(P)^2)."""
-    (p11, p12, p21, p22), dt = clear_denominators((t11, t12, t21, t22))
+    Since P^-1 = adj(P) / det(P), the law for P is the first divided by
+    det(P)^2; a singular P raises ZeroDivisionError."""
     det = p11 * p22 - p12 * p21
     if det == 0:
         raise ZeroDivisionError("matrix is singular")
-    g, dg = clear_denominators(coeffs)
     u, v = (p22, -p21), (-p12, p11)  # the columns of adj(P)
     nums = []
     for x, y in (gamma_coeffs(g, u, u), gamma_coeffs(g, u, v), gamma_coeffs(g, v, v)):
         nums.append(p11 * x + p12 * y)
         nums.append(p21 * x + p22 * y)
+    return nums, det
+
+
+def _law_numerators(coeffs, t11, t12, t21, t22) -> tuple[list[int], int, int]:
+    """Integers N_k, D and Q with G'_k = D N_k / Q for rational T and G.
+
+    With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
+    so G' = D P g(adj P, adj P) / (L det(P)^2)."""
+    p, dt = clear_denominators((t11, t12, t21, t22))
+    g, dg = clear_denominators(coeffs)
+    nums, det = _adjugate_law(g, *p)
     return nums, dt, dg * det * det
 
 
@@ -180,19 +192,11 @@ def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
 
 
 def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
-    """The law over any field of scalars, one ring operation at a time."""
-    det = t11 * t22 - t12 * t21
-    s11, s12 = t22 / det, -t12 / det
-    s21, s22 = -t21 / det, t11 / det
-    out = []
-    for x, y in (
-        gamma_coeffs(coeffs, (s11, s21), (s11, s21)),
-        gamma_coeffs(coeffs, (s11, s21), (s12, s22)),
-        gamma_coeffs(coeffs, (s12, s22), (s12, s22)),
-    ):
-        out.append(t11 * x + t12 * y)
-        out.append(t21 * x + t22 * y)
-    return tuple(out)
+    """The law over any field of scalars: :func:`_adjugate_law`, divided once
+    by det(T)^2."""
+    nums, det = _adjugate_law(coeffs, t11, t12, t21, t22)
+    square = det * det
+    return tuple(n / square for n in nums)
 
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
@@ -590,33 +594,16 @@ def _match_tensor_line(m: TypeAModel):
     return _verify_orbit("M4_0", t, m)
 
 
-_PATTERN_ORBIT_HINT = {
-    "three_simple": "M2_0",
-    "one_real": "M5_0",
-    "double_simple": "M1_0",
-    "triple": "M4_0",
+#: root pattern of the binary cubic det(x, G(x, x)) -> the real orbit it
+#: names and that orbit's matcher.  The pattern is an orbit invariant, so a
+#: flat model of coefficient rank two can only match the orbit it names.  A
+#: rank-one model (M3_0, M4_0) tries the tensor-line matcher before any pattern.
+_PATTERN_ORBIT = {
+    "three_simple": ("M2_0", _match_m2),
+    "one_real": ("M5_0", _match_m5),
+    "double_simple": ("M1_0", _match_m1),
+    "triple": ("M4_0", _match_tensor_line),
 }
-
-
-def _rank2_matchers(m: TypeAModel):
-    """The three matchers for a flat model of coefficient rank two, the one
-    for its orbit first.
-
-    The binary cubic det(x, G(x, x)) has three distinct real root directions
-    on M2_0, one on M5_0 and a repeated one on M1_0, and the sign of its
-    discriminant is an orbit invariant.  At most one matcher can succeed, so
-    the order changes no answer, only how many matchers a model pays for.
-    """
-    (k3, k2, k1, k0), _ = clear_denominators(binary_cubic(m))
-    disc = (
-        k2 * k2 * k1 * k1 - 4 * k3 * k1 ** 3 - 4 * k2 ** 3 * k0
-        - 27 * k3 * k3 * k0 * k0 + 18 * k3 * k2 * k1 * k0
-    )
-    if disc > 0:
-        return (_match_m2, _match_m1, _match_m5)
-    if disc < 0:
-        return (_match_m5, _match_m1, _match_m2)
-    return (_match_m1, _match_m2, _match_m5)
 
 
 def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
@@ -642,13 +629,11 @@ def _match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
         found = _match_tensor_line(m)
         if found:
             return found
-    else:
-        for solver in _rank2_matchers(m):
-            found = solver(m)
-            if found:
-                return found
     pattern = polys.binary_cubic_pattern(binary_cubic(m))
-    hint = _PATTERN_ORBIT_HINT.get(pattern)
+    hint, matcher = _PATTERN_ORBIT.get(pattern, (None, None))
+    found = matcher(m) if matcher else None
+    if found:
+        return found
     detail = (
         f"screening (cubic root pattern {pattern!r}) places it in the real orbit "
         f"of {hint}, but no rational witness exists"
@@ -1116,13 +1101,17 @@ def _diagonalizations(rho_rows):
     return out
 
 
-def _represent(d1: Fraction, d2: Fraction, target: Fraction, bound: int = 40):
+#: numerators and denominators tried by :func:`_represent`
+_REPRESENT_BOUND = 40
+
+
+def _represent(d1: Fraction, d2: Fraction, target: Fraction):
     """Bounded search for rational (x, y) with d1 x^2 + d2 y^2 = target."""
     if d1 == 0 or d2 == 0:
         return None
-    for den in range(1, bound + 1):
+    for den in range(1, _REPRESENT_BOUND + 1):
         rhs_scale = target * den * den
-        for p in range(0, bound + 1):
+        for p in range(0, _REPRESENT_BOUND + 1):
             q2 = (rhs_scale - d1 * p * p) / d2
             if q2 >= 0:
                 q = sqrt_rational(q2)
@@ -1276,7 +1265,6 @@ def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
             break
     witnesses = []
     saw_irrational = False
-    saw_overflow = False
     for refl in (None, reflect):
         for negate in (False, True):
             residuals = _rank2_residual_polys(m1, m2, s0, a_mat, refl, negate)
@@ -1291,11 +1279,7 @@ def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
                     g = polys.pgcd(g, p)
                 if polys.pdeg(g) < 1:
                     continue
-                try:
-                    roots = polys.rational_roots(g)
-                except OverflowError:
-                    saw_overflow = True
-                    continue
+                roots = polys.rational_roots(g)
                 if polys.count_real_roots(g) > len(roots):
                     saw_irrational = True
                 taus = [root for root, _ in roots]
@@ -1310,14 +1294,8 @@ def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
                         witnesses.append(w)
     if witnesses:
         return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
-    if saw_irrational or saw_overflow:
-        # a component whose scan overflowed may still hold a rational witness
-        return EquivalenceWitnesses(
-            "undecided",
-            reason="residual root scan exceeded its bound"
-            if saw_overflow
-            else "a real witness parameter exists but is irrational",
-        )
+    if saw_irrational:
+        return EquivalenceWitnesses("undecided", reason="a real witness parameter exists but is irrational")
     return EquivalenceWitnesses(
         "not_equivalent",
         obstruction="the Ricci-symmetry sweep has no real solution",

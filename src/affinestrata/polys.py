@@ -1,8 +1,12 @@
 """Small exact univariate polynomial toolkit.
 
-Coefficient lists are dense, ascending in degree, over Fraction.  Used for
-the binary-cubic invariant of the flat orbit screen and for the univariate
-sweeps in the rank-2 equivalence solver; degrees stay tiny.
+Coefficient lists are dense, ascending in degree, over Fraction; degrees stay
+tiny.  The rank-2 equivalence sweep reads real and rational roots off one
+Sturm chain of the squarefree part, with no search bound: a rational root's
+denominator divides the primitive leading coefficient L, so two such roots lie
+1 / L^2 apart, and a root isolated in an interval narrower than 1 / (2 L^2) is
+rational exactly when the interval's simplest fraction is a root.  The flat
+orbit screen reads its binary cubic's root pattern off closed forms.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ZERO, ONE, sqrt_rational
+from .exact import ZERO, ONE, clear_denominators
 
 Poly = list[Fraction]
 
@@ -104,27 +108,91 @@ def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _sturm_chain(p: Poly) -> list[list[int]]:
+    """The Sturm chain of the squarefree part of ``p`` (degree >= 1), each
+    member scaled by a positive rational to coprime integers."""
+    g = pgcd(p, pderiv(p))
+    if pdeg(g) >= 1:
+        p, _ = pdivmod(p, g)  # the squarefree part carries the same distinct roots
+    chain = [p, pderiv(p)]
+    while pdeg(chain[-1]) > 0:
+        _, rem = pdivmod(chain[-2], chain[-1])
+        chain.append(pscale(rem, -ONE))
+    out = []
+    for c in chain:
+        ints, _ = clear_denominators(c)
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
 
 
-def rational_roots(p: Poly, search_limit: int = 10**7) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities.
+def _scaled_value(c: list[int], x: Fraction) -> int:
+    """d^k c(n / d) for x = n / d and k = deg c: an integer of the sign of c(x)."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for coeff in reversed(c):
+        acc = acc * n + coeff * dk
+        dk *= d
+    return acc
 
-    Candidate enumeration is the classic numerator/denominator divisor test on
-    the primitive integer form; ``search_limit`` bounds the divisor scan so a
-    huge leading or trailing coefficient cannot stall a solver (callers treat
-    an overflow as "give up", which downstream surfaces as an honest
-    undecided/unmatched outcome rather than a wrong answer).
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros dropped.  By Sturm's theorem
+    V(lo) - V(hi) is the number of distinct roots in (lo, hi], also when lo or
+    hi is a root."""
+    signs = [v > 0 for v in (_scaled_value(c, x) for c in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _root_bound(c: list[int]) -> Fraction:
+    """An integer B with every real root of ``c`` in (-B, B) (Cauchy)."""
+    return Fraction(2 + max(map(abs, c[:-1])) // abs(c[-1]))
+
+
+def _isolate(chain: list[list[int]], width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (lo, hi] narrower than ``width``, each holding exactly one
+    real root of the chain's first member, found by bisection."""
+    bound = _root_bound(chain[0])
+    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
+    out = []
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and hi - lo < width:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return out
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """A fraction of least denominator in [lo, hi], by continued fractions."""
+    if lo <= 0 <= hi:
+        return ZERO
+    if hi < 0:
+        return -_simplest_between(-hi, -lo)
+    # x = (p0 y + p1) / (q0 y + q1) for y in the current [lo, hi]
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while True:
+        n = math.floor(lo)
+        if n == lo or n + 1 <= hi:
+            k = n if n == lo else n + 1
+            return Fraction(p0 * k + p1, q0 * k + q1)
+        # y = n + 1 / y' with y' in [1 / (hi - n), 1 / (lo - n)]
+        p0, q0, p1, q1 = p0 * n + p1, q0 * n + q1, p0, q0
+        lo, hi = 1 / (hi - n), 1 / (lo - n)
+
+
+def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
+    """All rational roots with multiplicities: zero first, then the others
+    ordered by (|numerator|, denominator), the positive one first.
+
+    Each real root of the squarefree part is isolated to width below
+    1 / (2 L^2) and the simplest fraction of its interval is tested exactly
+    (see the module docstring).
     """
     p = ptrim(p)
     if not p:
@@ -138,108 +206,61 @@ def rational_roots(p: Poly, search_limit: int = 10**7) -> list[tuple[Fraction, i
         roots.append((ZERO, mult0))
     if pdeg(p) < 1:
         return roots
-    scale = math.lcm(*[c.denominator for c in p])
-    ip = [int(c * scale) for c in p]
-    g = math.gcd(*ip)
-    ip = [c // g for c in ip]
-    if abs(ip[0]) > search_limit or abs(ip[-1]) > search_limit:
-        raise OverflowError("rational root scan bound exceeded")
-    for num in _divisors(ip[0]):
-        for den in _divisors(ip[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if peval(p, cand) == 0:
-                    mult = 0
-                    q = p
-                    while True:
-                        quo, rem = pdivmod(q, [-cand, ONE])
-                        if rem:
-                            break
-                        q, mult = quo, mult + 1
-                    if all(r != cand for r, _ in roots):
-                        roots.append((cand, mult))
+    chain = _sturm_chain(p)
+    lead = chain[0][-1]
+    found = set()  # a set: an interval (lo, hi] may also yield its neighbour's root lo
+    for lo, hi in _isolate(chain, Fraction(1, 2 * lead * lead)):
+        x = _simplest_between(lo, hi)
+        if _scaled_value(chain[0], x) == 0:
+            found.add(x)
+    for x in sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0)):
+        mult = 0
+        while True:
+            quo, rem = pdivmod(p, [-x, ONE])
+            if rem:
+                break
+            p, mult = quo, mult + 1
+        roots.append((x, mult))
     return roots
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [ptrim(p), pderiv(p)]
-    while chain[-1]:
-        _, rem = pdivmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(pscale(rem, Fraction(-1)))
-    return [c for c in chain if c]
-
-
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots, by Sturm's theorem over the whole line."""
+    """Number of distinct real roots, by Sturm's theorem."""
     p = ptrim(p)
     if pdeg(p) < 1:
         return 0
-    g = pgcd(p, pderiv(p))
-    if pdeg(g) >= 1:
-        p, _ = pdivmod(p, g)  # squarefree part carries the same distinct roots
-    chain = sturm_chain(p)
-    at_minus = [c[-1] * (1 if (len(c) - 1) % 2 == 0 else -1) for c in chain]
-    at_plus = [c[-1] for c in chain]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
-def quadratic_rational_roots(a: Fraction, b: Fraction, c: Fraction) -> tuple[list[Fraction], bool]:
-    """Roots of a x^2 + b x + c.
-
-    Returns (rational roots, has_irrational_real_root).
-    """
-    if a == 0:
-        if b == 0:
-            return ([], False)
-        return ([-c / b], False)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return ([], False)
-    root = sqrt_rational(disc)
-    if root is None:
-        return ([], True)
-    if root == 0:
-        return ([-b / (2 * a)], False)
-    return ([(-b + root) / (2 * a), (-b - root) / (2 * a)], False)
+    chain = _sturm_chain(p)
+    bound = _root_bound(chain[0])
+    return _variations(chain, -bound) - _variations(chain, bound)
 
 
 def binary_cubic_pattern(cubic: tuple[Fraction, Fraction, Fraction, Fraction]) -> str:
     """Root-multiplicity pattern of a binary cubic given by its coefficients.
 
     ``cubic`` holds the coefficients of X^3, X^2 Y, X Y^2, Y^3.  A root is a
-    direction in the projective line over the reals, so the direction (0:1)
-    (degree drop in the dehomogenized polynomial) is counted too.  Patterns:
+    direction in the projective line over the reals, so a root at infinity
+    of either dehomogenization counts too.  Patterns:
 
     - "zero"          identically zero
     - "triple"        one direction of multiplicity 3
     - "double_simple" multiplicities [2, 1]
     - "three_simple"  three distinct real directions
     - "one_real"      one real direction plus a complex pair
+
+    The sign of the discriminant separates three real directions, a complex
+    pair and a repeated direction; a repeated one is triple exactly when the
+    Hessian vanishes, which makes the cubic the cube of a linear form.
+    Scaling the cubic changes neither, so both are read off the cleared
+    integer coefficients.
     """
-    k3, k2, k1, k0 = cubic
-    if k3 == 0 and k2 == 0 and k1 == 0 and k0 == 0:
+    (a, b, c, d), _ = clear_denominators(cubic)
+    if a == b == c == d == 0:
         return "zero"
-    # dehomogenize on slope m: p(m) = k3 + k2 m + k1 m^2 + k0 m^3,
-    # with the direction (0:1) a root of multiplicity 3 - deg(p)
-    p = ptrim([k3, k2, k1, k0])
-    d = pdeg(p)
-    if d == 0:
+    disc = b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    if disc > 0:
+        return "three_simple"
+    if disc < 0:
+        return "one_real"
+    if b * b == 3 * a * c and b * c == 9 * a * d and c * c == 3 * b * d:
         return "triple"
-    if d == 1:
-        return "double_simple"  # simple finite root, double root at (0:1)
-    repeated = pdeg(pgcd(p, pderiv(p)))
-    if d == 2:
-        if repeated >= 1:
-            return "double_simple"  # double finite root, simple root at (0:1)
-        return "three_simple" if count_real_roots(p) == 2 else "one_real"
-    if repeated == 2:
-        return "triple"
-    if repeated == 1:
-        return "double_simple"
-    return "three_simple" if count_real_roots(p) == 3 else "one_real"
+    return "double_simple"

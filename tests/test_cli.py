@@ -85,7 +85,7 @@ def test_isotropy_command():
     "fault",
     [
         AssertionError("equivalence witness failed exact verification"),
-        OverflowError("rational root scan bound exceeded"),
+        OverflowError("integer too large to convert to float"),
     ],
 )
 def test_internal_fault_is_a_json_diagnostic(monkeypatch, fault):

@@ -444,14 +444,18 @@ def test_equivalence_rank2_degenerate_frames():
         assert solve_equivalence_a(m1, m2).status == "not_equivalent"
 
 
-def test_equivalence_rank2_sweep_overflow_is_reported():
+def test_equivalence_rank2_sweep_large_residual_roots():
     """On this pair (omega = 0, so both frames are degenerate) the identity
-    component's residual root scan overflows, and that component holds the
-    rational witness T: the sweep must blame the bound, not irrationality."""
+    component's residual gcd has end coefficients -51887395 and 1544292, and
+    its root tau = -35/3 gives the witness T: the sweep's exact root finding
+    has no bound to exceed."""
     m1 = type_a(F(3, 2), F(-2, 3), 1, F(-3, 2), -1, -1)
     t = LinearMap2(Mat2(((F(1, 6), F(-2)), (F(-1, 2), F(-1, 8)))))
-    res = solve_equivalence_a(m1, pullback_type_a(m1, t))
-    assert (res.status, res.reason) == ("undecided", "residual root scan exceeded its bound")
+    m2 = pullback_type_a(m1, t)
+    res = solve_equivalence_a(m1, m2)
+    assert res.status == "equivalent"
+    assert t in res.maps
+    assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
 
 
 def test_isotropy_rank2_frame_is_trivial():

@@ -4,31 +4,40 @@ tensors against their plain polynomial formulas, the closed-form orbit
 dimension against the rank of the jet derivative, the fraction-free linear
 algebra against Gauss-Jordan over Fractions, the integer quadratic extension
 against its (u, v) pair rules, and the rank-one frame, the integer reduced
-solver and the signature against their Fraction forms."""
+solver and the signature against their Fraction forms, and the flat orbit
+dispatch that runs one matcher per model."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata import sampling
-from affinestrata.curvature import RankSig, rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.curvature import RankSig, binary_cubic, rank_signature, ricci_type_a, ricci_type_b
 from affinestrata.exact import ONE, ZERO, JetScalar, Mat2, QuadExt, mat_rank, solve_linear, sqrt_rational
 from affinestrata.group_action import (
     LinearMap2,
+    UnmatchedOrbitError,
+    _PATTERN_ORBIT,
     _frame_inverse,
+    _match_m1,
+    _match_m2,
+    _match_m5,
+    _match_tensor_line,
     _rank1_frame,
-    _rank2_matchers,
     _solve_reduced_pair,
     _transform_rational,
     _transform_ring,
     carries,
+    match_flat_a_orbit,
     orbit_dimension_a,
     pullback_type_a,
     transform_coeffs,
 )
-from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model
+from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
+from affinestrata.polys import binary_cubic_pattern
 
 
 def scalars(height):
@@ -299,16 +308,60 @@ def test_quadratic_extension_matches_pair_arithmetic(xs, c, k):
 
 
 def test_rank_two_flat_matchers_try_the_orbit_first():
-    """The discriminant of the binary cubic points to the orbit's matcher,
-    which alone recovers the witness of a rational pullback."""
+    """The root pattern of the binary cubic names the orbit of a rank-two
+    flat model in the pattern table, and that orbit's matcher recovers the
+    witness of a rational pullback."""
     rng = random.Random(29)
     for orbit in ("M1_0", "M2_0", "M5_0"):
         for h in (3, 12, 10**6):
             m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, h))
-            first = _rank2_matchers(m)[0]
-            found = first(m)
-            assert found is not None and found[0] == orbit
+            orbit_id, matcher = _PATTERN_ORBIT[binary_cubic_pattern(binary_cubic(m))]
+            found = matcher(m)
+            assert orbit_id == orbit and found is not None and found[0] == orbit
             assert pullback_type_a(canonical_model(orbit), found[1]) == m
+
+
+COUNTED = {
+    f.__code__: f.__name__
+    for f in (_match_m1, _match_m2, _match_m5, _match_tensor_line, binary_cubic_pattern)
+}
+
+
+def matcher_calls(m):
+    """The orbit matchers and cubic patterns one flat match runs, in order,
+    and its answer (or the UnmatchedOrbitError)."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in COUNTED:
+            calls.append(COUNTED[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        found = match_flat_a_orbit(m)
+    except UnmatchedOrbitError as exc:
+        found = exc
+    finally:
+        sys.setprofile(None)
+    return calls, found
+
+
+def test_flat_match_runs_one_matcher():
+    # a flat model in the real orbit of M5_0 with no rational witness
+    unmatched = type_a(*(F(x) for x in ("5040/2197", "-6048/2197", "36/13", "2520/2197", "-15/13", "7134/2197")))
+    calls, found = matcher_calls(unmatched)
+    assert calls == ["binary_cubic_pattern", "_match_m5"]
+    assert isinstance(found, UnmatchedOrbitError) and "real orbit of M5_0" in str(found)
+    rng = random.Random(37)
+    for orbit, expected in (("M1_0", "_match_m1"), ("M2_0", "_match_m2"), ("M5_0", "_match_m5")):
+        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
+        calls, found = matcher_calls(m)
+        assert calls == ["binary_cubic_pattern", expected] and found[0] == orbit
+    # a matched coefficient-rank-one model computes no cubic pattern
+    for orbit in ("M3_0", "M4_0"):
+        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
+        calls, found = matcher_calls(m)
+        assert calls == ["_match_tensor_line"] and found[0] == orbit
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +9,14 @@ from affinestrata.polys import (
     binary_cubic_pattern,
     count_real_roots,
     interpolate,
+    pdeg,
+    pderiv,
     pdivmod,
     peval,
     pgcd,
     pmul,
-    quadratic_rational_roots,
+    pscale,
+    ptrim,
     rational_roots,
 )
 
@@ -41,13 +47,97 @@ def test_count_real_roots_sturm():
     assert count_real_roots(P(0, -1, 0, 1)) == 3  # x^3 - x
 
 
-def test_quadratic_rational_roots():
-    roots, irr = quadratic_rational_roots(F(1), F(-3), F(2))
-    assert sorted(roots) == [1, 2] and not irr
-    roots, irr = quadratic_rational_roots(F(1), F(0), F(-2))
-    assert roots == [] and irr
-    roots, irr = quadratic_rational_roots(F(1), F(0), F(2))
-    assert roots == [] and not irr
+def root_order(root):
+    """The documented order of rational_roots: zero first, then by
+    (|numerator|, denominator), the positive root first."""
+    x, _ = root
+    return (x != 0, abs(x.numerator), x.denominator, x < 0)
+
+
+def irreducible_quadratic(rng, height):
+    """a x^2 + b x + c with no rational root: a complex pair or two
+    irrational real roots."""
+    while True:
+        a, b, c = rng.randint(1, height), rng.randint(-height, height), rng.randint(-height, height)
+        disc = b * b - 4 * a * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            return [F(c), F(b), F(a)]
+
+
+def planted(rng, height):
+    """Planted rational roots with multiplicities (zero among them at times),
+    times irreducible quadratics, scaled by a rational; and the planted roots
+    in the documented order."""
+    roots = {}
+    p = [F(1)]
+    for _ in range(rng.randint(1, 3)):
+        x = F(rng.randint(-height, height), rng.randint(1, height))
+        mult = rng.randint(1, 3)
+        roots[x] = roots.get(x, 0) + mult
+        for _ in range(mult):
+            p = pmul(p, [-x, F(1)])
+    for _ in range(rng.randint(0, 2)):
+        p = pmul(p, irreducible_quadratic(rng, height))
+    p = pscale(p, F(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height)))
+    return p, sorted(roots.items(), key=root_order)
+
+
+@pytest.mark.parametrize("height", [12, 10**12])
+def test_rational_roots_planted(height):
+    """Exactly the planted roots, in order, at any height: Sturm isolation has
+    no search bound, where a divisor scan of the end coefficients stalls."""
+    rng = random.Random(height)
+    start = time.perf_counter()
+    for _ in range(30):
+        p, expected = planted(rng, height)
+        assert rational_roots(p) == expected, p
+    assert time.perf_counter() - start < 30
+
+
+def pattern_reference(cubic):
+    """binary_cubic_pattern by gcd and Sturm on the dehomogenized cubic, with
+    the direction (0:1) a root of multiplicity 3 - deg."""
+    k3, k2, k1, k0 = cubic
+    if k3 == k2 == k1 == k0 == 0:
+        return "zero"
+    p = ptrim([k3, k2, k1, k0])
+    d = pdeg(p)
+    if d == 0:
+        return "triple"
+    if d == 1:
+        return "double_simple"
+    repeated = pdeg(pgcd(p, pderiv(p)))
+    if d == 2:
+        if repeated >= 1:
+            return "double_simple"
+        return "three_simple" if count_real_roots(p) == 2 else "one_real"
+    if repeated == 2:
+        return "triple"
+    if repeated == 1:
+        return "double_simple"
+    return "three_simple" if count_real_roots(p) == 3 else "one_real"
+
+
+def test_binary_cubic_pattern_matches_reference():
+    """The closed form against gcd and Sturm, on products of linear and
+    quadratic forms (so repeated, triple and dropped-degree roots occur
+    often) and on random cubics."""
+    rng = random.Random(31)
+
+    def small():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def form_product():
+        # (p X + q Y)(r X^2 + s X Y + t Y^2), or a cube of a linear form
+        p, q = small(), small()
+        if rng.random() < 0.2:
+            return (p ** 3, 3 * p * p * q, 3 * p * q * q, q ** 3)
+        r, s, t = small(), small(), small()
+        return (p * r, p * s + q * r, p * t + q * s, q * t)
+
+    for _ in range(3000):
+        cubic = form_product() if rng.random() < 0.6 else tuple(small() for _ in range(4))
+        assert binary_cubic_pattern(cubic) == pattern_reference(cubic), cubic
 
 
 def test_interpolation():

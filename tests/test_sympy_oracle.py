@@ -1,0 +1,75 @@
+"""An independent oracle for the polynomial kernel: sympy's exact root
+finding, where it is installed.  The package itself does not depend on
+sympy; without it these tests are skipped."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from affinestrata.polys import binary_cubic_pattern, pmul, rational_roots
+
+sympy = pytest.importorskip("sympy")
+
+X, Y = sympy.symbols("x y")
+
+
+def to_sympy(p):
+    """An ascending Fraction coefficient list as a sympy polynomial in x."""
+    return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator) for c in p])), X)
+
+
+def random_poly(rng):
+    """A product of random linear and quadratic factors (so rational,
+    repeated and irrational roots all occur), or a dense random polynomial."""
+    if rng.random() < 0.3:
+        return [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rng.randint(2, 7))]
+    p = [F(rng.randint(1, 9), rng.randint(1, 9))]
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.choice((1, 1, 2))
+        factor = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(degree)] + [F(rng.randint(1, 12))]
+        p = pmul(p, factor)
+    return p
+
+
+def test_rational_roots_against_sympy():
+    rng = random.Random(101)
+    for _ in range(300):
+        p = random_poly(rng)
+        if not any(p):
+            continue
+        expected = {F(int(r.p), int(r.q)): m for r, m in to_sympy(p).ground_roots().items()}
+        got = rational_roots(p)
+        assert dict(got) == expected, p
+        assert len(got) == len(expected)
+
+
+def test_binary_cubic_pattern_against_sympy():
+    """Real root directions of the cubic, counted with multiplicity, and the
+    number of distinct ones, from sympy's factorization over the rationals
+    and its real-root count of each factor."""
+    rng = random.Random(103)
+
+    def pattern(k3, k2, k1, k0):
+        form = sympy.Poly(k3 * X**3 + k2 * X**2 * Y + k1 * X * Y**2 + k0 * Y**3, X, Y)
+        if form.is_zero:
+            return "zero"
+        mults = []  # multiplicity of each distinct real direction
+        for factor, mult in form.factor_list()[1]:
+            if factor.degree(X) == 0:  # a power of Y: the direction (0:1)
+                mults.append(factor.degree(Y) * mult)
+                continue
+            real = sympy.Poly(factor.as_expr().subs(Y, 1), X).count_roots()
+            mults += [mult] * real
+        if sum(mults) < 3:
+            return "one_real"
+        return {1: "triple", 2: "double_simple", 3: "three_simple"}[len(mults)]
+
+    for _ in range(300):
+        if rng.random() < 0.5:
+            cubic = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)]
+        else:  # a linear form times a quadratic one: repeated directions often
+            p, q, r, s, t = (F(rng.randint(-3, 3)) for _ in range(5))
+            cubic = [p * r, p * s + q * r, p * t + q * s, q * t]
+        k = [sympy.Rational(c.numerator, c.denominator) for c in cubic]
+        assert binary_cubic_pattern(tuple(cubic)) == pattern(*k), cubic
