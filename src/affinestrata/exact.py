@@ -145,10 +145,6 @@ class Mat2:
         (e, f), (g, h) = other.rows
         return Mat2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
 
-    def __neg__(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        return Mat2(((-a, -b), (-c, -d)))
-
     def apply(self, vec):
         """Matrix-vector product on a pair."""
         (a, b), (c, d) = self.rows

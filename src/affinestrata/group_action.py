@@ -22,9 +22,9 @@ infinitesimal action at the identity, written out in closed form rather than
 differentiated through the law.  A flat model runs one orbit matcher, the
 one its coefficient rank and the root pattern of its binary cubic name, and
 the matcher checks each candidate witness against catalog coefficients read
-once from the family registry in :mod:`affinestrata.models`.  The rank-two
-sweep finds the rational roots of its residual polynomials exactly, with no
-search bound (:func:`affinestrata.polys.rational_roots`).
+once from the family registry in :mod:`affinestrata.models`.  A rank-two
+pair is decided by the models' own covariants, with no search bound (see
+:func:`_solve_rank2_pair`).
 """
 
 from __future__ import annotations
@@ -899,9 +899,11 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
 
     Supported inputs: the zero model, flat models (through the canonical
     orbit match), rank-one models already in reduced form b = d = 0, and
-    rank-two models whose covariants v = rho^{-1} omega and G(v, v) are
-    independent: every isotropy element fixes that frame, so the group is
-    trivial.  Anything else raises :class:`UndecidedError`.
+    rank-two models with v = rho^{-1} omega nonzero.  Every isotropy element
+    fixes v and G(v, v); when they are independent the group is trivial, and
+    when they are parallel it is the identity and at most one Ricci
+    reflection fixing v (:func:`_solve_rank2_forced`).  Anything else raises
+    :class:`UndecidedError`.
     """
     if m.is_zero():
         return IsotropyGroup((), (_gl2_family(),))
@@ -918,11 +920,12 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
         raise UndecidedError(
             "isotropy is only solved for rank-one models in reduced form b = d = 0"
         )
-    if _covariant_frame(m, cv.ricci) is not None:
-        return _spot_check(IsotropyGroup((_IDENTITY,), ()), m)
+    if ricci_trace_vector(m, cv.ricci) != (0, 0):
+        # with v != 0 the pair solver lists every real self-witness
+        return _spot_check(IsotropyGroup(_solve_rank2_pair(m, m, cv.ricci, cv.ricci).maps, ()), m)
     raise UndecidedError(
-        "isotropy is not solved for rank-two models with v = rho^-1 omega zero or "
-        "parallel to G(v, v)"
+        "isotropy is not solved for rank-two models with omega = 0: the rational "
+        "group may be smaller than the real one"
     )
 
 
@@ -988,11 +991,13 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
 
     Pipeline: invariant screening, then a stratified solve (flat models via
     canonical-orbit matching, rank-one via the rational frame reduction and
-    the triangular residual system, rank-two via the covariant frame
-    (v, G(v, v)) with v = rho^{-1} omega, which forces the only possible
-    witness; when both frames are degenerate, a sweep of the Ricci-symmetry
-    group).  Every witness is verified by exact pullback.  The curvature of
-    each model is computed once and handed to every stage.
+    the triangular residual system, rank-two via the covariants of
+    :func:`_solve_rank2_pair`: the frame (v, G(v, v)) with
+    v = rho^{-1} omega forces the only possible witness; when both frames
+    are degenerate, a nonzero v and its Ricci-normal force it up to sign, and
+    with v = 0 the binary cubic pins every rational witness).  Every witness
+    is verified by exact pullback.  The curvature of each model is computed
+    once and handed to every stage.
     """
     c1, c2 = curvature_of(m1), curvature_of(m2)
     obstruction = _screen_a(m1, m2, c1, c2)
@@ -1044,262 +1049,160 @@ def _covariant_frame(m: TypeAModel, r: Ricci2) -> Mat2 | None:
     return frame if frame.det() != 0 else None
 
 
+def _rho(r: Ricci2, x):
+    """rho(x, x) for the Ricci tensor ``r``."""
+    (r11, r12), (_, r22) = r.rows
+    return (r11 * x[0] + 2 * r12 * x[1]) * x[0] + r22 * x[1] * x[1]
+
+
+def _normal_frame(r: Ricci2, x) -> Mat2:
+    """The matrix with columns x and its Ricci-normal J rho x, so that
+    rho(x, J rho x) = 0; its determinant is rho(x, x)."""
+    (r11, r12), (_, r22) = r.rows
+    return mat2_from_cols(x, (-(r12 * x[0] + r22 * x[1]), r11 * x[0] + r12 * x[1]))
+
+
 def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
-    """Any real T with pullback(m1, T) = m2 carries the covariant frame F1 of
-    m1 onto F2, so a nondegenerate frame forces T = F2 F1^{-1} and one exact
-    pullback decides the pair over the reals.  Degeneracy is an orbit
-    invariant; only when both frames are degenerate does the sweep run.
-    ``r1`` and ``r2`` are the Ricci tensors of the two models.
-    """
+    """Any real T with pullback(m1, T) = m2 carries the covariants of m1 onto
+    those of m2.  A nondegenerate frame F = (v, G(v, v)) forces
+    T = F2 F1^{-1}; otherwise a nonzero v and its Ricci-normal force T up to
+    sign (:func:`_solve_rank2_forced`), and with v = 0 the binary cubic pins
+    every rational witness (:func:`_rank2_witnesses_by_cubic`).  ``r1`` and
+    ``r2`` are the Ricci tensors of the two models."""
     f1, f2 = _covariant_frame(m1, r1), _covariant_frame(m2, r2)
-    if f1 is None and f2 is None:
-        return _solve_rank2_sweep(m1, m2, r1, r2)
-    if f1 is None or f2 is None:
+    if (f1 is None) != (f2 is None):
         return EquivalenceWitnesses(
             "not_equivalent",
             obstruction="v = rho^-1 omega and G(v, v) are independent for one model only",
         )
-    t = LinearMap2(f2 @ f1.inverse())
-    if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
-        return EquivalenceWitnesses(
-            "not_equivalent",
-            obstruction="the map carrying the frame (v, G(v, v)) of one model onto "
-            "the other does not intertwine them",
-        )
-    return EquivalenceWitnesses("equivalent", (t,))
-
-
-# The sweep below is the fallback for pairs whose frames are both degenerate.
-
-
-def _diagonalizations(rho_rows):
-    """Several rational congruences P with P^T rho P diagonal.
-
-    Different pivots and pre-shears give different diagonal forms, which
-    multiplies the chances of the bounded representation search below.
-    """
-    shears = (
-        Mat2.identity(),
-        Mat2(((ONE, ZERO), (ONE, ONE))),
-        Mat2(((ONE, ONE), (ZERO, ONE))),
-        Mat2(((ONE, ZERO), (-ONE, ONE))),
-    )
-    out = []
-    for u in shears:
-        m = u.transpose() @ Mat2(rho_rows) @ u
-        (r11, r12), (_, r22) = m.rows
-        det = r11 * r22 - r12 * r12
-        if r11 != 0:
-            p = Mat2(((ONE, -r12 / r11), (ZERO, ONE)))
-            out.append((u @ p, (r11, det / r11)))
-        if r22 != 0:
-            p = Mat2(((ONE, ZERO), (-r12 / r22, ONE)))
-            out.append((u @ p, (det / r22, r22)))
-        if r11 == 0 and r22 == 0 and r12 != 0:
-            p = Mat2(((ONE, ONE), (ONE, -ONE)))
-            out.append((u @ p, (2 * r12, -2 * r12)))
-    return out
-
-
-#: numerators and denominators tried by :func:`_represent`
-_REPRESENT_BOUND = 40
-
-
-def _represent(d1: Fraction, d2: Fraction, target: Fraction):
-    """Bounded search for rational (x, y) with d1 x^2 + d2 y^2 = target."""
-    if d1 == 0 or d2 == 0:
-        return None
-    for den in range(1, _REPRESENT_BOUND + 1):
-        rhs_scale = target * den * den
-        for p in range(0, _REPRESENT_BOUND + 1):
-            q2 = (rhs_scale - d1 * p * p) / d2
-            if q2 >= 0:
-                q = sqrt_rational(q2)
-                if q is not None:
-                    return (Fraction(p, den), q / den)
-            x2 = (rhs_scale - d2 * p * p) / d1
-            if x2 >= 0:
-                x = sqrt_rational(x2)
-                if x is not None:
-                    return (x / den, Fraction(p, den))
-    return None
-
-
-def _diag_congruence(d1, d2, e1, e2):
-    """Q with Q^T diag(d1, d2) Q = diag(e1, e2), or None.
-
-    When any rational congruence exists the scale on the complementary
-    column is automatically a square, so only the representation search can
-    fail.
-    """
-    rep = _represent(d1, d2, e1)
-    if rep is not None:
-        x, y = rep
-        w = (-d2 * y, d1 * x)
-        qw = d1 * w[0] * w[0] + d2 * w[1] * w[1]
-        if qw != 0:
-            t = sqrt_rational(e2 / qw)
-            if t is not None:
-                q = mat2_from_cols((x, y), (t * w[0], t * w[1]))
-                if q.det() != 0:
-                    return q
-    rep = _represent(d1, d2, e2)
-    if rep is not None:
-        x, y = rep
-        w = (-d2 * y, d1 * x)
-        qw = d1 * w[0] * w[0] + d2 * w[1] * w[1]
-        if qw != 0:
-            s = sqrt_rational(e1 / qw)
-            if s is not None:
-                q = mat2_from_cols((s * w[0], s * w[1]), (x, y))
-                if q.det() != 0:
-                    return q
-    return None
-
-
-def _congruence(rho1_rows, rho2_rows):
-    """Some rational S0 with S0^T rho1 S0 = rho2, or None."""
-    for p1, (d1, d2) in _diagonalizations(rho1_rows):
-        for p2, (e1, e2) in _diagonalizations(rho2_rows):
-            q = _diag_congruence(d1, d2, e1, e2)
-            if q is not None:
-                s0 = p1 @ q @ p2.inverse()
-                if (s0.transpose() @ Mat2(rho1_rows) @ s0) == Mat2(rho2_rows):
-                    return s0
-    return None
-
-
-def _cayley_denominator(a_mat: Mat2, tau: Fraction) -> Fraction:
-    return (1 - tau * a_mat[0, 0]) * (1 - tau * a_mat[1, 1]) - (tau * a_mat[0, 1]) * (
-        tau * a_mat[1, 0]
-    )
-
-
-def _sweep_matrix(a_mat: Mat2, tau: Fraction, s0: Mat2, reflect: Mat2 | None, negate: bool) -> Mat2 | None:
-    """One member of the Ricci-symmetry coset: +/- Cayley(tau) [@ reflect] @ s0."""
-    if _cayley_denominator(a_mat, tau) == 0:
-        return None
-    eye_minus = Mat2(
-        ((1 - tau * a_mat[0, 0], -tau * a_mat[0, 1]), (-tau * a_mat[1, 0], 1 - tau * a_mat[1, 1]))
-    )
-    eye_plus = Mat2(
-        ((1 + tau * a_mat[0, 0], tau * a_mat[0, 1]), (tau * a_mat[1, 0], 1 + tau * a_mat[1, 1]))
-    )
-    s = eye_minus.inverse() @ eye_plus
-    if reflect is not None:
-        s = s @ reflect
-    s = s @ s0
-    if negate:
-        s = -s
-    return s if s.det() != 0 else None
-
-
-def _rank2_residual_polys(m1, m2, s0: Mat2, a_mat: Mat2, reflect: Mat2 | None, negate: bool):
-    """Residual numerator polynomials in the sweep parameter for one component
-    of the Ricci-symmetry group, built by exact interpolation (degree <= 6)."""
-    nodes: list[Fraction] = []
-    k = 0
-    while len(nodes) < 9:
-        tau = Fraction(k)
-        k += 1
-        if _cayley_denominator(a_mat, tau) != 0:
-            nodes.append(tau)
-    samples = []
-    for tau in nodes:
-        s = _sweep_matrix(a_mat, tau, s0, reflect, negate)
-        if s is None:
-            return None
-        t = s.inverse()
-        out = transform_coeffs(m1.coeffs, t.rows)
-        den = _cayley_denominator(a_mat, tau)
-        scale = den * den * den
-        samples.append((tau, [(o - g) * scale for o, g in zip(out, m2.coeffs)]))
-    residuals = []
-    for i in range(6):
-        pts = [(tau, vals[i]) for tau, vals in samples]
-        residuals.append(polys.interpolate(pts))
-    return residuals
-
-
-def _solve_rank2_sweep(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
-    """Fallback for degenerate covariant frames: a rational Ricci congruence
-    from a bounded search, then a sweep of the Ricci-symmetry group."""
-    rho1, rho2 = r1.rows, r2.rows
-    det1 = rho1[0][0] * rho1[1][1] - rho1[0][1] * rho1[1][0]
-    det2 = rho2[0][0] * rho2[1][1] - rho2[0][1] * rho2[1][0]
-    ratio = det2 / det1
-    if ratio < 0:
-        # the determinant scales by det(S)^2 under any real congruence
-        return EquivalenceWitnesses(
-            "not_equivalent", obstruction="Ricci determinant signs differ"
-        )
+    if f1 is not None:
+        t = LinearMap2(f2 @ f1.inverse())
+        if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
+            return EquivalenceWitnesses(
+                "not_equivalent",
+                obstruction="the map carrying the frame (v, G(v, v)) of one model onto "
+                "the other does not intertwine them",
+            )
+        return EquivalenceWitnesses("equivalent", (t,))
+    v1, v2 = ricci_trace_vector(m1, r1), ricci_trace_vector(m2, r2)
+    if v1 != (0, 0) or v2 != (0, 0):
+        return _solve_rank2_forced(m1, m2, r1, r2, v1, v2)
+    witnesses = _rank2_witnesses_by_cubic(m1, m2, r1, r2)
+    if witnesses:
+        return EquivalenceWitnesses("equivalent", tuple(witnesses))
+    ratio = Mat2(r2.rows).det() / Mat2(r1.rows).det()
     if sqrt_rational(ratio) is None:
         return EquivalenceWitnesses(
             "undecided",
             reason=f"Ricci determinant ratio {ratio} is not a rational square, "
             "so no rational witness exists",
         )
-    s0 = _congruence(rho1, rho2)
-    if s0 is None:
+    # over R the rank-two models with omega = 0 and one Ricci signature form
+    # a single open orbit
+    return EquivalenceWitnesses(
+        "undecided",
+        reason="equivalent over the reals (omega = 0, equal Ricci signature), "
+        "but no rational witness exists",
+    )
+
+
+def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWitnesses:
+    """The covariants v_i = rho_i^{-1} omega_i are parallel to G(v_i, v_i),
+    and one is nonzero.  A nonzero v has rho(v, v) != 0 (a null v moved to
+    e2 would force omega = 0), so rho(v, v) also tells v = 0 from v != 0.
+    Any witness T has T v1 = v2 and is a Ricci congruence, so it carries the
+    Ricci-normal w1 of v1 to delta w2, with delta^2 = rho1(w1, w1) /
+    rho2(w2, w2) = det rho1 / det rho2 once rho(v, v) agrees.  A rational
+    delta leaves two candidates; an irrational one is decided in Q(delta),
+    where vanishing covers both real embeddings."""
+    if _rho(r1, v1) != _rho(r2, v2):
         return EquivalenceWitnesses(
-            "undecided", reason="no rational congruence between the Ricci forms was found (bounded search)"
+            "not_equivalent", obstruction="rho(v, v) differs for v = rho^-1 omega"
         )
-    # A = rho1^{-1} J is rho1-skew; its Cayley transforms sweep the identity
-    # component of the symmetry group of rho1
-    rho1_mat = Mat2(rho1)
-    j = Mat2(((ZERO, ONE), (-ONE, ZERO)))
-    a_mat = rho1_mat.inverse() @ j
-    reflect = None
-    for n in ((ONE, ZERO), (ZERO, ONE), (ONE, ONE)):
-        qn = rho1[0][0] * n[0] * n[0] + 2 * rho1[0][1] * n[0] * n[1] + rho1[1][1] * n[1] * n[1]
-        if qn != 0:
-            rn0 = rho1[0][0] * n[0] + rho1[0][1] * n[1]
-            rn1 = rho1[1][0] * n[0] + rho1[1][1] * n[1]
-            # x -> x - 2 rho(x, n)/rho(n, n) * n
-            reflect = Mat2(
-                (
-                    (1 - 2 * n[0] * rn0 / qn, -2 * n[0] * rn1 / qn),
-                    (-2 * n[1] * rn0 / qn, 1 - 2 * n[1] * rn1 / qn),
-                )
+    ratio = Mat2(r1.rows).det() / Mat2(r2.rows).det()
+    if ratio < 0:
+        return EquivalenceWitnesses("not_equivalent", obstruction="Ricci determinant signs differ")
+    n2, n1_inv = _normal_frame(r2, v2), _normal_frame(r1, v1).inverse()
+    delta = sqrt_rational(ratio)
+    if delta is None:
+        t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
+        if all(o == g for o, g in zip(transform_coeffs(m1.coeffs, t.rows), m2.coeffs)):
+            return EquivalenceWitnesses(
+                "undecided",
+                reason="equivalent over the reals, but the forced scale of the "
+                f"Ricci-normal of v is the irrational sqrt({ratio})",
             )
-            break
-    witnesses = []
-    saw_irrational = False
-    for refl in (None, reflect):
-        for negate in (False, True):
-            residuals = _rank2_residual_polys(m1, m2, s0, a_mat, refl, negate)
-            if residuals is None:
-                continue
-            nonzero = [p for p in residuals if p]
-            if not nonzero:
-                taus = [ZERO]
-            else:
-                g = nonzero[0]
-                for p in nonzero[1:]:
-                    g = polys.pgcd(g, p)
-                if polys.pdeg(g) < 1:
-                    continue
-                roots = polys.rational_roots(g)
-                if polys.count_real_roots(g) > len(roots):
-                    saw_irrational = True
-                taus = [root for root, _ in roots]
-            for tau in taus:
-                s = _sweep_matrix(a_mat, tau, s0, refl, negate)
-                if s is None:
-                    continue
-                t = s.inverse()
-                if carries(m1.coeffs, t.rows, m2.coeffs):
-                    w = LinearMap2(t)
-                    if w not in witnesses:  # the Cayley components overlap
-                        witnesses.append(w)
+        return EquivalenceWitnesses(
+            "not_equivalent",
+            obstruction=f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v",
+        )
+    candidates = (n2 @ Mat2.of(ONE, ZERO, ZERO, d) @ n1_inv for d in (delta, -delta))
+    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1.coeffs, t.rows, m2.coeffs))
     if witnesses:
-        return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
-    if saw_irrational:
-        return EquivalenceWitnesses("undecided", reason="a real witness parameter exists but is irrational")
+        return EquivalenceWitnesses("equivalent", witnesses)
     return EquivalenceWitnesses(
         "not_equivalent",
-        obstruction="the Ricci-symmetry sweep has no real solution",
+        obstruction="neither map carrying v and its Ricci-normal onto the other "
+        "model's intertwines them",
     )
+
+
+#: pairwise independent probes: a cubic's three root lines and a Ricci form's
+#: two null lines leave one free
+_PROBES = ((ONE, ZERO), (ZERO, ONE), (ONE, ONE), (ONE, -ONE), (ONE, 2 * ONE), (2 * ONE, ONE))
+
+
+def _cubic_at(f, x):
+    """The binary cubic with coefficients ``f`` (X^3, X^2 Y, X Y^2, Y^3) at x."""
+    return ((f[0] * x[0] + f[1] * x[1]) * x[0] + f[2] * x[1] * x[1]) * x[0] + f[3] * x[1] ** 3
+
+
+def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2]:
+    """Every rational T with pullback(m1, T) = m2, for rank-two models with
+    Ricci tensors ``r1``, ``r2``.
+
+    Write S = T^{-1}.  The binary cubic f = det(x, G(x, x)) obeys
+    f2(y) = det T f1(S y), and rho2(y, y) = rho1(S y, S y).  A rank-two model
+    has f != 0 (f = 0 forces det rho = 0), so some probe u has
+    k = rho2(u, u) != 0 and f2(u) != 0.  With det S = sigma s, where
+    s^2 = det rho2 / det rho1 (no rational witness when that is not a
+    square), sigma S u = x has rho1(x, x) = k and f1(x) = c = s f2(u).  So
+    the direction x^ of x is a rational root of the binary sextic
+    c^2 rho1^3 - k^3 f1^2, and x = c rho1(x^) / (k f1(x^)) x^.  As a Ricci
+    congruence of determinant sigma / s, T carries x to sigma u and the
+    Ricci-normal of x to 1 / s times that of u.  Each of the at most 12
+    candidates is checked by exact pullback.
+    """
+    s = sqrt_rational(Mat2(r2.rows).det() / Mat2(r1.rows).det())
+    if s is None:
+        return []
+    g1, g2 = binary_cubic(m1), binary_cubic(m2)
+    u = next(p for p in _PROBES if _rho(r2, p) != 0 and _cubic_at(g2, p) != 0)
+    k, c = _rho(r2, u), s * _cubic_at(g2, u)
+    # rho1 and f1 on x^ = (t, 1), ascending in t; the direction (1, 0) is a
+    # root when the sextic drops degree
+    (r11, r12), (_, r22) = r1.rows
+    q, f = [r22, 2 * r12, r11], list(reversed(g1))
+    sextic = polys.padd(
+        polys.pscale(polys.pmul(q, polys.pmul(q, q)), c * c),
+        polys.pscale(polys.pmul(f, f), -k ** 3),
+    )
+    directions = [(t, ONE) for t, _ in polys.rational_roots(sextic)]
+    if polys.pdeg(sextic) < 6:
+        directions.append((ONE, ZERO))
+    n2 = _normal_frame(r2, u)
+    witnesses = []
+    for xh in directions:
+        fx = _cubic_at(g1, xh)
+        if fx == 0:  # a common root of rho1 and f1 carries no x with f1(x) = c
+            continue
+        scale = c * _rho(r1, xh) / (k * fx)
+        n1_inv = _normal_frame(r1, (scale * xh[0], scale * xh[1])).inverse()
+        for sigma in (ONE, -ONE):
+            t = n2 @ Mat2.of(sigma, ZERO, ZERO, 1 / s) @ n1_inv
+            if carries(m1.coeffs, t.rows, m2.coeffs):
+                witnesses.append(LinearMap2(t))
+    return witnesses
 
 
 # -- Type B -------------------------------------------------------------------

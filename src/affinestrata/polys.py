@@ -1,12 +1,13 @@
 """Small exact univariate polynomial toolkit.
 
 Coefficient lists are dense, ascending in degree, over Fraction; degrees stay
-tiny.  The rank-2 equivalence sweep reads real and rational roots off one
-Sturm chain of the squarefree part, with no search bound: a rational root's
-denominator divides the primitive leading coefficient L, so two such roots lie
-1 / L^2 apart, and a root isolated in an interval narrower than 1 / (2 L^2) is
-rational exactly when the interval's simplest fraction is a root.  The flat
-orbit screen reads its binary cubic's root pattern off closed forms.
+tiny.  The rank-two equivalence rule for omega = 0 reads the rational roots
+of its sextic off one Sturm chain of the squarefree part, with no search
+bound: a rational root's denominator divides the primitive leading
+coefficient L, so two such roots lie 1 / L^2 apart, and a root isolated in
+an interval narrower than 1 / (2 L^2) is rational exactly when the
+interval's simplest fraction is a root.  The flat orbit screen reads its
+binary cubic's root pattern off closed forms.
 """
 
 from __future__ import annotations

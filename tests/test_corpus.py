@@ -235,7 +235,7 @@ def test_classify_model_computes_curvature_once(counts):
 
 
 def test_solve_equivalence_a_computes_curvature_once(counts):
-    base = type_a(0, 1, -2, 0, 0, 0)  # degenerate covariant frame: the sweep
+    base = type_a(0, 1, -2, 0, 0, 0)  # degenerate frame: v and its Ricci-normal force T
     t = Mat2(((Fraction(1), Fraction(-2)), (Fraction(3), Fraction(1, 2))))
     swept = pullback_type_a(base, LinearMap2(t))
     pairs = [(m1, m2) for kind, m1, m2 in equiv_corpus() if kind == "A"]

@@ -9,6 +9,8 @@ from affinestrata.curvature import (
     binary_cubic,
     coefficient_rank,
     gamma_pair,
+    RANK2_INDEF,
+    RANK2_NEG,
     rank_signature,
     ricci_trace_vector,
     ricci_type_a,
@@ -18,6 +20,7 @@ from affinestrata.curvature import (
     trace_form,
 )
 from affinestrata.models import canonical_model, type_a, type_b
+from affinestrata.polys import binary_cubic_pattern
 from affinestrata.group_action import pullback_type_a
 from affinestrata.sampling import rand_linear_map, rand_model_a, rand_model_b
 
@@ -126,3 +129,22 @@ def test_ricci_trace_vector_is_covariant():
         h = (r22 / det, -r12 / det, r11 / det)
         a, b, c, d, e, f = m.coeffs
         assert (a * h[0] + 2 * c * h[1] + e * h[2], b * h[0] + 2 * d * h[1] + f * h[2]) == v
+
+
+def test_omega_zero_signature_names_the_cubic_pattern():
+    """With omega = 0 the binary cubic determines the model, and its root
+    pattern is read off the Ricci signature: indefinite goes with one real
+    root line, negative definite with three, and no model is positive
+    definite.  The rank-two equivalence rule for omega = 0 rests on this."""
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(3000):
+        a, b, c, e = (F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(4))
+        m = type_a(a, b, c, -a, e, -c)
+        sig = rank_signature(ricci_type_a(m))
+        if sig.rank != 2:
+            continue
+        pattern = binary_cubic_pattern(binary_cubic(m))
+        assert (sig.label, pattern) in ((RANK2_INDEF, "one_real"), (RANK2_NEG, "three_simple")), m
+        seen.add(sig.label)
+    assert seen == {RANK2_INDEF, RANK2_NEG}

@@ -1,18 +1,19 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from affinestrata.exact import Mat2
-from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.curvature import rank_signature, ricci_trace_vector, ricci_type_a, ricci_type_b
 from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
     UndecidedError,
     _covariant_frame,
     _solve_reduced_pair,
+    _rank2_witnesses_by_cubic,
     _solve_rank2_pair,
-    _solve_rank2_sweep,
     isotropy_type_a,
     orbit_dimension_a,
     pullback_type_a,
@@ -362,48 +363,75 @@ def test_equivalence_rank2_generate_recover():
         assert res.is_equivalent, (m1, m2, res.status)
         assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
         if _covariant_frame(m1, ricci_type_a(m1)) is None:
-            degenerate += 1  # decided by the sweep
+            degenerate += 1  # decided by v and its Ricci-normal, or the cubic
         else:
             assert len(res.maps) == 1
     assert degenerate == 1
 
 
 def test_equivalence_rank2_height_sweep():
-    undecided = 0
     rng = random.Random(67)
     for height in (3, 6, 30, 500):
         for m1, m2 in rank2_pairs(rng, height, 20):
             res = solve_equivalence_a(m1, m2)
-            if _covariant_frame(m1, ricci_type_a(m1)) is None:
-                # degenerate frames go through the Ricci-symmetry sweep
-                assert res.status in ("equivalent", "undecided"), (m1, m2, res.status)
-                undecided += res.status == "undecided"
-                continue
             assert res.is_equivalent, (height, m1, m2, res.status)
-            assert [pullback_type_a(m1, w) for w in res.maps] == [m2]
-    assert undecided == 0
+            assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
+            if _covariant_frame(m1, ricci_type_a(m1)) is not None:
+                assert len(res.maps) == 1
+
+
+def degenerate_models(rng, height, count):
+    """``count`` rank-two models whose covariant frame (v, G(v, v)) is
+    degenerate, both kinds (v = 0 and v parallel to G(v, v)) mixed."""
+    models = []
+    while len(models) < count:
+        m = sampling.rand_model_a(rng, height)
+        r = ricci_type_a(m)
+        if rank_signature(r).rank == 2 and _covariant_frame(m, r) is None:
+            models.append(m)
+    return models
+
+
+def omega_zero_model(rng, height):
+    """A rank-two model with trace form omega = (a + d, c + f) = 0."""
+    while True:
+        a, b, c, e = (sampling.rand_rational(rng, height) for _ in range(4))
+        m = type_a(a, b, c, -a, e, -c)
+        if rank_signature(ricci_type_a(m)).rank == 2:
+            return m
 
 
 def test_equivalence_rank2_symmetry():
     rng = random.Random(73)
     pairs = rank2_pairs(rng, 6, 10)
     pairs += [(m1, m3) for (m1, _), (m3, _) in zip(pairs, rank2_pairs(rng, 6, 10))]
+    degenerate = degenerate_models(rng, 3, 12)
+    pairs += [(m, pullback_type_a(m, sampling.rand_linear_map(rng, 4))) for m in degenerate]
+    pairs += list(zip(degenerate, degenerate[1:]))
     for m1, m2 in pairs:
         r12 = solve_equivalence_a(m1, m2)
         r21 = solve_equivalence_a(m2, m1)
-        assert r12.status == r21.status != "undecided"
-        assert [w.matrix.inverse() for w in r12.maps] == [w.matrix for w in r21.maps]
+        assert r12.status == r21.status, (m1, m2)
+        if m1 not in degenerate:
+            assert r12.status != "undecided"
+        inverses = [w.matrix.inverse() for w in r12.maps]
+        assert sorted(map(repr, inverses)) == sorted(repr(w.matrix) for w in r21.maps)
+        assert len(set(inverses)) == len(inverses)
 
 
-def test_equivalence_rank2_frame_matches_sweep():
-    """The frame and the retained sweep agree wherever the sweep decides,
-    down to the list of witnesses: a nondegenerate frame has trivial
-    isotropy, and the sweep lists each witness once."""
+def test_equivalence_rank2_frame_matches_cubic_witnesses():
+    """The frame and the cubic rule agree on every pair, down to the list of
+    witnesses: a nondegenerate frame has trivial isotropy, and the cubic
+    rule finds every rational witness of any rank-two pair."""
     rng = random.Random(71)
-    pairs = rank2_pairs(rng, 3, 4)
-    # distinct models with the same Ricci form, which the sweep separates
+    pairs = []
+    for height, count in ((3, 4), (12, 4), (10**6, 2)):
+        built = rank2_pairs(rng, height, count)
+        pairs += built
+        pairs += [(m1, m3) for (m1, _), (m3, _) in zip(built, rank2_pairs(rng, height, count))]
+    # distinct models with the same Ricci form
     by_ricci = {}
-    while len(pairs) < 7:
+    while len(pairs) < 23:
         m = sampling.rand_model_a(rng, 2)
         r = ricci_type_a(m)
         if rank_signature(r).rank != 2:
@@ -412,18 +440,15 @@ def test_equivalence_rank2_frame_matches_sweep():
         if other != m:
             pairs.append((other, m))
             del by_ricci[r.rows]
-    decided = 0
+    statuses = set()
     for m1, m2 in pairs:
         assert _covariant_frame(m1, ricci_type_a(m1)) is not None
         r1, r2 = ricci_type_a(m1), ricci_type_a(m2)
         frame = _solve_rank2_pair(m1, m2, r1, r2)
-        sweep = _solve_rank2_sweep(m1, m2, r1, r2)
-        if sweep.status == "undecided":
-            continue
-        decided += 1
-        assert frame.status == sweep.status, (m1, m2)
-        assert [w.matrix for w in frame.maps] == [w.matrix for w in sweep.maps]
-    assert decided == len(pairs)
+        statuses.add(frame.status)
+        cubic = _rank2_witnesses_by_cubic(m1, m2, r1, r2)
+        assert [w.matrix for w in frame.maps] == [w.matrix for w in cubic], (m1, m2)
+    assert statuses == {"equivalent", "not_equivalent"}
 
 
 def test_equivalence_rank2_degenerate_frames():
@@ -435,7 +460,7 @@ def test_equivalence_rank2_degenerate_frames():
     assert res.is_equivalent
     assert t in res.maps
     assert all(pullback_type_a(base, w) == m2 for w in res.maps)
-    # the sweep's Cayley components overlap; each witness is listed once
+    # T and T composed with the Ricci reflection that fixes v
     assert len(set(res.maps)) == len(res.maps) == 2
     # same screening invariants, but only one frame is degenerate
     other = type_a(1, 1, -2, 0, 0, 0)
@@ -444,11 +469,9 @@ def test_equivalence_rank2_degenerate_frames():
         assert solve_equivalence_a(m1, m2).status == "not_equivalent"
 
 
-def test_equivalence_rank2_sweep_large_residual_roots():
-    """On this pair (omega = 0, so both frames are degenerate) the identity
-    component's residual gcd has end coefficients -51887395 and 1544292, and
-    its root tau = -35/3 gives the witness T: the sweep's exact root finding
-    has no bound to exceed."""
+def test_equivalence_rank2_omega_zero_reproducer():
+    """omega = 0, so both frames are degenerate; the cubic rule recovers T
+    from the rational roots of its sextic, with no bound to exceed."""
     m1 = type_a(F(3, 2), F(-2, 3), 1, F(-3, 2), -1, -1)
     t = LinearMap2(Mat2(((F(1, 6), F(-2)), (F(-1, 2), F(-1, 8)))))
     m2 = pullback_type_a(m1, t)
@@ -456,6 +479,60 @@ def test_equivalence_rank2_sweep_large_residual_roots():
     assert res.status == "equivalent"
     assert t in res.maps
     assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
+
+
+def test_equivalence_rank2_degenerate_kinds():
+    """Both kinds of degenerate frame: a nonzero v and its Ricci-normal force
+    the witness up to sign, and with v = 0 the binary cubic pins every
+    rational witness."""
+    # rho(v, v) is 1 against 9/7: the pair once ended undecided
+    res = solve_equivalence_a(type_a(0, 1, -2, 0, 0, 0), type_a(0, 1, -2, 0, 0, 1))
+    assert res.status == "not_equivalent"
+    # equal rho(v, v) = -1 but Ricci determinants of opposite sign: the pair
+    # solver separates them without the signature screen
+    m1, m2 = type_a(-2, -2, -2, 0, -2, 2), type_a(-2, -2, 2, 1, 0, 0)
+    res = _solve_rank2_pair(m1, m2, ricci_type_a(m1), ricci_type_a(m2))
+    assert res.status == "not_equivalent"
+    rng = random.Random(11)
+    models = degenerate_models(rng, 3, 24)
+    kinds = {ricci_trace_vector(m, ricci_type_a(m)) == (0, 0) for m in models}
+    assert kinds == {True, False}
+    for m in models:
+        for height in (2, 4, 8):
+            t = sampling.rand_linear_map(rng, height)
+            m2 = pullback_type_a(m, t)
+            res = solve_equivalence_a(m, m2)
+            assert res.is_equivalent and t in res.maps, (m, t, res.status)
+            assert all(pullback_type_a(m, w) == m2 for w in res.maps)
+    omega_zero = [m for m in models if ricci_trace_vector(m, ricci_type_a(m)) == (0, 0)]
+    omega_zero += [omega_zero_model(rng, 12) for _ in range(12)]
+    for i, m1 in enumerate(omega_zero):
+        for m2 in omega_zero[i + 1:]:
+            same = rank_signature(ricci_type_a(m1)) == rank_signature(ricci_type_a(m2))
+            res = solve_equivalence_a(m1, m2)
+            # one Ricci signature is one real orbit: never not_equivalent
+            assert (res.status != "not_equivalent") == same, (m1, m2, res.status)
+    for _ in range(2):
+        m = omega_zero_model(rng, 10**6)
+        t = sampling.rand_linear_map(rng, 10**6)
+        res = solve_equivalence_a(m, pullback_type_a(m, t))
+        assert res.is_equivalent and t in res.maps
+
+
+def test_equivalence_rank2_degenerate_undecided_reasons():
+    """Each undecided degenerate pair says why no rational witness exists."""
+    cases = [
+        # v parallel to G(v, v): the forced scale passes in Q(sqrt(6))
+        ((0, -1, F(3, 2), 0, 0, 3), (0, F(2, 3), F(-1, 2), -1, F(2, 3), 1), "the irrational sqrt("),
+        # omega = 0: det S would be sqrt of the Ricci determinant ratio
+        ((F(3, 2), F(-2, 3), 1, F(-3, 2), -1, -1), (F(-1, 3), 0, -3, F(1, 3), 0, 3), "not a rational square"),
+        # omega = 0 and a square ratio, but no root of the sextic gives a witness
+        ((-1, 3, 1, 1, -1, -1), (1, F(1, 2), -2, -1, F(1, 3), 2), "no rational witness exists"),
+    ]
+    for c1, c2, reason in cases:
+        for m1, m2 in ((type_a(*c1), type_a(*c2)), (type_a(*c2), type_a(*c1))):
+            res = solve_equivalence_a(m1, m2)
+            assert res.status == "undecided" and reason in res.reason, (m1, m2, res.reason)
 
 
 def test_isotropy_rank2_frame_is_trivial():
@@ -517,3 +594,38 @@ def test_transform_coeffs_matches_wrappers():
     m = sampling.rand_model_a(rng)
     t = sampling.rand_linear_map(rng)
     assert transform_coeffs(m.coeffs, t.matrix.rows) == pullback_type_a(m, t).coeffs
+
+
+def test_isotropy_rank2_degenerate_frame_is_forced():
+    """With v nonzero and parallel to G(v, v) every isotropy element fixes v
+    and is a Ricci congruence: the identity and the Ricci reflection fixing
+    v, when it fixes the model."""
+    rng = random.Random(11)
+    forced = [m for m in degenerate_models(rng, 3, 60) if ricci_trace_vector(m, ricci_type_a(m)) != (0, 0)]
+    assert len(forced) == 38
+    for m in forced:
+        group = isotropy_type_a(m)
+        assert group.dimension == 0
+        assert len(group.finite_elements) == 2
+        assert group.finite_elements[0].matrix == Mat2.identity()
+        assert all(pullback_type_a(m, el) == m for el in group.finite_elements)
+
+
+def test_degenerate_frames_have_no_null_v():
+    """A degenerate frame with v != 0 has rho(v, v) != 0, which the forced
+    rank-two rule divides by: a null v parallel to G(v, v), moved to e2,
+    would force omega = 0.  Checked on every model with coefficients in
+    {-2, ..., 2}."""
+    degenerate = 0
+    for coeffs in itertools.product(range(-2, 3), repeat=6):
+        m = type_a(*coeffs)
+        r = ricci_type_a(m)
+        if rank_signature(r).rank != 2 or _covariant_frame(m, r) is not None:
+            continue
+        v = ricci_trace_vector(m, r)
+        if v == (0, 0):
+            continue
+        degenerate += 1
+        (r11, r12), (_, r22) = r.rows
+        assert r11 * v[0] ** 2 + 2 * r12 * v[0] * v[1] + r22 * v[1] ** 2 != 0, m
+    assert degenerate == 408

@@ -1,12 +1,16 @@
-"""An independent oracle for the polynomial kernel: sympy's exact root
-finding, where it is installed.  The package itself does not depend on
+"""An independent oracle for the polynomial kernel, sympy's exact root
+finding, and for the cubic law of the rank-two equivalence rule, where sympy
+is installed.  The package itself does not depend on
 sympy; without it these tests are skipped."""
 
 import random
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
 
+from affinestrata.curvature import binary_cubic
+from affinestrata.group_action import transform_coeffs
 from affinestrata.polys import binary_cubic_pattern, pmul, rational_roots
 
 sympy = pytest.importorskip("sympy")
@@ -73,3 +77,20 @@ def test_binary_cubic_pattern_against_sympy():
             cubic = [p * r, p * s + q * r, p * t + q * s, q * t]
         k = [sympy.Rational(c.numerator, c.denominator) for c in cubic]
         assert binary_cubic_pattern(tuple(cubic)) == pattern(*k), cubic
+
+
+def test_binary_cubic_law():
+    """f(pullback(m, T))(y) = det T f(T^-1 y) for the binary cubic
+    f(x) = det(x, G(x, x)), with symbolic coefficients, map and point."""
+    g = sympy.symbols("a b c d e f")
+    t11, t12, t21, t22 = sympy.symbols("t11 t12 t21 t22")
+    y = (X, Y)
+
+    def cubic_at(coeffs, x):
+        k3, k2, k1, k0 = binary_cubic(SimpleNamespace(coeffs=coeffs))
+        return k3 * x[0] ** 3 + k2 * x[0] ** 2 * x[1] + k1 * x[0] * x[1] ** 2 + k0 * x[1] ** 3
+
+    det = t11 * t22 - t12 * t21
+    pulled = transform_coeffs(g, ((t11, t12), (t21, t22)))
+    s_y = ((t22 * X - t12 * Y) / det, (-t21 * X + t11 * Y) / det)
+    assert sympy.cancel(cubic_at(pulled, y) - det * cubic_at(g, s_y)) == 0
