@@ -4,7 +4,6 @@ models with constant or 1/x1-scaled connection coefficients."""
 from .exact import (
     CIRCLE_ANTIPODE,
     CirclePoint,
-    JetScalar,
     Mat2,
     Rational,
     circle_from_slope,

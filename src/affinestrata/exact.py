@@ -6,9 +6,10 @@ numbers: rotations and circle-valued chart data are carried by rational
 points (c, s) on the unit circle, and every trigonometric expression is
 expanded into a polynomial in (c, s).
 
-First derivatives of the polynomial parametrizations are propagated with
-forward-mode jets (:class:`JetScalar`), which keeps tangent-rank
-certificates exact as well.
+One scalar extension serves two ends: :class:`QuadExt` adjoins s with
+s^2 = k, a square root for the equivalence solvers, and at k = 0 the dual
+numbers, whose s-part carries the exact first derivatives of the
+parametrizations, so tangent-rank certificates are exact as well.
 """
 
 from __future__ import annotations
@@ -207,16 +208,19 @@ def circle_from_slope(t: Fraction) -> CirclePoint:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic field extensions
+# Quadratic extensions
 #
 # Equivalence solvers sometimes meet a forced scale sqrt(k) with k not a
 # rational square.  Arithmetic in the field of u + v*sqrt(k) decides exactly
 # whether the remaining equations hold at that scale: an element vanishes at
-# one real embedding of the field exactly when it vanishes at both.
+# one real embedding of the field exactly when it vanishes at both.  At
+# k = 0 the same rules give the dual numbers u + v*eps with eps^2 = 0, and
+# the eps-part of f(x + eps) is f'(x).
 
 
 class QuadExt:
-    """An element u + v*sqrt(k) of a real quadratic extension.
+    """An element u + v*sqrt(k) of Q(sqrt(k)), or of the dual numbers when
+    k = 0.
 
     Held on integers as (p + q*sqrt(K)) / d with K = k.numerator *
     k.denominator, so that sqrt(K) = k.denominator * sqrt(k), d > 0 and
@@ -289,9 +293,10 @@ class QuadExt:
 
     def __truediv__(self, other):
         o = self._lift(other)
-        norm = o.p * o.p - self._big_k * o.q * o.q  # nonzero when k is not a square
+        # the norm vanishes only at 0 when k is not a square, and at every v*eps when k = 0
+        norm = o.p * o.p - self._big_k * o.q * o.q
         if norm == 0:
-            raise ZeroDivisionError("division by zero in the quadratic extension")
+            raise ZeroDivisionError("division by a non-unit of the quadratic extension")
         return self._new(
             (self.p * o.p - self._big_k * self.q * o.q) * o.d,
             (self.q * o.p - self.p * o.q) * o.d,
@@ -309,102 +314,25 @@ class QuadExt:
         return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
 
 
-# ---------------------------------------------------------------------------
-# Forward-mode jets
-
-
-class JetScalar:
-    """A scalar paired with exact first partials w.r.t. the active parameters.
-
-    Supports +, -, *, / against other jets and against plain rationals; that
-    is enough to differentiate every parametrization in this package, all of
-    which are polynomial or have polynomial numerators and denominators.
-    """
-
-    __slots__ = ("value", "partials")
-
-    def __init__(self, value, partials):
-        self.value = value
-        self.partials = tuple(partials)
-
-    @staticmethod
-    def variable(value, index: int, n: int) -> "JetScalar":
-        return JetScalar(Fraction(value), tuple(ONE if k == index else ZERO for k in range(n)))
-
-    @staticmethod
-    def constant(value, n: int) -> "JetScalar":
-        return JetScalar(Fraction(value), (ZERO,) * n)
-
-    def _lift(self, other) -> "JetScalar":
-        if isinstance(other, JetScalar):
-            return other
-        return JetScalar.constant(other, len(self.partials))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return JetScalar(self.value + o.value, tuple(a + b for a, b in zip(self.partials, o.partials)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return JetScalar(-self.value, tuple(-a for a in self.partials))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return JetScalar(
-            self.value * o.value,
-            tuple(a * o.value + self.value * b for a, b in zip(self.partials, o.partials)),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        v = self.value / o.value
-        return JetScalar(
-            v,
-            tuple((a - v * b) / o.value for a, b in zip(self.partials, o.partials)),
-        )
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __eq__(self, other):
-        o = self._lift(other) if not isinstance(other, JetScalar) else other
-        return self.value == o.value and self.partials == o.partials
-
-    def __repr__(self):
-        return f"JetScalar({self.value}, {list(self.partials)})"
-
-
 def jacobian(
     fn: Callable[[Sequence], Sequence],
     point: Sequence[Fraction],
     arity: int | None = None,
 ) -> list[list[Fraction]]:
-    """Exact Jacobian of a polynomial map at ``point`` via jet propagation.
+    """Exact Jacobian of a rational map at ``point`` over the dual numbers.
 
     Returns the n x m matrix whose (i, j) entry is the partial of output i
-    with respect to input j.
+    with respect to input j: column j is the eps-part of ``fn`` at the point
+    moved by eps along input j.  Outputs that are plain constants have zero
+    partials.
     """
     if arity is not None and len(point) != arity:
         raise ArityMismatch(f"map expects {arity} inputs, point has {len(point)}")
-    n = len(point)
-    jets = [JetScalar.variable(x, k, n) for k, x in enumerate(point)]
-    outputs = fn(jets)
-    rows = []
-    for out in outputs:
-        if isinstance(out, JetScalar):
-            rows.append([Fraction(p) for p in out.partials])
-        else:
-            rows.append([ZERO] * n)
-    return rows
+    columns = []
+    for j in range(len(point)):
+        outputs = fn([QuadExt(x, int(i == j), 0) for i, x in enumerate(point)])
+        columns.append([out.v if isinstance(out, QuadExt) else ZERO for out in outputs])
+    return [list(row) for row in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,8 @@ class CatalogEntry:
     both tables of these records.
 
     ``build`` maps a parameter sequence to the six coefficients with ring
-    operations only, so it evaluates on exact rationals and on jets alike.
+    operations only, so it evaluates on exact rationals and on dual numbers
+    alike.
     ``check`` returns a violation message or None.  ``aliases`` are further
     names the library (not the command line) accepts for the family.
     """

@@ -4,10 +4,10 @@ Coefficient lists are dense, ascending in degree, over Fraction; degrees stay
 tiny.  The rank-two equivalence rule for omega = 0 reads the rational roots
 of its sextic off one Sturm chain of the squarefree part, with no search
 bound: a rational root's denominator divides the primitive leading
-coefficient L, so two such roots lie 1 / L^2 apart, and a root isolated in
-an interval narrower than 1 / (2 L^2) is rational exactly when the
-interval's simplest fraction is a root.  The flat orbit screen reads its
-binary cubic's root pattern off closed forms.
+coefficient L, so every rational root lies on the lattice (1 / L) Z, and an
+interval narrower than 1 / |L| holds at most one lattice point, the one
+candidate tested exactly.  The flat orbit screen reads its binary cubic's
+root pattern off closed forms.
 """
 
 from __future__ import annotations
@@ -169,31 +169,13 @@ def _isolate(chain: list[list[int]], width: Fraction) -> list[tuple[Fraction, Fr
     return out
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """A fraction of least denominator in [lo, hi], by continued fractions."""
-    if lo <= 0 <= hi:
-        return ZERO
-    if hi < 0:
-        return -_simplest_between(-hi, -lo)
-    # x = (p0 y + p1) / (q0 y + q1) for y in the current [lo, hi]
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    while True:
-        n = math.floor(lo)
-        if n == lo or n + 1 <= hi:
-            k = n if n == lo else n + 1
-            return Fraction(p0 * k + p1, q0 * k + q1)
-        # y = n + 1 / y' with y' in [1 / (hi - n), 1 / (lo - n)]
-        p0, q0, p1, q1 = p0 * n + p1, q0 * n + q1, p0, q0
-        lo, hi = 1 / (hi - n), 1 / (lo - n)
-
-
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities: zero first, then the others
     ordered by (|numerator|, denominator), the positive one first.
 
-    Each real root of the squarefree part is isolated to width below
-    1 / (2 L^2) and the simplest fraction of its interval is tested exactly
-    (see the module docstring).
+    Each real root of the squarefree part is isolated in an interval
+    (lo, hi] narrower than 1 / |L|, and the one lattice point floor(hi L) / L
+    in it, if any, is tested exactly (see the module docstring).
     """
     p = ptrim(p)
     if not p:
@@ -208,12 +190,12 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     if pdeg(p) < 1:
         return roots
     chain = _sturm_chain(p)
-    lead = chain[0][-1]
-    found = set()  # a set: an interval (lo, hi] may also yield its neighbour's root lo
-    for lo, hi in _isolate(chain, Fraction(1, 2 * lead * lead)):
-        x = _simplest_between(lo, hi)
-        if _scaled_value(chain[0], x) == 0:
-            found.add(x)
+    lead = abs(chain[0][-1])
+    found = []
+    for lo, hi in _isolate(chain, Fraction(1, lead)):
+        x = Fraction(math.floor(hi * lead), lead)
+        if x > lo and _scaled_value(chain[0], x) == 0:
+            found.append(x)
     for x in sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0)):
         mult = 0
         while True:

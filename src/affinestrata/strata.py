@@ -5,8 +5,8 @@ Conventions:
 
 - Every parametrized family is a :class:`~affinestrata.models.CatalogEntry`
   in :data:`COEFF_FAMILIES`; its coefficient map is generic over the scalar
-  ring, so the same definition feeds exact evaluation and jet
-  differentiation.
+  ring, so the same definition feeds exact evaluation and differentiation
+  over the dual numbers.
 - The flat Type A stratum is charted by (theta, r, s, t) with theta a
   rational circle point and (r, s, t) != 0; the chart is two-to-one along
   the half-turn (theta, r) ~ (-theta, -r), and coordinates returned by
@@ -258,7 +258,7 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
 # The parametrization registry
 
 # Coefficient maps are generic over the scalar ring so the same definitions
-# feed both exact evaluation and jet differentiation.
+# feed both exact evaluation and differentiation over the dual numbers.
 
 
 def _flat_a(params):

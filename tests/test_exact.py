@@ -7,7 +7,6 @@ from affinestrata.exact import (
     CIRCLE_ANTIPODE,
     ArityMismatch,
     CirclePoint,
-    JetScalar,
     Mat2,
     circle_from_slope,
     jacobian,
@@ -94,15 +93,6 @@ def test_mat2_inverse_of_int_entries_is_exact():
     assert inv == Mat2.of(F(1, 2), F(0), F(0), F(1))
     assert all(type(x) is F for row in inv.rows for x in row)
     assert Mat2.of(1, 2, 3, 4).inverse() == Mat2.of(F(1), F(2), F(3), F(4)).inverse()
-
-
-def test_jet_arithmetic():
-    x = JetScalar.variable(F(3), 0, 2)
-    y = JetScalar.variable(F(5), 1, 2)
-    z = (x * y + 2) / y
-    # z = x + 2/y: dz/dx = 1, dz/dy = -2/25
-    assert z.value == F(17, 5)
-    assert z.partials == (F(1), F(-2, 25))
 
 
 def test_jacobian_linear_maps():

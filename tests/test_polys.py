@@ -82,14 +82,32 @@ def planted(rng, height):
     return p, sorted(roots.items(), key=root_order)
 
 
+def lattice_edge_cases(n):
+    """Inputs the 1/L lattice rule must get right, with their roots in order:
+    adjacent lattice roots 1/(n + 1) = n/L and 1/n = (n + 1)/L with
+    L = n (n + 1); the same mirrored, under a negative leading coefficient;
+    roots 1/2 and -3 at bisection midpoints (the root bound is 4); the
+    midpoint root -1/2 with the irrational root (9 - sqrt 97) / 2 less than
+    1/L to its right, in the interval whose lower end it is; the root 2,
+    which an interval twice as wide would share with the lattice point 3;
+    and zero beside the adjacent roots 1/3 = 2/6 and 1/2 = 3/6."""
+    return [
+        (pmul(P(-1, n), P(-1, n + 1)), [(F(1, n), 1), (F(1, n + 1), 1)]),
+        (pmul(P(1, n), P(-3, -3 * (n + 1))), [(F(-1, n), 1), (F(-1, n + 1), 1)]),
+        (P(-3, 5, 2), [(F(1, 2), 1), (F(-3), 1)]),
+        (pmul(P(1, 2), P(-4, -9, 1)), [(F(-1, 2), 1)]),
+        (pmul(P(-2, 1), P(-6, -9, 1)), [(F(2), 1)]),
+        (pmul(P(0, 0, 1), P(1, -5, 6)), [(F(0), 2), (F(1, 2), 1), (F(1, 3), 1)]),
+    ]
+
+
 @pytest.mark.parametrize("height", [12, 10**12])
 def test_rational_roots_planted(height):
     """Exactly the planted roots, in order, at any height: Sturm isolation has
     no search bound, where a divisor scan of the end coefficients stalls."""
     rng = random.Random(height)
     start = time.perf_counter()
-    for _ in range(30):
-        p, expected = planted(rng, height)
+    for p, expected in [planted(rng, height) for _ in range(30)] + lattice_edge_cases(height):
         assert rational_roots(p) == expected, p
     assert time.perf_counter() - start < 30
 

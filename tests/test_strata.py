@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affinestrata.exact import CirclePoint, Mat2, circle_from_slope
+from affinestrata.exact import CirclePoint, Mat2, circle_from_slope, jacobian, mat_rank
 from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b, split_ricci
 from affinestrata.group_action import LinearMap2, pullback_type_a
 from affinestrata.models import canonical_model, type_a, type_b
@@ -16,6 +16,7 @@ from affinestrata.strata import (
     NotInStratumError,
     NotRank1Error,
     UnmatchedOrbitError,
+    _flat_a_coeffs,
     alt_b_param,
     classify_alt_b,
     classify_flat_b,
@@ -456,7 +457,7 @@ def test_match_rank1_family_mirror_parameter():
 
 def _difference_jacobian(fn, arity, point, h=F(1, 7)):
     """Independent derivative oracle: Richardson-extrapolated central
-    differences, exact for coordinate polynomials of degree <= 3."""
+    differences, exact for coordinate polynomials of degree <= 4."""
     cols = []
     for k in range(arity):
         def shifted(step):
@@ -469,16 +470,38 @@ def _difference_jacobian(fn, arity, point, h=F(1, 7)):
     return [[cols[k][i] for k in range(arity)] for i in range(6)]
 
 
+def _flat_a_slope_column(point):
+    """The slope partials of the flat chart, a rational map, by the chain
+    rule through its circle point (c, s) = ((1 - x^2), 2x) / (1 + x^2), whose
+    derivative is (-4x, 2 (1 - x^2)) / (1 + x^2)^2; the coefficients are
+    polynomial in (c, s)."""
+    x, r, s, t = point
+    den = 1 + x * x
+    circle = [(1 - x * x) / den, 2 * x / den]
+    inner = _difference_jacobian(lambda cs: _flat_a_coeffs(cs[0], cs[1], r, s, t), 2, circle)
+    dc, ds = -4 * x / (den * den), 2 * (1 - x * x) / (den * den)
+    return [row[0] * dc + row[1] * ds for row in inner]
+
+
 def test_jacobian_matches_difference_oracle():
-    from affinestrata.exact import jacobian
-
-    entry = COEFF_FAMILIES["V2"]
-    arity, fn = entry.arity, entry.build
+    """Every family's exact Jacobian against the difference oracle, at
+    points with nonzero parameters (so no shift reaches the flat chart's cone
+    point); the flat chart's slope column divides by a dual number and is
+    checked against the chain rule."""
+    rng = random.Random(137)
+    for entry in COEFF_FAMILIES.values():
+        arity, fn = entry.arity, entry.build
+        for _ in range(4):
+            point = [sampling.rand_nonzero(rng) for _ in range(arity)]
+            expected = _difference_jacobian(fn, arity, point)
+            if entry.entry_id == "flat_a":
+                for row, d_slope in zip(expected, _flat_a_slope_column(point)):
+                    row[0] = d_slope
+            assert jacobian(fn, point, arity=arity) == expected, (entry.entry_id, point)
+    v2 = COEFF_FAMILIES["V2"]
     point = [F(1), F(0), F(0)]
-    assert jacobian(fn, point, arity=arity) == _difference_jacobian(fn, arity, point)
-    from affinestrata.exact import mat_rank
-
-    assert mat_rank(jacobian(fn, point, arity=arity)) == 3
+    assert jacobian(v2.build, point, arity=3) == _difference_jacobian(v2.build, 3, point)
+    assert mat_rank(jacobian(v2.build, point, arity=3)) == 3
 
 
 def test_tangent_sum_rank_examples():

@@ -36,10 +36,24 @@ def random_poly(rng):
     return p
 
 
+#: edge inputs of the 1/L lattice rule: adjacent lattice roots 1/13 and 1/12
+#: (L = 156), the same mirrored under a negative leading coefficient, roots
+#: 1/2 and -3 at bisection midpoints, the midpoint root -1/2 with an
+#: irrational root less than 1/L to its right, the root 2 next to the lattice
+#: point 3, and zero beside the adjacent roots 1/3 and 1/2 (L = 6)
+LATTICE_EDGES = [
+    pmul([F(-1), F(12)], [F(-1), F(13)]),
+    pmul([F(1), F(12)], [F(-3), F(-39)]),
+    [F(-3), F(5), F(2)],
+    pmul([F(1), F(2)], [F(-4), F(-9), F(1)]),
+    pmul([F(-2), F(1)], [F(-6), F(-9), F(1)]),
+    pmul([F(0), F(0), F(1)], [F(1), F(-5), F(6)]),
+]
+
+
 def test_rational_roots_against_sympy():
     rng = random.Random(101)
-    for _ in range(300):
-        p = random_poly(rng)
+    for p in [random_poly(rng) for _ in range(300)] + LATTICE_EDGES:
         if not any(p):
             continue
         expected = {F(int(r.p), int(r.q)): m for r, m in to_sympy(p).ground_roots().items()}
