@@ -1,14 +1,7 @@
 """Exact-arithmetic classification of locally homogeneous affine surface
 models with constant or 1/x1-scaled connection coefficients."""
 
-from .exact import (
-    CIRCLE_ANTIPODE,
-    CirclePoint,
-    Mat2,
-    Rational,
-    circle_from_slope,
-    jacobian,
-)
+from .exact import CirclePoint, Mat2, circle_from_slope, jacobian
 from .models import (
     CATALOG,
     CatalogError,

@@ -115,15 +115,15 @@ def classify_model(m: Model) -> ClassificationReport:
     orbit = None
     admits = None
     if m.kind == "A":
-        if flags.is_cone_point:
-            stratum = {"kind": "cone_point"}
-            orbit = {"id": "M0_0", "params": [], "witness": LinearMap2.identity().to_json()}
-        elif flags.is_flat:
-            stratum = {"kind": "flat_chart"}
-            try:
-                stratum.update(_flat_a_coords(m).to_dict())
-            except NonRationalCirclePointError as exc:
-                errors["flat_chart"] = str(exc)
+        if flags.is_flat:
+            if flags.is_cone_point:
+                stratum = {"kind": "cone_point"}
+            else:
+                stratum = {"kind": "flat_chart"}
+                try:
+                    stratum.update(_flat_a_coords(m).to_dict())
+                except NonRationalCirclePointError as exc:
+                    errors["flat_chart"] = str(exc)
             try:
                 orbit_id, witness = _match_flat_a_orbit(m)
                 orbit = {"id": orbit_id, "params": [], "witness": witness.to_json()}

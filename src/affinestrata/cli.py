@@ -2,15 +2,16 @@
 
 All results are single JSON documents on stdout; diagnostics go to stderr as
 JSON.  Exit codes: 0 success (or equivalent / all checks passed), 1 domain
-negatives (not equivalent, undecided, failed checks, classification errors)
-and internal faults, 2 usage or parse errors.  Rationals are rendered as
-strings everywhere.
+negatives (not equivalent, undecided, failed checks, classification errors),
+internal faults and a closed stdout, 2 usage or parse errors.  Rationals are
+rendered as strings everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exact import rational, rational_str
@@ -209,7 +210,15 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at interpreter exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

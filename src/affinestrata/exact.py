@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class ArityMismatch(ValueError):
-    """A polynomial map was evaluated at a point of the wrong dimension."""
 
 
 #: the rational literal grammar: ``n`` or ``n/d`` in ASCII digits, optionally
@@ -120,10 +114,6 @@ class Mat2:
     def identity() -> "Mat2":
         return Mat2(((ONE, ZERO), (ZERO, ONE)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def det(self):
         (a, b), (c, d) = self.rows
         return a * d - b * c
@@ -181,23 +171,12 @@ class CirclePoint:
         """The half-turn: (c, s) -> (-c, -s)."""
         return CirclePoint(-self.c, -self.s)
 
-    def compose(self, other: "CirclePoint") -> "CirclePoint":
-        """Angle addition expressed on circle points."""
-        return CirclePoint(
-            self.c * other.c - self.s * other.s,
-            self.s * other.c + self.c * other.s,
-        )
-
     def is_lex_positive(self) -> bool:
         return self.c > 0 or (self.c == 0 and self.s > 0)
 
     def rotation(self) -> Mat2:
         """The rotation (x1, x2) -> (c*x1 + s*x2, -s*x1 + c*x2)."""
         return Mat2(((self.c, self.s), (-self.s, self.c)))
-
-
-#: The point (-1, 0); not reachable through :func:`circle_from_slope`.
-CIRCLE_ANTIPODE = CirclePoint(-ONE, ZERO)
 
 
 def circle_from_slope(t: Fraction) -> CirclePoint:
@@ -314,11 +293,7 @@ class QuadExt:
         return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
 
 
-def jacobian(
-    fn: Callable[[Sequence], Sequence],
-    point: Sequence[Fraction],
-    arity: int | None = None,
-) -> list[list[Fraction]]:
+def jacobian(fn: Callable[[Sequence], Sequence], point: Sequence[Fraction]) -> list[list[Fraction]]:
     """Exact Jacobian of a rational map at ``point`` over the dual numbers.
 
     Returns the n x m matrix whose (i, j) entry is the partial of output i
@@ -326,8 +301,6 @@ def jacobian(
     moved by eps along input j.  Outputs that are plain constants have zero
     partials.
     """
-    if arity is not None and len(point) != arity:
-        raise ArityMismatch(f"map expects {arity} inputs, point has {len(point)}")
     columns = []
     for j in range(len(point)):
         outputs = fn([QuadExt(x, int(i == j), 0) for i, x in enumerate(point)])
@@ -339,17 +312,18 @@ def jacobian(
 # Exact linear algebra on small rectangular systems
 
 
-def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by fraction-free elimination.
+def _forward_eliminate(m: list[list[int]], cols) -> list[int]:
+    """Bring the integer rows ``m`` to row echelon form in place, taking
+    pivots in the columns ``cols`` in that order; returns the pivot columns.
 
-    Each row is cleared of denominators once; eliminating a row keeps it
-    integral and primitive, so no ``Fraction`` is built.
+    A row is eliminated as p row - row[col] top against the pivot p =
+    top[col] and divided by its content, so it stays integral and primitive.
     """
-    m = [clear_denominators(r)[0] for r in rows]
-    if not m:
-        return 0
-    rank = 0
-    for col in range(len(m[0])):
+    pivots: list[int] = []
+    for col in cols:
+        rank = len(pivots)
+        if rank == len(m):
+            break
         pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
@@ -362,10 +336,19 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
                 row = [p * x - factor * y for x, y in zip(m[r], top)]
                 g = math.gcd(*row)
                 m[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of an exact rational matrix: the number of pivots of the
+    fraction-free forward elimination.
+
+    Each row is cleared of denominators once; eliminating a row keeps it
+    integral and primitive, so no ``Fraction`` is built.
+    """
+    m = [clear_denominators(r)[0] for r in rows]
+    return len(_forward_eliminate(m, range(len(m[0]) if m else 0)))
 
 
 def solve_linear(
@@ -374,41 +357,29 @@ def solve_linear(
     """Solve A x = b exactly.
 
     Returns (particular solution, kernel basis) or None when inconsistent.
-    Both are read off the reduced row echelon form, which is unique, so it is
-    computed fraction-free like :func:`mat_rank`: each augmented row is
-    cleared of denominators once and stays integral and primitive through
-    Gauss-Jordan elimination, and an entry is divided by its row's pivot only
-    when it is read off.
+    Both are read off the reduced row echelon form, which is unique: the
+    augmented rows, each cleared of denominators once, go through the
+    forward elimination of :func:`mat_rank`, and a back pass clears each
+    pivot column above its pivot.  An entry is divided by its row's pivot
+    only when it is read off.
     """
-    n_eq = len(rows)
-    n_var = len(rows[0]) if n_eq else 0
+    n_var = len(rows[0]) if rows else 0
     aug = [clear_denominators([*r, b])[0] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n_var):
-        pivot = next((r for r in range(rank, n_eq) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        top = aug[rank]
-        p = top[col]
-        for r in range(n_eq):
-            factor = aug[r][col]
-            if r != rank and factor != 0:
-                row = [p * x - factor * y for x, y in zip(aug[r], top)]
-                g = math.gcd(*row)
-                aug[r] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, n_eq):
-        if aug[r][n_var] != 0:
-            return None
+    pivots = _forward_eliminate(aug, range(n_var))
+    rank = len(pivots)
+    if any(row[n_var] != 0 for row in aug[rank:]):
+        return None
+    # the back pass is the same elimination on the pivot rows taken bottom
+    # up, pivoting on their pivot columns right to left: each pivot row is
+    # first in its turn, so no row moves
+    upper = aug[:rank][::-1]
+    _forward_eliminate(upper, pivots[::-1])
+    aug[:rank] = upper[::-1]
     particular = [ZERO] * n_var
     for r, col in enumerate(pivots):
         particular[col] = Fraction(aug[r][n_var], aug[r][col])
-    free_cols = [c for c in range(n_var) if c not in pivots]
     kernel = []
-    for free in free_cols:
+    for free in (c for c in range(n_var) if c not in pivots):
         vec = [ZERO] * n_var
         vec[free] = ONE
         for r, col in enumerate(pivots):

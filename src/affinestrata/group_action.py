@@ -781,44 +781,28 @@ def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
     return group
 
 
-def _gl2_family() -> IsotropyFamily:
-    return IsotropyFamily(
-        dimension=4,
-        param_names=("p", "q", "r", "s"),
-        constraints=("p*s - q*r != 0",),
-        template="[[p, q], [r, s]]",
-        build=lambda p, q, r, s: Mat2(((p, q), (r, s))),
-    )
-
-
-def _flat_catalog_isotropy(orbit_id: str) -> IsotropyGroup:
-    if orbit_id == "M0_0":
-        return IsotropyGroup((), (_gl2_family(),))
-    if orbit_id == "M1_0":
-        fam = IsotropyFamily(
-            1, ("a",), ("a != 0",), "[[1, 0], [0, a]]",
-            lambda a: Mat2(((ONE, ZERO), (ZERO, a))),
-        )
-        return IsotropyGroup((_IDENTITY,), (fam,))
-    if orbit_id == "M2_0":
-        swap = LinearMap2(Mat2(((ZERO, -ONE), (-ONE, ZERO))))
-        return IsotropyGroup((_IDENTITY, swap), ())
-    if orbit_id == "M3_0":
-        fam = IsotropyFamily(
-            1, ("a",), ("a != 0",), "[[a, 0], [0, 1]]",
-            lambda a: Mat2(((a, ZERO), (ZERO, ONE))),
-        )
-        return IsotropyGroup((_IDENTITY,), (fam,))
-    if orbit_id == "M4_0":
-        fam = IsotropyFamily(
-            2, ("a", "b"), ("a != 0",), "[[a^2, b], [0, a]]",
-            lambda a, b: Mat2(((a * a, b), (ZERO, a))),
-        )
-        return IsotropyGroup((_IDENTITY,), (fam,))
-    if orbit_id == "M5_0":
-        flip = LinearMap2(Mat2(((ONE, ZERO), (ZERO, -ONE))))
-        return IsotropyGroup((_IDENTITY, flip), ())
-    raise ValueError(f"no stored isotropy group for {orbit_id}")
+#: the isotropy groups of the canonical flat models
+_FLAT_ISOTROPY = {
+    "M0_0": IsotropyGroup((), (
+        IsotropyFamily(
+            4, ("p", "q", "r", "s"), ("p*s - q*r != 0",), "[[p, q], [r, s]]",
+            lambda p, q, r, s: Mat2(((p, q), (r, s))),
+        ),
+    )),
+    "M1_0": IsotropyGroup((_IDENTITY,), (
+        IsotropyFamily(1, ("a",), ("a != 0",), "[[1, 0], [0, a]]", lambda a: Mat2(((ONE, ZERO), (ZERO, a)))),
+    )),
+    "M2_0": IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ZERO, -ONE), (-ONE, ZERO))))), ()),
+    "M3_0": IsotropyGroup((_IDENTITY,), (
+        IsotropyFamily(1, ("a",), ("a != 0",), "[[a, 0], [0, 1]]", lambda a: Mat2(((a, ZERO), (ZERO, ONE)))),
+    )),
+    "M4_0": IsotropyGroup((_IDENTITY,), (
+        IsotropyFamily(
+            2, ("a", "b"), ("a != 0",), "[[a^2, b], [0, a]]", lambda a, b: Mat2(((a * a, b), (ZERO, a))),
+        ),
+    )),
+    "M5_0": IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, ZERO), (ZERO, -ONE))))), ()),
+}
 
 
 def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
@@ -875,8 +859,10 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
     return IsotropyGroup(tuple(elements), tuple(families))
 
 
-def _conjugate_group(group: IsotropyGroup, witness: LinearMap2) -> IsotropyGroup:
-    w = witness.matrix
+def _conjugate_group(group: IsotropyGroup, w: Mat2) -> IsotropyGroup:
+    """The group W H W^-1 of pullback(n, W), for the group H of n."""
+    if w == Mat2.identity():
+        return group
     w_inv = w.inverse()
     elements = tuple(
         LinearMap2(w @ el.matrix @ w_inv) for el in group.finite_elements
@@ -897,36 +883,34 @@ def _conjugate_group(group: IsotropyGroup, witness: LinearMap2) -> IsotropyGroup
 def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     """The subgroup of linear maps fixing ``m`` under pullback.
 
-    Supported inputs: the zero model, flat models (through the canonical
-    orbit match), rank-one models already in reduced form b = d = 0, and
-    rank-two models with v = rho^{-1} omega nonzero.  Every isotropy element
-    fixes v and G(v, v); when they are independent the group is trivial, and
-    when they are parallel it is the identity and at most one Ricci
-    reflection fixing v (:func:`_solve_rank2_forced`).  Anything else raises
+    A flat or rank-one model is the pullback of a normal form n under a
+    witness W, and its group is W H W^-1 for the group H of n: a flat model
+    (the zero model included) conjugates the stored group of its canonical
+    orbit by the matcher's witness, and a rank-one model conjugates the group
+    of its frame-reduced model (:func:`_isotropy_reduced`) by the inverse of
+    the frame.  A rank-two model with v = rho^{-1} omega nonzero has the
+    self-witnesses of the pair solver: every isotropy element fixes v and
+    G(v, v); when they are independent the group is trivial, and when they
+    are parallel it is the identity and at most one Ricci reflection fixing
+    v (:func:`_solve_rank2_forced`).  A rank-two model with omega = 0 raises
     :class:`UndecidedError`.
     """
-    if m.is_zero():
-        return IsotropyGroup((), (_gl2_family(),))
     cv = curvature_of(m)
     if cv.flags.is_flat:
         orbit_id, witness = _match_flat_a_orbit(m)
-        base = _flat_catalog_isotropy(orbit_id)
-        if witness.matrix == Mat2.identity():
-            return _spot_check(base, m)
-        return _spot_check(_conjugate_group(base, witness), m)
-    if cv.sig.rank == 1 and m.b == 0 and m.d == 0:
-        return _spot_check(_isotropy_reduced(m), m)
-    if cv.sig.rank == 1:
-        raise UndecidedError(
-            "isotropy is only solved for rank-one models in reduced form b = d = 0"
-        )
-    if ricci_trace_vector(m, cv.ricci) != (0, 0):
+        group = _conjugate_group(_FLAT_ISOTROPY[orbit_id], witness.matrix)
+    elif cv.sig.rank == 1:
+        frame, reduced = _rank1_frame(m, cv.ricci)
+        group = _conjugate_group(_isotropy_reduced(reduced), _frame_inverse(frame))
+    elif ricci_trace_vector(m, cv.ricci) != (0, 0):
         # with v != 0 the pair solver lists every real self-witness
-        return _spot_check(IsotropyGroup(_solve_rank2_pair(m, m, cv.ricci, cv.ricci).maps, ()), m)
-    raise UndecidedError(
-        "isotropy is not solved for rank-two models with omega = 0: the rational "
-        "group may be smaller than the real one"
-    )
+        group = IsotropyGroup(_solve_rank2_pair(m, m, cv.ricci, cv.ricci).maps, ())
+    else:
+        raise UndecidedError(
+            "isotropy is not solved for rank-two models with omega = 0: the rational "
+            "group may be smaller than the real one"
+        )
+    return _spot_check(group, m)
 
 
 # ---------------------------------------------------------------------------
@@ -963,10 +947,10 @@ class EquivalenceWitnesses:
         return out
 
 
-def _verified_a(m1, m2, mats) -> list[LinearMap2]:
+def _verified_a(m1, m2, mats: list[Mat2]) -> list[LinearMap2]:
     out = []
     for mat in mats:
-        t = LinearMap2(mat) if isinstance(mat, Mat2) else mat
+        t = LinearMap2(mat)
         if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
             raise AssertionError("equivalence witness failed exact verification")
         out.append(t)
@@ -1003,8 +987,6 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
     obstruction = _screen_a(m1, m2, c1, c2)
     if obstruction is not None:
         return EquivalenceWitnesses("not_equivalent", obstruction=obstruction)
-    if m1.is_zero() and m2.is_zero():
-        return EquivalenceWitnesses("equivalent", (LinearMap2.identity(),))
     if c1.flags.is_flat:
         return _solve_flat_pair(m1, m2)
     if c1.sig.rank == 1:

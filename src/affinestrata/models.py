@@ -101,10 +101,6 @@ def serialize_model(m: Model) -> dict:
     return {"type": m.kind, "coeffs": [rational_str(x) for x in m.coeffs]}
 
 
-def model_to_json(m: Model) -> str:
-    return json.dumps(serialize_model(m))
-
-
 def parse_model(text) -> Model:
     """Parse a model document; exact round-trip with :func:`serialize_model`.
 
@@ -145,6 +141,10 @@ def parse_model(text) -> Model:
 # Family records and the canonical-model catalog
 
 
+def _no_constraint(*_params):
+    return None
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One family of models: stable id, model type, parameters, coefficient
@@ -160,12 +160,15 @@ class CatalogEntry:
 
     entry_id: str
     model_type: str
-    arity: int
     param_names: tuple[str, ...]
     constraints: str
     build: Callable[[Sequence], tuple]
-    check: Callable[..., str | None]
+    check: Callable[..., str | None] = _no_constraint
     aliases: tuple[str, ...] = ()
+
+    @property
+    def arity(self) -> int:
+        return len(self.param_names)
 
     def describe(self) -> dict:
         return {
@@ -190,10 +193,6 @@ class CatalogEntry:
         return _MODEL_TYPES[self.model_type](*self.build(values))
 
 
-def _no_constraint(*_params):
-    return None
-
-
 def _c1_not_0_m1(c1):
     if c1 == 0 or c1 == -1:
         return "parameter must avoid 0 and -1"
@@ -212,59 +211,50 @@ def _positive(c):
     return None
 
 
-def catalog_entry(
-    entry_id, model_type, params, constraints, build, check=_no_constraint, aliases=()
-) -> CatalogEntry:
-    """A :class:`CatalogEntry` with its arity read off ``params``."""
-    return CatalogEntry(
-        entry_id, model_type, len(params), tuple(params), constraints, build, check, tuple(aliases)
-    )
-
-
 CATALOG: dict[str, CatalogEntry] = {
     e.entry_id: e
     for e in [
         # flat Type A orbit representatives
-        catalog_entry("M0_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
-        catalog_entry("M1_0", "A", (), "", lambda p: (1, 0, 0, 1, 0, 0)),
-        catalog_entry("M2_0", "A", (), "", lambda p: (-1, 0, 0, 0, 0, 1)),
-        catalog_entry("M3_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 1)),
-        catalog_entry("M4_0", "A", (), "", lambda p: (0, 0, 0, 0, 1, 0)),
-        catalog_entry("M5_0", "A", (), "", lambda p: (1, 0, 0, 1, -1, 0)),
+        CatalogEntry("M0_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
+        CatalogEntry("M1_0", "A", (), "", lambda p: (1, 0, 0, 1, 0, 0)),
+        CatalogEntry("M2_0", "A", (), "", lambda p: (-1, 0, 0, 0, 0, 1)),
+        CatalogEntry("M3_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 1)),
+        CatalogEntry("M4_0", "A", (), "", lambda p: (0, 0, 0, 0, 1, 0)),
+        CatalogEntry("M5_0", "A", (), "", lambda p: (1, 0, 0, 1, -1, 0)),
         # Type A families with rank-one Ricci tensor
-        catalog_entry("M1_1", "A", (), "", lambda p: (-1, 0, 1, 0, 0, 2)),
-        catalog_entry(
+        CatalogEntry("M1_1", "A", (), "", lambda p: (-1, 0, 1, 0, 0, 2)),
+        CatalogEntry(
             "M2_1", "A", ("c1",), "c1 not in {0, -1}",
             lambda p: (-1, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
         ),
-        catalog_entry(
+        CatalogEntry(
             "M3_1", "A", ("c1",), "c1 not in {0, -1}",
             lambda p: (0, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
         ),
-        catalog_entry("M4_1", "A", ("c",), "", lambda p: (0, 0, 1, 0, p[0], 2)),
-        catalog_entry("M5_1", "A", ("c",), "", lambda p: (1, 0, 0, 0, 1 + p[0] * p[0], 2 * p[0])),
+        CatalogEntry("M4_1", "A", ("c",), "", lambda p: (0, 0, 1, 0, p[0], 2)),
+        CatalogEntry("M5_1", "A", ("c",), "", lambda p: (1, 0, 0, 0, 1 + p[0] * p[0], 2 * p[0])),
         # flat Type B orbit representatives
-        catalog_entry("N0_0", "B", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
-        catalog_entry("N1_0+", "B", (), "", lambda p: (1, 0, 0, 0, 1, 0)),
-        catalog_entry("N1_0-", "B", (), "", lambda p: (1, 0, 0, 0, -1, 0)),
-        catalog_entry(
+        CatalogEntry("N0_0", "B", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
+        CatalogEntry("N1_0+", "B", (), "", lambda p: (1, 0, 0, 0, 1, 0)),
+        CatalogEntry("N1_0-", "B", (), "", lambda p: (1, 0, 0, 0, -1, 0)),
+        CatalogEntry(
             "N2_0", "B", ("c1",), "c1 != 0",
             lambda p: (p[0] - 1, 0, 0, p[0], 0, 0), _nonzero,
         ),
-        catalog_entry("N3_0", "B", (), "", lambda p: (-2, 1, 0, -1, 0, 0)),
-        catalog_entry("N4_0", "B", (), "", lambda p: (0, 1, 0, 0, 0, 0)),
-        catalog_entry("N5_0", "B", (), "", lambda p: (-1, 0, 0, 0, 0, 0)),
-        catalog_entry(
+        CatalogEntry("N3_0", "B", (), "", lambda p: (-2, 1, 0, -1, 0, 0)),
+        CatalogEntry("N4_0", "B", (), "", lambda p: (0, 1, 0, 0, 0, 0)),
+        CatalogEntry("N5_0", "B", (), "", lambda p: (-1, 0, 0, 0, 0, 0)),
+        CatalogEntry(
             "N6_0", "B", ("c2",), "c2 not in {0, -1}",
             lambda p: (p[0], 0, 0, 0, 0, 0), _c1_not_0_m1,
         ),
         # Type B representatives with alternating Ricci tensor
-        catalog_entry("N1_alt", "B", ("c",), "", lambda p: (0, p[0], 1, 0, 0, 1)),
-        catalog_entry(
+        CatalogEntry("N1_alt", "B", ("c",), "", lambda p: (0, p[0], 1, 0, 0, 1)),
+        CatalogEntry(
             "N2_alt+", "B", ("c",), "c > 0",
             lambda p: (1 - p[0] * p[0], p[0], 0, -p[0] * p[0], 1, 2 * p[0]), _positive,
         ),
-        catalog_entry(
+        CatalogEntry(
             "N2_alt-", "B", ("c",), "c > 0",
             lambda p: (1 + p[0] * p[0], p[0], 0, p[0] * p[0], -1, -2 * p[0]), _positive,
         ),

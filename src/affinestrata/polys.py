@@ -170,25 +170,19 @@ def _isolate(chain: list[list[int]], width: Fraction) -> list[tuple[Fraction, Fr
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities: zero first, then the others
-    ordered by (|numerator|, denominator), the positive one first.
+    """All rational roots with multiplicities, ordered by (|numerator|,
+    denominator), the positive one first, so zero comes first.
 
     Each real root of the squarefree part is isolated in an interval
     (lo, hi] narrower than 1 / |L|, and the one lattice point floor(hi L) / L
-    in it, if any, is tested exactly (see the module docstring).
+    in it, if any, is tested exactly (see the module docstring); zero lies on
+    that lattice like any other root.
     """
     p = ptrim(p)
     if not p:
         raise ValueError("zero polynomial has every root")
-    roots: list[tuple[Fraction, int]] = []
-    mult0 = 0
-    while p and p[0] == 0:
-        mult0 += 1
-        p = p[1:]
-    if mult0:
-        roots.append((ZERO, mult0))
     if pdeg(p) < 1:
-        return roots
+        return []
     chain = _sturm_chain(p)
     lead = abs(chain[0][-1])
     found = []
@@ -196,6 +190,7 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         x = Fraction(math.floor(hi * lead), lead)
         if x > lo and _scaled_value(chain[0], x) == 0:
             found.append(x)
+    roots = []
     for x in sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0)):
         mult = 0
         while True:

@@ -43,7 +43,7 @@ from .group_action import LinearMap2, NotFlatError, pullback_type_a
 
 # bound here as well for callers that reach the matchers through this module
 from .group_action import UnmatchedOrbitError, match_flat_a_orbit, match_rank1_family  # noqa: F401
-from .models import CatalogError, TypeAModel, TypeBModel, catalog_entry
+from .models import CatalogEntry, CatalogError, TypeAModel, TypeBModel
 
 
 class ConePointError(ValueError):
@@ -327,18 +327,18 @@ def _leading_nonzero(lead, *_rest):
 COEFF_FAMILIES = {
     e.entry_id: e
     for e in [
-        catalog_entry("flat_a", "A", ("slope", "r", "s", "t"), "(r, s, t) != 0", _flat_a),
-        catalog_entry("U1", "B", ("r", "s"), "", _u1, aliases=("1",)),
-        catalog_entry("U2", "B", ("u", "v"), "", _u2, aliases=("2",)),
-        catalog_entry("U3", "B", ("u", "v"), "", _u3, aliases=("3",)),
-        catalog_entry("U1_closure", "B", ("t", "w"), "", _u1_closure, aliases=("closure",)),
-        catalog_entry(
+        CatalogEntry("flat_a", "A", ("slope", "r", "s", "t"), "(r, s, t) != 0", _flat_a),
+        CatalogEntry("U1", "B", ("r", "s"), "", _u1, aliases=("1",)),
+        CatalogEntry("U2", "B", ("u", "v"), "", _u2, aliases=("2",)),
+        CatalogEntry("U3", "B", ("u", "v"), "", _u3, aliases=("3",)),
+        CatalogEntry("U1_closure", "B", ("t", "w"), "", _u1_closure, aliases=("closure",)),
+        CatalogEntry(
             "V1", "B", ("r", "s", "t"), "leading parameter != 0", _v1, _leading_nonzero, ("1",)
         ),
-        catalog_entry(
+        CatalogEntry(
             "V2", "B", ("u", "v", "w"), "leading parameter != 0", _v2, _leading_nonzero, ("2",)
         ),
-        catalog_entry("rank1_chart", "A", ("p", "q", "u", "v"), "", _rank1_chart),
+        CatalogEntry("rank1_chart", "A", ("p", "q", "u", "v"), "", _rank1_chart),
     ]
 }
 
@@ -489,7 +489,7 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
         if len(values) != entry.arity:
             raise CatalogError(f"family {entry.entry_id} takes {entry.arity} parameters")
         images.append(tuple(entry.build(values)))
-        jacobians.append(jacobian(entry.build, values, arity=entry.arity))
+        jacobians.append(jacobian(entry.build, values))
     if any(img != images[0] for img in images[1:]):
         raise ValueError("the chart points map to different models")
     rows = []

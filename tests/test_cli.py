@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,12 @@ def test_isotropy_command():
     doc = json.loads(out)
     assert (doc["status"], doc["dimension"], doc["families"]) == ("solved", 0, [])
     assert doc["elements"] == [[["1", "0"], ["0", "1"]]]
+    # an unreduced rank-one model: M4_1(0) pulled back by [[1, 2], [-1, 3]]
+    code, out, _ = run(["isotropy", '{"type":"A","coeffs":["2/5","0","1/5","1/5","0","2/5"]}'])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["dimension"]) == ("solved", 2)
+    assert doc["families"][0]["template"].startswith("W @ [[1/v, -w/v], [0, 1]] @ W^-1")
 
 
 @pytest.mark.parametrize(
@@ -215,3 +225,19 @@ def test_file_input(tmp_path):
     assert json.loads(out)["orbit"]["id"] == "M1_0"
     code, _, err = run(["classify", "@/nonexistent/path.json"])
     assert code == 2
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that closes stdout before the CLI writes gets exit 1 and no
+    traceback, also none from the flush at interpreter exit."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for _ in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "affinestrata.cli", "verify", "--samples", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -303,6 +303,10 @@ def test_isotropy_rank2_computes_curvature_once(counts):
     isotropy_type_a(type_a(1, 2, 0, 1, 1, 3))
     assert counts["curvature.ricci_type_a"] == 1
     counts.clear()
+    # an unreduced rank-one model: the frame reuses the Ricci tensor
+    isotropy_type_a(type_a(Fraction(2, 5), 0, Fraction(1, 5), Fraction(1, 5), 0, Fraction(2, 5)))
+    assert counts["curvature.ricci_type_a"] == 1
+    counts.clear()
     with pytest.raises(UndecidedError):
         isotropy_type_a(type_a(0, 1, 0, 0, 1, 0))
     assert counts["curvature.ricci_type_a"] == 1

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from affinestrata.classify import classify_model
 from affinestrata.exact import Mat2
 from affinestrata.curvature import rank_signature, ricci_trace_vector, ricci_type_a, ricci_type_b
 from affinestrata.group_action import (
@@ -199,18 +200,22 @@ def test_reduced_pair_branches(n1, n2, status, mats, note):
         assert pullback_type_a(type_a(*n1), LinearMap2(mat)) == type_a(*n2)
 
 
+#: rank-one catalog cases: (family, parameter) -> (isotropy dimension,
+#: number of finite elements)
+RANK1_ISOTROPY = {
+    ("M1_1", None): (0, 1),
+    ("M2_1", F(3)): (0, 1),
+    ("M2_1", F(-1, 2)): (0, 2),
+    ("M3_1", F(2)): (1, 1),
+    ("M4_1", F(7)): (1, 1),
+    ("M4_1", F(0)): (2, 1),
+    ("M5_1", F(4)): (0, 1),
+    ("M5_1", F(0)): (0, 2),
+}
+
+
 def test_isotropy_rank1_cases():
-    cases = {
-        ("M1_1", None): (0, 1),
-        ("M2_1", F(3)): (0, 1),
-        ("M2_1", F(-1, 2)): (0, 2),
-        ("M3_1", F(2)): (1, 1),
-        ("M4_1", F(7)): (1, 1),
-        ("M4_1", F(0)): (2, 1),
-        ("M5_1", F(4)): (0, 1),
-        ("M5_1", F(0)): (0, 2),
-    }
-    for (entry_id, param), (dim, n_elems) in cases.items():
+    for (entry_id, param), (dim, n_elems) in RANK1_ISOTROPY.items():
         m = canonical_model(entry_id, () if param is None else (param,))
         group = isotropy_type_a(m)
         assert group.dimension == dim, (entry_id, param)
@@ -223,6 +228,79 @@ def test_isotropy_rank1_cases():
     assert Mat2(((F(1), F(1)), (F(0), F(-1)))) in mats  # (x1 + x2, -x2)
     g = isotropy_type_a(canonical_model("M5_1", [0]))
     assert Mat2(((F(1), F(0)), (F(0), F(-1)))) in {el.matrix for el in g.finite_elements}
+
+
+def _instances(fam, count=3):
+    """``count`` members of an isotropy family, skipping parameters outside
+    its domain."""
+    out = []
+    for base in itertools.permutations([F(2), F(-3), F(1, 2), F(5), F(-1, 4), F(7, 3)], fam.dimension):
+        try:
+            out.append((base, fam.instantiate(base)))
+        except (ValueError, ZeroDivisionError):
+            continue
+        if len(out) == count:
+            return out
+    raise AssertionError("too few family members inside the domain")
+
+
+@pytest.mark.parametrize("height", [3, 12, 10**6])
+def test_isotropy_rank1_unreduced(height):
+    """A rank-one model with b, d not both zero has the group of its
+    frame-reduced model conjugated by the inverse frame."""
+    rng = random.Random(height)
+    for (entry_id, param), (dim, n_elems) in RANK1_ISOTROPY.items():
+        base = canonical_model(entry_id, () if param is None else (param,))
+        for _ in range(5):
+            m = pullback_type_a(base, sampling.rand_linear_map(rng, height))
+            group = isotropy_type_a(m)
+            assert group.dimension == dim == 4 - orbit_dimension_a(m), (entry_id, param, m)
+            assert len(group.finite_elements) == n_elems, (entry_id, param, m)
+            for el in group.finite_elements:
+                assert pullback_type_a(m, el) == m
+            frame, reduced = rank1_frame(m)
+            s, t = frame.matrix.inverse(), frame.matrix
+            red_group = isotropy_type_a(reduced)
+            assert {el.matrix for el in group.finite_elements} == {
+                s @ el.matrix @ t for el in red_group.finite_elements
+            }
+            assert len(group.families) == len(red_group.families)
+            for fam, red_fam in zip(group.families, red_group.families):
+                for params, el in _instances(fam):
+                    assert pullback_type_a(m, el) == m
+                    assert el.matrix == s @ red_fam.instantiate(params).matrix @ t
+
+
+def test_zero_model_answers():
+    """The zero model goes through the general flat paths; its answers are
+    pinned as they were when it had branches of its own."""
+    zero = type_a(0, 0, 0, 0, 0, 0)
+    identity = [["1", "0"], ["0", "1"]]
+    assert solve_equivalence_a(zero, zero).to_dict() == {"status": "equivalent", "witnesses": [identity]}
+    assert isotropy_type_a(zero).to_dict() == {
+        "dimension": 4,
+        "elements": [],
+        "families": [{
+            "dimension": 4,
+            "params": ["p", "q", "r", "s"],
+            "constraints": ["p*s - q*r != 0"],
+            "template": "[[p, q], [r, s]]",
+        }],
+    }
+    zeros = [["0", "0"], ["0", "0"]]
+    assert classify_model(zero).to_dict() == {
+        "model": {"type": "A", "coeffs": ["0"] * 6},
+        "flags": {
+            "cone_point": True, "flat": True, "rank1_positive": False, "rank1_negative": False,
+            "alternating_only": False, "rank2": False, "primary": "cone_point",
+        },
+        "ricci": {"cleared": False, "matrix": zeros, "symmetric": zeros, "alternating": "0"},
+        "rank_signature": {"rank": 0, "label": "zero"},
+        "stratum": {"kind": "cone_point"},
+        "orbit": {"id": "M0_0", "params": [], "witness": identity},
+        "admits_type_b": None,
+        "errors": {},
+    }
 
 
 def test_isotropy_flat_catalog():

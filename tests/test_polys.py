@@ -101,13 +101,24 @@ def lattice_edge_cases(n):
     ]
 
 
+def zero_root_cases(n):
+    """Zero of multiplicity 1, 2 and 3 beside the adjacent lattice root
+    -1/n, a double root n and the irrational pair of x^2 - 2."""
+    rest = pmul(pmul(P(1, n), P(-n, 1)), pmul(P(-n, 1), P(-2, 0, 1)))
+    return [
+        (pmul([F(0)] * k + [F(1)], rest), [(F(0), k), (F(-1, n), 1), (F(n), 2)])
+        for k in (1, 2, 3)
+    ]
+
+
 @pytest.mark.parametrize("height", [12, 10**12])
 def test_rational_roots_planted(height):
     """Exactly the planted roots, in order, at any height: Sturm isolation has
     no search bound, where a divisor scan of the end coefficients stalls."""
     rng = random.Random(height)
     start = time.perf_counter()
-    for p, expected in [planted(rng, height) for _ in range(30)] + lattice_edge_cases(height):
+    cases = [planted(rng, height) for _ in range(30)] + lattice_edge_cases(height) + zero_root_cases(height)
+    for p, expected in cases:
         assert rational_roots(p) == expected, p
     assert time.perf_counter() - start < 30
 

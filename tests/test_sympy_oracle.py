@@ -50,10 +50,17 @@ LATTICE_EDGES = [
     pmul([F(0), F(0), F(1)], [F(1), F(-5), F(6)]),
 ]
 
+#: zero of multiplicity 1, 2 and 3 beside the roots -1/12 and 12 (double)
+#: and the irrational pair of x^2 - 2
+ZERO_ROOTS = [
+    pmul([F(0)] * k + [F(1)], pmul(pmul([F(1), F(12)], [F(-12), F(1)]), pmul([F(-12), F(1)], [F(-2), F(0), F(1)])))
+    for k in (1, 2, 3)
+]
+
 
 def test_rational_roots_against_sympy():
     rng = random.Random(101)
-    for p in [random_poly(rng) for _ in range(300)] + LATTICE_EDGES:
+    for p in [random_poly(rng) for _ in range(300)] + LATTICE_EDGES + ZERO_ROOTS:
         if not any(p):
             continue
         expected = {F(int(r.p), int(r.q)): m for r, m in to_sympy(p).ground_roots().items()}
