@@ -26,6 +26,7 @@ from .group_action import (
     LinearMap2,
     UndecidedError,
     UnmatchedOrbitError,
+    _cubic_pattern,
     _match_flat_a_orbit,
     _match_rank1_reduced,
     _rank1_frame,
@@ -125,7 +126,7 @@ def classify_model(m: Model) -> ClassificationReport:
                 except NonRationalCirclePointError as exc:
                     errors["flat_chart"] = str(exc)
             try:
-                orbit_id, witness = _match_flat_a_orbit(m)
+                orbit_id, witness = _match_flat_a_orbit(m, _cubic_pattern(m))
                 orbit = {"id": orbit_id, "params": [], "witness": witness.to_json()}
             except UnmatchedOrbitError as exc:
                 errors["orbit"] = str(exc)

@@ -17,11 +17,12 @@ Every witness check (:func:`carries`) takes the same integer numerators and
 cross-multiplies them against the target's, so no model is built only to be
 compared.  The rank-one frame is written in closed form, its inverse is read
 off its adjugate, and the reduced rank-one case analysis runs on the cleared
-numerators of the reduced models.  The orbit dimension is the rank of the
-infinitesimal action at the identity, written out in closed form rather than
-differentiated through the law.  A flat model runs one orbit matcher, the
-one its coefficient rank and the root pattern of its binary cubic name, and
-the matcher checks each candidate witness against catalog coefficients read
+numerators of the reduced models.  The equivalence screen reads each orbit
+dimension off the normal form its stratum's solver computes anyway;
+:func:`orbit_dimension_a`, the rank of the infinitesimal action at the
+identity, is the independent check.  A flat model runs one orbit matcher,
+the one its coefficient rank and the root pattern of its binary cubic name,
+and the matcher checks each candidate witness against catalog coefficients read
 once from the family registry in :mod:`affinestrata.models`.  A rank-two
 pair is decided by the models' own covariants, with no search bound (see
 :func:`_solve_rank2_pair`).
@@ -39,9 +40,9 @@ from .exact import (
     ZERO,
     Mat2,
     QuadExt,
+    _forward_eliminate,
     clear_denominators,
     mat2_from_cols,
-    mat_rank,
     primitive_covector,
     solve_linear,
     sqrt_rational,
@@ -216,11 +217,13 @@ _SLOTS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 def orbit_dimension_a(m: TypeAModel) -> int:
     """Rank of the derivative at the identity of T -> pullback(m, T).
 
-    This is the dimension of the orbit through ``m``; for canonical models it
-    equals 4 minus the isotropy dimension.  Along T = 1 + tX the coefficients
-    move by the infinitesimal action X G - G(X., .) - G(., X.); for each
-    X = E_pq that is one row of a 4 x 6 matrix, built from the cleared
-    numerators since a common scale does not change the rank.
+    This is the dimension of the orbit through ``m``, which for every model
+    equals 4 minus the dimension of its isotropy group.  Along T = 1 + tX the
+    coefficients move by the infinitesimal action X G - G(X., .) - G(., X.);
+    for each X = E_pq that is one row of a 4 x 6 integer matrix, built from
+    the cleared numerators since a common scale does not change the rank.
+    The equivalence solver reads the dimension off normal forms instead
+    (:func:`_stratum_normal_form`); this rank is the independent check.
     """
     (a, b, c, d, e, f), _ = clear_denominators(m.coeffs)
     g = (((a, c), (c, e)), ((b, d), (d, f)))  # g[k][i][j] = L G^k_ij
@@ -233,7 +236,7 @@ def orbit_dimension_a(m: TypeAModel) -> int:
                 - (g[k][i][p] if j == q else 0)
                 for k, i, j in _SLOTS
             ])
-    return mat_rank(rows)
+    return len(_forward_eliminate(rows, range(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +599,9 @@ def _match_tensor_line(m: TypeAModel):
 
 #: root pattern of the binary cubic det(x, G(x, x)) -> the real orbit it
 #: names and that orbit's matcher.  The pattern is an orbit invariant, so a
-#: flat model of coefficient rank two can only match the orbit it names.  A
-#: rank-one model (M3_0, M4_0) tries the tensor-line matcher before any pattern.
+#: flat model can only match the orbit it names, except that M3_0 shares the
+#: double_simple pattern with M1_0; its coefficient rank one tells it apart
+#: and sends it to the tensor-line matcher.
 _PATTERN_ORBIT = {
     "three_simple": ("M2_0", _match_m2),
     "one_real": ("M5_0", _match_m5),
@@ -618,18 +622,23 @@ def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
     """
     if not ricci_type_a(m).is_zero():
         raise NotFlatError("orbit matching requires a flat model")
-    return _match_flat_a_orbit(m)
+    return _match_flat_a_orbit(m, _cubic_pattern(m))
 
 
-def _match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
-    """:func:`match_flat_a_orbit` of a flat model."""
+def _cubic_pattern(m: TypeAModel) -> str:
+    """The root pattern of the binary cubic det(x, G(x, x)) of ``m``."""
+    return polys.binary_cubic_pattern(binary_cubic(m))
+
+
+def _match_flat_a_orbit(m: TypeAModel, pattern: str) -> tuple[str, LinearMap2]:
+    """:func:`match_flat_a_orbit` of a flat model whose cubic has the root
+    pattern ``pattern``."""
     if m.is_zero():
         return ("M0_0", LinearMap2.identity())
-    if coefficient_rank(m) == 1:
+    if pattern == "double_simple" and coefficient_rank(m) == 1:
         found = _match_tensor_line(m)
         if found:
             return found
-    pattern = polys.binary_cubic_pattern(binary_cubic(m))
     hint, matcher = _PATTERN_ORBIT.get(pattern, (None, None))
     found = matcher(m) if matcher else None
     if found:
@@ -705,7 +714,6 @@ def _root_ratio(f: int, den: int) -> Fraction:
     if s * s != den:
         raise UnmatchedOrbitError("the family parameter would be irrational")
     return Fraction(abs(f), s)
-
 
 
 # ---------------------------------------------------------------------------
@@ -809,54 +817,36 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
     """Isotropy of a nonflat reduced (b = d = 0) model, by solving within the
     upper-triangular maps T(x1, x2) = (v^{-1}(x1 - w x2), eps x2)."""
     a, _, c, _, e, f = m.coeffs
-    elements = [_IDENTITY]
-    families: list[IsotropyFamily] = []
     if a != 0:
-        if f == 0:
-            w = -2 * c / a
-            elements.append(LinearMap2(Mat2(((ONE, -w), (ZERO, -ONE)))))
+        if f != 0:
+            return IsotropyGroup((_IDENTITY,), ())
+        w = -2 * c / a
+        return IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, -w), (ZERO, -ONE))))), ())
+    coef = 2 * c - f
+    if e != 0 and coef == 0:
+        family = IsotropyFamily(1, ("w",), (), "[[1, -w], [0, 1]]", lambda w: Mat2(((ONE, -w), (ZERO, ONE))))
+    elif e != 0:
+        ratio = coef / e
+
+        def tilted(w):
+            v = 1 + w * ratio
+            if v == 0:
+                raise ValueError("parameter outside the family domain")
+            return Mat2(((1 / v, -w / v), (ZERO, ONE)))
+
+        family = IsotropyFamily(
+            1, ("w",), (f"1 + w*({ratio}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({ratio})", tilted
+        )
+    elif coef != 0:
+        family = IsotropyFamily(
+            1, ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]", lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
+        )
     else:
-        coef = 2 * c - f
-        if e != 0:
-            if coef == 0:
-                families.append(
-                    IsotropyFamily(
-                        1, ("w",), (), "[[1, -w], [0, 1]]",
-                        lambda w: Mat2(((ONE, -w), (ZERO, ONE))),
-                    )
-                )
-            else:
-                ratio = coef / e
-
-                def tilted(w, _ratio=ratio):
-                    v = 1 + w * _ratio
-                    if v == 0:
-                        raise ValueError("parameter outside the family domain")
-                    return Mat2(((1 / v, -w / v), (ZERO, ONE)))
-
-                families.append(
-                    IsotropyFamily(
-                        1, ("w",), (f"1 + w*({ratio}) != 0",),
-                        f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({ratio})",
-                        tilted,
-                    )
-                )
-        else:
-            if coef != 0:
-                families.append(
-                    IsotropyFamily(
-                        1, ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]",
-                        lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE))),
-                    )
-                )
-            else:
-                families.append(
-                    IsotropyFamily(
-                        2, ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
-                        lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))),
-                    )
-                )
-    return IsotropyGroup(tuple(elements), tuple(families))
+        family = IsotropyFamily(
+            2, ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
+            lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))),
+        )
+    return IsotropyGroup((_IDENTITY,), (family,))
 
 
 def _conjugate_group(group: IsotropyGroup, w: Mat2) -> IsotropyGroup:
@@ -897,7 +887,7 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     """
     cv = curvature_of(m)
     if cv.flags.is_flat:
-        orbit_id, witness = _match_flat_a_orbit(m)
+        orbit_id, witness = _match_flat_a_orbit(m, _cubic_pattern(m))
         group = _conjugate_group(_FLAT_ISOTROPY[orbit_id], witness.matrix)
     elif cv.sig.rank == 1:
         frame, reduced = _rank1_frame(m, cv.ricci)
@@ -947,6 +937,14 @@ class EquivalenceWitnesses:
         return out
 
 
+def _not_equivalent(obstruction: str) -> EquivalenceWitnesses:
+    return EquivalenceWitnesses("not_equivalent", obstruction=obstruction)
+
+
+def _undecided(reason: str) -> EquivalenceWitnesses:
+    return EquivalenceWitnesses("undecided", reason=reason)
+
+
 def _verified_a(m1, m2, mats: list[Mat2]) -> list[LinearMap2]:
     out = []
     for mat in mats:
@@ -957,64 +955,90 @@ def _verified_a(m1, m2, mats: list[Mat2]) -> list[LinearMap2]:
     return out
 
 
-def _screen_a(m1: TypeAModel, m2: TypeAModel, c1: Curvature, c2: Curvature) -> str | None:
+def _screen_a(c1: Curvature, c2: Curvature) -> str | None:
     fl1, fl2 = c1.flags, c2.flags
     if fl1.primary != fl2.primary:
         return f"stratum flags differ: {fl1.primary} vs {fl2.primary}"
     s1, s2 = c1.sig, c2.sig
     if (s1.rank, s1.label) != (s2.rank, s2.label):
         return f"Ricci rank/signature differ: {s1.label} vs {s2.label}"
-    d1, d2 = orbit_dimension_a(m1), orbit_dimension_a(m2)
-    if d1 != d2:
-        return f"orbit dimensions differ: {d1} vs {d2}"
     return None
+
+
+def _stratum_normal_form(m: TypeAModel, cv: Curvature) -> tuple[int, object]:
+    """The orbit dimension of ``m``, 4 minus the isotropy dimension of a
+    normal form, and what the stratum's solver reuses: the cubic's root
+    pattern of a flat model, the frame and reduced model of a rank-one
+    model, and None on rank two, where every orbit is open (see
+    :func:`solve_equivalence_a`)."""
+    if cv.flags.is_flat:
+        # the pattern names the real orbit; among flat models only the zero
+        # model has the zero cubic (G(x, x) = l(x) x with l != 0 has Ricci
+        # tensor a nonzero multiple of l (x) l), and M3_0 shares
+        # double_simple and dimension 3 with M1_0
+        pattern = _cubic_pattern(m)
+        orbit_id = "M0_0" if pattern == "zero" else _PATTERN_ORBIT[pattern][0]
+        return 4 - _FLAT_ISOTROPY[orbit_id].dimension, pattern
+    if cv.sig.rank == 1:
+        frame, reduced = _rank1_frame(m, cv.ricci)
+        return 4 - _isotropy_reduced(reduced).dimension, (frame, reduced)
+    return 4, None
 
 
 def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
     """Decide linear equivalence of two Type A models.
 
-    Pipeline: invariant screening, then a stratified solve (flat models via
-    canonical-orbit matching, rank-one via the rational frame reduction and
-    the triangular residual system, rank-two via the covariants of
+    Pipeline: screening by stratum flags, Ricci signature and orbit
+    dimension, then a stratified solve (flat models via canonical-orbit
+    matching, rank-one via the rational frame reduction and the triangular
+    residual system, rank-two via the covariants of
     :func:`_solve_rank2_pair`: the frame (v, G(v, v)) with
     v = rho^{-1} omega forces the only possible witness; when both frames
     are degenerate, a nonzero v and its Ricci-normal force it up to sign, and
     with v = 0 the binary cubic pins every rational witness).  Every witness
     is verified by exact pullback.  The curvature of each model is computed
     once and handed to every stage.
+
+    Each orbit dimension is 4 minus the isotropy dimension of the normal
+    form the stratum's solver computes anyway (:func:`_stratum_normal_form`).
+    On rank two it is always 4: an infinitesimal isotropy X preserves rho,
+    so it lies in so(rho) and has trace 0, and it preserves the binary cubic
+    f, since f2(y) = det T f1(S y).  For a nondegenerate rho, so(rho) is
+    spanned by a rotation or a boost, and neither fixes a nonzero binary
+    cubic: the rotation weights on cubics are +-1 and +-3, and under a boost
+    the null-coordinate monomials p^i q^j of degree 3 have i != j.  But
+    f != 0 on rank two (f = 0 forces det rho = 0), so X = 0.
     """
     c1, c2 = curvature_of(m1), curvature_of(m2)
-    obstruction = _screen_a(m1, m2, c1, c2)
+    obstruction = _screen_a(c1, c2)
     if obstruction is not None:
-        return EquivalenceWitnesses("not_equivalent", obstruction=obstruction)
+        return _not_equivalent(obstruction)
+    (d1, n1), (d2, n2) = _stratum_normal_form(m1, c1), _stratum_normal_form(m2, c2)
+    if d1 != d2:
+        return _not_equivalent(f"orbit dimensions differ: {d1} vs {d2}")
     if c1.flags.is_flat:
-        return _solve_flat_pair(m1, m2)
+        return _solve_flat_pair(m1, m2, n1, n2)
     if c1.sig.rank == 1:
-        frame1, red1 = _rank1_frame(m1, c1.ricci)
-        frame2, red2 = _rank1_frame(m2, c2.ricci)
+        (frame1, red1), (frame2, red2) = n1, n2
         status, mats, note = _solve_reduced_pair(red1, red2)
-        if status == "equivalent":
-            s2 = _frame_inverse(frame2)
-            witnesses = [_product(s2, mat, frame1.matrix) for mat in mats]
-            return EquivalenceWitnesses(
-                "equivalent", tuple(_verified_a(m1, m2, witnesses))
-            )
         if status == "not_equivalent":
-            return EquivalenceWitnesses("not_equivalent", obstruction=note)
-        return EquivalenceWitnesses("undecided", reason=note)
+            return _not_equivalent(note)
+        if status == "undecided":
+            return _undecided(note)
+        s2 = _frame_inverse(frame2)
+        witnesses = [_product(s2, mat, frame1.matrix) for mat in mats]
+        return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
     return _solve_rank2_pair(m1, m2, c1.ricci, c2.ricci)
 
 
-def _solve_flat_pair(m1, m2) -> EquivalenceWitnesses:
+def _solve_flat_pair(m1, m2, pattern1: str, pattern2: str) -> EquivalenceWitnesses:
     try:
-        id1, w1 = _match_flat_a_orbit(m1)
-        id2, w2 = _match_flat_a_orbit(m2)
+        id1, w1 = _match_flat_a_orbit(m1, pattern1)
+        id2, w2 = _match_flat_a_orbit(m2, pattern2)
     except UnmatchedOrbitError as exc:
-        return EquivalenceWitnesses("undecided", reason=f"flat orbit matcher failed: {exc}")
+        return _undecided(f"flat orbit matcher failed: {exc}")
     if id1 != id2:
-        return EquivalenceWitnesses(
-            "not_equivalent", obstruction=f"different flat orbits: {id1} vs {id2}"
-        )
+        return _not_equivalent(f"different flat orbits: {id1} vs {id2}")
     t = w2.matrix @ w1.matrix.inverse()
     return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, [t])))
 
@@ -1053,17 +1077,12 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     ``r2`` are the Ricci tensors of the two models."""
     f1, f2 = _covariant_frame(m1, r1), _covariant_frame(m2, r2)
     if (f1 is None) != (f2 is None):
-        return EquivalenceWitnesses(
-            "not_equivalent",
-            obstruction="v = rho^-1 omega and G(v, v) are independent for one model only",
-        )
+        return _not_equivalent("v = rho^-1 omega and G(v, v) are independent for one model only")
     if f1 is not None:
         t = LinearMap2(f2 @ f1.inverse())
         if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
-            return EquivalenceWitnesses(
-                "not_equivalent",
-                obstruction="the map carrying the frame (v, G(v, v)) of one model onto "
-                "the other does not intertwine them",
+            return _not_equivalent(
+                "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
         return EquivalenceWitnesses("equivalent", (t,))
     v1, v2 = ricci_trace_vector(m1, r1), ricci_trace_vector(m2, r2)
@@ -1074,17 +1093,13 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
         return EquivalenceWitnesses("equivalent", tuple(witnesses))
     ratio = Mat2(r2.rows).det() / Mat2(r1.rows).det()
     if sqrt_rational(ratio) is None:
-        return EquivalenceWitnesses(
-            "undecided",
-            reason=f"Ricci determinant ratio {ratio} is not a rational square, "
-            "so no rational witness exists",
+        return _undecided(
+            f"Ricci determinant ratio {ratio} is not a rational square, so no rational witness exists"
         )
     # over R the rank-two models with omega = 0 and one Ricci signature form
     # a single open orbit
-    return EquivalenceWitnesses(
-        "undecided",
-        reason="equivalent over the reals (omega = 0, equal Ricci signature), "
-        "but no rational witness exists",
+    return _undecided(
+        "equivalent over the reals (omega = 0, equal Ricci signature), but no rational witness exists"
     )
 
 
@@ -1098,34 +1113,28 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
     delta leaves two candidates; an irrational one is decided in Q(delta),
     where vanishing covers both real embeddings."""
     if _rho(r1, v1) != _rho(r2, v2):
-        return EquivalenceWitnesses(
-            "not_equivalent", obstruction="rho(v, v) differs for v = rho^-1 omega"
-        )
+        return _not_equivalent("rho(v, v) differs for v = rho^-1 omega")
     ratio = Mat2(r1.rows).det() / Mat2(r2.rows).det()
     if ratio < 0:
-        return EquivalenceWitnesses("not_equivalent", obstruction="Ricci determinant signs differ")
+        return _not_equivalent("Ricci determinant signs differ")
     n2, n1_inv = _normal_frame(r2, v2), _normal_frame(r1, v1).inverse()
     delta = sqrt_rational(ratio)
     if delta is None:
         t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
         if all(o == g for o, g in zip(transform_coeffs(m1.coeffs, t.rows), m2.coeffs)):
-            return EquivalenceWitnesses(
-                "undecided",
-                reason="equivalent over the reals, but the forced scale of the "
-                f"Ricci-normal of v is the irrational sqrt({ratio})",
+            return _undecided(
+                "equivalent over the reals, but the forced scale of the "
+                f"Ricci-normal of v is the irrational sqrt({ratio})"
             )
-        return EquivalenceWitnesses(
-            "not_equivalent",
-            obstruction=f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v",
+        return _not_equivalent(
+            f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
     candidates = (n2 @ Mat2.of(ONE, ZERO, ZERO, d) @ n1_inv for d in (delta, -delta))
     witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1.coeffs, t.rows, m2.coeffs))
     if witnesses:
         return EquivalenceWitnesses("equivalent", witnesses)
-    return EquivalenceWitnesses(
-        "not_equivalent",
-        obstruction="neither map carrying v and its Ricci-normal onto the other "
-        "model's intertwines them",
+    return _not_equivalent(
+        "neither map carrying v and its Ricci-normal onto the other model's intertwines them"
     )
 
 
@@ -1196,19 +1205,17 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
     candidate shear is kept only when its exact pullback carries m1 to m2."""
     fl1, fl2 = stratum_flags(m1), stratum_flags(m2)
     if fl1.primary != fl2.primary:
-        return EquivalenceWitnesses(
-            "not_equivalent", obstruction=f"stratum flags differ: {fl1.primary} vs {fl2.primary}"
-        )
+        return _not_equivalent(f"stratum flags differ: {fl1.primary} vs {fl2.primary}")
     a1, b1, c1, d1, e1, f1 = m1.coeffs
     a2, b2, c2, d2, e2, f2 = m2.coeffs
     candidates: list[tuple[Fraction, Fraction]] = []
 
     if e1 != 0 or e2 != 0:
         if (e1 == 0) != (e2 == 0):
-            return EquivalenceWitnesses("not_equivalent", obstruction="vanishing of G_22^1 differs")
+            return _not_equivalent("vanishing of G_22^1 differs")
         ratio = e1 / e2
         if ratio < 0:
-            return EquivalenceWitnesses("not_equivalent", obstruction="signs of G_22^1 differ")
+            return _not_equivalent("signs of G_22^1 differ")
         root = sqrt_rational(ratio)
         if root is None:
             # decide the forced irrational scale exactly in Q(sqrt(ratio));
@@ -1218,39 +1225,33 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
             t_rows = ((QuadExt(1, 0, ratio), QuadExt(0, 0, ratio)), (beta, alpha))
             out = transform_coeffs(m1.coeffs, t_rows)
             if all(o == QuadExt(g, 0, ratio) for o, g in zip(out, m2.coeffs)):
-                return EquivalenceWitnesses(
-                    "undecided",
-                    reason="equivalent over the reals, but every intertwining shear "
-                    f"has the irrational scale sqrt({ratio})",
+                return _undecided(
+                    "equivalent over the reals, but every intertwining shear "
+                    f"has the irrational scale sqrt({ratio})"
                 )
-            return EquivalenceWitnesses(
-                "not_equivalent",
-                obstruction="the equations fail at the forced scale sqrt of the G_22^1 ratio",
-            )
+            return _not_equivalent("the equations fail at the forced scale sqrt of the G_22^1 ratio")
         for alpha in (root, -root):
             candidates.append((alpha, (c1 * alpha - c2 * alpha * alpha) / e1))
     elif c1 != 0 or c2 != 0:
         if (c1 == 0) != (c2 == 0):
-            return EquivalenceWitnesses("not_equivalent", obstruction="vanishing of G_12^1 differs")
+            return _not_equivalent("vanishing of G_12^1 differs")
         alpha = c1 / c2
         if c1 - f1 != 0:
             candidates.append((alpha, alpha * (d2 - d1) / (c1 - f1)))
         else:
             # f1 = c1 makes the G_12^2 equation vacuous; use the G_11^1 one
             if f1 / alpha != f2:
-                return EquivalenceWitnesses("not_equivalent", obstruction="G_22^2 ratio differs")
+                return _not_equivalent("G_22^2 ratio differs")
             candidates.append((alpha, alpha * (a1 - a2) / (2 * c1)))
     elif f1 != 0 or f2 != 0:
         if (f1 == 0) != (f2 == 0):
-            return EquivalenceWitnesses("not_equivalent", obstruction="vanishing of G_22^2 differs")
+            return _not_equivalent("vanishing of G_22^2 differs")
         alpha = f1 / f2
         candidates.append((alpha, alpha * (d1 - d2) / f1))
     else:
         # c = e = f = 0 on both sides; a and d are then shear invariants
         if a1 != a2 or d1 != d2:
-            return EquivalenceWitnesses(
-                "not_equivalent", obstruction="G_11^1 or G_12^2 differ on the invariant subfamily"
-            )
+            return _not_equivalent("G_11^1 or G_12^2 differ on the invariant subfamily")
         coef = a1 - 2 * d1
         if b1 != 0:
             for beta in (ZERO, ONE):
@@ -1263,9 +1264,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
             elif b2 == 0:
                 candidates.append((ONE, ZERO))
             else:
-                return EquivalenceWitnesses(
-                    "not_equivalent", obstruction="G_11^2 cannot be produced by any shear"
-                )
+                return _not_equivalent("G_11^2 cannot be produced by any shear")
 
     shears = []
     for alpha, beta in candidates:
@@ -1276,6 +1275,4 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
             shears.append(phi)
     if shears:
         return EquivalenceWitnesses("equivalent", tuple(shears))
-    return EquivalenceWitnesses(
-        "not_equivalent", obstruction="the shear elimination has no solution"
-    )
+    return _not_equivalent("the shear elimination has no solution")

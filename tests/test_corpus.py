@@ -189,7 +189,9 @@ COUNTED = (
     "group_action.rank1_frame",
     "group_action._rank1_frame",
     "group_action.transform_coeffs",
+    "group_action.orbit_dimension_a",
     "models.canonical_model",
+    "polys.binary_cubic_pattern",
 )
 
 
@@ -256,6 +258,24 @@ def test_solve_equivalence_a_computes_curvature_once(counts):
             assert counts["group_action.transform_coeffs"] == 0, (m1, m2, counts)
     assert set(statuses) == {"equivalent", "not_equivalent", "undecided"}
     assert rank1_pulls[2] > 0
+
+
+def test_screen_reads_orbit_dimensions_off_normal_forms(counts):
+    """The equivalence screen takes no rank: the orbit dimension comes from
+    the normal form each stratum's solver computes, and a flat pair computes
+    each model's cubic pattern once, for the screen and the matcher both."""
+    flat_pairs = 0
+    for kind, m1, m2 in equiv_corpus():
+        if kind != "A":
+            continue
+        fl1, fl2 = curvature_of(m1).flags, curvature_of(m2).flags
+        counts.clear()
+        solve_equivalence_a(m1, m2)
+        assert counts["group_action.orbit_dimension_a"] == 0, (m1, m2)
+        both_flat = fl1.is_flat and fl1.primary == fl2.primary
+        assert counts["polys.binary_cubic_pattern"] == 2 * both_flat, (m1, m2, counts)
+        flat_pairs += both_flat
+    assert flat_pairs > 0
 
 
 def test_matchers_build_no_catalog_model(counts):

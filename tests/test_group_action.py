@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import classify_model
 from affinestrata.exact import Mat2
@@ -24,7 +25,7 @@ from affinestrata.group_action import (
     solve_equivalence_b,
     transform_coeffs,
 )
-from affinestrata.models import canonical_model, negate_model, type_a, type_b
+from affinestrata.models import CATALOG, canonical_model, negate_model, type_a, type_b
 from affinestrata import sampling
 
 
@@ -361,6 +362,27 @@ def test_equivalence_screening():
     # fifth family never meets the others
     res = solve_equivalence_a(canonical_model("M5_1", [0]), canonical_model("M1_1"))
     assert res.status == "not_equivalent"
+
+
+@pytest.mark.parametrize(
+    "first, second, obstruction",
+    [
+        (("M1_0", ()), ("M4_0", ()), "orbit dimensions differ: 3 vs 2"),
+        (("M4_1", (0,)), ("M4_1", (1,)), "orbit dimensions differ: 2 vs 3"),
+        (("M3_1", (2,)), ("M4_1", (0,)), "orbit dimensions differ: 3 vs 2"),
+        (("M2_0", ()), ("M5_0", ()), "different flat orbits: M2_0 vs M5_0"),
+    ],
+)
+def test_screen_obstructions(first, second, obstruction):
+    """The screen's exact answers on catalog pairs and on their height-12
+    pullbacks: three pairs the orbit dimension separates, and one of equal
+    dimension that reaches the flat matchers."""
+    m1, m2 = canonical_model(*first), canonical_model(*second)
+    rng = random.Random(f"{first} {second}")
+    pulled = [pullback_type_a(m, sampling.rand_linear_map(rng, 12)) for m in (m1, m2)]
+    for pair in ((m1, m2), pulled):
+        res = solve_equivalence_a(*pair)
+        assert (res.status, res.obstruction) == ("not_equivalent", obstruction), pair
 
 
 def test_equivalence_symmetry():
@@ -707,3 +729,79 @@ def test_degenerate_frames_have_no_null_v():
         (r11, r12), (_, r22) = r.rows
         assert r11 * v[0] ** 2 + 2 * r12 * v[0] * v[1] + r22 * v[1] ** 2 != 0, m
     assert degenerate == 408
+
+
+# Pairs for the symmetry properties, drawn from every stratum: catalog
+# models (flat and rank-one) and random Type A models, mostly of rank two,
+# with omega = 0 (d = -a, f = -c) or without; each is paired with a pullback
+# of itself or with an independent draw, which includes pairs that the
+# orbit-dimension screen separates.
+
+
+def small_rationals(height=4):
+    return st.builds(F, st.integers(-height, height), st.integers(1, height))
+
+
+@st.composite
+def linear_maps(draw, height=4):
+    entries = draw(st.lists(small_rationals(height), min_size=4, max_size=4))
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    return LinearMap2(Mat2.of(*entries))
+
+
+@st.composite
+def catalog_models(draw, model_type):
+    entry = draw(st.sampled_from([e for e in CATALOG.values() if e.model_type == model_type]))
+    params = draw(st.lists(small_rationals(), min_size=entry.arity, max_size=entry.arity))
+    assume(entry.check(*params) is None)
+    return entry.model(params)
+
+
+@st.composite
+def type_a_models(draw):
+    kind = draw(st.sampled_from(("catalog", "random", "omega_zero")))
+    if kind == "catalog":
+        return draw(catalog_models("A"))
+    a, b, c, d, e, f = draw(st.lists(small_rationals(), min_size=6, max_size=6))
+    return type_a(a, b, c, -a, e, -c) if kind == "omega_zero" else type_a(a, b, c, d, e, f)
+
+
+@st.composite
+def type_b_models(draw):
+    if draw(st.booleans()):
+        return draw(catalog_models("B"))
+    return type_b(*draw(st.lists(small_rationals(), min_size=6, max_size=6)))
+
+
+@st.composite
+def model_pairs(draw, models, pullback, maps):
+    m1 = draw(models)
+    if draw(st.booleans()):
+        return m1, pullback(m1, draw(maps))
+    m2 = draw(models)
+    return m1, (pullback(m2, draw(maps)) if draw(st.booleans()) else m2)
+
+
+def shears(height=4):
+    return st.builds(ShearMap, small_rationals(height).filter(bool), small_rationals(height))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_pairs(type_a_models(), pullback_type_a, linear_maps()))
+def test_equivalence_a_is_symmetric(pair):
+    """The same status both ways; with a zero-dimensional isotropy group
+    (orbit dimension 4) the two witness lists are inverse to each other.
+    With a larger group each side may list different members of a witness
+    family."""
+    m1, m2 = pair
+    forward, backward = solve_equivalence_a(m1, m2), solve_equivalence_a(m2, m1)
+    assert forward.status == backward.status, (m1, m2)
+    if forward.is_equivalent and orbit_dimension_a(m1) == 4:
+        assert {w.inverse() for w in forward.maps} == set(backward.maps), (m1, m2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_pairs(type_b_models(), pullback_type_b, shears()))
+def test_equivalence_b_is_symmetric(pair):
+    m1, m2 = pair
+    assert solve_equivalence_b(m1, m2).status == solve_equivalence_b(m2, m1).status, pair

@@ -2,11 +2,12 @@
 cross-multiplied witness check against a built pullback, the integer Ricci
 tensors against their plain polynomial formulas, the closed-form orbit
 dimension against the rank of the derivative over the dual numbers, the
-fraction-free linear algebra against Gauss-Jordan over Fractions, the integer
-quadratic extension (the dual numbers at k = 0) against its (u, v) pair
-rules, and the rank-one frame, the integer reduced solver and the signature
-against their Fraction forms, and the flat orbit dispatch that runs one
-matcher per model."""
+orbit dimension the equivalence screen reads off each stratum's normal form
+against both ranks, the fraction-free linear algebra against Gauss-Jordan
+over Fractions, the integer quadratic extension (the dual numbers at k = 0)
+against its (u, v) pair rules, and the rank-one frame, the integer reduced
+solver and the signature against their Fraction forms, and the flat orbit
+dispatch that runs one matcher per model."""
 
 import random
 import sys
@@ -16,7 +17,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata import sampling
-from affinestrata.curvature import RankSig, binary_cubic, rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.curvature import (
+    RankSig,
+    binary_cubic,
+    curvature_of,
+    rank_signature,
+    ricci_type_a,
+    ricci_type_b,
+)
 from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, mat_rank, solve_linear, sqrt_rational
 from affinestrata.group_action import (
     LinearMap2,
@@ -29,6 +37,7 @@ from affinestrata.group_action import (
     _match_tensor_line,
     _rank1_frame,
     _solve_reduced_pair,
+    _stratum_normal_form,
     _transform_rational,
     _transform_ring,
     carries,
@@ -39,6 +48,7 @@ from affinestrata.group_action import (
 )
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
 from affinestrata.polys import binary_cubic_pattern
+from affinestrata.strata import COEFF_FAMILIES
 
 
 def scalars(height):
@@ -192,6 +202,67 @@ def test_orbit_dimension_equals_jet_rank():
     for m in models:
         dim = orbit_dimension_a(m)
         assert dim == jet_orbit_dimension(m), m
+        seen.add(dim)
+    assert seen == {0, 2, 3, 4}
+
+
+def reduced_rank1_forms(rng):
+    """Reduced rank-one models (A, 0, C, 0, E, F), a few in each branch of
+    the reduced isotropy: a != 0 with f = 0 or not, and a = 0 (so c != 0 and
+    f != c) with e = 0 or not and f = 2c or not."""
+    def nonzero():
+        return sampling.rand_nonzero(rng, 12)
+
+    forms = []
+    for _ in range(6):
+        a, c = nonzero(), nonzero()
+        forms.append((a, 0, c, 0, (c * c + 1) / a, 0))  # lambda = 1
+        forms.append((a, 0, c, 0, nonzero(), nonzero()))
+        for e in (0, nonzero()):
+            forms.append((0, 0, c, 0, e, 2 * c))
+            forms.append((0, 0, c, 0, e, c + nonzero()))
+    models = [type_a(*form) for form in forms]
+    return [m for m in models if rank_signature(ricci_type_a(m)).rank == 1]
+
+
+def test_stratum_dimension_equals_rank():
+    """The orbit dimension the equivalence screen reads off each stratum's
+    normal form equals the rank of the infinitesimal action and its
+    dual-number reference: on catalog pullbacks, on flat chart points with
+    and without a rational witness, on reduced rank-one forms in every
+    isotropy branch, and on rank-two models with omega = 0 and without."""
+    rng = random.Random(89)
+    models = [
+        pullback_type_a(m, sampling.rand_linear_map(rng, h))
+        for m in type_a_catalog() for h in (3, 12, 10**6)
+    ]
+    unmatched = 0
+    while len(models) < 300 or unmatched < 20:
+        point = [sampling.rand_rational(rng, 12) for _ in range(4)]
+        if point[1:] == [0, 0, 0]:
+            continue
+        m = COEFF_FAMILIES["flat_a"].model(point)
+        try:
+            match_flat_a_orbit(m)
+        except UnmatchedOrbitError:
+            unmatched += 1
+        models.append(m)
+    reduced = reduced_rank1_forms(rng)
+    assert len(reduced) == 36
+    models += reduced
+    omega_zero = 0
+    for h in (3, 12, 10**6):
+        for _ in range(40):
+            a, b, c, e = (sampling.rand_rational(rng, h) for _ in range(4))
+            for m in (type_a(a, b, c, -a, e, -c), sampling.rand_model_a(rng, h)):
+                if rank_signature(ricci_type_a(m)).rank == 2:
+                    omega_zero += m.d == -m.a and m.f == -m.c
+                    models.append(m)
+    assert omega_zero > 60
+    seen = set()
+    for m in models:
+        dim, _ = _stratum_normal_form(m, curvature_of(m))
+        assert dim == orbit_dimension_a(m) == jet_orbit_dimension(m), m
         seen.add(dim)
     assert seen == {0, 2, 3, 4}
 
@@ -361,11 +432,13 @@ def test_flat_match_runs_one_matcher():
         m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
         calls, found = matcher_calls(m)
         assert calls == ["binary_cubic_pattern", expected] and found[0] == orbit
-    # a matched coefficient-rank-one model computes no cubic pattern
+    # the pattern comes first, since the equivalence screen reads the orbit
+    # dimension off it; a matched coefficient-rank-one model then runs only
+    # the tensor-line matcher
     for orbit in ("M3_0", "M4_0"):
         m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
         calls, found = matcher_calls(m)
-        assert calls == ["_match_tensor_line"] and found[0] == orbit
+        assert calls == ["binary_cubic_pattern", "_match_tensor_line"] and found[0] == orbit
 
 
 # ---------------------------------------------------------------------------
