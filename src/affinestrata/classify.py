@@ -97,10 +97,15 @@ class ClassificationReport:
 
 def _ricci_payload(cv: Curvature) -> tuple[dict, dict]:
     r, split, sig = cv.ricci, cv.split, cv.sig
+    matrix = r.to_strings()
+    if split.sym is r.rows:  # a symmetric tensor is its own symmetric part
+        symmetric = [row[:] for row in matrix]
+    else:
+        symmetric = [[rational_str(x) for x in row] for row in split.sym]
     payload = {
         "cleared": r.cleared,
-        "matrix": r.to_strings(),
-        "symmetric": [[rational_str(x) for x in row] for row in split.sym],
+        "matrix": matrix,
+        "symmetric": symmetric,
         "alternating": rational_str(split.alt),
     }
     return payload, {"rank": sig.rank, "label": sig.label}

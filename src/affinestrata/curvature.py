@@ -4,6 +4,10 @@ stratum flags that drive classification.
 For Type B models the stored matrix is the cleared form (x^1)^2 * rho, which
 is polynomial in the six coefficients; every stratum predicate used here is
 invariant under that positive rescaling.
+
+The tensors are integer polynomials in the model's cached integer form
+(:attr:`~affinestrata.models.TypeAModel.integer_form`), and the split and
+the binary cubic's coefficient map work on integers as well.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, clear_denominators, rational_str
+from .exact import ZERO, rational_str
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -99,7 +103,7 @@ def ricci_type_a(m: TypeAModel) -> Ricci2:
     polynomials in the cleared numerators over the square of the common
     denominator, normalized once each.
     """
-    (a, b, c, d, e, f), den = clear_denominators(m.coeffs)
+    (a, b, c, d, e, f), den = m.integer_form
     den *= den
     r11 = Fraction((a - d) * d + b * (f - c), den)
     r12 = Fraction(c * d - b * e, den)
@@ -113,7 +117,7 @@ def ricci_type_b(m: TypeBModel) -> Ricci2:
     Computed like :func:`ricci_type_a`; the terms linear in the coefficients
     carry one factor of the common denominator ``q``.
     """
-    (a, b, c, d, e, f), q = clear_denominators(m.coeffs)
+    (a, b, c, d, e, f), q = m.integer_form
     den = q * q
     r11 = Fraction((a - d + q) * d + b * (f - c), den)
     r12 = Fraction(c * d - b * e + q * f, den)
@@ -132,8 +136,11 @@ def split_ricci(r: Ricci2) -> RicciSplit:
     (r11, r12), (r21, r22) = r.rows
     if r12 == r21:
         return RicciSplit(r.rows, ZERO)
-    off = (r12 + r21) / 2
-    return RicciSplit(((r11, off), (off, r22)), (r12 - r21) / 2)
+    # (r12 +- r21) / 2 on the numerators over 2 d12 d21
+    (n12, d12), (n21, d21) = r12.as_integer_ratio(), r21.as_integer_ratio()
+    x, y, den = n12 * d21, n21 * d12, 2 * d12 * d21
+    off = Fraction(x + y, den)
+    return RicciSplit(((r11, off), (off, r22)), Fraction(x - y, den))
 
 
 def rank_signature(sym) -> RankSig:
@@ -245,7 +252,14 @@ def binary_cubic(m: TypeAModel) -> tuple[Fraction, Fraction, Fraction, Fraction]
 
     Returned in the order X^3, X^2 Y, X Y^2, Y^3 for x = (X, Y).
     """
-    a, b, c, d, e, f = m.coeffs
+    return binary_cubic_coeffs(m.coeffs)
+
+
+def binary_cubic_coeffs(coeffs) -> tuple:
+    """The coefficients of det(x, G(x, x)) from a coefficient tuple, over
+    any scalar ring; on a model's integer numerators they are the cubic's
+    numerators over the same denominator."""
+    a, b, c, d, e, f = coeffs
     return (b, 2 * d - a, f - 2 * c, -e)
 
 
@@ -255,9 +269,9 @@ def coefficient_rank(m: TypeAModel) -> int:
     Equals the dimension of the span of G(u, v) over all u, v, hence is an
     orbit invariant.
     """
-    a, b, c, d, e, f = m.coeffs
+    (a, b, c, d, e, f), _ = m.integer_form
     pairs = [(a, b), (c, d), (e, f)]
-    nonzero = [p for p in pairs if p != (ZERO, ZERO)]
+    nonzero = [p for p in pairs if p != (0, 0)]
     if not nonzero:
         return 0
     x0, y0 = nonzero[0]

@@ -10,6 +10,15 @@ One scalar extension serves two ends: :class:`QuadExt` adjoins s with
 s^2 = k, a square root for the equivalence solvers, and at k = 0 the dual
 numbers, whose s-part carries the exact first derivatives of the
 parametrizations, so tangent-rank certificates are exact as well.
+
+Rational kernels compute on integers: a tuple of rationals is cleared of
+denominators once (:func:`clear_denominators`), the arithmetic runs on the
+numerators, and a ``Fraction`` is built, with its one normalization, only
+for a value that is returned.  The 2 x 2 determinant, inverse and
+singularity test (and so the invertibility check of :class:`LinearMap2`),
+the unit-circle check and the linear solver of the orbit matchers
+(:func:`solve_integer`) work that way on rational entries; ``Mat2`` keeps
+the generic ring evaluation for other scalars.
 """
 
 from __future__ import annotations
@@ -74,11 +83,11 @@ def primitive_covector(pair) -> tuple[int, int]:
     The sign is normalized so the first nonzero entry is positive, making the
     result canonical for the line it spans.
     """
-    x, y = Fraction(pair[0]), Fraction(pair[1])
-    if x == 0 and y == 0:
-        raise ValueError("zero pair has no primitive representative")
-    (ix, iy), _ = clear_denominators((x, y))
+    (xn, xd), (yn, yd) = pair[0].as_integer_ratio(), pair[1].as_integer_ratio()
+    ix, iy = xn * yd, yn * xd  # the pair times xd * yd
     g = math.gcd(ix, iy)
+    if g == 0:
+        raise ValueError("zero pair has no primitive representative")
     ix, iy = ix // g, iy // g
     if ix < 0 or (ix == 0 and iy < 0):
         ix, iy = -ix, -iy
@@ -114,22 +123,52 @@ class Mat2:
     def identity() -> "Mat2":
         return Mat2(((ONE, ZERO), (ZERO, ONE)))
 
+    def _integer_form(self) -> tuple[list[int], int] | None:
+        """(p, D) with the entries (p11, p12, p21, p22) = D * rows, D the least
+        common denominator, when every entry is an int or a Fraction; None
+        for any other scalar ring."""
+        entries = self.rows[0] + self.rows[1]
+        for x in entries:
+            if not isinstance(x, (int, Fraction)):
+                return None
+        return clear_denominators(entries)
+
     def det(self):
-        (a, b), (c, d) = self.rows
-        return a * d - b * c
+        form = self._integer_form()
+        if form is None:
+            (a, b), (c, d) = self.rows
+            return a * d - b * c
+        (p11, p12, p21, p22), den = form
+        return Fraction(p11 * p22 - p12 * p21, den * den)
+
+    def is_singular(self) -> bool:
+        """Whether the determinant vanishes; on rational entries an integer
+        cross-multiplication, with no Fraction built."""
+        form = self._integer_form()
+        if form is None:
+            return self.det() == 0
+        (p11, p12, p21, p22), _ = form
+        return p11 * p22 == p12 * p21
 
     def transpose(self) -> "Mat2":
         (a, b), (c, d) = self.rows
         return Mat2(((a, c), (b, d)))
 
     def inverse(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        det = a * d - b * c
+        """The inverse; rational entries give D adj(p) / det(p) for the
+        cleared entries p / D, one Fraction per entry."""
+        form = self._integer_form()
+        if form is None:
+            (a, b), (c, d) = self.rows
+            det = a * d - b * c
+            if det == 0:
+                raise ZeroDivisionError("matrix is singular")
+            return Mat2(((d / det, -b / det), (-c / det, a / det)))
+        (p11, p12, p21, p22), den = form
+        det = p11 * p22 - p12 * p21
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
-        if isinstance(det, int):  # int entries: divide exactly
-            det = Fraction(det)
-        return Mat2(((d / det, -b / det), (-c / det, a / det)))
+        return mat2_of_integers((den * p22, -den * p12, -den * p21, den * p11), det)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         (a, b), (c, d) = self.rows
@@ -152,6 +191,71 @@ def mat2_from_cols(col0, col1) -> Mat2:
     return Mat2(((col0[0], col1[0]), (col0[1], col1[1])))
 
 
+def mat2_of_integers(p, den) -> Mat2:
+    """The rational matrix p / den for integers p = (p11, p12, p21, p22) and
+    den != 0."""
+    p11, p12, p21, p22 = p
+    return Mat2(((Fraction(p11, den), Fraction(p12, den)), (Fraction(p21, den), Fraction(p22, den))))
+
+
+# The two kinds of coordinate change: invertible linear maps, which act on
+# Type A models, and the shears, which act on Type B models.
+
+
+@dataclass(frozen=True)
+class LinearMap2:
+    """An invertible linear coordinate change on the plane."""
+
+    matrix: Mat2
+
+    def __post_init__(self):
+        if self.matrix.is_singular():
+            raise ValueError("linear map must be invertible")
+
+    @staticmethod
+    def identity() -> "LinearMap2":
+        return LinearMap2(Mat2.identity())
+
+    def inverse(self) -> "LinearMap2":
+        return LinearMap2(self.matrix.inverse())
+
+    def compose(self, first: "LinearMap2") -> "LinearMap2":
+        """The map 'apply ``first``, then self'."""
+        return LinearMap2(self.matrix @ first.matrix)
+
+    def to_json(self):
+        return self.matrix.to_strings()
+
+
+@dataclass(frozen=True)
+class ShearMap:
+    """(x1, x2) -> (x1, a x2 + b x1) with a != 0."""
+
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self):
+        if self.a == 0:
+            raise ValueError("shear scale must be nonzero")
+
+    @staticmethod
+    def identity() -> "ShearMap":
+        return ShearMap(ONE, ZERO)
+
+    @property
+    def matrix(self) -> Mat2:
+        return Mat2(((ONE, ZERO), (self.b, self.a)))
+
+    def inverse(self) -> "ShearMap":
+        return ShearMap(1 / self.a, -self.b / self.a)
+
+    def compose(self, first: "ShearMap") -> "ShearMap":
+        return ShearMap(self.a * first.a, self.b + self.a * first.b)
+
+    def to_json(self):
+        return {"a": str(self.a), "b": str(self.b), "matrix": self.matrix.to_strings()}
+
+
 # ---------------------------------------------------------------------------
 # Rational circle points
 
@@ -164,7 +268,9 @@ class CirclePoint:
     s: Fraction
 
     def __post_init__(self):
-        if self.c * self.c + self.s * self.s != 1:
+        # c^2 + s^2 = 1 cross-multiplied over the squared denominators
+        (cn, cd), (sn, sd) = self.c.as_integer_ratio(), self.s.as_integer_ratio()
+        if (cn * sd) ** 2 + (sn * cd) ** 2 != (cd * sd) ** 2:
             raise ValueError(f"({self.c}, {self.s}) is not on the unit circle")
 
     def antipode(self) -> "CirclePoint":
@@ -181,9 +287,9 @@ class CirclePoint:
 
 def circle_from_slope(t: Fraction) -> CirclePoint:
     """Rational circle point ((1-t^2)/(1+t^2), 2t/(1+t^2)) for slope ``t``."""
-    t = Fraction(t)
-    den = 1 + t * t
-    return CirclePoint((1 - t * t) / den, 2 * t / den)
+    n, d = Fraction(t).as_integer_ratio()
+    den = d * d + n * n
+    return CirclePoint(Fraction(d * d - n * n, den), Fraction(2 * n * d, den))
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +457,21 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_forward_eliminate(m, range(len(m[0]) if m else 0)))
 
 
-def solve_linear(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve A x = b exactly.
+def solve_integer(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[list[int], int, list[list[int]]] | None:
+    """Solve A x = b exactly for integer A and b, fraction-free.
 
-    Returns (particular solution, kernel basis) or None when inconsistent.
-    Both are read off the reduced row echelon form, which is unique: the
-    augmented rows, each cleared of denominators once, go through the
-    forward elimination of :func:`mat_rank`, and a back pass clears each
-    pivot column above its pivot.  An entry is divided by its row's pivot
-    only when it is read off.
+    Returns None when the system is inconsistent, else (y, q, kernel): the
+    particular solution y / q with q > 0, and the kernel basis, each vector
+    a positive integer multiple of its reduced-row-echelon basis vector (1
+    in its free column).  Both are read off the reduced row echelon form,
+    which is unique: the forward elimination of :func:`mat_rank`, then a back
+    pass that clears each pivot column above its pivot.  No Fraction is
+    built.
     """
     n_var = len(rows[0]) if rows else 0
-    aug = [clear_denominators([*r, b])[0] for r, b in zip(rows, rhs)]
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
     pivots = _forward_eliminate(aug, range(n_var))
     rank = len(pivots)
     if any(row[n_var] != 0 for row in aug[rank:]):
@@ -375,14 +482,36 @@ def solve_linear(
     upper = aug[:rank][::-1]
     _forward_eliminate(upper, pivots[::-1])
     aug[:rank] = upper[::-1]
-    particular = [ZERO] * n_var
+    # x[col] = aug[r][n_var] / aug[r][col] on pivot row r; scaled by q, the
+    # least common multiple of the pivots, every entry is an integer
+    q = math.lcm(*(aug[r][col] for r, col in enumerate(pivots))) if pivots else 1
+    scales = [q // aug[r][col] for r, col in enumerate(pivots)]
+    particular = [0] * n_var
     for r, col in enumerate(pivots):
-        particular[col] = Fraction(aug[r][n_var], aug[r][col])
+        particular[col] = aug[r][n_var] * scales[r]
     kernel = []
     for free in (c for c in range(n_var) if c not in pivots):
-        vec = [ZERO] * n_var
-        vec[free] = ONE
+        vec = [0] * n_var
+        vec[free] = q
         for r, col in enumerate(pivots):
-            vec[col] = Fraction(-aug[r][free], aug[r][col])
+            vec[col] = -aug[r][free] * scales[r]
         kernel.append(vec)
-    return particular, kernel
+    return particular, q, kernel
+
+
+def solve_linear(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
+    """Solve A x = b exactly over the rationals.
+
+    Returns (particular solution, kernel basis) or None when inconsistent:
+    :func:`solve_integer` on the augmented rows, each cleared of
+    denominators once, with every entry divided by ``q`` as it is read off,
+    so the kernel vectors have 1 in their free columns.
+    """
+    aug = [clear_denominators([*r, b])[0] for r, b in zip(rows, rhs)]
+    solved = solve_integer([row[:-1] for row in aug], [row[-1] for row in aug])
+    if solved is None:
+        return None
+    y, q, kernel = solved
+    return [Fraction(x, q) for x in y], [[Fraction(x, q) for x in vec] for vec in kernel]

@@ -9,23 +9,26 @@ Both actions share one coefficient transformation law: for y = T x the
 coefficients in y-coordinates are G'^m_ab = T^m_k G^k_ij S^i_a S^j_b with
 S = T^{-1}.
 
-The law is evaluated on integers whenever T and the coefficients are
-rational: denominators are cleared once, S is the integer adjugate, and each
-output coefficient is normalized once at the end.  Other scalar rings (the
-quadratic extensions of the Type B solver) use the generic ring evaluation.
-Every witness check (:func:`carries`) takes the same integer numerators and
-cross-multiplies them against the target's, so no model is built only to be
-compared.  The rank-one frame is written in closed form, its inverse is read
-off its adjugate, and the reduced rank-one case analysis runs on the cleared
-numerators of the reduced models.  The equivalence screen reads each orbit
-dimension off the normal form its stratum's solver computes anyway;
-:func:`orbit_dimension_a`, the rank of the infinitesimal action at the
-identity, is the independent check.  A flat model runs one orbit matcher,
-the one its coefficient rank and the root pattern of its binary cubic name,
-and the matcher checks each candidate witness against catalog coefficients read
-once from the family registry in :mod:`affinestrata.models`.  A rank-two
-pair is decided by the models' own covariants, with no search bound (see
-:func:`_solve_rank2_pair`).
+Every rational kernel here computes on integers: a model's coefficients
+come as its cached integer form (numerators over their least common
+denominator), and a Fraction is built only for a value that is returned.
+The law clears T once and applies the integer adjugate, normalizing each
+output once; other scalar rings (the quadratic extensions of the Type B
+solver) use the generic ring evaluation.  A witness check (:func:`carries`)
+cross-multiplies the law's numerators against the target's integer form.
+The rank-one frame is written in closed form, and the reduced case
+analysis, the family read-out and its catalog target run on the reduced
+model's numerators.  The equivalence screen reads each orbit dimension off
+the normal form its stratum's solver computes anyway, on rank one off the
+integer case split (:func:`_reduced_dimension`) that the reduced isotropy
+group refines; :func:`orbit_dimension_a`, the rank of the infinitesimal
+action at the identity, is the independent check.  A flat model runs one
+orbit matcher, the one its coefficient rank and the root pattern of its
+binary cubic name; it solves its equations on integers and checks each
+candidate witness, an integer matrix over a denominator, against a catalog
+model read once from the family registry in :mod:`affinestrata.models`.
+A rank-two pair is decided by the models' own covariants, with no search
+bound (see :func:`_solve_rank2_pair`).
 """
 
 from __future__ import annotations
@@ -33,24 +36,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .exact import (
     ONE,
     ZERO,
+    LinearMap2,
     Mat2,
+    ShearMap,
     QuadExt,
     _forward_eliminate,
     clear_denominators,
     mat2_from_cols,
+    mat2_of_integers,
     primitive_covector,
-    solve_linear,
+    solve_integer,
     sqrt_rational,
 )
 from .curvature import (
     Curvature,
     Ricci2,
     binary_cubic,
+    binary_cubic_coeffs,
     coefficient_rank,
     curvature_of,
     gamma_coeffs,
@@ -76,84 +83,47 @@ class UnmatchedOrbitError(ValueError):
     """No canonical-orbit matcher produced a verified witness."""
 
 
-@dataclass(frozen=True)
-class LinearMap2:
-    """An invertible linear coordinate change on the plane."""
-
-    matrix: Mat2
-
-    def __post_init__(self):
-        if self.matrix.det() == 0:
-            raise ValueError("linear map must be invertible")
-
-    @staticmethod
-    def identity() -> "LinearMap2":
-        return LinearMap2(Mat2.identity())
-
-    def inverse(self) -> "LinearMap2":
-        return LinearMap2(self.matrix.inverse())
-
-    def compose(self, first: "LinearMap2") -> "LinearMap2":
-        """The map 'apply ``first``, then self'."""
-        return LinearMap2(self.matrix @ first.matrix)
-
-    def to_json(self):
-        return self.matrix.to_strings()
+def _integer_form(source) -> tuple:
+    """The integer form of a model (its cache) or of a coefficient sequence."""
+    if isinstance(source, (TypeAModel, TypeBModel)):
+        return source.integer_form
+    return clear_denominators(source)
 
 
-@dataclass(frozen=True)
-class ShearMap:
-    """(x1, x2) -> (x1, a x2 + b x1) with a != 0."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("shear scale must be nonzero")
-
-    @staticmethod
-    def identity() -> "ShearMap":
-        return ShearMap(ONE, ZERO)
-
-    @property
-    def matrix(self) -> Mat2:
-        return Mat2(((ONE, ZERO), (self.b, self.a)))
-
-    def inverse(self) -> "ShearMap":
-        return ShearMap(1 / self.a, -self.b / self.a)
-
-    def compose(self, first: "ShearMap") -> "ShearMap":
-        return ShearMap(self.a * first.a, self.b + self.a * first.b)
-
-    def to_json(self):
-        return {"a": str(self.a), "b": str(self.b), "matrix": self.matrix.to_strings()}
-
-
-def transform_coeffs(coeffs: Sequence, t_rows) -> tuple:
+def transform_coeffs(coeffs, t_rows) -> tuple:
     """Connection coefficients in y = T x coordinates.
 
-    When every input is an int or a Fraction the law is evaluated on
-    integers (:func:`_transform_rational`); any other scalar ring, such as
-    the :class:`QuadExt` scales of the Type B solver, takes the generic path
-    (:func:`_transform_ring`).  A singular T raises ZeroDivisionError.
+    ``coeffs`` is a model or a coefficient sequence.  Rational inputs take
+    the law on integers (:func:`_transform_rational`); any other scalar
+    ring, such as the :class:`QuadExt` scales of the Type B solver, takes
+    the generic path (:func:`_transform_ring`).  A singular T raises
+    ZeroDivisionError.
     """
     (t11, t12), (t21, t22) = t_rows
-    for x in (t11, t12, t21, t22, *coeffs):
+    values = coeffs.coeffs if isinstance(coeffs, (TypeAModel, TypeBModel)) else coeffs
+    for x in (t11, t12, t21, t22, *values):
         if not isinstance(x, (int, Fraction)):
-            return _transform_ring(coeffs, t11, t12, t21, t22)
+            return _transform_ring(values, t11, t12, t21, t22)
     return _transform_rational(coeffs, t11, t12, t21, t22)
 
 
-def carries(coeffs: Sequence, t_rows, target: Sequence) -> bool:
-    """Whether ``transform_coeffs(coeffs, t_rows) == tuple(target)``, for
-    rational inputs, decided by cross-multiplying the integer numerators of
-    the law against the target's, with no Fraction built.  A singular T
-    raises ZeroDivisionError."""
+def carries(coeffs, t_rows, target) -> bool:
+    """Whether ``transform_coeffs(coeffs, t_rows) == tuple(target)`` for
+    rational models or coefficient sequences, decided on integers by
+    :func:`_carries`.  A singular T raises ZeroDivisionError."""
     (t11, t12), (t21, t22) = t_rows
-    nums, scale, den = _law_numerators(coeffs, t11, t12, t21, t22)
-    for n, x in zip(nums, target):
-        if scale * n * x.denominator != x.numerator * den:
+    p, pd = clear_denominators((t11, t12, t21, t22))
+    return _carries(_integer_form(coeffs), p, pd, _integer_form(target))
+
+
+def _carries(source, p, pd, target) -> bool:
+    """Whether the law carries the integer form ``source`` onto ``target``
+    under T = p / pd, by cross-multiplying numerators."""
+    nums, scale, den = _law_numerators(source, p, pd)
+    target_nums, target_den = target
+    scale *= target_den
+    for n, x in zip(nums, target_nums):
+        if scale * n != x * den:
             return False
     return True
 
@@ -174,21 +144,21 @@ def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
     return nums, det
 
 
-def _law_numerators(coeffs, t11, t12, t21, t22) -> tuple[list[int], int, int]:
-    """Integers N_k, D and Q with G'_k = D N_k / Q for rational T and G.
+def _law_numerators(form, p, dt) -> tuple[list[int], int, int]:
+    """Integers N_k, D and Q with G'_k = D N_k / Q, for G = g / L given as
+    ``form`` = (g, L) and T = P / D as ``p`` = (P11, P12, P21, P22), ``dt``.
 
-    With T = P / D and G = g / L for integer P, g:  S = D adj(P) / det(P),
-    so G' = D P g(adj P, adj P) / (L det(P)^2)."""
-    p, dt = clear_denominators((t11, t12, t21, t22))
-    g, dg = clear_denominators(coeffs)
+    S = D adj(P) / det(P), so G' = D P g(adj P, adj P) / (L det(P)^2)."""
+    g, dg = form
     nums, det = _adjugate_law(g, *p)
     return nums, dt, dg * det * det
 
 
 def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
-    """The law on cleared numerators (:func:`_law_numerators`), each output
-    normalized once."""
-    nums, scale, den = _law_numerators(coeffs, t11, t12, t21, t22)
+    """The law on integers (:func:`_law_numerators`), each output normalized
+    once."""
+    p, pd = clear_denominators((t11, t12, t21, t22))
+    nums, scale, den = _law_numerators(_integer_form(coeffs), p, pd)
     return tuple(Fraction(scale * n, den) for n in nums)
 
 
@@ -202,12 +172,12 @@ def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
     """The model representing the same connection in coordinates y = T x."""
-    return TypeAModel(*transform_coeffs(m.coeffs, t.matrix.rows))
+    return TypeAModel(*transform_coeffs(m, t.matrix.rows))
 
 
 def pullback_type_b(m: TypeBModel, phi: ShearMap) -> TypeBModel:
     """Shear reparametrization; preserves the 1/x1 coefficient profile."""
-    return TypeBModel(*transform_coeffs(m.coeffs, phi.matrix.rows))
+    return TypeBModel(*transform_coeffs(m, phi.matrix.rows))
 
 
 #: (k, i, j) of G^k_ij for each coefficient slot a, b, c, d, e, f
@@ -225,7 +195,7 @@ def orbit_dimension_a(m: TypeAModel) -> int:
     The equivalence solver reads the dimension off normal forms instead
     (:func:`_stratum_normal_form`); this rank is the independent check.
     """
-    (a, b, c, d, e, f), _ = clear_denominators(m.coeffs)
+    (a, b, c, d, e, f), _ = m.integer_form
     g = (((a, c), (c, e)), ((b, d), (d, f)))  # g[k][i][j] = L G^k_ij
     rows = []
     for p in (0, 1):
@@ -262,15 +232,14 @@ def rank1_frame(m: TypeAModel) -> tuple[LinearMap2, TypeAModel]:
 
 def _rank1_frame(m: TypeAModel, r: Ricci2) -> tuple[LinearMap2, TypeAModel]:
     """:func:`rank1_frame` of a model whose Ricci tensor ``r`` has rank one."""
-    if m.b == 0 and m.d == 0:
-        return LinearMap2.identity(), m
+    (_, b, _, d, _, _), _ = m.integer_form
+    if b == 0 and d == 0:
+        return _IDENTITY, m
     row = r.rows[0] if r.rows[0] != (ZERO, ZERO) else r.rows[1]
     w0, w1 = primitive_covector(row)
-    if w0 != 0:
-        u0, u1 = Fraction(1, w0), ZERO
-    else:
-        u0, u1 = ZERO, Fraction(1, w1)
-    t = LinearMap2(Mat2(((-u1, u0), (Fraction(w0), Fraction(w1)))))
+    # u = (1 / w0, 0) or (0, 1 / w1) pairs to 1 against w
+    top = (ZERO, Fraction(1, w0)) if w0 != 0 else (Fraction(-1, w1), ZERO)
+    t = LinearMap2(Mat2((top, (Fraction(w0), Fraction(w1)))))
     reduced = pullback_type_a(m, t)
     if reduced.b != 0 or reduced.d != 0:
         raise AssertionError("frame reduction failed to clear b, d")
@@ -286,9 +255,9 @@ def _frame_inverse(frame: LinearMap2) -> Mat2:
     return Mat2(((-t22, t12), (t21, -t11)))
 
 
-def _product(*mats: Mat2) -> Mat2:
-    """The product of rational 2 x 2 matrices on cleared numerators, each
-    entry normalized once."""
+def _product(*mats: Mat2) -> tuple[tuple[int, int, int, int], int]:
+    """The product of rational 2 x 2 matrices on cleared numerators, as
+    integers (p11, p12, p21, p22) over a common denominator."""
     (x11, x12, x21, x22), den = clear_denominators(mats[0].rows[0] + mats[0].rows[1])
     for mat in mats[1:]:
         (y11, y12, y21, y22), dy = clear_denominators(mat.rows[0] + mat.rows[1])
@@ -297,32 +266,38 @@ def _product(*mats: Mat2) -> Mat2:
             x21 * y11 + x22 * y21, x21 * y12 + x22 * y22,
         )
         den *= dy
-    return Mat2(((Fraction(x11, den), Fraction(x12, den)), (Fraction(x21, den), Fraction(x22, den))))
+    return (x11, x12, x21, x22), den
 
 
-def _reduced_numerators(n: TypeAModel) -> tuple[int, int, int, int, int, int]:
-    """(A, C, E, F, L, R) for a reduced model n = (A, 0, C, 0, E, F) / L: the
-    cleared numerators, their denominator, and R = L^2 lambda, the numerator
-    of the Ricci scale lambda = -c^2 + a e + c f."""
-    (a, _, c, _, e, f), den = clear_denominators(n.coeffs)
+def _reduced_numerators(form) -> tuple[int, int, int, int, int, int]:
+    """(A, C, E, F, L, R) for the integer form ``form`` of a reduced model
+    n = (A, 0, C, 0, E, F) / L: the numerators, their denominator, and
+    R = L^2 lambda, the numerator of the Ricci scale lambda = -c^2 + a e + c f."""
+    (a, _, c, _, e, f), den = form
     return a, c, e, f, den, a * e + c * (f - c)
 
 
 def _solve_reduced_pair(n1: TypeAModel, n2: TypeAModel):
-    """Witnesses T with pullback(n1, T) = n2 for reduced (b = d = 0) rank-one
-    models.  Any such T is upper triangular because it must preserve the
-    dx2 (x) dx2 line, which collapses the problem to rational case analysis.
+    """:func:`_solve_reduced` on two reduced models."""
+    return _solve_reduced(_reduced_numerators(n1.integer_form), _reduced_numerators(n2.integer_form))
 
-    The analysis runs on the cleared numerators n_i = (A_i, 0, C_i, 0, E_i,
-    F_i) / L_i; the Ricci scales are R_i / L_i^2, so every sign, vanishing
-    and ratio test is an integer cross-multiplication, and a Fraction is
-    built only for the entries alpha, beta, delta of T = [[alpha, beta],
-    [0, delta]].
+
+def _solve_reduced(red1, red2):
+    """Witnesses T with pullback(n1, T) = n2 for reduced (b = d = 0) rank-one
+    models n_i, given by their reduced numerators ``red_i``
+    (:func:`_reduced_numerators`).  Any such T is upper triangular because it
+    must preserve the dx2 (x) dx2 line, which collapses the problem to
+    rational case analysis.
+
+    The analysis runs on n_i = (A_i, 0, C_i, 0, E_i, F_i) / L_i with Ricci
+    scales R_i / L_i^2, so every sign, vanishing and ratio test is an integer
+    cross-multiplication, and a Fraction is built only for the entries
+    alpha, beta, delta of T = [[alpha, beta], [0, delta]].
 
     Returns (status, matrices, note).
     """
-    a1, c1, e1, f1, l1, r1 = _reduced_numerators(n1)
-    a2, c2, e2, f2, l2, r2 = _reduced_numerators(n2)
+    a1, c1, e1, f1, l1, r1 = red1
+    a2, c2, e2, f2, l2, r2 = red2
     if r1 * r2 < 0:
         return ("not_equivalent", [], "Ricci signs differ")
     sols: list[tuple[Fraction, Fraction, Fraction]] = []
@@ -417,40 +392,38 @@ def _flat_rows(g, o1, o2):
     return [[2 * (a - o1), 2 * b], [2 * c - o2, 2 * d - o1], [2 * e, 2 * (f - o2)]]
 
 
-#: the coefficients of the canonical flat models, computed once
+#: the integer forms of the canonical flat models, computed once
 _FLAT_ORBITS = {
-    orbit_id: CATALOG[orbit_id].model().coeffs for orbit_id in ("M1_0", "M2_0", "M3_0", "M4_0", "M5_0")
+    orbit_id: CATALOG[orbit_id].model().integer_form for orbit_id in ("M1_0", "M2_0", "M3_0", "M4_0", "M5_0")
 }
 
 
-def _verify_orbit(orbit_id: str, t: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
-    if t.det() == 0:
+def _verify_orbit(orbit_id: str, p, den, m: TypeAModel) -> tuple[str, LinearMap2] | None:
+    """The witness T = p / den, for integers p, when T is invertible and
+    pullback(canonical, T) = m."""
+    if p[0] * p[3] == p[1] * p[2]:
         return None
-    if carries(_FLAT_ORBITS[orbit_id], t.rows, m.coeffs):
-        return (orbit_id, LinearMap2(t))
+    if _carries(_FLAT_ORBITS[orbit_id], p, den, m.integer_form):
+        return (orbit_id, LinearMap2(mat2_of_integers(p, den)))
     return None
 
 
-def _verify_frame(orbit_id: str, s: Mat2, m: TypeAModel) -> tuple[str, LinearMap2] | None:
-    """:func:`_verify_orbit` for the witness T = S^-1, checked as
-    pullback(m, S) = canonical, so S is inverted only when it is a witness."""
-    if s.det() == 0:
-        return None
-    if carries(m.coeffs, s.rows, _FLAT_ORBITS[orbit_id]):
-        return (orbit_id, LinearMap2(s.inverse()))
-    return None
+def _verify_frame(orbit_id: str, p, den, m: TypeAModel) -> tuple[str, LinearMap2] | None:
+    """:func:`_verify_orbit` for T = S^-1 = den adj(p) / det(p), S = p / den."""
+    p11, p12, p21, p22 = p
+    return _verify_orbit(orbit_id, (den * p22, -den * p12, -den * p21, den * p11), p11 * p22 - p12 * p21, m)
 
 
-# The matchers below work on the cleared numerators: G = g / L and the trace
-# form omega = o / L with integer g, o, so every equation is built on integers
-# and a Fraction appears only where a witness entry or a root is read off.
+# The matchers below work on the integer form: G = g / L and the trace form
+# omega = o / L with integer g, o, so every equation is built and solved on
+# integers, and each candidate witness is an integer matrix over a denominator.
 
 
 def _match_m1(m: TypeAModel):
     # orbit structure: G(u, v) = l(u) v + l(v) u - l(u) l(v) w with l(w) = 1;
     # the trace covector recovers 2l = o / L.  Probing with u = e1 (or e2
     # when l(e1) = 0) gives w = 4 L (o(u) u - g(u, u)) / o(u)^2.
-    g, L = clear_denominators(m.coeffs)
+    g, L = m.integer_form
     a, b, _, _, e, f = g
     o1, o2 = g[0] + g[3], g[2] + g[5]
     if o1 == 0 and o2 == 0:
@@ -462,31 +435,30 @@ def _match_m1(m: TypeAModel):
     den = ou * ou
     if o1 * w1 + o2 * w2 != 2 * L * den:  # l(w) = 1
         return None
-    t = Mat2(((Fraction(w1, den), Fraction(-o2, 2 * L)), (Fraction(w2, den), Fraction(o1, 2 * L))))
-    return _verify_orbit("M1_0", t, m)
+    # T = [[w1 / den, -o2 / 2L], [w2 / den, o1 / 2L]]
+    return _verify_orbit("M1_0", (2 * L * w1, -o2 * den, 2 * L * w2, o1 * den), 2 * L * den, m)
 
 
 def _match_m2(m: TypeAModel):
     # rows of S = (sigma, sigma + omega) with sigma(G(u,v)) = -sigma(u)sigma(v);
     # eliminating the square leaves a linear system for sigma, one equation
     # per basis pair (e_i, e_j); for sigma = y / L it has integer rows
-    g, L = clear_denominators(m.coeffs)
+    g, L = m.integer_form
     a, b, c, d, e, f = g
     o1, o2 = a + d, c + f
     rhs = [o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f)]
-    solved = solve_linear(_flat_rows(g, o1, o2), rhs)
+    solved = solve_integer(_flat_rows(g, o1, o2), rhs)
     if solved is None:
         return None
-    y, kernel = solved
-    (y1, y2), dy = clear_denominators(y)
+    (y1, y2), dy, kernel = solved
     candidates = []  # (n, q): sigma = n / (L q)
     if not kernel:
         candidates.append(((y1, y2), dy))
     elif len(kernel) == 1:
-        # y = (Y + w K) / dy along the kernel line K / dk; w = (dk / dy) z
-        # keeps the orientation of the original parameter z, so the roots
-        # come in the same order
-        (k1, k2), _ = clear_denominators(kernel[0])
+        # y = (Y + w K) / dy along the kernel line K, a positive multiple of
+        # the basis vector, so the roots come in the order of the original
+        # parameter
+        k1, k2 = kernel[0]
         y3, k3 = y1 + y2, k1 + k2
         for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), _probe_gammas(g)):
             if ku == 0:
@@ -503,9 +475,7 @@ def _match_m2(m: TypeAModel):
                     candidates.append(((wd * y1 + wn * k1, wd * y2 + wn * k2), dy * wd))
             break
     for (n1, n2), q in candidates:
-        den = L * q
-        s = Mat2(((Fraction(n1, den), Fraction(n2, den)), (Fraction(n1 + o1 * q, den), Fraction(n2 + o2 * q, den))))
-        found = _verify_frame("M2_0", s, m)
+        found = _verify_frame("M2_0", (n1, n2, n1 + o1 * q, n2 + o2 * q), L * q, m)
         if found:
             return found
     return None
@@ -515,31 +485,27 @@ def _match_m5(m: TypeAModel):
     # complex-multiplication structure: sigma1 = omega/2, sigma2 solves a
     # homogeneous linear system, with the scale pinned by one quadratic; the
     # system is 1 / (2L) times the integer rows of the M2 matcher
-    g, L = clear_denominators(m.coeffs)
+    g, L = m.integer_form
     o1, o2 = g[0] + g[3], g[2] + g[5]
     if o1 == 0 and o2 == 0:
         return None
-    solved = solve_linear(_flat_rows(g, o1, o2), [0, 0, 0])
-    if solved is None:
-        return None
-    _, kernel = solved
+    _, _, kernel = solve_integer(_flat_rows(g, o1, o2), [0, 0, 0])
     if len(kernel) != 1:
         return None
-    (k1, k2), _ = clear_denominators(kernel[0])
+    k1, k2 = kernel[0]
     for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), _probe_gammas(g)):
         if ku == 0:
             continue
         # sigma2 = scale * kernel, scale^2 = (sigma1(u)^2 - sigma1(G(u, u))) / kernel(u)^2;
-        # on the cleared kernel K / dk that is (o(u)^2 - 2 o(g(u, u))) (dk / (2 L ku))^2
+        # on the integer kernel vector K that is (o(u)^2 - 2 o(g(u, u))) / (2 L K(u))^2
         square = ou * ou - 2 * (o1 * gu[0] + o2 * gu[1])
         root = math.isqrt(square) if square > 0 else 0
         if root * root != square or root == 0:
             return None
-        den = 2 * L * abs(ku)
-        top = (Fraction(o1 * abs(ku), den), Fraction(o2 * abs(ku), den))
+        size = abs(ku)
         for r in (root, -root):
-            s = Mat2((top, (Fraction(r * k1, den), Fraction(r * k2, den))))
-            found = _verify_frame("M5_0", s, m)
+            # S = [[o1 |ku|, o2 |ku|], [r k1, r k2]] / (2 L |ku|)
+            found = _verify_frame("M5_0", (o1 * size, o2 * size, r * k1, r * k2), 2 * L * size, m)
             if found:
                 return found
         return None
@@ -548,10 +514,10 @@ def _match_m5(m: TypeAModel):
 
 def _match_tensor_line(m: TypeAModel):
     # coefficient matrix of rank one: G = q (x) z with q = kappa l (x) l;
-    # the pairing l(z) separates the two orbits.  On the cleared numerators
+    # the pairing l(z) separates the two orbits.  On the integer form
     # G = g / L every pair (g^1_ij, g^2_ij) is an integer multiple Q_ij of
     # the primitive z_hat, so q = Q / L.
-    g, L = clear_denominators(m.coeffs)
+    g, L = m.integer_form
     pairs = [(g[0], g[1]), (g[2], g[3]), (g[4], g[5])]
     base = next(p for p in pairs if p != (0, 0))
     z0, z1 = primitive_covector(base)
@@ -575,26 +541,21 @@ def _match_tensor_line(m: TypeAModel):
         return None
     pairing = l0 * z0 + l1 * z1
     if pairing != 0:
-        # ell = kappa l(z) l_hat and z = z_hat / (kappa l(z)^2)
+        # ell = kappa l(z) l_hat and z = z_hat / (kappa l(z)^2):
+        # T = [[-kn l(z) l1 / kd, kd z0 / zd], [kn l(z) l0 / kd, kd z1 / zd]]
         zd = kn * pairing * pairing
-        t = Mat2((
-            (Fraction(-kn * pairing * l1, kd), Fraction(kd * z0, zd)),
-            (Fraction(kn * pairing * l0, kd), Fraction(kd * z1, zd)),
-        ))
-        return _verify_orbit("M3_0", t, m)
+        p = (-kn * pairing * l1 * zd, kd * kd * z0, kn * pairing * l0 * zd, kd * kd * z1)
+        return _verify_orbit("M3_0", p, kd * zd, m)
     # pairing zero: the triple-root orbit; z_hat^perp = c0 l_hat spans one
     # line with l_hat; z = kappa z_hat and y = det * z^perp / |z|^2 with
-    # det = kappa c0
+    # det = kappa c0:  T = [[kn z0 / kd, -z1 cn / yd], [kn z1 / kd, z0 cn / yd]]
     perp = (-z1, z0)
     cn, cd = (perp[0], l0) if l0 != 0 else (perp[1], l1)
     if cn * l0 != perp[0] * cd or cn * l1 != perp[1] * cd:
         return None
     yd = cd * (z0 * z0 + z1 * z1)
-    t = Mat2((
-        (Fraction(kn * z0, kd), Fraction(-z1 * cn, yd)),
-        (Fraction(kn * z1, kd), Fraction(z0 * cn, yd)),
-    ))
-    return _verify_orbit("M4_0", t, m)
+    p = (kn * z0 * yd, -z1 * cn * kd, kn * z1 * yd, z0 * cn * kd)
+    return _verify_orbit("M4_0", p, kd * yd, m)
 
 
 #: root pattern of the binary cubic det(x, G(x, x)) -> the real orbit it
@@ -626,15 +587,16 @@ def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
 
 
 def _cubic_pattern(m: TypeAModel) -> str:
-    """The root pattern of the binary cubic det(x, G(x, x)) of ``m``."""
-    return polys.binary_cubic_pattern(binary_cubic(m))
+    """The root pattern of the binary cubic det(x, G(x, x)) of ``m``, read
+    off the cubic's integer numerators over the model's common denominator."""
+    return polys.binary_cubic_pattern(binary_cubic_coeffs(m.integer_form[0]))
 
 
 def _match_flat_a_orbit(m: TypeAModel, pattern: str) -> tuple[str, LinearMap2]:
     """:func:`match_flat_a_orbit` of a flat model whose cubic has the root
     pattern ``pattern``."""
     if m.is_zero():
-        return ("M0_0", LinearMap2.identity())
+        return ("M0_0", _IDENTITY)
     if pattern == "double_simple" and coefficient_rank(m) == 1:
         found = _match_tensor_line(m)
         if found:
@@ -673,47 +635,57 @@ def _match_rank1_reduced(
     """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
     frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns).
 
-    The family is read off the cleared numerators n = (A, 0, C, 0, E, F) / L
-    with Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does
-    not depend on L, so every test is on integers and only the family
-    parameter is a Fraction.
+    The family is read off the integer form n = (A, 0, C, 0, E, F) / L with
+    Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does not
+    depend on L, so every test is on integers.  The catalog target's integer
+    form is written from the same integers, the family parameter is the one
+    Fraction of the read-out, and the witness is checked on integers before
+    it is built.
     """
-    a, c, e, f, _, r = _reduced_numerators(n)
+    red = _reduced_numerators(n.integer_form)
+    a, c, e, f, _, r = red
     if a != 0:
         if r > 0 and f * f == 4 * r:  # j = 4
-            family, params = "M1_1", ()
+            family, params, target = "M1_1", (), ((-1, 0, 1, 0, 0, 2), 1)
         elif r > 0 and f * f < 4 * r:  # j < 4
-            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2)
-            p = _root_ratio(f, 4 * r - f * f)
-            family, params = "M5_1", (p,)
+            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2) = pn / pd, and the
+            # target (1, 0, 0, 0, 1 + p^2, 2p) is over pd^2
+            pn, pd = _root_ratio(f, 4 * r - f * f)
+            family, params = "M5_1", (Fraction(pn, pd),)
+            target = ((pd * pd, 0, 0, 0, pd * pd + pn * pn, 2 * pn * pd), pd * pd)
         else:
-            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R)
-            root = _root_ratio(f, f * f - 4 * r)
-            family, params = "M2_1", ((root - 1) / 2,)
+            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R) = rn / rd and
+            # c1 = (root - 1) / 2; the target (-1, 0, c1, 0, 0, 1 + 2 c1) is
+            # over 2 rd
+            rn, rd = _root_ratio(f, f * f - 4 * r)
+            family, params = "M2_1", (Fraction(rn - rd, 2 * rd),)
+            target = ((-2 * rd, 0, rn - rd, 0, 0, 2 * rn), 2 * rd)
+    elif f != 2 * c:  # k = f / c != 2
+        # c1 = C / (F - 2C); the target (0, 0, c1, 0, 0, 1 + 2 c1) is over F - 2C
+        family, params = "M3_1", (Fraction(c, f - 2 * c),)
+        target = ((0, 0, c, 0, 0, f), f - 2 * c)
     else:
-        if f != 2 * c:  # k = f / c != 2
-            family, params = "M3_1", (Fraction(c, f - 2 * c),)
-        else:
-            family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
-    target = TypeAModel(*CATALOG[family].build(params))
-    status, mats, note = _solve_reduced_pair(target, n)
+        family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
+        target = ((0, 0, 1, 0, int(e != 0), 2), 1)
+    status, mats, note = _solve_reduced(_reduced_numerators(target), red)
     if status != "equivalent":
         raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
-    witness = LinearMap2(_product(_frame_inverse(frame), mats[0]))
-    if not carries(target.coeffs, witness.matrix.rows, m.coeffs):
+    p, den = _product(_frame_inverse(frame), mats[0])
+    if not _carries(target, p, den, m.integer_form):
         raise AssertionError("rank-one family witness failed verification")
-    return family, tuple(params), witness
+    return family, tuple(params), LinearMap2(mat2_of_integers(p, den))
 
 
-def _root_ratio(f: int, den: int) -> Fraction:
-    """sqrt(f^2 / den) for an integer den > 0; raises UnmatchedOrbitError
-    when it is irrational."""
+def _root_ratio(f: int, den: int) -> tuple[int, int]:
+    """(|f|, s) with s^2 = den, the ratio sqrt(f^2 / den) for an integer
+    den > 0, or (0, 1) when f = 0; raises UnmatchedOrbitError when the ratio
+    is irrational."""
     if f == 0:
-        return ZERO
+        return 0, 1
     s = math.isqrt(den)
     if s * s != den:
         raise UnmatchedOrbitError("the family parameter would be irrational")
-    return Fraction(abs(f), s)
+    return abs(f), s
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +747,7 @@ _SPOT_PARAMS = [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5), Fraction
 def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
     """Cheap construction-time verification that the group fixes the model."""
     for el in group.finite_elements:
-        if not carries(m.coeffs, el.matrix.rows, m.coeffs):
+        if not carries(m, el.matrix.rows, m):
             raise AssertionError("isotropy element does not fix the model")
     for fam in group.families:
         for k in range(3):
@@ -784,7 +756,7 @@ def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
                 el = fam.instantiate(params)
             except (ValueError, ZeroDivisionError):
                 continue
-            if not carries(m.coeffs, el.matrix.rows, m.coeffs):
+            if not carries(m, el.matrix.rows, m):
                 raise AssertionError("isotropy family member does not fix the model")
     return group
 
@@ -813,20 +785,42 @@ _FLAT_ISOTROPY = {
 }
 
 
+def _reduced_dimension(red) -> int:
+    """The isotropy dimension of a nonflat reduced model, read off its reduced
+    numerators ``red`` (:func:`_reduced_numerators`): 0 when A != 0, 2 when
+    E = 0 and 2C = F, and 1 otherwise.  :func:`_isotropy_reduced` refines
+    this one case split into the groups themselves."""
+    a, c, e, f = red[:4]
+    if a != 0:
+        return 0
+    return 2 if e == 0 and 2 * c == f else 1
+
+
 def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
     """Isotropy of a nonflat reduced (b = d = 0) model, by solving within the
-    upper-triangular maps T(x1, x2) = (v^{-1}(x1 - w x2), eps x2)."""
-    a, _, c, _, e, f = m.coeffs
-    if a != 0:
+    upper-triangular maps T(x1, x2) = (v^{-1}(x1 - w x2), eps x2); the case
+    split is :func:`_reduced_dimension` on the model's integer form."""
+    red = _reduced_numerators(m.integer_form)
+    a, c, e, f = red[:4]
+    dimension = _reduced_dimension(red)
+    if dimension == 0:
         if f != 0:
             return IsotropyGroup((_IDENTITY,), ())
-        w = -2 * c / a
-        return IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, -w), (ZERO, -ONE))))), ())
-    coef = 2 * c - f
-    if e != 0 and coef == 0:
+        # the reflection with w = -2c / a
+        return IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, Fraction(2 * c, a)), (ZERO, -ONE))))), ())
+    if dimension == 2:
+        family = IsotropyFamily(
+            2, ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
+            lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))),
+        )
+    elif e == 0:
+        family = IsotropyFamily(
+            1, ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]", lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
+        )
+    elif 2 * c == f:
         family = IsotropyFamily(1, ("w",), (), "[[1, -w], [0, 1]]", lambda w: Mat2(((ONE, -w), (ZERO, ONE))))
-    elif e != 0:
-        ratio = coef / e
+    else:
+        ratio = Fraction(2 * c - f, e)
 
         def tilted(w):
             v = 1 + w * ratio
@@ -836,15 +830,6 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
 
         family = IsotropyFamily(
             1, ("w",), (f"1 + w*({ratio}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({ratio})", tilted
-        )
-    elif coef != 0:
-        family = IsotropyFamily(
-            1, ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]", lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
-        )
-    else:
-        family = IsotropyFamily(
-            2, ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
-            lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))),
         )
     return IsotropyGroup((_IDENTITY,), (family,))
 
@@ -887,7 +872,10 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     """
     cv = curvature_of(m)
     if cv.flags.is_flat:
-        orbit_id, witness = _match_flat_a_orbit(m, _cubic_pattern(m))
+        try:
+            orbit_id, witness = _match_flat_a_orbit(m, _cubic_pattern(m))
+        except UnmatchedOrbitError as exc:
+            raise UndecidedError(f"flat orbit matcher failed: {exc}") from exc
         group = _conjugate_group(_FLAT_ISOTROPY[orbit_id], witness.matrix)
     elif cv.sig.rank == 1:
         frame, reduced = _rank1_frame(m, cv.ricci)
@@ -945,13 +933,14 @@ def _undecided(reason: str) -> EquivalenceWitnesses:
     return EquivalenceWitnesses("undecided", reason=reason)
 
 
-def _verified_a(m1, m2, mats: list[Mat2]) -> list[LinearMap2]:
+def _verified_a(m1, m2, products) -> list[LinearMap2]:
+    """The witnesses p / den, given as :func:`_product` returns them, each
+    checked on integers before it is built."""
     out = []
-    for mat in mats:
-        t = LinearMap2(mat)
-        if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
+    for p, den in products:
+        if not _carries(m1.integer_form, p, den, m2.integer_form):
             raise AssertionError("equivalence witness failed exact verification")
-        out.append(t)
+        out.append(LinearMap2(mat2_of_integers(p, den)))
     return out
 
 
@@ -981,7 +970,7 @@ def _stratum_normal_form(m: TypeAModel, cv: Curvature) -> tuple[int, object]:
         return 4 - _FLAT_ISOTROPY[orbit_id].dimension, pattern
     if cv.sig.rank == 1:
         frame, reduced = _rank1_frame(m, cv.ricci)
-        return 4 - _isotropy_reduced(reduced).dimension, (frame, reduced)
+        return 4 - _reduced_dimension(_reduced_numerators(reduced.integer_form)), (frame, reduced)
     return 4, None
 
 
@@ -1039,7 +1028,7 @@ def _solve_flat_pair(m1, m2, pattern1: str, pattern2: str) -> EquivalenceWitness
         return _undecided(f"flat orbit matcher failed: {exc}")
     if id1 != id2:
         return _not_equivalent(f"different flat orbits: {id1} vs {id2}")
-    t = w2.matrix @ w1.matrix.inverse()
+    t = _product(w2.matrix, w1.matrix.inverse())
     return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, [t])))
 
 
@@ -1052,7 +1041,7 @@ def _covariant_frame(m: TypeAModel, r: Ricci2) -> Mat2 | None:
     vector covariants, so F(pullback(m, T)) = T F(m)."""
     v = ricci_trace_vector(m, r)
     frame = mat2_from_cols(v, gamma_pair(m, v, v))
-    return frame if frame.det() != 0 else None
+    return None if frame.is_singular() else frame
 
 
 def _rho(r: Ricci2, x):
@@ -1080,7 +1069,7 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
         return _not_equivalent("v = rho^-1 omega and G(v, v) are independent for one model only")
     if f1 is not None:
         t = LinearMap2(f2 @ f1.inverse())
-        if not carries(m1.coeffs, t.matrix.rows, m2.coeffs):
+        if not carries(m1, t.matrix.rows, m2):
             return _not_equivalent(
                 "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
@@ -1121,7 +1110,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
     delta = sqrt_rational(ratio)
     if delta is None:
         t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
-        if all(o == g for o, g in zip(transform_coeffs(m1.coeffs, t.rows), m2.coeffs)):
+        if all(o == g for o, g in zip(transform_coeffs(m1, t.rows), m2.coeffs)):
             return _undecided(
                 "equivalent over the reals, but the forced scale of the "
                 f"Ricci-normal of v is the irrational sqrt({ratio})"
@@ -1130,7 +1119,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
             f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
     candidates = (n2 @ Mat2.of(ONE, ZERO, ZERO, d) @ n1_inv for d in (delta, -delta))
-    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1.coeffs, t.rows, m2.coeffs))
+    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1, t.rows, m2))
     if witnesses:
         return EquivalenceWitnesses("equivalent", witnesses)
     return _not_equivalent(
@@ -1191,7 +1180,7 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
         n1_inv = _normal_frame(r1, (scale * xh[0], scale * xh[1])).inverse()
         for sigma in (ONE, -ONE):
             t = n2 @ Mat2.of(sigma, ZERO, ZERO, 1 / s) @ n1_inv
-            if carries(m1.coeffs, t.rows, m2.coeffs):
+            if carries(m1, t.rows, m2):
                 witnesses.append(LinearMap2(t))
     return witnesses
 
@@ -1223,7 +1212,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
             alpha = QuadExt(0, 1, ratio)
             beta = (c1 * alpha - c2 * alpha * alpha) / e1
             t_rows = ((QuadExt(1, 0, ratio), QuadExt(0, 0, ratio)), (beta, alpha))
-            out = transform_coeffs(m1.coeffs, t_rows)
+            out = transform_coeffs(m1, t_rows)
             if all(o == QuadExt(g, 0, ratio) for o, g in zip(out, m2.coeffs)):
                 return _undecided(
                     "equivalent over the reals, but every intertwining shear "
@@ -1271,7 +1260,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
         if alpha == 0:
             continue
         phi = ShearMap(alpha, beta)
-        if carries(m1.coeffs, phi.matrix.rows, m2.coeffs):
+        if carries(m1, phi.matrix.rows, m2):
             shears.append(phi)
     if shears:
         return EquivalenceWitnesses("equivalent", tuple(shears))

@@ -6,6 +6,13 @@ coefficients scaled by 1/x^1 on the half-plane x^1 > 0.  Both are recorded
 by six exact rationals (a, b, c, d, e, f) in the fixed symbol order
 G_11^1, G_11^2, G_12^1, G_12^2, G_22^1, G_22^2, symmetric in the lower
 indices so torsion vanishes by construction.
+
+Each model clears its denominators once: :attr:`integer_form` holds the
+integer numerators of the six coefficients over their least common
+denominator, computed on first use and cached on the model, and every
+rational kernel downstream (the Ricci tensors, the coefficient law and its
+witness checks, the binary cubic, the orbit matchers and the charts) reads
+that pair instead of the coefficients.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
-from .exact import rational, rational_str
+from .exact import clear_denominators, rational, rational_str
 
 
 class ModelParseError(ValueError):
@@ -54,8 +62,18 @@ class _Coefficients:
     def coeffs(self) -> tuple[Fraction, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(n, L): the integer numerators n_k = L * coeffs[k] over the least
+        common denominator L of the coefficients, so gcd(n, L) = 1.
+
+        Computed once per model and cached outside the dataclass fields, so
+        equality, hashing and repr do not see it."""
+        nums, den = clear_denominators(self.coeffs)
+        return tuple(nums), den
+
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not any(self.integer_form[0])
 
     def __repr__(self):
         return "%s(%s)" % (self.letter, ", ".join(rational_str(x) for x in self.coeffs))

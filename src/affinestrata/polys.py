@@ -228,10 +228,11 @@ def binary_cubic_pattern(cubic: tuple[Fraction, Fraction, Fraction, Fraction]) -
     The sign of the discriminant separates three real directions, a complex
     pair and a repeated direction; a repeated one is triple exactly when the
     Hessian vanishes, which makes the cubic the cube of a linear form.
-    Scaling the cubic changes neither, so both are read off the cleared
-    integer coefficients.
+    Scaling the cubic by a positive factor changes neither, so the cubic may
+    be given by integer numerators over a common denominator, which keeps
+    the test on integers; rational coefficients work as they are.
     """
-    (a, b, c, d), _ = clear_denominators(cubic)
+    a, b, c, d = cubic
     if a == b == c == d == 0:
         return "zero"
     disc = b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d

@@ -17,6 +17,10 @@ Conventions:
 - Alternating Type B models fall into two parametrized 3-folds, again with
   all memberships reported.
 
+The chart inverses and the Type B memberships compute on the model's
+cached integer form: each equation is an integer cross-multiplication, and a
+Fraction is built only for a returned coordinate or parameter.
+
 Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
 reduction and the solvers it shares; ``match_flat_a_orbit``,
 ``match_rank1_family`` and their exceptions are also bound here.
@@ -24,6 +28,7 @@ reduction and the solvers it shares; ``match_flat_a_orbit``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +37,7 @@ from .exact import (
     ONE,
     ZERO,
     CirclePoint,
+    clear_denominators,
     jacobian,
     mat_rank,
     primitive_covector,
@@ -129,43 +135,46 @@ def flat_a_coords(m: TypeAModel) -> FlatAChart:
 
 
 def _flat_a_coords(m: TypeAModel) -> FlatAChart:
-    """:func:`flat_a_coords` of a nonzero flat model."""
-    # invert the linear chart a=2q, b=p+t, c=w, d=q+s, e=v, f=p-t
-    q = m.a / 2
-    w = m.c
-    s = m.d - m.a / 2
-    v = m.e
-    p = (m.b + m.f) / 2
-    t = (m.b - m.f) / 2
+    """:func:`flat_a_coords` of a nonzero flat model.
+
+    The linear chart a = 2q, b = p + t, c = w, d = q + s, e = v, f = p - t is
+    inverted on the integer form of ``m``: the names below hold the
+    numerators of p, q, s, t, v, w over 2L, so the radius, the residual and
+    the double angle are integer tests."""
+    (a, b, c, d, e, f), den = m.integer_form
+    den *= 2
+    q, w, s, v, p, t = a, 2 * c, 2 * d - a, 2 * e, b + f, b - f
     if v != 0 or w != 0:
         r2 = v * v + w * w
-        r = sqrt_rational(r2)
-        if r is None:
+        r = math.isqrt(r2)
+        if r * r != r2:
             raise NonRationalCirclePointError(
-                f"the radius must satisfy x^2 = {r2}, which has no rational root"
+                f"the radius must satisfy x^2 = {Fraction(r2, den * den)}, which has no rational root"
             )
-        theta = CirclePoint(v / r, w / r)
-        return FlatAChart(theta, r, s, t)
+        theta = CirclePoint(Fraction(v, r), Fraction(w, r))
+        return FlatAChart(theta, Fraction(r, den), Fraction(s, den), Fraction(t, den))
     # r = 0 branch: p^2 + q^2 = s^2 + t^2 and theta is read from (p, q, s, t)
-    den = s * s + t * t
-    if den == 0:
+    norm = s * s + t * t
+    if norm == 0:
         raise ConePointError("degenerate chart data")
-    if p * p + q * q != den:
+    if p * p + q * q != norm:
         raise NotFlatError("chart residual is nonzero")  # unreachable for flat input
-    cos2 = (s * q - t * p) / den
-    sin2 = (s * p + t * q) / den
-    if cos2 == -1:
+    # cos 2theta = (s q - t p) / norm and sin 2theta = (s p + t q) / norm
+    cos2, sin2 = s * q - t * p, s * p + t * q
+    if cos2 == -norm:
         theta = CirclePoint(ZERO, ONE)
     else:
-        c = sqrt_rational((1 + cos2) / 2)
+        half = Fraction(norm + cos2, 2 * norm)  # (1 + cos 2theta) / 2
+        c = sqrt_rational(half)
         if c is None:
             raise NonRationalCirclePointError(
-                f"the cosine must satisfy x^2 = {(1 + cos2) / 2}, which has no rational root"
+                f"the cosine must satisfy x^2 = {half}, which has no rational root"
             )
-        theta = CirclePoint(c, sin2 / (2 * c))
+        cn, cd = c.as_integer_ratio()
+        theta = CirclePoint(c, Fraction(sin2 * cd, 2 * norm * cn))  # sin 2theta / (2c)
     if not theta.is_lex_positive():
         theta = theta.antipode()
-    return FlatAChart(theta, ZERO, s, t)
+    return FlatAChart(theta, ZERO, Fraction(s, den), Fraction(t, den))
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +195,18 @@ class Rank1Chart:
     u: Fraction
     v: Fraction
 
+    def _scale_numerator(self) -> tuple[int, int]:
+        """The scale as an integer over the square of the common denominator."""
+        (p, q, u, v), den = clear_denominators((self.p, self.q, self.u, self.v))
+        return p * p + q * q - u * u - v * v, den * den
+
     @property
     def scale(self) -> Fraction:
-        return self.p * self.p + self.q * self.q - self.u * self.u - self.v * self.v
+        return Fraction(*self._scale_numerator())
 
     @property
     def sign(self) -> str:
-        scale = self.scale
+        scale, _ = self._scale_numerator()
         if scale > 0:
             return "+"
         return "-" if scale < 0 else "0"
@@ -212,9 +226,13 @@ def rank1_chart_forward(p, q, u, v) -> TypeAModel:
 
 
 def rank1_chart_inverse(m: TypeAModel) -> Rank1Chart:
-    if m.b != 0 or m.d != 0:
+    """(p, q, u, v) = (f / 2, (a + e) / 2, c - f / 2, (a - e) / 2), on the
+    numerators of the integer form of ``m`` over 2L."""
+    (a, b, c, d, e, f), den = m.integer_form
+    if b != 0 or d != 0:
         raise ValueError("the chart inverse requires b = d = 0")
-    return Rank1Chart(m.f / 2, (m.a + m.e) / 2, m.c - m.f / 2, (m.a - m.e) / 2)
+    den *= 2
+    return Rank1Chart(Fraction(f, den), Fraction(a + e, den), Fraction(2 * c - f, den), Fraction(a - e, den))
 
 
 @dataclass(frozen=True)
@@ -408,28 +426,32 @@ def classify_flat_b(m: TypeBModel) -> TypeBMembership:
 
 
 def _classify_flat_b(m: TypeBModel) -> TypeBMembership:
-    """:func:`classify_flat_b` of a flat model."""
-    a, b, c, d, e, f = m.coeffs
+    """:func:`classify_flat_b` of a flat model, on its integer form
+    (A, ..., F) / L."""
+    (a, b, c, d, e, f), den = m.integer_form
     members: list[FamilyMembership] = []
     labels: list[str] = []
     if e != 0:
-        r, s = e, c / e
-        if tuple(_u1([r, s])) != m.coeffs:
+        # r = E / L and s = C / E; _u1(r, s) times L E^2 must be (A..F) E^2,
+        # with r s = C / L and r s^2 = C^2 / (L E)
+        head = den * e + c * c
+        regenerated = (e * head, -c * head, c * e * e, -c * c * e, e ** 3, -c * e * e)
+        if any(x * e * e != y for x, y in zip((a, b, c, d, e, f), regenerated)):
             raise NotInStratumError("flat model with e != 0 escapes the first family")
-        return TypeBMembership((FamilyMembership("B1", (r, s)),), ())
+        return TypeBMembership((FamilyMembership("B1", (m.e, Fraction(c, e))),), ())
     # e = 0 and flatness force c = f = 0 and d (1 + a - d) = 0
-    if c != 0 or f != 0 or d * (1 + a - d) != 0:
+    if c != 0 or f != 0 or d * (den + a - d) != 0:
         raise NotInStratumError("flat model escapes the coordinate families")
     if d == 0:
-        members.append(FamilyMembership("B2", (a, b)))
-    if d == 1 + a:
-        members.append(FamilyMembership("B3", (a, b)))
-    if d == 0 and d == 1 + a:
+        members.append(FamilyMembership("B2", (m.a, m.b)))
+    if d == den + a:
+        members.append(FamilyMembership("B3", (m.a, m.b)))
+    if d == 0 and d == den + a:
         labels.append("B2&B3")
-    if d == 0 and a == 1:
+    if d == 0 and a == den:
         labels.append("B1~&B2")  # limit of the first family as r -> 0
-    if d == 1 + a and a == 0:
-        members.append(FamilyMembership("B1closure", (ZERO, b / 2)))
+    if d == den + a and a == 0:
+        members.append(FamilyMembership("B1closure", (ZERO, Fraction(b, 2 * den))))
         labels.append("B1~&B3")
     if not members:
         raise NotInStratumError("flat model escapes all three families")
@@ -451,16 +473,27 @@ def classify_alt_b(m: TypeBModel) -> TypeBMembership:
 
 def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
     """:func:`classify_alt_b` of a model with sym = 0 and alt != 0."""
-    a, b, c, d, e, f = m.coeffs
+    (a, b, c, d, e, f), den = m.integer_form
     members: list[FamilyMembership] = []
     if d == 0 and e == 0 and c == f:
-        members.append(FamilyMembership("D1", (c, a, b)))
-    u = (c + f) / 2
-    v = e
+        members.append(FamilyMembership("D1", (m.c, m.a, m.b)))
+    u = c + f  # u = U / 2L and v = E / L
     if u != 0:
-        w = (f - u) / v if v != 0 else (1 - a) / (2 * u)
-        if tuple(_v2([u, v, w])) == m.coeffs:
-            members.append(FamilyMembership("D2", (u, v, w)))
+        # w = (f - u) / v = (F - C) / 2E, or (1 - a) / (2u) = (L - A) / U
+        wn, wd = (f - c, 2 * e) if e != 0 else (den - a, u)
+        # _v2(u, v, w) times 2 L wd^3 must be (A..F) 2 wd^3
+        vw2 = 2 * e * wn * wn
+        regenerated = (
+            2 * den * wd ** 3 - 2 * u * wn * wd * wd + vw2 * wd,
+            wn * (2 * den * wd * wd - u * wn * wd + vw2),
+            u * wd ** 3 - 2 * e * wn * wd * wd,
+            -vw2 * wd,
+            2 * e * wd ** 3,
+            u * wd ** 3 + 2 * e * wn * wd * wd,
+        )
+        scale = 2 * wd ** 3
+        if all(x * scale == y for x, y in zip((a, b, c, d, e, f), regenerated)):
+            members.append(FamilyMembership("D2", (Fraction(u, 2 * den), m.e, Fraction(wn, wd))))
     labels = ("D1&D2",) if len(members) == 2 else ()
     if not members:
         raise NotInStratumError("alternating model escapes both families")

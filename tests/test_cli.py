@@ -91,6 +91,20 @@ def test_isotropy_command():
     assert doc["families"][0]["template"].startswith("W @ [[1/v, -w/v], [0, 1]] @ W^-1")
 
 
+def test_isotropy_unmatched_flat_is_undecided():
+    """A flat model with no rational witness to its canonical orbit prints
+    status undecided with the matcher's reason, not a domain error."""
+    code, out, _ = run(["isotropy", '{"type":"A","coeffs":["0","-2","1","1","-1/2","1/2"]}'])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "undecided" and "error" not in doc
+    assert doc["reason"] == (
+        "flat orbit matcher failed: no rational witness to a canonical flat model; screening "
+        "(cubic root pattern 'one_real') places it in the real orbit of M5_0, but no rational "
+        "witness exists"
+    )
+
+
 @pytest.mark.parametrize(
     "fault",
     [

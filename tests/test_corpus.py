@@ -186,6 +186,8 @@ COUNTED = (
     "curvature.ricci_type_b",
     "curvature.split_ricci",
     "curvature.rank_signature",
+    "exact.clear_denominators",
+    "group_action._isotropy_reduced",
     "group_action.rank1_frame",
     "group_action._rank1_frame",
     "group_action.transform_coeffs",
@@ -330,3 +332,52 @@ def test_isotropy_rank2_computes_curvature_once(counts):
     with pytest.raises(UndecidedError):
         isotropy_type_a(type_a(0, 1, 0, 0, 1, 0))
     assert counts["curvature.ricci_type_a"] == 1
+
+
+#: exact.clear_denominators calls per classify_model on a matched model, by
+#: stratum.  Each model clears its own coefficients once, into its cached
+#: integer form.  Every further call clears a matrix or a chart point: the
+#: invertibility check of the returned witness; on rank one also the two
+#: factors of the witness product and the chart scale; and for an unreduced
+#: rank-one model the invertibility check of its frame, the map of the
+#: reducing pullback, and the reduced model's own integer form.
+CLEARS_PER_CLASSIFY = {
+    "cone_point": 1,
+    "flat_chart": 2,
+    "rank1": 5,
+    "rank1_unreduced": 8,
+    "rank2": 1,
+    "flat_families": 1,
+    "alternating_families": 1,
+    "unstratified": 1,
+}
+
+
+def test_classify_model_clears_each_model_once(counts):
+    """No kernel on the classify path clears a model's coefficients again:
+    the count per report is fixed by the stratum."""
+    seen = set()
+    for m in classify_corpus():
+        counts.clear()
+        report = classify_model(m)
+        kind = report.stratum["kind"]
+        if kind == "rank1" and (m.b != 0 or m.d != 0):
+            kind = "rank1_unreduced"
+        assert report.orbit is not None or kind not in ("flat_chart", "rank1", "rank1_unreduced"), m
+        assert counts["exact.clear_denominators"] == CLEARS_PER_CLASSIFY[kind], (m, kind, counts)
+        seen.add(kind)
+    assert seen == set(CLEARS_PER_CLASSIFY)
+
+
+def test_solve_equivalence_a_builds_no_isotropy_group(counts):
+    """The screen reads a rank-one orbit dimension off the integer case split
+    of the reduced numerators; no isotropy group is built for it."""
+    rank1_pairs = 0
+    for kind, m1, m2 in equiv_corpus():
+        if kind != "A":
+            continue
+        counts.clear()
+        solve_equivalence_a(m1, m2)
+        assert counts["group_action._isotropy_reduced"] == 0, (m1, m2)
+        rank1_pairs += counts["group_action._rank1_frame"] == 2
+    assert rank1_pairs > 0

@@ -12,11 +12,13 @@ from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
     UndecidedError,
+    UnmatchedOrbitError,
     _covariant_frame,
     _solve_reduced_pair,
     _rank2_witnesses_by_cubic,
     _solve_rank2_pair,
     isotropy_type_a,
+    match_flat_a_orbit,
     orbit_dimension_a,
     pullback_type_a,
     pullback_type_b,
@@ -26,6 +28,7 @@ from affinestrata.group_action import (
     transform_coeffs,
 )
 from affinestrata.models import CATALOG, canonical_model, negate_model, type_a, type_b
+from affinestrata.strata import COEFF_FAMILIES
 from affinestrata import sampling
 
 
@@ -334,6 +337,30 @@ def test_isotropy_conjugation_for_non_catalog_flat():
 def test_isotropy_undecided():
     with pytest.raises(UndecidedError):
         isotropy_type_a(type_a(0, 1, 0, 0, 1, 0))  # rank two
+
+
+def test_isotropy_unmatched_flat_is_undecided():
+    """A flat model whose canonical orbit has no rational witness answers
+    undecided with the matcher's reason: the example, in the real orbit of
+    M5_0, and small-height flat chart points the matcher cannot place."""
+    example = type_a("0", "-2", "1", "1", "-1/2", "1/2")
+    rng = random.Random(12)
+    unmatched = [example]
+    while len(unmatched) < 8:
+        point = [sampling.rand_rational(rng, 3) for _ in range(4)]
+        if point[1:] == [0, 0, 0]:
+            continue
+        m = COEFF_FAMILIES["flat_a"].model(point)
+        try:
+            match_flat_a_orbit(m)
+        except UnmatchedOrbitError:
+            unmatched.append(m)
+    for m in unmatched:
+        with pytest.raises(UnmatchedOrbitError) as matcher:
+            match_flat_a_orbit(m)
+        with pytest.raises(UndecidedError) as undecided:
+            isotropy_type_a(m)
+        assert str(undecided.value) == f"flat orbit matcher failed: {matcher.value}"
 
 
 def test_equivalence_self():

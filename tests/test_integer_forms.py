@@ -1,0 +1,435 @@
+"""Integer forms: each model's cached numerators over their least common
+denominator, and the kernels that compute on them against their Fraction
+forms.
+
+Models come from every way one is made: parsed JSON, the constructors, Type
+A and Type B pullbacks, catalog and family builds, and the zero model, at
+heights 12 and 10^6.  Each kernel is compared with a Fraction-arithmetic
+reference kept here (the bodies the integer kernels replaced): the flat
+chart with both of its NonRationalCirclePointError messages, the rank-one
+chart with its scale and sign, the cubic root pattern, the Type B
+memberships, the Ricci split, and the 2 x 2 determinant, singular test,
+inverse and unit-circle check.
+"""
+
+import json
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from affinestrata.curvature import binary_cubic, ricci_type_b, split_ricci
+from affinestrata.exact import (
+    ONE,
+    ZERO,
+    CirclePoint,
+    Mat2,
+    circle_from_slope,
+    clear_denominators,
+    sqrt_rational,
+)
+from affinestrata.group_action import (
+    LinearMap2,
+    ShearMap,
+    _cubic_pattern,
+    pullback_type_a,
+    pullback_type_b,
+    rank1_frame,
+)
+from affinestrata.models import CATALOG, CatalogError, TypeAModel, TypeBModel, parse_model, type_a, type_b
+from affinestrata.strata import (
+    COEFF_FAMILIES,
+    ConePointError,
+    FamilyMembership,
+    FlatAChart,
+    NonRationalCirclePointError,
+    NotFlatError,
+    NotInStratumError,
+    Rank1Chart,
+    TypeBMembership,
+    _classify_alt_b,
+    _classify_flat_b,
+    _flat_a_coords,
+    _u1,
+    _v2,
+    rank1_chart_inverse,
+)
+
+HEIGHTS = (12, 10**6)
+
+
+def scalars(height):
+    return st.one_of(
+        st.just(F(0)),
+        st.integers(-height, height).map(F),
+        st.builds(F, st.integers(-height, height), st.integers(1, height)),
+    )
+
+
+def sextuples(height):
+    return st.lists(scalars(height), min_size=6, max_size=6)
+
+
+def maps(height):
+    return st.lists(scalars(height), min_size=4, max_size=4).filter(
+        lambda t: t[0] * t[3] != t[1] * t[2]
+    ).map(lambda t: LinearMap2(Mat2(((t[0], t[1]), (t[2], t[3])))))
+
+
+def shears(height):
+    nonzero = scalars(height).filter(lambda x: x != 0)
+    return st.builds(ShearMap, nonzero, scalars(height))
+
+
+def _catalog_model(entry, params):
+    try:
+        return entry.model(params)
+    except (CatalogError, ConePointError):
+        assume(False)
+
+
+def models(kind, height):
+    """Models of one type from every source: constructors, parsed JSON,
+    pullbacks, catalog and family builds, and the zero model."""
+    cls, build, pullback, maps_of = (
+        (TypeAModel, type_a, pullback_type_a, maps) if kind == "A" else (TypeBModel, type_b, pullback_type_b, shears)
+    )
+    entries = [e for e in [*CATALOG.values(), *COEFF_FAMILIES.values()] if e.model_type == kind]
+    catalog = st.sampled_from(entries).flatmap(
+        lambda e: st.lists(scalars(height), min_size=e.arity, max_size=e.arity).map(
+            lambda params, e=e: _catalog_model(e, params)
+        )
+    )
+    parsed = sextuples(height).map(
+        lambda cs: parse_model(json.dumps({"type": kind, "coeffs": [str(x) for x in cs]}))
+    )
+    return st.one_of(
+        st.just(cls(0, 0, 0, 0, 0, 0)),
+        sextuples(height).map(lambda cs: cls(*cs)),
+        sextuples(height).map(lambda cs: build(*cs)),
+        parsed,
+        catalog,
+        st.tuples(st.one_of(catalog, sextuples(height).map(lambda cs: cls(*cs))), maps_of(height)).map(
+            lambda pair: pullback(*pair)
+        ),
+    )
+
+
+def outcome(fn, *args):
+    """The value of ``fn``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_integer_form_is_the_cleared_coefficients(kind, height):
+    @settings(max_examples=150, deadline=None)
+    @given(models(kind, height))
+    def check(m):
+        nums, den = m.integer_form
+        assert (list(nums), den) == clear_denominators(m.coeffs)
+        assert den > 0 and math.gcd(*nums, den) == 1
+        assert m.integer_form is m.integer_form  # cached
+        assert m.is_zero() == all(x == 0 for x in m.coeffs)
+
+    check()
+
+
+def test_integer_form_stays_out_of_equality_hash_and_repr():
+    m = type_a(1, F(1, 2), 0, 3, F(-2, 3), 5)
+    fresh = type_a(1, F(1, 2), 0, 3, F(-2, 3), 5)
+    assert m.integer_form == ((6, 3, 0, 18, -4, 30), 6)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert "integer_form" not in repr(m)
+
+
+# ---------------------------------------------------------------------------
+# The flat chart
+
+
+def fraction_flat_a_coords(m):
+    """Reference: the chart inverse on the Fraction coefficients."""
+    q = m.a / 2
+    w = m.c
+    s = m.d - m.a / 2
+    v = m.e
+    p = (m.b + m.f) / 2
+    t = (m.b - m.f) / 2
+    if v != 0 or w != 0:
+        r2 = v * v + w * w
+        r = sqrt_rational(r2)
+        if r is None:
+            raise NonRationalCirclePointError(
+                f"the radius must satisfy x^2 = {r2}, which has no rational root"
+            )
+        return FlatAChart(CirclePoint(v / r, w / r), r, s, t)
+    den = s * s + t * t
+    if den == 0:
+        raise ConePointError("degenerate chart data")
+    if p * p + q * q != den:
+        raise NotFlatError("chart residual is nonzero")
+    cos2 = (s * q - t * p) / den
+    sin2 = (s * p + t * q) / den
+    if cos2 == -1:
+        theta = CirclePoint(ZERO, ONE)
+    else:
+        c = sqrt_rational((1 + cos2) / 2)
+        if c is None:
+            raise NonRationalCirclePointError(
+                f"the cosine must satisfy x^2 = {(1 + cos2) / 2}, which has no rational root"
+            )
+        theta = CirclePoint(c, sin2 / (2 * c))
+    if not theta.is_lex_positive():
+        theta = theta.antipode()
+    return FlatAChart(theta, ZERO, s, t)
+
+
+def double_angle_model(double, s, t):
+    """The flat chart model at r = 0, written with the double angle
+    (cos 2theta, sin 2theta) = ``double``: rational even when theta is not."""
+    p = s * double.s - t * double.c
+    q = s * double.c + t * double.s
+    return TypeAModel(2 * q, p + t, 0, q + s, 0, p - t)
+
+
+def flat_models(height):
+    flat_catalog = [CATALOG[i].model() for i in ("M1_0", "M2_0", "M3_0", "M4_0", "M5_0")]
+    chart = st.lists(scalars(height), min_size=4, max_size=4).map(
+        lambda point: _catalog_model(COEFF_FAMILIES["flat_a"], point)
+    )
+    doubled = st.builds(double_angle_model, scalars(height).map(circle_from_slope), scalars(height), scalars(height))
+    pulled = st.tuples(st.sampled_from(flat_catalog), maps(height)).map(lambda pair: pullback_type_a(*pair))
+    return st.one_of(chart, doubled, pulled, st.tuples(st.one_of(chart, doubled), maps(height)).map(
+        lambda pair: pullback_type_a(*pair)
+    ))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_flat_chart_equals_fraction_reference(height):
+    @settings(max_examples=300, deadline=None)
+    @given(flat_models(height))
+    def check(m):
+        assume(not m.is_zero())
+        assert outcome(_flat_a_coords, m) == outcome(fraction_flat_a_coords, m)
+
+    check()
+
+
+def test_flat_chart_error_messages_byte_for_byte():
+    """Both NonRationalCirclePointError messages, on a pullback with an
+    irrational radius and on an r = 0 model with an irrational half angle."""
+    radius = pullback_type_a(CATALOG["M3_0"].model(), LinearMap2(Mat2(((ONE, F(2)), (F(-1, 3), F(5))))))
+    cosine = double_angle_model(circle_from_slope(F(1, 3)), F(2), F(-1, 5))
+    messages = []
+    for m in (radius, cosine):
+        with pytest.raises(NonRationalCirclePointError) as got:
+            _flat_a_coords(m)
+        with pytest.raises(NonRationalCirclePointError) as want:
+            fraction_flat_a_coords(m)
+        assert str(got.value) == str(want.value)
+        messages.append(str(got.value).split(" ")[1])
+    assert messages == ["radius", "cosine"]
+
+
+# ---------------------------------------------------------------------------
+# The rank-one chart and the cubic pattern
+
+
+def reduced_models(height):
+    random_reduced = st.lists(scalars(height), min_size=4, max_size=4).map(
+        lambda v: TypeAModel(v[0], 0, v[1], 0, v[2], v[3])
+    )
+    rank1 = [e for e in CATALOG.values() if e.entry_id.endswith("_1")]
+    catalog = st.sampled_from(rank1).flatmap(
+        lambda e: st.lists(scalars(height), min_size=e.arity, max_size=e.arity).map(
+            lambda params, e=e: _catalog_model(e, params)
+        )
+    )
+    framed = st.tuples(catalog, maps(height)).map(lambda pair: rank1_frame(pullback_type_a(*pair))[1])
+    return st.one_of(random_reduced, catalog, framed)
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_rank1_chart_equals_fraction_reference(height):
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_models(height))
+    def check(m):
+        chart = rank1_chart_inverse(m)
+        assert chart == Rank1Chart(m.f / 2, (m.a + m.e) / 2, m.c - m.f / 2, (m.a - m.e) / 2)
+        p, q, u, v = chart.p, chart.q, chart.u, chart.v
+        scale = p * p + q * q - u * u - v * v
+        assert chart.scale == scale and type(chart.scale) is F
+        assert chart.sign == ("+" if scale > 0 else "-" if scale < 0 else "0")
+        assert chart.to_dict()["sign"] == chart.sign
+
+    check()
+
+
+def fraction_cubic_pattern(cubic):
+    """Reference: the closed-form pattern on the cleared Fraction cubic."""
+    (a, b, c, d), _ = clear_denominators(cubic)
+    if a == b == c == d == 0:
+        return "zero"
+    disc = b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    if disc != 0:
+        return "three_simple" if disc > 0 else "one_real"
+    if b * b == 3 * a * c and b * c == 9 * a * d and c * c == 3 * b * d:
+        return "triple"
+    return "double_simple"
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_cubic_pattern_equals_fraction_reference(height):
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models("A", height), flat_models(height)))
+    def check(m):
+        assert _cubic_pattern(m) == fraction_cubic_pattern(binary_cubic(m))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Type B: the memberships and the Ricci split
+
+
+def fraction_classify_flat_b(m):
+    """Reference: regenerate the first family on Fractions."""
+    a, b, c, d, e, f = m.coeffs
+    members, labels = [], []
+    if e != 0:
+        r, s = e, c / e
+        if tuple(_u1([r, s])) != m.coeffs:
+            raise NotInStratumError("flat model with e != 0 escapes the first family")
+        return TypeBMembership((FamilyMembership("B1", (r, s)),), ())
+    if c != 0 or f != 0 or d * (1 + a - d) != 0:
+        raise NotInStratumError("flat model escapes the coordinate families")
+    if d == 0:
+        members.append(FamilyMembership("B2", (a, b)))
+    if d == 1 + a:
+        members.append(FamilyMembership("B3", (a, b)))
+    if d == 0 and d == 1 + a:
+        labels.append("B2&B3")
+    if d == 0 and a == 1:
+        labels.append("B1~&B2")
+    if d == 1 + a and a == 0:
+        members.append(FamilyMembership("B1closure", (ZERO, b / 2)))
+        labels.append("B1~&B3")
+    if not members:
+        raise NotInStratumError("flat model escapes all three families")
+    return TypeBMembership(tuple(members), tuple(labels))
+
+
+def fraction_classify_alt_b(m):
+    """Reference: regenerate the second alternating family on Fractions."""
+    a, b, c, d, e, f = m.coeffs
+    members = []
+    if d == 0 and e == 0 and c == f:
+        members.append(FamilyMembership("D1", (c, a, b)))
+    u = (c + f) / 2
+    v = e
+    if u != 0:
+        w = (f - u) / v if v != 0 else (1 - a) / (2 * u)
+        if tuple(_v2([u, v, w])) == m.coeffs:
+            members.append(FamilyMembership("D2", (u, v, w)))
+    if not members:
+        raise NotInStratumError("alternating model escapes both families")
+    return TypeBMembership(tuple(members), ("D1&D2",) if len(members) == 2 else ())
+
+
+def type_b_points(height):
+    """Points of the flat and alternating families, points on their
+    intersection curves, and shear pullbacks of both."""
+    families = [COEFF_FAMILIES[i] for i in ("U1", "U2", "U3", "U1_closure", "V1", "V2")]
+    point = st.sampled_from(families).flatmap(
+        lambda e: st.lists(scalars(height), min_size=e.arity, max_size=e.arity).map(
+            lambda params, e=e: _catalog_model(e, params)
+        )
+    )
+    curve = st.tuples(st.sampled_from([(-1, 0), (1, 0), (0, 1)]), scalars(height)).map(
+        lambda ad_b: TypeBModel(ad_b[0][0], ad_b[1], 0, ad_b[0][1], 0, 0)
+    )
+    on_both = st.tuples(scalars(height).filter(lambda u: u != 0), scalars(height)).map(
+        lambda uw: COEFF_FAMILIES["V2"].model((uw[0], 0, uw[1]))
+    )
+    known = st.one_of(point, curve, on_both)
+    return st.one_of(known, st.tuples(known, shears(height)).map(lambda pair: pullback_type_b(*pair)))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_type_b_memberships_equal_fraction_reference(height):
+    """On family points, their intersection curves, their shear pullbacks
+    and any other Type B model, where both the membership and its refusal
+    are compared."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(type_b_points(height), models("B", height)))
+    def check(m):
+        assert outcome(_classify_flat_b, m) == outcome(fraction_classify_flat_b, m)
+        assert outcome(_classify_alt_b, m) == outcome(fraction_classify_alt_b, m)
+        (r11, r12), (r21, r22) = ricci_type_b(m).rows
+        off, alt = (r12 + r21) / 2, (r12 - r21) / 2
+        split = split_ricci(ricci_type_b(m))
+        assert split.alt == alt and split.sym == ((r11, off), (off, r22))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# 2 x 2 matrices and the unit circle
+
+
+def matrices(height):
+    entries = st.one_of(scalars(height), st.integers(-height, height))
+    general = st.lists(entries, min_size=4, max_size=4)
+    # a zero row, a zero column, or dependent rows
+    singular = st.tuples(entries, entries, entries).flatmap(
+        lambda xyk: st.sampled_from([
+            [xyk[0], xyk[1], xyk[2] * xyk[0], xyk[2] * xyk[1]],
+            [xyk[0], xyk[2] * xyk[0], xyk[1], xyk[2] * xyk[1]],
+            [0, 0, xyk[0], xyk[1]],
+        ])
+    )
+    return st.one_of(general, singular).map(lambda e: Mat2(((e[0], e[1]), (e[2], e[3]))))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_mat2_det_and_singular_test_equal_fraction_reference(height):
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(height))
+    def check(mat):
+        (a, b), (c, d) = ((F(x) for x in row) for row in mat.rows)
+        det = a * d - b * c
+        assert mat.det() == det and type(mat.det()) is F
+        assert mat.is_singular() == (det == 0)
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                mat.inverse()
+            with pytest.raises(ValueError):
+                LinearMap2(mat)
+        else:
+            assert mat.inverse() == Mat2(((d / det, -b / det), (-c / det, a / det)))
+            assert mat @ mat.inverse() == Mat2.identity()
+
+    check()
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_circle_check_equals_fraction_reference(height):
+    @settings(max_examples=200, deadline=None)
+    @given(scalars(height), scalars(height), st.booleans())
+    def check(slope, nudge, on_circle):
+        point = circle_from_slope(slope)
+        t = F(slope)
+        assert (point.c, point.s) == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        c, s = (point.c, point.s) if on_circle else (point.c + nudge, point.s)
+        if c * c + s * s == 1:
+            assert CirclePoint(c, s) == CirclePoint(c, s)
+        else:
+            with pytest.raises(ValueError, match="is not on the unit circle"):
+                CirclePoint(c, s)
+
+    check()
