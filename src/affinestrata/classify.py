@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Mat2, rational_str
+from .exact import ONE, ZERO, Mat2, mat2_of_integers, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -98,10 +98,10 @@ class ClassificationReport:
 def _ricci_payload(cv: Curvature) -> tuple[dict, dict]:
     r, split, sig = cv.ricci, cv.split, cv.sig
     matrix = r.to_strings()
-    if split.sym is r.rows:  # a symmetric tensor is its own symmetric part
+    if split.symmetric is r:  # a symmetric tensor is its own symmetric part
         symmetric = [row[:] for row in matrix]
     else:
-        symmetric = [[rational_str(x) for x in row] for row in split.sym]
+        symmetric = split.symmetric.to_strings()
     payload = {
         "cleared": r.cleared,
         "matrix": matrix,
@@ -141,7 +141,7 @@ def classify_model(m: Model) -> ClassificationReport:
             stratum = {
                 "kind": "rank1",
                 "frame": frame.to_json(),
-                "reduced": [rational_str(x) for x in reduced.coeffs],
+                "reduced": serialize_model(reduced)["coeffs"],
                 "chart": chart.to_dict(),
             }
             try:
@@ -369,7 +369,8 @@ def _check_ricci_diag(rng, samples: int) -> int:
             if not ricci_type_a(m).is_zero():
                 break
         r = ricci_type_a(m)
-        if r.rows[0][0] != 0 or r.rows[0][1] != 0:
+        (r11, r12, _, _), _ = r.integer_form
+        if r11 != 0 or r12 != 0:
             _fail(f"reduced sample {i}: Ricci not a multiple of dx2 (x) dx2")
         if r.rows[1][1] != -c * c + a * e + c * f:
             _fail(f"reduced sample {i}: scale formula mismatch")
@@ -378,8 +379,8 @@ def _check_ricci_diag(rng, samples: int) -> int:
         m = sampling.rand_model_a(rng)
         if (m.b, m.d) == (ZERO, ZERO):
             continue
-        r = ricci_type_a(m)
-        if r.rows[0][0] == 0 and r.rows[0][1] == 0 and r.rows[1][1] != 0:
+        (r11, r12, _, r22), _ = ricci_type_a(m).integer_form
+        if r11 == 0 and r12 == 0 and r22 != 0:
             _fail(f"scan sample {i}: nonflat dx2-line model with (b, d) != 0: {m!r}")
         used += 1
     return used
@@ -447,7 +448,7 @@ def _check_one_isotropy(rng, entry_id, param, m, inst_samples) -> int:
                 continue
             if el.matrix != expected:
                 _fail(f"{entry_id}({param}): family member differs from the stored table at {params}")
-            if not carries(m.coeffs, el.matrix.rows, m.coeffs):
+            if not carries(m, el.matrix, m):
                 _fail(f"{entry_id}({param}): family member at {params} does not fix the model")
             used += 1
     if orbit_dimension_a(m) != 4 - group.dimension:
@@ -550,7 +551,8 @@ def _check_rank1_chart(rng, samples: int) -> int:
         rotation = LinearMap2(sampling.rand_circle(rng).rotation())
         m1 = pullback_type_a(m0, rotation)
         red = rank1_reduce(m1)
-        if red.normalized.b != 0 or red.normalized.d != 0:
+        (_, b, _, d, _, _), _ = red.normalized.integer_form
+        if b != 0 or d != 0:
             _fail(f"reduction sample {i}: b, d not cleared")
         if red.scale != scale:
             _fail(f"reduction sample {i}: scale {red.scale} != {scale}")
@@ -569,7 +571,7 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             got_id, witness = match_flat_a_orbit(m)
             if got_id != orbit_id:
                 _fail(f"{orbit_id} sample {i}: matched {got_id}")
-            if not carries(canonical_model(got_id).coeffs, witness.matrix.rows, m.coeffs):
+            if not carries(base, witness.matrix, m):
                 _fail(f"{orbit_id} sample {i}: witness failed")
             used += 1
     rank1_targets = ["M1_1", "M2_1", "M3_1", "M4_1", "M5_1"]
@@ -591,7 +593,7 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             family, rec_params, witness = match_rank1_family(m)
             if family != entry_id:
                 _fail(f"{entry_id}{params} sample {i}: matched {family}")
-            if not carries(canonical_model(family, rec_params).coeffs, witness.matrix.rows, m.coeffs):
+            if not carries(canonical_model(family, rec_params), witness.matrix, m):
                 _fail(f"{entry_id} sample {i}: witness failed")
             used += 1
     return used
@@ -608,8 +610,8 @@ def _check_action_laws(rng, samples: int) -> int:
             _fail(f"A functoriality failed at sample {i}")
         r = ricci_type_a(m)
         s = t1.matrix.inverse()
-        transported = s.transpose() @ Mat2(r.rows) @ s
-        if Mat2(ricci_type_a(pullback_type_a(m, t1)).rows) != transported:
+        transported = s.transpose() @ mat2_of_integers(*r.integer_form) @ s
+        if mat2_of_integers(*ricci_type_a(pullback_type_a(m, t1)).integer_form) != transported:
             _fail(f"A Ricci naturality failed at sample {i}")
         if pullback_type_a(m, neg_identity) != negate_model(m):
             _fail(f"negation law failed at sample {i}")
@@ -620,8 +622,8 @@ def _check_action_laws(rng, samples: int) -> int:
             _fail(f"B functoriality failed at sample {i}")
         rb = ricci_type_b(mb)
         sb = p1.matrix.inverse()
-        transported_b = sb.transpose() @ Mat2(rb.rows) @ sb
-        if Mat2(ricci_type_b(pullback_type_b(mb, p1)).rows) != transported_b:
+        transported_b = sb.transpose() @ mat2_of_integers(*rb.integer_form) @ sb
+        if mat2_of_integers(*ricci_type_b(pullback_type_b(mb, p1)).integer_form) != transported_b:
             _fail(f"B Ricci naturality failed at sample {i}")
         used += 1
     return used

@@ -71,7 +71,7 @@ def _cmd_ricci(args) -> int:
             "model": serialize_model(m),
             "cleared": r.cleared,
             "ricci": r.to_strings(),
-            "symmetric": [[rational_str(x) for x in row] for row in split.sym],
+            "symmetric": split.symmetric.to_strings(),
             "alternating": rational_str(split.alt),
         }
     )

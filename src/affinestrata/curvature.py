@@ -5,9 +5,13 @@ For Type B models the stored matrix is the cleared form (x^1)^2 * rho, which
 is polynomial in the six coefficients; every stratum predicate used here is
 invariant under that positive rescaling.
 
-The tensors are integer polynomials in the model's cached integer form
-(:attr:`~affinestrata.models.TypeAModel.integer_form`), and the split and
-the binary cubic's coefficient map work on integers as well.
+A :class:`Ricci2` is held as its integer form: the entries are integer
+polynomials in the model's integer form
+(:attr:`~affinestrata.models.TypeAModel.integer_form`) over the square of
+its denominator, and the Fraction ``rows`` are built only when a caller
+reads them.  The zero test, the split, the rank and signature and the
+stratum flags compute on those integers, as does the binary cubic's
+coefficient map.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, rational_str
+from .exact import ZERO, Frozen, clear_denominators, lowest_terms, ratio_str
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -30,29 +34,78 @@ class NotSymmetricError(ValueError):
     """rank_signature received a matrix that is not symmetric."""
 
 
-@dataclass(frozen=True)
-class Ricci2:
-    """2x2 exact Ricci matrix; ``cleared`` marks the (x^1)^2-scaled form."""
+class Ricci2(Frozen):
+    """2x2 exact Ricci matrix; ``cleared`` marks the (x^1)^2-scaled form.
 
-    rows: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    cleared: bool = False
+    Held as :attr:`integer_form`, the entries (n11, n12, n21, n22) over a
+    denominator D > 0 in lowest terms; ``Ricci2(rows)`` clears the rows
+    once, and ``rows`` of a tensor computed from a model is built from the
+    integers when first read.  Equality and hashing compare the entries and
+    the ``cleared`` flag."""
+
+    __slots__ = ("integer_form", "cleared", "_rows")
+
+    def __init__(self, rows, cleared: bool = False):
+        nums, den = clear_denominators(rows[0] + rows[1])
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        object.__setattr__(self, "cleared", cleared)
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def of_integers(cls, nums, den, cleared: bool) -> "Ricci2":
+        """The tensor with entries nums / den, for integers (n11, n12, n21,
+        n22) and den != 0, brought to lowest terms with one gcd."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
+        object.__setattr__(out, "cleared", cleared)
+        object.__setattr__(out, "_rows", None)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        rows = self._rows
+        if rows is None:
+            (n11, n12, n21, n22), den = self.integer_form
+            rows = ((Fraction(n11, den), Fraction(n12, den)), (Fraction(n21, den), Fraction(n22, den)))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.integer_form[0])
 
     def to_strings(self):
-        return [[rational_str(x) for x in row] for row in self.rows]
+        (n11, n12, n21, n22), den = self.integer_form
+        return [[ratio_str(n11, den), ratio_str(n12, den)], [ratio_str(n21, den), ratio_str(n22, den)]]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cleared == other.cleared and self.integer_form == other.integer_form
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.integer_form, self.cleared))
+
+    def __repr__(self):
+        return f"Ricci2(rows={self.rows!r}, cleared={self.cleared!r})"
+
+    def __reduce__(self):
+        return (Ricci2, (self.rows, self.cleared))
 
 
 @dataclass(frozen=True)
 class RicciSplit:
-    """Symmetric part plus the single entry of the alternating part."""
+    """The symmetric part, a symmetric tensor with the source's ``cleared``
+    flag, plus the single entry of the alternating part."""
 
-    sym: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    symmetric: Ricci2
     alt: Fraction
 
+    @property
+    def sym(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        return self.symmetric.rows
+
     def sym_is_zero(self) -> bool:
-        return all(x == 0 for row in self.sym for x in row)
+        return self.symmetric.is_zero()
 
 
 @dataclass(frozen=True)
@@ -101,14 +154,11 @@ def ricci_type_a(m: TypeAModel) -> Ricci2:
 
     The entries are quadratic in the coefficients, so they are integer
     polynomials in the cleared numerators over the square of the common
-    denominator, normalized once each.
+    denominator, reduced together with one gcd.
     """
     (a, b, c, d, e, f), den = m.integer_form
-    den *= den
-    r11 = Fraction((a - d) * d + b * (f - c), den)
-    r12 = Fraction(c * d - b * e, den)
-    r22 = Fraction(c * (f - c) + (a - d) * e, den)
-    return Ricci2(((r11, r12), (r12, r22)), cleared=False)
+    r12 = c * d - b * e
+    return Ricci2.of_integers(((a - d) * d + b * (f - c), r12, r12, c * (f - c) + (a - d) * e), den * den, False)
 
 
 def ricci_type_b(m: TypeBModel) -> Ricci2:
@@ -118,12 +168,16 @@ def ricci_type_b(m: TypeBModel) -> Ricci2:
     carry one factor of the common denominator ``q``.
     """
     (a, b, c, d, e, f), q = m.integer_form
-    den = q * q
-    r11 = Fraction((a - d + q) * d + b * (f - c), den)
-    r12 = Fraction(c * d - b * e + q * f, den)
-    r21 = Fraction(c * (d - q) - b * e, den)
-    r22 = Fraction(-c * c + f * c + (a - d - q) * e, den)
-    return Ricci2(((r11, r12), (r21, r22)), cleared=True)
+    return Ricci2.of_integers(
+        (
+            (a - d + q) * d + b * (f - c),
+            c * d - b * e + q * f,
+            c * (d - q) - b * e,
+            -c * c + f * c + (a - d - q) * e,
+        ),
+        q * q,
+        True,
+    )
 
 
 def ricci(m: Model) -> Ricci2:
@@ -133,34 +187,32 @@ def ricci(m: Model) -> Ricci2:
 def split_ricci(r: Ricci2) -> RicciSplit:
     """sym = (r + r^T)/2; alt = the (1,2) entry of the alternating part.  A
     symmetric tensor (every Type A one) is its own symmetric part."""
-    (r11, r12), (r21, r22) = r.rows
-    if r12 == r21:
-        return RicciSplit(r.rows, ZERO)
-    # (r12 +- r21) / 2 on the numerators over 2 d12 d21
-    (n12, d12), (n21, d21) = r12.as_integer_ratio(), r21.as_integer_ratio()
-    x, y, den = n12 * d21, n21 * d12, 2 * d12 * d21
-    off = Fraction(x + y, den)
-    return RicciSplit(((r11, off), (off, r22)), Fraction(x - y, den))
+    (n11, n12, n21, n22), den = r.integer_form
+    if n12 == n21:
+        return RicciSplit(r, ZERO)
+    # (r12 +- r21) / 2 over 2 D, the diagonal doubled to match
+    off = n12 + n21
+    sym = Ricci2.of_integers((2 * n11, off, off, 2 * n22), 2 * den, r.cleared)
+    return RicciSplit(sym, Fraction(n12 - n21, 2 * den))
 
 
 def rank_signature(sym) -> RankSig:
-    """Rank and definiteness of an exact symmetric 2x2 matrix.
+    """Rank and definiteness of an exact symmetric 2x2 matrix, a
+    :class:`Ricci2` or its rows, on the integer form.
 
     Rank-one definiteness is read off the sign of a nonzero diagonal entry
     (a symmetric rank-one matrix always has one); rank-two signs come from
-    the determinant and a diagonal entry.
+    the determinant and a diagonal entry.  The common denominator is
+    positive, so every sign is a sign of numerators.
     """
-    if isinstance(sym, Ricci2):
-        sym = sym.rows
-    (s11, s12), (s21, s22) = sym
+    if not isinstance(sym, Ricci2):
+        sym = Ricci2(sym)
+    (s11, s12, s21, s22), _ = sym.integer_form
     if s12 != s21:
         raise NotSymmetricError("rank_signature expects a symmetric matrix")
     if s11 == 0 and s12 == 0 and s22 == 0:
         return RankSig(0, RANK_ZERO)
-    # the sign of det = s11 s22 - s12^2, cross-multiplied over the (positive)
-    # denominators
-    n12, q12 = s12.numerator, s12.denominator
-    det = s11.numerator * s22.numerator * q12 * q12 - n12 * n12 * s11.denominator * s22.denominator
+    det = s11 * s22 - s12 * s12
     if det == 0:
         diag = s11 if s11 != 0 else s22
         if diag == 0:
@@ -187,7 +239,7 @@ def curvature_of(m: Model) -> Curvature:
     each computed once."""
     r = ricci(m)
     split = split_ricci(r)
-    sig = rank_signature(split.sym)
+    sig = rank_signature(split.symmetric)
     flat = r.is_zero()
     alt_only = split.sym_is_zero() and split.alt != 0
     rank1 = (not flat) and (not alt_only) and sig.rank == 1
@@ -209,7 +261,8 @@ def stratum_flags(m: Model) -> StratumFlags:
 
 def rank1_scale(r: Ricci2) -> Fraction:
     """The nonzero eigenvalue of a symmetric rank-one matrix (its trace)."""
-    return r.rows[0][0] + r.rows[1][1]
+    (n11, _, _, n22), den = r.integer_form
+    return Fraction(n11 + n22, den)
 
 
 def trace_form(m: TypeAModel) -> tuple[Fraction, Fraction]:

@@ -14,18 +14,22 @@ parametrizations, so tangent-rank certificates are exact as well.
 Rational kernels compute on integers: a tuple of rationals is cleared of
 denominators once (:func:`clear_denominators`), the arithmetic runs on the
 numerators, and a ``Fraction`` is built, with its one normalization, only
-for a value that is returned.  The 2 x 2 determinant, inverse and
-singularity test (and so the invertibility check of :class:`LinearMap2`),
-the unit-circle check and the linear solver of the orbit matchers
-(:func:`solve_integer`) work that way on rational entries; ``Mat2`` keeps
-the generic ring evaluation for other scalars.
+for a value that is returned.  A :class:`Mat2` of rational entries holds
+its integer form, cleared once on first use (or handed over by
+:func:`mat2_of_integers`, which builds no Fraction at all until ``rows`` is
+read); its determinant, inverse, product and singularity test (and so the
+invertibility check of :class:`LinearMap2`) read that form, as do the
+coefficient law and its witness check.  The unit-circle check and the
+linear solver of the orbit matchers (:func:`solve_integer`) work on
+integers as well; ``Mat2`` keeps the generic ring evaluation for other
+scalars.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -64,6 +68,15 @@ def rational(value) -> Fraction:
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: ``"n/d"``, or ``"n"`` when the denominator is 1."""
     return str(value)
+
+
+def ratio_str(n: int, d: int) -> str:
+    """``rational_str(Fraction(n, d))`` for integers n and d > 0, written
+    without building the Fraction."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def sqrt_rational(value: Fraction) -> Fraction | None:
@@ -106,14 +119,56 @@ def clear_denominators(values) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
+# Immutable value types held in integer form
+
+
+class Frozen:
+    """Immutability for the slotted value types (models, Ricci tensors,
+    matrices): each attribute is set once, by the type's own constructor,
+    through ``object.__setattr__``; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
+    """(nums / g, den / g) for g = gcd(nums, den) taken with the sign of
+    ``den``, so the result is in lowest terms with a positive denominator."""
+    g = math.gcd(*nums, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([n // g for n in nums]), den // g
+
+
+# ---------------------------------------------------------------------------
 # 2x2 matrices
 
+_UNCLEARED = object()
 
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix over exact scalars; invertibility is checked on demand."""
 
-    rows: tuple[tuple, tuple]
+class Mat2(Frozen):
+    """A 2x2 matrix over exact scalars; invertibility is checked on demand.
+
+    Rational entries are cleared once, on first use, into
+    :attr:`integer_form`, which every rational operation reads; a matrix
+    made by :func:`mat2_of_integers` starts from that form and builds its
+    ``rows`` of Fractions only when they are read.  Any other scalar ring
+    (:class:`QuadExt`) takes the generic ring evaluation on ``rows``.
+    Equality and hashing compare values, as on the rows.
+    """
+
+    __slots__ = ("_rows", "_form")
+
+    def __init__(self, rows):
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_form", _UNCLEARED)
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -121,20 +176,35 @@ class Mat2:
 
     @staticmethod
     def identity() -> "Mat2":
-        return Mat2(((ONE, ZERO), (ZERO, ONE)))
+        return _IDENTITY_MATRIX
 
-    def _integer_form(self) -> tuple[list[int], int] | None:
-        """(p, D) with the entries (p11, p12, p21, p22) = D * rows, D the least
-        common denominator, when every entry is an int or a Fraction; None
-        for any other scalar ring."""
-        entries = self.rows[0] + self.rows[1]
-        for x in entries:
-            if not isinstance(x, (int, Fraction)):
-                return None
-        return clear_denominators(entries)
+    @property
+    def rows(self) -> tuple[tuple, tuple]:
+        rows = self._rows
+        if rows is None:
+            (p11, p12, p21, p22), den = self._form
+            rows = ((Fraction(p11, den), Fraction(p12, den)), (Fraction(p21, den), Fraction(p22, den)))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, int, int, int], int] | None:
+        """(p, D) with the entries (p11, p12, p21, p22) = D * rows, D > 0 the
+        least common denominator, so gcd(p, D) = 1, when every entry is an
+        int or a Fraction; None for any other scalar ring.  Cleared once and
+        cached."""
+        form = self._form
+        if form is _UNCLEARED:
+            entries = self._rows[0] + self._rows[1]
+            form = None
+            if all(isinstance(x, (int, Fraction)) for x in entries):
+                nums, den = clear_denominators(entries)
+                form = (tuple(nums), den)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def det(self):
-        form = self._integer_form()
+        form = self.integer_form
         if form is None:
             (a, b), (c, d) = self.rows
             return a * d - b * c
@@ -144,20 +214,24 @@ class Mat2:
     def is_singular(self) -> bool:
         """Whether the determinant vanishes; on rational entries an integer
         cross-multiplication, with no Fraction built."""
-        form = self._integer_form()
+        form = self.integer_form
         if form is None:
             return self.det() == 0
         (p11, p12, p21, p22), _ = form
         return p11 * p22 == p12 * p21
 
     def transpose(self) -> "Mat2":
-        (a, b), (c, d) = self.rows
-        return Mat2(((a, c), (b, d)))
+        form = self.integer_form
+        if form is None:
+            (a, b), (c, d) = self.rows
+            return Mat2(((a, c), (b, d)))
+        (p11, p12, p21, p22), den = form
+        return mat2_of_integers((p11, p21, p12, p22), den)
 
     def inverse(self) -> "Mat2":
         """The inverse; rational entries give D adj(p) / det(p) for the
-        cleared entries p / D, one Fraction per entry."""
-        form = self._integer_form()
+        cleared entries p / D."""
+        form = self.integer_form
         if form is None:
             (a, b), (c, d) = self.rows
             det = a * d - b * c
@@ -171,9 +245,14 @@ class Mat2:
         return mat2_of_integers((den * p22, -den * p12, -den * p21, den * p11), det)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return Mat2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        form, other_form = self.integer_form, other.integer_form
+        if form is None or other_form is None:
+            (a, b), (c, d) = self.rows
+            (e, f), (g, h) = other.rows
+            return Mat2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        (a, b, c, d), den = form
+        (e, f, g, h), other_den = other_form
+        return mat2_of_integers((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), den * other_den)
 
     def apply(self, vec):
         """Matrix-vector product on a pair."""
@@ -184,7 +263,29 @@ class Mat2:
         return (self.rows[0][j], self.rows[1][j])
 
     def to_strings(self) -> list[list[str]]:
-        return [[rational_str(x) for x in row] for row in self.rows]
+        form = self.integer_form
+        if form is None:
+            return [[rational_str(x) for x in row] for row in self.rows]
+        (p11, p12, p21, p22), den = form
+        return [[ratio_str(p11, den), ratio_str(p12, den)], [ratio_str(p21, den), ratio_str(p22, den)]]
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        form, other_form = self.integer_form, other.integer_form
+        if form is None or other_form is None:
+            return self.rows == other.rows
+        return form == other_form  # the lowest-terms form is unique
+
+    def __hash__(self):
+        form = self.integer_form
+        return hash(self.rows if form is None else form)
+
+    def __repr__(self):
+        return f"Mat2(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return (Mat2, (self.rows,))
 
 
 def mat2_from_cols(col0, col1) -> Mat2:
@@ -193,9 +294,16 @@ def mat2_from_cols(col0, col1) -> Mat2:
 
 def mat2_of_integers(p, den) -> Mat2:
     """The rational matrix p / den for integers p = (p11, p12, p21, p22) and
-    den != 0."""
-    p11, p12, p21, p22 = p
-    return Mat2(((Fraction(p11, den), Fraction(p12, den)), (Fraction(p21, den), Fraction(p22, den))))
+    den != 0.  It keeps p / den, reduced to lowest terms, as its integer
+    form, so nothing is cleared again, and builds its rows only when they
+    are read."""
+    out = object.__new__(Mat2)
+    object.__setattr__(out, "_rows", None)
+    object.__setattr__(out, "_form", lowest_terms(p, den))
+    return out
+
+
+_IDENTITY_MATRIX = mat2_of_integers((1, 0, 0, 1), 1)
 
 
 # The two kinds of coordinate change: invertible linear maps, which act on
@@ -229,22 +337,21 @@ class LinearMap2:
 
 @dataclass(frozen=True)
 class ShearMap:
-    """(x1, x2) -> (x1, a x2 + b x1) with a != 0."""
+    """(x1, x2) -> (x1, a x2 + b x1) with a != 0.  Its matrix is built once,
+    with the shear, so its integer form is cleared at most once."""
 
     a: Fraction
     b: Fraction
+    matrix: Mat2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a == 0:
             raise ValueError("shear scale must be nonzero")
+        object.__setattr__(self, "matrix", Mat2(((ONE, ZERO), (self.b, self.a))))
 
     @staticmethod
     def identity() -> "ShearMap":
         return ShearMap(ONE, ZERO)
-
-    @property
-    def matrix(self) -> Mat2:
-        return Mat2(((ONE, ZERO), (self.b, self.a)))
 
     def inverse(self) -> "ShearMap":
         return ShearMap(1 / self.a, -self.b / self.a)

@@ -9,26 +9,26 @@ Both actions share one coefficient transformation law: for y = T x the
 coefficients in y-coordinates are G'^m_ab = T^m_k G^k_ij S^i_a S^j_b with
 S = T^{-1}.
 
-Every rational kernel here computes on integers: a model's coefficients
-come as its cached integer form (numerators over their least common
-denominator), and a Fraction is built only for a value that is returned.
-The law clears T once and applies the integer adjugate, normalizing each
-output once; other scalar rings (the quadratic extensions of the Type B
-solver) use the generic ring evaluation.  A witness check (:func:`carries`)
-cross-multiplies the law's numerators against the target's integer form.
-The rank-one frame is written in closed form, and the reduced case
-analysis, the family read-out and its catalog target run on the reduced
-model's numerators.  The equivalence screen reads each orbit dimension off
-the normal form its stratum's solver computes anyway, on rank one off the
-integer case split (:func:`_reduced_dimension`) that the reduced isotropy
-group refines; :func:`orbit_dimension_a`, the rank of the infinitesimal
-action at the identity, is the independent check.  A flat model runs one
-orbit matcher, the one its coefficient rank and the root pattern of its
-binary cubic name; it solves its equations on integers and checks each
-candidate witness, an integer matrix over a denominator, against a catalog
-model read once from the family registry in :mod:`affinestrata.models`.
-A rank-two pair is decided by the models' own covariants, with no search
-bound (see :func:`_solve_rank2_pair`).
+Every rational kernel here computes on integers: models and rational
+matrices are their integer forms, and a Fraction is built only for a value a
+caller reads.  The law (:func:`_law`) applies the integer adjugate of T to
+the model's numerators, and a pullback builds its model from them with one
+gcd; the quadratic extensions of the Type B and rank-two solvers take the
+generic ring evaluation.  A witness check (:func:`carries`) cross-multiplies
+the law's numerators against the target's.  The rank-one frame is written in
+closed form, and the reduced case analysis, the family read-out and its
+catalog target run on the reduced model's numerators.  The equivalence
+screen reads each orbit dimension off the normal form its stratum's solver
+computes anyway, on rank one off the integer case split
+(:func:`_reduced_dimension`) that the reduced isotropy group refines;
+:func:`orbit_dimension_a`, the rank of the infinitesimal action at the
+identity, is the independent check.  A flat model runs one orbit matcher,
+the one its coefficient rank and the root pattern of its binary cubic name;
+it solves its equations on integers and checks each candidate witness, an
+integer matrix over a denominator, against a catalog model read once from
+the family registry in :mod:`affinestrata.models`.  A rank-two pair is
+decided by the models' own covariants, with no search bound (see
+:func:`_solve_rank2_pair`).
 """
 
 from __future__ import annotations
@@ -84,45 +84,45 @@ class UnmatchedOrbitError(ValueError):
 
 
 def _integer_form(source) -> tuple:
-    """The integer form of a model (its cache) or of a coefficient sequence."""
+    """The integer form of a model (its own) or of a coefficient sequence."""
     if isinstance(source, (TypeAModel, TypeBModel)):
         return source.integer_form
     return clear_denominators(source)
 
 
-def transform_coeffs(coeffs, t_rows) -> tuple:
+def transform_coeffs(coeffs, t) -> tuple:
     """Connection coefficients in y = T x coordinates.
 
-    ``coeffs`` is a model or a coefficient sequence.  Rational inputs take
-    the law on integers (:func:`_transform_rational`); any other scalar
-    ring, such as the :class:`QuadExt` scales of the Type B solver, takes
-    the generic path (:func:`_transform_ring`).  A singular T raises
-    ZeroDivisionError.
-    """
-    (t11, t12), (t21, t22) = t_rows
-    values = coeffs.coeffs if isinstance(coeffs, (TypeAModel, TypeBModel)) else coeffs
-    for x in (t11, t12, t21, t22, *values):
-        if not isinstance(x, (int, Fraction)):
-            return _transform_ring(values, t11, t12, t21, t22)
-    return _transform_rational(coeffs, t11, t12, t21, t22)
+    ``coeffs`` is a model or a coefficient sequence, ``t`` a Mat2 or its
+    rows.  Rational inputs take the law on integers (:func:`_law`); any
+    other scalar ring, such as the :class:`QuadExt` scales of the Type B
+    solver, takes the generic path (:func:`_transform_ring`).  A singular T
+    raises ZeroDivisionError."""
+    mat = t if isinstance(t, Mat2) else Mat2(t)
+    form = mat.integer_form
+    model = isinstance(coeffs, (TypeAModel, TypeBModel))
+    if form is not None and (model or all(isinstance(x, (int, Fraction)) for x in coeffs)):
+        nums, den = _law(coeffs, form)
+        return tuple(Fraction(n, den) for n in nums)
+    (t11, t12), (t21, t22) = mat.rows
+    return _transform_ring(coeffs.coeffs if model else coeffs, t11, t12, t21, t22)
 
 
-def carries(coeffs, t_rows, target) -> bool:
-    """Whether ``transform_coeffs(coeffs, t_rows) == tuple(target)`` for
-    rational models or coefficient sequences, decided on integers by
-    :func:`_carries`.  A singular T raises ZeroDivisionError."""
-    (t11, t12), (t21, t22) = t_rows
-    p, pd = clear_denominators((t11, t12, t21, t22))
-    return _carries(_integer_form(coeffs), p, pd, _integer_form(target))
+def carries(coeffs, t, target) -> bool:
+    """Whether ``transform_coeffs(coeffs, t) == tuple(target)`` for rational
+    models or coefficient sequences and a rational Mat2 (or its rows),
+    decided on integers by :func:`_carries` from the matrix's cached integer
+    form.  A singular T raises ZeroDivisionError."""
+    mat = t if isinstance(t, Mat2) else Mat2(t)
+    return _carries(_integer_form(coeffs), *mat.integer_form, _integer_form(target))
 
 
 def _carries(source, p, pd, target) -> bool:
     """Whether the law carries the integer form ``source`` onto ``target``
     under T = p / pd, by cross-multiplying numerators."""
     nums, scale, den = _law_numerators(source, p, pd)
-    target_nums, target_den = target
-    scale *= target_den
-    for n, x in zip(nums, target_nums):
+    scale *= target[1]
+    for n, x in zip(nums, target[0]):
         if scale * n != x * den:
             return False
     return True
@@ -154,12 +154,11 @@ def _law_numerators(form, p, dt) -> tuple[list[int], int, int]:
     return nums, dt, dg * det * det
 
 
-def _transform_rational(coeffs, t11, t12, t21, t22) -> tuple:
-    """The law on integers (:func:`_law_numerators`), each output normalized
-    once."""
-    p, pd = clear_denominators((t11, t12, t21, t22))
-    nums, scale, den = _law_numerators(_integer_form(coeffs), p, pd)
-    return tuple(Fraction(scale * n, den) for n in nums)
+def _law(source, t_form) -> tuple[list[int], int]:
+    """The numerators of pullback(source, T) over one denominator, for a model
+    or coefficient sequence ``source`` and T given by its integer form."""
+    nums, scale, den = _law_numerators(_integer_form(source), *t_form)
+    return [scale * n for n in nums], den
 
 
 def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
@@ -172,12 +171,12 @@ def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
     """The model representing the same connection in coordinates y = T x."""
-    return TypeAModel(*transform_coeffs(m, t.matrix.rows))
+    return TypeAModel.of_integers(*_law(m, t.matrix.integer_form))
 
 
 def pullback_type_b(m: TypeBModel, phi: ShearMap) -> TypeBModel:
     """Shear reparametrization; preserves the 1/x1 coefficient profile."""
-    return TypeBModel(*transform_coeffs(m, phi.matrix.rows))
+    return TypeBModel.of_integers(*_law(m, phi.matrix.integer_form))
 
 
 #: (k, i, j) of G^k_ij for each coefficient slot a, b, c, d, e, f
@@ -235,13 +234,14 @@ def _rank1_frame(m: TypeAModel, r: Ricci2) -> tuple[LinearMap2, TypeAModel]:
     (_, b, _, d, _, _), _ = m.integer_form
     if b == 0 and d == 0:
         return _IDENTITY, m
-    row = r.rows[0] if r.rows[0] != (ZERO, ZERO) else r.rows[1]
-    w0, w1 = primitive_covector(row)
-    # u = (1 / w0, 0) or (0, 1 / w1) pairs to 1 against w
-    top = (ZERO, Fraction(1, w0)) if w0 != 0 else (Fraction(-1, w1), ZERO)
-    t = LinearMap2(Mat2((top, (Fraction(w0), Fraction(w1)))))
+    (r11, r12, r21, r22), _ = r.integer_form
+    w0, w1 = primitive_covector((r11, r12) if r11 or r12 else (r21, r22))
+    # u = (1 / w0, 0) pairs to 1 against w, so T = [[0, 1], [w0^2, w0 w1]] / w0;
+    # when w0 = 0, w = (0, 1), u = (0, 1) and T = [[-1, 0], [0, 1]]
+    p, den = ((0, 1, w0 * w0, w0 * w1), w0) if w0 != 0 else ((-1, 0, 0, 1), 1)
+    t = LinearMap2(mat2_of_integers(p, den))
     reduced = pullback_type_a(m, t)
-    if reduced.b != 0 or reduced.d != 0:
+    if reduced.integer_form[0][1] != 0 or reduced.integer_form[0][3] != 0:
         raise AssertionError("frame reduction failed to clear b, d")
     return t, reduced
 
@@ -249,18 +249,18 @@ def _rank1_frame(m: TypeAModel, r: Ricci2) -> tuple[LinearMap2, TypeAModel]:
 def _frame_inverse(frame: LinearMap2) -> Mat2:
     """S = T^-1 = det(T) adj(T) for a rank-one frame T, whose determinant is
     -1 (or 1 for the identity frame)."""
-    (t11, t12), (t21, t22) = frame.matrix.rows
-    if t12 == 0 and t21 == 0 and t11 == 1 and t22 == 1:
+    (t11, t12, t21, t22), den = frame.matrix.integer_form
+    if t12 == 0 and t21 == 0 and t11 == den and t22 == den:
         return frame.matrix
-    return Mat2(((-t22, t12), (t21, -t11)))
+    return mat2_of_integers((-t22, t12, t21, -t11), den)
 
 
 def _product(*mats: Mat2) -> tuple[tuple[int, int, int, int], int]:
-    """The product of rational 2 x 2 matrices on cleared numerators, as
+    """The product of rational 2 x 2 matrices on their integer forms, as
     integers (p11, p12, p21, p22) over a common denominator."""
-    (x11, x12, x21, x22), den = clear_denominators(mats[0].rows[0] + mats[0].rows[1])
+    (x11, x12, x21, x22), den = mats[0].integer_form
     for mat in mats[1:]:
-        (y11, y12, y21, y22), dy = clear_denominators(mat.rows[0] + mat.rows[1])
+        (y11, y12, y21, y22), dy = mat.integer_form
         x11, x12, x21, x22 = (
             x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
             x21 * y11 + x22 * y21, x21 * y12 + x22 * y22,
@@ -291,8 +291,9 @@ def _solve_reduced(red1, red2):
 
     The analysis runs on n_i = (A_i, 0, C_i, 0, E_i, F_i) / L_i with Ricci
     scales R_i / L_i^2, so every sign, vanishing and ratio test is an integer
-    cross-multiplication, and a Fraction is built only for the entries
-    alpha, beta, delta of T = [[alpha, beta], [0, delta]].
+    cross-multiplication.  The entries alpha, beta, delta of
+    T = [[alpha, beta], [0, delta]] are integer pairs (numerator,
+    denominator), and T is built from integers, so no Fraction is built.
 
     Returns (status, matrices, note).
     """
@@ -300,11 +301,11 @@ def _solve_reduced(red1, red2):
     a2, c2, e2, f2, l2, r2 = red2
     if r1 * r2 < 0:
         return ("not_equivalent", [], "Ricci signs differ")
-    sols: list[tuple[Fraction, Fraction, Fraction]] = []
+    sols: list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]] = []
     if (a1 == 0) != (a2 == 0):
         return ("not_equivalent", [], "vanishing of G_11^1 differs between reduced frames")
     if a1 != 0:
-        alpha = Fraction(a1 * l2, a2 * l1)
+        alpha = (a1 * l2, a2 * l1)
         if (f1 == 0) != (f2 == 0):
             return ("not_equivalent", [], "vanishing of G_22^2 differs between reduced frames")
         if f1 != 0:
@@ -312,8 +313,7 @@ def _solve_reduced(red1, red2):
             if f1 * f1 * r2 != f2 * f2 * r1:
                 return ("not_equivalent", [], "Ricci scale incompatible with the G_22^2 ratio")
             # delta = f1 / f2 and beta = alpha (c1 - delta c2) / a1
-            beta = Fraction(l2 * (c1 * f2 - f1 * c2), a2 * f2 * l1)
-            sols.append((alpha, beta, Fraction(f1 * l2, f2 * l1)))
+            sols.append((alpha, (l2 * (c1 * f2 - f1 * c2), a2 * f2 * l1), (f1 * l2, f2 * l1)))
         else:
             # delta^2 = lambda1 / lambda2 = (R1 / R2) (L2 / L1)^2, rational
             # exactly when R1 R2 is a square s^2: delta = +-s L2 / (|R2| L1)
@@ -328,11 +328,10 @@ def _solve_reduced(red1, red2):
                 )
             q = abs(r2)
             for root in (s, -s):
-                beta = Fraction(l2 * (c1 * q - root * c2), a2 * q * l1)
-                sols.append((alpha, beta, Fraction(root * l2, q * l1)))
+                sols.append((alpha, (l2 * (c1 * q - root * c2), a2 * q * l1), (root * l2, q * l1)))
     else:
         # on this stratum a = 0 forces c != 0
-        delta = Fraction(c1 * l2, c2 * l1)
+        delta = (c1 * l2, c2 * l1)
         if f1 * c2 != c1 * f2:  # f1 != delta f2
             return ("not_equivalent", [], "the invariant ratio f/c differs")
         # rhs = delta^2 e2 = C1^2 E2 L2 / (C2^2 L1^2) and coef = f1 - 2 c1 =
@@ -342,25 +341,25 @@ def _solve_reduced(red1, red2):
         if e1 != 0:
             if coef != 0:
                 if rhs != 0:
-                    sols.append((Fraction(rhs, c2 * c2 * l1 * e1), ZERO, delta))
+                    sols.append(((rhs, c2 * c2 * l1 * e1), (0, 1), delta))
                 else:
                     # alpha = (rhs - coef) / e1 at beta = 1
-                    sols.append((Fraction(-coef, e1), ONE, delta))
+                    sols.append(((-coef, e1), (1, 1), delta))
             else:
                 if e2 == 0:
                     return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
-                sols.append((Fraction(rhs, c2 * c2 * l1 * e1), ZERO, delta))
+                sols.append(((rhs, c2 * c2 * l1 * e1), (0, 1), delta))
         else:
             if coef != 0:
-                sols.append((ONE, Fraction(rhs, c2 * c2 * l1 * coef), delta))
+                sols.append(((1, 1), (rhs, c2 * c2 * l1 * coef), delta))
             else:
                 if e2 != 0:
                     return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
-                sols.append((ONE, ZERO, delta))
+                sols.append(((1, 1), (0, 1), delta))
     mats = [
-        Mat2(((alpha, beta), (ZERO, delta)))
-        for alpha, beta, delta in sols
-        if alpha != 0 and delta != 0
+        mat2_of_integers((an * bd * dd, bn * ad * dd, 0, dn * ad * bd), ad * bd * dd)
+        for (an, ad), (bn, bd), (dn, dd) in sols
+        if an != 0 and dn != 0
     ]
     if not mats:
         return ("not_equivalent", [], "triangular system has no invertible solution")
@@ -747,7 +746,7 @@ _SPOT_PARAMS = [Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5), Fraction
 def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
     """Cheap construction-time verification that the group fixes the model."""
     for el in group.finite_elements:
-        if not carries(m, el.matrix.rows, m):
+        if not carries(m, el.matrix, m):
             raise AssertionError("isotropy element does not fix the model")
     for fam in group.families:
         for k in range(3):
@@ -756,7 +755,7 @@ def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
                 el = fam.instantiate(params)
             except (ValueError, ZeroDivisionError):
                 continue
-            if not carries(m, el.matrix.rows, m):
+            if not carries(m, el.matrix, m):
                 raise AssertionError("isotropy family member does not fix the model")
     return group
 
@@ -1069,7 +1068,7 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
         return _not_equivalent("v = rho^-1 omega and G(v, v) are independent for one model only")
     if f1 is not None:
         t = LinearMap2(f2 @ f1.inverse())
-        if not carries(m1, t.matrix.rows, m2):
+        if not carries(m1, t.matrix, m2):
             return _not_equivalent(
                 "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
@@ -1110,7 +1109,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
     delta = sqrt_rational(ratio)
     if delta is None:
         t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
-        if all(o == g for o, g in zip(transform_coeffs(m1, t.rows), m2.coeffs)):
+        if all(o == g for o, g in zip(transform_coeffs(m1, t), m2.coeffs)):
             return _undecided(
                 "equivalent over the reals, but the forced scale of the "
                 f"Ricci-normal of v is the irrational sqrt({ratio})"
@@ -1119,7 +1118,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
             f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
     candidates = (n2 @ Mat2.of(ONE, ZERO, ZERO, d) @ n1_inv for d in (delta, -delta))
-    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1, t.rows, m2))
+    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1, t, m2))
     if witnesses:
         return EquivalenceWitnesses("equivalent", witnesses)
     return _not_equivalent(
@@ -1180,7 +1179,7 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
         n1_inv = _normal_frame(r1, (scale * xh[0], scale * xh[1])).inverse()
         for sigma in (ONE, -ONE):
             t = n2 @ Mat2.of(sigma, ZERO, ZERO, 1 / s) @ n1_inv
-            if carries(m1, t.rows, m2):
+            if carries(m1, t, m2):
                 witnesses.append(LinearMap2(t))
     return witnesses
 
@@ -1260,7 +1259,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
         if alpha == 0:
             continue
         phi = ShearMap(alpha, beta)
-        if carries(m1, phi.matrix.rows, m2):
+        if carries(m1, phi.matrix, m2):
             shears.append(phi)
     if shears:
         return EquivalenceWitnesses("equivalent", tuple(shears))

@@ -7,12 +7,16 @@ by six exact rationals (a, b, c, d, e, f) in the fixed symbol order
 G_11^1, G_11^2, G_12^1, G_12^2, G_22^1, G_22^2, symmetric in the lower
 indices so torsion vanishes by construction.
 
-Each model clears its denominators once: :attr:`integer_form` holds the
+A model is stored as its integer form: :attr:`integer_form` holds the
 integer numerators of the six coefficients over their least common
-denominator, computed on first use and cached on the model, and every
-rational kernel downstream (the Ricci tensors, the coefficient law and its
-witness checks, the binary cubic, the orbit matchers and the charts) reads
-that pair instead of the coefficients.
+denominator, in lowest terms.  A model built from rationals (or ints, or
+rational strings) clears them once; the coefficient law builds its output
+model straight from integer numerators (:meth:`TypeAModel.of_integers`).
+Every rational kernel downstream (the Ricci tensors, the coefficient law
+and its witness checks, the binary cubic, the orbit matchers and the
+charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
+the fields ``a`` .. ``f``, are built only when a caller reads one, then
+cached.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence, Union
 
-from .exact import clear_denominators, rational, rational_str
+from .exact import Frozen, clear_denominators, lowest_terms, ratio_str, rational
 
 
 class ModelParseError(ValueError):
@@ -34,57 +37,86 @@ class CatalogError(ValueError):
     """Unknown catalog id, wrong arity, or violated parameter constraint."""
 
 
-@dataclass(frozen=True)
-class _Coefficients:
-    """The body both model types share.  Ints (and rational strings) are
-    stored as Fractions, so that the solvers never divide ints into floats;
-    floats raise TypeError as in :func:`rational`.  Each subclass sets its
-    ``kind`` and the ``letter`` of its repr; dataclass equality compares the
-    class too, so a Type A and a Type B model never compare equal."""
+def _coefficient(k: int) -> property:
+    return property(lambda self: self.coeffs[k], doc=f"coefficient {k} (of a, b, c, d, e, f), a Fraction")
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
 
-    def __post_init__(self):
-        if (
-            type(self.a) is Fraction and type(self.b) is Fraction and type(self.c) is Fraction
-            and type(self.d) is Fraction and type(self.e) is Fraction and type(self.f) is Fraction
-        ):
-            return
-        for name in ("a", "b", "c", "d", "e", "f"):
-            object.__setattr__(self, name, rational(getattr(self, name)))
+class _Coefficients(Frozen):
+    """The body both model types share: six exact rationals held as their
+    integer form.  Ints, Fractions and rational strings are accepted; floats
+    raise TypeError as in :func:`rational`.  Each subclass sets its ``kind``
+    and the ``letter`` of its repr.  Models are immutable, and two models
+    are equal exactly when they are of the same class and have the same
+    coefficients, so a Type A and a Type B model never compare equal."""
+
+    __slots__ = ("integer_form", "_coeffs")
+
+    def __init__(self, a, b, c, d, e, f):
+        values = (a, b, c, d, e, f)
+        # six Fractions are the coefficients already; anything else is
+        # converted for the clearing and built as Fractions on first read
+        given = (
+            type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
+            and type(d) is Fraction and type(e) is Fraction and type(f) is Fraction
+        )
+        if not given:
+            values = [x if isinstance(x, (int, Fraction)) else rational(x) for x in values]
+        nums, den = clear_denominators(values)
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        object.__setattr__(self, "_coeffs", values if given else None)
+
+    @classmethod
+    def of_integers(cls, nums, den):
+        """The model with coefficients nums[k] / den for integers nums and
+        den != 0, brought to lowest terms with one gcd; no Fraction is
+        built."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
+        object.__setattr__(out, "_coeffs", None)
+        return out
+
+    # integer_form: (n, L), the integer numerators n_k = L * coeffs[k] over
+    # the least common denominator L > 0 of the coefficients, so
+    # gcd(n, L) = 1; set once by the constructor
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
+        coeffs = self._coeffs
+        if coeffs is None:
+            nums, den = self.integer_form
+            coeffs = tuple(Fraction(n, den) for n in nums)
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
-    @cached_property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(n, L): the integer numerators n_k = L * coeffs[k] over the least
-        common denominator L of the coefficients, so gcd(n, L) = 1.
-
-        Computed once per model and cached outside the dataclass fields, so
-        equality, hashing and repr do not see it."""
-        nums, den = clear_denominators(self.coeffs)
-        return tuple(nums), den
+    a, b, c, d, e, f = map(_coefficient, range(6))
 
     def is_zero(self) -> bool:
         return not any(self.integer_form[0])
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.integer_form == other.integer_form  # the lowest-terms form is unique
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.integer_form)
+
     def __repr__(self):
-        return "%s(%s)" % (self.letter, ", ".join(rational_str(x) for x in self.coeffs))
+        nums, den = self.integer_form
+        return "%s(%s)" % (self.letter, ", ".join(ratio_str(n, den) for n in nums))
+
+    def __reduce__(self):
+        return (type(self), self.coeffs)
 
 
 class TypeAModel(_Coefficients):
+    __slots__ = ()
     kind = "A"
     letter = "M"
 
 
 class TypeBModel(_Coefficients):
+    __slots__ = ()
     kind = "B"
     letter = "N"
 
@@ -97,18 +129,19 @@ _MODEL_TYPES = {"A": TypeAModel, "B": TypeBModel}
 def type_a(*coeffs) -> TypeAModel:
     if len(coeffs) != 6:
         raise ValueError("a model needs exactly six coefficients")
-    return TypeAModel(*[rational(x) for x in coeffs])
+    return TypeAModel(*coeffs)
 
 
 def type_b(*coeffs) -> TypeBModel:
     if len(coeffs) != 6:
         raise ValueError("a model needs exactly six coefficients")
-    return TypeBModel(*[rational(x) for x in coeffs])
+    return TypeBModel(*coeffs)
 
 
 def negate_model(m: TypeAModel) -> TypeAModel:
     """All six coefficients negated; the pullback of ``m`` under x -> -x."""
-    return TypeAModel(*[-x for x in m.coeffs])
+    nums, den = m.integer_form
+    return TypeAModel.of_integers([-n for n in nums], den)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +149,8 @@ def negate_model(m: TypeAModel) -> TypeAModel:
 
 
 def serialize_model(m: Model) -> dict:
-    return {"type": m.kind, "coeffs": [rational_str(x) for x in m.coeffs]}
+    nums, den = m.integer_form
+    return {"type": m.kind, "coeffs": [ratio_str(n, den) for n in nums]}
 
 
 def parse_model(text) -> Model:

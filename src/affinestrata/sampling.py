@@ -56,7 +56,7 @@ def rand_linear_map(rng: random.Random, height: int = DEFAULT_HEIGHT) -> LinearM
             (rand_rational(rng, height), rand_rational(rng, height)),
         )
         mat = Mat2(rows)
-        if mat.det() != 0:
+        if not mat.is_singular():
             return LinearMap2(mat)
 
 

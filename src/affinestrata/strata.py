@@ -18,7 +18,7 @@ Conventions:
   all memberships reported.
 
 The chart inverses and the Type B memberships compute on the model's
-cached integer form: each equation is an integer cross-multiplication, and a
+integer form: each equation is an integer cross-multiplication, and a
 Fraction is built only for a returned coordinate or parameter.
 
 Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
@@ -253,8 +253,8 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
     sig = rank_signature(r)
     if sig.rank != 1:
         raise NotRank1Error(f"Ricci rank is {sig.rank}, not 1")
-    (r11, r12), (_, r22) = r.rows
-    row = (r11, r12) if (r11, r12) != (ZERO, ZERO) else (r12, r22)
+    (r11, r12, _, r22), _ = r.integer_form
+    row = (r11, r12) if r11 or r12 else (r12, r22)
     k = primitive_covector((-row[1], row[0]))  # kernel direction
     norm2 = Fraction(k[0] * k[0] + k[1] * k[1])
     n = sqrt_rational(norm2)

@@ -3,11 +3,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import admits_type_b, classify_model, verify_theorems
-from affinestrata.group_action import UndecidedError, pullback_type_a
-from affinestrata.models import canonical_model, parse_model, serialize_model, type_a, type_b
-from affinestrata.strata import NotRank1Error
+from affinestrata.exact import Mat2
+from affinestrata.group_action import LinearMap2, UndecidedError, pullback_type_a
+from affinestrata.models import (
+    CATALOG,
+    CatalogError,
+    TypeAModel,
+    canonical_model,
+    parse_model,
+    serialize_model,
+    type_a,
+    type_b,
+)
+from affinestrata.strata import COEFF_FAMILIES, ConePointError, NotRank1Error
 from affinestrata import sampling
 
 
@@ -147,3 +158,70 @@ def test_verify_theorems_checks_are_order_independent():
     full = {r.check_id: r.to_dict() for r in verify_theorems(seed=4, samples=3).results}
     alone = verify_theorems(seed=4, samples=3, checks=["orbit_recovery"]).results[0]
     assert alone.to_dict() == full["orbit_recovery"]
+
+
+def _scalars(height):
+    return st.one_of(
+        st.just(F(0)),
+        st.integers(-height, height).map(F),
+        st.builds(F, st.integers(-height, height), st.integers(1, height)),
+    )
+
+
+def _entry_model(entry, params):
+    try:
+        return entry.model(params)
+    except (CatalogError, ConePointError):
+        assume(False)
+
+
+def _type_a_models(height):
+    """The zero model, catalog models (every flat orbit and rank-one family),
+    flat chart points, reduced models (b = d = 0) and random models, each
+    also pulled back once."""
+    entries = [e for e in CATALOG.values() if e.model_type == "A"] + [COEFF_FAMILIES["flat_a"]]
+    entry_models = st.sampled_from(entries).flatmap(
+        lambda e: st.lists(_scalars(height), min_size=e.arity, max_size=e.arity).map(
+            lambda params, e=e: _entry_model(e, params)
+        )
+    )
+    sextuples = st.lists(_scalars(height), min_size=6, max_size=6)
+    base = st.one_of(
+        st.just(type_a(0, 0, 0, 0, 0, 0)),
+        entry_models,
+        sextuples.map(lambda v: TypeAModel(v[0], 0, v[2], 0, v[4], v[5])),
+        sextuples.map(lambda v: TypeAModel(*v)),
+    )
+    return st.one_of(base, st.tuples(base, _maps(height)).map(lambda pair: pullback_type_a(*pair)))
+
+
+def _maps(height):
+    random_maps = st.lists(_scalars(height), min_size=4, max_size=4).filter(
+        lambda t: t[0] * t[3] != t[1] * t[2]
+    ).map(lambda t: LinearMap2(Mat2(((t[0], t[1]), (t[2], t[3])))))
+    return st.one_of(st.just(LinearMap2.identity()), random_maps)
+
+
+@pytest.mark.parametrize("height", [12, 10**6])
+def test_classification_is_invariant_under_pullback(height):
+    """classify_model(pullback_type_a(m, T)) reports the flags, rank and
+    signature, stratum kind, and orbit id and parameters of
+    classify_model(m): each is an orbit invariant, and a rational witness
+    to a canonical model exists for m exactly when one exists for its
+    pullback."""
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_type_a_models(height), _maps(height))
+    def check(m, t):
+        before, after = classify_model(m), classify_model(pullback_type_a(m, t))
+        assert after.flags == before.flags
+        assert after.rank_data == before.rank_data
+        assert after.stratum["kind"] == before.stratum["kind"]
+        assert (after.orbit is None) == (before.orbit is None)
+        if before.orbit is not None:
+            assert (after.orbit["id"], after.orbit["params"]) == (before.orbit["id"], before.orbit["params"])
+        kinds.add(before.stratum["kind"])
+
+    check()
+    assert kinds == {"cone_point", "flat_chart", "rank1", "rank2"}

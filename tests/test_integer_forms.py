@@ -1,25 +1,45 @@
-"""Integer forms: each model's cached numerators over their least common
-denominator, and the kernels that compute on them against their Fraction
-forms.
+"""Integer forms: models, Ricci tensors and rational matrices are held as
+integer numerators over their least common denominator, and the kernels
+that compute on them are checked against their Fraction forms.
 
 Models come from every way one is made: parsed JSON, the constructors, Type
 A and Type B pullbacks, catalog and family builds, and the zero model, at
-heights 12 and 10^6.  Each kernel is compared with a Fraction-arithmetic
-reference kept here (the bodies the integer kernels replaced): the flat
-chart with both of its NonRationalCirclePointError messages, the rank-one
-chart with its scale and sign, the cubic root pattern, the Type B
-memberships, the Ricci split, and the 2 x 2 determinant, singular test,
-inverse and unit-circle check.
+heights 12 and 10^6; maps include the identity and maps with det < 0.  Each
+kernel is compared with a Fraction-arithmetic reference kept here (the
+bodies the integer kernels replaced): the coefficient law, the model's
+equality, hash, repr, coefficients and fields, the Ricci tensors with their
+split, zero test, strings and signature, the flat chart with both of its
+NonRationalCirclePointError messages, the rank-one chart with its scale and
+sign, the cubic root pattern, the Type B memberships, and the 2 x 2
+product, determinant, singular test, inverse and unit-circle check.
 """
 
+import copy
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from affinestrata.curvature import binary_cubic, ricci_type_b, split_ricci
+from affinestrata.curvature import (
+    RANK1_NEG,
+    RANK1_POS,
+    RANK2_INDEF,
+    RANK2_NEG,
+    RANK2_POS,
+    RANK_ZERO,
+    NotSymmetricError,
+    RankSig,
+    Ricci2,
+    binary_cubic,
+    rank_signature,
+    ricci,
+    ricci_type_b,
+    split_ricci,
+)
 from affinestrata.exact import (
     ONE,
     ZERO,
@@ -27,6 +47,7 @@ from affinestrata.exact import (
     Mat2,
     circle_from_slope,
     clear_denominators,
+    mat2_of_integers,
     sqrt_rational,
 )
 from affinestrata.group_action import (
@@ -37,7 +58,16 @@ from affinestrata.group_action import (
     pullback_type_b,
     rank1_frame,
 )
-from affinestrata.models import CATALOG, CatalogError, TypeAModel, TypeBModel, parse_model, type_a, type_b
+from affinestrata.models import (
+    CATALOG,
+    CatalogError,
+    TypeAModel,
+    TypeBModel,
+    parse_model,
+    serialize_model,
+    type_a,
+    type_b,
+)
 from affinestrata.strata import (
     COEFF_FAMILIES,
     ConePointError,
@@ -72,14 +102,18 @@ def sextuples(height):
 
 
 def maps(height):
-    return st.lists(scalars(height), min_size=4, max_size=4).filter(
+    """Random invertible maps, half of them with det < 0, the identity and
+    the swap."""
+    random = st.lists(scalars(height), min_size=4, max_size=4).filter(
         lambda t: t[0] * t[3] != t[1] * t[2]
     ).map(lambda t: LinearMap2(Mat2(((t[0], t[1]), (t[2], t[3])))))
+    swap = LinearMap2(Mat2(((ZERO, ONE), (ONE, ZERO))))
+    return st.one_of(st.just(LinearMap2.identity()), st.just(swap), random)
 
 
 def shears(height):
     nonzero = scalars(height).filter(lambda x: x != 0)
-    return st.builds(ShearMap, nonzero, scalars(height))
+    return st.one_of(st.just(ShearMap.identity()), st.builds(ShearMap, nonzero, scalars(height)))
 
 
 def _catalog_model(entry, params):
@@ -145,6 +179,159 @@ def test_integer_form_stays_out_of_equality_hash_and_repr():
     assert m.integer_form == ((6, 3, 0, 18, -4, 30), 6)
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert "integer_form" not in repr(m)
+    assert repr(m) == "M(1, 1/2, 0, 3, -2/3, 5)"
+    # ints, strings and Fractions give one model; the types never meet
+    assert type_a("1", "1/2", "0", "3", "-4/6", "5") == m == TypeAModel(*m.coeffs)
+    assert type_b(*m.coeffs) != m and hash(type_b(*m.coeffs)) == hash(m)
+    with pytest.raises(TypeError):
+        type_a(1.0, 0, 0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Models from the law: the integer form is the stored representation
+
+#: (k, i, j) of G^k_ij for each coefficient slot a, b, c, d, e, f
+SLOTS = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+
+def fraction_law(coeffs, rows):
+    """Reference: G'^m_ab = T^m_k G^k_ij S^i_a S^j_b on Fractions, with
+    S = T^-1, for y = T x."""
+    (t11, t12), (t21, t22) = [[F(x) for x in row] for row in rows]
+    det = t11 * t22 - t12 * t21
+    t = ((t11, t12), (t21, t22))
+    s = ((t22 / det, -t12 / det), (-t21 / det, t11 / det))
+    a, b, c, d, e, f = (F(x) for x in coeffs)
+    g = (((a, c), (c, e)), ((b, d), (d, f)))  # g[k][i][j] = G^k_ij
+    return tuple(
+        sum(t[k][p] * g[p][u][v] * s[u][i] * s[v][j] for p in (0, 1) for u in (0, 1) for v in (0, 1))
+        for k, i, j in SLOTS
+    )
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_pullback_model_equals_fraction_law(kind, height):
+    """A pullback builds its model from the law's integers; it is the model
+    built from the Fraction law in every observable: its canonical integer
+    form, ==, hash, repr, coefficients, fields and serialization."""
+    cls, pullback, maps_of = (
+        (TypeAModel, pullback_type_a, maps) if kind == "A" else (TypeBModel, pullback_type_b, shears)
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(models(kind, height), maps_of(height))
+    def check(m, t):
+        got = pullback(m, t)
+        values = fraction_law(m.coeffs, t.matrix.rows)
+        want = cls(*values)
+        nums, den = got.integer_form
+        assert den > 0 and math.gcd(*nums, den) == 1
+        assert (list(nums), den) == clear_denominators(values)
+        assert got == want and not got != want and hash(got) == hash(want)
+        assert (got == m) == (values == m.coeffs)
+        # the same numerators over twice the denominator are another model
+        assert (cls(*(v / 2 for v in values)) == got) == got.is_zero()
+        assert repr(got) == "%s(%s)" % (cls.letter, ", ".join(str(x) for x in values))
+        assert got.coeffs == values and all(type(x) is F for x in got.coeffs)
+        assert (got.a, got.b, got.c, got.d, got.e, got.f) == values
+        assert serialize_model(got) == {"type": kind, "coeffs": [str(x) for x in values]}
+        assert got.is_zero() == (not any(values))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Ricci tensors from integers against Ricci2 of Fraction rows
+
+
+def fraction_ricci_rows(m):
+    """Reference: the Ricci tensor (Type A) or its cleared form (Type B) on
+    the Fraction coefficients."""
+    a, b, c, d, e, f = m.coeffs
+    if m.kind == "A":
+        r12 = c * d - b * e
+        return (((a - d) * d + b * (f - c), r12), (r12, c * (f - c) + (a - d) * e))
+    return (
+        ((a - d + 1) * d + b * (f - c), c * d - b * e + f),
+        (c * (d - 1) - b * e, -c * c + f * c + (a - d - 1) * e),
+    )
+
+
+def fraction_signature(sym):
+    """Reference: rank and label of a symmetric Fraction matrix."""
+    (s11, s12), (s21, s22) = sym
+    if s12 != s21:
+        raise NotSymmetricError("rank_signature expects a symmetric matrix")
+    if s11 == s12 == s22 == 0:
+        return RankSig(0, RANK_ZERO)
+    det = s11 * s22 - s12 * s12
+    if det == 0:
+        diag = s11 if s11 != 0 else s22
+        return RankSig(1, RANK1_POS if diag > 0 else RANK1_NEG)
+    if det < 0:
+        return RankSig(2, RANK2_INDEF)
+    return RankSig(2, RANK2_POS if s11 > 0 else RANK2_NEG)
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_ricci_from_integers_equals_ricci_of_rows(kind, height):
+    """The tensor a model's integers give equals Ricci2 of the Fraction rows
+    in rows, ==, hash, strings, the zero test, the split and the
+    signature."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(models(kind, height), type_b_points(height) if kind == "B" else flat_models(height)))
+    def check(m):
+        r = ricci(m)
+        rows = fraction_ricci_rows(m)
+        ref = Ricci2(rows, cleared=kind == "B")
+        assert r.rows == ref.rows == rows and all(type(x) is F for row in r.rows for x in row)
+        assert r == ref and hash(r) == hash(ref)
+        assert r != Ricci2(rows, cleared=kind == "A")
+        assert r.to_strings() == ref.to_strings() == [[str(x) for x in row] for row in rows]
+        assert r.is_zero() == ref.is_zero() == all(x == 0 for row in rows for x in row)
+        (r11, r12), (r21, r22) = rows
+        off, alt = (r12 + r21) / 2, (r12 - r21) / 2
+        split = split_ricci(r)
+        assert split == split_ricci(ref)
+        assert split.sym == ((r11, off), (off, r22)) and split.alt == alt
+        assert split.symmetric.cleared == r.cleared
+        assert split.sym_is_zero() == (r11 == off == r22 == 0)
+        sig = fraction_signature(split.sym)
+        assert rank_signature(split.symmetric) == rank_signature(split.sym) == sig
+        assert outcome(rank_signature, r) == outcome(fraction_signature, rows)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Immutability and copies
+
+
+def test_models_tensors_and_matrices_are_immutable():
+    m = pullback_type_a(type_a(1, F(1, 2), 0, 3, F(-2, 3), 5), LinearMap2(Mat2(((ONE, F(2)), (F(3), F(4))))))
+    before = repr(m)
+    r = ricci(m)
+    mat = mat2_of_integers((1, 2, 3, 4), 6)
+    for obj, names in (
+        (m, ("a", "f", "coeffs", "integer_form", "kind")),
+        (r, ("rows", "integer_form", "cleared")),
+        (mat, ("rows", "integer_form")),
+    ):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 0
+    assert repr(m) == before == "M(-7, -23/2, 4, 13/2, -5/3, -5/2)"
+    assert m.integer_form == ((-42, -69, 24, 39, -10, -15), 6)
+    for obj in (m, r, mat, type_b(0, 1, 2, 3, 4, 5)):
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj) and clone == obj and hash(clone) == hash(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +598,36 @@ def test_mat2_det_and_singular_test_equal_fraction_reference(height):
             with pytest.raises(ValueError):
                 LinearMap2(mat)
         else:
-            assert mat.inverse() == Mat2(((d / det, -b / det), (-c / det, a / det)))
+            inverse = ((d / det, -b / det), (-c / det, a / det))
+            assert mat.inverse() == Mat2(inverse) and mat.inverse().rows == inverse
             assert mat @ mat.inverse() == Mat2.identity()
+
+    check()
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_mat2_product_and_forms_equal_fraction_reference(height):
+    """The product, transpose and strings read the cached integer forms; a
+    matrix handed its form (in any scaling, either sign) equals the one
+    cleared from its rows, in ==, hash and rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(height), matrices(height), st.integers(-5, 5).filter(lambda k: k != 0))
+    def check(x, y, k):
+        (a, b), (c, d) = ((F(v) for v in row) for row in x.rows)
+        (e, f), (g, h) = ((F(v) for v in row) for row in y.rows)
+        product = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+        got = x @ y
+        assert got.rows == product and got == Mat2(product) and hash(got) == hash(Mat2(product))
+        assert got.to_strings() == [[str(v) for v in row] for row in product]
+        assert x.transpose().rows == ((a, c), (b, d))
+        p, den = x.integer_form
+        assert den > 0 and math.gcd(*p, den) == 1 and list(p) == clear_denominators((a, b, c, d))[0]
+        handed = mat2_of_integers([k * v for v in p], k * den)
+        assert handed.integer_form == (p, den)
+        assert handed == x and hash(handed) == hash(x) and handed.rows == ((a, b), (c, d))
+        assert (mat2_of_integers(p, 2 * den) == x) == (not any(p))
+        assert all(type(v) is F for row in handed.rows for v in row)
 
     check()
 

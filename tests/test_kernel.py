@@ -38,7 +38,6 @@ from affinestrata.group_action import (
     _rank1_frame,
     _solve_reduced_pair,
     _stratum_normal_form,
-    _transform_rational,
     _transform_ring,
     carries,
     match_flat_a_orbit,
@@ -80,8 +79,10 @@ def test_integer_pullback_equals_ring_pullback(height):
     @given(sextuples(height), quadruples(height))
     def check(coeffs, t):
         assume(t[0] * t[3] - t[1] * t[2] != 0)
-        got = transform_coeffs(coeffs, ((t[0], t[1]), (t[2], t[3])))
-        assert got == _transform_rational(coeffs, *t)
+        rows = ((t[0], t[1]), (t[2], t[3]))
+        got = transform_coeffs(coeffs, rows)
+        # the model a pullback builds from the law's integers
+        assert got == pullback_type_a(TypeAModel(*coeffs), LinearMap2(Mat2(rows))).coeffs
         assert got == _transform_ring(as_fractions(coeffs), *as_fractions(t))
         assert all(type(x) is F for x in got)
 
