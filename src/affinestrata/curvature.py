@@ -11,7 +11,8 @@ polynomials in the model's integer form
 its denominator, and the Fraction ``rows`` are built only when a caller
 reads them.  The zero test, the split, the rank and signature and the
 stratum flags compute on those integers, as does the binary cubic's
-coefficient map.
+coefficient map and the rank-two covariant frame (v, G(v, v)) with
+v = rho^{-1} omega (:func:`covariant_frame`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, Frozen, clear_denominators, lowest_terms, ratio_str
+from .exact import ZERO, Frozen, Mat2, clear_denominators, lowest_terms, mat2_of_integers, ratio_str
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -298,6 +299,41 @@ def ricci_trace_vector(m: TypeAModel, r: Ricci2) -> tuple[Fraction, Fraction]:
     det = r11 * r22 - r12 * r12
     w1, w2 = trace_form(m)
     return ((r22 * w1 - r12 * w2) / det, (r11 * w2 - r12 * w1) / det)
+
+
+def trace_numerators(m: TypeAModel) -> tuple[int, int]:
+    """L omega = (A + D, C + F), the trace form on the numerators of m = g / L."""
+    (a, _, c, d, _, f), _ = m.integer_form
+    return a + d, c + f
+
+
+def ricci_det(r: Ricci2) -> tuple[int, int]:
+    """(det n, D) for the Ricci tensor rho = n / D, so det rho = det n / D^2."""
+    (n11, n12, _, n22), den = r.integer_form
+    return n11 * n22 - n12 * n12, den
+
+
+def covariant_frame(m: TypeAModel, r: Ricci2) -> tuple[Mat2 | None, tuple[tuple[int, int], int]]:
+    """The matrix F with columns v = rho^{-1} omega and G(v, v) for a
+    rank-two model with Ricci tensor ``r``, or None when they are dependent,
+    and v as ``(x, q)``, an integer vector over an integer, v = x / q.  Both
+    are vector covariants, so F(pullback(m, T)) = T F(m).
+
+    On the integer forms m = g / L and rho = n / D, v = s V with
+    V = adj(n) (L omega) and s = D / (L det n), and G(v, v) = s^2 g(V, V) / L,
+    so F is singular exactly when det[V, g(V, V)] = 0; no Fraction is built."""
+    g, den = m.integer_form
+    (n11, n12, _, n22), dr = r.integer_form
+    w1, w2 = trace_numerators(m)
+    x = (n22 * w1 - n12 * w2, n11 * w2 - n12 * w1)
+    det = n11 * n22 - n12 * n12
+    v = ((dr * x[0], dr * x[1]), den * det)
+    y0, y1 = gamma_coeffs(g, x, x)
+    if x[0] * y1 == x[1] * y0:
+        return None, v
+    # F = [D L^2 det V | D^2 g(V, V)] / (L^3 det^2)
+    col0, col1 = dr * den * den * det, dr * dr
+    return mat2_of_integers((col0 * x[0], col1 * y0, col0 * x[1], col1 * y1), den**3 * det * det), v
 
 
 def binary_cubic(m: TypeAModel) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -6,10 +6,14 @@ numbers: rotations and circle-valued chart data are carried by rational
 points (c, s) on the unit circle, and every trigonometric expression is
 expanded into a polynomial in (c, s).
 
-One scalar extension serves two ends: :class:`QuadExt` adjoins s with
-s^2 = k, a square root for the equivalence solvers, and at k = 0 the dual
-numbers, whose s-part carries the exact first derivatives of the
-parametrizations, so tangent-rank certificates are exact as well.
+The equivalence solvers decide a forced irrational scale sqrt(k) in
+Z[sqrt(k)] (:class:`QuadInt`, integer pairs with no denominator).
+:class:`QuadExt` adjoins s with s^2 = k over the rationals for the generic
+ring path of the law, and at k = 0 it is the dual numbers, whose s-part
+carries the exact first derivatives of the parametrizations, so
+tangent-rank certificates are exact as well.  A rational literal is read
+as integers once (:func:`parse_literal`), by :func:`rational` and by the
+model parser alike.
 
 Rational kernels compute on integers: a tuple of rationals is cleared of
 denominators once (:func:`clear_denominators`), the arithmetic runs on the
@@ -42,26 +46,35 @@ ONE = Fraction(1)
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def rational(value) -> Fraction:
-    """Coerce an int, Fraction or string like ``"3/5"`` to an exact rational.
+def parse_literal(text: str) -> tuple[int, int]:
+    """The integers (n, d), d > 0, of a rational literal ``n`` or ``n/d``.
 
-    Strings must match ``[+-]?[0-9]+(/[0-9]+)?`` after stripping surrounding
-    whitespace; decimals, exponents and anything else raise ValueError, so a
-    short literal cannot stand for a huge integer.
+    The text must match ``[+-]?[0-9]+(/[0-9]+)?`` after stripping
+    surrounding whitespace; decimals, exponents, a zero denominator and a
+    number past ``int()``'s digit limit raise ValueError, so a short literal
+    cannot stand for a huge integer.  The pair is not reduced.
     """
+    match = _LITERAL.fullmatch(text.strip())
+    if match is not None:
+        num, den = match.groups()
+        try:
+            n, d = int(num), 1 if den is None else int(den)
+        except ValueError:  # past int()'s digit limit, rejected with d = 0
+            d = 0
+        if d != 0:
+            return n, d
+    raise ValueError(f"not a rational literal: {text!r}")
+
+
+def rational(value) -> Fraction:
+    """Coerce an int, Fraction or rational literal like ``"3/5"``
+    (:func:`parse_literal`) to an exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _LITERAL.fullmatch(value.strip())
-        if match is None:
-            raise ValueError(f"not a rational literal: {value!r}")
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), 1 if den is None else int(den))
-        except (ValueError, ZeroDivisionError) as exc:  # d = 0, or past int()'s digit limit
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return Fraction(*parse_literal(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -71,9 +84,11 @@ def rational_str(value: Fraction) -> str:
 
 
 def ratio_str(n: int, d: int) -> str:
-    """``rational_str(Fraction(n, d))`` for integers n and d > 0, written
+    """``rational_str(Fraction(n, d))`` for integers n and d != 0, written
     without building the Fraction."""
     g = math.gcd(n, d)
+    if d < 0:
+        g = -g
     if g != 1:
         n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
@@ -403,11 +418,12 @@ def circle_from_slope(t: Fraction) -> CirclePoint:
 # Quadratic extensions
 #
 # Equivalence solvers sometimes meet a forced scale sqrt(k) with k not a
-# rational square.  Arithmetic in the field of u + v*sqrt(k) decides exactly
-# whether the remaining equations hold at that scale: an element vanishes at
-# one real embedding of the field exactly when it vanishes at both.  At
-# k = 0 the same rules give the dual numbers u + v*eps with eps^2 = 0, and
-# the eps-part of f(x + eps) is f'(x).
+# rational square.  Arithmetic in Z[sqrt(k)] (:class:`QuadInt`) decides
+# exactly whether the remaining equations hold at that scale: an element
+# vanishes at one real embedding of the field exactly when it vanishes at
+# both.  The field Q(sqrt(k)) (:class:`QuadExt`) serves the generic ring
+# path of the law; at k = 0 its rules give the dual numbers u + v*eps with
+# eps^2 = 0, and the eps-part of f(x + eps) is f'(x).
 
 
 class QuadExt:
@@ -504,6 +520,58 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
+
+
+class QuadInt:
+    """An element x + y*sqrt(k) of Z[sqrt(k)], for integers x, y and a k
+    that is not a square, so the element is zero exactly when x = y = 0.
+
+    The ring operations with each other and with ints are a few integer
+    products each, with no gcd and no denominator: the equivalence solvers
+    run the coefficient law on integer matrices A + B*sqrt(k), over one
+    denominator held apart, and compare the result with a target's
+    numerators by cross-multiplication.
+    """
+
+    __slots__ = ("x", "y", "k")
+
+    def __init__(self, x: int, y: int, k: int):
+        self.x, self.y, self.k = x, y, k
+
+    def __add__(self, other):
+        if type(other) is int:
+            return QuadInt(self.x + other, self.y, self.k)
+        return QuadInt(self.x + other.x, self.y + other.y, self.k)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadInt(-self.x, -self.y, self.k)
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return QuadInt(self.x - other, self.y, self.k)
+        return QuadInt(self.x - other.x, self.y - other.y, self.k)
+
+    def __rsub__(self, other):
+        return QuadInt(other - self.x, -self.y, self.k)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return QuadInt(self.x * other, self.y * other, self.k)
+        return QuadInt(self.x * other.x + self.k * self.y * other.y, self.x * other.y + self.y * other.x, self.k)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self.y == 0 and self.x == other
+        return self.x == other.x and self.y == other.y
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"QuadInt({self.x} + {self.y}*sqrt({self.k}))"
 
 
 def jacobian(fn: Callable[[Sequence], Sequence], point: Sequence[Fraction]) -> list[list[Fraction]]:

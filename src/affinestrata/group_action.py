@@ -13,9 +13,9 @@ Every rational kernel here computes on integers: models and rational
 matrices are their integer forms, and a Fraction is built only for a value a
 caller reads.  The law (:func:`_law`) applies the integer adjugate of T to
 the model's numerators, and a pullback builds its model from them with one
-gcd; the quadratic extensions of the Type B and rank-two solvers take the
-generic ring evaluation.  A witness check (:func:`carries`) cross-multiplies
-the law's numerators against the target's.  The rank-one frame is written in
+gcd.  A witness check (:func:`carries`) cross-multiplies the law's
+numerators against the target's; a forced irrational scale sqrt(K) runs the
+same check on entries in Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
 closed form, and the reduced case analysis, the family read-out and its
 catalog target run on the reduced model's numerators.  The equivalence
 screen reads each orbit dimension off the normal form its stratum's solver
@@ -27,8 +27,9 @@ the one its coefficient rank and the root pattern of its binary cubic name;
 it solves its equations on integers and checks each candidate witness, an
 integer matrix over a denominator, against a catalog model read once from
 the family registry in :mod:`affinestrata.models`.  A rank-two pair is
-decided by the models' own covariants, with no search bound (see
-:func:`_solve_rank2_pair`).
+decided by the models' own covariants, with no search bound
+(:func:`_solve_rank2_pair`), and a Type B pair by eliminating the shear on
+the numerators (:func:`solve_equivalence_b`).
 """
 
 from __future__ import annotations
@@ -43,29 +44,28 @@ from .exact import (
     ZERO,
     LinearMap2,
     Mat2,
+    QuadInt,
     ShearMap,
-    QuadExt,
     _forward_eliminate,
     clear_denominators,
-    mat2_from_cols,
     mat2_of_integers,
     primitive_covector,
+    ratio_str,
     solve_integer,
-    sqrt_rational,
 )
 from .curvature import (
     Curvature,
     Ricci2,
-    binary_cubic,
     binary_cubic_coeffs,
     coefficient_rank,
+    covariant_frame,
     curvature_of,
     gamma_coeffs,
-    gamma_pair,
     rank_signature,
-    ricci_trace_vector,
+    ricci_det,
     ricci_type_a,
     stratum_flags,
+    trace_numerators,
 )
 from .models import CATALOG, TypeAModel, TypeBModel
 from . import polys
@@ -95,9 +95,8 @@ def transform_coeffs(coeffs, t) -> tuple:
 
     ``coeffs`` is a model or a coefficient sequence, ``t`` a Mat2 or its
     rows.  Rational inputs take the law on integers (:func:`_law`); any
-    other scalar ring, such as the :class:`QuadExt` scales of the Type B
-    solver, takes the generic path (:func:`_transform_ring`).  A singular T
-    raises ZeroDivisionError."""
+    other scalar ring, such as :class:`QuadExt`, takes the generic path
+    (:func:`_transform_ring`).  A singular T raises ZeroDivisionError."""
     mat = t if isinstance(t, Mat2) else Mat2(t)
     form = mat.integer_form
     model = isinstance(coeffs, (TypeAModel, TypeBModel))
@@ -879,8 +878,8 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
     elif cv.sig.rank == 1:
         frame, reduced = _rank1_frame(m, cv.ricci)
         group = _conjugate_group(_isotropy_reduced(reduced), _frame_inverse(frame))
-    elif ricci_trace_vector(m, cv.ricci) != (0, 0):
-        # with v != 0 the pair solver lists every real self-witness
+    elif trace_numerators(m) != (0, 0):
+        # with v = rho^-1 omega != 0 the pair solver lists every real self-witness
         group = IsotropyGroup(_solve_rank2_pair(m, m, cv.ricci, cv.ricci).maps, ())
     else:
         raise UndecidedError(
@@ -1034,26 +1033,26 @@ def _solve_flat_pair(m1, m2, pattern1: str, pattern2: str) -> EquivalenceWitness
 # -- rank two -----------------------------------------------------------------
 
 
-def _covariant_frame(m: TypeAModel, r: Ricci2) -> Mat2 | None:
-    """The matrix with columns v = rho^{-1} omega and G(v, v) for a rank-two
-    model with Ricci tensor ``r``, or None when they are dependent.  Both are
-    vector covariants, so F(pullback(m, T)) = T F(m)."""
-    v = ricci_trace_vector(m, r)
-    frame = mat2_from_cols(v, gamma_pair(m, v, v))
-    return None if frame.is_singular() else frame
+def _rho(r: Ricci2, x) -> int:
+    """D rho(x, x) for the Ricci tensor rho = n / D and an integer vector x."""
+    (n11, n12, _, n22), _ = r.integer_form
+    return (n11 * x[0] + 2 * n12 * x[1]) * x[0] + n22 * x[1] * x[1]
 
 
-def _rho(r: Ricci2, x):
-    """rho(x, x) for the Ricci tensor ``r``."""
-    (r11, r12), (_, r22) = r.rows
-    return (r11 * x[0] + 2 * r12 * x[1]) * x[0] + r22 * x[1] * x[1]
+def _normal_frame(r: Ricci2, x) -> tuple[int, int, int, int]:
+    """D times the matrix with columns x and its Ricci-normal J rho x, for
+    the Ricci tensor rho = n / D and an integer vector x, so that
+    rho(x, J rho x) = 0; its determinant is D :func:`_rho`."""
+    (n11, n12, _, n22), den = r.integer_form
+    return (den * x[0], -(n12 * x[0] + n22 * x[1]), den * x[1], n11 * x[0] + n12 * x[1])
 
 
-def _normal_frame(r: Ricci2, x) -> Mat2:
-    """The matrix with columns x and its Ricci-normal J rho x, so that
-    rho(x, J rho x) = 0; its determinant is rho(x, x)."""
-    (r11, r12), (_, r22) = r.rows
-    return mat2_from_cols(x, (-(r12 * x[0] + r22 * x[1]), r11 * x[0] + r12 * x[1]))
+def _frame_map(n2, alpha, beta, n1) -> tuple:
+    """N2 diag(alpha, beta) adj(N1) for integer N_i and int or QuadInt scales."""
+    b11, b12, b21, b22 = n2
+    a11, a12, a21, a22 = n1[3], -n1[1], -n1[2], n1[0]  # adj(N1)
+    rows = ((alpha * b11, beta * b12), (alpha * b21, beta * b22))
+    return tuple(x * a1j + y * a2j for x, y in rows for a1j, a2j in ((a11, a21), (a12, a22)))
 
 
 def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
@@ -1063,7 +1062,8 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     sign (:func:`_solve_rank2_forced`), and with v = 0 the binary cubic pins
     every rational witness (:func:`_rank2_witnesses_by_cubic`).  ``r1`` and
     ``r2`` are the Ricci tensors of the two models."""
-    f1, f2 = _covariant_frame(m1, r1), _covariant_frame(m2, r2)
+    f1, v1 = covariant_frame(m1, r1)
+    f2, v2 = (f1, v1) if m2 is m1 else covariant_frame(m2, r2)
     if (f1 is None) != (f2 is None):
         return _not_equivalent("v = rho^-1 omega and G(v, v) are independent for one model only")
     if f1 is not None:
@@ -1073,16 +1073,17 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
                 "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
         return EquivalenceWitnesses("equivalent", (t,))
-    v1, v2 = ricci_trace_vector(m1, r1), ricci_trace_vector(m2, r2)
-    if v1 != (0, 0) or v2 != (0, 0):
+    if v1[0] != (0, 0) or v2[0] != (0, 0):
         return _solve_rank2_forced(m1, m2, r1, r2, v1, v2)
     witnesses = _rank2_witnesses_by_cubic(m1, m2, r1, r2)
     if witnesses:
         return EquivalenceWitnesses("equivalent", tuple(witnesses))
-    ratio = Mat2(r2.rows).det() / Mat2(r1.rows).det()
-    if sqrt_rational(ratio) is None:
+    (det1, d1), (det2, d2) = ricci_det(r1), ricci_det(r2)
+    k = det1 * det2
+    if k < 0 or math.isqrt(k) ** 2 != k:
         return _undecided(
-            f"Ricci determinant ratio {ratio} is not a rational square, so no rational witness exists"
+            f"Ricci determinant ratio {ratio_str(det2 * d1 * d1, det1 * d2 * d2)} is not a rational "
+            "square, so no rational witness exists"
         )
     # over R the rank-two models with omega = 0 and one Ricci signature form
     # a single open orbit
@@ -1092,24 +1093,34 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
 
 
 def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWitnesses:
-    """The covariants v_i = rho_i^{-1} omega_i are parallel to G(v_i, v_i),
-    and one is nonzero.  A nonzero v has rho(v, v) != 0 (a null v moved to
-    e2 would force omega = 0), so rho(v, v) also tells v = 0 from v != 0.
-    Any witness T has T v1 = v2 and is a Ricci congruence, so it carries the
-    Ricci-normal w1 of v1 to delta w2, with delta^2 = rho1(w1, w1) /
-    rho2(w2, w2) = det rho1 / det rho2 once rho(v, v) agrees.  A rational
-    delta leaves two candidates; an irrational one is decided in Q(delta),
-    where vanishing covers both real embeddings."""
-    if _rho(r1, v1) != _rho(r2, v2):
+    """The covariants v_i = rho_i^{-1} omega_i, as
+    :func:`~affinestrata.curvature.covariant_frame` returns them, are parallel
+    to G(v_i, v_i), and one is nonzero.  A nonzero v has rho(v, v) != 0 (a
+    null v moved to e2 would force omega = 0), so rho(v, v) also tells v = 0
+    from v != 0.  Any witness T
+    has T v1 = v2 and is a Ricci congruence, so it carries the Ricci-normal
+    w1 of v1 to delta w2, with delta^2 = rho1(w1, w1) / rho2(w2, w2) =
+    det rho1 / det rho2 once rho(v, v) agrees.  A rational delta leaves two
+    candidates; an irrational one is decided in Z[sqrt(K)], where vanishing
+    covers both real embeddings.  On the integer forms rho_i = n_i / D_i,
+    v_i = x_i / q_i, the frame (v_i, w_i) is N_i / (D_i q_i) for N_i the
+    :func:`_normal_frame` of x_i, delta = D2 sqrt(K) / (D1 det n2) with
+    K = det n1 det n2, and T = q1 N2 diag(D1 det n2, D2 sqrt(K)) adj(N1) /
+    (D2 q2 det n2 det N1)."""
+    (x1, q1), (x2, q2) = v1, v2
+    (det1, d1), (det2, d2) = ricci_det(r1), ricci_det(r2)
+    if _rho(r1, x1) * d2 * q2 * q2 != _rho(r2, x2) * d1 * q1 * q1:
         return _not_equivalent("rho(v, v) differs for v = rho^-1 omega")
-    ratio = Mat2(r1.rows).det() / Mat2(r2.rows).det()
-    if ratio < 0:
+    k = det1 * det2
+    if k < 0:
         return _not_equivalent("Ricci determinant signs differ")
-    n2, n1_inv = _normal_frame(r2, v2), _normal_frame(r1, v1).inverse()
-    delta = sqrt_rational(ratio)
-    if delta is None:
-        t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
-        if all(o == g for o, g in zip(transform_coeffs(m1, t), m2.coeffs)):
+    n1, n2 = _normal_frame(r1, x1), _normal_frame(r2, x2)
+    den = d2 * q2 * det2 * d1 * _rho(r1, x1)
+    root = math.isqrt(k)
+    if root * root != k:
+        t = _frame_map(n2, q1 * d1 * det2, q1 * d2 * QuadInt(0, 1, k), n1)
+        ratio = ratio_str(det1 * d2 * d2, det2 * d1 * d1)
+        if _carries(m1.integer_form, t, den, m2.integer_form):
             return _undecided(
                 "equivalent over the reals, but the forced scale of the "
                 f"Ricci-normal of v is the irrational sqrt({ratio})"
@@ -1117,8 +1128,10 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
         return _not_equivalent(
             f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
-    candidates = (n2 @ Mat2.of(ONE, ZERO, ZERO, d) @ n1_inv for d in (delta, -delta))
-    witnesses = tuple(LinearMap2(t) for t in candidates if carries(m1, t, m2))
+    signs = (1, -1) if det2 > 0 else (-1, 1)  # delta > 0 first
+    candidates = [_frame_map(n2, q1 * d1 * det2, q1 * d2 * sign * root, n1) for sign in signs]
+    source, target = m1.integer_form, m2.integer_form
+    witnesses = tuple(LinearMap2(mat2_of_integers(t, den)) for t in candidates if _carries(source, t, den, target))
     if witnesses:
         return EquivalenceWitnesses("equivalent", witnesses)
     return _not_equivalent(
@@ -1128,7 +1141,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
 
 #: pairwise independent probes: a cubic's three root lines and a Ricci form's
 #: two null lines leave one free
-_PROBES = ((ONE, ZERO), (ZERO, ONE), (ONE, ONE), (ONE, -ONE), (ONE, 2 * ONE), (2 * ONE, ONE))
+_PROBES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
 
 
 def _cubic_at(f, x):
@@ -1150,37 +1163,46 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
     c^2 rho1^3 - k^3 f1^2, and x = c rho1(x^) / (k f1(x^)) x^.  As a Ricci
     congruence of determinant sigma / s, T carries x to sigma u and the
     Ricci-normal of x to 1 / s times that of u.  Each of the at most 12
-    candidates is checked by exact pullback.
+    candidates is checked by exact pullback.  On the integer forms
+    m_i = g_i / L_i, rho_i = n_i / D_i with det n1 det n2 = r^2,
+    s = D1 r / (D2 |det n1|), and the sextic is taken times D1 D2^3 det n1 L1^2 L2^2.
     """
-    s = sqrt_rational(Mat2(r2.rows).det() / Mat2(r1.rows).det())
-    if s is None:
+    (det1, d1), (det2, d2) = ricci_det(r1), ricci_det(r2)
+    k = det1 * det2
+    root = math.isqrt(k) if k > 0 else 0
+    if root * root != k:
         return []
-    g1, g2 = binary_cubic(m1), binary_cubic(m2)
-    u = next(p for p in _PROBES if _rho(r2, p) != 0 and _cubic_at(g2, p) != 0)
-    k, c = _rho(r2, u), s * _cubic_at(g2, u)
+    (g1, l1), (g2, l2) = m1.integer_form, m2.integer_form
+    c1, c2 = binary_cubic_coeffs(g1), binary_cubic_coeffs(g2)  # L_i f_i
+    u = next(p for p in _PROBES if _rho(r2, p) != 0 and _cubic_at(c2, p) != 0)
+    k2, f2u = _rho(r2, u), _cubic_at(c2, u)
     # rho1 and f1 on x^ = (t, 1), ascending in t; the direction (1, 0) is a
     # root when the sextic drops degree
-    (r11, r12), (_, r22) = r1.rows
-    q, f = [r22, 2 * r12, r11], list(reversed(g1))
+    (n11, n12, _, n22), _ = r1.integer_form
+    q, f = [n22, 2 * n12, n11], list(reversed(c1))
     sextic = polys.padd(
-        polys.pscale(polys.pmul(q, polys.pmul(q, q)), c * c),
-        polys.pscale(polys.pmul(f, f), -k ** 3),
+        polys.pscale(polys.pmul(q, polys.pmul(q, q)), det2 * f2u * f2u * d2 * l1 * l1),
+        polys.pscale(polys.pmul(f, f), -(k2**3) * d1 * det1 * l2 * l2),
     )
-    directions = [(t, ONE) for t, _ in polys.rational_roots(sextic)]
+    directions = [t.as_integer_ratio() for t, _ in polys.rational_roots(sextic)]
     if polys.pdeg(sextic) < 6:
-        directions.append((ONE, ZERO))
+        directions.append((1, 0))
     n2 = _normal_frame(r2, u)
     witnesses = []
     for xh in directions:
-        fx = _cubic_at(g1, xh)
+        fx = _cubic_at(c1, xh)
         if fx == 0:  # a common root of rho1 and f1 carries no x with f1(x) = c
             continue
-        scale = c * _rho(r1, xh) / (k * fx)
-        n1_inv = _normal_frame(r1, (scale * xh[0], scale * xh[1])).inverse()
-        for sigma in (ONE, -ONE):
-            t = n2 @ Mat2.of(sigma, ZERO, ZERO, 1 / s) @ n1_inv
-            if carries(m1, t, m2):
-                witnesses.append(LinearMap2(t))
+        # x = X / qx with X = r f2(u) L1 rho1(x^) x^ and qx = |det n1| L2 k f1(x^), on numerators
+        scale = root * f2u * l1 * _rho(r1, xh)
+        x = (scale * xh[0], scale * xh[1])
+        qx = abs(det1) * l2 * k2 * fx
+        n1 = _normal_frame(r1, x)
+        den = d2 * root * d1 * _rho(r1, x)
+        for sigma in (1, -1):
+            t = _frame_map(n2, qx * sigma * d1 * root, qx * d2 * abs(det1), n1)
+            if _carries(m1.integer_form, t, den, m2.integer_form):
+                witnesses.append(LinearMap2(mat2_of_integers(t, den)))
     return witnesses
 
 
@@ -1190,77 +1212,78 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
 def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
     """Decide shear equivalence of two Type B models by exact elimination of
     the two unknowns (a, b) from the six coefficient equations.  Each
-    candidate shear is kept only when its exact pullback carries m1 to m2."""
+    candidate shear is kept only when its exact pullback carries m1 to m2.
+    Every test reads the integer forms m_i = g_i / L_i, and each candidate
+    (a, b), a pair of integer ratios, is checked on integers (:func:`_carries`)
+    before a :class:`ShearMap` is built."""
     fl1, fl2 = stratum_flags(m1), stratum_flags(m2)
     if fl1.primary != fl2.primary:
         return _not_equivalent(f"stratum flags differ: {fl1.primary} vs {fl2.primary}")
-    a1, b1, c1, d1, e1, f1 = m1.coeffs
-    a2, b2, c2, d2, e2, f2 = m2.coeffs
-    candidates: list[tuple[Fraction, Fraction]] = []
-
+    (a1, b1, c1, d1, e1, f1), l1 = source = m1.integer_form
+    (a2, b2, c2, d2, e2, f2), l2 = target = m2.integer_form
+    candidates: list[tuple[tuple[int, int], tuple[int, int]]] = []  # ((n, d), (n, d))
     if e1 != 0 or e2 != 0:
         if (e1 == 0) != (e2 == 0):
             return _not_equivalent("vanishing of G_22^1 differs")
-        ratio = e1 / e2
-        if ratio < 0:
+        k = e1 * e2 * l1 * l2  # alpha^2 = e1 / e2 = K / q^2
+        if k < 0:
             return _not_equivalent("signs of G_22^1 differ")
-        root = sqrt_rational(ratio)
-        if root is None:
-            # decide the forced irrational scale exactly in Q(sqrt(ratio));
-            # vanishing there covers both real embeddings
-            alpha = QuadExt(0, 1, ratio)
-            beta = (c1 * alpha - c2 * alpha * alpha) / e1
-            t_rows = ((QuadExt(1, 0, ratio), QuadExt(0, 0, ratio)), (beta, alpha))
-            out = transform_coeffs(m1, t_rows)
-            if all(o == QuadExt(g, 0, ratio) for o, g in zip(out, m2.coeffs)):
+        # alpha = rho / q, rho^2 = K, and beta = (c1 alpha - c2 alpha^2) / e1
+        q = abs(e2 * l1)
+        den = e1 * e2 * q
+        root = math.isqrt(k)
+        if root * root == k:
+            candidates += [((rho, q), (c1 * e2 * rho - c2 * e1 * q, den)) for rho in (root, -root)]
+        else:
+            # decide the irrational scale in Z[sqrt(K)], for both real embeddings
+            rho = QuadInt(0, 1, k)
+            shear = (den, 0, c1 * e2 * rho - c2 * e1 * q, e1 * e2 * rho)
+            if _carries(source, shear, den, target):
                 return _undecided(
                     "equivalent over the reals, but every intertwining shear "
-                    f"has the irrational scale sqrt({ratio})"
+                    f"has the irrational scale sqrt({ratio_str(e1 * l2, e2 * l1)})"
                 )
             return _not_equivalent("the equations fail at the forced scale sqrt of the G_22^1 ratio")
-        for alpha in (root, -root):
-            candidates.append((alpha, (c1 * alpha - c2 * alpha * alpha) / e1))
     elif c1 != 0 or c2 != 0:
         if (c1 == 0) != (c2 == 0):
             return _not_equivalent("vanishing of G_12^1 differs")
-        alpha = c1 / c2
-        if c1 - f1 != 0:
-            candidates.append((alpha, alpha * (d2 - d1) / (c1 - f1)))
+        alpha = (c1 * l2, c2 * l1)
+        if c1 != f1:
+            # beta = alpha (d2 - d1) / (c1 - f1)
+            candidates.append((alpha, (c1 * (d2 * l1 - d1 * l2), c2 * l1 * (c1 - f1))))
         else:
             # f1 = c1 makes the G_12^2 equation vacuous; use the G_11^1 one
-            if f1 / alpha != f2:
+            if f1 * c2 != f2 * c1:  # f1 / alpha != f2
                 return _not_equivalent("G_22^2 ratio differs")
-            candidates.append((alpha, alpha * (a1 - a2) / (2 * c1)))
+            # beta = alpha (a1 - a2) / (2 c1)
+            candidates.append((alpha, (a1 * l2 - a2 * l1, 2 * c2 * l1)))
     elif f1 != 0 or f2 != 0:
         if (f1 == 0) != (f2 == 0):
             return _not_equivalent("vanishing of G_22^2 differs")
-        alpha = f1 / f2
-        candidates.append((alpha, alpha * (d1 - d2) / f1))
+        # alpha = f1 / f2 and beta = alpha (d1 - d2) / f1
+        candidates.append(((f1 * l2, f2 * l1), (d1 * l2 - d2 * l1, f2 * l1)))
     else:
         # c = e = f = 0 on both sides; a and d are then shear invariants
-        if a1 != a2 or d1 != d2:
+        if a1 * l2 != a2 * l1 or d1 * l2 != d2 * l1:
             return _not_equivalent("G_11^1 or G_12^2 differ on the invariant subfamily")
-        coef = a1 - 2 * d1
+        coef = a1 - 2 * d1  # L1 (a1 - 2 d1)
         if b1 != 0:
-            for beta in (ZERO, ONE):
-                num = b2 - beta * coef
+            for beta in (0, 1):
+                # alpha = (b2 - beta coef) / b1
+                num = b2 * l1 - beta * l2 * coef
                 if num != 0:
-                    candidates.append((num / b1, beta))
+                    candidates.append(((num, l2 * b1), (beta, 1)))
+        elif coef != 0:
+            candidates.append(((1, 1), (b2 * l1, l2 * coef)))
+        elif b2 == 0:
+            candidates.append(((1, 1), (0, 1)))
         else:
-            if coef != 0:
-                candidates.append((ONE, b2 / coef))
-            elif b2 == 0:
-                candidates.append((ONE, ZERO))
-            else:
-                return _not_equivalent("G_11^2 cannot be produced by any shear")
-
-    shears = []
-    for alpha, beta in candidates:
-        if alpha == 0:
-            continue
-        phi = ShearMap(alpha, beta)
-        if carries(m1, phi.matrix, m2):
-            shears.append(phi)
+            return _not_equivalent("G_11^2 cannot be produced by any shear")
+    shears = [
+        ShearMap(Fraction(an, ad), Fraction(bn, bd))
+        for (an, ad), (bn, bd) in candidates
+        if an != 0 and _carries(source, (ad * bd, 0, bn * ad, an * bd), ad * bd, target)
+    ]
     if shears:
         return EquivalenceWitnesses("equivalent", tuple(shears))
     return _not_equivalent("the shear elimination has no solution")

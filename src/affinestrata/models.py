@@ -10,8 +10,9 @@ indices so torsion vanishes by construction.
 A model is stored as its integer form: :attr:`integer_form` holds the
 integer numerators of the six coefficients over their least common
 denominator, in lowest terms.  A model built from rationals (or ints, or
-rational strings) clears them once; the coefficient law builds its output
-model straight from integer numerators (:meth:`TypeAModel.of_integers`).
+rational strings) clears them once; a parsed model document and the
+coefficient law build the model straight from integer numerators
+(:meth:`TypeAModel.of_integers`).
 Every rational kernel downstream (the Ricci tensors, the coefficient law
 and its witness checks, the binary cubic, the orbit matchers and the
 charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
@@ -22,11 +23,12 @@ cached.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exact import Frozen, clear_denominators, lowest_terms, ratio_str, rational
+from .exact import Frozen, clear_denominators, lowest_terms, parse_literal, ratio_str, rational
 
 
 class ModelParseError(ValueError):
@@ -157,7 +159,10 @@ def parse_model(text) -> Model:
     """Parse a model document; exact round-trip with :func:`serialize_model`.
 
     Accepts a JSON string or an already-decoded mapping.  Coefficients must
-    be rational strings (or integers); floats are rejected outright.
+    be rational strings (or integers); floats are rejected outright.  Each
+    literal is read as integers (:func:`~affinestrata.exact.parse_literal`)
+    straight into the model's integer form, over their least common
+    denominator, so no Fraction is built.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -176,17 +181,16 @@ def parse_model(text) -> Model:
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 6:
         raise ModelParseError("'coeffs' must be a list of six rational strings")
-    values = []
+    pairs = []
     for item in coeffs:
-        if isinstance(item, bool) or isinstance(item, float):
-            raise ModelParseError(f"coefficient {item!r} is not an exact rational literal")
-        if not isinstance(item, (str, int)):
+        if isinstance(item, bool) or not isinstance(item, (str, int)):
             raise ModelParseError(f"coefficient {item!r} is not an exact rational literal")
         try:
-            values.append(rational(item))
+            pairs.append((item, 1) if isinstance(item, int) else parse_literal(item))
         except ValueError as exc:
             raise ModelParseError(str(exc)) from exc
-    return _MODEL_TYPES[kind](*values)
+    den = math.lcm(*[d for _, d in pairs])
+    return _MODEL_TYPES[kind].of_integers([n * (den // d) for n, d in pairs], den)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ Conventions:
 
 The chart inverses and the Type B memberships compute on the model's
 integer form: each equation is an integer cross-multiplication, and a
-Fraction is built only for a returned coordinate or parameter.
+Fraction is built only for a returned coordinate or parameter.  The rank-one
+chart point holds its integer form, which its scale, sign and report read.
 
 Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
 reduction and the solvers it shares; ``match_flat_a_orbit``,
@@ -37,10 +38,13 @@ from .exact import (
     ONE,
     ZERO,
     CirclePoint,
+    Frozen,
     clear_denominators,
     jacobian,
+    lowest_terms,
     mat_rank,
     primitive_covector,
+    ratio_str,
     rational,
     sqrt_rational,
 )
@@ -181,44 +185,86 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
 # Rank-one chart and rotation reduction
 
 
-@dataclass(frozen=True)
-class Rank1Chart:
+class Rank1Chart(Frozen):
     """Coordinates (p, q, u, v) on the reduced rank-one stratum.
 
     The reconstructed model has b = d = 0 and Ricci scale
     p^2 + q^2 - u^2 - v^2; the sign of that scale separates the
     positive and negative semi-definite strata.
+
+    Held as :attr:`integer_form`, the numerators of (p, q, u, v) over a
+    denominator D > 0 in lowest terms; the scale, its sign and the report
+    read it, and the Fraction coordinates are built on first read.  Equality
+    and hashing compare the coordinates.
     """
 
-    p: Fraction
-    q: Fraction
-    u: Fraction
-    v: Fraction
+    __slots__ = ("integer_form", "_coords")
 
-    def _scale_numerator(self) -> tuple[int, int]:
-        """The scale as an integer over the square of the common denominator."""
-        (p, q, u, v), den = clear_denominators((self.p, self.q, self.u, self.v))
-        return p * p + q * q - u * u - v * v, den * den
+    def __init__(self, p, q, u, v):
+        nums, den = clear_denominators((p, q, u, v))
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        object.__setattr__(self, "_coords", None)
+
+    @classmethod
+    def of_integers(cls, nums, den) -> "Rank1Chart":
+        """The chart point nums / den for integers (p, q, u, v) and den != 0,
+        brought to lowest terms with one gcd; no Fraction is built."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
+        object.__setattr__(out, "_coords", None)
+        return out
+
+    @property
+    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        coords = self._coords
+        if coords is None:
+            nums, den = self.integer_form
+            coords = tuple(Fraction(n, den) for n in nums)
+            object.__setattr__(self, "_coords", coords)
+        return coords
+
+    p = property(lambda self: self.coords[0])
+    q = property(lambda self: self.coords[1])
+    u = property(lambda self: self.coords[2])
+    v = property(lambda self: self.coords[3])
 
     @property
     def scale(self) -> Fraction:
-        return Fraction(*self._scale_numerator())
+        (p, q, u, v), den = self.integer_form
+        return Fraction(p * p + q * q - u * u - v * v, den * den)
 
     @property
     def sign(self) -> str:
-        scale, _ = self._scale_numerator()
+        (p, q, u, v), _ = self.integer_form
+        scale = p * p + q * q - u * u - v * v
         if scale > 0:
             return "+"
         return "-" if scale < 0 else "0"
 
     def to_dict(self) -> dict:
+        (p, q, u, v), den = self.integer_form
         return {
-            "p": str(self.p),
-            "q": str(self.q),
-            "u": str(self.u),
-            "v": str(self.v),
+            "p": ratio_str(p, den),
+            "q": ratio_str(q, den),
+            "u": ratio_str(u, den),
+            "v": ratio_str(v, den),
             "sign": self.sign,
         }
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.integer_form == other.integer_form  # the lowest-terms form is unique
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.integer_form)
+
+    def __repr__(self):
+        p, q, u, v = self.coords
+        return f"Rank1Chart(p={p!r}, q={q!r}, u={u!r}, v={v!r})"
+
+    def __reduce__(self):
+        return (Rank1Chart, self.coords)
 
 
 def rank1_chart_forward(p, q, u, v) -> TypeAModel:
@@ -231,8 +277,7 @@ def rank1_chart_inverse(m: TypeAModel) -> Rank1Chart:
     (a, b, c, d, e, f), den = m.integer_form
     if b != 0 or d != 0:
         raise ValueError("the chart inverse requires b = d = 0")
-    den *= 2
-    return Rank1Chart(Fraction(f, den), Fraction(a + e, den), Fraction(2 * c - f, den), Fraction(a - e, den))
+    return Rank1Chart.of_integers((f, a + e, 2 * c - f, a - e), 2 * den)
 
 
 @dataclass(frozen=True)

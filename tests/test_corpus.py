@@ -335,20 +335,19 @@ def test_isotropy_rank2_computes_curvature_once(counts):
 
 
 #: exact.clear_denominators calls to parse a model document and classify it,
-#: on a matched model, by stratum.  Parsing clears the model's coefficients
-#: once, into its integer form.  Pullbacks, frames, triangular maps and
-#: witnesses are built from integers and clear nothing; on rank one the
-#: chart point, built from Fractions, is cleared once more for the scale
-#: sign the report prints.
+#: on a matched model, by stratum.  Parsing reads each literal as integers
+#: straight into the model's integer form, and pullbacks, frames, triangular
+#: maps, witnesses and the rank-one chart point are built from integers, so
+#: nothing is cleared on any stratum.
 CLEARS_PER_CLASSIFY = {
-    "cone_point": 1,
-    "flat_chart": 1,
-    "rank1": 2,
-    "rank1_unreduced": 2,
-    "rank2": 1,
-    "flat_families": 1,
-    "alternating_families": 1,
-    "unstratified": 1,
+    "cone_point": 0,
+    "flat_chart": 0,
+    "rank1": 0,
+    "rank1_unreduced": 0,
+    "rank2": 0,
+    "flat_families": 0,
+    "alternating_families": 0,
+    "unstratified": 0,
 }
 
 

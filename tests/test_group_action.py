@@ -7,13 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import classify_model
 from affinestrata.exact import Mat2
-from affinestrata.curvature import rank_signature, ricci_trace_vector, ricci_type_a, ricci_type_b
+from affinestrata.curvature import covariant_frame, rank_signature, ricci_trace_vector, ricci_type_a, ricci_type_b
 from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
     UndecidedError,
     UnmatchedOrbitError,
-    _covariant_frame,
     _solve_reduced_pair,
     _rank2_witnesses_by_cubic,
     _solve_rank2_pair,
@@ -489,7 +488,7 @@ def test_equivalence_rank2_generate_recover():
         res = solve_equivalence_a(m1, m2)
         assert res.is_equivalent, (m1, m2, res.status)
         assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
-        if _covariant_frame(m1, ricci_type_a(m1)) is None:
+        if covariant_frame(m1, ricci_type_a(m1))[0] is None:
             degenerate += 1  # decided by v and its Ricci-normal, or the cubic
         else:
             assert len(res.maps) == 1
@@ -503,7 +502,7 @@ def test_equivalence_rank2_height_sweep():
             res = solve_equivalence_a(m1, m2)
             assert res.is_equivalent, (height, m1, m2, res.status)
             assert all(pullback_type_a(m1, w) == m2 for w in res.maps)
-            if _covariant_frame(m1, ricci_type_a(m1)) is not None:
+            if covariant_frame(m1, ricci_type_a(m1))[0] is not None:
                 assert len(res.maps) == 1
 
 
@@ -514,7 +513,7 @@ def degenerate_models(rng, height, count):
     while len(models) < count:
         m = sampling.rand_model_a(rng, height)
         r = ricci_type_a(m)
-        if rank_signature(r).rank == 2 and _covariant_frame(m, r) is None:
+        if rank_signature(r).rank == 2 and covariant_frame(m, r)[0] is None:
             models.append(m)
     return models
 
@@ -569,7 +568,7 @@ def test_equivalence_rank2_frame_matches_cubic_witnesses():
             del by_ricci[r.rows]
     statuses = set()
     for m1, m2 in pairs:
-        assert _covariant_frame(m1, ricci_type_a(m1)) is not None
+        assert covariant_frame(m1, ricci_type_a(m1))[0] is not None
         r1, r2 = ricci_type_a(m1), ricci_type_a(m2)
         frame = _solve_rank2_pair(m1, m2, r1, r2)
         statuses.add(frame.status)
@@ -582,7 +581,7 @@ def test_equivalence_rank2_degenerate_frames():
     base = type_a(0, 1, -2, 0, 0, 0)  # v on the x2 axis, G(x2, x2) = 0
     t = LinearMap2(Mat2(((F(1), F(-2)), (F(3), F(1, 2)))))
     m2 = pullback_type_a(base, t)
-    assert _covariant_frame(base, ricci_type_a(base)) is None and _covariant_frame(m2, ricci_type_a(m2)) is None
+    assert covariant_frame(base, ricci_type_a(base))[0] is None and covariant_frame(m2, ricci_type_a(m2))[0] is None
     res = solve_equivalence_a(base, m2)
     assert res.is_equivalent
     assert t in res.maps
@@ -591,7 +590,7 @@ def test_equivalence_rank2_degenerate_frames():
     assert len(set(res.maps)) == len(res.maps) == 2
     # same screening invariants, but only one frame is degenerate
     other = type_a(1, 1, -2, 0, 0, 0)
-    assert _covariant_frame(other, ricci_type_a(other)) is not None
+    assert covariant_frame(other, ricci_type_a(other))[0] is not None
     for m1, m2 in ((base, other), (other, base)):
         assert solve_equivalence_a(m1, m2).status == "not_equivalent"
 
@@ -747,7 +746,7 @@ def test_degenerate_frames_have_no_null_v():
     for coeffs in itertools.product(range(-2, 3), repeat=6):
         m = type_a(*coeffs)
         r = ricci_type_a(m)
-        if rank_signature(r).rank != 2 or _covariant_frame(m, r) is not None:
+        if rank_signature(r).rank != 2 or covariant_frame(m, r)[0] is not None:
             continue
         v = ricci_trace_vector(m, r)
         if v == (0, 0):

@@ -11,7 +11,9 @@ equality, hash, repr, coefficients and fields, the Ricci tensors with their
 split, zero test, strings and signature, the flat chart with both of its
 NonRationalCirclePointError messages, the rank-one chart with its scale and
 sign, the cubic root pattern, the Type B memberships, and the 2 x 2
-product, determinant, singular test, inverse and unit-circle check.
+product, determinant, singular test, inverse and unit-circle check.  A parsed
+model is read straight into its integer form and equals the model built
+from Fractions; the rank-one chart point holds its integer form as well.
 """
 
 import copy
@@ -48,6 +50,7 @@ from affinestrata.exact import (
     circle_from_slope,
     clear_denominators,
     mat2_of_integers,
+    rational,
     sqrt_rational,
 )
 from affinestrata.group_action import (
@@ -61,6 +64,7 @@ from affinestrata.group_action import (
 from affinestrata.models import (
     CATALOG,
     CatalogError,
+    ModelParseError,
     TypeAModel,
     TypeBModel,
     parse_model,
@@ -648,3 +652,90 @@ def test_circle_check_equals_fraction_reference(height):
                 CirclePoint(c, s)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Parsing straight into the integer form
+
+
+def literals(height):
+    """A coefficient as a JSON value: an int, or a literal ``n`` or ``n/d``
+    that need not be in lowest terms, signed or not, padded or not."""
+    num = st.integers(-height, height)
+    den = st.integers(1, height)
+    text = st.one_of(
+        num.map(str),
+        st.tuples(num, den).map(lambda p: f"{p[0]}/{p[1]}"),
+        st.tuples(st.integers(0, height), den).map(lambda p: f"+{p[0]}/{p[1]}"),
+    )
+    return st.one_of(num, text, text.map(lambda t: f" {t}\t"))
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_parse_model_equals_fraction_built_model(kind, height):
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(literals(height), min_size=6, max_size=6))
+    def check(items):
+        m = parse_model(json.dumps({"type": kind, "coeffs": items}))
+        built = (TypeAModel if kind == "A" else TypeBModel)(*[rational(x) for x in items])
+        assert m == built and type(m) is type(built) and m.integer_form == built.integer_form
+        assert m._coeffs is None  # no Fraction until one is read
+        assert m.coeffs == built.coeffs and serialize_model(m) == serialize_model(built)
+
+    check()
+
+
+#: malformed coefficients and the ModelParseError text each one raises
+MALFORMED = [
+    ("1.5", "coefficient 1.5 is not an exact rational literal"),
+    ("true", "coefficient True is not an exact rational literal"),
+    ("null", "coefficient None is not an exact rational literal"),
+    ("[1]", "coefficient [1] is not an exact rational literal"),
+    ('{"n": 1}', "coefficient {'n': 1} is not an exact rational literal"),
+    ('"1/0"', "not a rational literal: '1/0'"),
+    ('"-0/0"', "not a rational literal: '-0/0'"),
+    ('"1e3"', "not a rational literal: '1e3'"),
+    ('"0.5"', "not a rational literal: '0.5'"),
+    ('" 1 / 2 "', "not a rational literal: ' 1 / 2 '"),
+    ('"1/-2"', "not a rational literal: '1/-2'"),
+    ('"--1"', "not a rational literal: '--1'"),
+    ('""', "not a rational literal: ''"),
+    ('"%s"' % ("9" * 5000), "not a rational literal: '%s'" % ("9" * 5000)),
+    ('"1/%s"' % ("9" * 5000), "not a rational literal: '1/%s'" % ("9" * 5000)),
+    ("9" * 5000, "a JSON integer coefficient is too long to be a rational literal"),
+]
+
+
+@pytest.mark.parametrize("item, message", MALFORMED, ids=[m[:30] for m, _ in MALFORMED])
+def test_parse_model_rejects_malformed_literals_with_todays_text(item, message):
+    doc = '{"type": "A", "coeffs": [0, "1/2", %s, 0, 0, 0]}' % item
+    with pytest.raises(ModelParseError) as info:
+        parse_model(doc)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The rank-one chart point
+
+
+def test_rank1_chart_holds_its_integer_form():
+    chart = Rank1Chart.of_integers((2, -4, 6, 0), 8)
+    assert chart.integer_form == ((1, -2, 3, 0), 4)
+    assert chart._coords is None  # the coordinates are built on first read
+    assert (chart.p, chart.q, chart.u, chart.v) == (F(1, 4), F(-1, 2), F(3, 4), ZERO)
+    assert all(type(x) is F for x in chart.coords) and chart.coords is chart.coords
+    same = Rank1Chart(F(1, 4), F(-2, 4), F(3, 4), 0)
+    assert chart == same and hash(chart) == hash(same) and chart.integer_form == same.integer_form
+    assert chart != Rank1Chart(F(1, 4), F(-1, 2), F(3, 4), F(1, 9))
+    assert chart != (F(1, 4), F(-1, 2), F(3, 4), ZERO)
+    assert chart.scale == F(1, 16) + F(1, 4) - F(9, 16) and chart.sign == "-"
+    assert chart.to_dict() == {"p": "1/4", "q": "-1/2", "u": "3/4", "v": "0", "sign": "-"}
+    assert repr(chart) == "Rank1Chart(p=Fraction(1, 4), q=Fraction(-1, 2), u=Fraction(3, 4), v=Fraction(0, 1))"
+    assert pickle.loads(pickle.dumps(chart)) == chart and copy.deepcopy(chart) == chart
+    assert Rank1Chart.of_integers((3, 0, 0, 0), -3) == Rank1Chart(-1, 0, 0, 0)  # the sign goes to the numerators
+    for name in ("p", "integer_form", "_coords"):
+        with pytest.raises((FrozenInstanceError, AttributeError)):
+            setattr(chart, name, ZERO)
+    with pytest.raises(FrozenInstanceError):
+        chart.integer_form = ((0, 0, 0, 0), 1)
