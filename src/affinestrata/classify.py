@@ -11,10 +11,9 @@ can run in any order or concurrently without changing the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Mat2, mat2_of_integers, rational_str
+from .exact import ONE, ZERO, Frozen, Mat2, mat2_of_integers, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -71,16 +70,31 @@ from . import sampling
 # Classification reports
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    model: Model
-    flags: dict
-    ricci_data: dict
-    rank_data: dict
-    stratum: dict
-    orbit: dict | None
-    admits_type_b: bool | None
-    errors: dict
+class ClassificationReport(Frozen):
+    """Everything :func:`classify_model` finds about one model, in the
+    sections of its JSON document."""
+
+    __slots__ = ("model", "flags", "ricci_data", "rank_data", "stratum", "orbit", "admits_type_b", "errors")
+
+    def __init__(
+        self,
+        model: Model,
+        flags: dict,
+        ricci_data: dict,
+        rank_data: dict,
+        stratum: dict,
+        orbit: dict | None,
+        admits_type_b: bool | None,
+        errors: dict,
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "ricci_data", ricci_data)
+        object.__setattr__(self, "rank_data", rank_data)
+        object.__setattr__(self, "stratum", stratum)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "admits_type_b", admits_type_b)
+        object.__setattr__(self, "errors", errors)
 
     def to_dict(self) -> dict:
         return {
@@ -202,13 +216,19 @@ def admits_type_b(m: TypeAModel) -> bool:
 # Verification harness
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    description: str
-    samples_used: int
-    passed: bool
-    counterexample: str | None
+class CheckResult(Frozen):
+    """The outcome of one check of :func:`verify_theorems`."""
+
+    __slots__ = ("check_id", "description", "samples_used", "passed", "counterexample")
+
+    def __init__(
+        self, check_id: str, description: str, samples_used: int, passed: bool, counterexample: str | None
+    ):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "samples_used", samples_used)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def to_dict(self) -> dict:
         return {
@@ -220,11 +240,16 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    samples: int
-    results: tuple[CheckResult, ...]
+class VerificationReport(Frozen):
+    """The seed, the sample count and the check results of one
+    :func:`verify_theorems` run."""
+
+    __slots__ = ("seed", "samples", "results")
+
+    def __init__(self, seed: int, samples: int, results: tuple[CheckResult, ...]):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "results", results)
 
     @property
     def all_passed(self) -> bool:

@@ -12,12 +12,13 @@ its denominator, and the Fraction ``rows`` are built only when a caller
 reads them.  The zero test, the split, the rank and signature and the
 stratum flags compute on those integers, as does the binary cubic's
 coefficient map and the rank-two covariant frame (v, G(v, v)) with
-v = rho^{-1} omega (:func:`covariant_frame`).
+v = rho^{-1} omega (:func:`covariant_frame`).  The signatures and the
+stratum flags are few, so each is built once at import and shared
+(:data:`RANK_SIGS`, :data:`PRIMARY_FLAGS`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ZERO, Frozen, Mat2, clear_denominators, lowest_terms, mat2_of_integers, ratio_str
@@ -93,13 +94,15 @@ class Ricci2(Frozen):
         return (Ricci2, (self.rows, self.cleared))
 
 
-@dataclass(frozen=True)
-class RicciSplit:
+class RicciSplit(Frozen):
     """The symmetric part, a symmetric tensor with the source's ``cleared``
     flag, plus the single entry of the alternating part."""
 
-    symmetric: Ricci2
-    alt: Fraction
+    __slots__ = ("symmetric", "alt")
+
+    def __init__(self, symmetric: Ricci2, alt: Fraction):
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "alt", alt)
 
     @property
     def sym(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -109,20 +112,40 @@ class RicciSplit:
         return self.symmetric.is_zero()
 
 
-@dataclass(frozen=True)
-class RankSig:
-    rank: int
-    label: str
+class RankSig(Frozen):
+    """The rank and definiteness label of a symmetric 2 x 2 tensor; the six
+    values :func:`rank_signature` returns are built once (:data:`RANK_SIGS`)
+    and shared."""
+
+    __slots__ = ("rank", "label")
+
+    def __init__(self, rank: int, label: str):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class StratumFlags:
-    is_cone_point: bool
-    is_flat: bool
-    is_rank1_pos: bool
-    is_rank1_neg: bool
-    is_alt_only: bool
-    is_rank2: bool
+class StratumFlags(Frozen):
+    """Which strata a model lies in; the flags :func:`curvature_of` returns,
+    one value per primary stratum, are built once (:data:`PRIMARY_FLAGS`)
+    and shared."""
+
+    __slots__ = ("is_cone_point", "is_flat", "is_rank1_pos", "is_rank1_neg", "is_alt_only", "is_rank2")
+
+    def __init__(
+        self,
+        is_cone_point: bool,
+        is_flat: bool,
+        is_rank1_pos: bool,
+        is_rank1_neg: bool,
+        is_alt_only: bool,
+        is_rank2: bool,
+    ):
+        object.__setattr__(self, "is_cone_point", is_cone_point)
+        object.__setattr__(self, "is_flat", is_flat)
+        object.__setattr__(self, "is_rank1_pos", is_rank1_pos)
+        object.__setattr__(self, "is_rank1_neg", is_rank1_neg)
+        object.__setattr__(self, "is_alt_only", is_alt_only)
+        object.__setattr__(self, "is_rank2", is_rank2)
 
     @property
     def primary(self) -> str:
@@ -148,6 +171,26 @@ class StratumFlags:
             "rank2": self.is_rank2,
             "primary": self.primary,
         }
+
+
+#: the value of :func:`rank_signature` for each label, built once and shared
+RANK_SIGS = {
+    label: RankSig(rank, label)
+    for rank, label in (
+        (0, RANK_ZERO), (1, RANK1_POS), (1, RANK1_NEG), (2, RANK2_POS), (2, RANK2_NEG), (2, RANK2_INDEF)
+    )
+}
+
+#: the flags of each primary stratum, keyed by :attr:`StratumFlags.primary`,
+#: built once and shared; a cone point is flat as well
+PRIMARY_FLAGS = {
+    "cone_point": StratumFlags(True, True, False, False, False, False),
+    "flat": StratumFlags(False, True, False, False, False, False),
+    "alternating_only": StratumFlags(False, False, False, False, True, False),
+    "rank1_positive": StratumFlags(False, False, True, False, False, False),
+    "rank1_negative": StratumFlags(False, False, False, True, False, False),
+    "rank2": StratumFlags(False, False, False, False, False, True),
+}
 
 
 def ricci_type_a(m: TypeAModel) -> Ricci2:
@@ -212,47 +255,47 @@ def rank_signature(sym) -> RankSig:
     if s12 != s21:
         raise NotSymmetricError("rank_signature expects a symmetric matrix")
     if s11 == 0 and s12 == 0 and s22 == 0:
-        return RankSig(0, RANK_ZERO)
+        return RANK_SIGS[RANK_ZERO]
     det = s11 * s22 - s12 * s12
     if det == 0:
         diag = s11 if s11 != 0 else s22
         if diag == 0:
             raise NotSymmetricError("symmetric rank-one matrix with zero diagonal")
-        return RankSig(1, RANK1_POS if diag > 0 else RANK1_NEG)
+        return RANK_SIGS[RANK1_POS if diag > 0 else RANK1_NEG]
     if det < 0:
-        return RankSig(2, RANK2_INDEF)
-    return RankSig(2, RANK2_POS if s11 > 0 else RANK2_NEG)
+        return RANK_SIGS[RANK2_INDEF]
+    return RANK_SIGS[RANK2_POS if s11 > 0 else RANK2_NEG]
 
 
-@dataclass(frozen=True)
-class Curvature:
+class Curvature(Frozen):
     """Everything the strata read off one model's Ricci tensor: the tensor,
     its split, the rank and signature of the symmetric part, and the flags."""
 
-    ricci: Ricci2
-    split: RicciSplit
-    sig: RankSig
-    flags: StratumFlags
+    __slots__ = ("ricci", "split", "sig", "flags")
+
+    def __init__(self, ricci: Ricci2, split: RicciSplit, sig: RankSig, flags: StratumFlags):
+        object.__setattr__(self, "ricci", ricci)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "flags", flags)
 
 
 def curvature_of(m: Model) -> Curvature:
     """The Ricci tensor of ``m`` with its split, signature and stratum flags,
-    each computed once."""
+    each computed once; the signature and the flags are the shared values
+    of :data:`RANK_SIGS` and :data:`PRIMARY_FLAGS`."""
     r = ricci(m)
     split = split_ricci(r)
     sig = rank_signature(split.symmetric)
-    flat = r.is_zero()
-    alt_only = split.sym_is_zero() and split.alt != 0
-    rank1 = (not flat) and (not alt_only) and sig.rank == 1
-    flags = StratumFlags(
-        is_cone_point=m.is_zero(),
-        is_flat=flat,
-        is_rank1_pos=rank1 and sig.label == RANK1_POS,
-        is_rank1_neg=rank1 and sig.label == RANK1_NEG,
-        is_alt_only=alt_only,
-        is_rank2=(not flat) and sig.rank == 2,
-    )
-    return Curvature(r, split, sig, flags)
+    if r.is_zero():
+        primary = "cone_point" if m.is_zero() else "flat"
+    elif sig.rank == 0:  # a nonzero tensor whose symmetric part vanishes
+        primary = "alternating_only"
+    elif sig.rank == 1:
+        primary = "rank1_positive" if sig.label == RANK1_POS else "rank1_negative"
+    else:
+        primary = "rank2"
+    return Curvature(r, split, sig, PRIMARY_FLAGS[primary])
 
 
 def stratum_flags(m: Model) -> StratumFlags:

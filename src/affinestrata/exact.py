@@ -27,13 +27,17 @@ coefficient law and its witness check.  The unit-circle check and the
 linear solver of the orbit matchers (:func:`solve_integer`) work on
 integers as well; ``Mat2`` keeps the generic ring evaluation for other
 scalars.
+
+Every immutable value of the package, here and downstream, is a slotted
+subclass of :class:`Frozen`, which gives a record equality, hashing, its
+repr and pickling over its fields, as a frozen dataclass would, without
+importing ``dataclasses`` or generating methods at import time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -134,21 +138,62 @@ def clear_denominators(values) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
-# Immutable value types held in integer form
+# Immutable value types
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen value."""
 
 
 class Frozen:
-    """Immutability for the slotted value types (models, Ricci tensors,
-    matrices): each attribute is set once, by the type's own constructor,
-    through ``object.__setattr__``; any later assignment raises."""
+    """The base of every immutable value type: models, Ricci tensors and
+    matrices, and the records (maps, circle points, catalog entries,
+    curvature data, memberships, charts, reports).
+
+    Each attribute lives in a slot and is set once, by the type's own
+    constructor, through ``object.__setattr__``; any later assignment or
+    deletion raises :class:`FrozenInstanceError`.  A record names its fields
+    in ``__slots__``, in the order of its constructor's parameters, and gets
+    from this base what a frozen dataclass would give it: equality with an
+    instance of the same class with equal fields, the hash of the tuple of
+    its fields, the repr ``Name(field=value, ...)``, and copying and
+    pickling through its constructor.  A slot that is derived from the
+    fields (``ShearMap.matrix``) is left out by naming the fields in
+    ``_fields``.  Models, Ricci tensors, matrices and rank-one chart points
+    compare their integer forms and define these methods themselves.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
 
 
 def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
@@ -325,15 +370,15 @@ _IDENTITY_MATRIX = mat2_of_integers((1, 0, 0, 1), 1)
 # Type A models, and the shears, which act on Type B models.
 
 
-@dataclass(frozen=True)
-class LinearMap2:
+class LinearMap2(Frozen):
     """An invertible linear coordinate change on the plane."""
 
-    matrix: Mat2
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if self.matrix.is_singular():
+    def __init__(self, matrix: Mat2):
+        if matrix.is_singular():
             raise ValueError("linear map must be invertible")
+        object.__setattr__(self, "matrix", matrix)
 
     @staticmethod
     def identity() -> "LinearMap2":
@@ -350,19 +395,22 @@ class LinearMap2:
         return self.matrix.to_strings()
 
 
-@dataclass(frozen=True)
-class ShearMap:
+class ShearMap(Frozen):
     """(x1, x2) -> (x1, a x2 + b x1) with a != 0.  Its matrix is built once,
-    with the shear, so its integer form is cleared at most once."""
+    with the shear, straight from the integers of a and b, so it is never
+    cleared; it is derived from (a, b) and left out of the repr, equality
+    and hashing."""
 
-    a: Fraction
-    b: Fraction
-    matrix: Mat2 = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "matrix")
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: Fraction, b: Fraction):
+        if a == 0:
             raise ValueError("shear scale must be nonzero")
-        object.__setattr__(self, "matrix", Mat2(((ONE, ZERO), (self.b, self.a))))
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "matrix", mat2_of_integers((ad * bd, 0, bn * ad, an * bd), ad * bd))
 
     @staticmethod
     def identity() -> "ShearMap":
@@ -382,18 +430,18 @@ class ShearMap:
 # Rational circle points
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(Frozen):
     """A rational point (c, s) with c^2 + s^2 = 1, standing in for an angle."""
 
-    c: Fraction
-    s: Fraction
+    __slots__ = ("c", "s")
 
-    def __post_init__(self):
+    def __init__(self, c: Fraction, s: Fraction):
         # c^2 + s^2 = 1 cross-multiplied over the squared denominators
-        (cn, cd), (sn, sd) = self.c.as_integer_ratio(), self.s.as_integer_ratio()
+        (cn, cd), (sn, sd) = c.as_integer_ratio(), s.as_integer_ratio()
         if (cn * sd) ** 2 + (sn * cd) ** 2 != (cd * sd) ** 2:
-            raise ValueError(f"({self.c}, {self.s}) is not on the unit circle")
+            raise ValueError(f"({c}, {s}) is not on the unit circle")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
 
     def antipode(self) -> "CirclePoint":
         """The half-turn: (c, s) -> (-c, -s)."""

@@ -35,13 +35,13 @@ the numerators (:func:`solve_equivalence_b`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .exact import (
     ONE,
     ZERO,
+    Frozen,
     LinearMap2,
     Mat2,
     QuadInt,
@@ -690,19 +690,21 @@ def _root_ratio(f: int, den: int) -> tuple[int, int]:
 # Isotropy groups
 
 
-@dataclass(frozen=True)
-class IsotropyFamily:
+class IsotropyFamily(Frozen):
     """A parametrized family of isotropy elements.
 
     ``build`` maps a tuple of rational parameters to the matrix; ``template``
     and ``constraints`` are the human-readable description used in reports.
     """
 
-    dimension: int
-    param_names: tuple[str, ...]
-    constraints: tuple[str, ...]
-    template: str
-    build: Callable[..., Mat2]
+    __slots__ = ("dimension", "param_names", "constraints", "template", "build")
+
+    def __init__(self, dimension: int, param_names: tuple, constraints: tuple, template: str, build: Callable):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "param_names", param_names)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "build", build)
 
     def instantiate(self, params) -> LinearMap2:
         if len(params) != self.dimension:
@@ -718,12 +720,14 @@ class IsotropyFamily:
         }
 
 
-@dataclass(frozen=True)
-class IsotropyGroup:
+class IsotropyGroup(Frozen):
     """Every listed element and family member fixes the model under pullback."""
 
-    finite_elements: tuple[LinearMap2, ...]
-    families: tuple[IsotropyFamily, ...]
+    __slots__ = ("finite_elements", "families")
+
+    def __init__(self, finite_elements: tuple[LinearMap2, ...], families: tuple[IsotropyFamily, ...]):
+        object.__setattr__(self, "finite_elements", finite_elements)
+        object.__setattr__(self, "families", families)
 
     @property
     def dimension(self) -> int:
@@ -837,14 +841,10 @@ def _conjugate_group(group: IsotropyGroup, w: Mat2) -> IsotropyGroup:
     if w == Mat2.identity():
         return group
     w_inv = w.inverse()
-    elements = tuple(
-        LinearMap2(w @ el.matrix @ w_inv) for el in group.finite_elements
-    )
+    elements = tuple(LinearMap2(w @ el.matrix @ w_inv) for el in group.finite_elements)
     families = tuple(
         IsotropyFamily(
-            fam.dimension,
-            fam.param_names,
-            fam.constraints,
+            fam.dimension, fam.param_names, fam.constraints,
             f"W @ {fam.template} @ W^-1 with W = {w.to_strings()}",
             (lambda *ps, _b=fam.build, _w=w, _wi=w_inv: _w @ _b(*ps) @ _wi),
         )
@@ -893,8 +893,7 @@ def isotropy_type_a(m: TypeAModel) -> IsotropyGroup:
 # Linear equivalence
 
 
-@dataclass(frozen=True)
-class EquivalenceWitnesses:
+class EquivalenceWitnesses(Frozen):
     """Outcome of an equivalence query.
 
     ``status`` is one of ``equivalent`` (with at least one exactly verified
@@ -903,10 +902,13 @@ class EquivalenceWitnesses:
     reason; never silently coerced).
     """
 
-    status: str
-    maps: tuple = ()
-    obstruction: str | None = None
-    reason: str | None = None
+    __slots__ = ("status", "maps", "obstruction", "reason")
+
+    def __init__(self, status: str, maps: tuple = (), obstruction: str | None = None, reason: str | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def is_equivalent(self) -> bool:
@@ -943,12 +945,10 @@ def _verified_a(m1, m2, products) -> list[LinearMap2]:
 
 
 def _screen_a(c1: Curvature, c2: Curvature) -> str | None:
-    fl1, fl2 = c1.flags, c2.flags
-    if fl1.primary != fl2.primary:
-        return f"stratum flags differ: {fl1.primary} vs {fl2.primary}"
-    s1, s2 = c1.sig, c2.sig
-    if (s1.rank, s1.label) != (s2.rank, s2.label):
-        return f"Ricci rank/signature differ: {s1.label} vs {s2.label}"
+    if c1.flags.primary != c2.flags.primary:
+        return f"stratum flags differ: {c1.flags.primary} vs {c2.flags.primary}"
+    if c1.sig != c2.sig:
+        return f"Ricci rank/signature differ: {c1.sig.label} vs {c2.sig.label}"
     return None
 
 

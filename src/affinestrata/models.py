@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -201,8 +200,7 @@ def _no_constraint(*_params):
     return None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     """One family of models: stable id, model type, parameters, coefficient
     map and constraints.  The catalog and the stratum parametrizations are
     both tables of these records.
@@ -214,13 +212,25 @@ class CatalogEntry:
     names the library (not the command line) accepts for the family.
     """
 
-    entry_id: str
-    model_type: str
-    param_names: tuple[str, ...]
-    constraints: str
-    build: Callable[[Sequence], tuple]
-    check: Callable[..., str | None] = _no_constraint
-    aliases: tuple[str, ...] = ()
+    __slots__ = ("entry_id", "model_type", "param_names", "constraints", "build", "check", "aliases")
+
+    def __init__(
+        self,
+        entry_id: str,
+        model_type: str,
+        param_names: tuple[str, ...],
+        constraints: str,
+        build: Callable[[Sequence], tuple],
+        check: Callable[..., str | None] = _no_constraint,
+        aliases: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "entry_id", entry_id)
+        object.__setattr__(self, "model_type", model_type)
+        object.__setattr__(self, "param_names", param_names)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "aliases", aliases)
 
     @property
     def arity(self) -> int:

@@ -30,7 +30,6 @@ reduction and the solvers it shares; ``match_flat_a_orbit``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,14 +81,16 @@ class NotInStratumError(ValueError):
 # Flat Type A chart
 
 
-@dataclass(frozen=True)
-class FlatAChart:
+class FlatAChart(Frozen):
     """Chart data (theta, r, s, t) for a nonzero flat Type A model."""
 
-    theta: CirclePoint
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ("theta", "r", "s", "t")
+
+    def __init__(self, theta: CirclePoint, r: Fraction, s: Fraction, t: Fraction):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     def to_dict(self) -> dict:
         return {
@@ -280,11 +281,16 @@ def rank1_chart_inverse(m: TypeAModel) -> Rank1Chart:
     return Rank1Chart.of_integers((f, a + e, 2 * c - f, a - e), 2 * den)
 
 
-@dataclass(frozen=True)
-class Rank1Reduction:
-    rotation: CirclePoint
-    normalized: TypeAModel
-    scale: Fraction
+class Rank1Reduction(Frozen):
+    """The rotation of :func:`rank1_reduce`, the rotated model and its Ricci
+    scale."""
+
+    __slots__ = ("rotation", "normalized", "scale")
+
+    def __init__(self, rotation: CirclePoint, normalized: TypeAModel, scale: Fraction):
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "scale", scale)
 
 
 def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
@@ -436,22 +442,29 @@ def alt_b_param(family, params: Sequence) -> TypeBModel:
 # Type B membership
 
 
-@dataclass(frozen=True)
-class FamilyMembership:
-    family: str
-    params: tuple[Fraction, ...]
+class FamilyMembership(Frozen):
+    """One family containing a Type B model, with the model's parameters in
+    it."""
+
+    __slots__ = ("family", "params")
+
+    def __init__(self, family: str, params: tuple[Fraction, ...]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": [str(p) for p in self.params]}
 
 
-@dataclass(frozen=True)
-class TypeBMembership:
+class TypeBMembership(Frozen):
     """Every flat or alternating family containing a Type B model, with the
     intersection curves or surfaces it lies on."""
 
-    members: tuple[FamilyMembership, ...]
-    intersections: tuple[str, ...]
+    __slots__ = ("members", "intersections")
+
+    def __init__(self, members: tuple[FamilyMembership, ...], intersections: tuple[str, ...]):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "intersections", intersections)
 
     def to_dict(self) -> dict:
         return {
@@ -483,14 +496,15 @@ def _classify_flat_b(m: TypeBModel) -> TypeBMembership:
         regenerated = (e * head, -c * head, c * e * e, -c * c * e, e ** 3, -c * e * e)
         if any(x * e * e != y for x, y in zip((a, b, c, d, e, f), regenerated)):
             raise NotInStratumError("flat model with e != 0 escapes the first family")
-        return TypeBMembership((FamilyMembership("B1", (m.e, Fraction(c, e))),), ())
+        return TypeBMembership((FamilyMembership("B1", (Fraction(e, den), Fraction(c, e))),), ())
     # e = 0 and flatness force c = f = 0 and d (1 + a - d) = 0
     if c != 0 or f != 0 or d * (den + a - d) != 0:
         raise NotInStratumError("flat model escapes the coordinate families")
+    ab = (Fraction(a, den), Fraction(b, den))
     if d == 0:
-        members.append(FamilyMembership("B2", (m.a, m.b)))
+        members.append(FamilyMembership("B2", ab))
     if d == den + a:
-        members.append(FamilyMembership("B3", (m.a, m.b)))
+        members.append(FamilyMembership("B3", ab))
     if d == 0 and d == den + a:
         labels.append("B2&B3")
     if d == 0 and a == den:
@@ -521,7 +535,7 @@ def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
     (a, b, c, d, e, f), den = m.integer_form
     members: list[FamilyMembership] = []
     if d == 0 and e == 0 and c == f:
-        members.append(FamilyMembership("D1", (m.c, m.a, m.b)))
+        members.append(FamilyMembership("D1", (Fraction(c, den), Fraction(a, den), Fraction(b, den))))
     u = c + f  # u = U / 2L and v = E / L
     if u != 0:
         # w = (f - u) / v = (F - C) / 2E, or (1 - a) / (2u) = (L - A) / U
@@ -538,7 +552,7 @@ def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
         )
         scale = 2 * wd ** 3
         if all(x * scale == y for x, y in zip((a, b, c, d, e, f), regenerated)):
-            members.append(FamilyMembership("D2", (Fraction(u, 2 * den), m.e, Fraction(wn, wd))))
+            members.append(FamilyMembership("D2", (Fraction(u, 2 * den), Fraction(e, den), Fraction(wn, wd))))
     labels = ("D1&D2",) if len(members) == 2 else ()
     if not members:
         raise NotInStratumError("alternating model escapes both families")

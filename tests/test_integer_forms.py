@@ -14,59 +14,78 @@ sign, the cubic root pattern, the Type B memberships, and the 2 x 2
 product, determinant, singular test, inverse and unit-circle check.  A parsed
 model is read straight into its integer form and equals the model built
 from Fractions; the rank-one chart point holds its integer form as well.
+Every record type keeps the repr, hash and equality of the frozen dataclass
+it replaced (checked against one made here), and the signatures and stratum
+flags of :func:`curvature_of` are shared values equal to a reference.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import pickle
-from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from affinestrata.classify import CheckResult, ClassificationReport, VerificationReport, classify_model
 from affinestrata.curvature import (
+    PRIMARY_FLAGS,
     RANK1_NEG,
     RANK1_POS,
     RANK2_INDEF,
     RANK2_NEG,
     RANK2_POS,
+    RANK_SIGS,
     RANK_ZERO,
+    Curvature,
     NotSymmetricError,
     RankSig,
     Ricci2,
+    RicciSplit,
+    StratumFlags,
     binary_cubic,
+    curvature_of,
     rank_signature,
     ricci,
     ricci_type_b,
     split_ricci,
+    stratum_flags,
 )
 from affinestrata.exact import (
     ONE,
     ZERO,
     CirclePoint,
+    FrozenInstanceError,
     Mat2,
     circle_from_slope,
     clear_denominators,
+    mat2_from_cols,
     mat2_of_integers,
     rational,
     sqrt_rational,
 )
 from affinestrata.group_action import (
+    EquivalenceWitnesses,
+    IsotropyFamily,
+    IsotropyGroup,
     LinearMap2,
     ShearMap,
     _cubic_pattern,
     pullback_type_a,
     pullback_type_b,
     rank1_frame,
+    solve_equivalence_a,
 )
 from affinestrata.models import (
     CATALOG,
+    CatalogEntry,
     CatalogError,
     ModelParseError,
     TypeAModel,
     TypeBModel,
+    canonical_model,
     parse_model,
     serialize_model,
     type_a,
@@ -81,13 +100,19 @@ from affinestrata.strata import (
     NotFlatError,
     NotInStratumError,
     Rank1Chart,
+    Rank1Reduction,
     TypeBMembership,
     _classify_alt_b,
     _classify_flat_b,
     _flat_a_coords,
     _u1,
     _v2,
+    alt_b_param,
+    classify_alt_b,
+    flat_a_coords,
+    flat_a_param,
     rank1_chart_inverse,
+    rank1_reduce,
 )
 
 HEIGHTS = (12, 10**6)
@@ -336,6 +361,128 @@ def test_models_tensors_and_matrices_are_immutable():
     for obj in (m, r, mat, type_b(0, 1, 2, 3, 4, 5)):
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(clone) is type(obj) and clone == obj and hash(clone) == hash(obj)
+    # every record: the repr, hash and equality of the frozen dataclass it
+    # replaced, frozen fields, and copies through its constructor
+    assert issubclass(FrozenInstanceError, AttributeError)
+    records = _records()
+    assert [type(rec) for rec in records] == list(DATACLASS_FIELDS)
+    for rec in records:
+        names = DATACLASS_FIELDS[type(rec)]
+        ref = dataclasses.make_dataclass(type(rec).__name__, names, frozen=True)(*[getattr(rec, n) for n in names])
+        assert repr(rec) == repr(ref)
+        try:
+            expected = hash(ref)
+        except TypeError:  # a report holds dicts, so neither is hashable
+            expected = None
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(rec) == expected
+        assert rec == rec and rec != ref and not rec == ref
+        for name in rec.__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.extra = 0
+        for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(clone) is type(rec) and clone == rec and repr(clone) == repr(rec)
+            assert expected is None or hash(clone) == expected
+    # a field that differs breaks equality; the shear's matrix is derived
+    shear = ShearMap(F(2), F(-1, 3))
+    assert shear != ShearMap(F(2), F(1, 3)) and shear != ShearMap(F(-2), F(-1, 3))
+    assert shear.matrix == Mat2(((ONE, ZERO), (F(-1, 3), F(2)))) and "matrix" not in repr(shear)
+    assert shear.matrix._rows is None and shear.matrix.integer_form == ((3, 0, -1, 6), 3)
+    assert EquivalenceWitnesses("undecided", reason="x") != EquivalenceWitnesses("undecided", reason="y")
+
+
+#: each record type with the fields of the frozen dataclass it replaced, in
+#: their order; ShearMap's third field, the matrix, was out of the repr and
+#: of equality
+DATACLASS_FIELDS = {
+    LinearMap2: ("matrix",),
+    ShearMap: ("a", "b"),
+    CirclePoint: ("c", "s"),
+    CatalogEntry: ("entry_id", "model_type", "param_names", "constraints", "build", "check", "aliases"),
+    RicciSplit: ("symmetric", "alt"),
+    RankSig: ("rank", "label"),
+    StratumFlags: ("is_cone_point", "is_flat", "is_rank1_pos", "is_rank1_neg", "is_alt_only", "is_rank2"),
+    Curvature: ("ricci", "split", "sig", "flags"),
+    IsotropyFamily: ("dimension", "param_names", "constraints", "template", "build"),
+    IsotropyGroup: ("finite_elements", "families"),
+    EquivalenceWitnesses: ("status", "maps", "obstruction", "reason"),
+    FlatAChart: ("theta", "r", "s", "t"),
+    Rank1Reduction: ("rotation", "normalized", "scale"),
+    FamilyMembership: ("family", "params"),
+    TypeBMembership: ("members", "intersections"),
+    ClassificationReport: (
+        "model", "flags", "ricci_data", "rank_data", "stratum", "orbit", "admits_type_b", "errors"
+    ),
+    CheckResult: ("check_id", "description", "samples_used", "passed", "counterexample"),
+    VerificationReport: ("seed", "samples", "results"),
+}
+
+
+def _records():
+    """One instance of each record type, in the order of
+    :data:`DATACLASS_FIELDS`, each with fields that pickle."""
+    rotation = LinearMap2(CirclePoint(F(3, 5), F(4, 5)).rotation())
+    a = pullback_type_a(canonical_model("M4_1", (2,)), rotation)
+    b = alt_b_param("V2", (1, 2, 3))
+    family = IsotropyFamily(2, ("x", "y"), ("x, y independent",), "[x | y]", mat2_from_cols)
+    check = CheckResult("action_laws", "the law is an action", 3, False, "sample 0")
+    return [
+        LinearMap2(Mat2(((ONE, F(2)), (F(3), F(4))))),
+        ShearMap(F(2), F(-1, 3)),
+        CirclePoint(F(3, 5), F(4, 5)),
+        COEFF_FAMILIES["V1"],
+        split_ricci(ricci(b)),
+        rank_signature(ricci(a)),
+        stratum_flags(b),
+        curvature_of(b),
+        family,
+        IsotropyGroup((LinearMap2.identity(), rotation), (family,)),
+        solve_equivalence_a(a, pullback_type_a(a, rotation)),
+        flat_a_coords(flat_a_param(circle_from_slope(F(1, 2)), 1, 2, 3)),
+        rank1_reduce(a),
+        classify_alt_b(b).members[0],
+        classify_alt_b(b),
+        classify_model(a),
+        check,
+        VerificationReport(1, 3, (check,)),
+    ]
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_curvature_returns_the_shared_signature_and_flags(kind, height):
+    """rank_signature and curvature_of return the values built once in
+    RANK_SIGS and PRIMARY_FLAGS, equal to the flags the reference below
+    computes from the Fraction rows."""
+    assert all(sig.label == label for label, sig in RANK_SIGS.items())
+    assert all(flags.primary == primary for primary, flags in PRIMARY_FLAGS.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(models(kind, height), type_b_points(height) if kind == "B" else flat_models(height)))
+    def check(m):
+        cv = curvature_of(m)
+        assert cv.sig is RANK_SIGS[cv.sig.label] and cv.flags is PRIMARY_FLAGS[cv.flags.primary]
+        assert stratum_flags(m) is cv.flags and rank_signature(cv.split.symmetric) is cv.sig
+        rows = fraction_ricci_rows(m)
+        (r11, r12), (r21, r22) = rows
+        off, alt = (r12 + r21) / 2, (r12 - r21) / 2
+        sig = fraction_signature(((r11, off), (off, r22)))
+        flat = r11 == r12 == r21 == r22 == 0
+        alt_only = r11 == off == r22 == 0 and alt != 0
+        rank1 = not flat and not alt_only and sig.rank == 1
+        assert cv.sig == sig
+        assert cv.flags == StratumFlags(
+            m.is_zero(), flat, rank1 and sig.label == RANK1_POS, rank1 and sig.label == RANK1_NEG,
+            alt_only, not flat and sig.rank == 2,
+        )
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The module layout of the package: every import sits at module level, and
-the modules import one another without a cycle, so no module needs a lazy
-import to load."""
+"""The module layout of the package: every import sits at module level, the
+modules import one another without a cycle, so no module needs a lazy import
+to load, and the cold import chain leaves out the dataclass machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import affinestrata
@@ -66,3 +69,16 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_cold_import_loads_no_dataclass_machinery():
+    """The command line's import chain loads neither ``dataclasses`` nor
+    ``inspect``: every value type is a slotted ``exact.Frozen`` class.  A
+    fresh interpreter is needed, since pytest itself imports both."""
+    code = (
+        "import affinestrata.cli, sys\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect') if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
