@@ -5,8 +5,8 @@ For Type B models the stored matrix is the cleared form (x^1)^2 * rho, which
 is polynomial in the six coefficients; every stratum predicate used here is
 invariant under that positive rescaling.
 
-A :class:`Ricci2` is held as its integer form: the entries are integer
-polynomials in the model's integer form
+A :class:`Ricci2` is a 2 x 2 matrix held as its integer form: the entries
+are integer polynomials in the model's integer form
 (:attr:`~affinestrata.models.TypeAModel.integer_form`) over the square of
 its denominator, and the Fraction ``rows`` are built only when a caller
 reads them.  The zero test, the split, the rank and signature and the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ZERO, Frozen, Mat2, clear_denominators, lowest_terms, mat2_of_integers, ratio_str
+from .exact import ZERO, Frozen, Mat2, mat2_of_integers
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -36,48 +36,22 @@ class NotSymmetricError(ValueError):
     """rank_signature received a matrix that is not symmetric."""
 
 
-class Ricci2(Frozen):
+class Ricci2(Mat2):
     """2x2 exact Ricci matrix; ``cleared`` marks the (x^1)^2-scaled form.
 
-    Held as :attr:`integer_form`, the entries (n11, n12, n21, n22) over a
-    denominator D > 0 in lowest terms; ``Ricci2(rows)`` clears the rows
-    once, and ``rows`` of a tensor computed from a model is built from the
+    A :class:`~affinestrata.exact.Mat2` with the flag: its integer form
+    holds the entries (n11, n12, n21, n22) over a denominator D > 0 in
+    lowest terms, ``Ricci2(rows, cleared)`` clears the rows once, and the
+    ``rows`` of a tensor computed from a model
+    (``Ricci2.of_integers(nums, den, cleared)``) are built from the
     integers when first read.  Equality and hashing compare the entries and
-    the ``cleared`` flag."""
+    the ``cleared`` flag, so a Ricci2 never equals a Mat2."""
 
-    __slots__ = ("integer_form", "cleared", "_rows")
+    __slots__ = ("cleared",)
 
     def __init__(self, rows, cleared: bool = False):
-        nums, den = clear_denominators(rows[0] + rows[1])
-        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        Mat2.__init__(self, rows)
         object.__setattr__(self, "cleared", cleared)
-        object.__setattr__(self, "_rows", rows)
-
-    @classmethod
-    def of_integers(cls, nums, den, cleared: bool) -> "Ricci2":
-        """The tensor with entries nums / den, for integers (n11, n12, n21,
-        n22) and den != 0, brought to lowest terms with one gcd."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
-        object.__setattr__(out, "cleared", cleared)
-        object.__setattr__(out, "_rows", None)
-        return out
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        rows = self._rows
-        if rows is None:
-            (n11, n12, n21, n22), den = self.integer_form
-            rows = ((Fraction(n11, den), Fraction(n12, den)), (Fraction(n21, den), Fraction(n22, den)))
-            object.__setattr__(self, "_rows", rows)
-        return rows
-
-    def is_zero(self) -> bool:
-        return not any(self.integer_form[0])
-
-    def to_strings(self):
-        (n11, n12, n21, n22), den = self.integer_form
-        return [[ratio_str(n11, den), ratio_str(n12, den)], [ratio_str(n21, den), ratio_str(n22, den)]]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -86,12 +60,6 @@ class Ricci2(Frozen):
 
     def __hash__(self):
         return hash((self.integer_form, self.cleared))
-
-    def __repr__(self):
-        return f"Ricci2(rows={self.rows!r}, cleared={self.cleared!r})"
-
-    def __reduce__(self):
-        return (Ricci2, (self.rows, self.cleared))
 
 
 class RicciSplit(Frozen):
@@ -309,12 +277,6 @@ def rank1_scale(r: Ricci2) -> Fraction:
     return Fraction(n11 + n22, den)
 
 
-def trace_form(m: TypeAModel) -> tuple[Fraction, Fraction]:
-    """The contraction G_ji^i as a covector; equivariant under pullback."""
-    a, b, c, d, e, f = m.coeffs
-    return (a + d, c + f)
-
-
 def gamma_coeffs(coeffs, x, y):
     """The coefficient bilinear map G(x, y) of a coefficient tuple, over any
     scalar ring: G(x, y)^k = G^k_ij x^i y^j."""
@@ -323,25 +285,6 @@ def gamma_coeffs(coeffs, x, y):
     cross = x[0] * y[1] + x[1] * y[0]
     tail = x[1] * y[1]
     return (a * head + c * cross + e * tail, b * head + d * cross + f * tail)
-
-
-def gamma_pair(m: TypeAModel, x, y):
-    """The coefficient bilinear map G(x, y) evaluated on rational vectors."""
-    return gamma_coeffs(m.coeffs, x, y)
-
-
-def ricci_trace_vector(m: TypeAModel, r: Ricci2) -> tuple[Fraction, Fraction]:
-    """v = rho^{-1} omega for a nondegenerate Ricci tensor ``r`` of ``m``, with
-    omega the trace form.
-
-    A vector covariant: v(pullback(m, T)) = T v(m), because rho^{-1}
-    transforms as T rho^{-1} T^T and omega as omega T^{-1}.  The other
-    contraction G^k_ij (rho^{-1})^ij is the same vector for every model.
-    """
-    (r11, r12), (_, r22) = r.rows
-    det = r11 * r22 - r12 * r12
-    w1, w2 = trace_form(m)
-    return ((r22 * w1 - r12 * w2) / det, (r11 * w2 - r12 * w1) / det)
 
 
 def trace_numerators(m: TypeAModel) -> tuple[int, int]:
@@ -379,18 +322,11 @@ def covariant_frame(m: TypeAModel, r: Ricci2) -> tuple[Mat2 | None, tuple[tuple[
     return mat2_of_integers((col0 * x[0], col1 * y0, col0 * x[1], col1 * y1), den**3 * det * det), v
 
 
-def binary_cubic(m: TypeAModel) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Coefficients of det(x, G(x, x)), a binary cubic invariant of the orbit.
-
-    Returned in the order X^3, X^2 Y, X Y^2, Y^3 for x = (X, Y).
-    """
-    return binary_cubic_coeffs(m.coeffs)
-
-
 def binary_cubic_coeffs(coeffs) -> tuple:
-    """The coefficients of det(x, G(x, x)) from a coefficient tuple, over
-    any scalar ring; on a model's integer numerators they are the cubic's
-    numerators over the same denominator."""
+    """The coefficients of det(x, G(x, x)), a binary cubic invariant of the
+    orbit, in the order X^3, X^2 Y, X Y^2, Y^3 for x = (X, Y), from a
+    coefficient tuple over any scalar ring; on a model's integer numerators
+    they are the cubic's numerators over the same denominator."""
     a, b, c, d, e, f = coeffs
     return (b, 2 * d - a, f - 2 * c, -e)
 

@@ -8,25 +8,26 @@ expanded into a polynomial in (c, s).
 
 The equivalence solvers decide a forced irrational scale sqrt(k) in
 Z[sqrt(k)] (:class:`QuadInt`, integer pairs with no denominator).
-:class:`QuadExt` adjoins s with s^2 = k over the rationals for the generic
-ring path of the law, and at k = 0 it is the dual numbers, whose s-part
-carries the exact first derivatives of the parametrizations, so
-tangent-rank certificates are exact as well.  A rational literal is read
-as integers once (:func:`parse_literal`), by :func:`rational` and by the
-model parser alike.
+:class:`QuadExt` adjoins s with s^2 = k over the rationals; at k = 0 it is
+the dual numbers, whose s-part carries the exact first derivatives of the
+parametrizations (:func:`jacobian`), so tangent-rank certificates are exact
+as well.  A rational literal is read as integers once
+(:func:`parse_literal`), by :func:`rational` and by the model parser alike.
 
 Rational kernels compute on integers: a tuple of rationals is cleared of
 denominators once (:func:`clear_denominators`), the arithmetic runs on the
 numerators, and a ``Fraction`` is built, with its one normalization, only
-for a value that is returned.  A :class:`Mat2` of rational entries holds
-its integer form, cleared once on first use (or handed over by
-:func:`mat2_of_integers`, which builds no Fraction at all until ``rows`` is
-read); its determinant, inverse, product and singularity test (and so the
-invertibility check of :class:`LinearMap2`) read that form, as do the
-coefficient law and its witness check.  The unit-circle check and the
-linear solver of the orbit matchers (:func:`solve_integer`) work on
-integers as well; ``Mat2`` keeps the generic ring evaluation for other
-scalars.
+for a value that is returned.  Models, Ricci tensors, rational matrices
+and rank-one chart points share one integer-form base,
+:class:`IntegerForm`: numerators over a positive denominator in lowest
+terms, cleared once by a constructor or reduced with one gcd by
+:meth:`~IntegerForm.of_integers`, with the Fraction view built on first
+read.  A :class:`Mat2` holds only rationals; its determinant, inverse,
+product and singularity test (and so the invertibility check of
+:class:`LinearMap2`) read its integer form, as do the coefficient law and
+its witness check.  The unit-circle check and the linear solver of the
+orbit matchers (:func:`solve_integer`) work on integers as well.  Every
+rational an answer contains is written by :func:`ratio_str`, at any length.
 
 Every immutable value of the package, here and downstream, is a slotted
 subclass of :class:`Frozen`, which gives a record equality, hashing, its
@@ -82,20 +83,37 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _long_str(n: int) -> str:
+    """``str(n)`` at any length.  Past ``int()``'s digit limit, which guards
+    the parser, the digits are written in two halves split at a power of
+    ten, recursively, so the process-wide limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = n.bit_length() * 3 // 20  # about half the digits of |n|, and fewer than all
+    high, low = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _long_str(high) + _long_str(low).zfill(k)
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical serialization: ``"n/d"``, or ``"n"`` when the denominator is 1."""
-    return str(value)
+    return ratio_str(value.numerator, value.denominator)
 
 
 def ratio_str(n: int, d: int) -> str:
     """``rational_str(Fraction(n, d))`` for integers n and d != 0, written
-    without building the Fraction."""
+    without building the Fraction; the one writer of every rational in an
+    answer, at any length."""
     g = math.gcd(n, d)
     if d < 0:
         g = -g
     if g != 1:
         n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past int()'s digit limit
+        return _long_str(n) if d == 1 else f"{_long_str(n)}/{_long_str(d)}"
 
 
 def sqrt_rational(value: Fraction) -> Fraction | None:
@@ -153,14 +171,14 @@ class Frozen:
     Each attribute lives in a slot and is set once, by the type's own
     constructor, through ``object.__setattr__``; any later assignment or
     deletion raises :class:`FrozenInstanceError`.  A record names its fields
-    in ``__slots__``, in the order of its constructor's parameters, and gets
-    from this base what a frozen dataclass would give it: equality with an
-    instance of the same class with equal fields, the hash of the tuple of
-    its fields, the repr ``Name(field=value, ...)``, and copying and
-    pickling through its constructor.  A slot that is derived from the
-    fields (``ShearMap.matrix``) is left out by naming the fields in
-    ``_fields``.  Models, Ricci tensors, matrices and rank-one chart points
-    compare their integer forms and define these methods themselves.
+    in ``__slots__``, in the order of its constructor's parameters (a
+    subclass adds its own slots to its parent's fields), and gets from this
+    base what a frozen dataclass would give it: equality with an instance
+    of the same class with equal fields, the hash of the tuple of its
+    fields, the repr ``Name(field=value, ...)``, and copying and pickling
+    through its constructor.  A type whose slots are not its fields
+    (``ShearMap.matrix`` is derived from them, an :class:`IntegerForm`
+    holds its values cleared) names the fields in ``_fields``.
     """
 
     __slots__ = ()
@@ -169,7 +187,7 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
+            cls._fields = cls._fields + cls.__slots__
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -207,28 +225,89 @@ def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
     return tuple([n // g for n in nums]), den // g
 
 
+class IntegerForm(Frozen):
+    """A value held as its integer form: models, Ricci tensors, rational
+    matrices and rank-one chart points.
+
+    :attr:`integer_form` is ``(nums, den)``, the integer numerators of the
+    values over their least common denominator den > 0, so gcd(nums, den)
+    = 1 and equal values have equal forms.  It is made once: a constructor
+    clears its rationals (:meth:`_clear`), and :meth:`of_integers` brings
+    integers to lowest terms with one gcd.  The ``Fraction`` view
+    (``coeffs``, ``rows``, ``coords``), in the shape ``_shape`` gives it, is
+    built from the form when first read, then cached.  Equality and hashing
+    compare the forms within one class, so values of two classes never
+    compare equal; the repr, copies and pickles go through the fields named
+    in ``_fields``.
+    """
+
+    __slots__ = ("integer_form", "_view")
+    _fields = ()
+
+    def _clear(self, values, view=None) -> None:
+        """Set the form from ints and Fractions, and ``view`` as the Fraction
+        view when the caller holds it already."""
+        nums, den = clear_denominators(values)
+        object.__setattr__(self, "integer_form", (tuple(nums), den))
+        object.__setattr__(self, "_view", view)
+
+    @classmethod
+    def of_integers(cls, nums, den, *fields):
+        """The value nums / den for integers nums and den != 0, brought to
+        lowest terms with one gcd, with the subclass's own slots set to
+        ``fields``; no Fraction is built."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
+        object.__setattr__(out, "_view", None)
+        if fields:
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(out, name, value)
+        return out
+
+    _shape = tuple
+
+    def _fractions(self):
+        view = self._view
+        if view is None:
+            nums, den = self.integer_form
+            view = self._shape([Fraction(n, den) for n in nums])
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def is_zero(self) -> bool:
+        return not any(self.integer_form[0])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.integer_form == other.integer_form  # the lowest-terms form is unique
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.integer_form)
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 
-_UNCLEARED = object()
 
+class Mat2(IntegerForm):
+    """A 2x2 matrix of exact rationals; invertibility is checked on demand.
 
-class Mat2(Frozen):
-    """A 2x2 matrix over exact scalars; invertibility is checked on demand.
-
-    Rational entries are cleared once, on first use, into
-    :attr:`integer_form`, which every rational operation reads; a matrix
-    made by :func:`mat2_of_integers` starts from that form and builds its
-    ``rows`` of Fractions only when they are read.  Any other scalar ring
-    (:class:`QuadExt`) takes the generic ring evaluation on ``rows``.
-    Equality and hashing compare values, as on the rows.
+    Its integer form holds the entries (p11, p12, p21, p22) over their
+    least common denominator, and every operation reads it; ``rows`` is the
+    Fraction view.  ``Mat2(rows)`` takes ints and Fractions, and raises
+    TypeError on any other scalar, as :func:`rational` does.
     """
 
-    __slots__ = ("_rows", "_form")
+    __slots__ = ()
+    _fields = ("rows",)
 
     def __init__(self, rows):
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_form", _UNCLEARED)
+        entries = rows[0] + rows[1]
+        for x in entries:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
+        self._clear(entries, rows)
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -238,80 +317,37 @@ class Mat2(Frozen):
     def identity() -> "Mat2":
         return _IDENTITY_MATRIX
 
-    @property
-    def rows(self) -> tuple[tuple, tuple]:
-        rows = self._rows
-        if rows is None:
-            (p11, p12, p21, p22), den = self._form
-            rows = ((Fraction(p11, den), Fraction(p12, den)), (Fraction(p21, den), Fraction(p22, den)))
-            object.__setattr__(self, "_rows", rows)
-        return rows
+    @staticmethod
+    def _shape(values) -> tuple[tuple, tuple]:
+        return ((values[0], values[1]), (values[2], values[3]))
 
-    @property
-    def integer_form(self) -> tuple[tuple[int, int, int, int], int] | None:
-        """(p, D) with the entries (p11, p12, p21, p22) = D * rows, D > 0 the
-        least common denominator, so gcd(p, D) = 1, when every entry is an
-        int or a Fraction; None for any other scalar ring.  Cleared once and
-        cached."""
-        form = self._form
-        if form is _UNCLEARED:
-            entries = self._rows[0] + self._rows[1]
-            form = None
-            if all(isinstance(x, (int, Fraction)) for x in entries):
-                nums, den = clear_denominators(entries)
-                form = (tuple(nums), den)
-            object.__setattr__(self, "_form", form)
-        return form
+    rows = property(IntegerForm._fractions)
 
-    def det(self):
-        form = self.integer_form
-        if form is None:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        (p11, p12, p21, p22), den = form
+    def det(self) -> Fraction:
+        (p11, p12, p21, p22), den = self.integer_form
         return Fraction(p11 * p22 - p12 * p21, den * den)
 
     def is_singular(self) -> bool:
-        """Whether the determinant vanishes; on rational entries an integer
-        cross-multiplication, with no Fraction built."""
-        form = self.integer_form
-        if form is None:
-            return self.det() == 0
-        (p11, p12, p21, p22), _ = form
+        """Whether the determinant vanishes: an integer cross-multiplication,
+        with no Fraction built."""
+        (p11, p12, p21, p22), _ = self.integer_form
         return p11 * p22 == p12 * p21
 
     def transpose(self) -> "Mat2":
-        form = self.integer_form
-        if form is None:
-            (a, b), (c, d) = self.rows
-            return Mat2(((a, c), (b, d)))
-        (p11, p12, p21, p22), den = form
+        (p11, p12, p21, p22), den = self.integer_form
         return mat2_of_integers((p11, p21, p12, p22), den)
 
     def inverse(self) -> "Mat2":
-        """The inverse; rational entries give D adj(p) / det(p) for the
-        cleared entries p / D."""
-        form = self.integer_form
-        if form is None:
-            (a, b), (c, d) = self.rows
-            det = a * d - b * c
-            if det == 0:
-                raise ZeroDivisionError("matrix is singular")
-            return Mat2(((d / det, -b / det), (-c / det, a / det)))
-        (p11, p12, p21, p22), den = form
+        """The inverse D adj(p) / det(p) for the entries p / D."""
+        (p11, p12, p21, p22), den = self.integer_form
         det = p11 * p22 - p12 * p21
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
         return mat2_of_integers((den * p22, -den * p12, -den * p21, den * p11), det)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        form, other_form = self.integer_form, other.integer_form
-        if form is None or other_form is None:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return Mat2(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-        (a, b, c, d), den = form
-        (e, f, g, h), other_den = other_form
+        (a, b, c, d), den = self.integer_form
+        (e, f, g, h), other_den = other.integer_form
         return mat2_of_integers((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), den * other_den)
 
     def apply(self, vec):
@@ -323,45 +359,13 @@ class Mat2(Frozen):
         return (self.rows[0][j], self.rows[1][j])
 
     def to_strings(self) -> list[list[str]]:
-        form = self.integer_form
-        if form is None:
-            return [[rational_str(x) for x in row] for row in self.rows]
-        (p11, p12, p21, p22), den = form
+        (p11, p12, p21, p22), den = self.integer_form
         return [[ratio_str(p11, den), ratio_str(p12, den)], [ratio_str(p21, den), ratio_str(p22, den)]]
 
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        form, other_form = self.integer_form, other.integer_form
-        if form is None or other_form is None:
-            return self.rows == other.rows
-        return form == other_form  # the lowest-terms form is unique
 
-    def __hash__(self):
-        form = self.integer_form
-        return hash(self.rows if form is None else form)
-
-    def __repr__(self):
-        return f"Mat2(rows={self.rows!r})"
-
-    def __reduce__(self):
-        return (Mat2, (self.rows,))
-
-
-def mat2_from_cols(col0, col1) -> Mat2:
-    return Mat2(((col0[0], col1[0]), (col0[1], col1[1])))
-
-
-def mat2_of_integers(p, den) -> Mat2:
-    """The rational matrix p / den for integers p = (p11, p12, p21, p22) and
-    den != 0.  It keeps p / den, reduced to lowest terms, as its integer
-    form, so nothing is cleared again, and builds its rows only when they
-    are read."""
-    out = object.__new__(Mat2)
-    object.__setattr__(out, "_rows", None)
-    object.__setattr__(out, "_form", lowest_terms(p, den))
-    return out
-
+#: the rational matrix p / den for integers p = (p11, p12, p21, p22) and
+#: den != 0, in lowest terms; its rows are built only when they are read
+mat2_of_integers = Mat2.of_integers
 
 _IDENTITY_MATRIX = mat2_of_integers((1, 0, 0, 1), 1)
 
@@ -423,7 +427,7 @@ class ShearMap(Frozen):
         return ShearMap(self.a * first.a, self.b + self.a * first.b)
 
     def to_json(self):
-        return {"a": str(self.a), "b": str(self.b), "matrix": self.matrix.to_strings()}
+        return {"a": rational_str(self.a), "b": rational_str(self.b), "matrix": self.matrix.to_strings()}
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +473,9 @@ def circle_from_slope(t: Fraction) -> CirclePoint:
 # rational square.  Arithmetic in Z[sqrt(k)] (:class:`QuadInt`) decides
 # exactly whether the remaining equations hold at that scale: an element
 # vanishes at one real embedding of the field exactly when it vanishes at
-# both.  The field Q(sqrt(k)) (:class:`QuadExt`) serves the generic ring
-# path of the law; at k = 0 its rules give the dual numbers u + v*eps with
-# eps^2 = 0, and the eps-part of f(x + eps) is f'(x).
+# both.  :class:`QuadExt` is the field Q(sqrt(k)); at k = 0 its rules give
+# the dual numbers u + v*eps with eps^2 = 0, and the eps-part of f(x + eps)
+# is f'(x), which :func:`jacobian` reads.
 
 
 class QuadExt:

@@ -15,7 +15,8 @@ caller reads.  The law (:func:`_law`) applies the integer adjugate of T to
 the model's numerators, and a pullback builds its model from them with one
 gcd.  A witness check (:func:`carries`) cross-multiplies the law's
 numerators against the target's; a forced irrational scale sqrt(K) runs the
-same check on entries in Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
+same law (:func:`_adjugate_law`), the one law over any ring, on entries in
+Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
 closed form, and the reduced case analysis, the family read-out and its
 catalog target run on the reduced model's numerators.  The equivalence
 screen reads each orbit dimension off the normal form its stratum's solver
@@ -91,20 +92,16 @@ def _integer_form(source) -> tuple:
 
 
 def transform_coeffs(coeffs, t) -> tuple:
-    """Connection coefficients in y = T x coordinates.
+    """Connection coefficients in y = T x coordinates, as Fractions.
 
-    ``coeffs`` is a model or a coefficient sequence, ``t`` a Mat2 or its
-    rows.  Rational inputs take the law on integers (:func:`_law`); any
-    other scalar ring, such as :class:`QuadExt`, takes the generic path
-    (:func:`_transform_ring`).  A singular T raises ZeroDivisionError."""
+    ``coeffs`` is a model or a sequence of rational coefficients, ``t`` a
+    Mat2 or its rows (so its entries are rational: ``Mat2`` raises
+    TypeError on any other scalar).  It runs the one law on integers
+    (:func:`_law`) and normalizes each output once.  A singular T raises
+    ZeroDivisionError."""
     mat = t if isinstance(t, Mat2) else Mat2(t)
-    form = mat.integer_form
-    model = isinstance(coeffs, (TypeAModel, TypeBModel))
-    if form is not None and (model or all(isinstance(x, (int, Fraction)) for x in coeffs)):
-        nums, den = _law(coeffs, form)
-        return tuple(Fraction(n, den) for n in nums)
-    (t11, t12), (t21, t22) = mat.rows
-    return _transform_ring(coeffs.coeffs if model else coeffs, t11, t12, t21, t22)
+    nums, den = _law(coeffs, mat.integer_form)
+    return tuple([Fraction(n, den) for n in nums])
 
 
 def carries(coeffs, t, target) -> bool:
@@ -128,7 +125,8 @@ def _carries(source, p, pd, target) -> bool:
 
 
 def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
-    """P g(adj P ., adj P .) and det P, over any scalar ring.
+    """P g(adj P ., adj P .) and det P, over any scalar ring: the one law,
+    run on integer numerators and on entries in Z[sqrt(K)].
 
     Since P^-1 = adj(P) / det(P), the law for P is the first divided by
     det(P)^2; a singular P raises ZeroDivisionError."""
@@ -158,14 +156,6 @@ def _law(source, t_form) -> tuple[list[int], int]:
     or coefficient sequence ``source`` and T given by its integer form."""
     nums, scale, den = _law_numerators(_integer_form(source), *t_form)
     return [scale * n for n in nums], den
-
-
-def _transform_ring(coeffs, t11, t12, t21, t22) -> tuple:
-    """The law over any field of scalars: :func:`_adjugate_law`, divided once
-    by det(T)^2."""
-    nums, det = _adjugate_law(coeffs, t11, t12, t21, t22)
-    square = det * det
-    return tuple(n / square for n in nums)
 
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
@@ -319,7 +309,7 @@ def _solve_reduced(red1, red2):
             square = r1 * r2
             s = math.isqrt(square)
             if s * s != square:
-                ratio = Fraction(r1 * l2 * l2, r2 * l1 * l1)
+                ratio = ratio_str(r1 * l2 * l2, r2 * l1 * l1)
                 return (
                     "undecided",
                     [],
@@ -822,7 +812,7 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
     elif 2 * c == f:
         family = IsotropyFamily(1, ("w",), (), "[[1, -w], [0, 1]]", lambda w: Mat2(((ONE, -w), (ZERO, ONE))))
     else:
-        ratio = Fraction(2 * c - f, e)
+        ratio, shown = Fraction(2 * c - f, e), ratio_str(2 * c - f, e)
 
         def tilted(w):
             v = 1 + w * ratio
@@ -831,7 +821,7 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
             return Mat2(((1 / v, -w / v), (ZERO, ONE)))
 
         family = IsotropyFamily(
-            1, ("w",), (f"1 + w*({ratio}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({ratio})", tilted
+            1, ("w",), (f"1 + w*({shown}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({shown})", tilted
         )
     return IsotropyGroup((_IDENTITY,), (family,))
 

@@ -7,12 +7,12 @@ by six exact rationals (a, b, c, d, e, f) in the fixed symbol order
 G_11^1, G_11^2, G_12^1, G_12^2, G_22^1, G_22^2, symmetric in the lower
 indices so torsion vanishes by construction.
 
-A model is stored as its integer form: :attr:`integer_form` holds the
-integer numerators of the six coefficients over their least common
-denominator, in lowest terms.  A model built from rationals (or ints, or
-rational strings) clears them once; a parsed model document and the
-coefficient law build the model straight from integer numerators
-(:meth:`TypeAModel.of_integers`).
+A model is stored as its integer form (:class:`~affinestrata.exact.IntegerForm`):
+:attr:`integer_form` holds the integer numerators of the six coefficients
+over their least common denominator, in lowest terms.  A model built from
+rationals (or ints, or rational strings) clears them once; a parsed model
+document and the coefficient law build the model straight from integer
+numerators (:meth:`TypeAModel.of_integers`).
 Every rational kernel downstream (the Ricci tensors, the coefficient law
 and its witness checks, the binary cubic, the orbit matchers and the
 charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exact import Frozen, clear_denominators, lowest_terms, parse_literal, ratio_str, rational
+from .exact import Frozen, IntegerForm, parse_literal, ratio_str, rational
 
 
 class ModelParseError(ValueError):
@@ -42,7 +42,7 @@ def _coefficient(k: int) -> property:
     return property(lambda self: self.coeffs[k], doc=f"coefficient {k} (of a, b, c, d, e, f), a Fraction")
 
 
-class _Coefficients(Frozen):
+class _Coefficients(IntegerForm):
     """The body both model types share: six exact rationals held as their
     integer form.  Ints, Fractions and rational strings are accepted; floats
     raise TypeError as in :func:`rational`.  Each subclass sets its ``kind``
@@ -50,7 +50,8 @@ class _Coefficients(Frozen):
     are equal exactly when they are of the same class and have the same
     coefficients, so a Type A and a Type B model never compare equal."""
 
-    __slots__ = ("integer_form", "_coeffs")
+    __slots__ = ()
+    _fields = ("a", "b", "c", "d", "e", "f")
 
     def __init__(self, a, b, c, d, e, f):
         values = (a, b, c, d, e, f)
@@ -62,52 +63,14 @@ class _Coefficients(Frozen):
         )
         if not given:
             values = [x if isinstance(x, (int, Fraction)) else rational(x) for x in values]
-        nums, den = clear_denominators(values)
-        object.__setattr__(self, "integer_form", (tuple(nums), den))
-        object.__setattr__(self, "_coeffs", values if given else None)
+        self._clear(values, values if given else None)
 
-    @classmethod
-    def of_integers(cls, nums, den):
-        """The model with coefficients nums[k] / den for integers nums and
-        den != 0, brought to lowest terms with one gcd; no Fraction is
-        built."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
-        object.__setattr__(out, "_coeffs", None)
-        return out
-
-    # integer_form: (n, L), the integer numerators n_k = L * coeffs[k] over
-    # the least common denominator L > 0 of the coefficients, so
-    # gcd(n, L) = 1; set once by the constructor
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        coeffs = self._coeffs
-        if coeffs is None:
-            nums, den = self.integer_form
-            coeffs = tuple(Fraction(n, den) for n in nums)
-            object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
-
+    coeffs = property(IntegerForm._fractions, doc="the six coefficients, Fractions")
     a, b, c, d, e, f = map(_coefficient, range(6))
-
-    def is_zero(self) -> bool:
-        return not any(self.integer_form[0])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.integer_form == other.integer_form  # the lowest-terms form is unique
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.integer_form)
 
     def __repr__(self):
         nums, den = self.integer_form
         return "%s(%s)" % (self.letter, ", ".join(ratio_str(n, den) for n in nums))
-
-    def __reduce__(self):
-        return (type(self), self.coeffs)
 
 
 class TypeAModel(_Coefficients):

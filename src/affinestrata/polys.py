@@ -89,13 +89,6 @@ def pderiv(p: Poly) -> Poly:
     return ptrim([Fraction(i) * p[i] for i in range(1, len(p))])
 
 
-def peval(p: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for coeff in reversed(ptrim(p)):
-        acc = acc * x + coeff
-    return acc
-
-
 def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
     """Lagrange interpolation through distinct exact nodes."""
     result: Poly = []

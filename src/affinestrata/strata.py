@@ -38,13 +38,13 @@ from .exact import (
     ZERO,
     CirclePoint,
     Frozen,
-    clear_denominators,
+    IntegerForm,
     jacobian,
-    lowest_terms,
     mat_rank,
     primitive_covector,
     ratio_str,
     rational,
+    rational_str,
     sqrt_rational,
 )
 from .curvature import rank1_scale, rank_signature, ricci_type_a, ricci_type_b, split_ricci
@@ -94,10 +94,10 @@ class FlatAChart(Frozen):
 
     def to_dict(self) -> dict:
         return {
-            "theta": [str(self.theta.c), str(self.theta.s)],
-            "r": str(self.r),
-            "s": str(self.s),
-            "t": str(self.t),
+            "theta": [rational_str(self.theta.c), rational_str(self.theta.s)],
+            "r": rational_str(self.r),
+            "s": rational_str(self.s),
+            "t": rational_str(self.t),
         }
 
 
@@ -154,7 +154,7 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
         r = math.isqrt(r2)
         if r * r != r2:
             raise NonRationalCirclePointError(
-                f"the radius must satisfy x^2 = {Fraction(r2, den * den)}, which has no rational root"
+                f"the radius must satisfy x^2 = {ratio_str(r2, den * den)}, which has no rational root"
             )
         theta = CirclePoint(Fraction(v, r), Fraction(w, r))
         return FlatAChart(theta, Fraction(r, den), Fraction(s, den), Fraction(t, den))
@@ -173,7 +173,7 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
         c = sqrt_rational(half)
         if c is None:
             raise NonRationalCirclePointError(
-                f"the cosine must satisfy x^2 = {half}, which has no rational root"
+                f"the cosine must satisfy x^2 = {rational_str(half)}, which has no rational root"
             )
         cn, cd = c.as_integer_ratio()
         theta = CirclePoint(c, Fraction(sin2 * cd, 2 * norm * cn))  # sin 2theta / (2c)
@@ -186,44 +186,26 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
 # Rank-one chart and rotation reduction
 
 
-class Rank1Chart(Frozen):
+class Rank1Chart(IntegerForm):
     """Coordinates (p, q, u, v) on the reduced rank-one stratum.
 
     The reconstructed model has b = d = 0 and Ricci scale
     p^2 + q^2 - u^2 - v^2; the sign of that scale separates the
     positive and negative semi-definite strata.
 
-    Held as :attr:`integer_form`, the numerators of (p, q, u, v) over a
+    Held as its integer form, the numerators of (p, q, u, v) over a
     denominator D > 0 in lowest terms; the scale, its sign and the report
     read it, and the Fraction coordinates are built on first read.  Equality
     and hashing compare the coordinates.
     """
 
-    __slots__ = ("integer_form", "_coords")
+    __slots__ = ()
+    _fields = ("p", "q", "u", "v")
 
     def __init__(self, p, q, u, v):
-        nums, den = clear_denominators((p, q, u, v))
-        object.__setattr__(self, "integer_form", (tuple(nums), den))
-        object.__setattr__(self, "_coords", None)
+        self._clear((p, q, u, v))
 
-    @classmethod
-    def of_integers(cls, nums, den) -> "Rank1Chart":
-        """The chart point nums / den for integers (p, q, u, v) and den != 0,
-        brought to lowest terms with one gcd; no Fraction is built."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
-        object.__setattr__(out, "_coords", None)
-        return out
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        coords = self._coords
-        if coords is None:
-            nums, den = self.integer_form
-            coords = tuple(Fraction(n, den) for n in nums)
-            object.__setattr__(self, "_coords", coords)
-        return coords
-
+    coords = property(IntegerForm._fractions)
     p = property(lambda self: self.coords[0])
     q = property(lambda self: self.coords[1])
     u = property(lambda self: self.coords[2])
@@ -251,21 +233,6 @@ class Rank1Chart(Frozen):
             "v": ratio_str(v, den),
             "sign": self.sign,
         }
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.integer_form == other.integer_form  # the lowest-terms form is unique
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.integer_form)
-
-    def __repr__(self):
-        p, q, u, v = self.coords
-        return f"Rank1Chart(p={p!r}, q={q!r}, u={u!r}, v={v!r})"
-
-    def __reduce__(self):
-        return (Rank1Chart, self.coords)
 
 
 def rank1_chart_forward(p, q, u, v) -> TypeAModel:
@@ -311,7 +278,7 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
     n = sqrt_rational(norm2)
     if n is None:
         raise NonRationalRotationError(
-            f"the rotation requires x^2 = {norm2} to have a rational root"
+            f"the rotation requires x^2 = {rational_str(norm2)} to have a rational root"
         )
     theta = CirclePoint(Fraction(k[0]) / n, Fraction(k[1]) / n)
     if not theta.is_lex_positive():
@@ -453,7 +420,7 @@ class FamilyMembership(Frozen):
         object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "params": [str(p) for p in self.params]}
+        return {"family": self.family, "params": [rational_str(p) for p in self.params]}
 
 
 class TypeBMembership(Frozen):

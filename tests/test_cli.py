@@ -2,15 +2,20 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from affinestrata import cli
 from affinestrata.cli import run_cli
-from affinestrata.models import CATALOG
+from affinestrata.exact import LinearMap2, Mat2
+from affinestrata.group_action import pullback_type_a
+from affinestrata.models import CATALOG, canonical_model, serialize_model
 from affinestrata.strata import COEFF_FAMILIES
 
 
@@ -255,3 +260,45 @@ def test_closed_stdout_exits_1_without_traceback():
         err = proc.stderr.read().decode()
         assert proc.wait() == 1, err
         assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def _tall_model(entry_id, params, seed):
+    """A catalog model, pulled back by a random map with entries n / d of
+    height 10^6 and then by one of height 10^250: each input integer has
+    about 2,500 digits, under the parser's limit, and an answer's values
+    have more."""
+    rng = random.Random(seed)
+
+    def random_map(height):
+        while True:
+            t = Mat2(tuple(tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in "xy") for _ in "xy"))
+            if not t.is_singular():
+                return LinearMap2(t)
+
+    canonical = canonical_model(entry_id, params)
+    return canonical, pullback_type_a(pullback_type_a(canonical, random_map(10**6)), random_map(10**250))
+
+
+@pytest.mark.parametrize(
+    "entry_id, params",
+    [("M1_0", ()), ("M2_0", ()), ("M2_1", (Fraction(999983, 1000003),)), ("M5_1", (Fraction(999983, 1000003),))],
+)
+def test_answers_past_the_integer_string_limit(entry_id, params):
+    """Every command answers on flat and rank-one inputs whose answers hold
+    integers past ``int()``'s 4,300-digit string limit, which the parser
+    keeps: a JSON document on stdout, nothing on stderr.  (The classify
+    report of a flat model names its irrational chart radius among its
+    errors, and exits 1.)"""
+    limit = sys.get_int_max_str_digits()
+    canonical, tall = _tall_model(entry_id, params, 3)
+    doc = json.dumps(serialize_model(tall))
+    assert all(len(part) < limit for text in json.loads(doc)["coeffs"] for part in text.lstrip("-").split("/"))
+    longest = 0
+    for args in (["classify", doc], ["isotropy", doc], ["equiv", doc, json.dumps(serialize_model(canonical))]):
+        code, out, err = run(args)
+        answer = json.loads(out)
+        assert err == "" and "error" not in answer, (args[0], err[:200])
+        assert code == (1 if args[0] == "classify" and answer["errors"] else 0)
+        assert answer.get("status") in ("solved", "equivalent", None)
+        longest = max([longest, *map(len, re.findall(r"[0-9]+", out))])
+    assert longest > limit

@@ -6,23 +6,20 @@ import pytest
 from affinestrata.curvature import (
     NotSymmetricError,
     Ricci2,
-    binary_cubic,
     coefficient_rank,
-    gamma_pair,
     RANK2_INDEF,
     RANK2_NEG,
     rank_signature,
-    ricci_trace_vector,
     ricci_type_a,
     ricci_type_b,
     split_ricci,
     stratum_flags,
-    trace_form,
 )
 from affinestrata.models import canonical_model, type_a, type_b
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.group_action import pullback_type_a
 from affinestrata.sampling import rand_linear_map, rand_model_a, rand_model_b
+from references import binary_cubic, gamma_pair, ricci_trace_vector, trace_form
 
 
 def test_ricci_type_a_examples():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import classify_model
 from affinestrata.exact import Mat2
-from affinestrata.curvature import covariant_frame, rank_signature, ricci_trace_vector, ricci_type_a, ricci_type_b
+from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, ricci_type_b
 from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
@@ -29,6 +29,7 @@ from affinestrata.group_action import (
 from affinestrata.models import CATALOG, canonical_model, negate_model, type_a, type_b
 from affinestrata.strata import COEFF_FAMILIES
 from affinestrata import sampling
+from references import ricci_trace_vector
 
 
 def normal_form(v, w, eps):

@@ -1,6 +1,7 @@
-"""Integer forms: models, Ricci tensors and rational matrices are held as
-integer numerators over their least common denominator, and the kernels
-that compute on them are checked against their Fraction forms.
+"""Integer forms: models, Ricci tensors, rational matrices and rank-one
+chart points are held as integer numerators over their least common
+denominator, on one base, and the kernels that compute on them are checked
+against their Fraction forms.
 
 Models come from every way one is made: parsed JSON, the constructors, Type
 A and Type B pullbacks, catalog and family builds, and the zero model, at
@@ -14,7 +15,10 @@ sign, the cubic root pattern, the Type B memberships, and the 2 x 2
 product, determinant, singular test, inverse and unit-circle check.  A parsed
 model is read straight into its integer form and equals the model built
 from Fractions; the rank-one chart point holds its integer form as well.
-Every record type keeps the repr, hash and equality of the frozen dataclass
+The four integer-form types keep their equality, hash and repr, survive
+copies and pickles, never equal a value of another of them (a Ricci tensor
+and a matrix with the same entries, a Type A and a Type B model), and a
+matrix takes rational entries only.  Every record type keeps the repr, hash and equality of the frozen dataclass
 it replaced (checked against one made here), and the signatures and stratum
 flags of :func:`curvature_of` are shared values equal to a reference.
 """
@@ -45,7 +49,6 @@ from affinestrata.curvature import (
     Ricci2,
     RicciSplit,
     StratumFlags,
-    binary_cubic,
     curvature_of,
     rank_signature,
     ricci,
@@ -59,9 +62,9 @@ from affinestrata.exact import (
     CirclePoint,
     FrozenInstanceError,
     Mat2,
+    QuadExt,
     circle_from_slope,
     clear_denominators,
-    mat2_from_cols,
     mat2_of_integers,
     rational,
     sqrt_rational,
@@ -114,6 +117,7 @@ from affinestrata.strata import (
     rank1_chart_inverse,
     rank1_reduce,
 )
+from references import binary_cubic, mat2_from_cols
 
 HEIGHTS = (12, 10**6)
 
@@ -319,6 +323,7 @@ def test_ricci_from_integers_equals_ricci_of_rows(kind, height):
         assert r.rows == ref.rows == rows and all(type(x) is F for row in r.rows for x in row)
         assert r == ref and hash(r) == hash(ref)
         assert r != Ricci2(rows, cleared=kind == "A")
+        assert r != Mat2(rows) and r.integer_form == Mat2(rows).integer_form
         assert r.to_strings() == ref.to_strings() == [[str(x) for x in row] for row in rows]
         assert r.is_zero() == ref.is_zero() == all(x == 0 for row in rows for x in row)
         (r11, r12), (r21, r22) = rows
@@ -344,10 +349,12 @@ def test_models_tensors_and_matrices_are_immutable():
     before = repr(m)
     r = ricci(m)
     mat = mat2_of_integers((1, 2, 3, 4), 6)
+    chart = Rank1Chart.of_integers((2, -4, 6, 0), 8)
     for obj, names in (
         (m, ("a", "f", "coeffs", "integer_form", "kind")),
         (r, ("rows", "integer_form", "cleared")),
         (mat, ("rows", "integer_form")),
+        (chart, ("p", "coords", "integer_form")),
     ):
         for name in names:
             with pytest.raises(FrozenInstanceError):
@@ -358,9 +365,39 @@ def test_models_tensors_and_matrices_are_immutable():
             obj.extra = 0
     assert repr(m) == before == "M(-7, -23/2, 4, 13/2, -5/3, -5/2)"
     assert m.integer_form == ((-42, -69, 24, 39, -10, -15), 6)
-    for obj in (m, r, mat, type_b(0, 1, 2, 3, 4, 5)):
+    for obj in (m, r, mat, chart, type_b(0, 1, 2, 3, 4, 5), Ricci2(((1, F(1, 2)), (0, 3)), cleared=True)):
         for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(clone) is type(obj) and clone == obj and hash(clone) == hash(obj)
+            assert repr(clone) == repr(obj) and clone.integer_form == obj.integer_form
+    # the integer-form types keep their hash, repr and equality: within one
+    # class, on the lowest-terms form (and the flag of a Ricci tensor)
+    assert hash(m) == hash(m.integer_form) and hash(mat) == hash(((1, 2, 3, 4), 6))
+    assert hash(chart) == hash(((1, -2, 3, 0), 4)) and hash(r) == hash((r.integer_form, False))
+    assert repr(mat) == (
+        "Mat2(rows=((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3))))"
+    )
+    assert repr(Mat2(((1, 0), (F(1, 2), 2)))) == "Mat2(rows=((1, 0), (Fraction(1, 2), 2)))"
+    assert repr(Ricci2(((1, F(1, 2)), (0, 3)), cleared=True)) == (
+        "Ricci2(rows=((1, Fraction(1, 2)), (0, 3)), cleared=True)"
+    )
+    assert repr(Ricci2.of_integers((2, 1, 0, 6), 2, False)) == (
+        "Ricci2(rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(3, 1))), cleared=False)"
+    )
+    assert repr(type_b(0, F(1, 2), 2, 3, 4, 5)) == "N(0, 1/2, 2, 3, 4, 5)"
+    same = Ricci2(mat.rows)
+    assert same.integer_form == mat.integer_form and same.to_strings() == mat.to_strings()
+    assert mat != same and same != mat and not mat == same and same != Ricci2(mat.rows, cleared=True)
+    assert Ricci2(mat.rows) == Ricci2.of_integers((2, 4, 6, 8), 12, False)
+    assert type_a(*m.coeffs) == m and type_b(*m.coeffs) != m and m != type_b(*m.coeffs)
+    point = Rank1Chart(*mat.rows[0], *mat.rows[1])
+    assert point.integer_form == mat.integer_form and point != mat and mat != point
+    # a matrix holds rationals only
+    with pytest.raises(TypeError, match="cannot interpret QuadExt as a rational"):
+        Mat2(((ONE, ZERO), (ZERO, QuadExt(0, 1, F(2)))))
+    with pytest.raises(TypeError):
+        Mat2(((1.0, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        Ricci2(((ONE, ZERO), (ZERO, QuadExt(0, 1, F(2)))))
     # every record: the repr, hash and equality of the frozen dataclass it
     # replaced, frozen fields, and copies through its constructor
     assert issubclass(FrozenInstanceError, AttributeError)
@@ -393,7 +430,7 @@ def test_models_tensors_and_matrices_are_immutable():
     shear = ShearMap(F(2), F(-1, 3))
     assert shear != ShearMap(F(2), F(1, 3)) and shear != ShearMap(F(-2), F(-1, 3))
     assert shear.matrix == Mat2(((ONE, ZERO), (F(-1, 3), F(2)))) and "matrix" not in repr(shear)
-    assert shear.matrix._rows is None and shear.matrix.integer_form == ((3, 0, -1, 6), 3)
+    assert shear.matrix._view is None and shear.matrix.integer_form == ((3, 0, -1, 6), 3)
     assert EquivalenceWitnesses("undecided", reason="x") != EquivalenceWitnesses("undecided", reason="y")
 
 
@@ -779,6 +816,10 @@ def test_mat2_product_and_forms_equal_fraction_reference(height):
         assert handed == x and hash(handed) == hash(x) and handed.rows == ((a, b), (c, d))
         assert (mat2_of_integers(p, 2 * den) == x) == (not any(p))
         assert all(type(v) is F for row in handed.rows for v in row)
+        # a Ricci tensor with the same entries shares the form, never the value
+        tensor = Ricci2(x.rows)
+        assert tensor.integer_form == x.integer_form and tensor.to_strings() == x.to_strings()
+        assert tensor != x and x != tensor and tensor.det() == x.det()
 
     check()
 
@@ -827,7 +868,7 @@ def test_parse_model_equals_fraction_built_model(kind, height):
         m = parse_model(json.dumps({"type": kind, "coeffs": items}))
         built = (TypeAModel if kind == "A" else TypeBModel)(*[rational(x) for x in items])
         assert m == built and type(m) is type(built) and m.integer_form == built.integer_form
-        assert m._coeffs is None  # no Fraction until one is read
+        assert m._view is None  # no Fraction until one is read
         assert m.coeffs == built.coeffs and serialize_model(m) == serialize_model(built)
 
     check()
@@ -869,7 +910,7 @@ def test_parse_model_rejects_malformed_literals_with_todays_text(item, message):
 def test_rank1_chart_holds_its_integer_form():
     chart = Rank1Chart.of_integers((2, -4, 6, 0), 8)
     assert chart.integer_form == ((1, -2, 3, 0), 4)
-    assert chart._coords is None  # the coordinates are built on first read
+    assert chart._view is None  # the coordinates are built on first read
     assert (chart.p, chart.q, chart.u, chart.v) == (F(1, 4), F(-1, 2), F(3, 4), ZERO)
     assert all(type(x) is F for x in chart.coords) and chart.coords is chart.coords
     same = Rank1Chart(F(1, 4), F(-2, 4), F(3, 4), 0)
@@ -881,7 +922,7 @@ def test_rank1_chart_holds_its_integer_form():
     assert repr(chart) == "Rank1Chart(p=Fraction(1, 4), q=Fraction(-1, 2), u=Fraction(3, 4), v=Fraction(0, 1))"
     assert pickle.loads(pickle.dumps(chart)) == chart and copy.deepcopy(chart) == chart
     assert Rank1Chart.of_integers((3, 0, 0, 0), -3) == Rank1Chart(-1, 0, 0, 0)  # the sign goes to the numerators
-    for name in ("p", "integer_form", "_coords"):
+    for name in ("p", "integer_form", "_view"):
         with pytest.raises((FrozenInstanceError, AttributeError)):
             setattr(chart, name, ZERO)
     with pytest.raises(FrozenInstanceError):

@@ -3,12 +3,12 @@ the Type B solver and of the degenerate rank-two rule are decided in
 Z[sqrt(K)] (``exact.QuadInt``), and the rank-two covariant frame is built
 from the Ricci numerators.
 
-Each is compared with a Fraction and ``QuadExt`` reference kept here (the
-bodies the integer kernels replaced), at heights 12 and 10^6.  The pairs
-that reach a forced irrational scale are built both ways: related by an
-irrational map, so the equations hold and the answer is ``undecided``, and
-with one coefficient of the image moved, so they fail and the answer is
-``not_equivalent``.  No benchmark pair is ``undecided``, so these tests are
+Each is compared with a Fraction and ``QuadExt`` reference (the bodies the
+integer kernels replaced, with the ring law of ``references``), at heights
+12 and 10^6.  The pairs that reach a forced irrational scale are built both
+ways: related by an irrational map, so the equations hold and the answer is
+``undecided``, and with one coefficient of the image moved, so they fail and
+the answer is ``not_equivalent``.  No benchmark pair is ``undecided``, so these tests are
 what covers that branch.
 """
 
@@ -17,15 +17,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from affinestrata.curvature import (
-    covariant_frame,
-    gamma_pair,
-    rank_signature,
-    ricci_trace_vector,
-    ricci_type_a,
-    stratum_flags,
-)
-from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, mat2_from_cols, sqrt_rational
+from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, stratum_flags
+from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, sqrt_rational
 from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
@@ -34,9 +27,9 @@ from affinestrata.group_action import (
     pullback_type_b,
     solve_equivalence_a,
     solve_equivalence_b,
-    transform_coeffs,
 )
 from affinestrata.models import type_a, type_b
+from references import gamma_pair, mat2_from_cols, ricci_trace_vector, ring_law, ring_product
 
 HEIGHTS = (12, 10**6)
 
@@ -82,13 +75,13 @@ def test_quad_int_ring_laws():
 
 def quad_ext_shear_holds(m1, m2) -> bool:
     """Reference: the shear with the forced scale alpha = sqrt(e1 / e2) and
-    beta = (c1 alpha - c2 alpha^2) / e1, pushed through the generic ring law
-    in Q(sqrt(e1 / e2))."""
+    beta = (c1 alpha - c2 alpha^2) / e1, pushed through the ring law in
+    Q(sqrt(e1 / e2))."""
     ratio = m1.e / m2.e
     alpha = QuadExt(0, 1, ratio)
     beta = (m1.c * alpha - m2.c * alpha * alpha) / m1.e
     rows = ((QuadExt(1, 0, ratio), QuadExt(0, 0, ratio)), (beta, alpha))
-    return all(o == QuadExt(g, 0, ratio) for o, g in zip(transform_coeffs(m1, rows), m2.coeffs))
+    return all(o == QuadExt(g, 0, ratio) for o, g in zip(ring_law(m1.coeffs, rows), m2.coeffs))
 
 
 def type_b_pairs(height):
@@ -150,7 +143,7 @@ def forced_model(a, d, c, e):
 def quad_ext_forced_holds(m1, target, m2) -> bool:
     """Reference: T = N2 diag(1, delta) N1^-1 with delta = sqrt(det rho1 /
     det rho2) in Q(delta), N_i the frame of v_i and its Ricci-normal for the
-    models m_i, all on Fraction rows, pushed through the generic ring law and
+    models m_i, all on Fraction rows, pushed through the ring law and
     compared with ``target``."""
     r1, r2 = ricci_type_a(m1), ricci_type_a(m2)
 
@@ -161,8 +154,8 @@ def quad_ext_forced_holds(m1, target, m2) -> bool:
     ratio = Mat2(r1.rows).det() / Mat2(r2.rows).det()
     n2 = normal_frame(r2, ricci_trace_vector(m2, r2))
     n1_inv = normal_frame(r1, ricci_trace_vector(m1, r1)).inverse()
-    t = n2 @ Mat2.of(ONE, ZERO, ZERO, QuadExt(0, 1, ratio)) @ n1_inv
-    return all(o == g for o, g in zip(transform_coeffs(m1, t), target.coeffs))
+    t = ring_product(ring_product(n2.rows, ((ONE, ZERO), (ZERO, QuadExt(0, 1, ratio)))), n1_inv.rows)
+    return all(o == g for o, g in zip(ring_law(m1.coeffs, t), target.coeffs))
 
 
 def forced_pairs(height):

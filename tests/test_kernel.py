@@ -1,4 +1,4 @@
-"""The exact kernel: the integer pullback against the generic ring path, the
+"""The exact kernel: the integer pullback against the ring law, the
 cross-multiplied witness check against a built pullback, the integer Ricci
 tensors against their plain polynomial formulas, the closed-form orbit
 dimension against the rank of the derivative over the dual numbers, the
@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings, strategies as st
 from affinestrata import sampling
 from affinestrata.curvature import (
     RankSig,
-    binary_cubic,
     curvature_of,
     rank_signature,
     ricci_type_a,
@@ -38,7 +37,6 @@ from affinestrata.group_action import (
     _rank1_frame,
     _solve_reduced_pair,
     _stratum_normal_form,
-    _transform_ring,
     carries,
     match_flat_a_orbit,
     orbit_dimension_a,
@@ -48,6 +46,7 @@ from affinestrata.group_action import (
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.strata import COEFF_FAMILIES
+from references import binary_cubic, ring_law
 
 
 def scalars(height):
@@ -83,7 +82,7 @@ def test_integer_pullback_equals_ring_pullback(height):
         got = transform_coeffs(coeffs, rows)
         # the model a pullback builds from the law's integers
         assert got == pullback_type_a(TypeAModel(*coeffs), LinearMap2(Mat2(rows))).coeffs
-        assert got == _transform_ring(as_fractions(coeffs), *as_fractions(t))
+        assert got == ring_law(as_fractions(coeffs), (as_fractions(t[:2]), as_fractions(t[2:])))
         assert all(type(x) is F for x in got)
 
     check()
@@ -123,25 +122,27 @@ def test_singular_map_raises(coeffs, row, k, by_columns):
     with pytest.raises(ZeroDivisionError):
         carries(coeffs, t, coeffs)
     with pytest.raises(ZeroDivisionError):
-        _transform_ring(as_fractions(coeffs), *as_fractions(t[0] + t[1]))
+        ring_law(as_fractions(coeffs), (as_fractions(t[0]), as_fractions(t[1])))
     quad = tuple(tuple(QuadExt(x, 0, 2) for x in row) for row in t)
     with pytest.raises(ZeroDivisionError):
+        ring_law(as_fractions(coeffs), quad)
+    with pytest.raises(TypeError):  # the package's law takes rational maps only
         transform_coeffs(as_fractions(coeffs), quad)
 
 
 def test_ring_path_serves_quadratic_scales():
-    """Irrational scales go through the generic path and stay exact."""
+    """Irrational scales go through the law over Q(sqrt(2)) and stay exact."""
     r = F(2)
     alpha = QuadExt(0, 1, r)  # sqrt(2)
     t = ((QuadExt(1, 0, r), QuadExt(0, 0, r)), (QuadExt(F(1, 3), 0, r), alpha))
     coeffs = (F(1), F(0), F(0), F(3), F(2), F(0))
-    out = transform_coeffs(coeffs, t)
+    out = ring_law(coeffs, t)
     assert all(isinstance(x, QuadExt) for x in out)
     back = (
         (QuadExt(1, 0, r), QuadExt(0, 0, r)),
         (-t[1][0] / alpha, 1 / alpha),
     )
-    assert transform_coeffs(out, back) == tuple(QuadExt(x, 0, r) for x in coeffs)
+    assert ring_law(out, back) == tuple(QuadExt(x, 0, r) for x in coeffs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,12 +164,12 @@ def test_integer_ricci_equals_polynomial_formulas(coeffs):
 
 def jet_orbit_dimension(m) -> int:
     """Reference: the rank of the derivative at the identity of
-    T -> pullback(m, T), one direction E_pq per evaluation of the generic
-    pullback at T = I + eps E_pq over the dual numbers."""
+    T -> pullback(m, T), one direction E_pq per evaluation of the ring law
+    at T = I + eps E_pq over the dual numbers."""
     columns = []
     for k in range(4):
         t = [QuadExt(int(i in (0, 3)), int(i == k), 0) for i in range(4)]
-        out = transform_coeffs(m.coeffs, ((t[0], t[1]), (t[2], t[3])))
+        out = ring_law(m.coeffs, ((t[0], t[1]), (t[2], t[3])))
         columns.append([o.v for o in out])
     return mat_rank(columns)
 

@@ -1,6 +1,7 @@
 """The module layout of the package: every import sits at module level, the
 modules import one another without a cycle, so no module needs a lazy import
-to load, and the cold import chain leaves out the dataclass machinery."""
+to load, the cold import chain leaves out the dataclass machinery, and the
+integer-form format has its one home in ``exact``."""
 
 import ast
 import os
@@ -82,3 +83,21 @@ def test_cold_import_loads_no_dataclass_machinery():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_integer_form_format_stays_in_exact():
+    """Only ``exact`` brings integers to lowest terms: every other module
+    builds its integer forms through ``IntegerForm`` (its constructor or
+    ``of_integers``), so the format has one home."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "lowest_terms")
+                or (isinstance(node, ast.Attribute) and node.attr == "lowest_terms")
+                or (isinstance(node, ast.alias) and node.name == "lowest_terms")
+            )
+            if named and name != "exact":
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "lowest_terms" for node in _trees()["exact"].body)

