@@ -11,22 +11,24 @@ Z[sqrt(k)] (:class:`QuadInt`, integer pairs with no denominator).
 :class:`QuadExt` adjoins s with s^2 = k over the rationals; at k = 0 it is
 the dual numbers, whose s-part carries the exact first derivatives of the
 parametrizations (:func:`jacobian`), so tangent-rank certificates are exact
-as well.  A rational literal is read as integers once
-(:func:`parse_literal`), by :func:`rational` and by the model parser alike.
+as well.
 
-Rational kernels compute on integers: a tuple of rationals is cleared of
-denominators once (:func:`clear_denominators`), the arithmetic runs on the
-numerators, and a ``Fraction`` is built, with its one normalization, only
-for a value that is returned.  Models, Ricci tensors, rational matrices
-and rank-one chart points share one integer-form base,
-:class:`IntegerForm`: numerators over a positive denominator in lowest
-terms, cleared once by a constructor or reduced with one gcd by
-:meth:`~IntegerForm.of_integers`, with the Fraction view built on first
-read.  A :class:`Mat2` holds only rationals; its determinant, inverse,
-product and singularity test (and so the invertibility check of
-:class:`LinearMap2`) read its integer form, as do the coefficient law and
-its witness check.  The unit-circle check and the linear solver of the
-orbit matchers (:func:`solve_integer`) work on integers as well.  Every
+Every scalar a caller hands in passes one gate, :func:`_ratio`: an int or a
+Fraction gives its integers, any other type (a float, say) raises TypeError,
+and a rational literal is read once (:func:`parse_literal`) by
+:func:`rational` and by the model parser alike.  Rational kernels compute on
+integers: a tuple of rationals is cleared of denominators once
+(:func:`clear_denominators`), the arithmetic runs on the numerators, and a
+``Fraction`` is built, with its one normalization, only for a value that is
+returned.  Models, Ricci tensors, rational matrices and rank-one chart
+points share one integer-form base, :class:`IntegerForm`: numerators over a
+positive denominator in lowest terms, cleared once by a constructor or
+reduced with one gcd by :meth:`~IntegerForm.of_integers`, with the Fraction
+view built on first read.  A :class:`Mat2` holds only rationals; its
+determinant, inverse, product and singularity test (and so the invertibility
+check of :class:`LinearMap2`) read its integer form, as do the coefficient
+law and its witness check.  The unit-circle check and the linear solver of
+the orbit matchers (:func:`solve_integer`) work on integers as well.  Every
 rational an answer contains is written by :func:`ratio_str`, at any length.
 
 Every immutable value of the package, here and downstream, is a slotted
@@ -71,16 +73,26 @@ def parse_literal(text: str) -> tuple[int, int]:
     raise ValueError(f"not a rational literal: {text!r}")
 
 
+#: the integer ratio of each scalar type the package takes in
+_RATIOS = {int: int.as_integer_ratio, bool: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+
+
+def _ratio(x) -> tuple[int, int]:
+    """The scalar gate: (n, d) in lowest terms, d > 0, of an int or a Fraction; TypeError otherwise."""
+    try:
+        return _RATIOS[type(x)](x)
+    except KeyError:
+        raise TypeError(f"cannot interpret {type(x).__name__} as a rational") from None
+
+
 def rational(value) -> Fraction:
     """Coerce an int, Fraction or rational literal like ``"3/5"``
-    (:func:`parse_literal`) to an exact rational."""
+    (:func:`parse_literal`) to an exact rational, through :func:`_ratio`."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(*parse_literal(value))
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+    return Fraction(*_ratio(value))
 
 
 def _long_str(n: int) -> str:
@@ -118,9 +130,9 @@ def ratio_str(n: int, d: int) -> str:
 
 def sqrt_rational(value: Fraction) -> Fraction | None:
     """Exact non-negative square root, or None when ``value`` is not a square."""
-    if value < 0:
+    num, den = _ratio(value)
+    if num < 0:
         return None
-    num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
@@ -133,7 +145,7 @@ def primitive_covector(pair) -> tuple[int, int]:
     The sign is normalized so the first nonzero entry is positive, making the
     result canonical for the line it spans.
     """
-    (xn, xd), (yn, yd) = pair[0].as_integer_ratio(), pair[1].as_integer_ratio()
+    (xn, xd), (yn, yd) = _ratio(pair[0]), _ratio(pair[1])
     ix, iy = xn * yd, yn * xd  # the pair times xd * yd
     g = math.gcd(ix, iy)
     if g == 0:
@@ -147,10 +159,13 @@ def primitive_covector(pair) -> tuple[int, int]:
 def clear_denominators(values) -> tuple[list[int], int]:
     """Integers n_i and the least common denominator d with values[i] = n_i / d.
 
-    Accepts ints and Fractions; the exact kernels work on the n_i and
-    normalize once at the end.
+    Takes ints and Fractions through the table of the gate :func:`_ratio`;
+    the exact kernels work on the n_i and normalize once at the end.
     """
-    pairs = [x.as_integer_ratio() for x in values]
+    try:
+        pairs = [_RATIOS[type(x)](x) for x in values]
+    except KeyError as missing:  # a type the gate refuses, with its TypeError
+        raise TypeError(f"cannot interpret {missing.args[0].__name__} as a rational") from None
     d = math.lcm(*[q for _, q in pairs])
     return [p * (d // q) for p, q in pairs], d
 
@@ -232,10 +247,10 @@ class IntegerForm(Frozen):
     :attr:`integer_form` is ``(nums, den)``, the integer numerators of the
     values over their least common denominator den > 0, so gcd(nums, den)
     = 1 and equal values have equal forms.  It is made once: a constructor
-    clears its rationals (:meth:`_clear`), and :meth:`of_integers` brings
-    integers to lowest terms with one gcd.  The ``Fraction`` view
-    (``coeffs``, ``rows``, ``coords``), in the shape ``_shape`` gives it, is
-    built from the form when first read, then cached.  Equality and hashing
+    clears its values through the scalar gate (:meth:`_clear`), and
+    :meth:`of_integers` reduces integers with one gcd.  The ``Fraction``
+    view (``coeffs``, ``rows``, ``coords``, shaped by ``_shape``) is built
+    from the form when first read, then cached.  Equality and hashing
     compare the forms within one class, so values of two classes never
     compare equal; the repr, copies and pickles go through the fields named
     in ``_fields``.
@@ -244,12 +259,11 @@ class IntegerForm(Frozen):
     __slots__ = ("integer_form", "_view")
     _fields = ()
 
-    def _clear(self, values, view=None) -> None:
-        """Set the form from ints and Fractions, and ``view`` as the Fraction
-        view when the caller holds it already."""
+    def _clear(self, values) -> None:
+        """Set the form from ints and Fractions (:func:`clear_denominators`)."""
         nums, den = clear_denominators(values)
         object.__setattr__(self, "integer_form", (tuple(nums), den))
-        object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "_view", None)
 
     @classmethod
     def of_integers(cls, nums, den, *fields):
@@ -295,19 +309,15 @@ class Mat2(IntegerForm):
 
     Its integer form holds the entries (p11, p12, p21, p22) over their
     least common denominator, and every operation reads it; ``rows`` is the
-    Fraction view.  ``Mat2(rows)`` takes ints and Fractions, and raises
-    TypeError on any other scalar, as :func:`rational` does.
+    Fraction view built from it, so equal matrices print alike.  ``Mat2(rows)``
+    takes ints and Fractions, and the scalar gate raises TypeError on others.
     """
 
     __slots__ = ()
     _fields = ("rows",)
 
     def __init__(self, rows):
-        entries = rows[0] + rows[1]
-        for x in entries:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
-        self._clear(entries, rows)
+        self._clear(rows[0] + rows[1])
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -411,7 +421,7 @@ class ShearMap(Frozen):
     def __init__(self, a: Fraction, b: Fraction):
         if a == 0:
             raise ValueError("shear scale must be nonzero")
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "matrix", mat2_of_integers((ad * bd, 0, bn * ad, an * bd), ad * bd))
@@ -421,7 +431,7 @@ class ShearMap(Frozen):
         return ShearMap(ONE, ZERO)
 
     def inverse(self) -> "ShearMap":
-        return ShearMap(1 / self.a, -self.b / self.a)
+        return ShearMap(ONE / self.a, -ONE * self.b / self.a)
 
     def compose(self, first: "ShearMap") -> "ShearMap":
         return ShearMap(self.a * first.a, self.b + self.a * first.b)
@@ -441,7 +451,7 @@ class CirclePoint(Frozen):
 
     def __init__(self, c: Fraction, s: Fraction):
         # c^2 + s^2 = 1 cross-multiplied over the squared denominators
-        (cn, cd), (sn, sd) = c.as_integer_ratio(), s.as_integer_ratio()
+        (cn, cd), (sn, sd) = _ratio(c), _ratio(s)
         if (cn * sd) ** 2 + (sn * cd) ** 2 != (cd * sd) ** 2:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
         object.__setattr__(self, "c", c)
@@ -461,7 +471,7 @@ class CirclePoint(Frozen):
 
 def circle_from_slope(t: Fraction) -> CirclePoint:
     """Rational circle point ((1-t^2)/(1+t^2), 2t/(1+t^2)) for slope ``t``."""
-    n, d = Fraction(t).as_integer_ratio()
+    n, d = _ratio(rational(t))
     den = d * d + n * n
     return CirclePoint(Fraction(d * d - n * n, den), Fraction(2 * n * d, den))
 
@@ -491,9 +501,7 @@ class QuadExt:
     __slots__ = ("p", "q", "d", "k", "_big_k")
 
     def __init__(self, u, v, k):
-        pu, du = Fraction(u).as_integer_ratio()
-        pv, dv = Fraction(v).as_integer_ratio()
-        n, m = k.as_integer_ratio()
+        (pu, du), (pv, dv), (n, m) = _ratio(u), _ratio(v), _ratio(k)
         lcm = math.lcm(du, dv)
         self.k, self._big_k = k, n * m
         self._set(pu * (lcm // du) * m, pv * (lcm // dv), lcm * m)
@@ -518,12 +526,12 @@ class QuadExt:
 
     @property
     def v(self) -> Fraction:
-        return Fraction(self.q * self.k.as_integer_ratio()[1], self.d)
+        return Fraction(self.q * self.k.denominator, self.d)
 
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             return other
-        n, d = Fraction(other).as_integer_ratio()
+        n, d = _ratio(other)
         return self._new(n, 0, d)
 
     def __add__(self, other):

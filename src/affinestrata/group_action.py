@@ -52,6 +52,7 @@ from .exact import (
     mat2_of_integers,
     primitive_covector,
     ratio_str,
+    rational,
     solve_integer,
 )
 from .curvature import (
@@ -365,11 +366,9 @@ def _solve_reduced(red1, red2):
 # recovery of the witness.
 
 
-def _probe_gammas(g):
-    """G(u, u) at the probe vectors u = e1, e2, e1 + e2, read off a
-    coefficient tuple."""
-    a, b, c, d, e, f = g
-    return ((a, b), (e, f), (a + 2 * c + e, b + 2 * d + f))
+#: pairwise independent probes: a cubic's three root lines and a Ricci form's two
+#: null lines leave one free; the flat matchers read G(u, u) at the first three
+_PROBES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
 
 
 def _flat_rows(g, o1, o2):
@@ -448,7 +447,7 @@ def _match_m2(m: TypeAModel):
         # parameter
         k1, k2 = kernel[0]
         y3, k3 = y1 + y2, k1 + k2
-        for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), _probe_gammas(g)):
+        for ku, yu, gu in zip((k1, k2, k3), (y1, y2, y3), (gamma_coeffs(g, u, u) for u in _PROBES)):
             if ku == 0:
                 continue
             # sigma(G(u,u)) + sigma(u)^2 = 0 pins the free parameter
@@ -481,7 +480,7 @@ def _match_m5(m: TypeAModel):
     if len(kernel) != 1:
         return None
     k1, k2 = kernel[0]
-    for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), _probe_gammas(g)):
+    for ku, ou, gu in zip((k1, k2, k1 + k2), (o1, o2, o1 + o2), (gamma_coeffs(g, u, u) for u in _PROBES)):
         if ku == 0:
             continue
         # sigma2 = scale * kernel, scale^2 = (sigma1(u)^2 - sigma1(G(u, u))) / kernel(u)^2;
@@ -699,7 +698,7 @@ class IsotropyFamily(Frozen):
     def instantiate(self, params) -> LinearMap2:
         if len(params) != self.dimension:
             raise ValueError(f"family takes {self.dimension} parameter(s)")
-        return LinearMap2(self.build(*[Fraction(p) for p in params]))
+        return LinearMap2(self.build(*[rational(p) for p in params]))
 
     def to_dict(self) -> dict:
         return {
@@ -1129,11 +1128,6 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
     )
 
 
-#: pairwise independent probes: a cubic's three root lines and a Ricci form's
-#: two null lines leave one free
-_PROBES = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
-
-
 def _cubic_at(f, x):
     """The binary cubic with coefficients ``f`` (X^3, X^2 Y, X Y^2, Y^3) at x."""
     return ((f[0] * x[0] + f[1] * x[1]) * x[0] + f[2] * x[1] * x[1]) * x[0] + f[3] * x[1] ** 3
@@ -1174,7 +1168,7 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
         polys.pscale(polys.pmul(q, polys.pmul(q, q)), det2 * f2u * f2u * d2 * l1 * l1),
         polys.pscale(polys.pmul(f, f), -(k2**3) * d1 * det1 * l2 * l2),
     )
-    directions = [t.as_integer_ratio() for t, _ in polys.rational_roots(sextic)]
+    directions = [(t.numerator, t.denominator) for t, _ in polys.rational_roots(sextic)]
     if polys.pdeg(sextic) < 6:
         directions.append((1, 0))
     n2 = _normal_frame(r2, u)

@@ -55,15 +55,14 @@ class _Coefficients(IntegerForm):
 
     def __init__(self, a, b, c, d, e, f):
         values = (a, b, c, d, e, f)
-        # six Fractions are the coefficients already; anything else is
-        # converted for the clearing and built as Fractions on first read
-        given = (
+        if (
             type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
             and type(d) is Fraction and type(e) is Fraction and type(f) is Fraction
-        )
-        if not given:
-            values = [x if isinstance(x, (int, Fraction)) else rational(x) for x in values]
-        self._clear(values, values if given else None)
+        ):
+            self._clear(values)
+            object.__setattr__(self, "_view", values)  # the coefficients already
+        else:  # rational strings are read; the view is built on first read
+            self._clear([rational(x) if isinstance(x, str) else x for x in values])
 
     coeffs = property(IntegerForm._fractions, doc="the six coefficients, Fractions")
     a, b, c, d, e, f = map(_coefficient, range(6))

@@ -175,8 +175,7 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
             raise NonRationalCirclePointError(
                 f"the cosine must satisfy x^2 = {rational_str(half)}, which has no rational root"
             )
-        cn, cd = c.as_integer_ratio()
-        theta = CirclePoint(c, Fraction(sin2 * cd, 2 * norm * cn))  # sin 2theta / (2c)
+        theta = CirclePoint(c, Fraction(sin2 * c.denominator, 2 * norm * c.numerator))  # sin 2theta / (2c)
     if not theta.is_lex_positive():
         theta = theta.antipode()
     return FlatAChart(theta, ZERO, Fraction(s, den), Fraction(t, den))

@@ -13,10 +13,11 @@ import pytest
 
 from affinestrata import cli
 from affinestrata.cli import run_cli
-from affinestrata.exact import LinearMap2, Mat2
-from affinestrata.group_action import pullback_type_a
-from affinestrata.models import CATALOG, canonical_model, serialize_model
-from affinestrata.strata import COEFF_FAMILIES
+from affinestrata.exact import LinearMap2, Mat2, ShearMap
+from affinestrata.group_action import pullback_type_a, pullback_type_b
+from affinestrata.models import CATALOG, canonical_model, serialize_model, type_a
+from affinestrata.sampling import rand_model_b
+from affinestrata.strata import COEFF_FAMILIES, alt_b_param
 
 
 def run(args):
@@ -262,21 +263,28 @@ def test_closed_stdout_exits_1_without_traceback():
         assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
-def _tall_model(entry_id, params, seed):
-    """A catalog model, pulled back by a random map with entries n / d of
-    height 10^6 and then by one of height 10^250: each input integer has
-    about 2,500 digits, under the parser's limit, and an answer's values
-    have more."""
+def _tall_model(model, seed, height=10**250):
+    """``model`` pulled back by a random map (a shear for a Type B model)
+    with entries n / d of height 10^6 and then by one of height ``height``:
+    at 10^250 each input integer of a catalog model has about 2,500 digits,
+    under the parser's limit, and an answer's values have more."""
     rng = random.Random(seed)
 
-    def random_map(height):
-        while True:
-            t = Mat2(tuple(tuple(Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in "xy") for _ in "xy"))
-            if not t.is_singular():
-                return LinearMap2(t)
+    def entry(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
-    canonical = canonical_model(entry_id, params)
-    return canonical, pullback_type_a(pullback_type_a(canonical, random_map(10**6)), random_map(10**250))
+    def pull(m, height):
+        while True:
+            if m.kind == "B":
+                a, b = entry(height), entry(height)
+                if a != 0:
+                    return pullback_type_b(m, ShearMap(a, b))
+            else:
+                t = Mat2(tuple(tuple(entry(height) for _ in "xy") for _ in "xy"))
+                if not t.is_singular():
+                    return pullback_type_a(m, LinearMap2(t))
+
+    return pull(pull(model, 10**6), height)
 
 
 @pytest.mark.parametrize(
@@ -290,7 +298,8 @@ def test_answers_past_the_integer_string_limit(entry_id, params):
     report of a flat model names its irrational chart radius among its
     errors, and exits 1.)"""
     limit = sys.get_int_max_str_digits()
-    canonical, tall = _tall_model(entry_id, params, 3)
+    canonical = canonical_model(entry_id, params)
+    tall = _tall_model(canonical, 3)
     doc = json.dumps(serialize_model(tall))
     assert all(len(part) < limit for text in json.loads(doc)["coeffs"] for part in text.lstrip("-").split("/"))
     longest = 0
@@ -302,3 +311,36 @@ def test_answers_past_the_integer_string_limit(entry_id, params):
         assert answer.get("status") in ("solved", "equivalent", None)
         longest = max([longest, *map(len, re.findall(r"[0-9]+", out))])
     assert longest > limit
+
+
+#: one model per stratum, the height of its second map, and the commands run
+#: on it: Type A maps of height 10^400 and Type B shears of height 10^650
+#: give inputs of about 4,000 digits (omega = 0 is left out: its equivalence
+#: is far slower at that height)
+HEIGHT_LADDER = {
+    "flat": (canonical_model("M2_0"), 10**400, ("classify", "equiv", "isotropy")),
+    "rank1": (canonical_model("M5_1", (Fraction(999983, 1000003),)), 10**400, ("classify", "equiv", "isotropy")),
+    "rank2_frame": (type_a(1, 2, 0, 1, 1, 3), 10**400, ("classify", "equiv", "isotropy")),
+    "rank2_forced": (type_a(0, 1, -2, 0, 0, 0), 10**400, ("classify", "equiv", "isotropy")),
+    "alt_b": (alt_b_param("V2", (1, 2, 3)), 10**650, ("classify", "equiv")),
+    "random_b": (rand_model_b(random.Random(7)), 10**650, ("classify", "equiv")),
+}
+
+
+@pytest.mark.parametrize("stratum", sorted(HEIGHT_LADDER))
+def test_height_ladder(stratum):
+    """Each stratum answers at about 4,000-digit inputs, under the parser's
+    limit: every command prints a JSON answer with no error and nothing on
+    stderr, and exits as it does at ordinary heights."""
+    model, height, commands = HEIGHT_LADDER[stratum]
+    limit = sys.get_int_max_str_digits()
+    doc = json.dumps(serialize_model(_tall_model(model, 5, height)))
+    parts = [part for text in json.loads(doc)["coeffs"] for part in text.lstrip("-").split("/")]
+    assert 3500 < max(map(len, parts)) < limit
+    for command in commands:
+        args = [command, doc] + ([json.dumps(serialize_model(model))] if command == "equiv" else [])
+        code, out, err = run(args)
+        answer = json.loads(out)
+        assert err == "" and "error" not in answer, (command, err[:200])
+        assert code == (1 if command == "classify" and answer["errors"] else 0), (command, out[:200])
+        assert answer.get("status") in ("solved", "equivalent", None), (command, out[:200])

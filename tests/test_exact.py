@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 from affinestrata.exact import (
     CirclePoint,
     Mat2,
+    QuadExt,
+    ShearMap,
     circle_from_slope,
     jacobian,
     mat_rank,
@@ -15,6 +18,10 @@ from affinestrata.exact import (
     solve_linear,
     sqrt_rational,
 )
+from affinestrata.group_action import carries, isotropy_type_a, transform_coeffs
+from affinestrata.models import type_a
+from affinestrata.polys import rational_roots
+from affinestrata.strata import Rank1Chart
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -83,6 +90,14 @@ def test_mat2_inverse_of_int_entries_is_exact():
     assert Mat2.of(1, 2, 3, 4).inverse() == Mat2.of(F(1), F(2), F(3), F(4)).inverse()
 
 
+def test_shear_inverse_of_int_fields_is_exact():
+    """Dividing int fields gives Fractions, not floats the gate refuses."""
+    phi = ShearMap(2, 1)
+    assert phi.inverse() == ShearMap(F(1, 2), F(-1, 2))
+    assert phi.inverse().to_json() == {"a": "1/2", "b": "-1/2", "matrix": [["1", "0"], ["-1/2", "1/2"]]}
+    assert phi.compose(phi.inverse()).matrix == Mat2.identity()
+
+
 def test_jacobian_linear_maps():
     fn = lambda v: (v[0], v[1], 0, 0, 0, 0)
     rows = jacobian(fn, [F(2), F(7)])
@@ -125,3 +140,71 @@ def test_mat_rank():
     assert mat_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert mat_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
     assert mat_rank([[F(1), F(0), F(3)], [F(0), F(1), F(0)]]) == 2
+
+
+#: the isotropy family [[a^2, b], [0, a]] of M(0, 0, 0, 0, 1, 0)
+_FAMILY = isotropy_type_a(type_a(0, 0, 0, 0, 1, 0)).families[0]
+
+#: each scalar entry point of the package, called on the scalars q(n, d),
+#: and its answer when q builds Fractions
+GATE_CASES = {
+    "transform_coeffs": (
+        lambda q: transform_coeffs([q(1, 2), 0, 0, 0, q(1, 10), 0], ((1, 1), (0, 2))),
+        (F(1, 2), F(0), F(-1, 4), F(0), F(3, 20), F(0)),
+    ),
+    "carries": (
+        lambda q: carries(
+            [q(1, 2), 0, 0, 0, q(1, 10), 0], ((1, 1), (0, 2)), (F(1, 2), 0, F(-1, 4), 0, F(3, 20), 0)
+        ),
+        True,
+    ),
+    "Rank1Chart": (
+        lambda q: Rank1Chart(q(1, 2), 0, q(3, 4), 1).to_dict(),
+        {"p": "1/2", "q": "0", "u": "3/4", "v": "1", "sign": "-"},
+    ),
+    "ShearMap": (
+        lambda q: ShearMap(q(1, 2), q(3, 4)).to_json(),
+        {"a": "1/2", "b": "3/4", "matrix": [["1", "0"], ["3/4", "1/2"]]},
+    ),
+    "CirclePoint": (lambda q: CirclePoint(q(3, 5), q(-4, 5)), CirclePoint(F(3, 5), F(-4, 5))),
+    "circle_from_slope": (lambda q: circle_from_slope(q(1, 10)), CirclePoint(F(99, 101), F(20, 101))),
+    "primitive_covector": (lambda q: primitive_covector((q(1, 2), q(-3, 4))), (2, -3)),
+    "mat_rank": (lambda q: mat_rank([[q(1, 2), 1], [1, 2]]), 1),
+    "solve_linear": (lambda q: solve_linear([[q(1, 2), 1]], [q(1, 4)]), ([F(1, 2), F(0)], [[F(-2), F(1)]])),
+    "QuadExt": (lambda q: QuadExt(q(1, 2), q(3, 4), F(2)) * QuadExt(1, 1, F(2)), QuadExt(2, F(5, 4), F(2))),
+    "jacobian": (lambda q: jacobian(lambda x: [x[0] * x[1]], [q(1, 2), 2]), [[F(2), F(1, 2)]]),
+    "rational_roots": (lambda q: rational_roots([q(-1, 2), 0, 2]), [(F(1, 2), 1), (F(-1, 2), 1)]),
+    "IsotropyFamily.instantiate": (
+        lambda q: _FAMILY.instantiate([q(1, 10), q(1, 4)]).to_json(),
+        [["1/100", "1/4"], ["0", "1/10"]],
+    ),
+    "sqrt_rational": (lambda q: sqrt_rational(q(9, 4)), F(3, 2)),
+}
+
+#: the foreign scalars q(n, d), with the error each must raise
+FOREIGN = {
+    "float": (lambda n, d: n / d, TypeError, "cannot interpret float as a rational"),
+    "QuadExt": (lambda n, d: QuadExt(F(n, d), 0, F(2)), TypeError, "cannot interpret QuadExt as a rational"),
+    "decimal": (lambda n, d: str(n / d), ValueError, "not a rational literal: '0.1'"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, "float") for name in GATE_CASES]
+    + [
+        ("transform_coeffs", "QuadExt"),
+        ("circle_from_slope", "decimal"),
+        ("IsotropyFamily.instantiate", "decimal"),
+    ],
+)
+def test_every_scalar_passes_one_gate(name, kind):
+    """A float, a field element or a decimal literal at any scalar entry
+    point is refused by the one gate (or by the literal grammar), where a
+    float's binary value used to be taken silently; the same scalars as
+    Fractions give the same answers as before."""
+    call, expected = GATE_CASES[name]
+    scalar, error, message = FOREIGN[kind]
+    with pytest.raises(error, match=re.escape(message)):
+        call(scalar)
+    assert call(F) == expected

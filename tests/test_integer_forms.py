@@ -376,10 +376,15 @@ def test_models_tensors_and_matrices_are_immutable():
     assert repr(mat) == (
         "Mat2(rows=((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3))))"
     )
-    assert repr(Mat2(((1, 0), (F(1, 2), 2)))) == "Mat2(rows=((1, 0), (Fraction(1, 2), 2)))"
-    assert repr(Ricci2(((1, F(1, 2)), (0, 3)), cleared=True)) == (
-        "Ricci2(rows=((1, Fraction(1, 2)), (0, 3)), cleared=True)"
+    # rows are built from the form, so a matrix built from ints prints its
+    # Fractions, as every equal matrix does
+    assert repr(Mat2(((1, 0), (F(1, 2), 2)))) == (
+        "Mat2(rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 2), Fraction(2, 1))))"
     )
+    assert repr(Ricci2(((1, F(1, 2)), (0, 3)), cleared=True)) == (
+        "Ricci2(rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(3, 1))), cleared=True)"
+    )
+    assert repr(Mat2(((1, 0), (0, 1)))) == repr(Mat2.identity())
     assert repr(Ricci2.of_integers((2, 1, 0, 6), 2, False)) == (
         "Ricci2(rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(3, 1))), cleared=False)"
     )

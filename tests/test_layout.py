@@ -1,7 +1,7 @@
 """The module layout of the package: every import sits at module level, the
 modules import one another without a cycle, so no module needs a lazy import
 to load, the cold import chain leaves out the dataclass machinery, and the
-integer-form format has its one home in ``exact``."""
+integer-form format and the scalar gate have their one home in ``exact``."""
 
 import ast
 import os
@@ -101,3 +101,19 @@ def test_integer_form_format_stays_in_exact():
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
     assert any(isinstance(node, ast.FunctionDef) and node.name == "lowest_terms" for node in _trees()["exact"].body)
+
+
+def test_scalar_gate_stays_in_exact():
+    """Only ``exact`` reads a scalar's integer ratio: every other module
+    takes its scalars through the one gate (``clear_denominators``, the
+    value constructors or ``rational``), or reads ``numerator`` and
+    ``denominator`` of a Fraction the package built."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio" and name != "exact":
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+    assert any(
+        isinstance(node, ast.FunctionDef) and node.name == "_ratio" for node in _trees()["exact"].body
+    )
