@@ -618,7 +618,8 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             family, rec_params, witness = match_rank1_family(m)
             if family != entry_id:
                 _fail(f"{entry_id}{params} sample {i}: matched {family}")
-            if not carries(canonical_model(family, rec_params), witness.matrix, m):
+            target = base if rec_params == params else canonical_model(family, rec_params)
+            if not carries(target, witness.matrix, m):
                 _fail(f"{entry_id} sample {i}: witness failed")
             used += 1
     return used

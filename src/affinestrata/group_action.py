@@ -283,7 +283,9 @@ def _solve_reduced(red1, red2):
     scales R_i / L_i^2, so every sign, vanishing and ratio test is an integer
     cross-multiplication.  The entries alpha, beta, delta of
     T = [[alpha, beta], [0, delta]] are integer pairs (numerator,
-    denominator), and T is built from integers, so no Fraction is built.
+    denominator), and T is built from integers, so no Fraction is built.  At
+    an irrational frame scale the forced T has entries in Z[sqrt(R1 R2)] and
+    is checked by the law before the answer; a failure is an AssertionError.
 
     Returns (status, matrices, note).
     """
@@ -309,16 +311,21 @@ def _solve_reduced(red1, red2):
             # exactly when R1 R2 is a square s^2: delta = +-s L2 / (|R2| L1)
             square = r1 * r2
             s = math.isqrt(square)
+            q = abs(r2)
+            roots = (s, -s) if s * s == square else (QuadInt(0, 1, square),)
+            forced = [(alpha, (l2 * (c1 * q - root * c2), a2 * q * l1), (root * l2, q * l1)) for root in roots]
             if s * s != square:
+                # vanishing in Z[sqrt(R1 R2)] covers both embeddings, so -delta holds too
+                p, den = _triangular(*forced[0])
+                if not _carries(((a1, 0, c1, 0, e1, 0), l1), p, den, ((a2, 0, c2, 0, e2, 0), l2)):
+                    raise AssertionError("the forced rank-one map at the irrational frame scale fails the law")
                 ratio = ratio_str(r1 * l2 * l2, r2 * l1 * l1)
                 return (
                     "undecided",
                     [],
                     f"equivalent over the reals, but the frame scale is the irrational sqrt({ratio})",
                 )
-            q = abs(r2)
-            for root in (s, -s):
-                sols.append((alpha, (l2 * (c1 * q - root * c2), a2 * q * l1), (root * l2, q * l1)))
+            sols.extend(forced)
     else:
         # on this stratum a = 0 forces c != 0
         delta = (c1 * l2, c2 * l1)
@@ -346,14 +353,18 @@ def _solve_reduced(red1, red2):
                 if e2 != 0:
                     return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
                 sols.append(((1, 1), (0, 1), delta))
-    mats = [
-        mat2_of_integers((an * bd * dd, bn * ad * dd, 0, dn * ad * bd), ad * bd * dd)
-        for (an, ad), (bn, bd), (dn, dd) in sols
-        if an != 0 and dn != 0
-    ]
+    mats = [mat2_of_integers(*_triangular(*sol)) for sol in sols if sol[0][0] != 0 and sol[2][0] != 0]
     if not mats:
         return ("not_equivalent", [], "triangular system has no invertible solution")
     return ("equivalent", mats, None)
+
+
+def _triangular(alpha, beta, delta) -> tuple[tuple, object]:
+    """T = [[alpha, beta], [0, delta]] for entries given as pairs (numerator,
+    denominator), as numerators over one denominator; a numerator may be a
+    QuadInt."""
+    (an, ad), (bn, bd), (dn, dd) = alpha, beta, delta
+    return (an * bd * dd, bn * ad * dd, 0, dn * ad * bd), ad * bd * dd
 
 
 # ---------------------------------------------------------------------------
@@ -1118,9 +1129,12 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
             f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
     signs = (1, -1) if det2 > 0 else (-1, 1)  # delta > 0 first
-    candidates = [_frame_map(n2, q1 * d1 * det2, q1 * d2 * sign * root, n1) for sign in signs]
+    # in lowest terms, so _carries cross-multiplies the smallest integers
+    candidates = [
+        mat2_of_integers(_frame_map(n2, q1 * d1 * det2, q1 * d2 * sign * root, n1), den) for sign in signs
+    ]
     source, target = m1.integer_form, m2.integer_form
-    witnesses = tuple(LinearMap2(mat2_of_integers(t, den)) for t in candidates if _carries(source, t, den, target))
+    witnesses = tuple(LinearMap2(t) for t in candidates if _carries(source, *t.integer_form, target))
     if witnesses:
         return EquivalenceWitnesses("equivalent", witnesses)
     return _not_equivalent(

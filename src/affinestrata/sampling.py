@@ -4,6 +4,12 @@ The generator is the Mersenne Twister from the standard library, seeded with
 the string "<seed>:<check id>" (CPython hashes string seeds with SHA-512, so
 streams are reproducible across platforms and runs).  Rationals are sampled
 as n/d with |n| <= height and 1 <= d <= height; the default height is 12.
+The two draws are ``randrange(2 height + 1)`` and ``randrange(height)``, the
+same draws as ``randint(-height, height)`` and ``randint(1, height)``; at the
+default height the value is read from one table of its 25 * 12 rationals,
+built at import, and at any other height it is built as a Fraction.  This is
+the one module that imports ``random``, so the harness's stream is defined
+here alone.
 """
 
 from __future__ import annotations
@@ -17,13 +23,23 @@ from .models import TypeAModel, TypeBModel
 
 DEFAULT_HEIGHT = 12
 
+#: every value of rand_rational at the default height, at index n * 12 + d
+#: for the draws n (numerator + 12) and d (denominator - 1)
+_DEFAULT_RATIONALS = tuple(
+    [Fraction(n - DEFAULT_HEIGHT, d + 1) for n in range(2 * DEFAULT_HEIGHT + 1) for d in range(DEFAULT_HEIGHT)]
+)
+
 
 def stream(seed: int, check_id: str) -> random.Random:
     return random.Random(f"{seed}:{check_id}")
 
 
 def rand_rational(rng: random.Random, height: int = DEFAULT_HEIGHT) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    n = rng.randrange(2 * height + 1)
+    d = rng.randrange(height)
+    if height == DEFAULT_HEIGHT:
+        return _DEFAULT_RATIONALS[n * DEFAULT_HEIGHT + d]
+    return Fraction(n - height, d + 1)
 
 
 def rand_nonzero(rng: random.Random, height: int = DEFAULT_HEIGHT) -> Fraction:

@@ -10,7 +10,12 @@ and ``peval`` on a Fraction polynomial.
 the dual numbers at k = 0, sympy expressions): the package's one law,
 ``group_action._adjugate_law``, divided once by det(T)^2.  ``ring_product``
 is the 2 x 2 product of rows over any ring.
+
+``rand_rational`` is the plain form of ``sampling.rand_rational``: two
+``randint`` draws and a fresh Fraction, the stream the sampler must keep.
 """
+
+from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
 from affinestrata.exact import ZERO, Mat2
@@ -75,3 +80,8 @@ def ring_product(x, y):
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def rand_rational(rng, height=12):
+    """n / d with |n| <= height and 1 <= d <= height, drawn in that order."""
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))

@@ -1,7 +1,7 @@
 """The equivalence solvers on integer forms: the forced irrational scales of
-the Type B solver and of the degenerate rank-two rule are decided in
-Z[sqrt(K)] (``exact.QuadInt``), and the rank-two covariant frame is built
-from the Ricci numerators.
+the Type B solver, of the degenerate rank-two rule and of the reduced
+rank-one analysis are decided or checked in Z[sqrt(K)] (``exact.QuadInt``),
+and the rank-two covariant frame is built from the Ricci numerators.
 
 Each is compared with a Fraction and ``QuadExt`` reference (the bodies the
 integer kernels replaced, with the ring law of ``references``), at heights
@@ -12,6 +12,8 @@ the answer is ``not_equivalent``.  No benchmark pair is ``undecided``, so these 
 what covers that branch.
 """
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, stratum_flags
 from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, sqrt_rational
+from affinestrata import group_action
 from affinestrata.group_action import (
     LinearMap2,
     ShearMap,
+    _solve_reduced,
     _solve_rank2_forced,
     pullback_type_a,
     pullback_type_b,
@@ -242,6 +246,46 @@ def test_rank2_forced_rational_scale_lists_both_signs(height):
         assert [w.matrix for w in maps] == [Mat2.of(ONE, ZERO, ZERO, s) for s in (abs(delta), -abs(delta))]
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Rank one: the forced frame scale of the reduced analysis
+
+
+def test_rank1_irrational_frame_scale_is_checked(monkeypatch):
+    """Reduced rank-one pairs (a, 0, c, 0, e, 0) with a != 0 and Ricci scales
+    R1 R2 a positive non-square are equivalent over the reals only: each
+    answers ``undecided`` after the forced map T = [[alpha, beta], [0,
+    delta]] at delta = sqrt(R1 R2) / |R2| has passed the law in Z[sqrt(R1
+    R2)], one check per pair."""
+    checks = []
+    law_check = group_action._carries
+
+    def counting(source, p, den, target):
+        checks.append(any(isinstance(x, QuadInt) for x in p))
+        return law_check(source, p, den, target)
+
+    monkeypatch.setattr(group_action, "_carries", counting)
+    rng = random.Random(5)
+
+    def reduced():
+        a, c, e = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-3, 3), rng.randint(-3, 3)
+        return (a, c, e, 0, 1, a * e - c * c)
+
+    undecided = 0
+    for _ in range(3000):
+        red1, red2 = reduced(), reduced()
+        k = red1[5] * red2[5]
+        status, mats, note = _solve_reduced(red1, red2)
+        if k > 0 and math.isqrt(k) ** 2 != k:
+            assert (status, mats) == ("undecided", []) and note.startswith("equivalent over the reals"), (red1, red2)
+            undecided += 1
+        else:
+            assert status != "undecided"
+    assert undecided == 1476 and checks == [True] * undecided
+    # a Ricci scale that does not fit the model forces a map the law refuses
+    with pytest.raises(AssertionError, match="irrational frame scale"):
+        _solve_reduced((1, 0, 1, 0, 1, 1), (1, 0, 2, 0, 1, 3))
 
 
 # ---------------------------------------------------------------------------

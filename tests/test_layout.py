@@ -1,7 +1,8 @@
 """The module layout of the package: every import sits at module level, the
 modules import one another without a cycle, so no module needs a lazy import
 to load, the cold import chain leaves out the dataclass machinery, and the
-integer-form format and the scalar gate have their one home in ``exact``."""
+integer-form format and the scalar gate have their one home in ``exact``
+and the random draws theirs in ``sampling``."""
 
 import ast
 import os
@@ -116,4 +117,26 @@ def test_scalar_gate_stays_in_exact():
     assert found == []
     assert any(
         isinstance(node, ast.FunctionDef) and node.name == "_ratio" for node in _trees()["exact"].body
+    )
+
+
+def test_draws_stay_in_sampling():
+    """Only ``sampling`` imports ``random``: every random draw of the package
+    goes through its samplers, so the harness's stream is defined in one
+    place."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "random" for module in modules) and name != "sampling":
+                found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+    assert any(
+        isinstance(node, ast.Import) and [alias.name for alias in node.names] == ["random"]
+        for node in _trees()["sampling"].body
     )
