@@ -76,26 +76,6 @@ class ClassificationReport(Frozen):
 
     __slots__ = ("model", "flags", "ricci_data", "rank_data", "stratum", "orbit", "admits_type_b", "errors")
 
-    def __init__(
-        self,
-        model: Model,
-        flags: dict,
-        ricci_data: dict,
-        rank_data: dict,
-        stratum: dict,
-        orbit: dict | None,
-        admits_type_b: bool | None,
-        errors: dict,
-    ):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "ricci_data", ricci_data)
-        object.__setattr__(self, "rank_data", rank_data)
-        object.__setattr__(self, "stratum", stratum)
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "admits_type_b", admits_type_b)
-        object.__setattr__(self, "errors", errors)
-
     def to_dict(self) -> dict:
         return {
             "model": serialize_model(self.model),
@@ -183,16 +163,7 @@ def classify_model(m: Model) -> ClassificationReport:
                 "symmetric_rank": rank_data["rank"],
                 "symmetric_label": rank_data["label"],
             }
-    return ClassificationReport(
-        model=m,
-        flags=flags.to_dict(),
-        ricci_data=ricci_data,
-        rank_data=rank_data,
-        stratum=stratum,
-        orbit=orbit,
-        admits_type_b=admits,
-        errors=errors,
-    )
+    return ClassificationReport(m, flags.to_dict(), ricci_data, rank_data, stratum, orbit, admits, errors)
 
 
 def admits_type_b(m: TypeAModel) -> bool:
@@ -221,15 +192,6 @@ class CheckResult(Frozen):
 
     __slots__ = ("check_id", "description", "samples_used", "passed", "counterexample")
 
-    def __init__(
-        self, check_id: str, description: str, samples_used: int, passed: bool, counterexample: str | None
-    ):
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "samples_used", samples_used)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "counterexample", counterexample)
-
     def to_dict(self) -> dict:
         return {
             "id": self.check_id,
@@ -245,11 +207,6 @@ class VerificationReport(Frozen):
     :func:`verify_theorems` run."""
 
     __slots__ = ("seed", "samples", "results")
-
-    def __init__(self, seed: int, samples: int, results: tuple[CheckResult, ...]):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "results", results)
 
     @property
     def all_passed(self) -> bool:

@@ -68,10 +68,6 @@ class RicciSplit(Frozen):
 
     __slots__ = ("symmetric", "alt")
 
-    def __init__(self, symmetric: Ricci2, alt: Fraction):
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "alt", alt)
-
     @property
     def sym(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         return self.symmetric.rows
@@ -87,10 +83,6 @@ class RankSig(Frozen):
 
     __slots__ = ("rank", "label")
 
-    def __init__(self, rank: int, label: str):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "label", label)
-
 
 class StratumFlags(Frozen):
     """Which strata a model lies in; the flags :func:`curvature_of` returns,
@@ -98,22 +90,6 @@ class StratumFlags(Frozen):
     and shared."""
 
     __slots__ = ("is_cone_point", "is_flat", "is_rank1_pos", "is_rank1_neg", "is_alt_only", "is_rank2")
-
-    def __init__(
-        self,
-        is_cone_point: bool,
-        is_flat: bool,
-        is_rank1_pos: bool,
-        is_rank1_neg: bool,
-        is_alt_only: bool,
-        is_rank2: bool,
-    ):
-        object.__setattr__(self, "is_cone_point", is_cone_point)
-        object.__setattr__(self, "is_flat", is_flat)
-        object.__setattr__(self, "is_rank1_pos", is_rank1_pos)
-        object.__setattr__(self, "is_rank1_neg", is_rank1_neg)
-        object.__setattr__(self, "is_alt_only", is_alt_only)
-        object.__setattr__(self, "is_rank2", is_rank2)
 
     @property
     def primary(self) -> str:
@@ -240,12 +216,6 @@ class Curvature(Frozen):
     its split, the rank and signature of the symmetric part, and the flags."""
 
     __slots__ = ("ricci", "split", "sig", "flags")
-
-    def __init__(self, ricci: Ricci2, split: RicciSplit, sig: RankSig, flags: StratumFlags):
-        object.__setattr__(self, "ricci", ricci)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "flags", flags)
 
 
 def curvature_of(m: Model) -> Curvature:

@@ -32,9 +32,9 @@ the orbit matchers (:func:`solve_integer`) work on integers as well.  Every
 rational an answer contains is written by :func:`ratio_str`, at any length.
 
 Every immutable value of the package, here and downstream, is a slotted
-subclass of :class:`Frozen`, which gives a record equality, hashing, its
-repr and pickling over its fields, as a frozen dataclass would, without
-importing ``dataclasses`` or generating methods at import time.
+subclass of :class:`Frozen`, which builds a record from its fields and
+gives it equality, hashing, its repr and pickling over them, as a frozen
+dataclass would, without importing ``dataclasses`` or generating code.
 """
 
 from __future__ import annotations
@@ -183,26 +183,66 @@ class Frozen:
     matrices, and the records (maps, circle points, catalog entries,
     curvature data, memberships, charts, reports).
 
-    Each attribute lives in a slot and is set once, by the type's own
-    constructor, through ``object.__setattr__``; any later assignment or
-    deletion raises :class:`FrozenInstanceError`.  A record names its fields
-    in ``__slots__``, in the order of its constructor's parameters (a
-    subclass adds its own slots to its parent's fields), and gets from this
-    base what a frozen dataclass would give it: equality with an instance
-    of the same class with equal fields, the hash of the tuple of its
-    fields, the repr ``Name(field=value, ...)``, and copying and pickling
-    through its constructor.  A type whose slots are not its fields
-    (``ShearMap.matrix`` is derived from them, an :class:`IntegerForm`
-    holds its values cleared) names the fields in ``_fields``.
+    A record names its fields once, in ``__slots__`` (a subclass adds its
+    own slots to its parent's fields), and this base builds it: the
+    constructor sets each field once, in ``_fields`` order, from positional
+    or keyword arguments, taking a field that is not given from the class's
+    ``_defaults``.  A call with one positional value per field sets the
+    slots straight through their descriptors; any other call is bound by
+    :meth:`_bind`, which raises TypeError as a Python signature would.  Any
+    later assignment or deletion raises :class:`FrozenInstanceError`.  The
+    base also gives what a frozen dataclass would: equality with an
+    instance of the same class with equal fields, the hash of the tuple of
+    its fields, the repr ``Name(field=value, ...)``, and copying and
+    pickling through the constructor.
+
+    A type that does more than copy its fields keeps its own constructor:
+    :class:`LinearMap2` checks invertibility, :class:`ShearMap` checks its
+    scale and derives its matrix, :class:`CirclePoint` checks that the
+    point is on the circle, and an :class:`IntegerForm` clears its values.
+    A type whose slots are not its fields (``ShearMap.matrix``, an
+    :class:`IntegerForm`'s cleared values) names the fields in ``_fields``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
             cls._fields = cls._fields + cls.__slots__
+        if cls.__init__ is Frozen.__init__:
+            # the slot descriptors' setters, in field order, for the fast path
+            cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        i = 0  # a counter, not zip: for a few fields, making the zip costs more than the loop
+        for value in args:
+            setters[i](self, value)
+            i += 1
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values of a call that names fields or leaves some to
+        their defaults, checked as Python checks a signature."""
+        name, fields, defaults = cls.__qualname__, cls._fields, cls._defaults
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        missing = [field for field in fields if field not in values and field not in defaults]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [values[field] if field in values else defaults[field] for field in fields]
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

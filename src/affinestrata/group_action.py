@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 from .exact import (
     ONE,
@@ -699,13 +698,6 @@ class IsotropyFamily(Frozen):
 
     __slots__ = ("dimension", "param_names", "constraints", "template", "build")
 
-    def __init__(self, dimension: int, param_names: tuple, constraints: tuple, template: str, build: Callable):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "param_names", param_names)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "build", build)
-
     def instantiate(self, params) -> LinearMap2:
         if len(params) != self.dimension:
             raise ValueError(f"family takes {self.dimension} parameter(s)")
@@ -724,10 +716,6 @@ class IsotropyGroup(Frozen):
     """Every listed element and family member fixes the model under pullback."""
 
     __slots__ = ("finite_elements", "families")
-
-    def __init__(self, finite_elements: tuple[LinearMap2, ...], families: tuple[IsotropyFamily, ...]):
-        object.__setattr__(self, "finite_elements", finite_elements)
-        object.__setattr__(self, "families", families)
 
     @property
     def dimension(self) -> int:
@@ -903,12 +891,7 @@ class EquivalenceWitnesses(Frozen):
     """
 
     __slots__ = ("status", "maps", "obstruction", "reason")
-
-    def __init__(self, status: str, maps: tuple = (), obstruction: str | None = None, reason: str | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"maps": (), "obstruction": None, "reason": None}
 
     @property
     def is_equivalent(self) -> bool:
@@ -925,12 +908,16 @@ class EquivalenceWitnesses(Frozen):
         return out
 
 
+def _equivalent(maps: tuple) -> EquivalenceWitnesses:
+    return EquivalenceWitnesses("equivalent", maps, None, None)
+
+
 def _not_equivalent(obstruction: str) -> EquivalenceWitnesses:
-    return EquivalenceWitnesses("not_equivalent", obstruction=obstruction)
+    return EquivalenceWitnesses("not_equivalent", (), obstruction, None)
 
 
 def _undecided(reason: str) -> EquivalenceWitnesses:
-    return EquivalenceWitnesses("undecided", reason=reason)
+    return EquivalenceWitnesses("undecided", (), None, reason)
 
 
 def _verified_a(m1, m2, products) -> list[LinearMap2]:
@@ -1014,7 +1001,7 @@ def solve_equivalence_a(m1: TypeAModel, m2: TypeAModel) -> EquivalenceWitnesses:
             return _undecided(note)
         s2 = _frame_inverse(frame2)
         witnesses = [_product(s2, mat, frame1.matrix) for mat in mats]
-        return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, witnesses)))
+        return _equivalent(tuple(_verified_a(m1, m2, witnesses)))
     return _solve_rank2_pair(m1, m2, c1.ricci, c2.ricci)
 
 
@@ -1027,7 +1014,7 @@ def _solve_flat_pair(m1, m2, pattern1: str, pattern2: str) -> EquivalenceWitness
     if id1 != id2:
         return _not_equivalent(f"different flat orbits: {id1} vs {id2}")
     t = _product(w2.matrix, w1.matrix.inverse())
-    return EquivalenceWitnesses("equivalent", tuple(_verified_a(m1, m2, [t])))
+    return _equivalent(tuple(_verified_a(m1, m2, [t])))
 
 
 # -- rank two -----------------------------------------------------------------
@@ -1072,12 +1059,12 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
             return _not_equivalent(
                 "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
-        return EquivalenceWitnesses("equivalent", (t,))
+        return _equivalent((t,))
     if v1[0] != (0, 0) or v2[0] != (0, 0):
         return _solve_rank2_forced(m1, m2, r1, r2, v1, v2)
     witnesses = _rank2_witnesses_by_cubic(m1, m2, r1, r2)
     if witnesses:
-        return EquivalenceWitnesses("equivalent", tuple(witnesses))
+        return _equivalent(tuple(witnesses))
     (det1, d1), (det2, d2) = ricci_det(r1), ricci_det(r2)
     k = det1 * det2
     if k < 0 or math.isqrt(k) ** 2 != k:
@@ -1136,7 +1123,7 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
     source, target = m1.integer_form, m2.integer_form
     witnesses = tuple(LinearMap2(t) for t in candidates if _carries(source, *t.integer_form, target))
     if witnesses:
-        return EquivalenceWitnesses("equivalent", witnesses)
+        return _equivalent(witnesses)
     return _not_equivalent(
         "neither map carrying v and its Ricci-normal onto the other model's intertwines them"
     )
@@ -1283,5 +1270,5 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
         if an != 0 and _carries(source, (ad * bd, 0, bn * ad, an * bd), ad * bd, target)
     ]
     if shears:
-        return EquivalenceWitnesses("equivalent", tuple(shears))
+        return _equivalent(tuple(shears))
     return _not_equivalent("the shear elimination has no solution")

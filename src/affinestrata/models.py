@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .exact import Frozen, IntegerForm, parse_literal, ratio_str, rational
 
@@ -175,24 +175,7 @@ class CatalogEntry(Frozen):
     """
 
     __slots__ = ("entry_id", "model_type", "param_names", "constraints", "build", "check", "aliases")
-
-    def __init__(
-        self,
-        entry_id: str,
-        model_type: str,
-        param_names: tuple[str, ...],
-        constraints: str,
-        build: Callable[[Sequence], tuple],
-        check: Callable[..., str | None] = _no_constraint,
-        aliases: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "entry_id", entry_id)
-        object.__setattr__(self, "model_type", model_type)
-        object.__setattr__(self, "param_names", param_names)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "build", build)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "aliases", aliases)
+    _defaults = {"check": _no_constraint, "aliases": ()}
 
     @property
     def arity(self) -> int:

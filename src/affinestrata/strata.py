@@ -86,12 +86,6 @@ class FlatAChart(Frozen):
 
     __slots__ = ("theta", "r", "s", "t")
 
-    def __init__(self, theta: CirclePoint, r: Fraction, s: Fraction, t: Fraction):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
     def to_dict(self) -> dict:
         return {
             "theta": [rational_str(self.theta.c), rational_str(self.theta.s)],
@@ -253,11 +247,6 @@ class Rank1Reduction(Frozen):
 
     __slots__ = ("rotation", "normalized", "scale")
 
-    def __init__(self, rotation: CirclePoint, normalized: TypeAModel, scale: Fraction):
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "scale", scale)
-
 
 def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
     """Rotate a rank-one model so its Ricci tensor is a multiple of
@@ -414,10 +403,6 @@ class FamilyMembership(Frozen):
 
     __slots__ = ("family", "params")
 
-    def __init__(self, family: str, params: tuple[Fraction, ...]):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-
     def to_dict(self) -> dict:
         return {"family": self.family, "params": [rational_str(p) for p in self.params]}
 
@@ -427,10 +412,6 @@ class TypeBMembership(Frozen):
     intersection curves or surfaces it lies on."""
 
     __slots__ = ("members", "intersections")
-
-    def __init__(self, members: tuple[FamilyMembership, ...], intersections: tuple[str, ...]):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "intersections", intersections)
 
     def to_dict(self) -> dict:
         return {

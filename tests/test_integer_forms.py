@@ -19,7 +19,8 @@ The four integer-form types keep their equality, hash and repr, survive
 copies and pickles, never equal a value of another of them (a Ricci tensor
 and a matrix with the same entries, a Type A and a Type B model), and a
 matrix takes rational entries only.  Every record type keeps the repr, hash and equality of the frozen dataclass
-it replaced (checked against one made here), and the signatures and stratum
+it replaced (checked against one made here) and is built alike by position
+and by keyword, with its class's defaults; the signatures and stratum
 flags of :func:`curvature_of` are shared values equal to a reference.
 """
 
@@ -88,6 +89,7 @@ from affinestrata.models import (
     ModelParseError,
     TypeAModel,
     TypeBModel,
+    _no_constraint,
     canonical_model,
     parse_model,
     serialize_model,
@@ -494,6 +496,31 @@ def _records():
         check,
         VerificationReport(1, 3, (check,)),
     ]
+
+
+def test_records_are_built_by_the_base_constructor():
+    """Every record is built alike from its fields by position and by
+    keyword, a bad call raises TypeError as a Python signature would, and
+    the two records with defaults fill in the fields a call leaves out."""
+    for rec in _records():
+        cls, names = type(rec), DATACLASS_FIELDS[type(rec)]
+        values = [getattr(rec, name) for name in names]
+        named = dict(zip(names, values))
+        built = cls(**named)
+        assert built == cls(*values) == rec and repr(built) == repr(rec)
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+        with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+            cls(**named, extra=None)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+            cls(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError, match="missing"):
+            cls(**{name: value for name, value in named.items() if name != names[0]})
+    undecided = EquivalenceWitnesses("undecided", reason="x")
+    assert undecided.maps == () and undecided.obstruction is None
+    assert undecided == EquivalenceWitnesses("undecided", (), None, "x")
+    entry = CatalogEntry("X", "A", (), "", lambda p: (0, 0, 0, 0, 0, 0))
+    assert entry.check is _no_constraint and entry.aliases == ()
 
 
 @pytest.mark.parametrize("height", HEIGHTS)

@@ -1,16 +1,19 @@
-"""The module layout of the package: every import sits at module level, the
-modules import one another without a cycle, so no module needs a lazy import
-to load, the cold import chain leaves out the dataclass machinery, and the
-integer-form format and the scalar gate have their one home in ``exact``
-and the random draws theirs in ``sampling``."""
+"""The module layout of the package: every import sits at module level and
+is used, the modules import one another without a cycle, so no module needs
+a lazy import to load, the cold import chain leaves out the dataclass
+machinery, the records leave their construction to ``exact.Frozen``, and
+the integer-form format and the scalar gate have their one home in
+``exact`` and the random draws theirs in ``sampling``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import affinestrata
+from affinestrata.exact import Frozen, IntegerForm
 
 PACKAGE = Path(affinestrata.__file__).resolve().parent
 
@@ -71,6 +74,70 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it, save a re-export marked
+    ``# noqa: F401``; the package's ``__init__`` is its public namespace,
+    made of re-exports, and is left out."""
+    found = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        lines = (PACKAGE / f"{name}.py").read_text(encoding="utf-8").splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{name}.py:{node.lineno} {bound}")
+    assert found == []
+
+
+def _copies_its_parameters(fn) -> bool:
+    """Whether the body of ``fn`` is only ``object.__setattr__(self, "p", p)``
+    statements, one per parameter p."""
+    params = {arg.arg for arg in fn.args.args[1:]}
+    for stmt in fn.body:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if not (
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "object.__setattr__"
+            and len(call.args) == 3
+            and isinstance(call.args[1], ast.Constant)
+            and isinstance(call.args[2], ast.Name)
+            and call.args[2].id in params
+            and call.args[1].value == call.args[2].id
+        ):
+            return False
+    return bool(fn.body)
+
+
+def test_records_write_no_field_copying_constructor():
+    """The base ``Frozen`` builds every record from its fields, so no record
+    writes a constructor that only copies its parameters into its slots.
+    The types that keep a constructor do more: a linear map checks
+    invertibility, a shear its scale and its matrix, a circle point the
+    circle, and an integer form clears its values."""
+    copying, own = [], set()
+    for name, tree in _trees().items():
+        module = importlib.import_module(f"affinestrata.{name}") if name != "__init__" else affinestrata
+        for node in tree.body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, Frozen)):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    own.add(cls)
+                    if _copies_its_parameters(fn):
+                        copying.append(f"{name}.{cls.__name__}")
+    assert copying == []
+    own_records = {cls.__name__ for cls in own if not issubclass(cls, IntegerForm)}
+    assert own_records == {"Frozen", "LinearMap2", "ShearMap", "CirclePoint"}
 
 
 def test_cold_import_loads_no_dataclass_machinery():
