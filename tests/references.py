@@ -11,15 +11,19 @@ the dual numbers at k = 0, sympy expressions): the package's one law,
 ``group_action._adjugate_law``, divided once by det(T)^2.  ``ring_product``
 is the 2 x 2 product of rows over any ring.
 
-``rand_rational`` is the plain form of ``sampling.rand_rational``: two
-``randint`` draws and a fresh Fraction, the stream the sampler must keep.
+``draw_ratio`` is the plain form of the sampler's one draw,
+``sampling._draw_ratio``: two ``randint`` draws, the stream the sampler
+must keep.  ``PLAIN_SAMPLERS`` holds the plain forms of the samplers, each
+built from fresh Fractions (``rand_rational``) in the order the rows and
+coefficients are read, as a model or a matrix takes them.
 """
 
 from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
-from affinestrata.exact import ZERO, Mat2
-from affinestrata.group_action import _adjugate_law
+from affinestrata.exact import ZERO, Mat2, circle_from_slope
+from affinestrata.group_action import LinearMap2, ShearMap, _adjugate_law
+from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
 
 
@@ -82,6 +86,51 @@ def ring_product(x, y):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
+def draw_ratio(rng, height):
+    """The integers (n, d) with |n| <= height and 1 <= d <= height, drawn in
+    that order."""
+    return rng.randint(-height, height), rng.randint(1, height)
+
+
 def rand_rational(rng, height=12):
-    """n / d with |n| <= height and 1 <= d <= height, drawn in that order."""
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    return Fraction(*draw_ratio(rng, height))
+
+
+def rand_nonzero(rng, height=12):
+    while True:
+        x = rand_rational(rng, height)
+        if x != 0:
+            return x
+
+
+def rand_model_a(rng, height=12):
+    return TypeAModel(*[rand_rational(rng, height) for _ in range(6)])
+
+
+def rand_model_b(rng, height=12):
+    return TypeBModel(*[rand_rational(rng, height) for _ in range(6)])
+
+
+def rand_linear_map(rng, height=12):
+    while True:
+        rows = (
+            (rand_rational(rng, height), rand_rational(rng, height)),
+            (rand_rational(rng, height), rand_rational(rng, height)),
+        )
+        mat = Mat2(rows)
+        if not mat.is_singular():
+            return LinearMap2(mat)
+
+
+def rand_shear(rng, height=12):
+    return ShearMap(rand_nonzero(rng, height), rand_rational(rng, height))
+
+
+def rand_circle(rng, height=12):
+    return circle_from_slope(rand_rational(rng, height))
+
+
+PLAIN_SAMPLERS = {
+    f.__name__: f
+    for f in (rand_rational, rand_nonzero, rand_model_a, rand_model_b, rand_linear_map, rand_shear, rand_circle)
+}

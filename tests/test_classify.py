@@ -147,6 +147,18 @@ def test_verify_theorems_check_filter():
         verify_theorems(seed=1, samples=0)
 
 
+def test_verify_theorems_refuses_an_empty_selection():
+    # an empty selection would report no checks and pass vacuously
+    with pytest.raises(ValueError, match="no check ids"):
+        verify_theorems(1, 5, [])
+
+
+def test_verify_theorems_runs_each_selected_check_once():
+    report = verify_theorems(1, 3, ["action_laws", "ricci_line_reduction", "action_laws"])
+    assert [r.check_id for r in report.results] == ["action_laws", "ricci_line_reduction"]
+    assert report == verify_theorems(1, 3, ["action_laws", "ricci_line_reduction"])
+
+
 def test_verify_theorems_minimal_sampling():
     report = verify_theorems(seed=2, samples=1)
     assert report.all_passed

@@ -218,6 +218,14 @@ def test_verify_check_filter():
     assert [c["id"] for c in doc["checks"]] == ["action_laws"]
 
 
+def test_verify_runs_a_repeated_check_once():
+    args = ["verify", "--seed", "1", "--samples", "2", "--check", "action_laws"]
+    code, out, _ = run([*args, "--check", "action_laws"])
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["checks"]] == ["action_laws"]
+    assert out == run(args)[1]
+
+
 @pytest.mark.parametrize(
     "args",
     [["--check", "bogus"], ["--check", "action_laws", "--check", "bogus"], ["--samples", "0"]],

@@ -3,7 +3,7 @@ is used, the modules import one another without a cycle, so no module needs
 a lazy import to load, the cold import chain leaves out the dataclass
 machinery, the records leave their construction to ``exact.Frozen``, and
 the integer-form format and the scalar gate have their one home in
-``exact`` and the random draws theirs in ``sampling``."""
+``exact`` and the random draws theirs in one function of ``sampling``."""
 
 import ast
 import importlib
@@ -187,12 +187,31 @@ def test_scalar_gate_stays_in_exact():
     )
 
 
+#: the methods of ``random.Random`` that consume its stream
+_DRAW_METHODS = {
+    "getrandbits", "randrange", "randint", "random", "choice", "choices", "sample", "shuffle", "uniform", "randbytes",
+}
+
+
 def test_draws_stay_in_sampling():
-    """Only ``sampling`` imports ``random``: every random draw of the package
-    goes through its samplers, so the harness's stream is defined in one
-    place."""
+    """Only ``sampling`` imports ``random``, and in the whole package only its
+    primitive ``_draw_ratio`` reads the generator: every random draw goes
+    through that one function, so the harness's stream is defined by it."""
+    trees = _trees()
+    primitive = next(
+        node for node in trees["sampling"].body if isinstance(node, ast.FunctionDef) and node.name == "_draw_ratio"
+    )
+    inside = set(ast.walk(primitive))
+    readers = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _DRAW_METHODS and node not in inside
+    ]
+    assert readers == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "getrandbits" for node in inside)
     found = []
-    for name, tree in _trees().items():
+    for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -205,5 +224,5 @@ def test_draws_stay_in_sampling():
     assert found == []
     assert any(
         isinstance(node, ast.Import) and [alias.name for alias in node.names] == ["random"]
-        for node in _trees()["sampling"].body
+        for node in trees["sampling"].body
     )
