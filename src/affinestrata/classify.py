@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Frozen, Mat2, mat2_of_integers, rational_str
+from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -348,13 +348,14 @@ def _check_ricci_diag(rng, samples: int) -> int:
         while True:
             a, c, e, f = (sampling.rand_rational(rng) for _ in range(4))
             m = TypeAModel(a, ZERO, c, ZERO, e, f)
-            if not ricci_type_a(m).is_zero():
+            r = ricci_type_a(m)
+            if not r.is_zero():
                 break
-        r = ricci_type_a(m)
-        (r11, r12, _, _), _ = r.integer_form
+        (r11, r12, _, r22), rd = r.integer_form
         if r11 != 0 or r12 != 0:
             _fail(f"reduced sample {i}: Ricci not a multiple of dx2 (x) dx2")
-        if r.rows[1][1] != -c * c + a * e + c * f:
+        (a, _, c, _, e, f), den = m.integer_form
+        if r22 * den * den != (-c * c + a * e + c * f) * rd:
             _fail(f"reduced sample {i}: scale formula mismatch")
         used += 1
     for i in range(10 * samples):
@@ -518,27 +519,28 @@ def _check_rank1_families(rng, samples: int) -> int:
 def _check_rank1_chart(rng, samples: int) -> int:
     used = 0
     for i in range(samples):
-        p, q, u, v = (sampling.rand_rational(rng) for _ in range(4))
-        m = rank1_chart_forward(p, q, u, v)
-        a, _, c, _, e, f = m.coeffs
-        if -c * c + a * e + c * f != p * p + q * q - u * u - v * v:
+        point = [sampling.rand_rational(rng) for _ in range(4)]
+        (p, q, u, v), pd = clear_denominators(point)
+        (a, _, c, _, e, f), den = rank1_chart_forward(*point).integer_form
+        if (-c * c + a * e + c * f) * pd * pd != (p * p + q * q - u * u - v * v) * den * den:
             _fail(f"chart identity failed at sample {i}")
         used += 1
     for i in range(max(1, samples // 5)):
         while True:
-            p, q, u, v = (sampling.rand_rational(rng) for _ in range(4))
-            scale = p * p + q * q - u * u - v * v
+            point = [sampling.rand_rational(rng) for _ in range(4)]
+            (p, q, u, v), pd = clear_denominators(point)
+            scale = p * p + q * q - u * u - v * v  # over pd^2
             if scale != 0:
                 break
-        m0 = rank1_chart_forward(p, q, u, v)
+        m0 = rank1_chart_forward(*point)
         rotation = LinearMap2(sampling.rand_circle(rng).rotation())
         m1 = pullback_type_a(m0, rotation)
         red = rank1_reduce(m1)
         (_, b, _, d, _, _), _ = red.normalized.integer_form
         if b != 0 or d != 0:
             _fail(f"reduction sample {i}: b, d not cleared")
-        if red.scale != scale:
-            _fail(f"reduction sample {i}: scale {red.scale} != {scale}")
+        if red.scale.numerator * pd * pd != scale * red.scale.denominator:
+            _fail(f"reduction sample {i}: scale {red.scale} != {Fraction(scale, pd * pd)}")
         used += 1
     return used
 

@@ -1010,6 +1010,8 @@ def _solve_flat_pair(m1, m2, pattern1: str, pattern2: str) -> EquivalenceWitness
         id1, w1 = _match_flat_a_orbit(m1, pattern1)
         id2, w2 = _match_flat_a_orbit(m2, pattern2)
     except UnmatchedOrbitError as exc:
+        if pattern1 != pattern2:  # the real root lines of det(x, G(x, x)) are GL(2, R)-invariant
+            return _not_equivalent(f"cubic root patterns differ: {pattern1} vs {pattern2}")
         return _undecided(f"flat orbit matcher failed: {exc}")
     if id1 != id2:
         return _not_equivalent(f"different flat orbits: {id1} vs {id2}")

@@ -11,8 +11,8 @@ A model is stored as its integer form (:class:`~affinestrata.exact.IntegerForm`)
 :attr:`integer_form` holds the integer numerators of the six coefficients
 over their least common denominator, in lowest terms.  A model built from
 rationals (or ints, or rational strings) clears them once; a parsed model
-document and the coefficient law build the model straight from integer
-numerators (:meth:`TypeAModel.of_integers`).
+document, the coefficient law and every catalog and family build make the
+model straight from integer numerators (:meth:`TypeAModel.of_integers`).
 Every rational kernel downstream (the Ricci tensors, the coefficient law
 and its witness checks, the binary cubic, the orbit matchers and the
 charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exact import Frozen, IntegerForm, parse_literal, ratio_str, rational
+from .exact import ONE, Frozen, IntegerForm, clear_denominators, parse_literal, ratio_str, rational
 
 
 class ModelParseError(ValueError):
@@ -158,7 +158,7 @@ def parse_model(text) -> Model:
 # Family records and the canonical-model catalog
 
 
-def _no_constraint(*_params):
+def _no_constraint(_nums, _den):
     return None
 
 
@@ -167,11 +167,17 @@ class CatalogEntry(Frozen):
     map and constraints.  The catalog and the stratum parametrizations are
     both tables of these records.
 
-    ``build`` maps a parameter sequence to the six coefficients with ring
-    operations only, so it evaluates on exact rationals and on dual numbers
-    alike.
-    ``check`` returns a violation message or None.  ``aliases`` are further
-    names the library (not the command line) accepts for the family.
+    ``build(x, h)`` takes the parameters as numerators ``x`` over one
+    denominator ``h`` and returns ``(nums, den)``, the six coefficients as
+    numerators over a denominator, written with ring operations only.
+    :meth:`model` runs it on integers, with ``h > 0`` the parameters'
+    common denominator, and builds the model from the integers with one gcd
+    (``of_integers``), so no Fraction is made; :meth:`evaluate` runs the same
+    build at ``h = 1`` over any field of scalars (the dual numbers of
+    :func:`~affinestrata.exact.jacobian`, say) and divides by ``den`` there.
+    ``check(x, h)`` reads the same integers and returns a violation message
+    or None.  ``aliases`` are further names the library (not the command
+    line) accepts for the family.
     """
 
     __slots__ = ("entry_id", "model_type", "param_names", "constraints", "build", "check", "aliases")
@@ -193,81 +199,101 @@ class CatalogEntry(Frozen):
     def model(self, params: Sequence = ()) -> Model:
         """The exact model at ``params``; raises CatalogError on a wrong
         arity or a violated constraint."""
-        values = [rational(p) for p in params]
-        if len(values) != self.arity:
+        nums, den = clear_denominators([rational(p) if isinstance(p, str) else p for p in params])
+        if len(nums) != self.arity:
             raise CatalogError(
-                f"{self.entry_id} takes {self.arity} parameter(s), got {len(values)}"
+                f"{self.entry_id} takes {self.arity} parameter(s), got {len(nums)}"
             )
-        violation = self.check(*values)
+        violation = self.check(nums, den)
         if violation is not None:
             raise CatalogError(f"{self.entry_id}: {violation}")
-        return _MODEL_TYPES[self.model_type](*self.build(values))
+        return _MODEL_TYPES[self.model_type].of_integers(*self.build(nums, den))
+
+    def evaluate(self, values: Sequence) -> tuple:
+        """The six coefficients at ``values`` in their own field of scalars,
+        with no constraint check."""
+        nums, den = self.build(values, ONE)
+        inverse = ONE / den
+        return tuple([n * inverse for n in nums])
 
 
-def _c1_not_0_m1(c1):
-    if c1 == 0 or c1 == -1:
+# The checks and builds below read the parameters as numerators x over h > 0;
+# each build clears the powers of h.
+
+
+def _c1_not_0_m1(x, h):
+    if x[0] == 0 or x[0] == -h:
         return "parameter must avoid 0 and -1"
     return None
 
 
-def _nonzero(c):
-    if c == 0:
+def _nonzero(x, _h):
+    if x[0] == 0:
         return "parameter must be nonzero"
     return None
 
 
-def _positive(c):
-    if c <= 0:
+def _positive(x, _h):
+    if x[0] <= 0:
         return "parameter must be positive"
     return None
+
+
+def _constant(*nums):
+    return lambda _x, _h: (nums, 1)
 
 
 CATALOG: dict[str, CatalogEntry] = {
     e.entry_id: e
     for e in [
         # flat Type A orbit representatives
-        CatalogEntry("M0_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
-        CatalogEntry("M1_0", "A", (), "", lambda p: (1, 0, 0, 1, 0, 0)),
-        CatalogEntry("M2_0", "A", (), "", lambda p: (-1, 0, 0, 0, 0, 1)),
-        CatalogEntry("M3_0", "A", (), "", lambda p: (0, 0, 0, 0, 0, 1)),
-        CatalogEntry("M4_0", "A", (), "", lambda p: (0, 0, 0, 0, 1, 0)),
-        CatalogEntry("M5_0", "A", (), "", lambda p: (1, 0, 0, 1, -1, 0)),
+        CatalogEntry("M0_0", "A", (), "", _constant(0, 0, 0, 0, 0, 0)),
+        CatalogEntry("M1_0", "A", (), "", _constant(1, 0, 0, 1, 0, 0)),
+        CatalogEntry("M2_0", "A", (), "", _constant(-1, 0, 0, 0, 0, 1)),
+        CatalogEntry("M3_0", "A", (), "", _constant(0, 0, 0, 0, 0, 1)),
+        CatalogEntry("M4_0", "A", (), "", _constant(0, 0, 0, 0, 1, 0)),
+        CatalogEntry("M5_0", "A", (), "", _constant(1, 0, 0, 1, -1, 0)),
         # Type A families with rank-one Ricci tensor
-        CatalogEntry("M1_1", "A", (), "", lambda p: (-1, 0, 1, 0, 0, 2)),
+        CatalogEntry("M1_1", "A", (), "", _constant(-1, 0, 1, 0, 0, 2)),
         CatalogEntry(
             "M2_1", "A", ("c1",), "c1 not in {0, -1}",
-            lambda p: (-1, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
+            lambda x, h: ((-h, 0, x[0], 0, 0, h + 2 * x[0]), h), _c1_not_0_m1,
         ),
         CatalogEntry(
             "M3_1", "A", ("c1",), "c1 not in {0, -1}",
-            lambda p: (0, 0, p[0], 0, 0, 1 + 2 * p[0]), _c1_not_0_m1,
+            lambda x, h: ((0, 0, x[0], 0, 0, h + 2 * x[0]), h), _c1_not_0_m1,
         ),
-        CatalogEntry("M4_1", "A", ("c",), "", lambda p: (0, 0, 1, 0, p[0], 2)),
-        CatalogEntry("M5_1", "A", ("c",), "", lambda p: (1, 0, 0, 0, 1 + p[0] * p[0], 2 * p[0])),
+        CatalogEntry("M4_1", "A", ("c",), "", lambda x, h: ((0, 0, h, 0, x[0], 2 * h), h)),
+        CatalogEntry(
+            "M5_1", "A", ("c",), "",
+            lambda x, h: ((h * h, 0, 0, 0, h * h + x[0] * x[0], 2 * x[0] * h), h * h),
+        ),
         # flat Type B orbit representatives
-        CatalogEntry("N0_0", "B", (), "", lambda p: (0, 0, 0, 0, 0, 0)),
-        CatalogEntry("N1_0+", "B", (), "", lambda p: (1, 0, 0, 0, 1, 0)),
-        CatalogEntry("N1_0-", "B", (), "", lambda p: (1, 0, 0, 0, -1, 0)),
+        CatalogEntry("N0_0", "B", (), "", _constant(0, 0, 0, 0, 0, 0)),
+        CatalogEntry("N1_0+", "B", (), "", _constant(1, 0, 0, 0, 1, 0)),
+        CatalogEntry("N1_0-", "B", (), "", _constant(1, 0, 0, 0, -1, 0)),
         CatalogEntry(
             "N2_0", "B", ("c1",), "c1 != 0",
-            lambda p: (p[0] - 1, 0, 0, p[0], 0, 0), _nonzero,
+            lambda x, h: ((x[0] - h, 0, 0, x[0], 0, 0), h), _nonzero,
         ),
-        CatalogEntry("N3_0", "B", (), "", lambda p: (-2, 1, 0, -1, 0, 0)),
-        CatalogEntry("N4_0", "B", (), "", lambda p: (0, 1, 0, 0, 0, 0)),
-        CatalogEntry("N5_0", "B", (), "", lambda p: (-1, 0, 0, 0, 0, 0)),
+        CatalogEntry("N3_0", "B", (), "", _constant(-2, 1, 0, -1, 0, 0)),
+        CatalogEntry("N4_0", "B", (), "", _constant(0, 1, 0, 0, 0, 0)),
+        CatalogEntry("N5_0", "B", (), "", _constant(-1, 0, 0, 0, 0, 0)),
         CatalogEntry(
             "N6_0", "B", ("c2",), "c2 not in {0, -1}",
-            lambda p: (p[0], 0, 0, 0, 0, 0), _c1_not_0_m1,
+            lambda x, h: ((x[0], 0, 0, 0, 0, 0), h), _c1_not_0_m1,
         ),
         # Type B representatives with alternating Ricci tensor
-        CatalogEntry("N1_alt", "B", ("c",), "", lambda p: (0, p[0], 1, 0, 0, 1)),
+        CatalogEntry("N1_alt", "B", ("c",), "", lambda x, h: ((0, x[0], h, 0, 0, h), h)),
         CatalogEntry(
             "N2_alt+", "B", ("c",), "c > 0",
-            lambda p: (1 - p[0] * p[0], p[0], 0, -p[0] * p[0], 1, 2 * p[0]), _positive,
+            lambda x, h: ((h * h - x[0] * x[0], x[0] * h, 0, -x[0] * x[0], h * h, 2 * x[0] * h), h * h),
+            _positive,
         ),
         CatalogEntry(
             "N2_alt-", "B", ("c",), "c > 0",
-            lambda p: (1 + p[0] * p[0], p[0], 0, p[0] * p[0], -1, -2 * p[0]), _positive,
+            lambda x, h: ((h * h + x[0] * x[0], x[0] * h, 0, x[0] * x[0], -h * h, -2 * x[0] * h), h * h),
+            _positive,
         ),
     ]
 }

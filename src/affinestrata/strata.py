@@ -4,9 +4,11 @@ charts, Type B family membership, and transversality certificates.
 Conventions:
 
 - Every parametrized family is a :class:`~affinestrata.models.CatalogEntry`
-  in :data:`COEFF_FAMILIES`; its coefficient map is generic over the scalar
-  ring, so the same definition feeds exact evaluation and differentiation
-  over the dual numbers.
+  in :data:`COEFF_FAMILIES`; its one build takes the parameters as
+  numerators over a common denominator h and returns the coefficients'
+  numerators over theirs, with ring operations only, so the same definition
+  builds the exact model on integers and, at h = 1, is differentiated over
+  the dual numbers.
 - The flat Type A stratum is charted by (theta, r, s, t) with theta a
   rational circle point and (r, s, t) != 0; the chart is two-to-one along
   the half-turn (theta, r) ~ (-theta, -r), and coordinates returned by
@@ -39,6 +41,7 @@ from .exact import (
     CirclePoint,
     Frozen,
     IntegerForm,
+    clear_denominators,
     jacobian,
     mat_rank,
     primitive_covector,
@@ -100,23 +103,29 @@ def flat_a_param(theta: CirclePoint, r, s, t) -> TypeAModel:
 
     Invariant under the half-turn (theta, r) -> (-theta, -r); the zero
     parameter triple is rejected because the chart is singular at the cone
-    point.
+    point.  Built from the numerators of theta over their denominator and of
+    (r, s, t) over theirs.
     """
-    return TypeAModel(*_flat_a_coeffs(theta.c, theta.s, rational(r), rational(s), rational(t)))
+    (c, sn), n = clear_denominators((theta.c, theta.s))
+    (r, s, t), h = clear_denominators([rational(x) if isinstance(x, str) else x for x in (r, s, t)])
+    return TypeAModel.of_integers(*_flat_a_coeffs(c, sn, n, r, s, t, h))
 
 
-def _flat_a_coeffs(c, sn, r, s, t) -> tuple:
-    """The coefficients of :func:`flat_a_param` at theta = (c, sn), over any
-    scalar ring."""
+def _flat_a_coeffs(c, sn, n, r, s, t, h) -> tuple:
+    """The coefficients of :func:`flat_a_param` at theta = (c, sn) / n and
+    (r, s, t) / h, as numerators over the denominator h n^3, over any scalar
+    ring."""
     if r == 0 and s == 0 and t == 0:
         raise ConePointError("the chart is singular at (r, s, t) = 0")
     cos2 = c * c - sn * sn
     sin2 = 2 * c * sn
-    p = r * sn * sn * sn + s * sin2 - t * cos2
-    q = r * c * sn * sn + s * cos2 + t * sin2
-    v = r * c
-    w = r * sn
-    return (2 * q, p + t, w, q + s, v, p - t)
+    p = r * sn * sn * sn + n * (s * sin2 - t * cos2)
+    q = r * c * sn * sn + n * (s * cos2 + t * sin2)
+    n2 = n * n
+    v = r * c * n2
+    w = r * sn * n2
+    n3 = n * n2
+    return (2 * q, p + t * n3, w, q + s * n3, v, p - t * n3), h * n3
 
 
 def flat_a_coords(m: TypeAModel) -> FlatAChart:
@@ -281,69 +290,73 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
 # ---------------------------------------------------------------------------
 # The parametrization registry
 
-# Coefficient maps are generic over the scalar ring so the same definitions
-# feed both exact evaluation and differentiation over the dual numbers.
+# Each build takes the parameters as numerators over one denominator h and
+# returns the coefficients' numerators over theirs (CatalogEntry), with ring
+# operations only, so the same definitions feed exact evaluation on integers
+# and differentiation over the dual numbers.
 
 
-def _flat_a(params):
+def _flat_a(x, h):
     """The flat chart with theta the circle point of a slope; it raises
     ConePointError (a domain error, not a constraint) at (r, s, t) = 0."""
-    slope, r, s, t = params
-    den = 1 + slope * slope
-    return _flat_a_coeffs((1 - slope * slope) / den, 2 * slope / den, r, s, t)
+    slope, r, s, t = x
+    return _flat_a_coeffs(h * h - slope * slope, 2 * slope * h, h * h + slope * slope, r, s, t, h)
 
 
-def _u1(params):
-    r, s = params
-    head = 1 + r * s * s
-    return (head, -s * head, r * s, -r * s * s, r, -r * s)
+def _u1(x, h):
+    r, s = x
+    h2 = h * h
+    head = h * h2 + r * s * s
+    return (h * head, -s * head, r * s * h2, -r * s * s * h, r * h * h2, -r * s * h2), h2 * h2
 
 
-def _u2(params):
-    u, v = params
-    zero = u - u
-    return (u, v, zero, zero, zero, zero)
+def _u2(x, h):
+    u, v = x
+    return (u, v, 0, 0, 0, 0), h
 
 
-def _u3(params):
-    u, v = params
-    zero = u - u
-    return (u, v, zero, 1 + u, zero, zero)
+def _u3(x, h):
+    u, v = x
+    return (u, v, 0, h + u, 0, 0), h
 
 
-def _u1_closure(params):
-    t, w = params
+def _u1_closure(x, h):
+    t, w = x
     tw = t * w
-    return (
-        -tw * (2 + tw),
-        w * (2 + 3 * tw + tw * tw),
-        -t * (1 + tw),
-        (1 + tw) * (1 + tw),
-        -t * t,
-        t * (1 + tw),
-    )
+    h2 = h * h
+    one = h2 + tw  # h^2 (1 + tw)
+    two = h2 + one  # h^2 (2 + tw)
+    return (-tw * two * h, w * one * two, -t * one * h2, one * one * h, -t * t * h * h2, t * one * h2), h2 * h2 * h
 
 
-def _v1(params):
-    r, s, t = params
-    zero = r - r
-    return (s, t, r, zero, zero, r)
+def _v1(x, h):
+    r, s, t = x
+    return (s, t, r, 0, 0, r), h
 
 
-def _v2(params):
-    u, v, w = params
+def _v2(x, h):
+    u, v, w = x
     vw = v * w
-    return (1 - 2 * u * w + vw * w, w * (1 - u * w + vw * w), u - vw, -vw * w, v, u + vw)
+    uh = u * h
+    h2 = h * h
+    h3 = h * h2
+    return (
+        h * (h3 - 2 * uh * w + vw * w),
+        w * (h3 - uh * w + vw * w),
+        h2 * (uh - vw),
+        -vw * w * h,
+        v * h3,
+        h2 * (uh + vw),
+    ), h2 * h2
 
 
-def _rank1_chart(params):
-    p, q, u, v = params
-    zero = p - p
-    return (q + v, zero, u + p, zero, q - v, 2 * p)
+def _rank1_chart(x, h):
+    p, q, u, v = x
+    return (q + v, 0, u + p, 0, q - v, 2 * p), h
 
 
-def _leading_nonzero(lead, *_rest):
-    if lead == 0:
+def _leading_nonzero(x, _h):
+    if x[0] == 0:
         return "zero leading parameter lands in the flat stratum"
     return None
 
@@ -527,8 +540,8 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
         values = [rational(p) for p in params]
         if len(values) != entry.arity:
             raise CatalogError(f"family {entry.entry_id} takes {entry.arity} parameters")
-        images.append(tuple(entry.build(values)))
-        jacobians.append(jacobian(entry.build, values))
+        images.append(entry.evaluate(values))
+        jacobians.append(jacobian(entry.evaluate, values))
     if any(img != images[0] for img in images[1:]):
         raise ValueError("the chart points map to different models")
     rows = []

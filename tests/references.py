@@ -16,6 +16,13 @@ is the 2 x 2 product of rows over any ring.
 must keep.  ``PLAIN_SAMPLERS`` holds the plain forms of the samplers, each
 built from fresh Fractions (``rand_rational``) in the order the rows and
 coefficients are read, as a model or a matrix takes them.
+
+``FAMILY_BUILDS`` holds the plain form of every catalog and family build:
+the coefficients as ring expressions in the parameters themselves, with the
+constraint each entry checks (``FAMILY_CHECKS``) on those parameters, and
+``flat_a_coeffs`` is the flat chart on a circle point (c, s).  The package
+builds the same models from the parameters' numerators over one
+denominator.
 """
 
 from fractions import Fraction
@@ -25,6 +32,7 @@ from affinestrata.exact import ZERO, Mat2, circle_from_slope
 from affinestrata.group_action import LinearMap2, ShearMap, _adjugate_law
 from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
+from affinestrata.strata import ConePointError
 
 
 def trace_form(m):
@@ -133,4 +141,111 @@ def rand_circle(rng, height=12):
 PLAIN_SAMPLERS = {
     f.__name__: f
     for f in (rand_rational, rand_nonzero, rand_model_a, rand_model_b, rand_linear_map, rand_shear, rand_circle)
+}
+
+
+def _c1_not_0_m1(c1):
+    return "parameter must avoid 0 and -1" if c1 == 0 or c1 == -1 else None
+
+
+def _nonzero(c):
+    return "parameter must be nonzero" if c == 0 else None
+
+
+def _positive(c):
+    return "parameter must be positive" if c <= 0 else None
+
+
+def _leading_nonzero(lead, *_rest):
+    return "zero leading parameter lands in the flat stratum" if lead == 0 else None
+
+
+def flat_a_coeffs(c, sn, r, s, t) -> tuple:
+    """The flat chart at theta = (c, sn) over any scalar ring."""
+    if r == 0 and s == 0 and t == 0:
+        raise ConePointError("the chart is singular at (r, s, t) = 0")
+    cos2 = c * c - sn * sn
+    sin2 = 2 * c * sn
+    p = r * sn * sn * sn + s * sin2 - t * cos2
+    q = r * c * sn * sn + s * cos2 + t * sin2
+    v = r * c
+    w = r * sn
+    return (2 * q, p + t, w, q + s, v, p - t)
+
+
+def _flat_a(params):
+    slope, r, s, t = params
+    den = 1 + slope * slope
+    return flat_a_coeffs((1 - slope * slope) / den, 2 * slope / den, r, s, t)
+
+
+def _u1(params):
+    r, s = params
+    head = 1 + r * s * s
+    return (head, -s * head, r * s, -r * s * s, r, -r * s)
+
+
+def _u1_closure(params):
+    t, w = params
+    tw = t * w
+    return (
+        -tw * (2 + tw),
+        w * (2 + 3 * tw + tw * tw),
+        -t * (1 + tw),
+        (1 + tw) * (1 + tw),
+        -t * t,
+        t * (1 + tw),
+    )
+
+
+def _v2(params):
+    u, v, w = params
+    vw = v * w
+    return (1 - 2 * u * w + vw * w, w * (1 - u * w + vw * w), u - vw, -vw * w, v, u + vw)
+
+
+FAMILY_BUILDS = {
+    # the catalog
+    "M0_0": lambda p: (0, 0, 0, 0, 0, 0),
+    "M1_0": lambda p: (1, 0, 0, 1, 0, 0),
+    "M2_0": lambda p: (-1, 0, 0, 0, 0, 1),
+    "M3_0": lambda p: (0, 0, 0, 0, 0, 1),
+    "M4_0": lambda p: (0, 0, 0, 0, 1, 0),
+    "M5_0": lambda p: (1, 0, 0, 1, -1, 0),
+    "M1_1": lambda p: (-1, 0, 1, 0, 0, 2),
+    "M2_1": lambda p: (-1, 0, p[0], 0, 0, 1 + 2 * p[0]),
+    "M3_1": lambda p: (0, 0, p[0], 0, 0, 1 + 2 * p[0]),
+    "M4_1": lambda p: (0, 0, 1, 0, p[0], 2),
+    "M5_1": lambda p: (1, 0, 0, 0, 1 + p[0] * p[0], 2 * p[0]),
+    "N0_0": lambda p: (0, 0, 0, 0, 0, 0),
+    "N1_0+": lambda p: (1, 0, 0, 0, 1, 0),
+    "N1_0-": lambda p: (1, 0, 0, 0, -1, 0),
+    "N2_0": lambda p: (p[0] - 1, 0, 0, p[0], 0, 0),
+    "N3_0": lambda p: (-2, 1, 0, -1, 0, 0),
+    "N4_0": lambda p: (0, 1, 0, 0, 0, 0),
+    "N5_0": lambda p: (-1, 0, 0, 0, 0, 0),
+    "N6_0": lambda p: (p[0], 0, 0, 0, 0, 0),
+    "N1_alt": lambda p: (0, p[0], 1, 0, 0, 1),
+    "N2_alt+": lambda p: (1 - p[0] * p[0], p[0], 0, -p[0] * p[0], 1, 2 * p[0]),
+    "N2_alt-": lambda p: (1 + p[0] * p[0], p[0], 0, p[0] * p[0], -1, -2 * p[0]),
+    # the stratum parametrizations
+    "flat_a": _flat_a,
+    "U1": _u1,
+    "U2": lambda p: (p[0], p[1], 0, 0, 0, 0),
+    "U3": lambda p: (p[0], p[1], 0, 1 + p[0], 0, 0),
+    "U1_closure": _u1_closure,
+    "V1": lambda p: (p[1], p[2], p[0], 0, 0, p[0]),
+    "V2": _v2,
+    "rank1_chart": lambda p: (p[1] + p[3], 0, p[2] + p[0], 0, p[1] - p[3], 2 * p[0]),
+}
+
+FAMILY_CHECKS = {
+    "M2_1": _c1_not_0_m1,
+    "M3_1": _c1_not_0_m1,
+    "N2_0": _nonzero,
+    "N6_0": _c1_not_0_m1,
+    "N2_alt+": _positive,
+    "N2_alt-": _positive,
+    "V1": _leading_nonzero,
+    "V2": _leading_nonzero,
 }

@@ -110,8 +110,6 @@ from affinestrata.strata import (
     _classify_alt_b,
     _classify_flat_b,
     _flat_a_coords,
-    _u1,
-    _v2,
     alt_b_param,
     classify_alt_b,
     flat_a_coords,
@@ -119,7 +117,7 @@ from affinestrata.strata import (
     rank1_chart_inverse,
     rank1_reduce,
 )
-from references import binary_cubic, mat2_from_cols
+from references import FAMILY_BUILDS, binary_cubic, mat2_from_cols
 
 HEIGHTS = (12, 10**6)
 
@@ -709,7 +707,7 @@ def fraction_classify_flat_b(m):
     members, labels = [], []
     if e != 0:
         r, s = e, c / e
-        if tuple(_u1([r, s])) != m.coeffs:
+        if tuple(FAMILY_BUILDS["U1"]([r, s])) != m.coeffs:
             raise NotInStratumError("flat model with e != 0 escapes the first family")
         return TypeBMembership((FamilyMembership("B1", (r, s)),), ())
     if c != 0 or f != 0 or d * (1 + a - d) != 0:
@@ -740,7 +738,7 @@ def fraction_classify_alt_b(m):
     v = e
     if u != 0:
         w = (f - u) / v if v != 0 else (1 - a) / (2 * u)
-        if tuple(_v2([u, v, w])) == m.coeffs:
+        if tuple(FAMILY_BUILDS["V2"]([u, v, w])) == m.coeffs:
             members.append(FamilyMembership("D2", (u, v, w)))
     if not members:
         raise NotInStratumError("alternating model escapes both families")
