@@ -20,16 +20,20 @@ and a rational literal is read once (:func:`parse_literal`) by
 integers: a tuple of rationals is cleared of denominators once
 (:func:`clear_denominators`), the arithmetic runs on the numerators, and a
 ``Fraction`` is built, with its one normalization, only for a value that is
-returned.  Models, Ricci tensors, rational matrices and rank-one chart
-points share one integer-form base, :class:`IntegerForm`: numerators over a
-positive denominator in lowest terms, cleared once by a constructor or
-reduced with one gcd by :meth:`~IntegerForm.of_integers`, with the Fraction
-view built on first read.  A :class:`Mat2` holds only rationals; its
+returned.  Models, Ricci tensors, rational matrices, rank-one chart points
+and circle points share one integer-form base, :class:`IntegerForm`:
+numerators over a positive denominator in lowest terms, cleared once by a
+constructor or reduced with one gcd by :meth:`~IntegerForm.of_integers`
+(:func:`lowest_terms`, straight-line for six and four numerators), with the
+Fraction view built on first read.  A :class:`Mat2` holds only rationals; its
 determinant, inverse, product and singularity test (and so the invertibility
 check of :class:`LinearMap2`) read its integer form, as do the coefficient
-law and its witness check.  The unit-circle check and the linear solver of
-the orbit matchers (:func:`solve_integer`) work on integers as well.  Every
-rational an answer contains is written by :func:`ratio_str`, at any length.
+law and its witness check.  The unit-circle check works on integers as
+well, and the flat orbit matchers solve their three integer rows in two
+unknowns in closed form (:func:`solve_3x2`); the general fraction-free
+solver (:func:`solve_integer`) is the engine of :func:`solve_linear` and
+the reference that closed form is tested against.  Every rational an
+answer contains is written by :func:`ratio_str`, at any length.
 
 Every immutable value of the package, here and downstream, is a slotted
 subclass of :class:`Frozen`, which builds a record from its fields and
@@ -198,8 +202,9 @@ class Frozen:
 
     A type that does more than copy its fields keeps its own constructor:
     :class:`LinearMap2` checks invertibility, :class:`ShearMap` checks its
-    scale and derives its matrix, :class:`CirclePoint` checks that the
-    point is on the circle, and an :class:`IntegerForm` clears its values.
+    scale and derives its matrix, and an :class:`IntegerForm` clears its
+    values (:class:`CirclePoint` also checks that the point is on the
+    circle).
     A type whose slots are not its fields (``ShearMap.matrix``, an
     :class:`IntegerForm`'s cleared values) names the fields in ``_fields``.
     """
@@ -277,23 +282,34 @@ def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
         g = -g
     if g == 1:
         return tuple(nums), den
+    # the six coefficients of a model and the four entries of a matrix, a
+    # Ricci tensor or a chart point are divided straight-line, since a
+    # comprehension is a function call
+    size = len(nums)
+    if size == 6:
+        a, b, c, d, e, f = nums
+        return (a // g, b // g, c // g, d // g, e // g, f // g), den // g
+    if size == 4:
+        a, b, c, d = nums
+        return (a // g, b // g, c // g, d // g), den // g
     return tuple([n // g for n in nums]), den // g
 
 
 class IntegerForm(Frozen):
     """A value held as its integer form: models, Ricci tensors, rational
-    matrices and rank-one chart points.
+    matrices, rank-one chart points and circle points.
 
     :attr:`integer_form` is ``(nums, den)``, the integer numerators of the
     values over their least common denominator den > 0, so gcd(nums, den)
     = 1 and equal values have equal forms.  It is made once: a constructor
     clears its values through the scalar gate (:meth:`_clear`), and
     :meth:`of_integers` reduces integers with one gcd.  The ``Fraction``
-    view (``coeffs``, ``rows``, ``coords``, shaped by ``_shape``) is built
-    from the form when first read, then cached.  Equality and hashing
-    compare the forms within one class, so values of two classes never
-    compare equal; the repr, copies and pickles go through the fields named
-    in ``_fields``.
+    view (``coeffs``, ``rows``, ``coords``, ``c`` and ``s``, shaped by
+    ``_shape``) is built from the form when first read, then cached.
+    Equality and hashing compare the forms within one class (a circle point
+    keeps the hash of its record), so values of two classes never compare
+    equal; the repr, copies and pickles go through the fields named in
+    ``_fields``.
     """
 
     __slots__ = ("integer_form", "_view")
@@ -311,8 +327,8 @@ class IntegerForm(Frozen):
         lowest terms with one gcd, with the subclass's own slots set to
         ``fields``; no Fraction is built."""
         out = object.__new__(cls)
-        object.__setattr__(out, "integer_form", lowest_terms(nums, den))
-        object.__setattr__(out, "_view", None)
+        _set_integer_form(out, lowest_terms(nums, den))
+        _set_view(out, None)
         if fields:
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(out, name, value)
@@ -338,6 +354,11 @@ class IntegerForm(Frozen):
 
     def __hash__(self):
         return hash(self.integer_form)
+
+
+#: the setters of the two slots every integer form has, called straight
+#: through their descriptors by :meth:`IntegerForm.of_integers`
+_set_integer_form, _set_view = IntegerForm.integer_form.__set__, IntegerForm._view.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -484,36 +505,47 @@ class ShearMap(Frozen):
 # Rational circle points
 
 
-class CirclePoint(Frozen):
-    """A rational point (c, s) with c^2 + s^2 = 1, standing in for an angle."""
+class CirclePoint(IntegerForm):
+    """A rational point (c, s) with c^2 + s^2 = 1, standing in for an angle.
 
-    __slots__ = ("c", "s")
+    Held as its integer form: the numerators (C, S) over one denominator
+    n > 0, with C^2 + S^2 = n^2; the half-turn, the lexicographic sign and
+    the rotation read them, and ``c`` and ``s`` are the Fraction view, built
+    on first read."""
+
+    __slots__ = ()
+    _fields = ("c", "s")
 
     def __init__(self, c: Fraction, s: Fraction):
-        # c^2 + s^2 = 1 cross-multiplied over the squared denominators
-        (cn, cd), (sn, sd) = _ratio(c), _ratio(s)
-        if (cn * sd) ** 2 + (sn * cd) ** 2 != (cd * sd) ** 2:
+        self._clear((c, s))
+        (cn, sn), n = self.integer_form
+        if cn * cn + sn * sn != n * n:
             raise ValueError(f"({c}, {s}) is not on the unit circle")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
+
+    c = property(lambda self: self._fractions()[0])
+    s = property(lambda self: self._fractions()[1])
+    __hash__ = Frozen.__hash__  # the record's hash, of (c, s)
 
     def antipode(self) -> "CirclePoint":
         """The half-turn: (c, s) -> (-c, -s)."""
-        return CirclePoint(-self.c, -self.s)
+        (cn, sn), n = self.integer_form
+        return CirclePoint.of_integers((-cn, -sn), n)
 
     def is_lex_positive(self) -> bool:
-        return self.c > 0 or (self.c == 0 and self.s > 0)
+        (cn, sn), _ = self.integer_form
+        return cn > 0 or (cn == 0 and sn > 0)
 
     def rotation(self) -> Mat2:
         """The rotation (x1, x2) -> (c*x1 + s*x2, -s*x1 + c*x2)."""
-        return Mat2(((self.c, self.s), (-self.s, self.c)))
+        (cn, sn), n = self.integer_form
+        return mat2_of_integers((cn, sn, -sn, cn), n)
 
 
 def circle_from_slope(t: Fraction) -> CirclePoint:
-    """Rational circle point ((1-t^2)/(1+t^2), 2t/(1+t^2)) for slope ``t``."""
-    n, d = _ratio(rational(t))
-    den = d * d + n * n
-    return CirclePoint(Fraction(d * d - n * n, den), Fraction(2 * n * d, den))
+    """Rational circle point ((1-t^2)/(1+t^2), 2t/(1+t^2)) for slope ``t``,
+    built from the integers of t with no Fraction."""
+    n, d = _ratio(rational(t) if isinstance(t, str) else t)
+    return CirclePoint.of_integers((d * d - n * n, 2 * n * d), d * d + n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +804,54 @@ def solve_integer(
             vec[col] = -aug[r][free] * scales[r]
         kernel.append(vec)
     return particular, q, kernel
+
+
+def solve_3x2(rows, rhs) -> tuple[list[int], int, list[list[int]]] | None:
+    """:func:`solve_integer` on three integer rows in two unknowns, in closed
+    form: the same rational particular solution y / q and kernel vectors that
+    are positive multiples of the same reduced-row-echelon basis vectors.
+
+    A nonzero 2x2 minor gives the one solution by Cramer's rule, consistent
+    when the third row holds at it; with every minor zero the rows are
+    multiples of the first nonzero one, whose pivot is read directly."""
+    (a1, b1), (a2, b2), (a3, b3) = rows
+    r1, r2, r3 = rhs
+    det = a1 * b2 - a2 * b1
+    if det != 0:
+        x, y = r1 * b2 - r2 * b1, a1 * r2 - a2 * r1
+        held = a3 * x + b3 * y == r3 * det
+    else:
+        det = a1 * b3 - a3 * b1
+        if det != 0:
+            x, y = r1 * b3 - r3 * b1, a1 * r3 - a3 * r1
+            held = a2 * x + b2 * y == r2 * det
+        else:
+            det = a2 * b3 - a3 * b2
+            if det != 0:
+                x, y = r2 * b3 - r3 * b2, a2 * r3 - a3 * r2
+                held = a1 * x + b1 * y == r1 * det
+    if det != 0:
+        if not held:
+            return None
+        return ([x, y], det, []) if det > 0 else ([-x, -y], -det, [])
+    # rank at most one
+    if a1 != 0 or b1 != 0:
+        a, b, r = a1, b1, r1
+    elif a2 != 0 or b2 != 0:
+        a, b, r = a2, b2, r2
+    elif a3 != 0 or b3 != 0:
+        a, b, r = a3, b3, r3
+    else:
+        return ([0, 0], 1, [[1, 0], [0, 1]]) if r1 == r2 == r3 == 0 else None
+    # each row (a_i, b_i) is a multiple of (a, b); r_i must be the same one of r
+    for ai, bi, ri in ((a1, b1, r1), (a2, b2, r2), (a3, b3, r3)):
+        if a * ri != ai * r or b * ri != bi * r:
+            return None
+    if a < 0 or (a == 0 and b < 0):  # a positive pivot
+        a, b, r = -a, -b, -r
+    if a != 0:  # pivot in the first column: x = r / a, kernel (-b / a, 1)
+        return [r, 0], a, [[-b, a]]
+    return [0, r], b, [[1, 0]]
 
 
 def solve_linear(

@@ -11,11 +11,11 @@ S = T^{-1}.
 
 Every rational kernel here computes on integers: models and rational
 matrices are their integer forms, and a Fraction is built only for a value a
-caller reads.  The law (:func:`_law`) applies the integer adjugate of T to
-the model's numerators, and a pullback builds its model from them with one
-gcd.  A witness check (:func:`carries`) cross-multiplies the law's
-numerators against the target's; a forced irrational scale sqrt(K) runs the
-same law (:func:`_adjugate_law`), the one law over any ring, on entries in
+caller reads.  The one law (:func:`_adjugate_law`), over any ring, is one
+straight-line polynomial in the numerators and the entries of T's integer
+adjugate; a pullback (:func:`_law`) builds its model from it with one gcd,
+a witness check (:func:`carries`) cross-multiplies it against the target's
+numerators, and a forced irrational scale sqrt(K) runs it on entries in
 Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
 closed form, and the reduced case analysis, the family read-out and its
 catalog target run on the reduced model's numerators.  The equivalence
@@ -25,9 +25,9 @@ computes anyway, on rank one off the integer case split
 :func:`orbit_dimension_a`, the rank of the infinitesimal action at the
 identity, is the independent check.  A flat model runs one orbit matcher,
 the one its coefficient rank and the root pattern of its binary cubic name;
-it solves its equations on integers and checks each candidate witness, an
-integer matrix over a denominator, against a catalog model read once from
-the family registry in :mod:`affinestrata.models`.  A rank-two pair is
+it solves its integer rows in closed form (:func:`exact.solve_3x2`) and
+checks each candidate witness, an integer matrix over a denominator, against
+a catalog model read once from the family registry.  A rank-two pair is
 decided by the models' own covariants, with no search bound
 (:func:`_solve_rank2_pair`), and a Type B pair by eliminating the shear on
 the numerators (:func:`solve_equivalence_b`).
@@ -52,7 +52,7 @@ from .exact import (
     primitive_covector,
     ratio_str,
     rational,
-    solve_integer,
+    solve_3x2,
 )
 from .curvature import (
     Curvature,
@@ -115,9 +115,10 @@ def carries(coeffs, t, target) -> bool:
 
 def _carries(source, p, pd, target) -> bool:
     """Whether the law carries the integer form ``source`` onto ``target``
-    under T = p / pd, by cross-multiplying numerators."""
-    nums, scale, den = _law_numerators(source, p, pd)
-    scale *= target[1]
+    under T = p / pd, by cross-multiplying numerators: for source = g / L,
+    S = pd adj(p) / det(p), so G' = pd p g(adj p, adj p) / (L det(p)^2)."""
+    nums, det = _adjugate_law(source[0], *p)
+    scale, den = pd * target[1], source[1] * det * det
     for n, x in zip(nums, target[0]):
         if scale * n != x * den:
             return False
@@ -133,29 +134,28 @@ def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
     det = p11 * p22 - p12 * p21
     if det == 0:
         raise ZeroDivisionError("matrix is singular")
-    u, v = (p22, -p21), (-p12, p11)  # the columns of adj(P)
-    nums = []
-    for x, y in (gamma_coeffs(g, u, u), gamma_coeffs(g, u, v), gamma_coeffs(g, v, v)):
-        nums.append(p11 * x + p12 * y)
-        nums.append(p21 * x + p22 * y)
-    return nums, det
-
-
-def _law_numerators(form, p, dt) -> tuple[list[int], int, int]:
-    """Integers N_k, D and Q with G'_k = D N_k / Q, for G = g / L given as
-    ``form`` = (g, L) and T = P / D as ``p`` = (P11, P12, P21, P22), ``dt``.
-
-    S = D adj(P) / det(P), so G' = D P g(adj P, adj P) / (L det(P)^2)."""
-    g, dg = form
-    nums, det = _adjugate_law(g, *p)
-    return nums, dt, dg * det * det
+    a, b, c, d, e, f = g
+    # G(w, w') = (a, b) w1 w1' + (c, d) (w1 w2' + w2 w1') + (e, f) w2 w2' at the
+    # columns u = (p22, -p21) and v = (-p12, p11) of adj(P), through h, k, t
+    h, k, t = p22 * p22, 2 * p22 * p21, p21 * p21  # u1 u1 = h, 2 u1 u2 = -k, u2 u2 = t
+    x1, y1 = a * h - c * k + e * t, b * h - d * k + f * t
+    h, k, t = p22 * p12, p22 * p11 + p21 * p12, p21 * p11  # u1 v1 = -h, u1 v2 + u2 v1 = k, u2 v2 = -t
+    x2, y2 = c * k - a * h - e * t, d * k - b * h - f * t
+    h, k, t = p12 * p12, 2 * p12 * p11, p11 * p11  # v1 v1 = h, 2 v1 v2 = -k, v2 v2 = t
+    x3, y3 = a * h - c * k + e * t, b * h - d * k + f * t
+    return [
+        p11 * x1 + p12 * y1, p21 * x1 + p22 * y1,
+        p11 * x2 + p12 * y2, p21 * x2 + p22 * y2,
+        p11 * x3 + p12 * y3, p21 * x3 + p22 * y3,
+    ], det
 
 
 def _law(source, t_form) -> tuple[list[int], int]:
     """The numerators of pullback(source, T) over one denominator, for a model
     or coefficient sequence ``source`` and T given by its integer form."""
-    nums, scale, den = _law_numerators(_integer_form(source), *t_form)
-    return [scale * n for n in nums], den
+    (g, dg), (p, dt) = _integer_form(source), t_form
+    nums, det = _adjugate_law(g, *p)
+    return [dt * n for n in nums], dg * det * det
 
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
@@ -386,7 +386,7 @@ def _flat_rows(g, o1, o2):
     (e1, e1), (e1, e2), (e2, e2), one row each, from the coefficient tuple
     ``g`` and its trace form ``(o1, o2)``."""
     a, b, c, d, e, f = g
-    return [[2 * (a - o1), 2 * b], [2 * c - o2, 2 * d - o1], [2 * e, 2 * (f - o2)]]
+    return (2 * (a - o1), 2 * b), (2 * c - o2, 2 * d - o1), (2 * e, 2 * (f - o2))
 
 
 #: the integer forms of the canonical flat models, computed once
@@ -443,8 +443,8 @@ def _match_m2(m: TypeAModel):
     g, L = m.integer_form
     a, b, c, d, e, f = g
     o1, o2 = a + d, c + f
-    rhs = [o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f)]
-    solved = solve_integer(_flat_rows(g, o1, o2), rhs)
+    rhs = (o1 * o1 - (o1 * a + o2 * b), o1 * o2 - (o1 * c + o2 * d), o2 * o2 - (o1 * e + o2 * f))
+    solved = solve_3x2(_flat_rows(g, o1, o2), rhs)
     if solved is None:
         return None
     (y1, y2), dy, kernel = solved
@@ -486,7 +486,7 @@ def _match_m5(m: TypeAModel):
     o1, o2 = g[0] + g[3], g[2] + g[5]
     if o1 == 0 and o2 == 0:
         return None
-    _, _, kernel = solve_integer(_flat_rows(g, o1, o2), [0, 0, 0])
+    _, _, kernel = solve_3x2(_flat_rows(g, o1, o2), (0, 0, 0))
     if len(kernel) != 1:
         return None
     k1, k2 = kernel[0]

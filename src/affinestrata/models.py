@@ -196,9 +196,9 @@ class CatalogEntry(Frozen):
             "constraints": self.constraints,
         }
 
-    def model(self, params: Sequence = ()) -> Model:
-        """The exact model at ``params``; raises CatalogError on a wrong
-        arity or a violated constraint."""
+    def cleared(self, params: Sequence) -> tuple[list[int], int]:
+        """The numerators of ``params`` over their common denominator h > 0;
+        raises CatalogError on a wrong arity or a violated constraint."""
         nums, den = clear_denominators([rational(p) if isinstance(p, str) else p for p in params])
         if len(nums) != self.arity:
             raise CatalogError(
@@ -207,7 +207,12 @@ class CatalogEntry(Frozen):
         violation = self.check(nums, den)
         if violation is not None:
             raise CatalogError(f"{self.entry_id}: {violation}")
-        return _MODEL_TYPES[self.model_type].of_integers(*self.build(nums, den))
+        return nums, den
+
+    def model(self, params: Sequence = ()) -> Model:
+        """The exact model at ``params``; raises CatalogError on a wrong
+        arity or a violated constraint (:meth:`cleared`)."""
+        return _MODEL_TYPES[self.model_type].of_integers(*self.build(*self.cleared(params)))
 
     def evaluate(self, values: Sequence) -> tuple:
         """The six coefficients at ``values`` in their own field of scalars,

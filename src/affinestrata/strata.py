@@ -90,8 +90,9 @@ class FlatAChart(Frozen):
     __slots__ = ("theta", "r", "s", "t")
 
     def to_dict(self) -> dict:
+        (c, sn), n = self.theta.integer_form
         return {
-            "theta": [rational_str(self.theta.c), rational_str(self.theta.s)],
+            "theta": [ratio_str(c, n), ratio_str(sn, n)],
             "r": rational_str(self.r),
             "s": rational_str(self.s),
             "t": rational_str(self.t),
@@ -103,10 +104,10 @@ def flat_a_param(theta: CirclePoint, r, s, t) -> TypeAModel:
 
     Invariant under the half-turn (theta, r) -> (-theta, -r); the zero
     parameter triple is rejected because the chart is singular at the cone
-    point.  Built from the numerators of theta over their denominator and of
-    (r, s, t) over theirs.
+    point.  Built from the integer form of theta and the numerators of
+    (r, s, t) over their denominator.
     """
-    (c, sn), n = clear_denominators((theta.c, theta.s))
+    (c, sn), n = theta.integer_form
     (r, s, t), h = clear_denominators([rational(x) if isinstance(x, str) else x for x in (r, s, t)])
     return TypeAModel.of_integers(*_flat_a_coeffs(c, sn, n, r, s, t, h))
 
@@ -159,7 +160,7 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
             raise NonRationalCirclePointError(
                 f"the radius must satisfy x^2 = {ratio_str(r2, den * den)}, which has no rational root"
             )
-        theta = CirclePoint(Fraction(v, r), Fraction(w, r))
+        theta = CirclePoint.of_integers((v, w), r)
         return FlatAChart(theta, Fraction(r, den), Fraction(s, den), Fraction(t, den))
     # r = 0 branch: p^2 + q^2 = s^2 + t^2 and theta is read from (p, q, s, t)
     norm = s * s + t * t
@@ -271,13 +272,13 @@ def rank1_reduce(m: TypeAModel) -> Rank1Reduction:
     (r11, r12, _, r22), _ = r.integer_form
     row = (r11, r12) if r11 or r12 else (r12, r22)
     k = primitive_covector((-row[1], row[0]))  # kernel direction
-    norm2 = Fraction(k[0] * k[0] + k[1] * k[1])
-    n = sqrt_rational(norm2)
-    if n is None:
+    norm2 = k[0] * k[0] + k[1] * k[1]
+    n = math.isqrt(norm2)
+    if n * n != norm2:
         raise NonRationalRotationError(
-            f"the rotation requires x^2 = {rational_str(norm2)} to have a rational root"
+            f"the rotation requires x^2 = {ratio_str(norm2, 1)} to have a rational root"
         )
-    theta = CirclePoint(Fraction(k[0]) / n, Fraction(k[1]) / n)
+    theta = CirclePoint.of_integers(k, n)
     if not theta.is_lex_positive():
         theta = theta.antipode()
     t = LinearMap2(theta.rotation())
@@ -528,6 +529,8 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
     at points mapping to one common model.
 
     Two surfaces meet transversally along a curve exactly when this rank is 3.
+    Each point is checked as the family's model checks it, so a wrong arity
+    or a violated constraint raises the same CatalogError.
     """
     if not family_points:
         raise ValueError("at least one family/point pair is required")
@@ -537,9 +540,8 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
         entry = COEFF_FAMILIES.get(str(family))
         if entry is None:
             raise CatalogError(f"unknown parametrized family {family!r}")
-        values = [rational(p) for p in params]
-        if len(values) != entry.arity:
-            raise CatalogError(f"family {entry.entry_id} takes {entry.arity} parameters")
+        nums, den = entry.cleared(params)
+        values = [Fraction(n, den) for n in nums]
         images.append(entry.evaluate(values))
         jacobians.append(jacobian(entry.evaluate, values))
     if any(img != images[0] for img in images[1:]):

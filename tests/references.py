@@ -6,10 +6,12 @@ integers, kept as the oracle that kernel is checked against:
 on a model's Fraction coefficients, ``mat2_from_cols`` on Fraction columns
 and ``peval`` on a Fraction polynomial.
 
-``ring_law`` is the coefficient law over any field of scalars (``QuadExt``,
-the dual numbers at k = 0, sympy expressions): the package's one law,
-``group_action._adjugate_law``, divided once by det(T)^2.  ``ring_product``
-is the 2 x 2 product of rows over any ring.
+``gamma_law`` is the coefficient law in the form the package's straight-line
+``group_action._adjugate_law`` expands: T g(adj T ., adj T .) and det T,
+with g(u, v) read through ``gamma_coeffs`` on each pair of adjugate columns.
+``ring_law`` is that law over any field of scalars (``QuadExt``, the dual
+numbers at k = 0, sympy expressions), divided once by det(T)^2.
+``ring_product`` is the 2 x 2 product of rows over any ring.
 
 ``draw_ratio`` is the plain form of the sampler's one draw,
 ``sampling._draw_ratio``: two ``randint`` draws, the stream the sampler
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
 from affinestrata.exact import ZERO, Mat2, circle_from_slope
-from affinestrata.group_action import LinearMap2, ShearMap, _adjugate_law
+from affinestrata.group_action import LinearMap2, ShearMap
 from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
 from affinestrata.strata import ConePointError
@@ -78,11 +80,26 @@ def peval(p, x):
     return acc
 
 
+def gamma_law(g, p11, p12, p21, p22) -> tuple[list, object]:
+    """P g(adj P ., adj P .) and det P over any ring, one ``gamma_coeffs``
+    per pair of the columns of adj(P); a singular P raises
+    ZeroDivisionError."""
+    det = p11 * p22 - p12 * p21
+    if det == 0:
+        raise ZeroDivisionError("matrix is singular")
+    u, v = (p22, -p21), (-p12, p11)
+    nums = []
+    for x, y in (gamma_coeffs(g, u, u), gamma_coeffs(g, u, v), gamma_coeffs(g, v, v)):
+        nums.append(p11 * x + p12 * y)
+        nums.append(p21 * x + p22 * y)
+    return nums, det
+
+
 def ring_law(coeffs, rows) -> tuple:
     """The coefficients in y = T x coordinates for T given by its ``rows``,
     over any field of scalars; a singular T raises ZeroDivisionError."""
     (t11, t12), (t21, t22) = rows
-    nums, det = _adjugate_law(coeffs, t11, t12, t21, t22)
+    nums, det = gamma_law(coeffs, t11, t12, t21, t22)
     square = det * det
     return tuple(n / square for n in nums)
 

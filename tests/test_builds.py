@@ -7,7 +7,8 @@ against the plain ring expression in the parameters themselves
 (``references.FAMILY_BUILDS``, ``references.flat_a_coeffs``) and the plain
 constraint (``references.FAMILY_CHECKS``), model for model and error text
 for error text, at heights 1, 12 and 10^6 and at the constraint boundaries.
-The builds also make no ``Fraction`` from ``Fraction`` or int inputs.
+The builds, and the circle point of a slope with its half-turn and its
+rotation, also make no ``Fraction`` from ``Fraction`` or int inputs.
 """
 
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affinestrata.exact import CirclePoint, rational
+from affinestrata.exact import CirclePoint, circle_from_slope, rational
 from affinestrata.models import CATALOG, CatalogError, TypeAModel, TypeBModel, canonical_model
 from affinestrata.strata import (
     COEFF_FAMILIES,
@@ -117,8 +118,14 @@ def test_flat_a_param_equals_the_plain_chart(height):
         assert _outcome(lambda: flat_a_param(theta, str(r), str(s), str(t))) == expected
 
 
+def _antipodal_chart(slope, r, s, t):
+    """The flat chart at the half-turn of a slope's circle point."""
+    return flat_a_param(circle_from_slope(slope).antipode(), r, s, t)
+
+
 def _build_calls():
-    """One call of each family builder on Fraction and on int inputs, as
+    """One call of each family builder, and of the circle point of a slope
+    with its half-turn and its rotation, on Fraction and on int inputs, as
     (builder, arguments), with every argument built here."""
     theta = CirclePoint(F(-5, 13), F(12, 13))
     calls = []
@@ -135,6 +142,10 @@ def _build_calls():
     calls.append((rank1_chart_forward, (1, 2, 3, 4)))
     calls.append((flat_a_param, (theta, F(1, 3), F(-2, 5), F(3, 7))))
     calls.append((flat_a_param, (theta, 1, 0, -2)))
+    for slope in (F(-2, 3), 5):
+        calls.append((circle_from_slope, (slope,)))
+        calls.append((lambda x: circle_from_slope(x).rotation(), (slope,)))
+        calls.append((_antipodal_chart, (slope, F(1, 3), -2, F(3, 7))))
     return calls
 
 
@@ -159,4 +170,4 @@ def test_builds_make_no_fraction(monkeypatch):
     made.clear()
     models = [build(*args) for build, args in calls]
     assert made == []
-    assert len(models) == len(calls) == 2 * len(CATALOG) + 16
+    assert len(models) == len(calls) == 2 * len(CATALOG) + 22

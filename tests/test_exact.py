@@ -1,3 +1,5 @@
+import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -11,10 +13,13 @@ from affinestrata.exact import (
     ShearMap,
     circle_from_slope,
     jacobian,
+    lowest_terms,
     mat_rank,
     primitive_covector,
     rational,
     rational_str,
+    solve_3x2,
+    solve_integer,
     solve_linear,
     sqrt_rational,
 )
@@ -134,6 +139,63 @@ def test_solve_linear():
     assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
     particular, kernel = solve_linear([[F(1), F(1)]], [F(2)])
     assert len(kernel) == 1
+
+
+def _system(rng, rank, height):
+    """Three integer rows in two unknowns of the given rank, with a right
+    side that is consistent (the rows at a rational point, cleared) or drawn
+    at random; rank one includes multiples of (0, b) and zero rows."""
+    draw = lambda: rng.randint(-height, height)
+    if rank == 2:
+        rows = [[draw(), draw()] for _ in range(3)]
+    elif rank == 1:
+        base = [draw() or 1, draw()] if rng.random() < 0.6 else [0, draw() or 1]
+        rows = [[k * x for x in base] for k in (draw(), draw(), draw())]
+    else:
+        rows = [[0, 0] for _ in range(3)]
+    if rng.random() < 0.5:
+        x = [F(draw(), rng.randint(1, height)) for _ in range(2)]
+        rhs = [row[0] * x[0] + row[1] * x[1] for row in rows]
+        den = math.lcm(*[v.denominator for v in rhs])
+        return [[a * den, b * den] for a, b in rows], [int(v * den) for v in rhs]
+    return rows, [draw() for _ in range(3)]
+
+
+@pytest.mark.parametrize("height", [1, 12, 10**6])
+def test_closed_form_solve_equals_solve_integer(height):
+    """The flat matchers' closed-form solve against the general fraction-free
+    solver: the same verdict, the same rational particular solution y / q
+    with q > 0, and kernel vectors that are positive multiples of the same
+    basis vectors, on systems of every rank, consistent and inconsistent."""
+    rng = random.Random(height)
+    seen = set()
+    for _ in range(3000):
+        rows, rhs = _system(rng, rng.choice((0, 1, 2)), height)
+        got, want = solve_3x2(rows, rhs), solve_integer(rows, rhs)
+        rank = mat_rank(rows)
+        seen.add((rank, want is not None))
+        if want is None:
+            assert got is None, (rows, rhs)
+            continue
+        (y, q, kernel), (y_ref, q_ref, kernel_ref) = got, want
+        assert q > 0 and [F(n, q) for n in y] == [F(n, q_ref) for n in y_ref], (rows, rhs)
+        assert len(kernel) == len(kernel_ref) == 2 - rank
+        for (k1, k2), (r1, r2) in zip(kernel, kernel_ref):
+            assert k1 * r2 == k2 * r1 and k1 * r1 + k2 * r2 > 0, (rows, rhs)
+    assert seen == {(r, c) for r in (0, 1, 2) for c in (True, False)}
+
+
+def test_lowest_terms_pins():
+    """The form of every IntegerForm: divided by the gcd taken with the
+    sign of the denominator, as a tuple, for six, four and other counts."""
+    assert lowest_terms([3, -5, 7, 0, 11, 13], 2) == ((3, -5, 7, 0, 11, 13), 2)
+    assert lowest_terms((2, 4, -6, 8, 0, 12), 14) == ((1, 2, -3, 4, 0, 6), 7)
+    assert lowest_terms((2, -4, 6, 8), -10) == ((-1, 2, -3, -4), 5)
+    assert lowest_terms([1, 2, 3, 4], -1) == ((-1, -2, -3, -4), 1)
+    assert lowest_terms((0, 0, 0, 0, 0, 0), -7) == ((0, 0, 0, 0, 0, 0), 1)
+    assert lowest_terms([6, -9], 12) == ((2, -3), 4)
+    assert lowest_terms([5, 10, 15], -5) == ((-1, -2, -3), 1)
+    assert all(type(lowest_terms(nums, 3)[0]) is tuple for nums in ([1, 2], [3, 6, 9, 12], [1] * 6))
 
 
 def test_mat_rank():

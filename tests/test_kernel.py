@@ -24,11 +24,12 @@ from affinestrata.curvature import (
     ricci_type_a,
     ricci_type_b,
 )
-from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, mat_rank, solve_linear, sqrt_rational
+from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, mat_rank, solve_linear, sqrt_rational
 from affinestrata.group_action import (
     LinearMap2,
     UnmatchedOrbitError,
     _PATTERN_ORBIT,
+    _adjugate_law,
     _frame_inverse,
     _match_m1,
     _match_m2,
@@ -46,7 +47,7 @@ from affinestrata.group_action import (
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.strata import COEFF_FAMILIES
-from references import binary_cubic, ring_law
+from references import binary_cubic, gamma_law, ring_law
 
 
 def scalars(height):
@@ -143,6 +144,35 @@ def test_ring_path_serves_quadratic_scales():
         (-t[1][0] / alpha, 1 / alpha),
     )
     assert ring_law(out, back) == tuple(QuadExt(x, 0, r) for x in coeffs)
+
+
+@pytest.mark.parametrize("height", [1, 12, 10**6])
+def test_straight_line_law_equals_the_gamma_form(height):
+    """The one law, written straight-line, against its ``gamma_coeffs`` form
+    on integer numerators and on entries in Z[sqrt(K)], all of them or mixed
+    with ints as the forced irrational scales run it; a singular P raises in
+    both."""
+    rng = random.Random(height)
+    draw = lambda: rng.randint(-height, height)
+    singular = 0
+    for _ in range(400):
+        g = [draw() for _ in range(6)]
+        k = rng.choice((-1, 2, 3, 12))
+        for p in (
+            [draw() for _ in range(4)],
+            [QuadInt(draw(), draw(), k) for _ in range(4)],
+            [draw(), 0, QuadInt(draw(), draw(), k), QuadInt(0, draw(), k)],
+            [g[0], g[1], 2 * g[0], 2 * g[1]],
+        ):
+            try:
+                want = gamma_law(g, *p)
+            except ZeroDivisionError:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    _adjugate_law(g, *p)
+                continue
+            assert _adjugate_law(g, *p) == want, (g, p)
+    assert 400 <= singular < 1600
 
 
 @settings(max_examples=200, deadline=None)

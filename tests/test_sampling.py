@@ -5,7 +5,8 @@ calls ``randint``.  The samplers build models and maps from the drawn
 integers, where their plain forms (``references.PLAIN_SAMPLERS``) build them
 from fresh Fractions.  Every sampler must draw the same values in the same
 order as its plain form, and leave the generator in the same state, so the
-verification report stays the same."""
+verification report stays the same; the harness is run on both, and the
+values it draws are compared sampler call by sampler call."""
 
 import random
 from fractions import Fraction
@@ -54,11 +55,41 @@ def test_default_table_holds_every_default_value():
     assert all(table[(n + h) * h + d - 1] == Fraction(n, d) for n in range(-h, h + 1) for d in range(1, h + 1))
 
 
+def _verify_drawing(monkeypatch, samplers, seed):
+    """The report of ``verify_theorems(seed, 20)`` run with the samplers
+    ``samplers``, and the values the harness drew from them, in order: the
+    name and value of each outermost sampler call (a sampler that calls
+    another is recorded once)."""
+    drawn, depth = [], [0]
+
+    def recording(name, sampler):
+        def recorded(*args):
+            depth[0] += 1
+            try:
+                value = sampler(*args)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                drawn.append((name, value))
+            return value
+
+        return recorded
+
+    for name, sampler in samplers.items():
+        monkeypatch.setattr(sampling, name, recording(name, sampler))
+    return verify_theorems(seed, 20), drawn
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_verify_report_matches_the_plain_sampler(seed, monkeypatch):
-    got = verify_theorems(seed, 20)
+    """The harness draws the same values, sampler by sampler, from the
+    package samplers, from them on the plain draw, and from the plain
+    samplers, so a sampler that draws the right stream but builds a wrong
+    value from it shows here even where every check still passes."""
+    package = {name: getattr(sampling, name) for name in SAMPLERS}
+    got = _verify_drawing(monkeypatch, package, seed)
+    report, drawn = got
+    assert report.all_passed and {name for name, _ in drawn} == set(SAMPLERS)
     monkeypatch.setattr(sampling, "_draw_ratio", references.draw_ratio)
-    assert got.all_passed and got == verify_theorems(seed, 20)
-    for name, plain in references.PLAIN_SAMPLERS.items():
-        monkeypatch.setattr(sampling, name, plain)
-    assert got == verify_theorems(seed, 20)
+    assert _verify_drawing(monkeypatch, package, seed) == got
+    assert _verify_drawing(monkeypatch, references.PLAIN_SAMPLERS, seed) == got

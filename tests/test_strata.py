@@ -6,7 +6,7 @@ import pytest
 from affinestrata.exact import CirclePoint, Mat2, circle_from_slope, jacobian, mat_rank
 from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b, split_ricci
 from affinestrata.group_action import LinearMap2, pullback_type_a
-from affinestrata.models import canonical_model, type_a, type_b
+from affinestrata.models import CatalogError, canonical_model, type_a, type_b
 from affinestrata.strata import (
     COEFF_FAMILIES,
     ConePointError,
@@ -512,6 +512,18 @@ def test_tangent_sum_rank_examples():
     assert tangent_sum_rank([("U2", (F(2), F(5)))]) == 2
     with pytest.raises(ValueError):
         tangent_sum_rank([("U2", (F(1), F(0))), ("U3", (F(1), F(0)))])
+
+
+def test_tangent_sum_rank_checks_points_as_the_family_model_does():
+    """A point that the family's model rejects, for its constraint or its
+    arity, raises the model's own CatalogError."""
+    for family, point in (("V1", (0, 1, 2)), ("V2", ("0/3", F(1, 2), -1)), ("V1", (1, 2)), ("U2", (1, 2, 3))):
+        with pytest.raises(CatalogError) as by_model:
+            COEFF_FAMILIES[family].model(point)
+        with pytest.raises(CatalogError) as by_rank:
+            tangent_sum_rank([("U2", (F(-1), F(0))), (family, point)])
+        assert str(by_rank.value) == str(by_model.value)
+    assert str(by_rank.value) == "U2 takes 2 parameter(s), got 3"
 
 
 def test_tangent_sum_rank_along_curves():
