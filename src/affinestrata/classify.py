@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, rational_str
+from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, ratio_str, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
+    is_flat_a,
     ricci_type_a,
     ricci_type_b,
     split_ricci,
@@ -39,6 +40,8 @@ from .group_action import (
     solve_equivalence_a,
 )
 from .models import (
+    CATALOG,
+    CatalogError,
     Model,
     TypeAModel,
     TypeBModel,
@@ -139,13 +142,9 @@ def classify_model(m: Model) -> ClassificationReport:
                 "chart": chart.to_dict(),
             }
             try:
-                family, params, witness = _match_rank1_reduced(m, frame, reduced)
-                orbit = {
-                    "id": family,
-                    "params": [rational_str(p) for p in params],
-                    "witness": witness.to_json(),
-                }
-                admits = family != "M5_1"
+                family, x, h, witness = _match_rank1_reduced(m, frame, reduced)
+                orbit = {"id": family, "params": [ratio_str(p, h) for p in x], "witness": witness.to_json()}
+                admits = _admits_type_b(family)
             except UnmatchedOrbitError as exc:
                 errors["orbit"] = str(exc)
         else:
@@ -177,9 +176,14 @@ def admits_type_b(m: TypeAModel) -> bool:
     if cv.sig.rank != 1:
         raise NotRank1Error("admits_type_b requires a rank-one Ricci tensor")
     try:
-        family, _, _ = _match_rank1_reduced(m, *_rank1_frame(m, cv.ricci))
+        family = _match_rank1_reduced(m, *_rank1_frame(m, cv.ricci))[0]
     except UnmatchedOrbitError as exc:
         raise UndecidedError(f"family matching failed: {exc}") from exc
+    return _admits_type_b(family)
+
+
+def _admits_type_b(family: str) -> bool:
+    """Whether a rank-one family's models carry a Type B structure."""
     return family != "M5_1"
 
 
@@ -238,7 +242,7 @@ def _check_flat_a_parametrization(rng, samples: int) -> int:
             if (r, s, t) != (0, 0, 0):
                 break
         m = flat_a_param(theta, r, s, t)
-        if not ricci_type_a(m).is_zero():
+        if not is_flat_a(m):
             _fail(f"sample {i}: parametrized model is not flat: {m!r}")
         if flat_a_param(theta.antipode(), -r, s, t) != m:
             _fail(f"sample {i}: half-turn identity violated at {theta}, r={r}")
@@ -559,20 +563,16 @@ def _check_orbit_recovery(rng, samples: int) -> int:
             if not carries(base, witness.matrix, m):
                 _fail(f"{orbit_id} sample {i}: witness failed")
             used += 1
-    rank1_targets = ["M1_1", "M2_1", "M3_1", "M4_1", "M5_1"]
-    for entry_id in rank1_targets:
+    for entry_id in ("M1_1", "M2_1", "M3_1", "M4_1", "M5_1"):
+        arity = CATALOG[entry_id].arity
         for i in range(samples):
-            if entry_id in ("M2_1", "M3_1"):
-                while True:
-                    p = sampling.rand_rational(rng)
-                    if p not in (0, -1):
-                        break
-                params = (p,)
-            elif entry_id in ("M4_1", "M5_1"):
-                params = (sampling.rand_rational(rng),)
-            else:
-                params = ()
-            base = canonical_model(entry_id, params)
+            while True:  # drawn again while the family's constraint rejects them
+                params = tuple([sampling.rand_rational(rng) for _ in range(arity)])
+                try:
+                    base = canonical_model(entry_id, params)
+                    break
+                except CatalogError:
+                    pass
             t = sampling.rand_linear_map(rng)
             m = pullback_type_a(base, t)
             family, rec_params, witness = match_rank1_family(m)

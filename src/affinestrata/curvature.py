@@ -137,16 +137,27 @@ PRIMARY_FLAGS = {
 }
 
 
+def _ricci_a_numerators(g) -> tuple:
+    """(N11, N12, N22), the Ricci tensor of the Type A model g / L times L^2."""
+    a, b, c, d, e, f = g
+    return (a - d) * d + b * (f - c), c * d - b * e, c * (f - c) + (a - d) * e
+
+
 def ricci_type_a(m: TypeAModel) -> Ricci2:
     """Ricci tensor of a constant-coefficient model; always symmetric.
 
     The entries are quadratic in the coefficients, so they are integer
-    polynomials in the cleared numerators over the square of the common
-    denominator, reduced together with one gcd.
+    polynomials in the cleared numerators (:func:`_ricci_a_numerators`)
+    over the square of the common denominator, reduced with one gcd.
     """
-    (a, b, c, d, e, f), den = m.integer_form
-    r12 = c * d - b * e
-    return Ricci2.of_integers(((a - d) * d + b * (f - c), r12, r12, c * (f - c) + (a - d) * e), den * den, False)
+    g, den = m.integer_form
+    r11, r12, r22 = _ricci_a_numerators(g)
+    return Ricci2.of_integers((r11, r12, r12, r22), den * den, False)
+
+
+def is_flat_a(m: TypeAModel) -> bool:
+    """Whether a Type A model is flat, read off its Ricci numerators."""
+    return not any(_ricci_a_numerators(m.integer_form[0]))
 
 
 def ricci_type_b(m: TypeBModel) -> Ricci2:

@@ -17,8 +17,9 @@ adjugate; a pullback (:func:`_law`) builds its model from it with one gcd,
 a witness check (:func:`carries`) cross-multiplies it against the target's
 numerators, and a forced irrational scale sqrt(K) runs it on entries in
 Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
-closed form, and the reduced case analysis, the family read-out and its
-catalog target run on the reduced model's numerators.  The equivalence
+closed form, and the reduced case analysis and the family read-out run on
+the reduced model's numerators; the read-out's catalog target is the
+family's own registry build at the parameter it reads.  The equivalence
 screen reads each orbit dimension off the normal form its stratum's solver
 computes anyway, on rank one off the integer case split
 (:func:`_reduced_dimension`) that the reduced isotropy group refines;
@@ -62,6 +63,7 @@ from .curvature import (
     covariant_frame,
     curvature_of,
     gamma_coeffs,
+    is_flat_a,
     rank_signature,
     ricci_det,
     ricci_type_a,
@@ -578,7 +580,7 @@ def match_flat_a_orbit(m: TypeAModel) -> tuple[str, LinearMap2]:
     invariant root directions may be irrational); such models raise
     UnmatchedOrbitError carrying the real-orbit screening verdict.
     """
-    if not ricci_type_a(m).is_zero():
+    if not is_flat_a(m):
         raise NotFlatError("orbit matching requires a flat model")
     return _match_flat_a_orbit(m, _cubic_pattern(m))
 
@@ -623,54 +625,46 @@ def match_rank1_family(m: TypeAModel) -> tuple[str, tuple[Fraction, ...], Linear
     family id itself is an exact orbit invariant.
     """
     frame, n = rank1_frame(m)  # raises for non-rank-one input
-    return _match_rank1_reduced(m, frame, n)
+    family, x, h, witness = _match_rank1_reduced(m, frame, n)
+    return family, tuple([Fraction(p, h) for p in x]), witness
 
 
 def _match_rank1_reduced(
     m: TypeAModel, frame: LinearMap2, n: TypeAModel
-) -> tuple[str, tuple[Fraction, ...], LinearMap2]:
+) -> tuple[str, tuple[int, ...], int, LinearMap2]:
     """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
-    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns).
+    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns),
+    with the parameters as integers ``x`` over ``h != 0``.
 
     The family is read off the integer form n = (A, 0, C, 0, E, F) / L with
     Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does not
-    depend on L, so every test is on integers.  The catalog target's integer
-    form is written from the same integers, the family parameter is the one
-    Fraction of the read-out, and the witness is checked on integers before
-    it is built.
+    depend on L, so every test is on integers.  The catalog target is the
+    family's own build at x / h, and the witness is checked on integers
+    before it is built.
     """
     red = _reduced_numerators(n.integer_form)
     a, c, e, f, _, r = red
     if a != 0:
         if r > 0 and f * f == 4 * r:  # j = 4
-            family, params, target = "M1_1", (), ((-1, 0, 1, 0, 0, 2), 1)
-        elif r > 0 and f * f < 4 * r:  # j < 4
-            # p = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2) = pn / pd, and the
-            # target (1, 0, 0, 0, 1 + p^2, 2p) is over pd^2
+            family, x, h = "M1_1", (), 1
+        elif r > 0 and f * f < 4 * r:  # j < 4: c = sqrt(j / (4 - j)) = |F| / sqrt(4R - F^2)
             pn, pd = _root_ratio(f, 4 * r - f * f)
-            family, params = "M5_1", (Fraction(pn, pd),)
-            target = ((pd * pd, 0, 0, 0, pd * pd + pn * pn, 2 * pn * pd), pd * pd)
-        else:
-            # root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R) = rn / rd and
-            # c1 = (root - 1) / 2; the target (-1, 0, c1, 0, 0, 1 + 2 c1) is
-            # over 2 rd
+            family, x, h = "M5_1", (pn,), pd
+        else:  # c1 = (root - 1) / 2 with root = sqrt(1 + 4 / (j - 4)) = |F| / sqrt(F^2 - 4R) = rn / rd
             rn, rd = _root_ratio(f, f * f - 4 * r)
-            family, params = "M2_1", (Fraction(rn - rd, 2 * rd),)
-            target = ((-2 * rd, 0, rn - rd, 0, 0, 2 * rn), 2 * rd)
-    elif f != 2 * c:  # k = f / c != 2
-        # c1 = C / (F - 2C); the target (0, 0, c1, 0, 0, 1 + 2 c1) is over F - 2C
-        family, params = "M3_1", (Fraction(c, f - 2 * c),)
-        target = ((0, 0, c, 0, 0, f), f - 2 * c)
+            family, x, h = "M2_1", (rn - rd,), 2 * rd
+    elif f != 2 * c:  # k = f / c != 2 and c1 = C / (F - 2C)
+        family, x, h = "M3_1", (c,), f - 2 * c
     else:
-        family, params = "M4_1", ((ZERO,) if e == 0 else (ONE,))
-        target = ((0, 0, 1, 0, int(e != 0), 2), 1)
+        family, x, h = "M4_1", (int(e != 0),), 1
+    target = CATALOG[family].build(x, h)
     status, mats, note = _solve_reduced(_reduced_numerators(target), red)
     if status != "equivalent":
         raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
     p, den = _product(_frame_inverse(frame), mats[0])
     if not _carries(target, p, den, m.integer_form):
         raise AssertionError("rank-one family witness failed verification")
-    return family, tuple(params), LinearMap2(mat2_of_integers(p, den))
+    return family, x, h, LinearMap2(mat2_of_integers(p, den))
 
 
 def _root_ratio(f: int, den: int) -> tuple[int, int]:

@@ -21,8 +21,9 @@ Conventions:
 
 The chart inverses and the Type B memberships compute on the model's
 integer form: each equation is an integer cross-multiplication, and a
-Fraction is built only for a returned coordinate or parameter.  The rank-one
-chart point holds its integer form, which its scale, sign and report read.
+Fraction is built only for a returned coordinate or parameter; the
+memberships in ``U1`` and ``V2`` run that family's registry build at the
+parameters they recover.  The rank-one chart point holds its integer form.
 
 Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
 reduction and the solvers it shares; ``match_flat_a_orbit``,
@@ -50,7 +51,7 @@ from .exact import (
     rational_str,
     sqrt_rational,
 )
-from .curvature import rank1_scale, rank_signature, ricci_type_a, ricci_type_b, split_ricci
+from .curvature import is_flat_a, rank1_scale, rank_signature, ricci_type_a, ricci_type_b, split_ricci
 from .group_action import LinearMap2, NotFlatError, pullback_type_a
 
 # bound here as well for callers that reach the matchers through this module
@@ -138,7 +139,7 @@ def flat_a_coords(m: TypeAModel) -> FlatAChart:
     """
     if m.is_zero():
         raise ConePointError("the cone point carries no chart coordinates")
-    if not ricci_type_a(m).is_zero():
+    if not is_flat_a(m):
         raise NotFlatError("flat_a_coords requires a flat model")
     return _flat_a_coords(m)
 
@@ -434,6 +435,17 @@ class TypeBMembership(Frozen):
         }
 
 
+def _builds(family_id: str, x, h: int, m: TypeBModel) -> bool:
+    """Whether the family's build at the parameters x / h (h != 0) is the
+    model ``m``, by cross-multiplying the numerators."""
+    (n1, n2, n3, n4, n5, n6), den = COEFF_FAMILIES[family_id].build(x, h)
+    (a, b, c, d, e, f), L = m.integer_form
+    return (
+        n1 * L == a * den and n2 * L == b * den and n3 * L == c * den
+        and n4 * L == d * den and n5 * L == e * den and n6 * L == f * den
+    )
+
+
 def classify_flat_b(m: TypeBModel) -> TypeBMembership:
     """All flat families containing a flat Type B model, with intersection
     curves flagged.  Raises NotFlatError off the stratum; a flat model that
@@ -451,11 +463,8 @@ def _classify_flat_b(m: TypeBModel) -> TypeBMembership:
     members: list[FamilyMembership] = []
     labels: list[str] = []
     if e != 0:
-        # r = E / L and s = C / E; _u1(r, s) times L E^2 must be (A..F) E^2,
-        # with r s = C / L and r s^2 = C^2 / (L E)
-        head = den * e + c * c
-        regenerated = (e * head, -c * head, c * e * e, -c * c * e, e ** 3, -c * e * e)
-        if any(x * e * e != y for x, y in zip((a, b, c, d, e, f), regenerated)):
+        # r = E / L and s = C / E, over the denominator L E
+        if not _builds("U1", (e * e, c * den), den * e, m):
             raise NotInStratumError("flat model with e != 0 escapes the first family")
         return TypeBMembership((FamilyMembership("B1", (Fraction(e, den), Fraction(c, e))),), ())
     # e = 0 and flatness force c = f = 0 and d (1 + a - d) = 0
@@ -501,18 +510,8 @@ def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
     if u != 0:
         # w = (f - u) / v = (F - C) / 2E, or (1 - a) / (2u) = (L - A) / U
         wn, wd = (f - c, 2 * e) if e != 0 else (den - a, u)
-        # _v2(u, v, w) times 2 L wd^3 must be (A..F) 2 wd^3
-        vw2 = 2 * e * wn * wn
-        regenerated = (
-            2 * den * wd ** 3 - 2 * u * wn * wd * wd + vw2 * wd,
-            wn * (2 * den * wd * wd - u * wn * wd + vw2),
-            u * wd ** 3 - 2 * e * wn * wd * wd,
-            -vw2 * wd,
-            2 * e * wd ** 3,
-            u * wd ** 3 + 2 * e * wn * wd * wd,
-        )
-        scale = 2 * wd ** 3
-        if all(x * scale == y for x, y in zip((a, b, c, d, e, f), regenerated)):
+        # (u, v, w) over the denominator 2 L wd
+        if _builds("V2", (u * wd, 2 * e * wd, 2 * den * wn), 2 * den * wd, m):
             members.append(FamilyMembership("D2", (Fraction(u, 2 * den), Fraction(e, den), Fraction(wn, wd))))
     labels = ("D1&D2",) if len(members) == 2 else ()
     if not members:

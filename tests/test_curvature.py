@@ -7,6 +7,7 @@ from affinestrata.curvature import (
     NotSymmetricError,
     Ricci2,
     coefficient_rank,
+    is_flat_a,
     RANK2_INDEF,
     RANK2_NEG,
     rank_signature,
@@ -18,7 +19,8 @@ from affinestrata.curvature import (
 from affinestrata.models import canonical_model, type_a, type_b
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.group_action import pullback_type_a
-from affinestrata.sampling import rand_linear_map, rand_model_a, rand_model_b
+from affinestrata.sampling import rand_model_b
+import references
 from references import binary_cubic, gamma_pair, ricci_trace_vector, trace_form
 
 
@@ -35,6 +37,23 @@ def test_ricci_type_a_is_symmetric():
         coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
         r = ricci_type_a(type_a(*coeffs))
         assert r.rows[0][1] == r.rows[1][0]
+
+
+@pytest.mark.parametrize("height", [1, 12, 10**6])
+def test_flat_test_agrees_with_the_ricci_tensor(height):
+    """``is_flat_a`` reads the Ricci numerators that ``ricci_type_a`` reduces,
+    on random models and on pullbacks of every flat catalog model."""
+    rng = random.Random(height)
+    models = [references.rand_model_a(rng, height) for _ in range(300)]
+    flat_ids = ("M0_0", "M1_0", "M2_0", "M3_0", "M4_0", "M5_0")
+    models += [
+        pullback_type_a(canonical_model(orbit_id), references.rand_linear_map(rng, height))
+        for orbit_id in flat_ids
+        for _ in range(20)
+    ]
+    flat = [is_flat_a(m) for m in models]
+    assert flat == [ricci_type_a(m).is_zero() for m in models]
+    assert all(flat[300:])
 
 
 def test_ricci_type_b_examples():
@@ -111,12 +130,12 @@ def test_ricci_trace_vector_is_covariant():
     rng = random.Random(19)
     done = 0
     while done < 100:
-        m = rand_model_a(rng, 6)
+        m = references.rand_model_a(rng, 6)
         r = ricci_type_a(m)
         if rank_signature(r).rank != 2:
             continue
         done += 1
-        t = rand_linear_map(rng, 6)
+        t = references.rand_linear_map(rng, 6)
         m2 = pullback_type_a(m, t)
         v = ricci_trace_vector(m, r)
         assert ricci_trace_vector(m2, ricci_type_a(m2)) == t.matrix.apply(v)

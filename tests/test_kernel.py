@@ -47,6 +47,7 @@ from affinestrata.group_action import (
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.strata import COEFF_FAMILIES
+import references
 from references import binary_cubic, gamma_law, ring_law
 
 
@@ -221,12 +222,12 @@ def test_orbit_dimension_equals_jet_rank():
     rng = random.Random(83)
     models = type_a_catalog()
     models += [
-        pullback_type_a(m, sampling.rand_linear_map(rng, h))
+        pullback_type_a(m, references.rand_linear_map(rng, h))
         for m in type_a_catalog() for h in (3, 12, 10**6)
     ]
     rank2 = 0
     while rank2 < 60:
-        m = sampling.rand_model_a(rng, rng.choice((3, 12, 10**6)))
+        m = references.rand_model_a(rng, rng.choice((3, 12, 10**6)))
         if rank_signature(ricci_type_a(m)).rank == 2:
             models.append(m)
             rank2 += 1
@@ -243,7 +244,7 @@ def reduced_rank1_forms(rng):
     the reduced isotropy: a != 0 with f = 0 or not, and a = 0 (so c != 0 and
     f != c) with e = 0 or not and f = 2c or not."""
     def nonzero():
-        return sampling.rand_nonzero(rng, 12)
+        return sampling.rand_nonzero(rng)
 
     forms = []
     for _ in range(6):
@@ -265,12 +266,12 @@ def test_stratum_dimension_equals_rank():
     isotropy branch, and on rank-two models with omega = 0 and without."""
     rng = random.Random(89)
     models = [
-        pullback_type_a(m, sampling.rand_linear_map(rng, h))
+        pullback_type_a(m, references.rand_linear_map(rng, h))
         for m in type_a_catalog() for h in (3, 12, 10**6)
     ]
     unmatched = 0
     while len(models) < 300 or unmatched < 20:
-        point = [sampling.rand_rational(rng, 12) for _ in range(4)]
+        point = [sampling.rand_rational(rng) for _ in range(4)]
         if point[1:] == [0, 0, 0]:
             continue
         m = COEFF_FAMILIES["flat_a"].model(point)
@@ -285,8 +286,8 @@ def test_stratum_dimension_equals_rank():
     omega_zero = 0
     for h in (3, 12, 10**6):
         for _ in range(40):
-            a, b, c, e = (sampling.rand_rational(rng, h) for _ in range(4))
-            for m in (type_a(a, b, c, -a, e, -c), sampling.rand_model_a(rng, h)):
+            a, b, c, e = (references.rand_rational(rng, h) for _ in range(4))
+            for m in (type_a(a, b, c, -a, e, -c), references.rand_model_a(rng, h)):
                 if rank_signature(ricci_type_a(m)).rank == 2:
                     omega_zero += m.d == -m.a and m.f == -m.c
                     models.append(m)
@@ -421,7 +422,7 @@ def test_rank_two_flat_matchers_try_the_orbit_first():
     rng = random.Random(29)
     for orbit in ("M1_0", "M2_0", "M5_0"):
         for h in (3, 12, 10**6):
-            m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, h))
+            m = pullback_type_a(canonical_model(orbit), references.rand_linear_map(rng, h))
             orbit_id, matcher = _PATTERN_ORBIT[binary_cubic_pattern(binary_cubic(m))]
             found = matcher(m)
             assert orbit_id == orbit and found is not None and found[0] == orbit
@@ -461,14 +462,14 @@ def test_flat_match_runs_one_matcher():
     assert isinstance(found, UnmatchedOrbitError) and "real orbit of M5_0" in str(found)
     rng = random.Random(37)
     for orbit, expected in (("M1_0", "_match_m1"), ("M2_0", "_match_m2"), ("M5_0", "_match_m5")):
-        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
+        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng))
         calls, found = matcher_calls(m)
         assert calls == ["binary_cubic_pattern", expected] and found[0] == orbit
     # the pattern comes first, since the equivalence screen reads the orbit
     # dimension off it; a matched coefficient-rank-one model then runs only
     # the tensor-line matcher
     for orbit in ("M3_0", "M4_0"):
-        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng, 12))
+        m = pullback_type_a(canonical_model(orbit), sampling.rand_linear_map(rng))
         calls, found = matcher_calls(m)
         assert calls == ["binary_cubic_pattern", "_match_tensor_line"] and found[0] == orbit
 
@@ -486,7 +487,7 @@ def rank1_models(rng):
         base = canonical_model(entry_id, params)
         models.append(base)
         for h in (3, 12, 10**6):
-            models.append(pullback_type_a(base, sampling.rand_linear_map(rng, h)))
+            models.append(pullback_type_a(base, references.rand_linear_map(rng, h)))
     return models
 
 

@@ -6,7 +6,7 @@ import pytest
 from affinestrata.exact import CirclePoint, Mat2, circle_from_slope, jacobian, mat_rank
 from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b, split_ricci
 from affinestrata.group_action import LinearMap2, pullback_type_a
-from affinestrata.models import CatalogError, canonical_model, type_a, type_b
+from affinestrata.models import CATALOG, CatalogEntry, CatalogError, canonical_model, type_a, type_b
 from affinestrata.strata import (
     COEFF_FAMILIES,
     ConePointError,
@@ -30,6 +30,7 @@ from affinestrata.strata import (
     tangent_sum_rank,
 )
 from affinestrata import sampling
+import references
 from references import FAMILY_BUILDS, flat_a_coeffs
 
 
@@ -176,7 +177,7 @@ def test_rank1_reduce():
 def test_rank1_reduce_rational_rotations():
     rng = random.Random(83)
     for _ in range(60):
-        p, q, u, v = (sampling.rand_rational(rng, 6) for _ in range(4))
+        p, q, u, v = (references.rand_rational(rng, 6) for _ in range(4))
         m0 = rank1_chart_forward(p, q, u, v)
         scale = p * p + q * q - u * u - v * v
         if scale == 0:
@@ -534,3 +535,40 @@ def test_tangent_sum_rank_along_curves():
         assert tangent_sum_rank([("U2", (-1, v)), ("U3", (-1, v))]) == 3
         assert tangent_sum_rank([("U1", (0, -v)), ("U2", (1, v))]) == 3
         assert tangent_sum_rank([("U1_closure", (0, w)), ("U3", (0, 2 * w))]) == 3
+
+
+# ---------------------------------------------------------------------------
+# one registry of families
+
+
+def test_read_outs_run_their_family_build(monkeypatch):
+    """The rank-one read-out and the two Type B memberships run their
+    family's registry build, looked up when they run, so no copy of its
+    formula can stand in for it."""
+    m5 = pullback_type_a(canonical_model("M5_1", (F(2, 3),)), LinearMap2(Mat2(((1, 2), (3, 4)))))
+    u1 = flat_b_param("U1", (F(2), F(1, 3)))
+    v2 = alt_b_param("V2", (F(1), F(2), F(-1, 2)))
+    calls = []
+
+    def counting(registry, entry_id):
+        entry = registry[entry_id]
+
+        def build(x, h):
+            calls.append(entry_id)
+            return entry.build(x, h)
+
+        fields = {name: getattr(entry, name) for name in CatalogEntry._fields}
+        monkeypatch.setitem(registry, entry_id, CatalogEntry(**{**fields, "build": build}))
+
+    counting(CATALOG, "M5_1")
+    counting(COEFF_FAMILIES, "U1")
+    counting(COEFF_FAMILIES, "V2")
+    assert match_rank1_family(m5)[:2] == ("M5_1", (F(2, 3),))
+    assert calls == ["M5_1"]
+    calls.clear()
+    assert [(mb.family, mb.params) for mb in classify_flat_b(u1).members] == [("B1", (F(2), F(1, 3)))]
+    assert calls == ["U1"]
+    calls.clear()
+    members = [(mb.family, mb.params) for mb in classify_alt_b(v2).members]
+    assert members == [("D2", (F(1), F(2), F(-1, 2)))]
+    assert calls == ["V2"]

@@ -208,7 +208,7 @@ def test_shear_law_by_the_chain_rule():
     connection, and the chain rule gives ``pullback_type_b``."""
     rng = random.Random(113)
     for _ in range(8):
-        n, phi = rand_model_b(rng), ShearMap(rand_nonzero(rng, 12), rand_rational(rng, 12))
+        n, phi = rand_model_b(rng), ShearMap(rand_nonzero(rng), rand_rational(rng))
         a, b = exact(phi.a), exact(phi.b)
         pulled = chain_rule(connection([exact(q) for q in n.coeffs], 1 / X1), [Y1, (Y2 - b * Y1) / a])
         profile = [sympy.simplify(p * Y1) for p in pulled]
