@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, ratio_str, rational_str
+from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -42,6 +42,7 @@ from .group_action import (
 from .models import (
     CATALOG,
     CatalogError,
+    FamilyMembership,
     Model,
     TypeAModel,
     TypeBModel,
@@ -142,9 +143,9 @@ def classify_model(m: Model) -> ClassificationReport:
                 "chart": chart.to_dict(),
             }
             try:
-                family, x, h, witness = _match_rank1_reduced(m, frame, reduced)
-                orbit = {"id": family, "params": [ratio_str(p, h) for p in x], "witness": witness.to_json()}
-                admits = _admits_type_b(family)
+                member, witness = _match_rank1_reduced(m, frame, reduced)
+                orbit = {"id": member.family, "params": member.to_dict()["params"], "witness": witness.to_json()}
+                admits = _admits_type_b(member.family)
             except UnmatchedOrbitError as exc:
                 errors["orbit"] = str(exc)
         else:
@@ -176,10 +177,10 @@ def admits_type_b(m: TypeAModel) -> bool:
     if cv.sig.rank != 1:
         raise NotRank1Error("admits_type_b requires a rank-one Ricci tensor")
     try:
-        family = _match_rank1_reduced(m, *_rank1_frame(m, cv.ricci))[0]
+        member, _ = _match_rank1_reduced(m, *_rank1_frame(m, cv.ricci))
     except UnmatchedOrbitError as exc:
         raise UndecidedError(f"family matching failed: {exc}") from exc
-    return _admits_type_b(family)
+    return _admits_type_b(member.family)
 
 
 def _admits_type_b(family: str) -> bool:
@@ -262,26 +263,25 @@ def _check_flat_b_strata(rng, samples: int) -> int:
         if not ricci_type_b(m).is_zero():
             _fail(f"U1 sample {i} not flat")
         cls = classify_flat_b(m)
-        if [(mb.family, mb.params) for mb in cls.members] != [("B1", (r, s))]:
+        if list(cls.members) != [FamilyMembership("B1", (r, s))]:
             _fail(f"U1 sample {i}: recovery returned {cls.members}")
         u, v = sampling.rand_rational(rng), sampling.rand_rational(rng)
         m2 = flat_b_param("U2", (u, v))
         if not ricci_type_b(m2).is_zero():
             _fail(f"U2 sample {i} not flat")
-        if ("B2", (u, v)) not in [(mb.family, mb.params) for mb in classify_flat_b(m2).members]:
+        if FamilyMembership("B2", (u, v)) not in classify_flat_b(m2).members:
             _fail(f"U2 sample {i}: membership missing")
         m3 = flat_b_param("U3", (u, v))
         if not ricci_type_b(m3).is_zero():
             _fail(f"U3 sample {i} not flat")
-        if ("B3", (u, v)) not in [(mb.family, mb.params) for mb in classify_flat_b(m3).members]:
+        if FamilyMembership("B3", (u, v)) not in classify_flat_b(m3).members:
             _fail(f"U3 sample {i}: membership missing")
         t, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
         mc = flat_b_param("U1_closure", (t, w))
         if not ricci_type_b(mc).is_zero():
             _fail(f"closure sample {i} not flat")
         if t != 0:
-            expect = ("B1", (-t * t, 1 / t + w))
-            if expect not in [(mb.family, mb.params) for mb in classify_flat_b(mc).members]:
+            if FamilyMembership("B1", (-t * t, 1 / t + w)) not in classify_flat_b(mc).members:
                 _fail(f"closure sample {i}: interior membership missing")
         used += 4
     curve_samples = max(1, samples // 10)
@@ -325,7 +325,7 @@ def _check_alt_b_strata(rng, samples: int) -> int:
         split = split_ricci(ricci_type_b(m))
         if not split.sym_is_zero() or split.alt != r:
             _fail(f"V1 sample {i}: split is ({split.sym}, {split.alt})")
-        if ("D1", (r, s, t)) not in [(mb.family, mb.params) for mb in classify_alt_b(m).members]:
+        if FamilyMembership("D1", (r, s, t)) not in classify_alt_b(m).members:
             _fail(f"V1 sample {i}: membership missing")
         u = sampling.rand_nonzero(rng)
         v, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
@@ -333,7 +333,7 @@ def _check_alt_b_strata(rng, samples: int) -> int:
         split2 = split_ricci(ricci_type_b(m2))
         if not split2.sym_is_zero() or split2.alt != u:
             _fail(f"V2 sample {i}: split is ({split2.sym}, {split2.alt})")
-        if ("D2", (u, v, w)) not in [(mb.family, mb.params) for mb in classify_alt_b(m2).members]:
+        if FamilyMembership("D2", (u, v, w)) not in classify_alt_b(m2).members:
             _fail(f"V2 sample {i}: recovery failed")
         used += 2
     for i in range(max(1, samples // 10)):
@@ -478,8 +478,9 @@ def _check_rank1_families(rng, samples: int) -> int:
     formula_samples = max(1, samples // 10)
     for i in range(formula_samples):
         c1 = sampling.rand_rational(rng)
-        if c1 in (0, -1):
-            c1 = Fraction(1, 2)
+        nums, den = clear_denominators([c1])
+        if any(CATALOG[entry_id].check(nums, den) is not None for entry_id in ("M2_1", "M3_1")):
+            c1 = Fraction(1, 2)  # a value both constraints admit
         c = sampling.rand_rational(rng)
         expected = [
             ("M1_1", (), ONE),

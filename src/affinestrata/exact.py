@@ -7,11 +7,10 @@ points (c, s) on the unit circle, and every trigonometric expression is
 expanded into a polynomial in (c, s).
 
 The equivalence solvers decide a forced irrational scale sqrt(k) in
-Z[sqrt(k)] (:class:`QuadInt`, integer pairs with no denominator).
-:class:`QuadExt` adjoins s with s^2 = k over the rationals; at k = 0 it is
-the dual numbers, whose s-part carries the exact first derivatives of the
-parametrizations (:func:`jacobian`), so tangent-rank certificates are exact
-as well.
+Z[sqrt(k)] (:class:`QuadInt`, integer pairs with no denominator), the one
+quadratic ring of the package.  The dual numbers (:class:`_Dual`, integers
+(p + q*eps) / d) carry the exact first derivatives of the parametrizations
+(:func:`jacobian`), so tangent-rank certificates are exact as well.
 
 Every scalar a caller hands in passes one gate, :func:`_ratio`: an int or a
 Fraction gives its integers, any other type (a float, say) raises TypeError,
@@ -20,8 +19,9 @@ and a rational literal is read once (:func:`parse_literal`) by
 integers: a tuple of rationals is cleared of denominators once
 (:func:`clear_denominators`), the arithmetic runs on the numerators, and a
 ``Fraction`` is built, with its one normalization, only for a value that is
-returned.  Models, Ricci tensors, rational matrices, rank-one chart points
-and circle points share one integer-form base, :class:`IntegerForm`:
+returned.  Models, Ricci tensors, rational matrices, rank-one chart points,
+circle points and family memberships share one integer-form base,
+:class:`IntegerForm`:
 numerators over a positive denominator in lowest terms, cleared once by a
 constructor or reduced with one gcd by :meth:`~IntegerForm.of_integers`
 (:func:`lowest_terms`, straight-line for six and four numerators), with the
@@ -297,23 +297,27 @@ def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
 
 class IntegerForm(Frozen):
     """A value held as its integer form: models, Ricci tensors, rational
-    matrices, rank-one chart points and circle points.
+    matrices, rank-one chart points, circle points and family memberships.
 
     :attr:`integer_form` is ``(nums, den)``, the integer numerators of the
     values over their least common denominator den > 0, so gcd(nums, den)
     = 1 and equal values have equal forms.  It is made once: a constructor
     clears its values through the scalar gate (:meth:`_clear`), and
     :meth:`of_integers` reduces integers with one gcd.  The ``Fraction``
-    view (``coeffs``, ``rows``, ``coords``, ``c`` and ``s``, shaped by
-    ``_shape``) is built from the form when first read, then cached.
-    Equality and hashing compare the forms within one class (a circle point
-    keeps the hash of its record), so values of two classes never compare
-    equal; the repr, copies and pickles go through the fields named in
-    ``_fields``.
+    view (``coeffs``, ``rows``, ``coords``, ``c`` and ``s``, ``params``,
+    shaped by ``_shape``) is built from the form when first read, then
+    cached.  Equality and hashing compare the forms within one class (a
+    circle point and a membership keep the hash of their record), so values
+    of two classes never compare equal; the repr, copies and pickles go
+    through the fields named in ``_fields``.
     """
 
     __slots__ = ("integer_form", "_view")
     _fields = ()
+
+    def __init_subclass__(cls, **kwargs):  # the setters of a subclass's own slots, for of_integers
+        super().__init_subclass__(**kwargs)
+        cls._own_setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def _clear(self, values) -> None:
         """Set the form from ints and Fractions (:func:`clear_denominators`)."""
@@ -329,9 +333,10 @@ class IntegerForm(Frozen):
         out = object.__new__(cls)
         _set_integer_form(out, lowest_terms(nums, den))
         _set_view(out, None)
-        if fields:
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(out, name, value)
+        i = 0  # a counter, not zip, as in Frozen.__init__
+        for value in fields:
+            cls._own_setters[i](out, value)
+            i += 1
         return out
 
     _shape = tuple
@@ -549,109 +554,15 @@ def circle_from_slope(t: Fraction) -> CirclePoint:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic extensions
+# Z[sqrt(k)] and the dual numbers
 #
 # Equivalence solvers sometimes meet a forced scale sqrt(k) with k not a
 # rational square.  Arithmetic in Z[sqrt(k)] (:class:`QuadInt`) decides
 # exactly whether the remaining equations hold at that scale: an element
 # vanishes at one real embedding of the field exactly when it vanishes at
-# both.  :class:`QuadExt` is the field Q(sqrt(k)); at k = 0 its rules give
-# the dual numbers u + v*eps with eps^2 = 0, and the eps-part of f(x + eps)
-# is f'(x), which :func:`jacobian` reads.
-
-
-class QuadExt:
-    """An element u + v*sqrt(k) of Q(sqrt(k)), or of the dual numbers when
-    k = 0.
-
-    Held on integers as (p + q*sqrt(K)) / d with K = k.numerator *
-    k.denominator, so that sqrt(K) = k.denominator * sqrt(k), d > 0 and
-    gcd(p, q, d) = 1: each operation is a few integer products and one gcd,
-    and equal elements have equal (p, q, d).
-    """
-
-    __slots__ = ("p", "q", "d", "k", "_big_k")
-
-    def __init__(self, u, v, k):
-        (pu, du), (pv, dv), (n, m) = _ratio(u), _ratio(v), _ratio(k)
-        lcm = math.lcm(du, dv)
-        self.k, self._big_k = k, n * m
-        self._set(pu * (lcm // du) * m, pv * (lcm // dv), lcm * m)
-
-    def _set(self, p, q, d) -> None:
-        if d < 0:
-            p, q, d = -p, -q, -d
-        g = math.gcd(p, q, d)
-        if g > 1:
-            p, q, d = p // g, q // g, d // g
-        self.p, self.q, self.d = p, q, d
-
-    def _new(self, p, q, d) -> "QuadExt":
-        out = object.__new__(QuadExt)
-        out.k, out._big_k = self.k, self._big_k
-        out._set(p, q, d)
-        return out
-
-    @property
-    def u(self) -> Fraction:
-        return Fraction(self.p, self.d)
-
-    @property
-    def v(self) -> Fraction:
-        return Fraction(self.q * self.k.denominator, self.d)
-
-    def _lift(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        n, d = _ratio(other)
-        return self._new(n, 0, d)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return self._new(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new(-self.p, -self.q, self.d)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return self._new(
-            self.p * o.p + self._big_k * self.q * o.q,
-            self.p * o.q + self.q * o.p,
-            self.d * o.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        # the norm vanishes only at 0 when k is not a square, and at every v*eps when k = 0
-        norm = o.p * o.p - self._big_k * o.q * o.q
-        if norm == 0:
-            raise ZeroDivisionError("division by a non-unit of the quadratic extension")
-        return self._new(
-            (self.p * o.p - self._big_k * self.q * o.q) * o.d,
-            (self.q * o.p - self.p * o.q) * o.d,
-            self.d * norm,
-        )
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        return self.p == o.p and self.q == o.q and self.d == o.d
-
-    def __repr__(self):
-        return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
+# both.  The dual numbers x + y*eps with eps^2 = 0 (:class:`_Dual`) carry
+# exact first derivatives: the eps-part of f(x + eps) is f'(x), which
+# :func:`jacobian` reads.
 
 
 class QuadInt:
@@ -706,18 +617,77 @@ class QuadInt:
         return f"QuadInt({self.x} + {self.y}*sqrt({self.k}))"
 
 
+class _Dual:
+    """A dual number (p + q*eps) / d, eps^2 = 0, on integers with d > 0 and
+    gcd(p, q, d) = 1: each operation is a few integer products and one gcd.
+    Other scalars enter through the gate, so a float raises TypeError."""
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, p: int, q: int, d: int):
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = math.gcd(p, q, d)
+        if g > 1:
+            p, q, d = p // g, q // g, d // g
+        self.p, self.q, self.d = p, q, d
+
+    @staticmethod
+    def _lift(x) -> "_Dual":
+        if type(x) is _Dual:
+            return x
+        n, d = _ratio(x)
+        return _Dual(n, 0, d)
+
+    def __add__(self, other):
+        o = _Dual._lift(other)
+        return _Dual(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.p, -self.q, self.d)
+
+    def __sub__(self, other):
+        return self + -_Dual._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _Dual._lift(other)
+        return _Dual(self.p * o.p, self.p * o.q + self.q * o.p, self.d * o.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # (p + q eps) / (p' + q' eps) = (p + q eps)(p' - q' eps) / p'^2
+        o = _Dual._lift(other)
+        if o.p == 0:
+            raise ZeroDivisionError("division by a non-unit of the dual numbers")
+        return _Dual(self.p * o.p * o.d, (self.q * o.p - self.p * o.q) * o.d, self.d * o.p * o.p)
+
+    def __rtruediv__(self, other):
+        return _Dual._lift(other) / self
+
+    def __eq__(self, other):
+        o = _Dual._lift(other)
+        return self.p == o.p and self.q == o.q and self.d == o.d
+
+
 def jacobian(fn: Callable[[Sequence], Sequence], point: Sequence[Fraction]) -> list[list[Fraction]]:
     """Exact Jacobian of a rational map at ``point`` over the dual numbers.
 
     Returns the n x m matrix whose (i, j) entry is the partial of output i
     with respect to input j: column j is the eps-part of ``fn`` at the point
     moved by eps along input j.  Outputs that are plain constants have zero
-    partials.
+    partials.  Each coordinate of the point passes the scalar gate.
     """
+    ratios = [_ratio(x) for x in point]
     columns = []
-    for j in range(len(point)):
-        outputs = fn([QuadExt(x, int(i == j), 0) for i, x in enumerate(point)])
-        columns.append([out.v if isinstance(out, QuadExt) else ZERO for out in outputs])
+    for j in range(len(ratios)):
+        outputs = fn([_Dual(n, d if i == j else 0, d) for i, (n, d) in enumerate(ratios)])
+        columns.append([Fraction(out.q, out.d) if type(out) is _Dual else ZERO for out in outputs])
     return [list(row) for row in zip(*columns)]
 
 

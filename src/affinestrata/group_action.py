@@ -16,10 +16,12 @@ straight-line polynomial in the numerators and the entries of T's integer
 adjugate; a pullback (:func:`_law`) builds its model from it with one gcd,
 a witness check (:func:`carries`) cross-multiplies it against the target's
 numerators, and a forced irrational scale sqrt(K) runs it on entries in
-Z[sqrt(K)] (:class:`QuadInt`).  The rank-one frame is written in
-closed form, and the reduced case analysis and the family read-out run on
-the reduced model's numerators; the read-out's catalog target is the
-family's own registry build at the parameter it reads.  The equivalence
+Z[sqrt(K)] (:class:`QuadInt`); every Type A witness passes one gate
+(:func:`_witness`).  The rank-one frame is written in closed form, and the
+reduced case analysis and the family read-out run on the reduced model's
+numerators; the read-out's catalog target is the family's own registry
+build at the parameter it reads, and it reports a membership held as those
+integers.  The equivalence
 screen reads each orbit dimension off the normal form its stratum's solver
 computes anyway, on rank one off the integer case split
 (:func:`_reduced_dimension`) that the reduced isotropy group refines;
@@ -70,7 +72,7 @@ from .curvature import (
     stratum_flags,
     trace_numerators,
 )
-from .models import CATALOG, TypeAModel, TypeBModel
+from .models import CATALOG, FamilyMembership, TypeAModel, TypeBModel
 from . import polys
 
 
@@ -127,6 +129,19 @@ def _carries(source, p, pd, target) -> bool:
     return True
 
 
+def _witness(source, p, den, target) -> LinearMap2 | None:
+    """The one gate of every Type A witness: the map T = p / den (integers),
+    when T is invertible and carries ``source`` onto ``target`` on integers,
+    else None; T is brought to lowest terms before the check, and the map is
+    built only once it has passed."""
+    if p[0] * p[3] == p[1] * p[2]:
+        return None
+    t = mat2_of_integers(p, den)
+    if not _carries(source, *t.integer_form, target):
+        return None
+    return LinearMap2(t)
+
+
 def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
     """P g(adj P ., adj P .) and det P, over any scalar ring: the one law,
     run on integer numerators and on entries in Z[sqrt(K)].
@@ -152,12 +167,13 @@ def _adjugate_law(g, p11, p12, p21, p22) -> tuple[list, object]:
     ], det
 
 
-def _law(source, t_form) -> tuple[list[int], int]:
+def _law(source, t_form) -> tuple[tuple[int, ...], int]:
     """The numerators of pullback(source, T) over one denominator, for a model
     or coefficient sequence ``source`` and T given by its integer form."""
     (g, dg), (p, dt) = _integer_form(source), t_form
-    nums, det = _adjugate_law(g, *p)
-    return [dt * n for n in nums], dg * det * det
+    (n1, n2, n3, n4, n5, n6), det = _adjugate_law(g, *p)
+    # scaled straight-line, since a comprehension is a function call
+    return (dt * n1, dt * n2, dt * n3, dt * n4, dt * n5, dt * n6), dg * det * det
 
 
 def pullback_type_a(m: TypeAModel, t: LinearMap2) -> TypeAModel:
@@ -399,12 +415,9 @@ _FLAT_ORBITS = {
 
 def _verify_orbit(orbit_id: str, p, den, m: TypeAModel) -> tuple[str, LinearMap2] | None:
     """The witness T = p / den, for integers p, when T is invertible and
-    pullback(canonical, T) = m."""
-    if p[0] * p[3] == p[1] * p[2]:
-        return None
-    if _carries(_FLAT_ORBITS[orbit_id], p, den, m.integer_form):
-        return (orbit_id, LinearMap2(mat2_of_integers(p, den)))
-    return None
+    pullback(canonical, T) = m (:func:`_witness`)."""
+    t = _witness(_FLAT_ORBITS[orbit_id], p, den, m.integer_form)
+    return None if t is None else (orbit_id, t)
 
 
 def _verify_frame(orbit_id: str, p, den, m: TypeAModel) -> tuple[str, LinearMap2] | None:
@@ -625,22 +638,20 @@ def match_rank1_family(m: TypeAModel) -> tuple[str, tuple[Fraction, ...], Linear
     family id itself is an exact orbit invariant.
     """
     frame, n = rank1_frame(m)  # raises for non-rank-one input
-    family, x, h, witness = _match_rank1_reduced(m, frame, n)
-    return family, tuple([Fraction(p, h) for p in x]), witness
+    member, witness = _match_rank1_reduced(m, frame, n)
+    return member.family, member.params, witness
 
 
-def _match_rank1_reduced(
-    m: TypeAModel, frame: LinearMap2, n: TypeAModel
-) -> tuple[str, tuple[int, ...], int, LinearMap2]:
+def _match_rank1_reduced(m: TypeAModel, frame: LinearMap2, n: TypeAModel) -> tuple[FamilyMembership, LinearMap2]:
     """:func:`match_rank1_family` of a rank-one model ``m`` whose rational
-    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns),
-    with the parameters as integers ``x`` over ``h != 0``.
+    frame ``frame`` reduces it to ``n`` (as :func:`rank1_frame` returns): the
+    membership, held as the integers x / h of the parameters, and the
+    witness.
 
     The family is read off the integer form n = (A, 0, C, 0, E, F) / L with
     Ricci scale R / L^2: the invariant j = f^2 / lambda = F^2 / R does not
     depend on L, so every test is on integers.  The catalog target is the
-    family's own build at x / h, and the witness is checked on integers
-    before it is built.
+    family's own build at x / h, and the witness passes :func:`_witness`.
     """
     red = _reduced_numerators(n.integer_form)
     a, c, e, f, _, r = red
@@ -661,10 +672,10 @@ def _match_rank1_reduced(
     status, mats, note = _solve_reduced(_reduced_numerators(target), red)
     if status != "equivalent":
         raise UnmatchedOrbitError(f"candidate family {family} rejected: {note}")
-    p, den = _product(_frame_inverse(frame), mats[0])
-    if not _carries(target, p, den, m.integer_form):
+    witness = _witness(target, *_product(_frame_inverse(frame), mats[0]), m.integer_form)
+    if witness is None:
         raise AssertionError("rank-one family witness failed verification")
-    return family, x, h, LinearMap2(mat2_of_integers(p, den))
+    return FamilyMembership.of_integers(x, h, family), witness
 
 
 def _root_ratio(f: int, den: int) -> tuple[int, int]:
@@ -916,12 +927,10 @@ def _undecided(reason: str) -> EquivalenceWitnesses:
 
 def _verified_a(m1, m2, products) -> list[LinearMap2]:
     """The witnesses p / den, given as :func:`_product` returns them, each
-    checked on integers before it is built."""
-    out = []
-    for p, den in products:
-        if not _carries(m1.integer_form, p, den, m2.integer_form):
-            raise AssertionError("equivalence witness failed exact verification")
-        out.append(LinearMap2(mat2_of_integers(p, den)))
+    passed through :func:`_witness`."""
+    out = [_witness(m1.integer_form, p, den, m2.integer_form) for p, den in products]
+    if None in out:
+        raise AssertionError("equivalence witness failed exact verification")
     return out
 
 
@@ -1050,8 +1059,8 @@ def _solve_rank2_pair(m1, m2, r1: Ricci2, r2: Ricci2) -> EquivalenceWitnesses:
     if (f1 is None) != (f2 is None):
         return _not_equivalent("v = rho^-1 omega and G(v, v) are independent for one model only")
     if f1 is not None:
-        t = LinearMap2(f2 @ f1.inverse())
-        if not carries(m1, t.matrix, m2):
+        t = _witness(m1.integer_form, *_product(f2, f1.inverse()), m2.integer_form)
+        if t is None:
             return _not_equivalent(
                 "the map carrying the frame (v, G(v, v)) of one model onto the other does not intertwine them"
             )
@@ -1112,12 +1121,9 @@ def _solve_rank2_forced(m1, m2, r1: Ricci2, r2: Ricci2, v1, v2) -> EquivalenceWi
             f"the equations fail at the forced scale sqrt({ratio}) of the Ricci-normal of v"
         )
     signs = (1, -1) if det2 > 0 else (-1, 1)  # delta > 0 first
-    # in lowest terms, so _carries cross-multiplies the smallest integers
-    candidates = [
-        mat2_of_integers(_frame_map(n2, q1 * d1 * det2, q1 * d2 * sign * root, n1), den) for sign in signs
-    ]
-    source, target = m1.integer_form, m2.integer_form
-    witnesses = tuple(LinearMap2(t) for t in candidates if _carries(source, *t.integer_form, target))
+    maps = [_frame_map(n2, q1 * d1 * det2, q1 * d2 * sign * root, n1) for sign in signs]
+    found = [_witness(m1.integer_form, p, den, m2.integer_form) for p in maps]
+    witnesses = tuple([t for t in found if t is not None])
     if witnesses:
         return _equivalent(witnesses)
     return _not_equivalent(
@@ -1169,7 +1175,7 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
     if polys.pdeg(sextic) < 6:
         directions.append((1, 0))
     n2 = _normal_frame(r2, u)
-    witnesses = []
+    found = []  # one entry per candidate, None where it fails
     for xh in directions:
         fx = _cubic_at(c1, xh)
         if fx == 0:  # a common root of rho1 and f1 carries no x with f1(x) = c
@@ -1181,10 +1187,9 @@ def _rank2_witnesses_by_cubic(m1, m2, r1: Ricci2, r2: Ricci2) -> list[LinearMap2
         n1 = _normal_frame(r1, x)
         den = d2 * root * d1 * _rho(r1, x)
         for sigma in (1, -1):
-            t = _frame_map(n2, qx * sigma * d1 * root, qx * d2 * abs(det1), n1)
-            if _carries(m1.integer_form, t, den, m2.integer_form):
-                witnesses.append(LinearMap2(mat2_of_integers(t, den)))
-    return witnesses
+            p = _frame_map(n2, qx * sigma * d1 * root, qx * d2 * abs(det1), n1)
+            found.append(_witness(m1.integer_form, p, den, m2.integer_form))
+    return [t for t in found if t is not None]
 
 
 # -- Type B -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Model types for the two coefficient families, the canonical catalog,
-the family record type behind every registry, and JSON serialization.
+the family record type behind every registry, the one membership record of
+the family read-outs, and JSON serialization.
 
 A Type A model has constant connection coefficients; a Type B model has
 coefficients scaled by 1/x^1 on the half-plane x^1 > 0.  Both are recorded
@@ -220,6 +221,33 @@ class CatalogEntry(Frozen):
         nums, den = self.build(values, ONE)
         inverse = ONE / den
         return tuple([n * inverse for n in nums])
+
+
+class FamilyMembership(IntegerForm):
+    """The one record of a family read-out: a model lies in ``family`` at
+    ``params``, the Fraction view of the integers x / h at which the
+    family's build was checked (``of_integers(x, h, family)``).  The repr
+    and hash are the record's; equality compares family and form."""
+
+    __slots__ = ("family",)
+    _fields = ("family", "params")
+
+    def __init__(self, family: str, params: Sequence):
+        object.__setattr__(self, "family", family)
+        self._clear(params)
+
+    params = property(IntegerForm._fractions)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.family == other.family and self.integer_form == other.integer_form
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__  # the record's hash, of (family, params)
+
+    def to_dict(self) -> dict:
+        nums, den = self.integer_form
+        return {"family": self.family, "params": [ratio_str(n, den) for n in nums]}
 
 
 # The checks and builds below read the parameters as numerators x over h > 0;

@@ -20,10 +20,11 @@ Conventions:
   all memberships reported.
 
 The chart inverses and the Type B memberships compute on the model's
-integer form: each equation is an integer cross-multiplication, and a
-Fraction is built only for a returned coordinate or parameter; the
+integer form: each equation is an integer cross-multiplication.  The
 memberships in ``U1`` and ``V2`` run that family's registry build at the
-parameters they recover.  The rank-one chart point holds its integer form.
+parameters they recover; every membership is built from the integers it
+was read or checked at, and the rank-one chart point holds its integer
+form, so a Fraction is built only for a flat chart coordinate.
 
 Orbit matching lives in :mod:`affinestrata.group_action`, beside the frame
 reduction and the solvers it shares; ``match_flat_a_orbit``,
@@ -56,7 +57,7 @@ from .group_action import LinearMap2, NotFlatError, pullback_type_a
 
 # bound here as well for callers that reach the matchers through this module
 from .group_action import UnmatchedOrbitError, match_flat_a_orbit, match_rank1_family  # noqa: F401
-from .models import CatalogEntry, CatalogError, TypeAModel, TypeBModel
+from .models import CatalogEntry, CatalogError, FamilyMembership, TypeAModel, TypeBModel
 
 
 class ConePointError(ValueError):
@@ -412,16 +413,6 @@ def alt_b_param(family, params: Sequence) -> TypeBModel:
 # Type B membership
 
 
-class FamilyMembership(Frozen):
-    """One family containing a Type B model, with the model's parameters in
-    it."""
-
-    __slots__ = ("family", "params")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": [rational_str(p) for p in self.params]}
-
-
 class TypeBMembership(Frozen):
     """Every flat or alternating family containing a Type B model, with the
     intersection curves or surfaces it lies on."""
@@ -435,15 +426,18 @@ class TypeBMembership(Frozen):
         }
 
 
-def _builds(family_id: str, x, h: int, m: TypeBModel) -> bool:
-    """Whether the family's build at the parameters x / h (h != 0) is the
-    model ``m``, by cross-multiplying the numerators."""
+def _builds(family_id: str, member: str, x, h: int, m: TypeBModel) -> FamilyMembership | None:
+    """The membership ``member`` at the parameters x / h (h != 0) when the
+    family's build there is the model ``m``, by cross-multiplying the
+    numerators; None when it is not."""
     (n1, n2, n3, n4, n5, n6), den = COEFF_FAMILIES[family_id].build(x, h)
     (a, b, c, d, e, f), L = m.integer_form
-    return (
+    if (
         n1 * L == a * den and n2 * L == b * den and n3 * L == c * den
         and n4 * L == d * den and n5 * L == e * den and n6 * L == f * den
-    )
+    ):
+        return FamilyMembership.of_integers(x, h, member)
+    return None
 
 
 def classify_flat_b(m: TypeBModel) -> TypeBMembership:
@@ -464,23 +458,23 @@ def _classify_flat_b(m: TypeBModel) -> TypeBMembership:
     labels: list[str] = []
     if e != 0:
         # r = E / L and s = C / E, over the denominator L E
-        if not _builds("U1", (e * e, c * den), den * e, m):
+        member = _builds("U1", "B1", (e * e, c * den), den * e, m)
+        if member is None:
             raise NotInStratumError("flat model with e != 0 escapes the first family")
-        return TypeBMembership((FamilyMembership("B1", (Fraction(e, den), Fraction(c, e))),), ())
+        return TypeBMembership((member,), ())
     # e = 0 and flatness force c = f = 0 and d (1 + a - d) = 0
     if c != 0 or f != 0 or d * (den + a - d) != 0:
         raise NotInStratumError("flat model escapes the coordinate families")
-    ab = (Fraction(a, den), Fraction(b, den))
     if d == 0:
-        members.append(FamilyMembership("B2", ab))
+        members.append(FamilyMembership.of_integers((a, b), den, "B2"))
     if d == den + a:
-        members.append(FamilyMembership("B3", ab))
+        members.append(FamilyMembership.of_integers((a, b), den, "B3"))
     if d == 0 and d == den + a:
         labels.append("B2&B3")
     if d == 0 and a == den:
         labels.append("B1~&B2")  # limit of the first family as r -> 0
     if d == den + a and a == 0:
-        members.append(FamilyMembership("B1closure", (ZERO, Fraction(b, 2 * den))))
+        members.append(FamilyMembership.of_integers((0, b), 2 * den, "B1closure"))
         labels.append("B1~&B3")
     if not members:
         raise NotInStratumError("flat model escapes all three families")
@@ -505,14 +499,15 @@ def _classify_alt_b(m: TypeBModel) -> TypeBMembership:
     (a, b, c, d, e, f), den = m.integer_form
     members: list[FamilyMembership] = []
     if d == 0 and e == 0 and c == f:
-        members.append(FamilyMembership("D1", (Fraction(c, den), Fraction(a, den), Fraction(b, den))))
+        members.append(FamilyMembership.of_integers((c, a, b), den, "D1"))
     u = c + f  # u = U / 2L and v = E / L
     if u != 0:
         # w = (f - u) / v = (F - C) / 2E, or (1 - a) / (2u) = (L - A) / U
         wn, wd = (f - c, 2 * e) if e != 0 else (den - a, u)
         # (u, v, w) over the denominator 2 L wd
-        if _builds("V2", (u * wd, 2 * e * wd, 2 * den * wn), 2 * den * wd, m):
-            members.append(FamilyMembership("D2", (Fraction(u, 2 * den), Fraction(e, den), Fraction(wn, wd))))
+        member = _builds("V2", "D2", (u * wd, 2 * e * wd, 2 * den * wn), 2 * den * wd, m)
+        if member is not None:
+            members.append(member)
     labels = ("D1&D2",) if len(members) == 2 else ()
     if not members:
         raise NotInStratumError("alternating model escapes both families")
@@ -545,10 +540,4 @@ def tangent_sum_rank(family_points: Sequence[tuple[str, Sequence]]) -> int:
         jacobians.append(jacobian(entry.evaluate, values))
     if any(img != images[0] for img in images[1:]):
         raise ValueError("the chart points map to different models")
-    rows = []
-    for i in range(6):
-        row = []
-        for jac in jacobians:
-            row.extend(jac[i])
-        rows.append(row)
-    return mat_rank(rows)
+    return mat_rank([[x for jac in jacobians for x in jac[i]] for i in range(6)])  # row i of every Jacobian

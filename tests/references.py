@@ -13,6 +13,11 @@ with g(u, v) read through ``gamma_coeffs`` on each pair of adjugate columns.
 numbers at k = 0, sympy expressions), divided once by det(T)^2.
 ``ring_product`` is the 2 x 2 product of rows over any ring.
 
+``QuadExt`` is the field Q(sqrt(k)) (the dual numbers at k = 0), held on
+integers as (p + q*sqrt(K)) / d: the reference the package's one quadratic
+ring, ``exact.QuadInt`` on Z[sqrt(k)], and its integer dual numbers are
+checked against.  Its scalars pass the package's gate, ``exact._ratio``.
+
 ``draw_ratio`` is the plain form of the sampler's one draw,
 ``sampling._draw_ratio``: two ``randint`` draws, the stream the sampler
 must keep.  ``PLAIN_SAMPLERS`` holds the plain forms of the samplers, each
@@ -27,10 +32,11 @@ builds the same models from the parameters' numerators over one
 denominator.
 """
 
+import math
 from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
-from affinestrata.exact import ZERO, Mat2, circle_from_slope
+from affinestrata.exact import ZERO, Mat2, _ratio, circle_from_slope
 from affinestrata.group_action import LinearMap2, ShearMap
 from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
@@ -109,6 +115,100 @@ def ring_product(x, y):
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+class QuadExt:
+    """An element u + v*sqrt(k) of Q(sqrt(k)), or of the dual numbers when
+    k = 0.
+
+    Held on integers as (p + q*sqrt(K)) / d with K = k.numerator *
+    k.denominator, so that sqrt(K) = k.denominator * sqrt(k), d > 0 and
+    gcd(p, q, d) = 1: each operation is a few integer products and one gcd,
+    and equal elements have equal (p, q, d).
+    """
+
+    __slots__ = ("p", "q", "d", "k", "_big_k")
+
+    def __init__(self, u, v, k):
+        (pu, du), (pv, dv), (n, m) = _ratio(u), _ratio(v), _ratio(k)
+        lcm = math.lcm(du, dv)
+        self.k, self._big_k = k, n * m
+        self._set(pu * (lcm // du) * m, pv * (lcm // dv), lcm * m)
+
+    def _set(self, p, q, d) -> None:
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = math.gcd(p, q, d)
+        if g > 1:
+            p, q, d = p // g, q // g, d // g
+        self.p, self.q, self.d = p, q, d
+
+    def _new(self, p, q, d) -> "QuadExt":
+        out = object.__new__(QuadExt)
+        out.k, out._big_k = self.k, self._big_k
+        out._set(p, q, d)
+        return out
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.q * self.k.denominator, self.d)
+
+    def _lift(self, other) -> "QuadExt":
+        if isinstance(other, QuadExt):
+            return other
+        n, d = _ratio(other)
+        return self._new(n, 0, d)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return self._new(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.p, -self.q, self.d)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return self._new(
+            self.p * o.p + self._big_k * self.q * o.q,
+            self.p * o.q + self.q * o.p,
+            self.d * o.d,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        # the norm vanishes only at 0 when k is not a square, and at every v*eps when k = 0
+        norm = o.p * o.p - self._big_k * o.q * o.q
+        if norm == 0:
+            raise ZeroDivisionError("division by a non-unit of the quadratic extension")
+        return self._new(
+            (self.p * o.p - self._big_k * self.q * o.q) * o.d,
+            (self.q * o.p - self.p * o.q) * o.d,
+            self.d * norm,
+        )
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        return self.p == o.p and self.q == o.q and self.d == o.d
+
+    def __repr__(self):
+        return f"QuadExt({self.u} + {self.v}*sqrt({self.k}))"
 
 
 def draw_ratio(rng, height):

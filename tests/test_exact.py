@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from affinestrata.exact import (
     CirclePoint,
     Mat2,
-    QuadExt,
     ShearMap,
     circle_from_slope,
     jacobian,
@@ -27,6 +26,7 @@ from affinestrata.group_action import carries, isotropy_type_a, transform_coeffs
 from affinestrata.models import type_a
 from affinestrata.polys import rational_roots
 from affinestrata.strata import Rank1Chart
+from references import QuadExt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 

@@ -695,8 +695,7 @@ def test_equivalence_b_irrational_scale_decided():
 
 
 def test_quad_ext_arithmetic():
-    from affinestrata.exact import QuadExt
-
+    QuadExt = references.QuadExt
     x = QuadExt(0, 1, F(2))  # sqrt(2)
     assert x * x == QuadExt(2, 0, F(2))
     assert (1 + x) * (1 - x) == QuadExt(-1, 0, F(2))

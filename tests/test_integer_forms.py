@@ -63,7 +63,6 @@ from affinestrata.exact import (
     CirclePoint,
     FrozenInstanceError,
     Mat2,
-    QuadExt,
     circle_from_slope,
     clear_denominators,
     mat2_of_integers,
@@ -117,7 +116,7 @@ from affinestrata.strata import (
     rank1_chart_inverse,
     rank1_reduce,
 )
-from references import FAMILY_BUILDS, binary_cubic, mat2_from_cols
+from references import FAMILY_BUILDS, QuadExt, binary_cubic, mat2_from_cols
 
 HEIGHTS = (12, 10**6)
 

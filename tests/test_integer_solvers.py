@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, stratum_flags
-from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, sqrt_rational
+from affinestrata.exact import ONE, ZERO, Mat2, QuadInt, sqrt_rational
 from affinestrata import group_action
 from affinestrata.group_action import (
     LinearMap2,
@@ -33,7 +33,7 @@ from affinestrata.group_action import (
     solve_equivalence_b,
 )
 from affinestrata.models import type_a, type_b
-from references import gamma_pair, mat2_from_cols, ricci_trace_vector, ring_law, ring_product
+from references import QuadExt, gamma_pair, mat2_from_cols, ricci_trace_vector, ring_law, ring_product
 
 HEIGHTS = (12, 10**6)
 

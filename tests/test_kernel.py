@@ -4,8 +4,9 @@ tensors against their plain polynomial formulas, the closed-form orbit
 dimension against the rank of the derivative over the dual numbers, the
 orbit dimension the equivalence screen reads off each stratum's normal form
 against both ranks, the fraction-free linear algebra against Gauss-Jordan
-over Fractions, the integer quadratic extension (the dual numbers at k = 0)
-against its (u, v) pair rules, and the rank-one frame, the integer reduced
+over Fractions, the reference quadratic extension (the dual numbers at
+k = 0) against its (u, v) pair rules and the package's integer dual numbers
+against it, and the rank-one frame, the integer reduced
 solver and the signature against their Fraction forms, and the flat orbit
 dispatch that runs one matcher per model."""
 
@@ -24,7 +25,17 @@ from affinestrata.curvature import (
     ricci_type_a,
     ricci_type_b,
 )
-from affinestrata.exact import ONE, ZERO, Mat2, QuadExt, QuadInt, mat_rank, solve_linear, sqrt_rational
+from affinestrata.exact import (
+    ONE,
+    ZERO,
+    Mat2,
+    QuadInt,
+    _Dual,
+    clear_denominators,
+    mat_rank,
+    solve_linear,
+    sqrt_rational,
+)
 from affinestrata.group_action import (
     LinearMap2,
     UnmatchedOrbitError,
@@ -48,7 +59,7 @@ from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.strata import COEFF_FAMILIES
 import references
-from references import binary_cubic, gamma_law, ring_law
+from references import QuadExt, binary_cubic, gamma_law, ring_law
 
 
 def scalars(height):
@@ -413,6 +424,46 @@ def test_quadratic_extension_matches_pair_arithmetic(xs, c, k):
         assert pair(x / y) == ((u1 * u2 - k * v1 * v2) / norm, (v1 * u2 - u1 * v2) / norm)
     assert (x == y) == ((u1, v1) == (u2, v2))
     assert (QuadExt(c, 0, k) == c) and repr(x) == f"QuadExt({u1} + {v1}*sqrt({k}))"
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadruples(10**6), scalars(10**6))
+def test_dual_numbers_match_the_quadratic_field_at_zero(xs, c):
+    """The package's integer dual numbers, which the Jacobian runs on,
+    against the reference field ``QuadExt`` at k = 0, operation for
+    operation, with a scalar on either side."""
+    u1, v1, u2, v2 = as_fractions(xs)
+    x, y = _Dual(*_dual_form(u1, v1)), _Dual(*_dual_form(u2, v2))
+    rx, ry = QuadExt(u1, v1, 0), QuadExt(u2, v2, 0)
+
+    def same(dual, ref):
+        return (dual.p, dual.q, dual.d) == (ref.p, ref.q, ref.d)
+
+    assert same(x + y, rx + ry) and same(c + x, c + rx) and same(x + c, rx + c)
+    assert same(x - y, rx - ry) and same(c - x, c - rx) and same(-x, -rx)
+    assert same(x * y, rx * ry) and same(c * x, c * rx) and same(x * c, rx * c)
+    if u2 == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert same(x / y, rx / ry) and same(c / y, c / ry)
+    assert (x == y) == (rx == ry) and (_Dual(*_dual_form(c, 0)) == c)
+
+
+def test_dual_numbers_take_scalars_through_the_gate():
+    """A scalar that meets a dual number passes the scalar gate, so a float
+    inside a differentiated map is refused, not taken at its binary value."""
+    x = _Dual(1, 1, 2)
+    assert x * F(1, 3) == _Dual(1, 1, 6) and 2 - x == _Dual(3, -1, 2)
+    for op in (lambda: x * 0.5, lambda: 0.5 + x, lambda: x / 0.5, lambda: x == 0.5):
+        with pytest.raises(TypeError, match="cannot interpret float as a rational"):
+            op()
+
+
+def _dual_form(u, v):
+    """(p, q, d) of u + v eps over one denominator d."""
+    (p, q), d = clear_denominators([u, v])
+    return p, q, d
 
 
 def test_rank_two_flat_matchers_try_the_orbit_first():

@@ -2,9 +2,9 @@
 bound, every import sits at module level and is used, the modules import
 one another without a cycle, so no module needs a lazy import to load, the
 cold import chain leaves out the dataclass machinery, the records leave
-their construction to ``exact.Frozen``, and the integer-form format and the
-scalar gate have their one home in ``exact`` and the random draws theirs in
-one function of ``sampling``."""
+their construction to ``exact.Frozen``, the integer-form format, the scalar
+gate and the one quadratic ring have their one home in ``exact`` and the
+random draws theirs in one function of ``sampling``."""
 
 import ast
 import importlib
@@ -184,6 +184,21 @@ def test_integer_form_format_stays_in_exact():
                 found.append(f"{name}.py:{node.lineno}")
     assert found == []
     assert any(isinstance(node, ast.FunctionDef) and node.name == "lowest_terms" for node in _trees()["exact"].body)
+
+
+def test_one_quadratic_ring_in_the_package():
+    """The package keeps one quadratic ring, ``exact.QuadInt`` on
+    Z[sqrt(k)], and the integer dual numbers of the Jacobian: no other class
+    in it defines a product, so no second field of scalars (a Q(sqrt(k))
+    type, say) comes back beside them."""
+    found = sorted(
+        f"{name}.{node.name}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__mul__" for item in node.body)
+    )
+    assert found == ["exact.QuadInt", "exact._Dual"]
 
 
 def test_scalar_gate_stays_in_exact():

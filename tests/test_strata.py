@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,8 @@ import pytest
 
 from affinestrata.exact import CirclePoint, Mat2, circle_from_slope, jacobian, mat_rank
 from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b, split_ricci
-from affinestrata.group_action import LinearMap2, pullback_type_a
-from affinestrata.models import CATALOG, CatalogEntry, CatalogError, canonical_model, type_a, type_b
+from affinestrata.group_action import LinearMap2, _match_rank1_reduced, _rank1_frame, pullback_type_a
+from affinestrata.models import CATALOG, CatalogEntry, CatalogError, FamilyMembership, canonical_model, type_a, type_b
 from affinestrata.strata import (
     COEFF_FAMILIES,
     ConePointError,
@@ -16,6 +17,8 @@ from affinestrata.strata import (
     NotInStratumError,
     NotRank1Error,
     UnmatchedOrbitError,
+    _classify_alt_b,
+    _classify_flat_b,
     alt_b_param,
     classify_alt_b,
     classify_flat_b,
@@ -29,7 +32,7 @@ from affinestrata.strata import (
     rank1_reduce,
     tangent_sum_rank,
 )
-from affinestrata import sampling
+from affinestrata import sampling, strata
 import references
 from references import FAMILY_BUILDS, flat_a_coeffs
 
@@ -572,3 +575,97 @@ def test_read_outs_run_their_family_build(monkeypatch):
     members = [(mb.family, mb.params) for mb in classify_alt_b(v2).members]
     assert members == [("D2", (F(1), F(2), F(-1, 2)))]
     assert calls == ["V2"]
+
+
+# ---------------------------------------------------------------------------
+# one membership record
+
+
+def test_membership_is_an_integer_form_record():
+    """A membership holds its parameters' integers in lowest terms; its
+    repr, hash and equality are those of the record (family, params), and
+    ``strata`` still binds the name."""
+    member = FamilyMembership.of_integers((12, 2), 6, "B1")
+    assert member.integer_form == ((6, 1), 3)
+    assert member == FamilyMembership("B1", (F(2), F(1, 3))) != FamilyMembership("B2", (F(2), F(1, 3)))
+    assert repr(member) == "FamilyMembership(family='B1', params=(Fraction(2, 1), Fraction(1, 3)))"
+    assert hash(member) == hash(("B1", (F(2), F(1, 3))))
+    assert member.to_dict() == {"family": "B1", "params": ["2", "1/3"]}
+    assert pickle.loads(pickle.dumps(member)) == member
+    assert FamilyMembership.of_integers((1,), -2, "M3_1").params == (F(-1, 2),)
+    assert FamilyMembership.of_integers((), 1, "M1_1").to_dict() == {"family": "M1_1", "params": []}
+    assert strata.FamilyMembership is FamilyMembership
+
+
+def test_rank1_read_out_returns_the_membership():
+    """The rank-one read-out reports the membership at the integers its
+    family build was checked at, and the verified witness."""
+    base = canonical_model("M5_1", (F(2, 3),))
+    m = pullback_type_a(base, LinearMap2(Mat2(((1, 2), (3, 4)))))
+    member, witness = _match_rank1_reduced(m, *_rank1_frame(m, ricci_type_a(m)))
+    assert member == FamilyMembership("M5_1", (F(2, 3),))
+    assert pullback_type_a(base, witness) == m
+
+
+def _draw(rng, height, nonzero=False):
+    while True:
+        x = F(rng.randint(-height, height), rng.randint(1, height))
+        if x != 0 or not nonzero:
+            return x
+
+
+def _read_out_inputs(rng, height):
+    """Points of the six Type B families and the three intersection curves,
+    and rank-one catalog pullbacks, at one height."""
+    flat = [flat_b_param(f, (_draw(rng, height), _draw(rng, height))) for f in ("U1", "U2", "U3", "U1_closure")]
+    v, w = _draw(rng, height), _draw(rng, height)
+    flat += [type_b(-1, v, 0, 0, 0, 0), type_b(1, v, 0, 0, 0, 0), type_b(0, 2 * w, 0, 1, 0, 0)]
+    alt = [alt_b_param(f, (_draw(rng, height, True), _draw(rng, height), _draw(rng, height))) for f in ("V1", "V2")]
+    rank1 = []
+    for entry_id in ("M1_1", "M2_1", "M3_1", "M4_1", "M5_1"):
+        while True:
+            try:
+                base = canonical_model(entry_id, [_draw(rng, height) for _ in range(CATALOG[entry_id].arity)])
+                break
+            except CatalogError:
+                pass
+        while True:
+            rows = [[_draw(rng, height) for _ in range(2)] for _ in range(2)]
+            if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+                break
+        m = pullback_type_a(base, LinearMap2(Mat2(rows)))
+        rank1.append((m, *_rank1_frame(m, ricci_type_a(m))))
+    return flat, alt, rank1
+
+
+def test_read_outs_make_no_fraction(monkeypatch):
+    """The Type B memberships and the rank-one read-out build every
+    membership from the model's integers: no Fraction is constructed on the
+    way, counted at ``Fraction.__new__`` (and at the constructor that
+    Fraction arithmetic uses on Python 3.12 and later), at heights 1, 12 and
+    10^6."""
+    rng = random.Random(24)
+    inputs = [_read_out_inputs(rng, height) for height in (1, 12, 10**6)]
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    if hasattr(F, "_from_coprime_ints"):
+        coprime = F._from_coprime_ints
+        counting_coprime = classmethod(lambda cls, n, d: made.append((n, d)) or coprime(n, d))
+        monkeypatch.setattr(F, "_from_coprime_ints", counting_coprime)
+    assert F(1, 2) + F(1, 3) == F(5, 6) and len(made) >= 3  # the counter sees constructions and arithmetic
+    made.clear()
+    members = []
+    for flat, alt, rank1 in inputs:
+        members += [mb for m in flat for mb in _classify_flat_b(m).members]
+        members += [mb for m in alt for mb in _classify_alt_b(m).members]
+        members += [_match_rank1_reduced(*args)[0] for args in rank1]
+    assert made == []
+    monkeypatch.undo()
+    assert all(type(mb) is FamilyMembership for mb in members) and len(members) >= 3 * 14
+    assert {mb.family for mb in members} >= {"B1", "B2", "B3", "B1closure", "D1", "D2", "M1_1", "M5_1"}
