@@ -1,7 +1,7 @@
 """Exact-arithmetic classification of locally homogeneous affine surface
 models with constant or 1/x1-scaled connection coefficients."""
 
-from .exact import CirclePoint, Mat2, circle_from_slope, jacobian
+from .exact import CirclePoint, LinearMap2, Mat2, ShearMap, circle_from_slope, jacobian
 from .models import (
     CATALOG,
     CatalogError,
@@ -28,20 +28,14 @@ from .curvature import (
     split_ricci,
     stratum_flags,
 )
+from .law import orbit_dimension_a, pullback_type_a, pullback_type_b
+from .matchers import NotFlatError, UnmatchedOrbitError, match_flat_a_orbit, match_rank1_family
 from .group_action import (
     EquivalenceWitnesses,
     IsotropyFamily,
     IsotropyGroup,
-    LinearMap2,
-    ShearMap,
     UndecidedError,
-    UnmatchedOrbitError,
     isotropy_type_a,
-    match_flat_a_orbit,
-    match_rank1_family,
-    orbit_dimension_a,
-    pullback_type_a,
-    pullback_type_b,
     solve_equivalence_a,
     solve_equivalence_b,
 )
@@ -50,7 +44,6 @@ from .strata import (
     FlatAChart,
     NonRationalCirclePointError,
     NonRationalRotationError,
-    NotFlatError,
     NotInStratumError,
     NotRank1Error,
     Rank1Chart,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Frozen, Mat2, clear_denominators, mat2_of_integers, rational_str
+from .exact import ONE, ZERO, Frozen, LinearMap2, Mat2, clear_denominators, mat2_of_integers, rational_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -22,23 +22,17 @@ from .curvature import (
     ricci_type_b,
     split_ricci,
 )
-from .group_action import (
-    LinearMap2,
-    UndecidedError,
+from .law import carries, orbit_dimension_a, pullback_type_a, pullback_type_b
+from .frames import _rank1_frame
+from .matchers import (
     UnmatchedOrbitError,
     _cubic_pattern,
     _match_flat_a_orbit,
     _match_rank1_reduced,
-    _rank1_frame,
-    carries,
-    isotropy_type_a,
     match_flat_a_orbit,
     match_rank1_family,
-    orbit_dimension_a,
-    pullback_type_a,
-    pullback_type_b,
-    solve_equivalence_a,
 )
+from .group_action import UndecidedError, isotropy_type_a, solve_equivalence_a
 from .models import (
     CATALOG,
     CatalogError,

@@ -39,7 +39,7 @@ def _read_model(source: str):
         try:
             with open(source[1:], "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {source[1:]}: {exc}") from exc
     else:
         text = source

@@ -129,6 +129,9 @@ def parse_model(text) -> Model:
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
+        except UnicodeDecodeError as exc:  # bytes in no encoding that JSON allows
+            detail = f"{exc.reason} at byte {exc.start}"
+            raise ModelParseError(f"model document is not valid {exc.encoding} text: {detail}") from exc
         except json.JSONDecodeError as exc:
             raise ModelParseError(f"malformed JSON: {exc}") from exc
         except ValueError as exc:  # an integer past int()'s digit limit

@@ -20,8 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exact import CirclePoint, circle_from_slope, mat2_of_integers
-from .group_action import LinearMap2, ShearMap
+from .exact import CirclePoint, LinearMap2, ShearMap, circle_from_slope, mat2_of_integers
 from .models import TypeAModel, TypeBModel
 
 HEIGHT = 12

@@ -7,7 +7,7 @@ on a model's Fraction coefficients, ``mat2_from_cols`` on Fraction columns
 and ``peval`` on a Fraction polynomial.
 
 ``gamma_law`` is the coefficient law in the form the package's straight-line
-``group_action._adjugate_law`` expands: T g(adj T ., adj T .) and det T,
+``law._adjugate_law`` expands: T g(adj T ., adj T .) and det T,
 with g(u, v) read through ``gamma_coeffs`` on each pair of adjugate columns.
 ``ring_law`` is that law over any field of scalars (``QuadExt``, the dual
 numbers at k = 0, sympy expressions), divided once by det(T)^2.
@@ -36,8 +36,7 @@ import math
 from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
-from affinestrata.exact import ZERO, Mat2, _ratio, circle_from_slope
-from affinestrata.group_action import LinearMap2, ShearMap
+from affinestrata.exact import ZERO, LinearMap2, Mat2, ShearMap, _ratio, circle_from_slope
 from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
 from affinestrata.strata import ConePointError

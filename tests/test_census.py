@@ -14,7 +14,8 @@ from collections import Counter
 import pytest
 
 from affinestrata.curvature import ricci_type_a
-from affinestrata.group_action import carries, solve_equivalence_a
+from affinestrata.law import carries
+from affinestrata.group_action import solve_equivalence_a
 from affinestrata.models import TypeAModel
 
 

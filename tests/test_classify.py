@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import admits_type_b, classify_model, verify_theorems
-from affinestrata.exact import Mat2
-from affinestrata.group_action import LinearMap2, UndecidedError, pullback_type_a
+from affinestrata.exact import LinearMap2, Mat2
+from affinestrata.law import pullback_type_a
+from affinestrata.group_action import UndecidedError
 from affinestrata.models import (
     CATALOG,
     CatalogError,

@@ -14,7 +14,7 @@ import pytest
 from affinestrata import cli
 from affinestrata.cli import run_cli
 from affinestrata.exact import LinearMap2, Mat2, ShearMap
-from affinestrata.group_action import pullback_type_a, pullback_type_b
+from affinestrata.law import pullback_type_a, pullback_type_b
 from affinestrata.models import CATALOG, canonical_model, serialize_model, type_a
 from affinestrata.sampling import rand_model_b
 from affinestrata.strata import COEFF_FAMILIES, alt_b_param
@@ -253,6 +253,19 @@ def test_file_input(tmp_path):
     assert json.loads(out)["orbit"]["id"] == "M1_0"
     code, _, err = run(["classify", "@/nonexistent/path.json"])
     assert code == 2
+
+
+def test_file_input_that_is_not_utf8_is_a_usage_error(tmp_path):
+    """An ``@file`` whose bytes are not UTF-8 is an input error: exit 2 and
+    a ``usage`` diagnostic naming the file, with no traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe" + M1_0.encode("utf-16-le"))
+    code, out, err = run(["classify", f"@{path}"])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "usage"
+    assert doc["detail"].startswith(f"cannot read {path}: ")
 
 
 def test_closed_stdout_exits_1_without_traceback():

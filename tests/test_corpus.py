@@ -27,17 +27,9 @@ import pytest
 
 from affinestrata.classify import classify_model
 from affinestrata.curvature import curvature_of
-from affinestrata.exact import Mat2
-from affinestrata.group_action import (
-    LinearMap2,
-    ShearMap,
-    UndecidedError,
-    isotropy_type_a,
-    pullback_type_a,
-    pullback_type_b,
-    solve_equivalence_a,
-    solve_equivalence_b,
-)
+from affinestrata.exact import LinearMap2, Mat2, ShearMap
+from affinestrata.law import pullback_type_a, pullback_type_b
+from affinestrata.group_action import UndecidedError, isotropy_type_a, solve_equivalence_a, solve_equivalence_b
 from affinestrata.models import TypeAModel, TypeBModel, canonical_model, parse_model, serialize_model, type_a, type_b
 from affinestrata.strata import alt_b_param, flat_b_param
 
@@ -187,11 +179,11 @@ COUNTED = (
     "curvature.split_ricci",
     "curvature.rank_signature",
     "exact.clear_denominators",
+    "frames.rank1_frame",
+    "frames._rank1_frame",
     "group_action._isotropy_reduced",
-    "group_action.rank1_frame",
-    "group_action._rank1_frame",
-    "group_action._law",
-    "group_action.orbit_dimension_a",
+    "law._law",
+    "law.orbit_dimension_a",
     "models.canonical_model",
     "polys.binary_cubic_pattern",
 )
@@ -225,12 +217,12 @@ def test_classify_model_computes_curvature_once(counts):
         assert counts[ricci] == 1, (m, counts)
         assert counts["curvature.split_ricci"] == counts["curvature.rank_signature"] == 1, (m, counts)
         rank1 = report.stratum["kind"] == "rank1"
-        assert counts["group_action._rank1_frame"] == rank1, (m, counts)
-        assert counts["group_action.rank1_frame"] == 0, (m, counts)
+        assert counts["frames._rank1_frame"] == rank1, (m, counts)
+        assert counts["frames.rank1_frame"] == 0, (m, counts)
         # one pullback reduces an unreduced rank-one model; every witness is
         # checked without building a model
         unreduced = rank1 and (m.b != 0 or m.d != 0)
-        assert counts["group_action._law"] == unreduced, (m, counts)
+        assert counts["law._law"] == unreduced, (m, counts)
         strata[report.stratum["kind"]] += 1
     assert set(strata) == {
         "cone_point", "flat_chart", "rank1", "rank2",
@@ -250,14 +242,14 @@ def test_solve_equivalence_a_computes_curvature_once(counts):
         statuses[solve_equivalence_a(m1, m2).status] += 1
         assert counts["curvature.ricci_type_a"] == 2, (m1, m2, counts)
         assert counts["curvature.rank_signature"] == 2, (m1, m2, counts)
-        assert counts["group_action._rank1_frame"] in (0, 2), (m1, m2, counts)
-        if counts["group_action._rank1_frame"] == 2:
+        assert counts["frames._rank1_frame"] in (0, 2), (m1, m2, counts)
+        if counts["frames._rank1_frame"] == 2:
             # one pullback per unreduced frame, none for the witness check
             unreduced = sum(m.b != 0 or m.d != 0 for m in (m1, m2))
-            assert counts["group_action._law"] == unreduced, (m1, m2, counts)
+            assert counts["law._law"] == unreduced, (m1, m2, counts)
             rank1_pulls[unreduced] += 1
         elif curvature_of(m1).flags.is_flat:
-            assert counts["group_action._law"] == 0, (m1, m2, counts)
+            assert counts["law._law"] == 0, (m1, m2, counts)
     assert set(statuses) == {"equivalent", "not_equivalent", "undecided"}
     assert rank1_pulls[2] > 0
 
@@ -273,7 +265,7 @@ def test_screen_reads_orbit_dimensions_off_normal_forms(counts):
         fl1, fl2 = curvature_of(m1).flags, curvature_of(m2).flags
         counts.clear()
         solve_equivalence_a(m1, m2)
-        assert counts["group_action.orbit_dimension_a"] == 0, (m1, m2)
+        assert counts["law.orbit_dimension_a"] == 0, (m1, m2)
         both_flat = fl1.is_flat and fl1.primary == fl2.primary
         assert counts["polys.binary_cubic_pattern"] == 2 * both_flat, (m1, m2, counts)
         flat_pairs += both_flat
@@ -305,11 +297,11 @@ def test_pullbacks_per_operation(counts):
     for m, pulls in ((rank1, 1), (flat, 0)):
         counts.clear()
         assert classify_model(m).orbit is not None
-        assert counts["group_action._law"] == pulls
+        assert counts["law._law"] == pulls
     other = pullback_type_a(rank1, map_of(0, 1, 1, 5))
     counts.clear()
     assert solve_equivalence_a(rank1, other).is_equivalent
-    assert counts["group_action._law"] == 2
+    assert counts["law._law"] == 2
 
 
 @pytest.mark.parametrize(
@@ -378,5 +370,5 @@ def test_solve_equivalence_a_builds_no_isotropy_group(counts):
         counts.clear()
         solve_equivalence_a(m1, m2)
         assert counts["group_action._isotropy_reduced"] == 0, (m1, m2)
-        rank1_pairs += counts["group_action._rank1_frame"] == 2
+        rank1_pairs += counts["frames._rank1_frame"] == 2
     assert rank1_pairs > 0

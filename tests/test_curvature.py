@@ -18,7 +18,7 @@ from affinestrata.curvature import (
 )
 from affinestrata.models import canonical_model, type_a, type_b
 from affinestrata.polys import binary_cubic_pattern
-from affinestrata.group_action import pullback_type_a
+from affinestrata.law import pullback_type_a
 from affinestrata.sampling import rand_model_b
 import references
 from references import binary_cubic, gamma_pair, ricci_trace_vector, trace_form

@@ -22,7 +22,8 @@ from affinestrata.exact import (
     solve_linear,
     sqrt_rational,
 )
-from affinestrata.group_action import carries, isotropy_type_a, transform_coeffs
+from affinestrata.law import carries, transform_coeffs
+from affinestrata.group_action import isotropy_type_a
 from affinestrata.models import type_a
 from affinestrata.polys import rational_roots
 from affinestrata.strata import Rank1Chart

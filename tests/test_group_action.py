@@ -6,25 +6,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import classify_model
-from affinestrata.exact import Mat2
+from affinestrata.exact import LinearMap2, Mat2, ShearMap
 from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, ricci_type_b
+from affinestrata.law import orbit_dimension_a, pullback_type_a, pullback_type_b, transform_coeffs
+from affinestrata.frames import _solve_reduced_pair, rank1_frame
+from affinestrata.matchers import UnmatchedOrbitError, match_flat_a_orbit
 from affinestrata.group_action import (
-    LinearMap2,
-    ShearMap,
     UndecidedError,
-    UnmatchedOrbitError,
-    _solve_reduced_pair,
     _rank2_witnesses_by_cubic,
     _solve_rank2_pair,
     isotropy_type_a,
-    match_flat_a_orbit,
-    orbit_dimension_a,
-    pullback_type_a,
-    pullback_type_b,
-    rank1_frame,
     solve_equivalence_a,
     solve_equivalence_b,
-    transform_coeffs,
 )
 from affinestrata.models import CATALOG, canonical_model, negate_model, type_a, type_b
 from affinestrata.strata import COEFF_FAMILIES

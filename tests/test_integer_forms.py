@@ -62,25 +62,19 @@ from affinestrata.exact import (
     ZERO,
     CirclePoint,
     FrozenInstanceError,
+    LinearMap2,
     Mat2,
+    ShearMap,
     circle_from_slope,
     clear_denominators,
     mat2_of_integers,
     rational,
     sqrt_rational,
 )
-from affinestrata.group_action import (
-    EquivalenceWitnesses,
-    IsotropyFamily,
-    IsotropyGroup,
-    LinearMap2,
-    ShearMap,
-    _cubic_pattern,
-    pullback_type_a,
-    pullback_type_b,
-    rank1_frame,
-    solve_equivalence_a,
-)
+from affinestrata.law import pullback_type_a, pullback_type_b
+from affinestrata.frames import rank1_frame
+from affinestrata.matchers import _cubic_pattern
+from affinestrata.group_action import EquivalenceWitnesses, IsotropyFamily, IsotropyGroup, solve_equivalence_a
 from affinestrata.models import (
     CATALOG,
     CatalogEntry,

@@ -20,18 +20,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.curvature import covariant_frame, rank_signature, ricci_type_a, stratum_flags
-from affinestrata.exact import ONE, ZERO, Mat2, QuadInt, sqrt_rational
-from affinestrata import group_action
-from affinestrata.group_action import (
-    LinearMap2,
-    ShearMap,
-    _solve_reduced,
-    _solve_rank2_forced,
-    pullback_type_a,
-    pullback_type_b,
-    solve_equivalence_a,
-    solve_equivalence_b,
-)
+from affinestrata.exact import ONE, ZERO, LinearMap2, Mat2, QuadInt, ShearMap, sqrt_rational
+from affinestrata import frames
+from affinestrata.law import pullback_type_a, pullback_type_b
+from affinestrata.frames import _solve_reduced
+from affinestrata.group_action import _solve_rank2_forced, solve_equivalence_a, solve_equivalence_b
 from affinestrata.models import type_a, type_b
 from references import QuadExt, gamma_pair, mat2_from_cols, ricci_trace_vector, ring_law, ring_product
 
@@ -259,13 +252,13 @@ def test_rank1_irrational_frame_scale_is_checked(monkeypatch):
     delta]] at delta = sqrt(R1 R2) / |R2| has passed the law in Z[sqrt(R1
     R2)], one check per pair."""
     checks = []
-    law_check = group_action._carries
+    law_check = frames._carries
 
     def counting(source, p, den, target):
         checks.append(any(isinstance(x, QuadInt) for x in p))
         return law_check(source, p, den, target)
 
-    monkeypatch.setattr(group_action, "_carries", counting)
+    monkeypatch.setattr(frames, "_carries", counting)
     rng = random.Random(5)
 
     def reduced():

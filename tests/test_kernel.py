@@ -28,6 +28,7 @@ from affinestrata.curvature import (
 from affinestrata.exact import (
     ONE,
     ZERO,
+    LinearMap2,
     Mat2,
     QuadInt,
     _Dual,
@@ -36,25 +37,18 @@ from affinestrata.exact import (
     solve_linear,
     sqrt_rational,
 )
-from affinestrata.group_action import (
-    LinearMap2,
-    UnmatchedOrbitError,
+from affinestrata.law import _adjugate_law, carries, orbit_dimension_a, pullback_type_a, transform_coeffs
+from affinestrata.frames import _frame_inverse, _rank1_frame, _solve_reduced_pair
+from affinestrata.matchers import (
     _PATTERN_ORBIT,
-    _adjugate_law,
-    _frame_inverse,
+    UnmatchedOrbitError,
     _match_m1,
     _match_m2,
     _match_m5,
     _match_tensor_line,
-    _rank1_frame,
-    _solve_reduced_pair,
-    _stratum_normal_form,
-    carries,
     match_flat_a_orbit,
-    orbit_dimension_a,
-    pullback_type_a,
-    transform_coeffs,
 )
+from affinestrata.group_action import _stratum_normal_form
 from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, type_a
 from affinestrata.polys import binary_cubic_pattern
 from affinestrata.strata import COEFF_FAMILIES

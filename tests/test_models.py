@@ -64,6 +64,17 @@ def test_parse_model_errors():
         parse_model('{"type":"A","coeffs":[1.5,"0","0","0","0","0"]}')
 
 
+def test_parse_model_tells_undecodable_bytes_from_a_long_integer():
+    """Bytes that decode as no JSON text and an integer past the digit limit
+    are both ``ModelParseError``s, each under its own message."""
+    with pytest.raises(ModelParseError) as info:
+        parse_model(b"\x80abc")
+    assert str(info.value) == "model document is not valid utf-8 text: invalid start byte at byte 0"
+    with pytest.raises(ModelParseError) as info:
+        parse_model(b'{"type": "A", "coeffs": [%s, 0, 0, 0, 0, 0]}' % (b"9" * 5000))
+    assert str(info.value) == "a JSON integer coefficient is too long to be a rational literal"
+
+
 def test_serialize_round_trip():
     models = [
         canonical_model("M5_1", [F(-3, 7)]),

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from affinestrata.exact import CirclePoint, Mat2, circle_from_slope, jacobian, mat_rank
+from affinestrata.exact import CirclePoint, LinearMap2, Mat2, circle_from_slope, jacobian, mat_rank
 from affinestrata.curvature import rank_signature, ricci_type_a, ricci_type_b, split_ricci
-from affinestrata.group_action import LinearMap2, _match_rank1_reduced, _rank1_frame, pullback_type_a
+from affinestrata.law import pullback_type_a
+from affinestrata.frames import _rank1_frame
+from affinestrata.matchers import _match_rank1_reduced
 from affinestrata.models import CATALOG, CatalogEntry, CatalogError, FamilyMembership, canonical_model, type_a, type_b
 from affinestrata.strata import (
     COEFF_FAMILIES,
@@ -280,7 +282,7 @@ def test_classify_flat_b_after_shear_pullbacks():
     # of a flat catalog model must classify
     rng = random.Random(167)
     flat_ids = ["N1_0+", "N1_0-", "N3_0", "N4_0", "N5_0"]
-    from affinestrata.group_action import pullback_type_b
+    from affinestrata.law import pullback_type_b
 
     for entry_id in flat_ids:
         base = canonical_model(entry_id)

@@ -12,7 +12,7 @@ import pytest
 
 from affinestrata.curvature import ricci_type_a, ricci_type_b
 from affinestrata.exact import Mat2, ShearMap
-from affinestrata.group_action import pullback_type_b, transform_coeffs
+from affinestrata.law import pullback_type_b, transform_coeffs
 from affinestrata.polys import binary_cubic_pattern, pmul, rational_roots
 from affinestrata.sampling import rand_linear_map, rand_model_a, rand_model_b, rand_nonzero, rand_rational
 from references import binary_cubic, ring_law
