@@ -187,9 +187,10 @@ def _admits_type_b(family: str) -> bool:
 
 
 class CheckResult(Frozen):
-    """The outcome of one check of :func:`verify_theorems`."""
+    """The outcome of one check of :func:`verify_theorems`: passed when it has no counterexample."""
 
-    __slots__ = ("check_id", "description", "samples_used", "passed", "counterexample")
+    __slots__ = ("check_id", "description", "samples_used", "counterexample")
+    passed = property(lambda self: self.counterexample is None)
 
     def to_dict(self) -> dict:
         return {
@@ -441,16 +442,12 @@ def _check_one_isotropy(rng, entry_id, param, m, inst_samples) -> int:
 def _check_isotropy(rng, samples: int) -> int:
     used = 0
     inst_samples = max(1, samples // 10)
-    dims = []
     for orbit_id in ("M0_0", "M1_0", "M2_0", "M3_0", "M4_0", "M5_0"):
         m = canonical_model(orbit_id)
         used += _check_one_isotropy(rng, orbit_id, None, m, inst_samples)
         dim = orbit_dimension_a(m)
-        dims.append(dim)
         if dim != _FLAT_ORBIT_DIMS[orbit_id]:
             _fail(f"{orbit_id}: orbit dimension {dim} != {_FLAT_ORBIT_DIMS[orbit_id]}")
-    if dims != [0, 3, 4, 3, 2, 4]:
-        _fail(f"flat orbit dimension sequence {dims}")
     rank1_cases = [
         ("M1_1", None),
         ("M2_1", Fraction(2)),
@@ -501,7 +498,6 @@ def _check_rank1_families(rng, samples: int) -> int:
         if admits_type_b(canonical_model("M5_1", (c,))) is not False:
             _fail(f"M5_1({c}): must not admit the 1/x1 profile")
         used += 5
-    flip = Mat2(((ONE, ZERO), (ZERO, -ONE)))
     for i in range(max(1, samples // 50)):
         c = sampling.rand_nonzero(rng)
         res = solve_equivalence_a(
@@ -509,7 +505,7 @@ def _check_rank1_families(rng, samples: int) -> int:
         )
         if not res.is_equivalent:
             _fail(f"M5_1({c}) vs M5_1({-c}): {res.status}")
-        if not any(w.matrix == flip for w in res.maps):
+        if not any(w.matrix == _FLIP for w in res.maps):
             _fail(f"M5_1({c}): expected the (x1, -x2) witness, got {[w.to_json() for w in res.maps]}")
         used += 1
     return used
@@ -689,7 +685,7 @@ def verify_theorems(seed: int = 1, samples: int = 100, checks=None) -> Verificat
         rng = sampling.stream(seed, check_id)
         try:
             used = fn(rng, samples)
-            results.append(CheckResult(check_id, description, used, True, None))
+            results.append(CheckResult(check_id, description, used, None))
         except _Failure as exc:
-            results.append(CheckResult(check_id, description, 0, False, str(exc)))
+            results.append(CheckResult(check_id, description, 0, str(exc)))
     return VerificationReport(seed, samples, tuple(results))

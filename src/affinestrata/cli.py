@@ -17,12 +17,7 @@ import sys
 from .exact import rational, rational_str
 from .models import CATALOG, CatalogError, ModelParseError, parse_model, serialize_model
 from .curvature import ricci, split_ricci
-from .group_action import (
-    UndecidedError,
-    isotropy_type_a,
-    solve_equivalence_a,
-    solve_equivalence_b,
-)
+from .group_action import UndecidedError, isotropy_type_a, solve_equivalence_a, solve_equivalence_b
 from .classify import CHECKS, classify_model, verify_theorems
 from .strata import COEFF_FAMILIES
 
@@ -31,9 +26,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage diagnostic like any input error, not argparse's usage text
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _read_model(source: str):
     """Model input: inline JSON, '@path' for a file, or '-' for stdin."""
     if source == "-":
+        if sys.stdin is None:  # the process was started with standard input closed
+            raise _UsageError("cannot read standard input: it is closed")
         text = sys.stdin.read()
     elif source.startswith("@"):
         try:
@@ -46,9 +48,9 @@ def _read_model(source: str):
     return parse_model(text)
 
 
-def _emit(doc, stream=None):
-    json.dump(doc, stream or sys.stdout, indent=2)
-    (stream or sys.stdout).write("\n")
+def _emit(doc):
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _diagnostic(kind: str, detail: str):
@@ -83,10 +85,7 @@ def _cmd_equiv(args) -> int:
     m2 = _read_model(args.model2)
     if m1.kind != m2.kind:
         raise _UsageError("equivalence is defined between models of the same type")
-    if m1.kind == "A":
-        result = solve_equivalence_a(m1, m2)
-    else:
-        result = solve_equivalence_b(m1, m2)
+    result = (solve_equivalence_a if m1.kind == "A" else solve_equivalence_b)(m1, m2)
     doc = {"model1": serialize_model(m1), "model2": serialize_model(m2)}
     doc.update(result.to_dict())
     _emit(doc)
@@ -143,7 +142,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affinestrata",
         description="Exact classification of locally homogeneous affine surface models.",
     )
@@ -192,10 +191,9 @@ def run_cli(argv=None) -> int:
         argv = argv[:2] + ["--"] + argv[2:]
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.fn(args)
+    except SystemExit as exc:  # --help, after printing the help to stdout
+        return 2 if exc.code not in (0, None) else 0
     except (ModelParseError, CatalogError, _UsageError) as exc:
         _diagnostic("usage", str(exc))
         return 2

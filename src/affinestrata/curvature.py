@@ -44,7 +44,7 @@ class Ricci2(Mat2):
     lowest terms, ``Ricci2(rows, cleared)`` clears the rows once, and the
     ``rows`` of a tensor computed from a model
     (``Ricci2.of_integers(nums, den, cleared)``) are built from the
-    integers when first read.  Equality and hashing compare the entries and
+    integers when read.  Equality and hashing compare the entries and
     the ``cleared`` flag, so a Ricci2 never equals a Mat2."""
 
     __slots__ = ("cleared",)
@@ -85,25 +85,19 @@ class RankSig(Frozen):
 
 
 class StratumFlags(Frozen):
-    """Which strata a model lies in; the flags :func:`curvature_of` returns,
-    one value per primary stratum, are built once (:data:`PRIMARY_FLAGS`)
-    and shared."""
+    """Which strata a model lies in, held as its one ``primary`` stratum;
+    the six ``is_*`` flags are read off it (a cone point is flat as well).
+    The flags :func:`curvature_of` returns, one value per primary stratum,
+    are built once (:data:`PRIMARY_FLAGS`) and shared."""
 
-    __slots__ = ("is_cone_point", "is_flat", "is_rank1_pos", "is_rank1_neg", "is_alt_only", "is_rank2")
+    __slots__ = ("primary",)
 
-    @property
-    def primary(self) -> str:
-        if self.is_cone_point:
-            return "cone_point"
-        if self.is_flat:
-            return "flat"
-        if self.is_alt_only:
-            return "alternating_only"
-        if self.is_rank1_pos:
-            return "rank1_positive"
-        if self.is_rank1_neg:
-            return "rank1_negative"
-        return "rank2"
+    is_cone_point = property(lambda self: self.primary == "cone_point")
+    is_flat = property(lambda self: self.primary in ("cone_point", "flat"))
+    is_rank1_pos = property(lambda self: self.primary == "rank1_positive")
+    is_rank1_neg = property(lambda self: self.primary == "rank1_negative")
+    is_alt_only = property(lambda self: self.primary == "alternating_only")
+    is_rank2 = property(lambda self: self.primary == "rank2")
 
     def to_dict(self) -> dict:
         return {
@@ -126,14 +120,10 @@ RANK_SIGS = {
 }
 
 #: the flags of each primary stratum, keyed by :attr:`StratumFlags.primary`,
-#: built once and shared; a cone point is flat as well
+#: built once and shared
 PRIMARY_FLAGS = {
-    "cone_point": StratumFlags(True, True, False, False, False, False),
-    "flat": StratumFlags(False, True, False, False, False, False),
-    "alternating_only": StratumFlags(False, False, False, False, True, False),
-    "rank1_positive": StratumFlags(False, False, True, False, False, False),
-    "rank1_negative": StratumFlags(False, False, False, True, False, False),
-    "rank2": StratumFlags(False, False, False, False, False, True),
+    primary: StratumFlags(primary)
+    for primary in ("cone_point", "flat", "alternating_only", "rank1_positive", "rank1_negative", "rank2")
 }
 
 

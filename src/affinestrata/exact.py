@@ -24,10 +24,11 @@ circle points and family memberships share one integer-form base,
 :class:`IntegerForm`:
 numerators over a positive denominator in lowest terms, cleared once by a
 constructor or reduced with one gcd by :meth:`~IntegerForm.of_integers`
-(:func:`lowest_terms`, straight-line for six and four numerators), with the
-Fraction view built on first read.  A :class:`Mat2` holds only rationals; its
-determinant, inverse, product and singularity test (and so the invertibility
-check of :class:`LinearMap2`) read its integer form, as do the coefficient
+(:func:`lowest_terms`, straight-line for six and four numerators), and the
+only representation held: the Fraction view is built each time it is read.
+A :class:`Mat2` holds only rationals; its determinant, inverse, product and
+singularity test (and so the invertibility check of :class:`LinearMap2`)
+read its integer form, as do the coefficient
 law and its witness check.  The unit-circle check works on integers as
 well, and the flat orbit matchers solve their three integer rows in two
 unknowns in closed form (:func:`solve_3x2`); the general fraction-free
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -63,18 +65,21 @@ def parse_literal(text: str) -> tuple[int, int]:
     The text must match ``[+-]?[0-9]+(/[0-9]+)?`` after stripping
     surrounding whitespace; decimals, exponents, a zero denominator and a
     number past ``int()``'s digit limit raise ValueError, so a short literal
-    cannot stand for a huge integer.  The pair is not reduced.
+    cannot stand for a huge integer; the message echoes a literal past 40
+    characters as its first 20 and its length.  The pair is not reduced.
     """
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
     match = _LITERAL.fullmatch(text.strip())
     if match is not None:
         num, den = match.groups()
         try:
             n, d = int(num), 1 if den is None else int(den)
-        except ValueError:  # past int()'s digit limit, rejected with d = 0
-            d = 0
+        except ValueError:  # past int()'s digit limit
+            limit = f"an integer past int()'s limit of {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"not a rational literal: {shown}, {limit}") from None
         if d != 0:
             return n, d
-    raise ValueError(f"not a rational literal: {text!r}")
+    raise ValueError(f"not a rational literal: {shown}")
 
 
 #: the integer ratio of each scalar type the package takes in
@@ -303,16 +308,17 @@ class IntegerForm(Frozen):
     values over their least common denominator den > 0, so gcd(nums, den)
     = 1 and equal values have equal forms.  It is made once: a constructor
     clears its values through the scalar gate (:meth:`_clear`), and
-    :meth:`of_integers` reduces integers with one gcd.  The ``Fraction``
-    view (``coeffs``, ``rows``, ``coords``, ``c`` and ``s``, ``params``,
-    shaped by ``_shape``) is built from the form when first read, then
-    cached.  Equality and hashing compare the forms within one class (a
-    circle point and a membership keep the hash of their record), so values
-    of two classes never compare equal; the repr, copies and pickles go
-    through the fields named in ``_fields``.
+    :meth:`of_integers` reduces integers with one gcd.  It is the one
+    representation held: the ``Fraction`` view (``coeffs``, ``rows``,
+    ``coords``, ``c`` and ``s``, ``params``, shaped by ``_shape``) is built
+    from it each time it is read, and not kept.  Equality and hashing
+    compare the forms within one class (a circle point and a membership
+    keep the hash of their record), so values of two classes never compare
+    equal; the repr, copies and pickles go through the fields named in
+    ``_fields``.
     """
 
-    __slots__ = ("integer_form", "_view")
+    __slots__ = ("integer_form",)
     _fields = ()
 
     def __init_subclass__(cls, **kwargs):  # the setters of a subclass's own slots, for of_integers
@@ -323,7 +329,6 @@ class IntegerForm(Frozen):
         """Set the form from ints and Fractions (:func:`clear_denominators`)."""
         nums, den = clear_denominators(values)
         object.__setattr__(self, "integer_form", (tuple(nums), den))
-        object.__setattr__(self, "_view", None)
 
     @classmethod
     def of_integers(cls, nums, den, *fields):
@@ -332,7 +337,6 @@ class IntegerForm(Frozen):
         ``fields``; no Fraction is built."""
         out = object.__new__(cls)
         _set_integer_form(out, lowest_terms(nums, den))
-        _set_view(out, None)
         i = 0  # a counter, not zip, as in Frozen.__init__
         for value in fields:
             cls._own_setters[i](out, value)
@@ -342,12 +346,8 @@ class IntegerForm(Frozen):
     _shape = tuple
 
     def _fractions(self):
-        view = self._view
-        if view is None:
-            nums, den = self.integer_form
-            view = self._shape([Fraction(n, den) for n in nums])
-            object.__setattr__(self, "_view", view)
-        return view
+        nums, den = self.integer_form
+        return self._shape([Fraction(n, den) for n in nums])
 
     def is_zero(self) -> bool:
         return not any(self.integer_form[0])
@@ -361,9 +361,9 @@ class IntegerForm(Frozen):
         return hash(self.integer_form)
 
 
-#: the setters of the two slots every integer form has, called straight
-#: through their descriptors by :meth:`IntegerForm.of_integers`
-_set_integer_form, _set_view = IntegerForm.integer_form.__set__, IntegerForm._view.__set__
+#: the setter of the slot every integer form has, called straight through
+#: its descriptor by :meth:`IntegerForm.of_integers`
+_set_integer_form = IntegerForm.integer_form.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +375,9 @@ class Mat2(IntegerForm):
 
     Its integer form holds the entries (p11, p12, p21, p22) over their
     least common denominator, and every operation reads it; ``rows`` is the
-    Fraction view built from it, so equal matrices print alike.  ``Mat2(rows)``
-    takes ints and Fractions, and the scalar gate raises TypeError on others.
+    Fraction view built from it when read, so equal matrices print alike.
+    ``Mat2(rows)`` takes ints and Fractions, and the scalar gate raises
+    TypeError on others.
     """
 
     __slots__ = ()
@@ -516,7 +517,7 @@ class CirclePoint(IntegerForm):
     Held as its integer form: the numerators (C, S) over one denominator
     n > 0, with C^2 + S^2 = n^2; the half-turn, the lexicographic sign and
     the rotation read them, and ``c`` and ``s`` are the Fraction view, built
-    on first read."""
+    when read."""
 
     __slots__ = ()
     _fields = ("c", "s")
@@ -784,37 +785,21 @@ def solve_3x2(rows, rhs) -> tuple[list[int], int, list[list[int]]] | None:
     A nonzero 2x2 minor gives the one solution by Cramer's rule, consistent
     when the third row holds at it; with every minor zero the rows are
     multiples of the first nonzero one, whose pivot is read directly."""
-    (a1, b1), (a2, b2), (a3, b3) = rows
-    r1, r2, r3 = rhs
-    det = a1 * b2 - a2 * b1
-    if det != 0:
-        x, y = r1 * b2 - r2 * b1, a1 * r2 - a2 * r1
-        held = a3 * x + b3 * y == r3 * det
-    else:
-        det = a1 * b3 - a3 * b1
+    row1, row2, row3 = [(a, b, r) for (a, b), r in zip(rows, rhs)]
+    # the minors of rows (1, 2), (1, 3) and (2, 3), each checked on the third row
+    for (ai, bi, ri), (aj, bj, rj), (ak, bk, rk) in ((row1, row2, row3), (row1, row3, row2), (row2, row3, row1)):
+        det = ai * bj - aj * bi
         if det != 0:
-            x, y = r1 * b3 - r3 * b1, a1 * r3 - a3 * r1
-            held = a2 * x + b2 * y == r2 * det
-        else:
-            det = a2 * b3 - a3 * b2
-            if det != 0:
-                x, y = r2 * b3 - r3 * b2, a2 * r3 - a3 * r2
-                held = a1 * x + b1 * y == r1 * det
-    if det != 0:
-        if not held:
-            return None
-        return ([x, y], det, []) if det > 0 else ([-x, -y], -det, [])
-    # rank at most one
-    if a1 != 0 or b1 != 0:
-        a, b, r = a1, b1, r1
-    elif a2 != 0 or b2 != 0:
-        a, b, r = a2, b2, r2
-    elif a3 != 0 or b3 != 0:
-        a, b, r = a3, b3, r3
-    else:
-        return ([0, 0], 1, [[1, 0], [0, 1]]) if r1 == r2 == r3 == 0 else None
-    # each row (a_i, b_i) is a multiple of (a, b); r_i must be the same one of r
-    for ai, bi, ri in ((a1, b1, r1), (a2, b2, r2), (a3, b3, r3)):
+            x, y = ri * bj - rj * bi, ai * rj - aj * ri
+            if ak * x + bk * y != rk * det:
+                return None
+            return ([x, y], det, []) if det > 0 else ([-x, -y], -det, [])
+    # rank at most one: each row (a_i, b_i, r_i) is the same multiple of the
+    # first nonzero one, (a, b, r)
+    a, b, r = next((row for row in (row1, row2, row3) if row[0] != 0 or row[1] != 0), (0, 0, 0))
+    if a == 0 and b == 0:
+        return ([0, 0], 1, [[1, 0], [0, 1]]) if not any(rhs) else None
+    for ai, bi, ri in (row1, row2, row3):
         if a * ri != ai * r or b * ri != bi * r:
             return None
     if a < 0 or (a == 0 and b < 0):  # a positive pivot

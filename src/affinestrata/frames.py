@@ -155,24 +155,17 @@ def _solve_reduced(red1, red2):
         # (F1 - 2 C1) / L1; the names below hold their numerators
         rhs = c1 * c1 * e2 * l2
         coef = f1 - 2 * c1
+        if coef == 0 and (e1 == 0) != (e2 == 0):
+            return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
         if e1 != 0:
-            if coef != 0:
-                if rhs != 0:
-                    sols.append(((rhs, c2 * c2 * l1 * e1), (0, 1), delta))
-                else:
-                    # alpha = (rhs - coef) / e1 at beta = 1
-                    sols.append(((-coef, e1), (1, 1), delta))
-            else:
-                if e2 == 0:
-                    return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
+            if rhs != 0:  # beta = 0; with coef = 0, e2 != 0 makes rhs != 0
                 sols.append(((rhs, c2 * c2 * l1 * e1), (0, 1), delta))
+            else:  # coef != 0: alpha = (rhs - coef) / e1 at beta = 1
+                sols.append(((-coef, e1), (1, 1), delta))
+        elif coef != 0:
+            sols.append(((1, 1), (rhs, c2 * c2 * l1 * coef), delta))
         else:
-            if coef != 0:
-                sols.append(((1, 1), (rhs, c2 * c2 * l1 * coef), delta))
-            else:
-                if e2 != 0:
-                    return ("not_equivalent", [], "vanishing of G_22^1 differs on the f = 2c subfamily")
-                sols.append(((1, 1), (0, 1), delta))
+            sols.append(((1, 1), (0, 1), delta))
     mats = [mat2_of_integers(*_triangular(*sol)) for sol in sols if sol[0][0] != 0 and sol[2][0] != 0]
     if not mats:
         return ("not_equivalent", [], "triangular system has no invertible solution")

@@ -52,9 +52,11 @@ class IsotropyFamily(Frozen):
 
     ``build`` maps a tuple of rational parameters to the matrix; ``template``
     and ``constraints`` are the human-readable description used in reports.
+    Its dimension is the number of its parameters.
     """
 
-    __slots__ = ("dimension", "param_names", "constraints", "template", "build")
+    __slots__ = ("param_names", "constraints", "template", "build")
+    dimension = property(lambda self: len(self.param_names))
 
     def instantiate(self, params) -> LinearMap2:
         if len(params) != self.dimension:
@@ -111,21 +113,19 @@ def _spot_check(group: IsotropyGroup, m: TypeAModel) -> IsotropyGroup:
 _FLAT_ISOTROPY = {
     "M0_0": IsotropyGroup((), (
         IsotropyFamily(
-            4, ("p", "q", "r", "s"), ("p*s - q*r != 0",), "[[p, q], [r, s]]",
+            ("p", "q", "r", "s"), ("p*s - q*r != 0",), "[[p, q], [r, s]]",
             lambda p, q, r, s: Mat2(((p, q), (r, s))),
         ),
     )),
     "M1_0": IsotropyGroup((_IDENTITY,), (
-        IsotropyFamily(1, ("a",), ("a != 0",), "[[1, 0], [0, a]]", lambda a: Mat2(((ONE, ZERO), (ZERO, a)))),
+        IsotropyFamily(("a",), ("a != 0",), "[[1, 0], [0, a]]", lambda a: Mat2(((ONE, ZERO), (ZERO, a)))),
     )),
     "M2_0": IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ZERO, -ONE), (-ONE, ZERO))))), ()),
     "M3_0": IsotropyGroup((_IDENTITY,), (
-        IsotropyFamily(1, ("a",), ("a != 0",), "[[a, 0], [0, 1]]", lambda a: Mat2(((a, ZERO), (ZERO, ONE)))),
+        IsotropyFamily(("a",), ("a != 0",), "[[a, 0], [0, 1]]", lambda a: Mat2(((a, ZERO), (ZERO, ONE)))),
     )),
     "M4_0": IsotropyGroup((_IDENTITY,), (
-        IsotropyFamily(
-            2, ("a", "b"), ("a != 0",), "[[a^2, b], [0, a]]", lambda a, b: Mat2(((a * a, b), (ZERO, a))),
-        ),
+        IsotropyFamily(("a", "b"), ("a != 0",), "[[a^2, b], [0, a]]", lambda a, b: Mat2(((a * a, b), (ZERO, a)))),
     )),
     "M5_0": IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, ZERO), (ZERO, -ONE))))), ()),
 }
@@ -156,15 +156,15 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
         return IsotropyGroup((_IDENTITY, LinearMap2(Mat2(((ONE, Fraction(2 * c, a)), (ZERO, -ONE))))), ())
     if dimension == 2:
         family = IsotropyFamily(
-            2, ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
+            ("v", "w"), ("v != 0",), "[[1/v, -w/v], [0, 1]]",
             lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))),
         )
     elif e == 0:
         family = IsotropyFamily(
-            1, ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]", lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
+            ("v",), ("v != 0",), "[[1/v, 0], [0, 1]]", lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
         )
     elif 2 * c == f:
-        family = IsotropyFamily(1, ("w",), (), "[[1, -w], [0, 1]]", lambda w: Mat2(((ONE, -w), (ZERO, ONE))))
+        family = IsotropyFamily(("w",), (), "[[1, -w], [0, 1]]", lambda w: Mat2(((ONE, -w), (ZERO, ONE))))
     else:
         ratio, shown = Fraction(2 * c - f, e), ratio_str(2 * c - f, e)
 
@@ -175,7 +175,7 @@ def _isotropy_reduced(m: TypeAModel) -> IsotropyGroup:
             return Mat2(((1 / v, -w / v), (ZERO, ONE)))
 
         family = IsotropyFamily(
-            1, ("w",), (f"1 + w*({shown}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({shown})", tilted
+            ("w",), (f"1 + w*({shown}) != 0",), f"[[1/v, -w/v], [0, 1]] with v = 1 + w*({shown})", tilted
         )
     return IsotropyGroup((_IDENTITY,), (family,))
 
@@ -188,8 +188,7 @@ def _conjugate_group(group: IsotropyGroup, w: Mat2) -> IsotropyGroup:
     elements = tuple(LinearMap2(w @ el.matrix @ w_inv) for el in group.finite_elements)
     families = tuple(
         IsotropyFamily(
-            fam.dimension, fam.param_names, fam.constraints,
-            f"W @ {fam.template} @ W^-1 with W = {w.to_strings()}",
+            fam.param_names, fam.constraints, f"W @ {fam.template} @ W^-1 with W = {w.to_strings()}",
             (lambda *ps, _b=fam.build, _w=w, _wi=w_inv: _w @ _b(*ps) @ _wi),
         )
         for fam in group.families

@@ -52,7 +52,7 @@ def transform_coeffs(coeffs, t) -> tuple:
 def carries(coeffs, t, target) -> bool:
     """Whether ``transform_coeffs(coeffs, t) == tuple(target)`` for rational
     models or coefficient sequences and a rational Mat2 (or its rows),
-    decided on integers by :func:`_carries` from the matrix's cached integer
+    decided on integers by :func:`_carries` from the matrix's integer
     form.  A singular T raises ZeroDivisionError."""
     mat = t if isinstance(t, Mat2) else Mat2(t)
     return _carries(_integer_form(coeffs), *mat.integer_form, _integer_form(target))

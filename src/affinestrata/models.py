@@ -17,15 +17,14 @@ model straight from integer numerators (:meth:`TypeAModel.of_integers`).
 Every rational kernel downstream (the Ricci tensors, the coefficient law
 and its witness checks, the binary cubic, the orbit matchers and the
 charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
-the fields ``a`` .. ``f``, are built only when a caller reads one, then
-cached.
+the fields ``a`` .. ``f``, are built from it each time a caller reads one;
+no model keeps the Fractions it was built from.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact import ONE, Frozen, IntegerForm, clear_denominators, parse_literal, ratio_str, rational
@@ -45,8 +44,9 @@ def _coefficient(k: int) -> property:
 
 class _Coefficients(IntegerForm):
     """The body both model types share: six exact rationals held as their
-    integer form.  Ints, Fractions and rational strings are accepted; floats
-    raise TypeError as in :func:`rational`.  Each subclass sets its ``kind``
+    integer form, which is all it keeps: ``coeffs`` and ``a`` .. ``f`` are
+    built from it when read.  Ints, Fractions and rational strings are
+    accepted, strings read by :func:`rational`; floats raise TypeError.  Each subclass sets its ``kind``
     and the ``letter`` of its repr.  Models are immutable, and two models
     are equal exactly when they are of the same class and have the same
     coefficients, so a Type A and a Type B model never compare equal."""
@@ -55,15 +55,7 @@ class _Coefficients(IntegerForm):
     _fields = ("a", "b", "c", "d", "e", "f")
 
     def __init__(self, a, b, c, d, e, f):
-        values = (a, b, c, d, e, f)
-        if (
-            type(a) is Fraction and type(b) is Fraction and type(c) is Fraction
-            and type(d) is Fraction and type(e) is Fraction and type(f) is Fraction
-        ):
-            self._clear(values)
-            object.__setattr__(self, "_view", values)  # the coefficients already
-        else:  # rational strings are read; the view is built on first read
-            self._clear([rational(x) if isinstance(x, str) else x for x in values])
+        self._clear([rational(x) if isinstance(x, str) else x for x in (a, b, c, d, e, f)])
 
     coeffs = property(IntegerForm._fractions, doc="the six coefficients, Fractions")
     a, b, c, d, e, f = map(_coefficient, range(6))
@@ -134,6 +126,8 @@ def parse_model(text) -> Model:
             raise ModelParseError(f"model document is not valid {exc.encoding} text: {detail}") from exc
         except json.JSONDecodeError as exc:
             raise ModelParseError(f"malformed JSON: {exc}") from exc
+        except RecursionError as exc:  # nested past the interpreter's recursion limit
+            raise ModelParseError("model document is nested too deeply") from exc
         except ValueError as exc:  # an integer past int()'s digit limit
             raise ModelParseError("a JSON integer coefficient is too long to be a rational literal") from exc
     else:

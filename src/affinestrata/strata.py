@@ -204,8 +204,8 @@ class Rank1Chart(IntegerForm):
 
     Held as its integer form, the numerators of (p, q, u, v) over a
     denominator D > 0 in lowest terms; the scale, its sign and the report
-    read it, and the Fraction coordinates are built on first read.  Equality
-    and hashing compare the coordinates.
+    read it, and the Fraction coordinates are built from it when read.
+    Equality and hashing compare the coordinates.
     """
 
     __slots__ = ()

@@ -149,25 +149,12 @@ def _build_calls():
     return calls
 
 
-def test_builds_make_no_fraction(monkeypatch):
+def test_builds_make_no_fraction(fractions_made):
     """The builders read their Fraction and int inputs as integers and build
-    the model with one gcd: no Fraction is constructed on the way, counted
-    at ``Fraction.__new__`` (and at the constructor that Fraction
-    arithmetic uses on Python 3.12 and later)."""
+    the model with one gcd: no Fraction is constructed on the way
+    (``fractions_made``)."""
     calls = _build_calls()
-    made = []
-    new = F.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counting_new)
-    if hasattr(F, "_from_coprime_ints"):
-        coprime = F._from_coprime_ints
-        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(lambda cls, n, d: made.append((n, d)) or coprime(n, d)))
-    assert F(1, 2) + F(1, 3) == F(5, 6) and len(made) >= 3  # the counter sees constructions and arithmetic
-    made.clear()
+    fractions_made.clear()
     models = [build(*args) for build, args in calls]
-    assert made == []
+    assert fractions_made == []
     assert len(models) == len(calls) == 2 * len(CATALOG) + 22

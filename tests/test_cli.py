@@ -9,13 +9,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from affinestrata import cli
+from affinestrata.classify import CHECKS
 from affinestrata.cli import run_cli
 from affinestrata.exact import LinearMap2, Mat2, ShearMap
 from affinestrata.law import pullback_type_a, pullback_type_b
-from affinestrata.models import CATALOG, canonical_model, serialize_model, type_a
+from affinestrata.models import CATALOG, TypeAModel, TypeBModel, canonical_model, serialize_model, type_a
 from affinestrata.sampling import rand_model_b
 from affinestrata.strata import COEFF_FAMILIES, alt_b_param
 
@@ -268,6 +272,65 @@ def test_file_input_that_is_not_utf8_is_a_usage_error(tmp_path):
     assert doc["detail"].startswith(f"cannot read {path}: ")
 
 
+#: a model document nested 1,000 deep, past the interpreter's recursion limit
+DEEP = "[" * 1000 + "]" * 1000
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path, monkeypatch):
+    """A document nested past the recursion limit is an input error, inline,
+    through ``@file``, through ``-`` and as either of ``equiv``'s models:
+    exit 2 and one ``usage`` diagnostic, with no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP))
+    calls = [
+        ["classify", DEEP], ["classify", f"@{path}"], ["classify", "-"], ["equiv", DEEP, M1_0], ["equiv", M1_0, DEEP]
+    ]
+    for args in calls:
+        code, out, err = run(args)
+        assert (code, out) == (2, ""), args
+        assert "Traceback" not in err
+        assert json.loads(err) == {"error": "usage", "detail": "model document is nested too deeply"}
+
+
+def test_long_literal_diagnostic_is_short():
+    """A 5,000-digit coefficient, in the grammar or not, is a usage error
+    whose diagnostic echoes a prefix and the length, not every digit; the
+    one in the grammar names int()'s digit limit."""
+    details = []
+    for literal in ("9" * 5000, "1.5" + "9" * 5000):
+        model = json.dumps({"type": "A", "coeffs": [literal, "0", "0", "0", "0", "0"]})
+        code, out, err = run(["classify", model])
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        doc = json.loads(err)
+        assert doc["error"] == "usage" and f"({len(literal)} characters)" in doc["detail"]
+        details.append(doc["detail"])
+    assert details[0].endswith(f"an integer past int()'s limit of {sys.get_int_max_str_digits()} digits")
+    assert details[1] == "not a rational literal: '1.5%s'... (5003 characters)" % ("9" * 17)
+
+
+@pytest.mark.parametrize(
+    "args", [["bogus"], [], ["classify"], ["verify", "--samples", "x"], ["ricci", "--bogus", M1_0]]
+)
+def test_argument_errors_are_usage_diagnostics(args):
+    """A bad command line is an input error like any other: exit 2 and one
+    ``usage`` diagnostic naming the fault, not argparse's usage text."""
+    code, out, err = run(args)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and doc["detail"].startswith("affinestrata")
+
+
+def test_closed_stdin_is_a_usage_error(monkeypatch):
+    """A process started with standard input closed has ``sys.stdin`` None;
+    reading a model from ``-`` is then a usage error, not a traceback."""
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(["classify", "-"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "detail": "cannot read standard input: it is closed"}
+
+
 def test_closed_stdout_exits_1_without_traceback():
     """A reader that closes stdout before the CLI writes gets exit 1 and no
     traceback, also none from the flush at interpreter exit."""
@@ -365,3 +428,135 @@ def test_height_ladder(stratum):
         assert err == "" and "error" not in answer, (command, err[:200])
         assert code == (1 if command == "classify" and answer["errors"] else 0), (command, out[:200])
         assert answer.get("status") in ("solved", "equivalent", None), (command, out[:200])
+
+
+# ---------------------------------------------------------------------------
+# The command line under fuzzed input
+
+#: the longest one fuzzed call may take, in seconds
+FUZZ_CALL_SECONDS = 10
+
+_numbers = st.integers(-(10**1000), 10**1000)
+_odd_literals = st.one_of(
+    st.text(alphabet="0123456789+-/ .eE_xn\t", max_size=12),
+    st.text(alphabet=st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=4),  # non-ASCII digits too
+    _numbers.map(str),
+    st.tuples(_numbers, _numbers).map(lambda p: f"{p[0]}/{p[1]}"),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _models(draw):
+    """A model document at a height up to 10^1000.  Type A models with
+    omega = 0 are left out until the omega = 0 rule stops bisecting, which
+    is slow at these heights."""
+    kind = draw(st.sampled_from("AB"))
+    nums = draw(st.lists(_numbers, min_size=6, max_size=6))
+    den = draw(st.integers(1, 10**1000))
+    if kind == "A" and nums[0] + nums[3] == 0 and nums[2] + nums[5] == 0:
+        nums[0] += 1
+    model = (TypeAModel if kind == "A" else TypeBModel).of_integers(nums, den)
+    return json.dumps(serialize_model(model))
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+#: nesting depths up to 2,000, the interpreter's recursion limit of 1,000 among them
+_depths = st.one_of(st.sampled_from([995, 1000, 1001, 2000]), st.integers(1, 2000))
+_documents = st.one_of(
+    _models(),
+    _models(),
+    _depths.map(_nested),
+    _depths.map(lambda n: '{"type": "A", "coeffs": [%s, 0, 0, 0, 0, 0]}' % _nested(n)),
+    st.builds(lambda kind, coeffs: json.dumps({"type": kind, "coeffs": coeffs}), _json_values, _json_values),
+    st.builds(
+        lambda kind, coeffs: json.dumps({"type": kind, "coeffs": coeffs}),
+        st.sampled_from("AB"),
+        st.lists(st.one_of(_odd_literals, st.integers(-10, 10)), min_size=6, max_size=6),
+    ),
+    _json_values.map(json.dumps),
+)
+#: a model source: the document inline, in a file (as UTF-8 with or without
+#: a BOM, as UTF-16, or as arbitrary bytes) or on standard input
+_sources = st.one_of(
+    st.tuples(st.just("inline"), _models()),
+    st.tuples(st.just("inline"), _documents),
+    st.tuples(st.just("inline"), _documents.map(lambda doc: "\ufeff" + doc)),
+    st.tuples(
+        st.just("file"),
+        st.one_of(
+            _documents.map(str.encode),
+            _documents.map(lambda doc: doc.encode("utf-8-sig")),
+            _documents.map(lambda doc: doc.encode("utf-16")),
+            st.binary(max_size=40),
+            _documents.map(lambda doc: b"\xff" + doc.encode()),
+        ),
+    ),
+    st.tuples(st.just("stdin"), _documents),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with its model sources and options, good or bad, and a
+    trailing unknown flag now and then."""
+    command = draw(st.sampled_from(["classify", "ricci", "isotropy", "equiv", "param", "catalog", "verify", "bogus"]))
+    if command in ("classify", "ricci", "isotropy", "equiv"):
+        count = 2 if command == "equiv" else 1
+        rest = draw(st.lists(_sources, min_size=count, max_size=count))
+    elif command == "param":
+        entry = draw(st.sampled_from([*CATALOG, *COEFF_FAMILIES, "NOPE"]))
+        rest = [entry, *draw(st.lists(_odd_literals, max_size=4))]
+    elif command == "verify":
+        rest = ["--seed", str(draw(st.integers(0, 99))), "--samples", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            rest += ["--check", draw(st.sampled_from([*CHECKS, "bogus"]))]
+    elif command == "bogus":
+        rest = draw(st.lists(st.text(max_size=5), max_size=2))
+    else:
+        rest = []
+    if draw(st.integers(0, 3)) == 3:
+        rest.append(draw(st.sampled_from(["--bogus", "-x", "--seed", "--samples", "-h"])))
+    return [command, *rest]
+
+
+def test_fuzzed_command_lines_never_print_a_traceback(tmp_path, monkeypatch):
+    """On drawn command lines and documents, every call returns 0, 1 or 2,
+    writes nothing or one JSON object to stderr, prints no traceback and
+    finishes within :data:`FUZZ_CALL_SECONDS`."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(_command_lines())
+    @example(["classify", ("inline", _nested(2000))])
+    @example(["equiv", ("file", DEEP.encode()), ("stdin", M1_0)])
+    @example(["ricci", ("file", b"\xef\xbb\xbf" + M1_0.encode())])
+    def check(argv):
+        args, stdin = [], ""
+        for i, arg in enumerate(argv):
+            if not isinstance(arg, tuple):
+                args.append(arg)
+            elif arg[0] == "inline":
+                args.append(arg[1])
+            elif arg[0] == "file":
+                path = tmp_path / f"model{i}.json"
+                path.write_bytes(arg[1])
+                args.append(f"@{path}")
+            else:
+                args.append("-")
+                stdin = arg[1]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        start = time.perf_counter()
+        code, out, err = run(args)
+        assert time.perf_counter() - start < FUZZ_CALL_SECONDS, args
+        assert code in (0, 1, 2), args
+        assert "Traceback" not in out + err
+        assert err == "" or (isinstance(json.loads(err), dict) and err.count("\n") == 1), err
+
+    check()

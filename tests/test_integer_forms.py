@@ -18,8 +18,8 @@ from Fractions; the rank-one chart point holds its integer form as well.
 The four integer-form types keep their equality, hash and repr, survive
 copies and pickles, never equal a value of another of them (a Ricci tensor
 and a matrix with the same entries, a Type A and a Type B model), and a
-matrix takes rational entries only.  Every record type keeps the repr, hash and equality of the frozen dataclass
-it replaced (checked against one made here) and is built alike by position
+matrix takes rational entries only.  Every record type keeps the repr, hash and equality of a frozen dataclass
+with its fields (checked against one made here) and is built alike by position
 and by keyword, with its class's defaults; the signatures and stratum
 flags of :func:`curvature_of` are shared values equal to a reference.
 """
@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -337,7 +338,7 @@ def test_ricci_from_integers_equals_ricci_of_rows(kind, height):
 # Immutability and copies
 
 
-def test_models_tensors_and_matrices_are_immutable():
+def test_models_tensors_and_matrices_are_immutable(fractions_made):
     m = pullback_type_a(type_a(1, F(1, 2), 0, 3, F(-2, 3), 5), LinearMap2(Mat2(((ONE, F(2)), (F(3), F(4))))))
     before = repr(m)
     r = ricci(m)
@@ -428,13 +429,19 @@ def test_models_tensors_and_matrices_are_immutable():
     shear = ShearMap(F(2), F(-1, 3))
     assert shear != ShearMap(F(2), F(1, 3)) and shear != ShearMap(F(-2), F(-1, 3))
     assert shear.matrix == Mat2(((ONE, ZERO), (F(-1, 3), F(2)))) and "matrix" not in repr(shear)
-    assert shear.matrix._view is None and shear.matrix.integer_form == ((3, 0, -1, 6), 3)
+    assert shear.matrix.integer_form == ((3, 0, -1, 6), 3)
+    scale, offset = F(2), F(-1, 3)
+    fractions_made.clear()
+    ShearMap(scale, offset)
+    assert fractions_made == []  # the matrix is built from the integers of a and b
     assert EquivalenceWitnesses("undecided", reason="x") != EquivalenceWitnesses("undecided", reason="y")
 
 
-#: each record type with the fields of the frozen dataclass it replaced, in
-#: their order; ShearMap's third field, the matrix, was out of the repr and
-#: of equality
+#: each record type with its fields, in their order: those of the frozen
+#: dataclass it replaced, less any field the others fix (StratumFlags keeps
+#: its primary stratum alone, IsotropyFamily its parameter names and not
+#: their count, CheckResult its counterexample and not whether it passed);
+#: ShearMap's third field, the matrix, was out of the repr and of equality
 DATACLASS_FIELDS = {
     LinearMap2: ("matrix",),
     ShearMap: ("a", "b"),
@@ -442,9 +449,9 @@ DATACLASS_FIELDS = {
     CatalogEntry: ("entry_id", "model_type", "param_names", "constraints", "build", "check", "aliases"),
     RicciSplit: ("symmetric", "alt"),
     RankSig: ("rank", "label"),
-    StratumFlags: ("is_cone_point", "is_flat", "is_rank1_pos", "is_rank1_neg", "is_alt_only", "is_rank2"),
+    StratumFlags: ("primary",),
     Curvature: ("ricci", "split", "sig", "flags"),
-    IsotropyFamily: ("dimension", "param_names", "constraints", "template", "build"),
+    IsotropyFamily: ("param_names", "constraints", "template", "build"),
     IsotropyGroup: ("finite_elements", "families"),
     EquivalenceWitnesses: ("status", "maps", "obstruction", "reason"),
     FlatAChart: ("theta", "r", "s", "t"),
@@ -454,7 +461,7 @@ DATACLASS_FIELDS = {
     ClassificationReport: (
         "model", "flags", "ricci_data", "rank_data", "stratum", "orbit", "admits_type_b", "errors"
     ),
-    CheckResult: ("check_id", "description", "samples_used", "passed", "counterexample"),
+    CheckResult: ("check_id", "description", "samples_used", "counterexample"),
     VerificationReport: ("seed", "samples", "results"),
 }
 
@@ -465,8 +472,8 @@ def _records():
     rotation = LinearMap2(CirclePoint(F(3, 5), F(4, 5)).rotation())
     a = pullback_type_a(canonical_model("M4_1", (2,)), rotation)
     b = alt_b_param("V2", (1, 2, 3))
-    family = IsotropyFamily(2, ("x", "y"), ("x, y independent",), "[x | y]", mat2_from_cols)
-    check = CheckResult("action_laws", "the law is an action", 3, False, "sample 0")
+    family = IsotropyFamily(("x", "y"), ("x, y independent",), "[x | y]", mat2_from_cols)
+    check = CheckResult("action_laws", "the law is an action", 3, "sample 0")
     return [
         LinearMap2(Mat2(((ONE, F(2)), (F(3), F(4))))),
         ShearMap(F(2), F(-1, 3)),
@@ -537,7 +544,8 @@ def test_curvature_returns_the_shared_signature_and_flags(kind, height):
         alt_only = r11 == off == r22 == 0 and alt != 0
         rank1 = not flat and not alt_only and sig.rank == 1
         assert cv.sig == sig
-        assert cv.flags == StratumFlags(
+        fl = cv.flags
+        assert (fl.is_cone_point, fl.is_flat, fl.is_rank1_pos, fl.is_rank1_neg, fl.is_alt_only, fl.is_rank2) == (
             m.is_zero(), flat, rank1 and sig.label == RANK1_POS, rank1 and sig.label == RANK1_NEG,
             alt_only, not flat and sig.rank == 2,
         )
@@ -884,20 +892,28 @@ def literals(height):
 
 @pytest.mark.parametrize("height", HEIGHTS)
 @pytest.mark.parametrize("kind", ["A", "B"])
-def test_parse_model_equals_fraction_built_model(kind, height):
+def test_parse_model_equals_fraction_built_model(kind, height, fractions_made):
     @settings(max_examples=150, deadline=None)
     @given(st.lists(literals(height), min_size=6, max_size=6))
     def check(items):
-        m = parse_model(json.dumps({"type": kind, "coeffs": items}))
-        built = (TypeAModel if kind == "A" else TypeBModel)(*[rational(x) for x in items])
+        doc = json.dumps({"type": kind, "coeffs": items})
+        values = [rational(x) for x in items]
+        fractions_made.clear()
+        m = parse_model(doc)
+        built = (TypeAModel if kind == "A" else TypeBModel)(*values)
+        assert fractions_made == []  # neither keeps a Fraction view, nor builds one
         assert m == built and type(m) is type(built) and m.integer_form == built.integer_form
-        assert m._view is None  # no Fraction until one is read
         assert m.coeffs == built.coeffs and serialize_model(m) == serialize_model(built)
+        assert len(fractions_made) == 12  # each read of the six coefficients builds them
 
     check()
 
 
-#: malformed coefficients and the ModelParseError text each one raises
+#: the end of the message for a literal whose integer int() refuses
+PAST_LIMIT = f"an integer past int()'s limit of {sys.get_int_max_str_digits()} digits"
+
+#: malformed coefficients and the ModelParseError text each one raises; a
+#: long literal is echoed as its first 20 characters and its length
 MALFORMED = [
     ("1.5", "coefficient 1.5 is not an exact rational literal"),
     ("true", "coefficient True is not an exact rational literal"),
@@ -912,8 +928,8 @@ MALFORMED = [
     ('"1/-2"', "not a rational literal: '1/-2'"),
     ('"--1"', "not a rational literal: '--1'"),
     ('""', "not a rational literal: ''"),
-    ('"%s"' % ("9" * 5000), "not a rational literal: '%s'" % ("9" * 5000)),
-    ('"1/%s"' % ("9" * 5000), "not a rational literal: '1/%s'" % ("9" * 5000)),
+    ('"%s"' % ("9" * 5000), "not a rational literal: '%s'... (5000 characters), %s" % ("9" * 20, PAST_LIMIT)),
+    ('"1/%s"' % ("9" * 5000), "not a rational literal: '1/%s'... (5002 characters), %s" % ("9" * 18, PAST_LIMIT)),
     ("9" * 5000, "a JSON integer coefficient is too long to be a rational literal"),
 ]
 
@@ -930,12 +946,14 @@ def test_parse_model_rejects_malformed_literals_with_todays_text(item, message):
 # The rank-one chart point
 
 
-def test_rank1_chart_holds_its_integer_form():
+def test_rank1_chart_holds_its_integer_form(fractions_made):
+    fractions_made.clear()
     chart = Rank1Chart.of_integers((2, -4, 6, 0), 8)
     assert chart.integer_form == ((1, -2, 3, 0), 4)
-    assert chart._view is None  # the coordinates are built on first read
+    assert fractions_made == []  # the coordinates are built when read, at each read
+    assert all(type(x) is F for x in chart.coords) and len(fractions_made) == 4
+    assert chart.coords == chart.coords and len(fractions_made) == 12
     assert (chart.p, chart.q, chart.u, chart.v) == (F(1, 4), F(-1, 2), F(3, 4), ZERO)
-    assert all(type(x) is F for x in chart.coords) and chart.coords is chart.coords
     same = Rank1Chart(F(1, 4), F(-2, 4), F(3, 4), 0)
     assert chart == same and hash(chart) == hash(same) and chart.integer_form == same.integer_form
     assert chart != Rank1Chart(F(1, 4), F(-1, 2), F(3, 4), F(1, 9))
@@ -945,7 +963,7 @@ def test_rank1_chart_holds_its_integer_form():
     assert repr(chart) == "Rank1Chart(p=Fraction(1, 4), q=Fraction(-1, 2), u=Fraction(3, 4), v=Fraction(0, 1))"
     assert pickle.loads(pickle.dumps(chart)) == chart and copy.deepcopy(chart) == chart
     assert Rank1Chart.of_integers((3, 0, 0, 0), -3) == Rank1Chart(-1, 0, 0, 0)  # the sign goes to the numerators
-    for name in ("p", "integer_form", "_view"):
+    for name in ("p", "integer_form", "coords"):
         with pytest.raises((FrozenInstanceError, AttributeError)):
             setattr(chart, name, ZERO)
     with pytest.raises(FrozenInstanceError):

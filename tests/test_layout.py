@@ -130,6 +130,28 @@ def test_callers_take_each_name_from_the_layer_that_defines_it():
     assert {"solve_equivalence_a", "isotropy_type_a", "UndecidedError"} <= own
 
 
+def test_every_private_name_has_a_caller():
+    """Every ``_``-prefixed function, class and constant a module defines at
+    its top level is loaded somewhere in the package, by name or as an
+    attribute, so no helper outlives its last caller."""
+    trees = _trees()
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    private = {
+        (module, name)
+        for module, tree in trees.items()
+        for name in _defined(tree)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert ("exact", "_ratio") in private and len(private) > 100  # the walk finds the helpers
+    assert sorted(f"{module}.{name}" for module, name in private if name not in loaded) == []
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, save a re-export marked
     ``# noqa: F401``; the package's ``__init__`` is its public namespace,

@@ -75,6 +75,16 @@ def test_parse_model_tells_undecodable_bytes_from_a_long_integer():
     assert str(info.value) == "a JSON integer coefficient is too long to be a rational literal"
 
 
+def test_parse_model_refuses_a_document_nested_past_the_recursion_limit():
+    """A document nested 1,000 deep (2 KB), as text, as bytes or inside the
+    coefficient list, is a ``ModelParseError``, not a RecursionError."""
+    deep = "[" * 1000 + "]" * 1000
+    for doc in (deep, deep.encode(), '{"type": "A", "coeffs": [%s, 0, 0, 0, 0, 0]}' % deep):
+        with pytest.raises(ModelParseError) as info:
+            parse_model(doc)
+        assert str(info.value) == "model document is nested too deeply"
+
+
 def test_serialize_round_trip():
     models = [
         canonical_model("M5_1", [F(-3, 7)]),
@@ -148,7 +158,7 @@ def test_models_from_plain_ints_hold_fractions():
     assert m == type_a(1, 0, 0, 0, 1, 0)
     assert all(type(x) is F for x in TypeBModel(0, F(1, 2), 3, 0, 0, -1).coeffs)
     exact = type_a(F(1, 2), 0, 0, 0, 0, 0)
-    assert TypeAModel(*exact.coeffs).a is exact.a  # Fractions are kept as they are
+    assert TypeAModel(*exact.coeffs) == exact and TypeAModel(*exact.coeffs).a == exact.a == F(1, 2)
     with pytest.raises(TypeError):
         TypeAModel(1.5, 0, 0, 0, 0, 0)
     with pytest.raises(TypeError):

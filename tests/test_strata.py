@@ -640,34 +640,19 @@ def _read_out_inputs(rng, height):
     return flat, alt, rank1
 
 
-def test_read_outs_make_no_fraction(monkeypatch):
+def test_read_outs_make_no_fraction(fractions_made, monkeypatch):
     """The Type B memberships and the rank-one read-out build every
     membership from the model's integers: no Fraction is constructed on the
-    way, counted at ``Fraction.__new__`` (and at the constructor that
-    Fraction arithmetic uses on Python 3.12 and later), at heights 1, 12 and
-    10^6."""
+    way (``fractions_made``), at heights 1, 12 and 10^6."""
     rng = random.Random(24)
     inputs = [_read_out_inputs(rng, height) for height in (1, 12, 10**6)]
-    made = []
-    new = F.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counting_new)
-    if hasattr(F, "_from_coprime_ints"):
-        coprime = F._from_coprime_ints
-        counting_coprime = classmethod(lambda cls, n, d: made.append((n, d)) or coprime(n, d))
-        monkeypatch.setattr(F, "_from_coprime_ints", counting_coprime)
-    assert F(1, 2) + F(1, 3) == F(5, 6) and len(made) >= 3  # the counter sees constructions and arithmetic
-    made.clear()
+    fractions_made.clear()
     members = []
     for flat, alt, rank1 in inputs:
         members += [mb for m in flat for mb in _classify_flat_b(m).members]
         members += [mb for m in alt for mb in _classify_alt_b(m).members]
         members += [_match_rank1_reduced(*args)[0] for args in rank1]
-    assert made == []
+    assert fractions_made == []
     monkeypatch.undo()
     assert all(type(mb) is FamilyMembership for mb in members) and len(members) >= 3 * 14
     assert {mb.family for mb in members} >= {"B1", "B2", "B3", "B1closure", "D1", "D2", "M1_1", "M5_1"}
