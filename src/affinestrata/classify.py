@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Frozen, LinearMap2, Mat2, clear_denominators, mat2_of_integers, rational_str
+from .exact import ONE, ZERO, Frozen, LinearMap2, Mat2, clear_denominators, mat2_of_integers, ratio_str
 from .curvature import (
     Curvature,
     curvature_of,
@@ -94,12 +94,8 @@ def _ricci_payload(cv: Curvature) -> tuple[dict, dict]:
         symmetric = [row[:] for row in matrix]
     else:
         symmetric = split.symmetric.to_strings()
-    payload = {
-        "cleared": r.cleared,
-        "matrix": matrix,
-        "symmetric": symmetric,
-        "alternating": rational_str(split.alt),
-    }
+    (alt,), den = split.integer_form
+    payload = {"cleared": r.cleared, "matrix": matrix, "symmetric": symmetric, "alternating": ratio_str(alt, den)}
     return payload, {"rank": sig.rank, "label": sig.label}
 
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .exact import rational, rational_str
+from .exact import ratio_str, rational
 from .models import CATALOG, CatalogError, ModelParseError, parse_model, serialize_model
 from .curvature import ricci, split_ricci
 from .group_action import UndecidedError, isotropy_type_a, solve_equivalence_a, solve_equivalence_b
@@ -68,13 +68,14 @@ def _cmd_ricci(args) -> int:
     m = _read_model(args.model)
     r = ricci(m)
     split = split_ricci(r)
+    (alt,), den = split.integer_form
     _emit(
         {
             "model": serialize_model(m),
             "cleared": r.cleared,
             "ricci": r.to_strings(),
             "symmetric": split.symmetric.to_strings(),
-            "alternating": rational_str(split.alt),
+            "alternating": ratio_str(alt, den),
         }
     )
     return 0

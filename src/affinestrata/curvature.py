@@ -10,7 +10,8 @@ are integer polynomials in the model's integer form
 (:attr:`~affinestrata.models.TypeAModel.integer_form`) over the square of
 its denominator, and the Fraction ``rows`` are built only when a caller
 reads them.  The zero test, the split, the rank and signature and the
-stratum flags compute on those integers, as does the binary cubic's
+stratum flags compute on those integers, and the split holds the
+alternating entry as its integer form; so do the binary cubic's
 coefficient map and the rank-two covariant frame (v, G(v, v)) with
 v = rho^{-1} omega (:func:`covariant_frame`).  The signatures and the
 stratum flags are few, so each is built once at import and shared
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ZERO, Frozen, Mat2, mat2_of_integers
+from .exact import Frozen, IntegerForm, Mat2, mat2_of_integers
 from .models import Model, TypeAModel, TypeBModel
 
 RANK_ZERO = "zero"
@@ -53,20 +54,25 @@ class Ricci2(Mat2):
         Mat2.__init__(self, rows)
         object.__setattr__(self, "cleared", cleared)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.cleared == other.cleared and self.integer_form == other.integer_form
-        return NotImplemented
-
     def __hash__(self):
         return hash((self.integer_form, self.cleared))
 
 
-class RicciSplit(Frozen):
+class RicciSplit(IntegerForm):
     """The symmetric part, a symmetric tensor with the source's ``cleared``
-    flag, plus the single entry of the alternating part."""
+    flag, plus the single entry of the alternating part, held as its
+    integer form ``((n,), d)``: ``alt`` is its Fraction view, built when
+    read, and :func:`split_ricci` builds no Fraction."""
 
-    __slots__ = ("symmetric", "alt")
+    __slots__ = ("symmetric",)
+    _fields = ("symmetric", "alt")
+
+    def __init__(self, symmetric: Ricci2, alt):
+        object.__setattr__(self, "symmetric", symmetric)
+        self._clear((alt,))
+
+    alt = property(lambda self: self._fractions()[0])
+    __hash__ = Frozen.__hash__  # the record's hash, of (symmetric, alt)
 
     @property
     def sym(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -178,11 +184,11 @@ def split_ricci(r: Ricci2) -> RicciSplit:
     symmetric tensor (every Type A one) is its own symmetric part."""
     (n11, n12, n21, n22), den = r.integer_form
     if n12 == n21:
-        return RicciSplit(r, ZERO)
+        return RicciSplit.of_integers((0,), 1, r)
     # (r12 +- r21) / 2 over 2 D, the diagonal doubled to match
     off = n12 + n21
     sym = Ricci2.of_integers((2 * n11, off, off, 2 * n22), 2 * den, r.cleared)
-    return RicciSplit(sym, Fraction(n12 - n21, 2 * den))
+    return RicciSplit.of_integers((n12 - n21,), 2 * den, sym)
 
 
 def rank_signature(sym) -> RankSig:

@@ -12,16 +12,16 @@ quadratic ring of the package.  The dual numbers (:class:`_Dual`, integers
 (p + q*eps) / d) carry the exact first derivatives of the parametrizations
 (:func:`jacobian`), so tangent-rank certificates are exact as well.
 
-Every scalar a caller hands in passes one gate, :func:`_ratio`: an int or a
-Fraction gives its integers, any other type (a float, say) raises TypeError,
-and a rational literal is read once (:func:`parse_literal`) by
-:func:`rational` and by the model parser alike.  Rational kernels compute on
+Every scalar a caller hands in passes one gate, :func:`_ratio`, a table of
+readers by type: an int or a Fraction gives its integers, a rational literal
+is read once by the literal grammar (:func:`parse_literal`), and any other
+type (a float, say) raises TypeError.  Rational kernels compute on
 integers: a tuple of rationals is cleared of denominators once
 (:func:`clear_denominators`), the arithmetic runs on the numerators, and a
 ``Fraction`` is built, with its one normalization, only for a value that is
-returned.  Models, Ricci tensors, rational matrices, rank-one chart points,
-circle points and family memberships share one integer-form base,
-:class:`IntegerForm`:
+returned.  Models, Ricci tensors and their splits, rational matrices, flat
+and rank-one chart points, circle points and family memberships share one
+integer-form base, :class:`IntegerForm`:
 numerators over a positive denominator in lowest terms, cleared once by a
 constructor or reduced with one gcd by :meth:`~IntegerForm.of_integers`
 (:func:`lowest_terms`, straight-line for six and four numerators), and the
@@ -59,16 +59,26 @@ ONE = Fraction(1)
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def echo(value) -> str:
+    """How a diagnostic shows a value a caller handed in: the repr, or past
+    40 characters the first 20 and the length (of a string, or of anything
+    else's repr), so a huge input makes a short message."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def parse_literal(text: str) -> tuple[int, int]:
-    """The integers (n, d), d > 0, of a rational literal ``n`` or ``n/d``.
+    """The integers (n, d) of a rational literal ``n`` or ``n/d``, in lowest
+    terms with d > 0.
 
     The text must match ``[+-]?[0-9]+(/[0-9]+)?`` after stripping
     surrounding whitespace; decimals, exponents, a zero denominator and a
     number past ``int()``'s digit limit raise ValueError, so a short literal
-    cannot stand for a huge integer; the message echoes a literal past 40
-    characters as its first 20 and its length.  The pair is not reduced.
+    cannot stand for a huge integer.  The message echoes the literal through
+    :func:`echo`, built only when it is raised.
     """
-    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
     match = _LITERAL.fullmatch(text.strip())
     if match is not None:
         num, den = match.groups()
@@ -76,31 +86,37 @@ def parse_literal(text: str) -> tuple[int, int]:
             n, d = int(num), 1 if den is None else int(den)
         except ValueError:  # past int()'s digit limit
             limit = f"an integer past int()'s limit of {sys.get_int_max_str_digits()} digits"
-            raise ValueError(f"not a rational literal: {shown}, {limit}") from None
+            raise ValueError(f"not a rational literal: {echo(text)}, {limit}") from None
         if d != 0:
-            return n, d
-    raise ValueError(f"not a rational literal: {shown}")
+            g = math.gcd(n, d)
+            return (n, d) if g == 1 else (n // g, d // g)
+    raise ValueError(f"not a rational literal: {echo(text)}")
 
 
 #: the integer ratio of each scalar type the package takes in
-_RATIOS = {int: int.as_integer_ratio, bool: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+_RATIOS = {int: int.as_integer_ratio, bool: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio,
+           str: parse_literal}
+
+
+def _refused(kind: type) -> TypeError:
+    """The error of the gate for a scalar of a type it does not take."""
+    return TypeError(f"cannot interpret {kind.__name__} as a rational")
 
 
 def _ratio(x) -> tuple[int, int]:
-    """The scalar gate: (n, d) in lowest terms, d > 0, of an int or a Fraction; TypeError otherwise."""
+    """The scalar gate: (n, d) in lowest terms, d > 0, of an int, a Fraction
+    or a rational literal; TypeError for any other type."""
     try:
         return _RATIOS[type(x)](x)
     except KeyError:
-        raise TypeError(f"cannot interpret {type(x).__name__} as a rational") from None
+        raise _refused(type(x)) from None
 
 
 def rational(value) -> Fraction:
-    """Coerce an int, Fraction or rational literal like ``"3/5"``
-    (:func:`parse_literal`) to an exact rational, through :func:`_ratio`."""
+    """Coerce an int, Fraction or rational literal like ``"3/5"`` to an exact
+    rational, through :func:`_ratio`."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(*parse_literal(value))
     return Fraction(*_ratio(value))
 
 
@@ -117,15 +133,13 @@ def _long_str(n: int) -> str:
     return ("-" if n < 0 else "") + _long_str(high) + _long_str(low).zfill(k)
 
 
-def rational_str(value: Fraction) -> str:
-    """Canonical serialization: ``"n/d"``, or ``"n"`` when the denominator is 1."""
-    return ratio_str(value.numerator, value.denominator)
-
-
 def ratio_str(n: int, d: int) -> str:
-    """``rational_str(Fraction(n, d))`` for integers n and d != 0, written
-    without building the Fraction; the one writer of every rational in an
+    """The canonical string of n / d for integers n and d != 0: ``"n/d"`` in
+    lowest terms with d > 0, or ``"n"`` when the denominator is 1, written
+    without building a Fraction; the one writer of every rational in an
     answer, at any length."""
+    if n == 0:
+        return "0"
     g = math.gcd(n, d)
     if d < 0:
         g = -g
@@ -168,13 +182,14 @@ def primitive_covector(pair) -> tuple[int, int]:
 def clear_denominators(values) -> tuple[list[int], int]:
     """Integers n_i and the least common denominator d with values[i] = n_i / d.
 
-    Takes ints and Fractions through the table of the gate :func:`_ratio`;
-    the exact kernels work on the n_i and normalize once at the end.
+    Takes ints, Fractions and rational literals through the table of the
+    gate :func:`_ratio`; the exact kernels work on the n_i and normalize
+    once at the end.
     """
     try:
         pairs = [_RATIOS[type(x)](x) for x in values]
     except KeyError as missing:  # a type the gate refuses, with its TypeError
-        raise TypeError(f"cannot interpret {missing.args[0].__name__} as a rational") from None
+        raise _refused(missing.args[0]) from None
     d = math.lcm(*[q for _, q in pairs])
     return [p * (d // q) for p, q in pairs], d
 
@@ -207,7 +222,7 @@ class Frozen:
 
     A type that does more than copy its fields keeps its own constructor:
     :class:`LinearMap2` checks invertibility, :class:`ShearMap` checks its
-    scale and derives its matrix, and an :class:`IntegerForm` clears its
+    scale and builds its matrix, and an :class:`IntegerForm` clears its
     values (:class:`CirclePoint` also checks that the point is on the
     circle).
     A type whose slots are not its fields (``ShearMap.matrix``, an
@@ -301,8 +316,9 @@ def lowest_terms(nums, den) -> tuple[tuple[int, ...], int]:
 
 
 class IntegerForm(Frozen):
-    """A value held as its integer form: models, Ricci tensors, rational
-    matrices, rank-one chart points, circle points and family memberships.
+    """A value held as its integer form: models, Ricci tensors and their
+    splits, rational matrices, flat and rank-one chart points, circle
+    points and family memberships.
 
     :attr:`integer_form` is ``(nums, den)``, the integer numerators of the
     values over their least common denominator den > 0, so gcd(nums, den)
@@ -311,10 +327,14 @@ class IntegerForm(Frozen):
     :meth:`of_integers` reduces integers with one gcd.  It is the one
     representation held: the ``Fraction`` view (``coeffs``, ``rows``,
     ``coords``, ``c`` and ``s``, ``params``, shaped by ``_shape``) is built
-    from it each time it is read, and not kept.  Equality and hashing
-    compare the forms within one class (a circle point and a membership
-    keep the hash of their record), so values of two classes never compare
-    equal; the repr, copies and pickles go through the fields named in
+    from it each time it is read, and not kept.  A subclass may add slots of
+    its own beside the form (a Ricci tensor's ``cleared`` flag, a
+    membership's family, the symmetric part of a Ricci split, a flat
+    chart's circle point).  Equality compares the form and those slots
+    within one class, so values of two classes never compare equal, and the
+    hash is the form's (a Ricci tensor adds its flag; a circle point, a
+    membership, a split and a flat chart keep the hash of their record);
+    the repr, copies and pickles go through the fields named in
     ``_fields``.
     """
 
@@ -354,7 +374,12 @@ class IntegerForm(Frozen):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.integer_form == other.integer_form  # the lowest-terms form is unique
+            if self.integer_form != other.integer_form:  # the lowest-terms form is unique
+                return False
+            for name in self.__slots__:  # a subclass's own slots: a flag, a family, a circle point
+                if getattr(self, name) != getattr(other, name):
+                    return False
+            return True
         return NotImplemented
 
     def __hash__(self):
@@ -477,34 +502,62 @@ class LinearMap2(Frozen):
 
 
 class ShearMap(Frozen):
-    """(x1, x2) -> (x1, a x2 + b x1) with a != 0.  Its matrix is built once,
-    with the shear, straight from the integers of a and b, so it is never
-    cleared; it is derived from (a, b) and left out of the repr, equality
-    and hashing."""
+    """(x1, x2) -> (x1, a x2 + b x1) with a != 0, held as its matrix
+    [[1, 0], [b, a]] alone: every operation reads its integer form
+    (D, 0, B, A) / D, and ``a`` and ``b`` are read off its rows.  The matrix
+    stays out of the repr; equality compares it, and the hash is the
+    record's, of (a, b)."""
 
-    __slots__ = ("a", "b", "matrix")
+    __slots__ = ("matrix",)
     _fields = ("a", "b")
 
     def __init__(self, a: Fraction, b: Fraction):
-        if a == 0:
-            raise ValueError("shear scale must be nonzero")
         (an, ad), (bn, bd) = _ratio(a), _ratio(b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "matrix", mat2_of_integers((ad * bd, 0, bn * ad, an * bd), ad * bd))
+        object.__setattr__(self, "matrix", _shear_matrix(an * bd, bn * ad, ad * bd))
+
+    @classmethod
+    def of_integers(cls, an: int, bn: int, den: int) -> "ShearMap":
+        """The shear a = an / den, b = bn / den for integers with den != 0."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", _shear_matrix(an, bn, den))
+        return out
+
+    a = property(lambda self: self.matrix.rows[1][1])
+    b = property(lambda self: self.matrix.rows[1][0])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.matrix.integer_form == other.matrix.integer_form
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
 
     @staticmethod
     def identity() -> "ShearMap":
-        return ShearMap(ONE, ZERO)
+        return ShearMap.of_integers(1, 0, 1)
 
     def inverse(self) -> "ShearMap":
-        return ShearMap(ONE / self.a, -ONE * self.b / self.a)
+        """a' = 1 / a and b' = -b / a: on the form, (D, -B) / A."""
+        (_, _, bn, an), den = self.matrix.integer_form
+        return ShearMap.of_integers(den, -bn, an)
 
     def compose(self, first: "ShearMap") -> "ShearMap":
-        return ShearMap(self.a * first.a, self.b + self.a * first.b)
+        """a a1 and b + a b1, on the forms of the two matrices."""
+        (_, _, bn, an), den = self.matrix.integer_form
+        (_, _, bn1, an1), den1 = first.matrix.integer_form
+        return ShearMap.of_integers(an * an1, bn * den1 + an * bn1, den * den1)
 
     def to_json(self):
-        return {"a": rational_str(self.a), "b": rational_str(self.b), "matrix": self.matrix.to_strings()}
+        (_, _, bn, an), den = self.matrix.integer_form
+        return {"a": ratio_str(an, den), "b": ratio_str(bn, den), "matrix": self.matrix.to_strings()}
+
+
+def _shear_matrix(an: int, bn: int, den: int) -> Mat2:
+    """The matrix [[1, 0], [b, a]] of a = an / den and b = bn / den, with
+    the shear's check of its scale."""
+    if an == 0:
+        raise ValueError("shear scale must be nonzero")
+    return mat2_of_integers((den, 0, bn, an), den)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +603,7 @@ class CirclePoint(IntegerForm):
 def circle_from_slope(t: Fraction) -> CirclePoint:
     """Rational circle point ((1-t^2)/(1+t^2), 2t/(1+t^2)) for slope ``t``,
     built from the integers of t with no Fraction."""
-    n, d = _ratio(rational(t) if isinstance(t, str) else t)
+    n, d = _ratio(t)
     return CirclePoint.of_integers((d * d - n * n, 2 * n * d), d * d + n * n)
 
 

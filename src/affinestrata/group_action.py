@@ -551,7 +551,7 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
     candidate shear is kept only when its exact pullback carries m1 to m2.
     Every test reads the integer forms m_i = g_i / L_i, and each candidate
     (a, b), a pair of integer ratios, is checked on integers (:func:`_carries`)
-    before a :class:`ShearMap` is built."""
+    before a :class:`ShearMap` is built from the same integers."""
     fl1, fl2 = stratum_flags(m1), stratum_flags(m2)
     if fl1.primary != fl2.primary:
         return _not_equivalent(f"stratum flags differ: {fl1.primary} vs {fl2.primary}")
@@ -615,11 +615,12 @@ def solve_equivalence_b(m1: TypeBModel, m2: TypeBModel) -> EquivalenceWitnesses:
             candidates.append(((1, 1), (0, 1)))
         else:
             return _not_equivalent("G_11^2 cannot be produced by any shear")
-    shears = [
-        ShearMap(Fraction(an, ad), Fraction(bn, bd))
-        for (an, ad), (bn, bd) in candidates
-        if an != 0 and _carries(source, (ad * bd, 0, bn * ad, an * bd), ad * bd, target)
-    ]
+    shears = []
+    for (an, ad), (bn, bd) in candidates:
+        # the shear's matrix [[1, 0], [b, a]] over the denominator ad bd
+        den, a, b = ad * bd, an * bd, bn * ad
+        if an != 0 and _carries(source, (den, 0, b, a), den, target):
+            shears.append(ShearMap.of_integers(a, b, den))
     if shears:
         return _equivalent(tuple(shears))
     return _not_equivalent("the shear elimination has no solution")

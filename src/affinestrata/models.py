@@ -11,9 +11,10 @@ indices so torsion vanishes by construction.
 A model is stored as its integer form (:class:`~affinestrata.exact.IntegerForm`):
 :attr:`integer_form` holds the integer numerators of the six coefficients
 over their least common denominator, in lowest terms.  A model built from
-rationals (or ints, or rational strings) clears them once; a parsed model
-document, the coefficient law and every catalog and family build make the
-model straight from integer numerators (:meth:`TypeAModel.of_integers`).
+rationals (or ints, or rational strings), a parsed model document among
+them, clears them once, in one straight-line pass through the table of the
+scalar gate; the coefficient law and every catalog and family build make
+the model straight from integer numerators (:meth:`TypeAModel.of_integers`).
 Every rational kernel downstream (the Ricci tensors, the coefficient law
 and its witness checks, the binary cubic, the orbit matchers and the
 charts) reads that pair, and the ``Fraction`` coefficients, ``coeffs`` and
@@ -27,7 +28,7 @@ import json
 import math
 from typing import Sequence, Union
 
-from .exact import ONE, Frozen, IntegerForm, clear_denominators, parse_literal, ratio_str, rational
+from .exact import _RATIOS, ONE, Frozen, IntegerForm, _refused, _set_integer_form, clear_denominators, echo, ratio_str
 
 
 class ModelParseError(ValueError):
@@ -46,7 +47,8 @@ class _Coefficients(IntegerForm):
     """The body both model types share: six exact rationals held as their
     integer form, which is all it keeps: ``coeffs`` and ``a`` .. ``f`` are
     built from it when read.  Ints, Fractions and rational strings are
-    accepted, strings read by :func:`rational`; floats raise TypeError.  Each subclass sets its ``kind``
+    accepted, each read once through the table of the scalar gate (a
+    string by the literal grammar); floats raise TypeError.  Each subclass sets its ``kind``
     and the ``letter`` of its repr.  Models are immutable, and two models
     are equal exactly when they are of the same class and have the same
     coefficients, so a Type A and a Type B model never compare equal."""
@@ -55,7 +57,23 @@ class _Coefficients(IntegerForm):
     _fields = ("a", "b", "c", "d", "e", "f")
 
     def __init__(self, a, b, c, d, e, f):
-        self._clear([rational(x) if isinstance(x, str) else x for x in (a, b, c, d, e, f)])
+        # straight-line: each ratio is in lowest terms, so the numerators
+        # over their least common denominator are too
+        try:
+            an, ad = _RATIOS[type(a)](a)
+            bn, bd = _RATIOS[type(b)](b)
+            cn, cd = _RATIOS[type(c)](c)
+            dn, dd = _RATIOS[type(d)](d)
+            en, ed = _RATIOS[type(e)](e)
+            fn, fd = _RATIOS[type(f)](f)
+        except KeyError as missing:  # a type the gate refuses
+            raise _refused(missing.args[0]) from None
+        den = math.lcm(ad, bd, cd, dd, ed, fd)
+        nums = (
+            an * (den // ad), bn * (den // bd), cn * (den // cd),
+            dn * (den // dd), en * (den // ed), fn * (den // fd),
+        )
+        _set_integer_form(self, (nums, den))
 
     coeffs = property(IntegerForm._fractions, doc="the six coefficients, Fractions")
     a, b, c, d, e, f = map(_coefficient, range(6))
@@ -113,10 +131,11 @@ def parse_model(text) -> Model:
     """Parse a model document; exact round-trip with :func:`serialize_model`.
 
     Accepts a JSON string or an already-decoded mapping.  Coefficients must
-    be rational strings (or integers); floats are rejected outright.  Each
-    literal is read as integers (:func:`~affinestrata.exact.parse_literal`)
-    straight into the model's integer form, over their least common
-    denominator, so no Fraction is built.
+    be rational strings (or integers); floats are rejected outright.  The
+    literals go to the model constructor, which reads each as integers
+    (:func:`~affinestrata.exact.parse_literal`) straight into the model's
+    integer form, so no Fraction is built.  A key given twice keeps its
+    last value, and keys other than ``type`` and ``coeffs`` are ignored.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -136,20 +155,17 @@ def parse_model(text) -> Model:
         raise ModelParseError("model document must be a JSON object")
     kind = doc.get("type")
     if kind not in ("A", "B"):
-        raise ModelParseError(f"model type must be 'A' or 'B', got {kind!r}")
+        raise ModelParseError(f"model type must be 'A' or 'B', got {echo(kind)}")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 6:
         raise ModelParseError("'coeffs' must be a list of six rational strings")
-    pairs = []
     for item in coeffs:
         if isinstance(item, bool) or not isinstance(item, (str, int)):
-            raise ModelParseError(f"coefficient {item!r} is not an exact rational literal")
-        try:
-            pairs.append((item, 1) if isinstance(item, int) else parse_literal(item))
-        except ValueError as exc:
-            raise ModelParseError(str(exc)) from exc
-    den = math.lcm(*[d for _, d in pairs])
-    return _MODEL_TYPES[kind].of_integers([n * (den // d) for n, d in pairs], den)
+            raise ModelParseError(f"coefficient {echo(item)} is not an exact rational literal")
+    try:
+        return _MODEL_TYPES[kind](*coeffs)
+    except ValueError as exc:
+        raise ModelParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +213,7 @@ class CatalogEntry(Frozen):
     def cleared(self, params: Sequence) -> tuple[list[int], int]:
         """The numerators of ``params`` over their common denominator h > 0;
         raises CatalogError on a wrong arity or a violated constraint."""
-        nums, den = clear_denominators([rational(p) if isinstance(p, str) else p for p in params])
+        nums, den = clear_denominators(params)
         if len(nums) != self.arity:
             raise CatalogError(
                 f"{self.entry_id} takes {self.arity} parameter(s), got {len(nums)}"
@@ -234,11 +250,6 @@ class FamilyMembership(IntegerForm):
         self._clear(params)
 
     params = property(IntegerForm._fractions)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.family == other.family and self.integer_form == other.integer_form
-        return NotImplemented
 
     __hash__ = Frozen.__hash__  # the record's hash, of (family, params)
 

@@ -23,8 +23,8 @@ The chart inverses and the Type B memberships compute on the model's
 integer form: each equation is an integer cross-multiplication.  The
 memberships in ``U1`` and ``V2`` run that family's registry build at the
 parameters they recover; every membership is built from the integers it
-was read or checked at, and the rank-one chart point holds its integer
-form, so a Fraction is built only for a flat chart coordinate.
+was read or checked at, and the flat and rank-one chart points hold their
+integer forms, so no chart or membership builds a Fraction.
 
 Orbit matching lives in :mod:`affinestrata.matchers`, above the frame
 reduction it shares with the solvers; ``match_flat_a_orbit``,
@@ -38,8 +38,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
-    ONE,
-    ZERO,
     CirclePoint,
     Frozen,
     IntegerForm,
@@ -49,9 +47,6 @@ from .exact import (
     mat_rank,
     primitive_covector,
     ratio_str,
-    rational,
-    rational_str,
-    sqrt_rational,
 )
 from .curvature import is_flat_a, rank1_scale, rank_signature, ricci_type_a, ricci_type_b, split_ricci
 from .law import pullback_type_a
@@ -90,18 +85,32 @@ class NotInStratumError(ValueError):
 # Flat Type A chart
 
 
-class FlatAChart(Frozen):
-    """Chart data (theta, r, s, t) for a nonzero flat Type A model."""
+class FlatAChart(IntegerForm):
+    """Chart data (theta, r, s, t) for a nonzero flat Type A model: the
+    circle point theta and the integer form of (r, s, t), which the report
+    reads; ``r``, ``s`` and ``t`` are its Fraction view, built when read.
+    Equality compares theta and the form, and the hash is the record's."""
 
-    __slots__ = ("theta", "r", "s", "t")
+    __slots__ = ("theta",)
+    _fields = ("theta", "r", "s", "t")
+
+    def __init__(self, theta: CirclePoint, r, s, t):
+        object.__setattr__(self, "theta", theta)
+        self._clear((r, s, t))
+
+    r = property(lambda self: self._fractions()[0])
+    s = property(lambda self: self._fractions()[1])
+    t = property(lambda self: self._fractions()[2])
+    __hash__ = Frozen.__hash__  # the record's hash, of (theta, r, s, t)
 
     def to_dict(self) -> dict:
         (c, sn), n = self.theta.integer_form
+        (r, s, t), den = self.integer_form
         return {
             "theta": [ratio_str(c, n), ratio_str(sn, n)],
-            "r": rational_str(self.r),
-            "s": rational_str(self.s),
-            "t": rational_str(self.t),
+            "r": ratio_str(r, den),
+            "s": ratio_str(s, den),
+            "t": ratio_str(t, den),
         }
 
 
@@ -114,7 +123,7 @@ def flat_a_param(theta: CirclePoint, r, s, t) -> TypeAModel:
     (r, s, t) over their denominator.
     """
     (c, sn), n = theta.integer_form
-    (r, s, t), h = clear_denominators([rational(x) if isinstance(x, str) else x for x in (r, s, t)])
+    (r, s, t), h = clear_denominators((r, s, t))
     return TypeAModel.of_integers(*_flat_a_coeffs(c, sn, n, r, s, t, h))
 
 
@@ -167,7 +176,7 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
                 f"the radius must satisfy x^2 = {ratio_str(r2, den * den)}, which has no rational root"
             )
         theta = CirclePoint.of_integers((v, w), r)
-        return FlatAChart(theta, Fraction(r, den), Fraction(s, den), Fraction(t, den))
+        return FlatAChart.of_integers((r, s, t), den, theta)
     # r = 0 branch: p^2 + q^2 = s^2 + t^2 and theta is read from (p, q, s, t)
     norm = s * s + t * t
     if norm == 0:
@@ -177,18 +186,23 @@ def _flat_a_coords(m: TypeAModel) -> FlatAChart:
     # cos 2theta = (s q - t p) / norm and sin 2theta = (s p + t q) / norm
     cos2, sin2 = s * q - t * p, s * p + t * q
     if cos2 == -norm:
-        theta = CirclePoint(ZERO, ONE)
+        theta = CirclePoint.of_integers((0, 1), 1)
     else:
-        half = Fraction(norm + cos2, 2 * norm)  # (1 + cos 2theta) / 2
-        c = sqrt_rational(half)
-        if c is None:
+        # c^2 = (1 + cos 2theta) / 2 = hn / hd in lowest terms, so c = cn / cd
+        # when both are squares, and s = sin 2theta / (2c); the point is on
+        # the circle since cos2^2 + sin2^2 = norm^2
+        g = math.gcd(norm + cos2, 2 * norm)
+        hn, hd = (norm + cos2) // g, 2 * norm // g
+        cn, cd = math.isqrt(hn), math.isqrt(hd)
+        if cn * cn != hn or cd * cd != hd:
             raise NonRationalCirclePointError(
-                f"the cosine must satisfy x^2 = {rational_str(half)}, which has no rational root"
+                f"the cosine must satisfy x^2 = {ratio_str(hn, hd)}, which has no rational root"
             )
-        theta = CirclePoint(c, Fraction(sin2 * c.denominator, 2 * norm * c.numerator))  # sin 2theta / (2c)
+        # (c, s) = (cn / cd, sin2 cd / (2 norm cn)) over the denominator 2 norm cn cd
+        theta = CirclePoint.of_integers((2 * norm * cn * cn, sin2 * cd * cd), 2 * norm * cn * cd)
     if not theta.is_lex_positive():
         theta = theta.antipode()
-    return FlatAChart(theta, ZERO, Fraction(s, den), Fraction(t, den))
+    return FlatAChart.of_integers((0, s, t), den, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +507,7 @@ def classify_alt_b(m: TypeBModel) -> TypeBMembership:
     exactly.
     """
     split = split_ricci(ricci_type_b(m))
-    if not split.sym_is_zero() or split.alt == 0:
+    if not split.sym_is_zero() or split.is_zero():
         raise NotInStratumError("classify_alt_b requires sym = 0 and alt != 0")
     return _classify_alt_b(m)
 

@@ -4,7 +4,10 @@ Each function here is the plain form of a kernel the package computes on
 integers, kept as the oracle that kernel is checked against:
 ``trace_form``, ``gamma_pair``, ``ricci_trace_vector`` and ``binary_cubic``
 on a model's Fraction coefficients, ``mat2_from_cols`` on Fraction columns
-and ``peval`` on a Fraction polynomial.
+and ``peval`` on a Fraction polynomial.  ``cleared_coefficients`` is the
+clearing path a model's constructor took before it read its six scalars in
+one pass: each literal made a Fraction by ``rational``, then the six cleared
+by ``clear_denominators``.
 
 ``gamma_law`` is the coefficient law in the form the package's straight-line
 ``law._adjugate_law`` expands: T g(adj T ., adj T .) and det T,
@@ -36,7 +39,16 @@ import math
 from fractions import Fraction
 
 from affinestrata.curvature import binary_cubic_coeffs, gamma_coeffs
-from affinestrata.exact import ZERO, LinearMap2, Mat2, ShearMap, _ratio, circle_from_slope
+from affinestrata.exact import (
+    ZERO,
+    LinearMap2,
+    Mat2,
+    ShearMap,
+    _ratio,
+    circle_from_slope,
+    clear_denominators,
+    rational,
+)
 from affinestrata.models import TypeAModel, TypeBModel
 from affinestrata.polys import ptrim
 from affinestrata.strata import ConePointError
@@ -75,6 +87,14 @@ def binary_cubic(m):
 
 def mat2_from_cols(col0, col1):
     return Mat2(((col0[0], col1[0]), (col0[1], col1[1])))
+
+
+def cleared_coefficients(values) -> tuple[tuple[int, ...], int]:
+    """The integer form of six model coefficients by the clearing path:
+    literals read into Fractions first, then the gate of
+    ``clear_denominators`` (its TypeError for any other type) and one lcm."""
+    nums, den = clear_denominators([rational(x) if isinstance(x, str) else x for x in values])
+    return tuple(nums), den
 
 
 def peval(p, x):

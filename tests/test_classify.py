@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affinestrata.classify import admits_type_b, classify_model, verify_theorems
-from affinestrata.exact import LinearMap2, Mat2
-from affinestrata.law import pullback_type_a
-from affinestrata.group_action import UndecidedError
+from affinestrata.exact import LinearMap2, Mat2, ShearMap
+from affinestrata.law import pullback_type_a, pullback_type_b
+from affinestrata.group_action import UndecidedError, solve_equivalence_b
 from affinestrata.models import (
     CATALOG,
     CatalogError,
@@ -238,3 +238,60 @@ def test_classification_is_invariant_under_pullback(height):
 
     check()
     assert kinds == {"cone_point", "flat_chart", "rank1", "rank2"}
+
+
+def _draw(rng, height, nonzero=False):
+    while True:
+        x = F(rng.randint(-height, height), rng.randint(1, height))
+        if x != 0 or not nonzero:
+            return x
+
+
+def _entry_points(rng, entry, height, count=3):
+    """``count`` models of a catalog or family entry at random parameters
+    that meet its constraint."""
+    points = []
+    while len(points) < count:
+        try:
+            points.append(entry.model([_draw(rng, height) for _ in range(entry.arity)]))
+        except (CatalogError, ConePointError):
+            pass
+    return points
+
+
+def _invertible(rng, height):
+    while True:
+        rows = [[_draw(rng, height) for _ in range(2)] for _ in range(2)]
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            return LinearMap2(Mat2(rows))
+
+
+@pytest.mark.parametrize("height", [12, 10**6])
+def test_classify_and_the_shear_solver_make_no_fraction(height, fractions_made, monkeypatch):
+    """``classify_model`` and its document, on pullbacks of every flat orbit
+    and rank-one family and on points of every Type B family, and
+    ``solve_equivalence_b`` on pairs built equivalent, construct no
+    Fraction: the split's alternating entry, the flat chart and the shears
+    are integer forms, and every answer is written from integers."""
+    rng = random.Random(27)
+    type_a_entries = [e for e in CATALOG.values() if e.model_type == "A"]
+    type_b_entries = [e for e in [*CATALOG.values(), *COEFF_FAMILIES.values()] if e.model_type == "B"]
+    flat_orbits, rank1_families = {f"M{k}_0" for k in range(6)}, {f"M{k}_1" for k in range(1, 6)}
+    assert {e.entry_id for e in type_a_entries} == flat_orbits | rank1_families
+    bases = [m for e in type_a_entries for m in _entry_points(rng, e, height)]
+    models = [pullback_type_a(m, _invertible(rng, height)) for m in bases]
+    # flat chart points with r = 0, whose circle point is read off the double angle
+    flat_a = COEFF_FAMILIES["flat_a"]
+    for _ in range(3):
+        models.append(flat_a.model([_draw(rng, height), 0, _draw(rng, height, True), _draw(rng, height, True)]))
+    b_models = [m for e in type_b_entries for m in _entry_points(rng, e, height)]
+    shears = [ShearMap(_draw(rng, height, True), _draw(rng, height)) for _ in b_models]
+    pairs = [(m, pullback_type_b(m, s)) for m, s in zip(b_models, shears)]
+    fractions_made.clear()
+    documents = [json.dumps(classify_model(m).to_dict()) for m in models + b_models]
+    answers = [solve_equivalence_b(*pair).to_dict() for pair in pairs]
+    assert fractions_made == []
+    monkeypatch.undo()
+    kinds = {json.loads(doc)["stratum"]["kind"] for doc in documents}
+    assert {"flat_chart", "rank1"} <= kinds and len(kinds) >= 4
+    assert all(answer["status"] == "equivalent" for answer in answers) and len(answers) == 3 * len(type_b_entries)

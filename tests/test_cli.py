@@ -310,6 +310,27 @@ def test_long_literal_diagnostic_is_short():
     assert details[1] == "not a rational literal: '1.5%s'... (5003 characters)" % ("9" * 17)
 
 
+def test_wrong_type_diagnostics_are_short():
+    """A coefficient or a ``type`` of the wrong JSON type is echoed as the
+    first 20 characters of its repr and the length, as a long literal is,
+    not whole; a short one keeps its whole repr."""
+    cases = [
+        ({"type": "A", "coeffs": [[0] * 10000, 0, 0, 0, 0, 0]},
+         "coefficient [0, 0, 0, 0, 0, 0, 0... (30000 characters) is not an exact rational literal"),
+        ({"type": ["A"] * 10000, "coeffs": [0] * 6},
+         "model type must be 'A' or 'B', got ['A', 'A', 'A', 'A',... (50000 characters)"),
+        ({"type": "A" * 10000, "coeffs": [0] * 6},
+         "model type must be 'A' or 'B', got 'AAAAAAAAAAAAAAAAAAAA'... (10000 characters)"),
+        ({"type": "A", "coeffs": [{"n": 1}, 0, 0, 0, 0, 0]}, "coefficient {'n': 1} is not an exact rational literal"),
+        ({"type": ["A"], "coeffs": [0] * 6}, "model type must be 'A' or 'B', got ['A']"),
+    ]
+    for doc, detail in cases:
+        code, out, err = run(["classify", json.dumps(doc)])
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert json.loads(err) == {"error": "usage", "detail": detail}
+
+
 @pytest.mark.parametrize(
     "args", [["bogus"], [], ["classify"], ["verify", "--samples", "x"], ["ricci", "--bogus", M1_0]]
 )

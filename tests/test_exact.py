@@ -15,8 +15,8 @@ from affinestrata.exact import (
     lowest_terms,
     mat_rank,
     primitive_covector,
+    ratio_str,
     rational,
-    rational_str,
     solve_3x2,
     solve_integer,
     solve_linear,
@@ -36,9 +36,9 @@ def test_rational_parsing_and_formatting():
     assert rational("3/5") == F(3, 5)
     assert rational("-7") == F(-7)
     assert rational(4) == F(4)
-    assert rational_str(F(3, 5)) == "3/5"
-    assert rational_str(F(-3, 5)) == "-3/5"
-    assert rational_str(F(8, 4)) == "2"
+    assert ratio_str(3, 5) == ratio_str(-6, -10) == "3/5"
+    assert ratio_str(-3, 5) == ratio_str(3, -5) == "-3/5"
+    assert ratio_str(8, 4) == "2" and ratio_str(0, -7) == "0"
     with pytest.raises(ValueError):
         rational("x")
     with pytest.raises(ValueError):

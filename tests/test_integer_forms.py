@@ -30,6 +30,7 @@ import json
 import math
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -111,7 +112,7 @@ from affinestrata.strata import (
     rank1_chart_inverse,
     rank1_reduce,
 )
-from references import FAMILY_BUILDS, QuadExt, binary_cubic, mat2_from_cols
+from references import FAMILY_BUILDS, QuadExt, binary_cubic, cleared_coefficients, mat2_from_cols
 
 HEIGHTS = (12, 10**6)
 
@@ -907,6 +908,82 @@ def test_parse_model_equals_fraction_built_model(kind, height, fractions_made):
         assert len(fractions_made) == 12  # each read of the six coefficients builds them
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# The one-pass model constructor and the shear built from integers
+
+
+#: the heights of the constructor's property tests, past a machine word
+CONSTRUCTOR_HEIGHTS = (12, 10**6, 10**40)
+
+
+def any_scalars(height):
+    """A coefficient of each type a model takes: an int, a bool, a Fraction,
+    or a rational literal, padded or not and not always in lowest terms."""
+    return st.one_of(
+        literals(height),
+        st.booleans(),
+        st.builds(F, st.integers(-height, height), st.integers(1, height)),
+    )
+
+
+@pytest.mark.parametrize("height", CONSTRUCTOR_HEIGHTS)
+@pytest.mark.parametrize("cls", [TypeAModel, TypeBModel])
+def test_constructor_equals_the_clearing_path(cls, height):
+    """The constructor's one pass through the gate's table makes the form
+    the clearing path makes (``references.cleared_coefficients``), and a
+    float or a Decimal anywhere raises that path's TypeError, word for word."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(any_scalars(height), min_size=6, max_size=6))
+    def same_form(values):
+        m = cls(*values)
+        assert m.integer_form == cleared_coefficients(values)
+        assert m.coeffs == tuple(F(x) for x in values)
+
+    refused = st.one_of(st.floats(allow_nan=False), st.decimals(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(any_scalars(height), min_size=6, max_size=6), st.integers(0, 5), refused)
+    def same_refusal(values, k, bad):
+        values[k] = bad
+        with pytest.raises(TypeError) as new:
+            cls(*values)
+        with pytest.raises(TypeError) as old:
+            cleared_coefficients(values)
+        assert str(new.value) == str(old.value) == f"cannot interpret {type(bad).__name__} as a rational"
+
+    same_form()
+    same_refusal()
+    with pytest.raises(TypeError, match="^cannot interpret Decimal as a rational$"):
+        cls(0, 0, Decimal(1), 0, 0, 0)
+
+
+@pytest.mark.parametrize("height", CONSTRUCTOR_HEIGHTS)
+def test_shear_from_integers_equals_shear_from_fractions(height, fractions_made):
+    """``ShearMap.of_integers(an, bn, den)`` is ``ShearMap(an / den, bn / den)``
+    in equality, repr, hash and JSON, and builds no Fraction; the inverse and
+    the composite, computed on the integer forms, are the Fraction ones."""
+    nonzero = st.integers(-height, height).filter(bool)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nonzero, st.integers(-height, height), nonzero, nonzero, st.integers(-height, height), nonzero)
+    def check(an, bn, den, an1, bn1, den1):
+        fractions_made.clear()
+        built, other = ShearMap.of_integers(an, bn, den), ShearMap.of_integers(an1, bn1, den1)
+        assert fractions_made == []
+        a, b, a1, b1 = F(an, den), F(bn, den), F(an1, den1), F(bn1, den1)
+        ref = ShearMap(a, b)
+        assert built == ref and built.matrix == ref.matrix and (built.a, built.b) == (a, b)
+        assert repr(built) == repr(ref) and hash(built) == hash(ref) and built.to_json() == ref.to_json()
+        assert built.inverse() == ShearMap(1 / a, -b / a)
+        assert built.compose(other) == ShearMap(a * a1, b + a * b1)
+
+    check()
+    for zero_scale in (lambda: ShearMap.of_integers(0, 1, 2), lambda: ShearMap(F(0), F(1, 2))):
+        with pytest.raises(ValueError, match="shear scale must be nonzero"):
+            zero_scale()
 
 
 #: the end of the message for a literal whose integer int() refuses

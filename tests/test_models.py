@@ -85,6 +85,19 @@ def test_parse_model_refuses_a_document_nested_past_the_recursion_limit():
         assert str(info.value) == "model document is nested too deeply"
 
 
+def test_parse_model_keeps_the_last_of_a_repeated_key_and_ignores_unknown_keys():
+    """As ``json.loads`` builds the mapping, a key given twice keeps its last
+    value, and the keys other than ``type`` and ``coeffs`` are not read."""
+    last_type = '{"type": "B", "coeffs": ["1", "0", "0", "1", "0", "0"], "type": "A"}'
+    assert parse_model(last_type) == type_a(1, 0, 0, 1, 0, 0)
+    last_coeffs = '{"type": "A", "coeffs": ["9", "9", "9", "9", "9", "9"], "coeffs": ["0", "1/2", 0, 0, 0, 0]}'
+    assert parse_model(last_coeffs) == type_a(0, F(1, 2), 0, 0, 0, 0)
+    with pytest.raises(ModelParseError, match="got 'C'"):  # the last one decides, even when it is wrong
+        parse_model('{"type": "A", "type": "C", "coeffs": ["0", "0", "0", "0", "0", "0"]}')
+    extra = {"type": "B", "coeffs": ["0", "0", "0", "0", "0", "1"], "comment": [1.5, None], "Type": "A", "version": 2}
+    assert parse_model(json.dumps(extra)) == parse_model(extra) == type_b(0, 0, 0, 0, 0, 1)
+
+
 def test_serialize_round_trip():
     models = [
         canonical_model("M5_1", [F(-3, 7)]),
