@@ -99,3 +99,36 @@ def test_verify_report_digest(seed):
     above, at 20 samples."""
     doc = json.dumps(verify_theorems(seed, 20).to_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == VERIFY_DIGESTS[seed]
+
+
+#: sha256 of the command-line report of ``verify --seed <seed> --samples 100``
+#: (``json.dumps(verify_theorems(seed, 100).to_dict(), indent=2)``), seeds 1..20
+VERIFY_100_DIGESTS = {
+    1: "2ed077b7fa577f91715d0eb954e1fee93688b2cbda76ecc5ed1a6795bb59a242",
+    2: "a7fda9d71802244fb8cad7b411b5436b05b4934ba771acb924fe04dcf075f95b",
+    3: "d39bc16dff675edc5d7fde37849b110552896126b96961f8e1da2abbf6350e42",
+    4: "69e58873869be983ed0830b8c187709462d1f929ac472769366108e6cf2c3ad2",
+    5: "195196eb33220abc949660848d5df0cfefad9303834c482780d31296daf003fd",
+    6: "d7907f143ba44a34362b5bb5e13263891a795c20e27dee26de69151c758ce987",
+    7: "1a48aedc377fa0dc256172a15bfd2b49ec726956258a79b4ec58066f77b73363",
+    8: "4c70214cb73454e7908fcef945dc7e8d64c60b1d31f3ea9e91cc31a02c07e910",
+    9: "80b637b2cc802324f15968f2b03559cc4f043c5dec348dbfebfca030a0c62d60",
+    10: "106943dc4709ce2c66aa7f5fc2b509870fec4c5b79c7f163f5706a3d91554ade",
+    11: "35d0d016b3592bde02d64a0ec9a8a9d8377dfdc88c965397208170c8e03a07cf",
+    12: "3d43f76d7e7a389407c7a658931be02129992b61ea90b2ada01a6094fc1f05a4",
+    13: "c78da5920bcc8b9dc73b44bdbff6c79d6e0432d23624b02523e2b6067c1444be",
+    14: "d479656916fcf6417611f49f829a51fbd124b4cb6aaf9c82c59225aac1690d50",
+    15: "7cc356f24c3782dd97de52a8e5c97fb5a0fb7561152347bf8bd18bb5442385cd",
+    16: "e374246a3e1a1578b202f2ac47b97b8becadaabaf21ca589f30b80745d8e25c3",
+    17: "008837e565e7660e931657258cf55963ec75d7078e0697b219d3b42bfdbdc1b1",
+    18: "e27a21c776d7b12d9caf9cf54555d13ca25bfd9c14a3dc5838b7d7a668ff9710",
+    19: "1fc4c6a9643c3fbfe96760b9d8a89264ca123f0078939ffa4271f3da64772053",
+    20: "a22bd7a909a10724300b19742277192315a46881d1771a0dd177138af988f511",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_100_DIGESTS))
+def test_verify_report_digest_at_100_samples(seed):
+    """The report as the command line prints it, at the default sample count."""
+    doc = json.dumps(verify_theorems(seed, 100).to_dict(), indent=2)
+    assert hashlib.sha256(doc.encode()).hexdigest() == VERIFY_100_DIGESTS[seed]
