@@ -250,51 +250,35 @@ def _check_flat_b_strata(rng, samples: int) -> int:
     used = 0
     for i in range(samples):
         r, s = sampling.rand_nonzero(rng), sampling.rand_rational(rng)
-        m = flat_b_param("U1", (r, s))
-        if not ricci_type_b(m).is_zero():
-            _fail(f"U1 sample {i} not flat")
-        cls = classify_flat_b(m)
-        if list(cls.members) != [FamilyMembership("B1", (r, s))]:
-            _fail(f"U1 sample {i}: recovery returned {cls.members}")
         u, v = sampling.rand_rational(rng), sampling.rand_rational(rng)
-        m2 = flat_b_param("U2", (u, v))
-        if not ricci_type_b(m2).is_zero():
-            _fail(f"U2 sample {i} not flat")
-        if FamilyMembership("B2", (u, v)) not in classify_flat_b(m2).members:
-            _fail(f"U2 sample {i}: membership missing")
-        m3 = flat_b_param("U3", (u, v))
-        if not ricci_type_b(m3).is_zero():
-            _fail(f"U3 sample {i} not flat")
-        if FamilyMembership("B3", (u, v)) not in classify_flat_b(m3).members:
-            _fail(f"U3 sample {i}: membership missing")
         t, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
-        mc = flat_b_param("U1_closure", (t, w))
-        if not ricci_type_b(mc).is_zero():
-            _fail(f"closure sample {i} not flat")
-        if t != 0:
-            if FamilyMembership("B1", (-t * t, 1 / t + w)) not in classify_flat_b(mc).members:
-                _fail(f"closure sample {i}: interior membership missing")
+        for family, params, expected, only in (
+            ("U1", (r, s), FamilyMembership("B1", (r, s)), True),
+            ("U2", (u, v), FamilyMembership("B2", (u, v)), False),
+            ("U3", (u, v), FamilyMembership("B3", (u, v)), False),
+            ("U1_closure", (t, w), FamilyMembership("B1", (-t * t, 1 / t + w)) if t != 0 else None, False),
+        ):
+            m = flat_b_param(family, params)
+            if not ricci_type_b(m).is_zero():
+                _fail(f"{family} sample {i} not flat")
+            if expected is not None:
+                members = classify_flat_b(m).members
+                if expected not in members or (only and len(members) != 1):
+                    _fail(f"{family} sample {i}: recovery returned {members}, expected {expected}")
         used += 4
-    curve_samples = max(1, samples // 10)
-    for i in range(curve_samples):
-        v = sampling.rand_rational(rng)
-        cls = classify_flat_b(TypeBModel(-ONE, v, ZERO, ZERO, ZERO, ZERO))
-        fams = sorted(mb.family for mb in cls.members)
-        if fams != ["B2", "B3"] or "B2&B3" not in cls.intersections:
-            _fail(f"curve B2&B3 sample {i} misclassified: {cls}")
-        cls = classify_flat_b(TypeBModel(ONE, v, ZERO, ZERO, ZERO, ZERO))
-        if "B1~&B2" not in cls.intersections:
-            _fail(f"curve B1~&B2 sample {i} misclassified: {cls}")
-        w = sampling.rand_rational(rng)
-        cls = classify_flat_b(TypeBModel(ZERO, 2 * w, ZERO, ONE, ZERO, ZERO))
-        fams = sorted(mb.family for mb in cls.members)
-        if "B1~&B3" not in cls.intersections or fams != ["B1closure", "B3"]:
-            _fail(f"curve B1~&B3 sample {i} misclassified: {cls}")
+    for i in range(max(1, samples // 10)):
+        v, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
+        for curve, m, families in (
+            ("B2&B3", TypeBModel(-ONE, v, ZERO, ZERO, ZERO, ZERO), ["B2", "B3"]),
+            ("B1~&B2", TypeBModel(ONE, v, ZERO, ZERO, ZERO, ZERO), None),
+            ("B1~&B3", TypeBModel(ZERO, 2 * w, ZERO, ONE, ZERO, ZERO), ["B1closure", "B3"]),
+        ):
+            cls = classify_flat_b(m)
+            if curve not in cls.intersections or families not in (None, sorted(mb.family for mb in cls.members)):
+                _fail(f"curve {curve} sample {i} misclassified: {cls}")
         used += 3
-    rank_samples = max(1, samples // 50)
-    for i in range(rank_samples):
-        v = sampling.rand_rational(rng)
-        w = sampling.rand_rational(rng)
+    for i in range(max(1, samples // 50)):
+        v, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
         for combo in (
             [("U2", (-ONE, v)), ("U3", (-ONE, v))],
             [("U1", (ZERO, -v)), ("U2", (ONE, v))],
@@ -310,22 +294,14 @@ def _check_flat_b_strata(rng, samples: int) -> int:
 def _check_alt_b_strata(rng, samples: int) -> int:
     used = 0
     for i in range(samples):
-        r = sampling.rand_nonzero(rng)
-        s, t = sampling.rand_rational(rng), sampling.rand_rational(rng)
-        m = alt_b_param("V1", (r, s, t))
-        split = split_ricci(ricci_type_b(m))
-        if not split.sym_is_zero() or split.alt != r:
-            _fail(f"V1 sample {i}: split is ({split.sym}, {split.alt})")
-        if FamilyMembership("D1", (r, s, t)) not in classify_alt_b(m).members:
-            _fail(f"V1 sample {i}: membership missing")
-        u = sampling.rand_nonzero(rng)
-        v, w = sampling.rand_rational(rng), sampling.rand_rational(rng)
-        m2 = alt_b_param("V2", (u, v, w))
-        split2 = split_ricci(ricci_type_b(m2))
-        if not split2.sym_is_zero() or split2.alt != u:
-            _fail(f"V2 sample {i}: split is ({split2.sym}, {split2.alt})")
-        if FamilyMembership("D2", (u, v, w)) not in classify_alt_b(m2).members:
-            _fail(f"V2 sample {i}: recovery failed")
+        for family, member in (("V1", "D1"), ("V2", "D2")):
+            params = (sampling.rand_nonzero(rng), sampling.rand_rational(rng), sampling.rand_rational(rng))
+            m = alt_b_param(family, params)
+            split = split_ricci(ricci_type_b(m))
+            if not split.sym_is_zero() or split.alt != params[0]:
+                _fail(f"{family} sample {i}: split is ({split.sym}, {split.alt})")
+            if FamilyMembership(member, params) not in classify_alt_b(m).members:
+                _fail(f"{family} sample {i}: membership {member} missing")
         used += 2
     for i in range(max(1, samples // 10)):
         u, w = sampling.rand_nonzero(rng), sampling.rand_rational(rng)
@@ -365,135 +341,86 @@ def _check_ricci_diag(rng, samples: int) -> int:
     return used
 
 
-# Expected isotropy tables, written out independently of the solver: each
-# case is (finite elements, family builder or None, family dimension).
+# The isotropy cases, written out independently of the solver: (catalog id,
+# parameter, finite elements, family builder or None, family dimension).
 
 _SWAP = Mat2(((ZERO, -ONE), (-ONE, ZERO)))
 _FLIP = Mat2(((ONE, ZERO), (ZERO, -ONE)))
 _EYE = Mat2.identity()
 
-
-def _expected_isotropy(entry_id: str, param):
-    one_param_shear = lambda w: Mat2(((ONE, -w), (ZERO, ONE)))
-    scale_first = lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE)))
-    table = {
-        "M0_0": ([], lambda p, q, r, s: Mat2(((p, q), (r, s))), 4),
-        "M1_0": ([_EYE], lambda a: Mat2(((ONE, ZERO), (ZERO, a))), 1),
-        "M2_0": ([_EYE, _SWAP], None, 0),
-        "M3_0": ([_EYE], lambda a: Mat2(((a, ZERO), (ZERO, ONE))), 1),
-        "M4_0": ([_EYE], lambda a, b: Mat2(((a * a, b), (ZERO, a))), 2),
-        "M5_0": ([_EYE, _FLIP], None, 0),
-        "M1_1": ([_EYE], None, 0),
-        "M3_1": ([_EYE], scale_first, 1),
-    }
-    if entry_id in table:
-        return table[entry_id]
-    if entry_id == "M2_1":
-        if param == Fraction(-1, 2):
-            return ([_EYE, Mat2(((ONE, ONE), (ZERO, -ONE)))], None, 0)
-        return ([_EYE], None, 0)
-    if entry_id == "M4_1":
-        if param == 0:
-            return ([_EYE], lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))), 2)
-        return ([_EYE], one_param_shear, 1)
-    if entry_id == "M5_1":
-        if param == 0:
-            return ([_EYE, _FLIP], None, 0)
-        return ([_EYE], None, 0)
-    raise ValueError(entry_id)
-
-
-_FLAT_ORBIT_DIMS = {"M0_0": 0, "M1_0": 3, "M2_0": 4, "M3_0": 3, "M4_0": 2, "M5_0": 4}
-
-
-def _check_one_isotropy(rng, entry_id, param, m, inst_samples) -> int:
-    exp_elems, exp_builder, exp_dim = _expected_isotropy(entry_id, param)
-    group = isotropy_type_a(m)
-    if group.dimension != exp_dim:
-        _fail(f"{entry_id}({param}): isotropy dimension {group.dimension} != {exp_dim}")
-    got = {el.matrix for el in group.finite_elements}
-    if got != set(exp_elems):
-        _fail(f"{entry_id}({param}): finite elements differ from the stored table")
-    if (len(group.families) == 0) != (exp_builder is None):
-        _fail(f"{entry_id}({param}): family count differs from the stored table")
-    used = 0
-    for fam in group.families:
-        for _ in range(inst_samples):
-            params = [sampling.rand_nonzero(rng) for _ in range(fam.dimension)]
-            try:
-                el = fam.instantiate(params)
-                expected = exp_builder(*params)
-            except (ValueError, ZeroDivisionError):
-                continue
-            if el.matrix != expected:
-                _fail(f"{entry_id}({param}): family member differs from the stored table at {params}")
-            if not carries(m, el.matrix, m):
-                _fail(f"{entry_id}({param}): family member at {params} does not fix the model")
-            used += 1
-    if orbit_dimension_a(m) != 4 - group.dimension:
-        _fail(f"{entry_id}({param}): orbit dimension inconsistent with isotropy dimension")
-    return used + 1
+_ISOTROPY_CASES = (
+    ("M0_0", None, (), lambda p, q, r, s: Mat2(((p, q), (r, s))), 4),
+    ("M1_0", None, (_EYE,), lambda a: Mat2(((ONE, ZERO), (ZERO, a))), 1),
+    ("M2_0", None, (_EYE, _SWAP), None, 0),
+    ("M3_0", None, (_EYE,), lambda a: Mat2(((a, ZERO), (ZERO, ONE))), 1),
+    ("M4_0", None, (_EYE,), lambda a, b: Mat2(((a * a, b), (ZERO, a))), 2),
+    ("M5_0", None, (_EYE, _FLIP), None, 0),
+    ("M1_1", None, (_EYE,), None, 0),
+    ("M2_1", Fraction(2), (_EYE,), None, 0),
+    ("M2_1", Fraction(-1, 2), (_EYE, Mat2(((ONE, ONE), (ZERO, -ONE)))), None, 0),
+    ("M3_1", Fraction(3), (_EYE,), lambda v: Mat2(((1 / v, ZERO), (ZERO, ONE))), 1),
+    ("M4_1", Fraction(5), (_EYE,), lambda w: Mat2(((ONE, -w), (ZERO, ONE))), 1),
+    ("M4_1", Fraction(0), (_EYE,), lambda v, w: Mat2(((1 / v, -w / v), (ZERO, ONE))), 2),
+    ("M5_1", Fraction(2), (_EYE,), None, 0),
+    ("M5_1", Fraction(0), (_EYE, _FLIP), None, 0),
+)
 
 
 def _check_isotropy(rng, samples: int) -> int:
     used = 0
     inst_samples = max(1, samples // 10)
-    for orbit_id in ("M0_0", "M1_0", "M2_0", "M3_0", "M4_0", "M5_0"):
-        m = canonical_model(orbit_id)
-        used += _check_one_isotropy(rng, orbit_id, None, m, inst_samples)
-        dim = orbit_dimension_a(m)
-        if dim != _FLAT_ORBIT_DIMS[orbit_id]:
-            _fail(f"{orbit_id}: orbit dimension {dim} != {_FLAT_ORBIT_DIMS[orbit_id]}")
-    rank1_cases = [
-        ("M1_1", None),
-        ("M2_1", Fraction(2)),
-        ("M2_1", Fraction(-1, 2)),
-        ("M3_1", Fraction(3)),
-        ("M4_1", Fraction(5)),
-        ("M4_1", Fraction(0)),
-        ("M5_1", Fraction(2)),
-        ("M5_1", Fraction(0)),
-    ]
-    for entry_id, param in rank1_cases:
+    for entry_id, param, elements, builder, dimension in _ISOTROPY_CASES:
+        case = f"{entry_id}({param})"
         m = canonical_model(entry_id, () if param is None else (param,))
-        used += _check_one_isotropy(rng, entry_id, param, m, inst_samples)
+        group = isotropy_type_a(m)
+        if group.dimension != dimension:
+            _fail(f"{case}: isotropy dimension {group.dimension} != {dimension}")
+        got = sorted(el.matrix.integer_form for el in group.finite_elements)
+        if got != sorted(mat.integer_form for mat in elements):  # as multisets: a repeated element fails
+            _fail(f"{case}: finite elements differ from the stored table")
+        if (len(group.families) == 0) != (builder is None):
+            _fail(f"{case}: family count differs from the stored table")
+        for fam in group.families:
+            for _ in range(inst_samples):
+                params = [sampling.rand_nonzero(rng) for _ in range(fam.dimension)]
+                try:
+                    el = fam.instantiate(params)
+                    expected = builder(*params)
+                except (ValueError, ZeroDivisionError):
+                    continue
+                if el.matrix != expected:
+                    _fail(f"{case}: family member differs from the stored table at {params}")
+                if not carries(m, el.matrix, m):
+                    _fail(f"{case}: family member at {params} does not fix the model")
+                used += 1
+        if orbit_dimension_a(m) != 4 - dimension:
+            _fail(f"{case}: orbit dimension inconsistent with isotropy dimension")
+        used += 1
     return used
 
 
 def _check_rank1_families(rng, samples: int) -> int:
     used = 0
-    formula_samples = max(1, samples // 10)
-    for i in range(formula_samples):
+    for _ in range(max(1, samples // 10)):
         c1 = sampling.rand_rational(rng)
         nums, den = clear_denominators([c1])
         if any(CATALOG[entry_id].check(nums, den) is not None for entry_id in ("M2_1", "M3_1")):
             c1 = Fraction(1, 2)  # a value both constraints admit
         c = sampling.rand_rational(rng)
-        expected = [
-            ("M1_1", (), ONE),
-            ("M2_1", (c1,), c1 * (1 + c1)),
-            ("M3_1", (c1,), c1 * (1 + c1)),
-            ("M4_1", (c,), ONE),
-            ("M5_1", (c,), 1 + c * c),
-        ]
-        for entry_id, params, scale in expected:
-            r = ricci_type_a(canonical_model(entry_id, params))
+        for entry_id, params, scale, admits in (
+            ("M1_1", (), ONE, True),
+            ("M2_1", (c1,), c1 * (1 + c1), True),
+            ("M3_1", (c1,), c1 * (1 + c1), True),
+            ("M4_1", (c,), ONE, True),
+            ("M5_1", (c,), 1 + c * c, False),
+        ):
+            m = canonical_model(entry_id, params)
+            r = ricci_type_a(m)
             if r.rows != ((ZERO, ZERO), (ZERO, scale)):
                 _fail(f"{entry_id}{params}: Ricci is {r.rows}, expected diag(0, {scale})")
-            used += 1
-        if c1 * (1 + c1) < 0 and not (-1 < c1 < 0):
-            _fail(f"negative scale outside (-1, 0): c1 = {c1}")
-        for entry_id, params in (
-            ("M1_1", ()),
-            ("M2_1", (c1,)),
-            ("M3_1", (c1,)),
-            ("M4_1", (c,)),
-        ):
-            if admits_type_b(canonical_model(entry_id, params)) is not True:
-                _fail(f"{entry_id}{params}: should admit the 1/x1 profile")
-        if admits_type_b(canonical_model("M5_1", (c,))) is not False:
-            _fail(f"M5_1({c}): must not admit the 1/x1 profile")
-        used += 5
+            if admits_type_b(m) is not admits:
+                _fail(f"{entry_id}{params}: admits_type_b should be {admits}")
+            used += 2
     for i in range(max(1, samples // 50)):
         c = sampling.rand_nonzero(rng)
         res = solve_equivalence_a(
@@ -575,31 +502,23 @@ def _check_orbit_recovery(rng, samples: int) -> int:
 def _check_action_laws(rng, samples: int) -> int:
     used = 0
     neg_identity = LinearMap2(Mat2(((-ONE, ZERO), (ZERO, -ONE))))
+    actions = (
+        ("A", sampling.rand_model_a, sampling.rand_linear_map, pullback_type_a, ricci_type_a, neg_identity),
+        ("B", sampling.rand_model_b, sampling.rand_shear, pullback_type_b, ricci_type_b, None),
+    )
     for i in range(samples):
-        m = sampling.rand_model_a(rng)
-        t1 = sampling.rand_linear_map(rng)
-        t2 = sampling.rand_linear_map(rng)
-        m1 = pullback_type_a(m, t1)
-        if pullback_type_a(m1, t2) != pullback_type_a(m, t2.compose(t1)):
-            _fail(f"A functoriality failed at sample {i}")
-        r = ricci_type_a(m)
-        s = t1.matrix.inverse()
-        transported = s.transpose() @ mat2_of_integers(*r.integer_form) @ s
-        if mat2_of_integers(*ricci_type_a(m1).integer_form) != transported:
-            _fail(f"A Ricci naturality failed at sample {i}")
-        if pullback_type_a(m, neg_identity) != negate_model(m):
-            _fail(f"negation law failed at sample {i}")
-        mb = sampling.rand_model_b(rng)
-        p1 = sampling.rand_shear(rng)
-        p2 = sampling.rand_shear(rng)
-        mb1 = pullback_type_b(mb, p1)
-        if pullback_type_b(mb1, p2) != pullback_type_b(mb, p2.compose(p1)):
-            _fail(f"B functoriality failed at sample {i}")
-        rb = ricci_type_b(mb)
-        sb = p1.matrix.inverse()
-        transported_b = sb.transpose() @ mat2_of_integers(*rb.integer_form) @ sb
-        if mat2_of_integers(*ricci_type_b(mb1).integer_form) != transported_b:
-            _fail(f"B Ricci naturality failed at sample {i}")
+        for kind, rand_model, rand_map, pullback, ricci, negation in actions:
+            m = rand_model(rng)
+            t1, t2 = rand_map(rng), rand_map(rng)
+            m1 = pullback(m, t1)
+            if pullback(m1, t2) != pullback(m, t2.compose(t1)):
+                _fail(f"{kind} functoriality failed at sample {i}")
+            s = t1.matrix.inverse()
+            transported = s.transpose() @ mat2_of_integers(*ricci(m).integer_form) @ s
+            if mat2_of_integers(*ricci(m1).integer_form) != transported:
+                _fail(f"{kind} Ricci naturality failed at sample {i}")
+            if negation is not None and pullback(m, negation) != negate_model(m):
+                _fail(f"{kind} negation law failed at sample {i}")
         used += 1
     return used
 
